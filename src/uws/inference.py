@@ -155,7 +155,8 @@ def _aggregate_rankings(labels, weights, space, problem):
 
 
 def _aggregate_reals(labels, weights, problem):
-    labels = np.asarray(labels, dtype=np.float64)
+    # one value per labeler: (m,) or the (m, 1) rows of a real LabelingMatrix
+    labels = np.asarray(labels, dtype=np.float64).reshape(len(weights))
     if problem.candidate_policy == "observed_only":
         cands = np.unique(labels)
         costs = [(weights * (labels - z) ** 2).sum() for z in cands]
@@ -304,7 +305,9 @@ def aggregate_dataset(data, weights=None, rule="weighted", candidate_policy="aut
 
     rule "mv" ignores weights; "weighted" requires either ``weights`` or a
     ``model`` (rankings and finite spaces use its thetas; real labels use the
-    Gaussian conditional mean from its accuracies and pairwise moments).
+    Gaussian conditional mean from its accuracies and pairwise moments, or,
+    when the accuracies are unknown (NaN), the precision-weighted mean
+    ``lambda . Theta 1 / 1' Theta 1`` from its theta matrix).
     candidate_policy "auto" resolves to exact enumeration when feasible and
     the insertion heuristic on long rankings.
 
@@ -324,11 +327,17 @@ def aggregate_dataset(data, weights=None, rule="weighted", candidate_policy="aut
     if rule == "weighted" and data.space_kind == REAL_VECTOR and weights is None:
         if model is None:
             raise ConfigurationError("weighted rule needs weights or a learned model")
-        # Gaussian conditional mean: exact weighted inference for real labels
         values = data.labels[:, :, 0]
-        return [float(v) for v in gaussian_conditional_mean(
-            values, model.accuracies, model.pairwise_moments
-        )]
+        if not np.isnan(model.accuracies).any():
+            # Gaussian conditional mean: exact weighted inference for real labels
+            return [float(v) for v in gaussian_conditional_mean(
+                values, model.accuracies, model.pairwise_moments
+            )]
+        if model.theta_matrix is None:
+            raise ConfigurationError("model has neither accuracies nor a theta matrix for real labels")
+        # without accuracies, the precision-weighted mean lambda . Theta 1 / 1' Theta 1
+        precision = np.asarray(model.theta_matrix, dtype=np.float64).sum(axis=1)
+        return [float(v) for v in values @ precision / precision.sum()]
 
     if rule == "mv":
         weights = np.ones(data.n_lfs)

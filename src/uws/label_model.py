@@ -12,10 +12,19 @@ independent labelers. Three routes are provided:
 - isotropic: half-sum of pairwise expected distances, needing only the native
   metric.
 
-:func:`learn_label_model` wires a route end to end for rankings, real vectors,
-and finite metric spaces, maps mean parameters to canonical accuracies
-(numerical inversion of the Mallows expected distance for rankings, inverse
-covariance for the Gaussian-style spaces), and returns a serializable model.
+:func:`learn_label_model` is one pipeline for rankings, real vectors, and
+finite metric spaces: embed the outputs, take every pair moment in one batched
+product, solve each labeler's admissible triplets on the route as one array
+call, and map mean parameters to canonical accuracies (numerical inversion of
+the Mallows expected distance for rankings, inverse covariance for the
+Gaussian-style spaces). A triplet whose moments the route cannot solve (a
+pairwise moment at the floor, a negative discriminant) is skipped: the
+"first" policy falls back to the next admissible triplet and "median" takes
+the median over the solvable ones, so learning fails only for a labeler none
+of whose triplets is solvable, and the error names it. The public scalar
+solvers (:func:`continuous_triplets`, :func:`quadratic_triplets`,
+:func:`isotropic_accuracies`) wrap the same elementwise cores and raise where
+the learner skips.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +42,7 @@ from .errors import (
     SignAmbiguousError,
 )
 from .metric_spaces import FiniteMetricSpace, classical_mds
-from .permutations import num_pairs, pair_sign_embed_many
+from .permutations import pair_sign_embed_many
 
 __all__ = [
     "EPS_FLOOR",
@@ -59,6 +68,7 @@ RANKING = "ranking"
 REAL_VECTOR = "real_vector"
 FINITE_METRIC = "finite_metric"
 
+# the routes available on each space; the first is its default
 _PATHS = {
     RANKING: ("continuous", "hypercube", "isotropic"),
     REAL_VECTOR: ("continuous", "isotropic"),
@@ -233,15 +243,24 @@ def empirical_pair_moments(values):
     values = np.asarray(values)
     if values.ndim != 3 or values.shape[1] < 1:
         raise InvalidArgumentError(f"values must be a nonempty (m, n, d) array, got {values.shape}")
-    m, n, d = values.shape
-    out = np.empty((m, m, d), dtype=np.float64)
-    for a in range(m):
-        va = values[a].astype(np.float64, copy=False)
-        for b in range(a, m):
-            e = (va * values[b]).mean(axis=0)
-            out[a, b] = e
-            out[b, a] = e
-    return out
+    # every pair at once as one batched product (d, m, n) @ (d, n, m); on +-1
+    # coordinates the sums are exact integers, so the moments are exact quotients
+    v = np.ascontiguousarray(values.transpose(2, 0, 1), dtype=np.float64)
+    sums = v @ v.transpose(0, 2, 1)
+    return np.ascontiguousarray((sums / values.shape[1]).transpose(1, 2, 0))
+
+
+def _continuous_core(e_ab, e_ac, e_bc, second_moment, eps_floor):
+    """Elementwise ``|a_a|`` of :func:`continuous_triplets`, and where it is defined.
+
+    ``ok`` is False wherever one of the three ``|e|`` is at or below
+    ``eps_floor``; the magnitude there is meaningless. Swapping the arguments
+    gives the other two labelers' magnitudes.
+    """
+    e_ab, e_ac, e_bc = (np.abs(np.asarray(x, dtype=np.float64)) for x in (e_ab, e_ac, e_bc))
+    ok = ~((e_ab <= eps_floor) | (e_ac <= eps_floor) | (e_bc <= eps_floor))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sqrt(e_ab * e_ac * second_moment / e_bc), ok
 
 
 def continuous_triplets(e_ab, e_ac, e_bc, second_moment, eps_floor=EPS_FLOOR):
@@ -258,16 +277,66 @@ def continuous_triplets(e_ab, e_ac, e_bc, second_moment, eps_floor=EPS_FLOOR):
         If any ``|e|`` is at or below ``eps_floor``: that labeler pair is
         indistinguishable from independence at this sample size.
     """
-    e_ab, e_ac, e_bc = (np.abs(np.asarray(x, dtype=np.float64)) for x in (e_ab, e_ac, e_bc))
     sm = np.asarray(second_moment, dtype=np.float64)
     if (sm <= 0).any():
         raise DomainError("second moment must be positive")
-    if min(e_ab.min(), e_ac.min(), e_bc.min()) <= eps_floor:
+    mag_a, ok = _continuous_core(e_ab, e_ac, e_bc, sm, eps_floor)
+    if not ok.all():
         raise DegenerateMomentError(f"pairwise moment at or below the floor {eps_floor}")
-    mag_a = np.sqrt(e_ab * e_ac * sm / e_bc)
-    mag_b = np.sqrt(e_ab * e_bc * sm / e_ac)
-    mag_c = np.sqrt(e_ac * e_bc * sm / e_ab)
+    mag_b, _ = _continuous_core(e_ab, e_bc, e_ac, sm, eps_floor)
+    mag_c, _ = _continuous_core(e_ac, e_bc, e_ab, sm, eps_floor)
     return mag_a, mag_b, mag_c
+
+
+def _quadratic_core(o_ab, o_ac, o_bc, l_a, l_b, l_c, p):
+    """Elementwise (alpha, beta, gamma) of :func:`quadratic_triplets`, and where it is defined.
+
+    Takes float arrays already checked to be probabilities. ``ok`` is False
+    wherever the discriminant shows that no real solution exists; the roots
+    there come from the discriminant clamped to 0.
+    """
+    r = p / (1.0 - p)
+    t = p / (1.0 - p) ** 2
+    q_a, q_b, q_c = l_a / (1.0 - p), l_b / (1.0 - p), l_c / (1.0 - p)
+    op_ab, op_ac, op_bc = o_ab / (1.0 - p), o_ac / (1.0 - p), o_bc / (1.0 - p)
+    k_ab = op_ab - q_a * q_b
+    k_bc = op_bc - q_b * q_c
+    # quadratic A beta^2 + B beta + C = 0 in the pivot; B = -(2 q_b r / t) A holds
+    # identically, so the roots are l_b +- sqrt(disc) / (2|A|)
+    lead = t * (q_a * q_c * r - op_ac * t)
+    const = (
+        t * k_ab * k_bc
+        + q_a * q_c * q_b**2 * r**2
+        + q_a * q_b * r**2 * k_bc
+        + q_b * q_c * r**2 * k_ab
+        - op_ac * q_b**2 * r**2
+    )
+    lin = -2.0 * q_b * r / t * lead
+    disc = lin**2 - 4.0 * lead * const
+    # near the double root a sampled discriminant is legitimately negative at
+    # the scale of its own components; only a violation of at least half the
+    # total component magnitude is evidence of jointly impossible moments
+    tol = 0.5 * (lin**2 + np.abs(4.0 * lead * const)) + 1e-9
+    ok = ~(disc < -tol)
+    disc = np.clip(disc, 0.0, None)
+
+    lead_scale = t**2 * (q_a * q_c + op_ac) + 1e-30
+    degenerate_lead = np.abs(lead) <= 1e-12 * lead_scale
+    safe_lead = np.where(degenerate_lead, 1.0, lead)
+    # a vanishing lead means the outer pair's joint factorizes: the linear
+    # coefficient vanishes with it (lin = -2 l_b lead identically), the pivot
+    # is underdetermined, and its marginal is the only neutral answer
+    beta = np.where(degenerate_lead, l_b, l_b + np.sqrt(disc) / (2.0 * np.abs(safe_lead)))
+
+    denom = t * beta - q_b * r
+    safe_denom = np.where(np.abs(denom) <= 1e-30, 1.0, denom)
+    alpha = np.where(
+        np.abs(denom) <= 1e-30, l_a, (op_ab + q_a * r * beta - q_a * q_b) / safe_denom
+    )
+    gamma = np.where(
+        np.abs(denom) <= 1e-30, l_c, (op_bc + q_c * r * beta - q_b * q_c) / safe_denom
+    )
+    return (alpha, beta, gamma), ok
 
 
 def quadratic_triplets(o_ab, o_ac, o_bc, l_a, l_b, l_c, p):
@@ -294,57 +363,22 @@ def quadratic_triplets(o_ab, o_ac, o_bc, l_a, l_b, l_c, p):
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"need 0 < p < 1, got {p}")
-    o_ab, o_ac, o_bc, l_a, l_b, l_c = arrays = [
-        np.asarray(x, dtype=np.float64) for x in (o_ab, o_ac, o_bc, l_a, l_b, l_c)
-    ]
+    arrays = [np.asarray(x, dtype=np.float64) for x in (o_ab, o_ac, o_bc, l_a, l_b, l_c)]
     for x in arrays:
         if ((x < -1e-12) | (x > 1 + 1e-12)).any():
             raise InvalidArgumentError("probabilities must lie in [0, 1]")
-    r = p / (1.0 - p)
-    t = p / (1.0 - p) ** 2
-    q_a, q_b, q_c = l_a / (1.0 - p), l_b / (1.0 - p), l_c / (1.0 - p)
-    op_ab, op_ac, op_bc = o_ab / (1.0 - p), o_ac / (1.0 - p), o_bc / (1.0 - p)
-    k_ab = op_ab - q_a * q_b
-    k_bc = op_bc - q_b * q_c
-    # quadratic A beta^2 + B beta + C = 0 in the pivot; B = -(2 q_b r / t) A holds
-    # identically, so the roots are l_b +- sqrt(disc) / (2|A|)
-    lead = t * (q_a * q_c * r - op_ac * t)
-    const = (
-        t * k_ab * k_bc
-        + q_a * q_c * q_b**2 * r**2
-        + q_a * q_b * r**2 * k_bc
-        + q_b * q_c * r**2 * k_ab
-        - op_ac * q_b**2 * r**2
-    )
-    lin = -2.0 * q_b * r / t * lead
-    disc = lin**2 - 4.0 * lead * const
-    # near the double root a sampled discriminant is legitimately negative at
-    # the scale of its own components; only a violation of at least half the
-    # total component magnitude is evidence of jointly impossible moments
-    tol = 0.5 * (lin**2 + np.abs(4.0 * lead * const)) + 1e-9
-    if (disc < -tol).any():
+    (alpha, beta, gamma), ok = _quadratic_core(*arrays, p)
+    if not ok.all():
         raise InconsistentMomentsError("moments admit no real solution (negative discriminant)")
-    disc = np.clip(disc, 0.0, None)
-
-    lead_scale = t**2 * (q_a * q_c + op_ac) + 1e-30
-    degenerate_lead = np.abs(lead) <= 1e-12 * lead_scale
-    safe_lead = np.where(degenerate_lead, 1.0, lead)
-    # a vanishing lead means the outer pair's joint factorizes: the linear
-    # coefficient vanishes with it (lin = -2 l_b lead identically), the pivot
-    # is underdetermined, and its marginal is the only neutral answer
-    beta = np.where(degenerate_lead, l_b, l_b + np.sqrt(disc) / (2.0 * np.abs(safe_lead)))
-
-    denom = t * beta - q_b * r
-    safe_denom = np.where(np.abs(denom) <= 1e-30, 1.0, denom)
-    alpha = np.where(
-        np.abs(denom) <= 1e-30, l_a, (op_ab + q_a * r * beta - q_a * q_b) / safe_denom
-    )
-    gamma = np.where(
-        np.abs(denom) <= 1e-30, l_c, (op_bc + q_c * r * beta - q_b * q_c) / safe_denom
-    )
     if alpha.ndim == 0:
         return float(alpha), float(beta), float(gamma)
     return alpha, beta, gamma
+
+
+def _half_sum_core(d_ab, d_ac, d_bc):
+    """Elementwise half-sum of :func:`isotropic_accuracies`, and where no distance is missing."""
+    ok = ~(np.isnan(d_ab) | np.isnan(d_ac) | np.isnan(d_bc))
+    return 0.5 * (d_ab + d_ac - d_bc), ok
 
 
 def isotropic_accuracies(pair_distances, triplet):
@@ -362,10 +396,10 @@ def isotropic_accuracies(pair_distances, triplet):
     m = d.shape[0]
     if len({a, b, c}) != 3 or not all(0 <= x < m for x in (a, b, c)):
         raise InvalidArgumentError(f"bad triplet {triplet} for m={m}")
-    vals = d[a, b], d[a, c], d[b, c]
-    if any(np.isnan(v) for v in vals):
+    value, ok = _half_sum_core(d[a, b], d[a, c], d[b, c])
+    if not ok:
         raise InvalidArgumentError(f"missing pairwise distance among {triplet}")
-    return 0.5 * (vals[0] + vals[1] - vals[2])
+    return value
 
 
 def resolve_signs(magnitudes, pair_moments, anchor=None, eps_floor=EPS_FLOOR):
@@ -392,15 +426,18 @@ def resolve_signs(magnitudes, pair_moments, anchor=None, eps_floor=EPS_FLOOR):
     if not 0 <= root < m:
         raise InvalidArgumentError(f"anchor {root} outside 0..{m - 1}")
     signs[root] = 1.0
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in range(m):
-                if signs[v] == 0.0 and abs(e[u, v]) > eps_floor:
-                    signs[v] = signs[u] * np.sign(e[u, v])
-                    nxt.append(v)
-        frontier = nxt
+    usable = np.abs(e) > eps_floor
+    frontier = np.array([root])
+    while frontier.size:
+        # breadth-first: an unreached labeler takes its sign from the first
+        # frontier labeler linked to it, and joins the next frontier in
+        # (that labeler's position, own index) order
+        links = usable[frontier] & (signs == 0.0)
+        reached = np.flatnonzero(links.any(axis=0))
+        first = links[:, reached].argmax(axis=0)
+        via = frontier[first]
+        signs[reached] = signs[via] * np.sign(e[via, reached])
+        frontier = reached[np.lexsort((reached, first))]
     if (signs == 0.0).any():
         missing = np.flatnonzero(signs == 0.0).tolist()
         raise SignAmbiguousError(
@@ -422,89 +459,87 @@ def gaussian_backward_map(error_cov):
     return np.linalg.inv(cov)
 
 
-def _iter_triplets(m, corr, a):
-    for b in range(m):
-        if b == a or corr.correlated(a, b):
-            continue
-        for c in range(b + 1, m):
-            if c == a or corr.correlated(a, c) or corr.correlated(b, c):
-                continue
-            yield b, c
+def _triplet_partners(m, corr):
+    """Each labeler's admissible partner pairs as (b, c) index arrays, lexicographic.
 
-
-def _pick_triplets(m, corr, a, policy):
-    triplets = list(_iter_triplets(m, corr, a))
-    if not triplets:
-        raise ConfigurationError(f"triplet unavailable for labeler {a}")
-    if policy == "first":
-        return triplets[:1]
-    if policy == "median":
-        return triplets
-    raise ConfigurationError(f"unknown triplet policy {policy!r}")
-
-
-def _continuous_magnitudes(e, corr, second_moments, policy):
-    """Per-coordinate accuracy magnitudes, one row per labeler."""
-    m, _, d = e.shape
-    out = np.empty((m, d))
+    A triplet (a, b, c), b < c, is admissible when its labelers are distinct
+    and no pair among them is declared correlated.
+    """
+    if m < 3:
+        raise ConfigurationError(f"triplet unavailable: need at least 3 labelers, got {m}")
+    free = ~np.eye(m, dtype=bool)
+    for a, b in corr.edges:
+        if 0 <= a < b < m:
+            free[a, b] = free[b, a] = False
+    b, c = np.triu_indices(m, k=1)
+    pair_free = free[b, c]
+    partners = []
     for a in range(m):
-        cands = []
-        errors = []
-        for b, c in _pick_triplets(m, corr, a, policy):
-            try:
-                mag, _, _ = continuous_triplets(e[a, b], e[a, c], e[b, c], second_moments)
-            except DegenerateMomentError as exc:
-                errors.append(exc)
-                continue
-            cands.append(mag)
-        if not cands:
-            raise errors[0]
-        out[a] = cands[0] if len(cands) == 1 else np.median(np.stack(cands), axis=0)
-    return out
+        keep = pair_free & free[a, b] & free[a, c]
+        if not keep.any():
+            raise ConfigurationError(f"triplet unavailable for labeler {a} under the correlation set")
+        partners.append((b[keep], c[keep]))
+    return partners
 
 
-def _resolve_signs_per_coordinate(mags, e, anchor):
-    m, d = mags.shape
+def _triplet_estimates(partners, policy, solve, exc_type, reason):
+    """One estimate per labeler, from all of its triplets in one array call.
+
+    ``solve(a, b, c)`` evaluates labeler a against every partner pair
+    ``(b[k], c[k])`` and returns ``(rows, ok)``; row k is usable when all of
+    ``ok[k]`` holds. Policy "first" takes the first usable row, "median" the
+    median of the usable rows. A labeler with no usable row raises
+    ``exc_type`` naming the labeler and the ``reason``.
+    """
+    out = []
+    for a, (b, c) in enumerate(partners):
+        rows, ok = solve(a, b, c)
+        rows = rows[ok.reshape(len(ok), -1).all(axis=1)]
+        if not len(rows):
+            raise exc_type(f"labeler {a}: {reason}")
+        out.append(rows[0] if policy == "first" or len(rows) == 1 else np.median(rows, axis=0))
+    return np.array(out)
+
+
+def _signed_accuracies(e, partners, second_moments, policy, anchor):
+    """Continuous route: per-coordinate signed accuracies, one row per labeler."""
+    mags = _triplet_estimates(
+        partners,
+        policy,
+        lambda a, b, c: _continuous_core(e[a, b], e[a, c], e[b, c], second_moments, EPS_FLOOR),
+        DegenerateMomentError,
+        f"every triplet has a pairwise moment at or below the floor {EPS_FLOOR}",
+    )
     signed = np.empty_like(mags)
-    for i in range(d):
+    for i in range(mags.shape[1]):
         signed[:, i] = resolve_signs(mags[:, i], e[:, :, i], anchor=anchor)
     return signed
 
 
-def _hypercube_agreements(values, corr, p, policy):
-    """Per-coordinate probability of agreeing with the latent truth, per labeler.
+def _agreement_probabilities(values, e, partners, p, policy):
+    """Hypercube route: per-coordinate probability of agreeing with the latent truth.
 
     Runs the quadratic route once per truth value: the +1-coded run uses the
-    raw joint frequencies with weight p, the -1-coded run uses the
-    sign-flipped frequencies with weight 1-p.
+    joint (+1, +1) frequencies with weight p, the -1-coded run the (-1, -1)
+    frequencies with weight 1-p. Both follow from the exact integer sums
+    ``S_a = sum_t g_a`` and ``S_ab = sum_t g_a g_b`` of the +-1 coordinates:
+    the counts are ``(n +- S_a)/2`` and ``(n +- (S_a + S_b) + S_ab)/4``.
     """
-    m, n, d = values.shape
-    pos = (values > 0).astype(np.float64)
-    agreements = np.zeros((m, d))
-    for coded, weight in ((pos, p), (1.0 - pos, 1.0 - p)):
-        l = coded.mean(axis=1)  # (m, d)
-        o = np.empty((m, m, d))
-        for a in range(m):
-            for b in range(a, m):
-                v = (coded[a] * coded[b]).mean(axis=0)
-                o[a, b] = o[b, a] = v
-        cond = np.empty((m, d))
-        for a in range(m):
-            cands = []
-            errors = []
-            for b, c in _pick_triplets(m, corr, a, policy):
-                try:
-                    # pivot the quadratic on the target labeler a
-                    _, piv, _ = quadratic_triplets(
-                        o[b, a], o[b, c], o[a, c], l[b], l[a], l[c], weight
-                    )
-                except InconsistentMomentsError as exc:
-                    errors.append(exc)
-                    continue
-                cands.append(piv)
-            if not cands:
-                raise errors[0]
-            cond[a] = cands[0] if len(cands) == 1 else np.median(np.stack(cands), axis=0)
+    n = values.shape[1]
+    s_a = values.sum(axis=1, dtype=np.int64)  # (m, d)
+    s_ab = np.rint(e * n)  # e holds integer sums over n
+    agreements = np.zeros(s_a.shape)
+    for sign, weight in ((1.0, p), (-1.0, 1.0 - p)):
+        l = (n + sign * s_a) / 2.0 / n
+        o = (n + sign * (s_a[:, None] + s_a[None, :]) + s_ab) / 4.0 / n
+
+        def pivot(a, b, c):
+            # pivot the quadratic on the target labeler a
+            (_, beta, _), ok = _quadratic_core(o[b, a], o[b, c], o[a, c], l[b], l[a], l[c], weight)
+            return beta, ok
+
+        cond = _triplet_estimates(partners, policy, pivot, InconsistentMomentsError,
+                                  "no triplet's moments admit a real solution")
         agreements += weight * cond
     return agreements
 
@@ -523,21 +558,13 @@ def _ranking_theta(mean_distance, rho):
     return mallows.backward_map(mean_distance, rho)
 
 
-def _default_path(space_kind):
-    return {RANKING: "continuous", REAL_VECTOR: "continuous", FINITE_METRIC: "isotropic"}[space_kind]
-
-
-def _check_triplet_availability(m, corr):
-    if m < 3:
-        raise ConfigurationError(f"triplet unavailable: need at least 3 labelers, got {m}")
-    for a in range(m):
-        if next(_iter_triplets(m, corr, a), None) is None:
-            raise ConfigurationError(f"triplet unavailable for labeler {a} under the correlation set")
-
-
 def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="first", anchor=None,
                       mds_dim=None):
     """Learn per-labeler canonical accuracies from outputs alone.
+
+    One pipeline for every space: embed the outputs, take pairwise moments,
+    solve each labeler's triplets on the chosen route, then apply the
+    space's backward map.
 
     Parameters
     ----------
@@ -553,7 +580,10 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
         isotropic for finite metric spaces.
     triplet_policy : {"first", "median"}
         "first" uses the lexicographically smallest admissible (b, c) per
-        labeler; "median" takes the median estimate over all admissible pairs.
+        labeler whose moments the route can solve, falling back past
+        degenerate ones; "median" takes the median estimate over all
+        solvable admissible pairs. Either raises, naming the labeler, only
+        when none of its triplets is solvable.
     anchor : int, optional
         Labeler index known to be better than random, used to root sign
         propagation.
@@ -566,186 +596,123 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
     """
     from . import __version__
 
-    corr = corr or CorrelationSet()
-    m = data.n_lfs
-    _check_triplet_availability(m, corr)
+    partners = _triplet_partners(data.n_lfs, corr or CorrelationSet())
     kind = data.space_kind
-    path = path or _default_path(kind)
+    path = path or _PATHS[kind][0]
     if path not in _PATHS[kind]:
         raise ConfigurationError(f"path {path!r} not available for {kind!r} labels")
+    if triplet_policy not in ("first", "median"):
+        raise ConfigurationError(f"unknown triplet policy {triplet_policy!r}")
+    m = data.n_lfs
 
+    # embed: labeler-major (m, n, d) coordinates; finite isotropic stays native
+    values = None
+    second_moments = prior.second_moments if isinstance(prior, SecondMomentPrior) else None
     if kind == RANKING:
-        return _learn_ranking(data, corr, prior, path, triplet_policy, anchor, __version__)
-    if kind == REAL_VECTOR:
-        return _learn_real(data, corr, prior, path, triplet_policy, anchor, __version__)
-    return _learn_finite(data, corr, prior, path, triplet_policy, anchor, mds_dim, __version__)
+        values = np.ascontiguousarray(pair_sign_embed_many(data.labels).transpose(1, 0, 2)).astype(np.int8)
+        dims = {"rho": data.rho}
+        embedding = {"kind": "pair_sign", "dim": values.shape[2], "pair_order": "lexicographic"}
+        if path == "isotropic":
+            embedding = {"kind": "native_kendall", "rho": data.rho}
+        second_moments = np.ones(values.shape[2])
+    elif kind == REAL_VECTOR:
+        values = np.ascontiguousarray(data.labels.transpose(1, 0, 2))
+        dims = {"d": values.shape[2]}
+        embedding = {"kind": "identity", "dim": values.shape[2]}
+    else:
+        space = data.space
+        dims = {"n_points": space.size}
+        embedding = {"kind": "native_distance", "n_points": space.size}
+        if path == "continuous":
+            dim = mds_dim or min(space.size - 1, 8)
+            report = classical_mds(space, dim=dim)
+            values = np.ascontiguousarray(report.coords[data.labels].transpose(1, 0, 2))
+            if second_moments is None:
+                # uniform prior over points fixes the truth's per-coordinate second moments
+                second_moments = (report.coords**2).mean(axis=0)
+            embedding = {"kind": "mds", "dim": dim, "epsilon": report.epsilon, "scale": report.scale,
+                         "exponent": report.exponent}
 
+    # pair moments; the model keeps their mean over +-1 pair coordinates and
+    # their total over real ones
+    if values is not None:
+        e = empirical_pair_moments(values)
+        pairwise = e.mean(axis=2) if kind == RANKING else e.sum(axis=2)
+        if second_moments is not None:
+            second_moments = np.broadcast_to(second_moments, values.shape[2:]).astype(np.float64)
 
-def _learn_ranking(data, corr, prior, path, policy, anchor, version):
-    rho = data.rho
-    d = num_pairs(rho)
-    values = np.ascontiguousarray(
-        pair_sign_embed_many(data.labels).transpose(1, 0, 2)
-    ).astype(np.int8)  # (m, n, d)
-    embedding = {"kind": "pair_sign", "dim": d, "pair_order": "lexicographic"}
-    e = empirical_pair_moments(values)
-
+    # route: triplet solves give each labeler's mean parameter
+    per_coord = None
+    accuracies = np.full(m, np.nan)
     if path == "isotropic":
-        # native Kendall distances through the embedding identity
-        pair_dist = d * (1.0 - e.mean(axis=2)) / 2.0
+        if kind == RANKING:
+            # native Kendall distances through the embedding identity
+            pair_dist = values.shape[2] * (1.0 - pairwise) / 2.0
+        elif kind == REAL_VECTOR:
+            sq = np.diag(pairwise)
+            pair_dist = sq[:, None] + sq[None, :] - 2.0 * pairwise
+        else:
+            # one (n, m) gather per labeler keeps memory at O(n m)
+            labels = data.labels
+            pairwise = np.stack([space.dist[labels[:, [a]], labels].mean(axis=0) for a in range(m)])
+            pair_dist = pairwise
         np.fill_diagonal(pair_dist, 0.0)
-        mean_dist = _isotropic_means(pair_dist, corr, policy)
-        acc = 1.0 - 2.0 * mean_dist / d
-        estimates = AccuracyEstimates("signed_moment", None, mean_dist)
-        embedding = {"kind": "native_kendall", "rho": rho}
-    elif path == "continuous":
-        mags = _continuous_magnitudes(e, corr, np.ones(d), policy)
-        per_coord = _resolve_signs_per_coordinate(mags, e, anchor)
-        mean_dist = ((1.0 - per_coord) / 2.0).sum(axis=1)
-        acc = per_coord.mean(axis=1)
-        estimates = AccuracyEstimates("signed_moment", per_coord, mean_dist)
-    else:  # hypercube
+        mean_dist = _triplet_estimates(
+            partners,
+            triplet_policy,
+            lambda a, b, c: _half_sum_core(pair_dist[a, b], pair_dist[a, c], pair_dist[b, c]),
+            InvalidArgumentError,
+            "every triplet misses a pairwise distance",
+        )
+        if kind == RANKING:
+            accuracies = 1.0 - 2.0 * mean_dist / values.shape[2]
+        elif second_moments is not None:
+            # polarization against the prior second moment recovers E[<lambda_a, y>]
+            accuracies = 0.5 * (np.diag(pairwise) + second_moments.sum() - mean_dist)
+    elif path == "hypercube":
         p = prior.p if isinstance(prior, TwoPointPrior) else 0.5
-        agreements = _hypercube_agreements(values, corr, p, policy)
-        mean_dist = (1.0 - agreements).sum(axis=1)
-        acc = (2.0 * agreements - 1.0).mean(axis=1)
-        estimates = AccuracyEstimates("conditional_probability", agreements, mean_dist)
-
-    thetas = np.array([_ranking_theta(v, rho) for v in mean_dist])
-    return LabelModel(
-        space_kind=RANKING,
-        path=path,
-        dims={"rho": rho},
-        thetas=thetas,
-        expected_distances=mean_dist,
-        accuracies=acc,
-        pairwise_moments=e.mean(axis=2),
-        embedding=embedding,
-        version=version,
-        estimates=estimates,
-    )
-
-
-def _isotropic_means(pair_dist, corr, policy):
-    m = pair_dist.shape[0]
-    out = np.empty(m)
-    for a in range(m):
-        vals = [isotropic_accuracies(pair_dist, (a, b, c)) for b, c in _pick_triplets(m, corr, a, policy)]
-        out[a] = vals[0] if len(vals) == 1 else float(np.median(vals))
-    return out
-
-
-def _learn_real(data, corr, prior, path, policy, anchor, version):
-    values = np.ascontiguousarray(data.labels.transpose(1, 0, 2))  # (m, n, d)
-    m, n, d = values.shape
-    e = empirical_pair_moments(values)
-    second_moments = None
-    if isinstance(prior, SecondMomentPrior):
-        second_moments = np.broadcast_to(prior.second_moments, (d,)).astype(np.float64)
-
-    if path == "continuous":
+        per_coord = _agreement_probabilities(values, e, partners, p, triplet_policy)
+        mean_dist = (1.0 - per_coord).sum(axis=1)
+        accuracies = (2.0 * per_coord - 1.0).mean(axis=1)
+    else:
         if second_moments is None:
             raise ConfigurationError("continuous path on real labels needs a SecondMomentPrior")
-        mags = _continuous_magnitudes(e, corr, second_moments, policy)
-        per_coord = _resolve_signs_per_coordinate(mags, e, anchor)
-        acc = per_coord.sum(axis=1)  # E[<lambda_a, y>]
-        # error covariance from raw moments and accuracies
-        ete = e.sum(axis=2)
-        err_cov = ete - acc[:, None] - acc[None, :] + second_moments.sum()
-        mean_dist = np.diag(err_cov).copy()
-        estimates = AccuracyEstimates("signed_moment", per_coord, mean_dist)
-        pairwise = ete
-    else:  # isotropic
-        diffs = values[:, None, :, :] - values[None, :, :, :]  # (m, m, n, d)
-        pair_dist = (diffs**2).sum(axis=3).mean(axis=2)
-        mean_dist = _isotropic_means(pair_dist, corr, policy)
-        err_cov = 0.5 * (mean_dist[:, None] + mean_dist[None, :] - pair_dist)
-        np.fill_diagonal(err_cov, mean_dist)
-        per_coord = None
-        acc = np.full(m, np.nan)
-        if second_moments is not None:
-            # polarization against the prior second moment recovers E[<lambda_a, y>]
-            acc = 0.5 * (np.einsum("and,and->a", values, values) / n + second_moments.sum() - mean_dist)
-        estimates = AccuracyEstimates("signed_moment", None, mean_dist)
-        pairwise = e.sum(axis=2)
+        per_coord = _signed_accuracies(e, partners, second_moments, triplet_policy, anchor)
+        if kind == RANKING:
+            mean_dist = ((1.0 - per_coord) / 2.0).sum(axis=1)
+            accuracies = per_coord.mean(axis=1)
+        else:
+            accuracies = per_coord.sum(axis=1)  # E[<lambda_a, y>]
+            # error covariance from raw moments and accuracies
+            err_cov = pairwise - accuracies[:, None] - accuracies[None, :] + second_moments.sum()
+            mean_dist = np.diag(err_cov).copy()
 
-    theta_matrix = gaussian_backward_map(err_cov)
+    # backward map: mean parameters to canonical accuracies
+    theta_matrix = None
+    if kind == RANKING:
+        thetas = np.array([_ranking_theta(v, data.rho) for v in mean_dist])
+    elif kind == REAL_VECTOR:
+        if path == "isotropic":
+            err_cov = 0.5 * (mean_dist[:, None] + mean_dist[None, :] - pair_dist)
+            np.fill_diagonal(err_cov, mean_dist)
+        theta_matrix = gaussian_backward_map(err_cov)
+        thetas = np.diag(theta_matrix).copy()
+    else:
+        scale = space.dist.mean() if path == "isotropic" else second_moments.sum()
+        thetas = 1.0 / np.clip(mean_dist, 1e-9 * max(1.0, float(scale)), None)
+
     return LabelModel(
-        space_kind=REAL_VECTOR,
+        space_kind=kind,
         path=path,
-        dims={"d": d},
-        thetas=np.diag(theta_matrix).copy(),
-        expected_distances=mean_dist,
-        accuracies=acc,
-        pairwise_moments=pairwise,
-        embedding={"kind": "identity", "dim": d},
-        version=version,
-        theta_matrix=theta_matrix,
-        estimates=estimates,
-    )
-
-
-def _learn_finite(data, corr, prior, path, policy, anchor, mds_dim, version):
-    space = data.space
-    labels = data.labels  # (n, m)
-    m = data.n_lfs
-    n = data.n_tasks
-
-    if path == "isotropic":
-        pair_dist = np.empty((m, m))
-        for a in range(m):
-            for b in range(a, m):
-                v = space.dist[labels[:, a], labels[:, b]].mean()
-                pair_dist[a, b] = pair_dist[b, a] = v
-        np.fill_diagonal(pair_dist, 0.0)
-        mean_dist = _isotropic_means(pair_dist, corr, policy)
-        floor = 1e-9 * max(1.0, float(space.dist.mean()))
-        thetas = 1.0 / np.clip(mean_dist, floor, None)
-        estimates = AccuracyEstimates("signed_moment", None, mean_dist)
-        return LabelModel(
-            space_kind=FINITE_METRIC,
-            path=path,
-            dims={"n_points": space.size},
-            thetas=thetas,
-            expected_distances=mean_dist,
-            accuracies=np.full(m, np.nan),
-            pairwise_moments=pair_dist,
-            embedding={"kind": "native_distance", "n_points": space.size},
-            version=version,
-            estimates=estimates,
-        )
-
-    # continuous route: embed points by MDS, treat coordinates as Gaussian
-    dim = mds_dim or min(space.size - 1, 8)
-    report = classical_mds(space, dim=dim)
-    coords = report.coords
-    values = np.ascontiguousarray(coords[labels].transpose(1, 0, 2))  # (m, n, dim)
-    e = empirical_pair_moments(values)
-    # uniform prior over points fixes the truth's per-coordinate second moments
-    second_moments = (coords**2).mean(axis=0)
-    if isinstance(prior, SecondMomentPrior):
-        second_moments = np.broadcast_to(prior.second_moments, (dim,)).astype(np.float64)
-    mags = _continuous_magnitudes(e, corr, second_moments, policy)
-    per_coord = _resolve_signs_per_coordinate(mags, e, anchor)
-    acc = per_coord.sum(axis=1)
-    mean_dist = np.einsum("and,and->a", values, values) / n - 2.0 * acc + second_moments.sum()
-    floor = 1e-9 * max(1.0, float(second_moments.sum()))
-    thetas = 1.0 / np.clip(mean_dist, floor, None)
-    return LabelModel(
-        space_kind=FINITE_METRIC,
-        path="continuous",
-        dims={"n_points": space.size},
+        dims=dims,
         thetas=thetas,
         expected_distances=mean_dist,
-        accuracies=acc,
-        pairwise_moments=e.sum(axis=2),
-        embedding={
-            "kind": "mds",
-            "dim": dim,
-            "epsilon": report.epsilon,
-            "scale": report.scale,
-            "exponent": report.exponent,
-        },
-        version=version,
-        estimates=AccuracyEstimates("signed_moment", per_coord, mean_dist),
+        accuracies=accuracies,
+        pairwise_moments=pairwise,
+        embedding=embedding,
+        version=__version__,
+        theta_matrix=theta_matrix,
+        estimates=AccuracyEstimates(
+            "conditional_probability" if path == "hypercube" else "signed_moment", per_coord, mean_dist
+        ),
     )

@@ -132,13 +132,24 @@ def backward_map(mean_distance, rho, tol=1e-12, max_iter=200):
     return 0.5 * (lo + hi)
 
 
-def _insertion_cdfs(theta, rho):
-    # item j inserts with x in {0..j} new inversions, weight exp(-theta x)
-    cdfs = []
+def _repeated_insertion(theta, u):
+    """Permutations of 0..rho-1 by repeated insertion, one per row of the (size, rho-1) uniforms ``u``.
+
+    Item j is inserted at displacement x in {0..j} (x new inversions) with
+    probability proportional to exp(-theta x), chosen by inverting the CDF at
+    ``u[:, j-1]``.
+    """
+    size, rho = u.shape[0], u.shape[1] + 1
+    cur = np.zeros((size, 1), dtype=np.int64)
     for j in range(1, rho):
         w = np.exp(-theta * np.arange(j + 1, dtype=np.float64))
-        cdfs.append(np.cumsum(w) / w.sum())
-    return cdfs
+        x = np.searchsorted(np.cumsum(w) / w.sum(), u[:, j - 1])
+        pos = (j - x)[:, None]
+        cols = np.arange(j + 1)[None, :]
+        keep = np.pad(cur, ((0, 0), (0, 1)))
+        shifted = np.pad(cur, ((0, 0), (1, 0)))[:, : j + 1]
+        cur = np.where(cols < pos, keep, np.where(cols == pos, j, shifted))
+    return cur
 
 
 def sample(model, rng):
@@ -156,15 +167,7 @@ def sample_many(model, rng, size):
     rho = model.rho
     if size < 1:
         raise InvalidArgumentError(f"need size >= 1, got {size}")
-    cdfs = _insertion_cdfs(model.theta, rho)
-    cur = np.zeros((size, 1), dtype=np.int64)
-    for j in range(1, rho):
-        u = rng.random(size)
-        x = np.searchsorted(cdfs[j - 1], u)
-        pos = (j - x)[:, None]
-        cols = np.arange(j + 1)[None, :]
-        keep = np.pad(cur, ((0, 0), (0, 1)))
-        shifted = np.pad(cur, ((0, 0), (1, 0)))[:, : j + 1]
-        cur = np.where(cols < pos, keep, np.where(cols == pos, j, shifted))
+    # row j-1 of the draw holds item j's uniforms: the stream order of one rng.random(size) per item
+    cur = _repeated_insertion(model.theta, rng.random((rho - 1, size)).T)
     # relabel through the center: left-invariance gives d(center o sigma, center) = d(sigma, id)
     return model.center[cur]

@@ -147,15 +147,6 @@ def movies_style_thetas(m, seed):
     return tuple(np.concatenate([good, bad]).tolist())
 
 
-def _mallows_draw(theta_cdfs, rho, truth, rng):
-    u = rng.random(rho - 1)
-    seq = [0]
-    for j in range(1, rho):
-        x = int(np.searchsorted(theta_cdfs[j - 1], u[j - 1]))
-        seq.insert(j - x, j)
-    return truth[np.array(seq)]
-
-
 def gen_ranking_tasks(scenario):
     """Generate (truth, labels) for a ranking scenario.
 
@@ -164,13 +155,16 @@ def gen_ranking_tasks(scenario):
     """
     n, rho = scenario.n, scenario.rho
     m = len(scenario.thetas)
-    cdf_tables = [mallows._insertion_cdfs(t, rho) for t in scenario.thetas]
     truth = np.empty((n, rho), dtype=np.int64)
-    labels = np.empty((n, m, rho), dtype=np.int64)
+    u = np.empty((n, m, rho - 1))
     for i in range(n):
         truth[i] = substream(scenario.seed, 1, i).permutation(rho)
         for a in range(m):
-            labels[i, a] = _mallows_draw(cdf_tables[a], rho, truth[i], substream(scenario.seed, 2, i, a))
+            u[i, a] = substream(scenario.seed, 2, i, a).random(rho - 1)
+    labels = np.empty((n, m, rho), dtype=np.int64)
+    for a, theta in enumerate(scenario.thetas):
+        # a draw centered at the truth is the truth relabelled by a draw centered at the identity
+        labels[:, a] = np.take_along_axis(truth, mallows._repeated_insertion(theta, u[:, a]), axis=1)
     return truth, LabelingMatrix(RANKING, labels)
 
 

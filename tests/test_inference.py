@@ -268,6 +268,43 @@ class TestAggregateDataset:
         par = inf.aggregate_dataset(data, rule="mv", seed=2, threads=4)
         assert [a.tolist() for a in seq] == [b.tolist() for b in par]
 
+    def test_mv_on_reals_is_the_plain_mean(self):
+        from uws.label_model import REAL_VECTOR, LabelingMatrix
+
+        labels = np.random.default_rng(43).normal(size=(30, 5))
+        data = LabelingMatrix(REAL_VECTOR, labels)
+        np.testing.assert_allclose(inf.aggregate_dataset(data, rule="mv"), labels.mean(axis=1), rtol=1e-12)
+        # among observed labels, the one nearest the mean minimizes the squared-distance sum
+        nearest = np.abs(labels - labels.mean(axis=1, keepdims=True)).argmin(axis=1)
+        got = inf.aggregate_dataset(data, rule="mv", candidate_policy="observed_only")
+        np.testing.assert_array_equal(got, labels[np.arange(30), nearest])
+
+    def test_weighted_reals_without_accuracies_use_precision_weights(self):
+        from uws import synthetic as syn
+        from uws.label_model import learn_label_model
+
+        # unbiased labelers, no SecondMomentPrior: the isotropic route leaves accuracies unknown
+        noise = np.array([0.2, 0.4, 0.6, 0.9, 1.2])
+        cov = np.ones((5, 5)) + np.diag(noise)
+        scenario = syn.RegressionScenario(n=4000, accuracies=(1.0,) * 5, lf_cov=tuple(map(tuple, cov)),
+                                          prior_var=1.0, seed=47)
+        truth, data = syn.gen_regression_tasks(scenario)
+        model = learn_label_model(data, path="isotropic")
+        assert np.isnan(model.accuracies).all()
+        got = np.array(inf.aggregate_dataset(data, model=model))
+        assert np.isfinite(got).all()
+        # lambda . Theta 1 / 1' Theta 1, Theta the inverse of the error covariance
+        # rebuilt from pair distances counted pair by pair
+        lam = data.labels[:, :, 0]
+        md = model.expected_distances
+        err = np.empty((5, 5))
+        for a in range(5):
+            for b in range(5):
+                err[a, b] = md[a] if a == b else 0.5 * (md[a] + md[b] - np.mean((lam[:, a] - lam[:, b]) ** 2))
+        theta = np.linalg.inv(err)
+        np.testing.assert_allclose(got, lam @ theta.sum(axis=0) / theta.sum(), rtol=1e-9, atol=1e-12)
+        assert np.mean((got - truth) ** 2) < np.mean((lam.mean(axis=1) - truth) ** 2)
+
     def test_unknown_rule(self):
         from uws.label_model import RANKING, LabelingMatrix
 

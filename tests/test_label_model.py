@@ -1,7 +1,12 @@
 """Accuracy estimation without ground truth: triplet systems, signs, end-to-end learning."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uws import label_model as lm
 from uws import mallows
@@ -14,6 +19,7 @@ from uws.errors import (
     InvalidArgumentError,
     SignAmbiguousError,
 )
+from uws.metric_spaces import classical_mds
 
 
 class TestEmpiricalPairMoments:
@@ -359,3 +365,205 @@ class TestLearnRegression:
         model = lm.learn_label_model(data, prior=lm.SecondMomentPrior(1.0))
         # magnitudes decay only at the fourth-root rate on zero signal
         assert np.abs(model.accuracies).max() < 0.25
+
+
+class TestTripletFallback:
+    def test_first_policy_learns_every_walkthrough_seed(self):
+        # the CLI walkthrough's scenario: some labeler's first triplet has a +-1
+        # pair moment of exactly 0 on most seeds; "first" moves on to the next one
+        for seed in range(20):
+            thetas = syn.heterogeneous_thetas(seed, n_low=4, n_high=3)
+            _, data = make_ranking_data(thetas, rho=5, n=500, seed=seed)
+            model = lm.learn_label_model(data)
+            assert np.isfinite(model.thetas).all()
+
+    def test_error_names_the_labeler(self):
+        # labelers 0 and 1 agree on one task and disagree on the other: zero moment
+        labels = np.array([[[0, 1, 2], [0, 1, 2], [0, 2, 1]], [[0, 1, 2], [2, 1, 0], [0, 2, 1]]])
+        data = lm.LabelingMatrix(lm.RANKING, labels)
+        with pytest.raises(DegenerateMomentError, match="labeler 0: .*floor"):
+            lm.learn_label_model(data)
+
+
+def per_triplet_reference(data, path, corr, prior=None):
+    """The learner rebuilt with one public scalar solve per triplet (median policy).
+
+    Pair moments on +-1 coordinates and finite-space pair distances are
+    counted pair by pair; real-valued routes take empirical_pair_moments.
+    Returns (expected_distances, accuracies, thetas, pairwise_moments).
+    """
+    m = data.n_lfs
+    admissible = [
+        [(b, c) for b, c in combinations(range(m), 2)
+         if a not in (b, c) and not any(corr.correlated(x, y) for x, y in ((a, b), (a, c), (b, c)))]
+        for a in range(m)
+    ]
+
+    def median(solve):
+        out = []
+        for a in range(m):
+            cands = []
+            for b, c in admissible[a]:
+                try:
+                    cands.append(solve(a, b, c))
+                except (DegenerateMomentError, InconsistentMomentsError):
+                    continue
+            out.append(cands[0] if len(cands) == 1 else np.median(np.stack(cands), axis=0))
+        return np.array(out)
+
+    def signed(e, sm):
+        mags = median(lambda a, b, c: lm.continuous_triplets(e[a, b], e[a, c], e[b, c], sm)[0])
+        return np.stack([lm.resolve_signs(mags[:, i], e[:, :, i]) for i in range(mags.shape[1])], axis=1)
+
+    def half_sums(pair_dist):
+        return median(lambda a, b, c: lm.isotropic_accuracies(pair_dist, (a, b, c)))
+
+    nan = np.full(m, np.nan)
+    if data.space_kind == lm.RANKING:
+        g = perm.pair_sign_embed_many(data.labels).transpose(1, 0, 2)
+        d = g.shape[2]
+        e = np.empty((m, m, d))
+        for a in range(m):
+            for b in range(m):
+                e[a, b] = (g[a].astype(float) * g[b]).mean(axis=0)
+        if path == "continuous":
+            s = signed(e, np.ones(d))
+            md, acc = ((1.0 - s) / 2.0).sum(axis=1), s.mean(axis=1)
+        elif path == "hypercube":
+            agree = np.zeros((m, d))
+            for coded, w in (((g > 0).astype(float), 0.5), ((g < 0).astype(float), 0.5)):
+                l = coded.mean(axis=1)
+                o = np.array([[(coded[a] * coded[b]).mean(axis=0) for b in range(m)] for a in range(m)])
+                agree += w * median(
+                    lambda a, b, c: lm.quadratic_triplets(o[b, a], o[b, c], o[a, c], l[b], l[a], l[c], w)[1]
+                )
+            md, acc = (1.0 - agree).sum(axis=1), (2.0 * agree - 1.0).mean(axis=1)
+        else:
+            pair_dist = d * (1.0 - e.mean(axis=2)) / 2.0
+            np.fill_diagonal(pair_dist, 0.0)
+            md = half_sums(pair_dist)
+            acc = 1.0 - 2.0 * md / d
+        return md, acc, np.array([lm._ranking_theta(v, data.rho) for v in md]), e.mean(axis=2)
+
+    if data.space_kind == lm.REAL_VECTOR:
+        values = data.labels.transpose(1, 0, 2)
+        ete = lm.empirical_pair_moments(values).sum(axis=2)
+        sm = prior.second_moments.sum()
+        if path == "continuous":
+            acc = signed(lm.empirical_pair_moments(values), prior.second_moments).sum(axis=1)
+            err = ete - acc[:, None] - acc[None, :] + sm
+            md = np.diag(err).copy()
+        else:
+            sq = np.diag(ete)
+            pair_dist = sq[:, None] + sq[None, :] - 2.0 * ete
+            md = half_sums(pair_dist)
+            err = 0.5 * (md[:, None] + md[None, :] - pair_dist)
+            np.fill_diagonal(err, md)
+            acc = 0.5 * (sq + sm - md)
+        return md, acc, np.diag(lm.gaussian_backward_map(err)), ete
+
+    space, labels = data.space, data.labels
+    if path == "isotropic":
+        pair_dist = np.array([[space.dist[labels[:, a], labels[:, b]].mean() for b in range(m)] for a in range(m)])
+        np.fill_diagonal(pair_dist, 0.0)
+        md = half_sums(pair_dist)
+        return md, nan, 1.0 / np.clip(md, 1e-9 * max(1.0, space.dist.mean()), None), pair_dist
+    coords = classical_mds(space, dim=min(space.size - 1, 8)).coords
+    values = coords[labels].transpose(1, 0, 2)
+    e = lm.empirical_pair_moments(values)
+    sm = (coords**2).mean(axis=0)
+    acc = signed(e, sm).sum(axis=1)
+    md = np.diag(e.sum(axis=2) - acc[:, None] - acc[None, :] + sm.sum()).copy()
+    return md, acc, 1.0 / np.clip(md, 1e-9 * max(1.0, sm.sum()), None), e.sum(axis=2)
+
+
+def six_labeler_data(kind):
+    if kind == lm.RANKING:
+        return make_ranking_data((2.0, 1.2, 0.8, 0.5, 0.3, 0.1), rho=4, n=300, seed=51)[1]
+    if kind == lm.REAL_VECTOR:
+        acc = np.array([0.9, 0.8, 0.6, 0.5, 0.4, 0.2])
+        cov = np.outer(acc, acc) + np.diag([0.2, 0.3, 0.5, 0.6, 0.8, 1.0])
+        scenario = syn.RegressionScenario(n=400, accuracies=tuple(acc), lf_cov=tuple(map(tuple, cov)),
+                                          prior_var=1.0, seed=53)
+        return syn.gen_regression_tasks(scenario)[1]
+    scenario = syn.GraphScenario(n_nodes=30, n_edges=60, n=300, thetas=(2.0, 1.5, 1.0, 0.8, 0.5, 0.3), seed=55)
+    return syn.gen_graph_tasks(scenario)[2]
+
+
+class TestTripletEngineEquivalence:
+    @pytest.mark.parametrize("corr", [lm.CorrelationSet(), lm.CorrelationSet.from_pairs([(0, 1), (2, 4)])],
+                             ids=["independent", "correlated"])
+    @pytest.mark.parametrize("kind, path", [
+        (lm.RANKING, "continuous"), (lm.RANKING, "hypercube"), (lm.RANKING, "isotropic"),
+        (lm.REAL_VECTOR, "continuous"), (lm.REAL_VECTOR, "isotropic"),
+        (lm.FINITE_METRIC, "isotropic"), (lm.FINITE_METRIC, "continuous"),
+    ])
+    def test_matches_per_triplet_reference(self, kind, path, corr):
+        data = six_labeler_data(kind)
+        prior = lm.SecondMomentPrior(1.0) if kind == lm.REAL_VECTOR else None
+        model = lm.learn_label_model(data, corr=corr, prior=prior, path=path, triplet_policy="median")
+        md, acc, thetas, pairwise = per_triplet_reference(data, path, corr, prior)
+        np.testing.assert_array_equal(model.expected_distances, md)
+        np.testing.assert_array_equal(model.accuracies, acc)
+        np.testing.assert_array_equal(model.thetas, thetas)
+        np.testing.assert_array_equal(model.pairwise_moments, pairwise)
+
+
+ROWS = st.integers(1, 6).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, 3)))
+
+
+def triplet_rows(elements, count=3):
+    """``count`` (rows, coords) arrays of one shape drawn from ``elements``."""
+    return ROWS.flatmap(lambda shape: st.tuples(*[hnp.arrays(np.float64, shape, elements=elements)] * count))
+
+
+class TestMaskedCores:
+    """Each masked core, evaluated on many triplet rows at once, agrees row by
+    row with its public scalar function, rejected rows included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(triplet_rows(st.sampled_from([0.0, 1e-7, -1e-6, 0.02, -0.3, 0.55, 1.0])))
+    def test_continuous(self, rows):
+        e_ab, e_ac, e_bc = rows
+        sm = np.linspace(0.5, 2.0, e_ab.shape[1])
+        mags, ok = lm._continuous_core(e_ab, e_ac, e_bc, sm, lm.EPS_FLOOR)
+        for k in range(len(e_ab)):
+            try:
+                expect, _, _ = lm.continuous_triplets(e_ab[k], e_ac[k], e_bc[k], sm)
+            except DegenerateMomentError:
+                assert not ok[k].all()
+                continue
+            assert ok[k].all()
+            np.testing.assert_array_equal(mags[k], expect)
+
+    @settings(max_examples=60, deadline=None)
+    @given(triplet_rows(st.floats(0.0, 1.0), count=6), st.sampled_from([0.3, 0.5, 0.8]))
+    def test_quadratic(self, rows, p):
+        o_ab, o_ac, o_bc, l_a, l_b, l_c = rows
+        (alpha, beta, gamma), ok = lm._quadratic_core(o_ab, o_ac, o_bc, l_a, l_b, l_c, p)
+        for r in range(len(o_ab)):
+            try:
+                expect = lm.quadratic_triplets(o_ab[r], o_ac[r], o_bc[r], l_a[r], l_b[r], l_c[r], p)
+            except InconsistentMomentsError:
+                assert not ok[r].all()
+                continue
+            assert ok[r].all()
+            for got, want in zip((alpha, beta, gamma), expect):
+                np.testing.assert_array_equal(got[r], want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 7).flatmap(
+        lambda m: hnp.arrays(np.float64, (m, m), elements=st.one_of(st.floats(0.0, 5.0), st.just(np.nan)))
+    ))
+    def test_half_sum(self, pair_dist):
+        m = len(pair_dist)
+        b, c = (np.array(x) for x in zip(*combinations(range(1, m), 2)))
+        values, ok = lm._half_sum_core(pair_dist[0, b], pair_dist[0, c], pair_dist[b, c])
+        for k in range(len(b)):
+            try:
+                expect = lm.isotropic_accuracies(pair_dist, (0, int(b[k]), int(c[k])))
+            except InvalidArgumentError:
+                assert not ok[k]
+                continue
+            assert ok[k]
+            assert values[k] == expect
