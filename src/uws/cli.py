@@ -232,8 +232,7 @@ def cmd_infer(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     labels = inference.aggregate_dataset(
-        data, weights=weights, rule=args.rule, seed=args.seed,
-        model=model, threads=args.threads,
+        data, weights=weights, rule=args.rule, seed=args.seed, model=model,
     )
     io.write_pseudolabels(out / "pseudolabels.csv", labels, data.space_kind)
     extra = {"rule": args.rule}
@@ -411,7 +410,6 @@ def build_parser():
     infer.add_argument("--rule", choices=["mv", "weighted"], default="weighted")
     infer.add_argument("--truth", default=None, help="optional truth CSV for metrics")
     infer.add_argument("--seed", type=int, default=0)
-    infer.add_argument("--threads", type=int, default=_default_threads())
     infer.set_defaults(func=cmd_infer)
 
     sweep = sub.add_parser("sweep", help="run a grid of scenarios and emit a long-format CSV")

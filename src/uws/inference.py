@@ -5,12 +5,25 @@ space; with uniform weights this is the generalized majority vote (the Kemeny
 rule on rankings, the mean on the real line under squared distance), and with
 learned accuracies it is the weighted maximum-likelihood rule.
 
+One batched engine solves every task of a dataset at once; the single-task
+functions run the same kernels on a batch of one. On rankings it builds one
+``(n, rho, rho)`` preference tensor. Exact Kemeny scores the shared table of
+all rho! permutations against chunks of tasks. Local search runs the
+best-improvement insertion descent on an ``(n * restarts, rho)`` array of
+orders; rows drop out as they reach a local optimum. Finite spaces gather the
+distance columns of every task's labels and take the argmin over the points.
+Chunks of tasks bound the working arrays to about 1 MiB (``_CHUNK_BYTES``).
+
 Ties everywhere break toward the numerically smallest canonical form of the
 label (elementwise order for permutation sequences, index order for points of
-a finite space), so every aggregation is deterministic.
+a finite space), so every aggregation is deterministic. Local search keeps,
+over its restarts in order, a result whose objective is lower by more than
+1e-12, or within 1e-12 and lexicographically smaller. Its random restarts for
+task ``i`` of a dataset come from ``default_rng((seed, i))``.
 """
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +35,7 @@ from .errors import (
     UseHeuristicError,
 )
 from .metric_spaces import FiniteMetricSpace
-from .permutations import all_permutations, check_permutation
+from .permutations import all_permutations
 
 __all__ = [
     "RankingSpace",
@@ -37,6 +50,8 @@ __all__ = [
 ]
 
 EXHAUSTIVE_THRESHOLD = 8
+_TIE_TOL = 1e-12
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -75,49 +90,24 @@ class AggregationProblem:
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
-        if len(weights) != len(self.labels):
-            raise InvalidArgumentError(
-                f"{len(weights)} weights for {len(self.labels)} labels"
-            )
-        if len(self.labels) == 0:
-            raise InvalidArgumentError("no labels to aggregate")
-        if self.candidate_policy not in ("enumerate_all", "local_search", "observed_only"):
-            raise ConfigurationError(f"unknown candidate policy {self.candidate_policy!r}")
-        if self.negative_weights not in ("clamp", "flip"):
-            raise ConfigurationError(f"unknown negative-weight policy {self.negative_weights!r}")
+        _check_options(weights, len(self.labels), self.candidate_policy, self.negative_weights)
         object.__setattr__(self, "weights", weights)
+
+
+def _check_options(weights, n_labels, candidate_policy, negative_weights):
+    if len(weights) != n_labels:
+        raise InvalidArgumentError(f"{len(weights)} weights for {n_labels} labels")
+    if n_labels == 0:
+        raise InvalidArgumentError("no labels to aggregate")
+    if candidate_policy not in ("enumerate_all", "local_search", "observed_only"):
+        raise ConfigurationError(f"unknown candidate policy {candidate_policy!r}")
+    if negative_weights not in ("clamp", "flip"):
+        raise ConfigurationError(f"unknown negative-weight policy {negative_weights!r}")
 
 
 def majority_vote(problem):
     """Generalized majority vote: unweighted distance argmin over the space."""
-    uniform = AggregationProblem(
-        labels=problem.labels,
-        weights=np.ones(len(problem.labels)),
-        space=problem.space,
-        candidate_policy=problem.candidate_policy,
-        negative_weights=problem.negative_weights,
-        seed=problem.seed,
-        restarts=problem.restarts,
-    )
-    return weighted_aggregate(uniform)
-
-
-def _apply_negative_policy(labels, weights, space, policy):
-    weights = weights.copy()
-    neg = weights < 0
-    if not neg.any():
-        return labels, weights
-    if policy == "clamp":
-        weights[neg] = 0.0
-        return labels, weights
-    labels = np.array(labels)
-    if isinstance(space, RankingSpace):
-        labels[neg] = labels[neg, ::-1]
-    elif isinstance(space, RealSpace):
-        labels[neg] = -labels[neg]
-    else:
-        raise ConfigurationError("sign-flip mode undefined for finite metric labels")
-    return labels, np.abs(weights)
+    return weighted_aggregate(dataclasses.replace(problem, weights=np.ones(len(problem.labels))))
 
 
 def weighted_aggregate(problem):
@@ -126,73 +116,186 @@ def weighted_aggregate(problem):
     Uniform weights reduce to :func:`majority_vote`; rescaling all weights by
     a positive constant leaves the result unchanged.
     """
-    labels, weights = _apply_negative_policy(
-        np.asarray(problem.labels), problem.weights, problem.space, problem.negative_weights
-    )
+    out = _aggregate(np.asarray(problem.labels)[None], problem.weights, problem.space,
+                     problem.candidate_policy, problem.negative_weights, problem.restarts,
+                     problem.seed, single=True)
+    return out[0] if isinstance(problem.space, RankingSpace) else out[0].item()
+
+
+def _aggregate(labels, weights, space, candidate_policy, negative_weights, restarts, seed, single):
+    """Aggregates of n tasks sharing (m,) weights: labels (n, m, ...) -> (n, ...) array.
+
+    ``single`` marks the batch of one of a lone task, whose local-search
+    restarts come from ``default_rng(seed)`` rather than ``(seed, 0)``.
+    """
+    labels, weights = _apply_negative_policy(labels, weights, space, negative_weights)
     if not (weights > 0).any():
         raise DegenerateWeightsError("all aggregation weights are zero")
-    space = problem.space
     if isinstance(space, RankingSpace):
-        return _aggregate_rankings(labels, weights, space, problem)
+        labels = labels.astype(np.int64, copy=False)
+        if candidate_policy == "observed_only":
+            return _kemeny_observed(labels, weights)
+        if candidate_policy == "local_search":
+            out = kemeny_local_search(labels[0] if single else labels, weights, space.rho, restarts, seed)
+            return out.reshape(-1, space.rho)
+        return kemeny_exact(labels, weights, space.rho, exhaustive_threshold=space.exhaustive_threshold)
     if isinstance(space, RealSpace):
-        return _aggregate_reals(labels, weights, problem)
+        return _aggregate_reals(labels, weights, candidate_policy)
     if isinstance(space, FiniteMetricSpace):
-        return _aggregate_finite(labels, weights, space, problem)
+        return _aggregate_finite(labels.astype(np.int64, copy=False), weights, space, candidate_policy)
     raise ConfigurationError(f"unknown label space {type(space).__name__}")
 
 
-def _aggregate_rankings(labels, weights, space, problem):
-    if problem.candidate_policy == "observed_only":
-        pref = _preference_matrix(labels, weights, space.rho)
-        cands = labels[np.lexsort(labels.T[::-1])]
-        costs = [_kemeny_cost(pref, z) for z in cands]
-        return cands[int(np.argmin(costs))].copy()
-    if problem.candidate_policy == "local_search":
-        return kemeny_local_search(
-            labels, weights, space.rho, restarts=problem.restarts, seed=problem.seed
-        )
-    return kemeny_exact(labels, weights, space.rho, exhaustive_threshold=space.exhaustive_threshold)
-
-
-def _aggregate_reals(labels, weights, problem):
-    # one value per labeler: (m,) or the (m, 1) rows of a real LabelingMatrix
-    labels = np.asarray(labels, dtype=np.float64).reshape(len(weights))
-    if problem.candidate_policy == "observed_only":
-        cands = np.unique(labels)
-        costs = [(weights * (labels - z) ** 2).sum() for z in cands]
-        return float(cands[int(np.argmin(costs))])
-    # the squared-distance objective has the weighted mean as its exact argmin
-    return float((weights * labels).sum() / weights.sum())
-
-
-def _aggregate_finite(labels, weights, space, problem):
-    if problem.candidate_policy == "observed_only":
-        cands = np.unique(labels)
+def _apply_negative_policy(labels, weights, space, policy):
+    """Labels (n, m, ...) and weights with the negative weights clamped or flipped."""
+    neg = weights < 0
+    if not neg.any():
+        return labels, weights
+    if policy == "clamp":
+        return labels, np.where(neg, 0.0, weights)
+    labels = np.array(labels)
+    if isinstance(space, RankingSpace):
+        labels[:, neg] = labels[:, neg, ::-1]
+    elif isinstance(space, RealSpace):
+        labels[:, neg] = -labels[:, neg]
     else:
-        cands = np.arange(space.size)
-    costs = (weights[None, :] * space.dist[np.ix_(cands, labels)]).sum(axis=1)
-    return int(cands[int(np.argmin(costs))])
+        raise ConfigurationError("sign-flip mode undefined for finite metric labels")
+    return labels, np.abs(weights)
 
 
-def _preference_matrix(labels, weights, rho):
-    """pref[i, j] = total weight of labelers placing item i before item j."""
+def _row_sums(terms):
+    """Sums over the last axis, each row summed as one contiguous run.
+
+    numpy sums a contiguous run pairwise but a strided axis term by term, and
+    float ties between candidates resolve by the last bit, so every batched
+    cost is summed exactly as the same cost of a lone task would be.
+    """
+    return np.ascontiguousarray(terms).sum(axis=-1)
+
+
+def _chunks(n, bytes_per_task):
+    """Slices of range(n) whose working arrays stay near ``_CHUNK_BYTES``."""
+    step = max(1, _CHUNK_BYTES // max(int(bytes_per_task), 1))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _aggregate_reals(labels, weights, candidate_policy):
+    # one value per labeler: (n, m) or the (n, m, 1) rows of a real LabelingMatrix
+    values = np.asarray(labels, dtype=np.float64)
+    if values.ndim == 3:
+        if values.shape[2] != 1:
+            raise ConfigurationError(f"real labels have d={values.shape[2]} coordinates; aggregation needs d=1")
+        values = values[:, :, 0]
+    if candidate_policy == "observed_only":
+        return _best_observed(values, weights, lambda z, v: (v - z) ** 2)
+    # the squared-distance objective has the weighted mean as its exact argmin
+    return _row_sums(weights * values) / weights.sum()
+
+
+def _aggregate_finite(labels, weights, space, candidate_policy):
+    if candidate_policy == "observed_only":
+        return _best_observed(labels, weights, lambda z, v: space.dist[z, v])
+    n, m = labels.shape
+    out = np.empty(n, dtype=np.int64)
+    for s in _chunks(n, 16 * m * space.size):
+        # costs[t, c] = sum_a w_a dist[c, label_ta], every point c a candidate
+        out[s] = _row_sums((weights * space.dist[:, labels[s]]).transpose(1, 0, 2)).argmin(axis=1)
+    return out
+
+
+def _best_observed(labels, weights, distance):
+    """Each task's observed label of least weighted distance sum, the smallest on ties.
+
+    ``distance(z, v)`` broadcasts candidate labels z against labeler outputs v.
+    """
+    n, m = labels.shape
+    cands = np.sort(labels, axis=1)
+    out = np.empty(n, dtype=cands.dtype)
+    for s in _chunks(n, 8 * m * m):
+        costs = _row_sums(weights * distance(cands[s, :, None], labels[s, None, :]))
+        out[s] = cands[s][np.arange(len(costs)), costs.argmin(axis=1)]
+    return out
+
+
+def _preference_tensor(labels, weights):
+    """pref[t, i, j] = total weight of task t's labelers placing item i before item j."""
+    n, m, rho = labels.shape
+    pref = np.empty((n, rho, rho))
+    for s in _chunks(n, m * rho * rho):
+        pos = np.argsort(labels[s], axis=-1)  # position of each item
+        pref[s] = np.einsum("a,taij->tij", weights, pos[..., :, None] < pos[..., None, :])
+    return pref
+
+
+def _first_flags(orders):
+    """flags[..., p]: the order puts item iu[p] before item ju[p] (pairs of triu_indices)."""
+    pos = np.argsort(orders, axis=-1)
+    iu, ju = np.triu_indices(orders.shape[-1], k=1)
+    return pos[..., iu] < pos[..., ju]
+
+
+def _candidate_costs(pref, cands):
+    """Kemeny objectives (n, c) of each task's own candidate orders (n, c, rho)."""
+    n, c, rho = cands.shape
+    iu, ju = np.triu_indices(rho, k=1)
+    costs = np.empty((n, c))
+    for s in _chunks(n, 9 * c * len(iu)):
+        costs[s] = _row_sums(np.where(_first_flags(cands[s]), pref[s, None, ju, iu], pref[s, None, iu, ju]))
+    return costs
+
+
+def _table_costs(pref, first):
+    """Kemeny objectives (t, R) of R candidates shared by all tasks, from their (R, P) pair flags.
+
+    The pair terms accumulate one pair at a time in triu order: a
+    term-by-term sum, whose rounding decides float ties, and no (t, R, P)
+    array is built.
+    """
+    iu, ju = np.triu_indices(pref.shape[-1], k=1)
+    costs = np.zeros((len(pref), len(first)))
+    for p, (i, j) in enumerate(zip(iu, ju)):
+        costs += np.where(first[:, p], pref[:, j, i, None], pref[:, i, j, None])
+    return costs
+
+
+def _select(cands, costs, tol):
+    """Each task's pick among its (n, c, rho) candidate orders with (n, c) costs.
+
+    Scans the candidates in order and takes one whose cost is lower by more
+    than ``tol``, or within ``tol`` and lexicographically smaller.
+    """
+    rows = np.arange(len(cands))
+    best, best_cost = cands[:, 0].copy(), costs[:, 0].copy()
+    for r in range(1, cands.shape[1]):
+        cand, cost = cands[:, r], costs[:, r]
+        differ = cand != best
+        at = differ.argmax(axis=1)
+        lex_less = differ.any(axis=1) & (cand[rows, at] < best[rows, at])
+        better = (cost < best_cost - tol) | ((np.abs(cost - best_cost) <= tol) & lex_less)
+        best[better] = cand[better]
+        best_cost[better] = cost[better]
+    return best
+
+
+def _kemeny_observed(labels, weights):
+    """Each task's best observed label, ties to the lexicographically smallest."""
+    return _select(labels, _candidate_costs(_preference_tensor(labels, weights), labels), 0.0)
+
+
+def _as_batch(labels):
+    """(n, m, rho) int64 labels and whether they came as one task's (m, rho) or (rho,)."""
     labels = np.asarray(labels, dtype=np.int64)
-    pos = np.argsort(labels, axis=1)  # (m, rho) position of each item
-    before = pos[:, :, None] < pos[:, None, :]  # (m, rho, rho)
-    return np.einsum("a,aij->ij", np.asarray(weights, dtype=np.float64), before)
-
-
-def _kemeny_cost(pref, z):
-    pos = np.argsort(z)
-    iu, ju = np.triu_indices(len(z), k=1)
-    first = pos[iu] < pos[ju]
-    return float(np.where(first, pref[ju, iu], pref[iu, ju]).sum())
+    if labels.ndim == 3:
+        return labels, False
+    return np.atleast_2d(labels)[None], True
 
 
 def kemeny_exact(labels, weights, rho, exhaustive_threshold=EXHAUSTIVE_THRESHOLD):
     """Exact weighted Kemeny aggregate by full enumeration of S_rho.
 
-    Ties break to the lexicographically smallest permutation sequence.
+    ``labels`` is one task's (m, rho) array, or (n, m, rho) for n tasks
+    sharing the (m,) weights (the result is then (n, rho)). Ties break to
+    the lexicographically smallest permutation sequence.
 
     Raises
     ------
@@ -200,55 +303,20 @@ def kemeny_exact(labels, weights, rho, exhaustive_threshold=EXHAUSTIVE_THRESHOLD
         If rho exceeds ``exhaustive_threshold`` (rho! candidates): use
         :func:`kemeny_local_search`.
     """
-    labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
+    labels, single = _as_batch(labels)
     if rho > exhaustive_threshold:
         raise UseHeuristicError(
             f"rho={rho} above the exhaustive threshold {exhaustive_threshold}"
         )
-    if labels.shape[1] != rho:
-        raise InvalidArgumentError(f"labels have length {labels.shape[1]}, expected {rho}")
-    pref = _preference_matrix(labels, weights, rho)
-    cands = all_permutations(rho)
-    pos = np.argsort(cands, axis=1)
-    iu, ju = np.triu_indices(rho, k=1)
-    first = pos[:, iu] < pos[:, ju]
-    costs = np.where(first, pref[ju, iu][None, :], pref[iu, ju][None, :]).sum(axis=1)
-    best = int(np.argmin(costs))  # first occurrence: lexicographically smallest
-    assert costs[best] <= costs.min() + 1e-12
-    return cands[best].copy()
-
-
-def _borda_start(labels, weights):
-    mean_pos = np.einsum("a,ai->i", weights, np.argsort(labels, axis=1)) / max(weights.sum(), 1e-300)
-    return np.argsort(mean_pos, kind="stable")
-
-
-def _insertion_descent(order, pref):
-    """Best-improvement single-item insertion moves until locally optimal."""
-    order = order.copy()
-    rho = len(order)
-    while True:
-        best_delta = -1e-12
-        best_move = None
-        for k in range(rho):
-            x = order[k]
-            others = np.delete(order, k)
-            # gain[m]: cost change of placing x before others[m] instead of after
-            gain = pref[others, x] - pref[x, others]
-            d = np.zeros(rho)  # d[l]: delta of reinserting x before others[l]
-            if k > 0:
-                d[:k] = np.cumsum(gain[:k][::-1])[::-1]
-            if k < rho - 1:
-                d[k + 1 :] = np.cumsum(-gain[k:])
-            l = int(np.argmin(d))
-            if d[l] < best_delta:
-                best_delta = d[l]
-                best_move = (k, l)
-        if best_move is None:
-            return order
-        k, l = best_move
-        x = order[k]
-        order = np.insert(np.delete(order, k), l, x)
+    if labels.shape[2] != rho:
+        raise InvalidArgumentError(f"labels have length {labels.shape[2]}, expected {rho}")
+    pref = _preference_tensor(labels, np.asarray(weights, dtype=np.float64))
+    cands = all_permutations(rho)  # lexicographic: argmin's first occurrence breaks ties
+    first = _first_flags(cands)
+    out = np.empty((len(pref), rho), dtype=np.int64)
+    for s in _chunks(len(pref), 16 * len(cands)):
+        out[s] = cands[_table_costs(pref[s], first).argmin(axis=1)]
+    return out[0] if single else out
 
 
 def kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
@@ -257,27 +325,76 @@ def kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
     Deterministic given the seed. Starts from the best input label, a
     weighted mean-position order, and random restarts; the returned order is
     a local optimum whose objective never exceeds any input label's.
+    ``labels`` is one task's (m, rho) array, whose restarts come from
+    ``default_rng(seed)``, or (n, m, rho) for n tasks sharing the (m,)
+    weights, task i's from ``default_rng((seed, i))``.
     """
-    labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
+    labels, single = _as_batch(labels)
+    if labels.shape[2] != rho:
+        raise InvalidArgumentError(f"labels have length {labels.shape[2]}, expected {rho}")
+    seeds = [seed] if single else [(seed, i) for i in range(len(labels))]
+    out = _local_search(labels, np.asarray(weights, dtype=np.float64), restarts, seeds)
+    return out[0] if single else out
+
+
+def _local_search(labels, weights, restarts, seeds):
+    n, _, rho = labels.shape
     if rho < 2:
-        return check_permutation(labels[0])
-    weights = np.asarray(weights, dtype=np.float64)
-    pref = _preference_matrix(labels, weights, rho)
-    input_costs = [_kemeny_cost(pref, z) for z in labels]
-    starts = [labels[int(np.argmin(input_costs))], _borda_start(labels, weights)]
-    rng = np.random.default_rng(seed)
-    for _ in range(max(restarts - len(starts), 0)):
-        starts.append(rng.permutation(rho))
-    best = None
-    best_cost = np.inf
-    for start in starts[: max(restarts, 1)]:
-        out = _insertion_descent(np.asarray(start, dtype=np.int64), pref)
-        cost = _kemeny_cost(pref, out)
-        if cost < best_cost - 1e-12 or (
-            abs(cost - best_cost) <= 1e-12 and best is not None and tuple(out) < tuple(best)
-        ):
-            best, best_cost = out, cost
-    return best
+        return labels[:, 0].copy()
+    pref = _preference_tensor(labels, weights)
+    rows = np.arange(n)
+    # starts in order: the best input label, the weighted mean-position order, random orders
+    starts = [labels[rows, _candidate_costs(pref, labels).argmin(axis=1)][:, None]]
+    if restarts >= 2:
+        mean_pos = np.einsum("a,tai->ti", weights, np.argsort(labels, axis=-1)) / max(weights.sum(), 1e-300)
+        starts.append(np.argsort(mean_pos, axis=1, kind="stable")[:, None])
+    if restarts > 2:
+        rngs = map(np.random.default_rng, seeds)
+        starts.append(np.array([[rng.permutation(rho) for _ in range(restarts - 2)] for rng in rngs]))
+    starts = np.concatenate(starts, axis=1)
+    n_starts = starts.shape[1]
+    outs = _insertion_descent(starts.reshape(n * n_starts, rho), pref,
+                              np.repeat(rows, n_starts)).reshape(n, n_starts, rho)
+    return _select(outs, _candidate_costs(pref, outs), _TIE_TOL)
+
+
+def _insertion_descent(orders, pref, task):
+    """Best-improvement single-item insertion moves on each row until it is locally optimal.
+
+    Row r of ``orders`` is scored with ``pref[task[r]]``. In one step,
+    ``delta[l, k]`` is the cost change of moving the item at position k to
+    position l: the running sum of ``gain[a, k]`` (item at a placed before
+    the item at k rather than after) from a = k-1 down to l, or minus that
+    from a = k+1 up to l. Each run is summed in that order behind zeros,
+    so it rounds exactly as a cumulative sum over the run alone would. The
+    step takes the most negative delta below -1e-12; ties go to the first k,
+    then to the first l.
+    """
+    orders = orders.copy()
+    rho = orders.shape[1]
+    pos = np.arange(rho)
+    before = pos[:, None] < pos[None, :]  # [a, k]: position a comes before position k
+    after = pos[:, None] > pos[None, :]
+    for s in _chunks(len(orders), 64 * rho * rho):
+        active = np.arange(s.start, s.stop)
+        while active.size:
+            o = orders[active]
+            p = pref[task[active, None, None], o[:, :, None], o[:, None, :]]
+            gain = p - p.transpose(0, 2, 1)
+            up = np.cumsum(np.where(before, gain, 0.0)[:, ::-1], axis=1)[:, ::-1]
+            down = np.cumsum(np.where(after, -gain, 0.0), axis=1)
+            delta = np.where(before, up, down)
+            to = delta.argmin(axis=1)  # best target l of every position k
+            best = delta.min(axis=1)
+            move = best.min(axis=1) < -_TIE_TOL
+            active, o = active[move], o[move]
+            rows = np.arange(len(o))[:, None]
+            k = best[move].argmin(axis=1)[:, None]
+            l = to[move][rows, k]
+            # the new order reads o with position k taken out and put back at l
+            src = pos - (pos > l)
+            orders[active] = o[rows, np.where(pos == l, k, src + (src >= k))]
+    return orders
 
 
 def gaussian_conditional_mean(lf_values, acc_vector, cov_matrix):
@@ -300,7 +417,7 @@ def gaussian_conditional_mean(lf_values, acc_vector, cov_matrix):
 
 
 def aggregate_dataset(data, weights=None, rule="weighted", candidate_policy="auto",
-                      negative_weights="clamp", seed=0, restarts=8, model=None, threads=1):
+                      negative_weights="clamp", seed=0, restarts=8, model=None):
     """Aggregate every task of a LabelingMatrix into one pseudolabel.
 
     rule "mv" ignores weights; "weighted" requires either ``weights`` or a
@@ -309,17 +426,20 @@ def aggregate_dataset(data, weights=None, rule="weighted", candidate_policy="aut
     when the accuracies are unknown (NaN), the precision-weighted mean
     ``lambda . Theta 1 / 1' Theta 1`` from its theta matrix).
     candidate_policy "auto" resolves to exact enumeration when feasible and
-    the insertion heuristic on long rankings.
+    the insertion heuristic on long rankings, whose random restarts for task
+    i come from ``default_rng((seed, i))``. Real labels must be scalar (d=1).
 
     Returns a list of labels (permutation arrays, floats, or node ids).
     """
-    from .label_model import FINITE_METRIC, RANKING, REAL_VECTOR
+    from .label_model import RANKING, REAL_VECTOR
 
     if rule not in ("mv", "weighted"):
         raise ConfigurationError(f"unknown rule {rule!r}")
     if data.space_kind == RANKING:
         space = RankingSpace(data.rho)
     elif data.space_kind == REAL_VECTOR:
+        if data.dim != 1:
+            raise ConfigurationError(f"real labels have d={data.dim} coordinates; pseudolabels need d=1")
         space = RealSpace()
     else:
         space = data.space
@@ -344,29 +464,15 @@ def aggregate_dataset(data, weights=None, rule="weighted", candidate_policy="aut
     elif weights is None:
         if model is None:
             raise ConfigurationError("weighted rule needs weights or a learned model")
-        weights = np.asarray(model.thetas, dtype=np.float64)
+        weights = model.thetas
+    weights = np.asarray(weights, dtype=np.float64)
 
     if candidate_policy == "auto":
         if data.space_kind == RANKING and data.rho > EXHAUSTIVE_THRESHOLD:
             candidate_policy = "local_search"
         else:
             candidate_policy = "enumerate_all"
-
-    def solve(i):
-        problem = AggregationProblem(
-            labels=data.labels[i],
-            weights=weights,
-            space=space,
-            candidate_policy=candidate_policy,
-            negative_weights=negative_weights,
-            seed=(seed, i),
-            restarts=restarts,
-        )
-        return weighted_aggregate(problem)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(solve, range(data.n_tasks)))
-    return [solve(i) for i in range(data.n_tasks)]
+    _check_options(weights, data.n_lfs, candidate_policy, negative_weights)
+    out = _aggregate(data.labels, weights, space, candidate_policy, negative_weights, restarts,
+                     seed, single=False)
+    return list(out) if data.space_kind == RANKING else out.tolist()

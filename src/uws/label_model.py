@@ -144,19 +144,25 @@ class LabelingMatrix:
 
 @dataclass(frozen=True)
 class CorrelationSet:
-    """Unordered labeler pairs declared conditionally dependent."""
+    """Unordered labeler pairs declared conditionally dependent.
+
+    Edges are stored as sorted ``(low, high)`` int pairs, however given.
+    """
 
     edges: frozenset = frozenset()
 
-    @classmethod
-    def from_pairs(cls, pairs):
+    def __post_init__(self):
         norm = set()
-        for a, b in pairs:
+        for a, b in self.edges:
             a, b = int(a), int(b)
             if a == b:
                 raise InvalidArgumentError(f"self-loop ({a}, {b}) not allowed")
             norm.add((min(a, b), max(a, b)))
-        return cls(frozenset(norm))
+        object.__setattr__(self, "edges", frozenset(norm))
+
+    @classmethod
+    def from_pairs(cls, pairs):
+        return cls(frozenset(tuple(pair) for pair in pairs))
 
     def correlated(self, a, b):
         return (min(a, b), max(a, b)) in self.edges

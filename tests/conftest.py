@@ -36,3 +36,101 @@ def brute_force_weighted_kemeny(labels, weights, rho):
         if cost < best_cost - 1e-12:
             best, best_cost = cand, cost
     return np.array(best), best_cost
+
+
+# Per-task reference aggregation: the solver as it was before the batched
+# engine, one task and one start at a time. The batched engine must agree
+# with it exactly (same outputs, same tie-breaks, same restart streams).
+
+def reference_preference_matrix(labels, weights, rho):
+    """pref[i, j] = total weight of labelers placing item i before item j."""
+    labels = np.asarray(labels, dtype=np.int64)
+    pos = np.argsort(labels, axis=1)
+    before = pos[:, :, None] < pos[:, None, :]
+    return np.einsum("a,aij->ij", np.asarray(weights, dtype=np.float64), before)
+
+
+def reference_kemeny_cost(pref, z):
+    pos = np.argsort(z)
+    iu, ju = np.triu_indices(len(z), k=1)
+    first = pos[iu] < pos[ju]
+    return float(np.where(first, pref[ju, iu], pref[iu, ju]).sum())
+
+
+def reference_kemeny_exact(labels, weights, rho):
+    """Exact weighted Kemeny by enumeration; first minimum in lexicographic order."""
+    pref = reference_preference_matrix(labels, weights, rho)
+    cands = np.array(list(iter_permutations(range(rho))), dtype=np.int64)
+    pos = np.argsort(cands, axis=1)
+    iu, ju = np.triu_indices(rho, k=1)
+    first = pos[:, iu] < pos[:, ju]
+    costs = np.where(first, pref[ju, iu][None, :], pref[iu, ju][None, :]).sum(axis=1)
+    return cands[int(np.argmin(costs))].copy()
+
+
+def _reference_insertion_descent(order, pref):
+    order = order.copy()
+    rho = len(order)
+    while True:
+        best_delta = -1e-12
+        best_move = None
+        for k in range(rho):
+            x = order[k]
+            others = np.delete(order, k)
+            gain = pref[others, x] - pref[x, others]
+            d = np.zeros(rho)
+            if k > 0:
+                d[:k] = np.cumsum(gain[:k][::-1])[::-1]
+            if k < rho - 1:
+                d[k + 1 :] = np.cumsum(-gain[k:])
+            l = int(np.argmin(d))
+            if d[l] < best_delta:
+                best_delta = d[l]
+                best_move = (k, l)
+        if best_move is None:
+            return order
+        k, l = best_move
+        x = order[k]
+        order = np.insert(np.delete(order, k), l, x)
+
+
+def reference_kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
+    """Insertion local search from the best input, the Borda order and random starts."""
+    labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
+    if rho < 2:
+        return labels[0].copy()
+    weights = np.asarray(weights, dtype=np.float64)
+    pref = reference_preference_matrix(labels, weights, rho)
+    input_costs = [reference_kemeny_cost(pref, z) for z in labels]
+    mean_pos = np.einsum("a,ai->i", weights, np.argsort(labels, axis=1)) / max(weights.sum(), 1e-300)
+    starts = [labels[int(np.argmin(input_costs))], np.argsort(mean_pos, kind="stable")]
+    rng = np.random.default_rng(seed)
+    for _ in range(max(restarts - len(starts), 0)):
+        starts.append(rng.permutation(rho))
+    best = None
+    best_cost = np.inf
+    for start in starts[: max(restarts, 1)]:
+        out = _reference_insertion_descent(np.asarray(start, dtype=np.int64), pref)
+        cost = reference_kemeny_cost(pref, out)
+        if cost < best_cost - 1e-12 or (
+            abs(cost - best_cost) <= 1e-12 and best is not None and tuple(out) < tuple(best)
+        ):
+            best, best_cost = out, cost
+    return best
+
+
+def reference_kemeny_observed(labels, weights, rho):
+    """Best observed label, lexicographically smallest among equal objectives."""
+    labels = np.asarray(labels, dtype=np.int64)
+    pref = reference_preference_matrix(labels, weights, rho)
+    cands = labels[np.lexsort(labels.T[::-1])]
+    costs = [reference_kemeny_cost(pref, z) for z in cands]
+    return cands[int(np.argmin(costs))].copy()
+
+
+def reference_aggregate_finite(labels, weights, dist, observed_only=False):
+    """Weighted distance argmin over every point (or the observed ones), lowest index on ties."""
+    labels = np.asarray(labels)
+    cands = np.unique(labels) if observed_only else np.arange(len(dist))
+    costs = (weights[None, :] * dist[np.ix_(cands, labels)]).sum(axis=1)
+    return int(cands[int(np.argmin(costs))])

@@ -254,9 +254,7 @@ class TestExitCodes:
         monkeypatch.setenv("UWS_THREADS", "3")
         from uws.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["infer", "--dataset", "x", "--out", "y", "--rule", "mv"]
-        )
+        args = build_parser().parse_args(["sweep", "--scenario", "x", "--out", "y"])
         assert args.threads == 3
 
 

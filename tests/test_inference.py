@@ -1,8 +1,19 @@
 """Aggregation rules: majority vote, weighted rules, Kemeny solvers, Gaussian inference."""
 
+from itertools import permutations as iter_permutations
+
 import numpy as np
 import pytest
-from conftest import brute_force_weighted_kemeny, naive_kendall
+from conftest import (
+    brute_force_weighted_kemeny,
+    naive_kendall,
+    reference_aggregate_finite,
+    reference_kemeny_exact,
+    reference_kemeny_local_search,
+    reference_kemeny_observed,
+)
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from uws import inference as inf
 from uws import mallows
@@ -13,6 +24,7 @@ from uws.errors import (
     SingularCovarianceError,
     UseHeuristicError,
 )
+from uws.label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix, SecondMomentPrior, learn_label_model
 from uws.metric_spaces import graph_hop_metric
 
 
@@ -249,8 +261,6 @@ class TestGaussianConditionalMean:
 
 class TestAggregateDataset:
     def test_mv_equals_uniform_weighted(self):
-        from uws.label_model import RANKING, LabelingMatrix
-
         rng = np.random.default_rng(37)
         labels = np.array([[rng.permutation(5) for _ in range(4)] for _ in range(20)])
         data = LabelingMatrix(RANKING, labels)
@@ -258,19 +268,7 @@ class TestAggregateDataset:
         wgt = inf.aggregate_dataset(data, weights=np.full(4, 3.0), rule="weighted")
         assert [a.tolist() for a in mv] == [b.tolist() for b in wgt]
 
-    def test_threads_do_not_change_output(self):
-        from uws.label_model import RANKING, LabelingMatrix
-
-        rng = np.random.default_rng(41)
-        labels = np.array([[rng.permutation(9) for _ in range(4)] for _ in range(12)])
-        data = LabelingMatrix(RANKING, labels)
-        seq = inf.aggregate_dataset(data, rule="mv", seed=2, threads=1)
-        par = inf.aggregate_dataset(data, rule="mv", seed=2, threads=4)
-        assert [a.tolist() for a in seq] == [b.tolist() for b in par]
-
     def test_mv_on_reals_is_the_plain_mean(self):
-        from uws.label_model import REAL_VECTOR, LabelingMatrix
-
         labels = np.random.default_rng(43).normal(size=(30, 5))
         data = LabelingMatrix(REAL_VECTOR, labels)
         np.testing.assert_allclose(inf.aggregate_dataset(data, rule="mv"), labels.mean(axis=1), rtol=1e-12)
@@ -306,8 +304,128 @@ class TestAggregateDataset:
         assert np.mean((got - truth) ** 2) < np.mean((lam.mean(axis=1) - truth) ** 2)
 
     def test_unknown_rule(self):
-        from uws.label_model import RANKING, LabelingMatrix
-
         data = LabelingMatrix(RANKING, np.tile(np.arange(3), (4, 3, 1)))
         with pytest.raises(ConfigurationError):
             inf.aggregate_dataset(data, rule="plurality")
+
+    def test_real_labels_with_several_coordinates_are_refused(self):
+        rng = np.random.default_rng(53)
+        data = LabelingMatrix(REAL_VECTOR, rng.normal(size=(6, 1, 2)) + 0.3 * rng.normal(size=(6, 3, 2)))
+        model = learn_label_model(data, path="continuous", prior=SecondMomentPrior(np.ones(2)))
+        for kwargs in ({"rule": "mv"}, {"weights": np.array([1.0, 2.0, 0.5])}, {"model": model},
+                       {"rule": "mv", "candidate_policy": "observed_only"}):
+            with pytest.raises(ConfigurationError, match="d=2"):
+                inf.aggregate_dataset(data, **kwargs)
+        with pytest.raises(ConfigurationError, match="d=2"):
+            inf.weighted_aggregate(real_problem(data.labels[0]))
+
+
+# weights drawn from a small pool make zeros, ties and negatives common
+TIED_WEIGHTS = [0.0, 1.0, 2.5, -1.0, -0.25, 0.5]
+weight_values = st.one_of(st.sampled_from(TIED_WEIGHTS), st.floats(-3.0, 3.0))
+
+
+def effective(labels, weights, negative_weights):
+    """Labels (n, m, rho) and weights after the clamp or flip policy."""
+    neg = weights < 0
+    if negative_weights == "clamp":
+        return labels, np.where(neg, 0.0, weights)
+    labels = labels.copy()
+    labels[:, neg] = labels[:, neg, ::-1]
+    return labels, np.abs(weights)
+
+
+class TestBatchedEngineMatchesReference:
+    """aggregate_dataset against the per-task reference solvers of conftest, bit for bit."""
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(rho=st.integers(2, 11), m=st.integers(1, 20), n=st.integers(1, 6), restarts=st.integers(1, 8),
+           policy=st.sampled_from(["auto", "local_search", "observed_only"]),
+           negative_weights=st.sampled_from(["clamp", "flip"]),
+           seed=st.integers(0, 2**32 - 1), label_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_rankings(self, rho, m, n, restarts, policy, negative_weights, seed, label_seed, data):
+        rng = np.random.default_rng(label_seed)
+        labels = np.array([[rng.permutation(rho) for _ in range(m)] for _ in range(n)])
+        weights = np.array(data.draw(st.lists(weight_values, min_size=m, max_size=m)))
+        eff_labels, eff_weights = effective(labels, weights, negative_weights)
+        assume((eff_weights > 0).any())
+        got = inf.aggregate_dataset(LabelingMatrix(RANKING, labels), weights=weights, candidate_policy=policy,
+                                    negative_weights=negative_weights, seed=seed, restarts=restarts)
+        expect = []
+        for i in range(n):
+            if policy == "observed_only":
+                expect.append(reference_kemeny_observed(eff_labels[i], eff_weights, rho))
+            elif policy == "local_search" or rho > inf.EXHAUSTIVE_THRESHOLD:
+                expect.append(reference_kemeny_local_search(eff_labels[i], eff_weights, rho, restarts=restarts,
+                                                            seed=(seed, i)))
+            else:
+                expect.append(reference_kemeny_exact(eff_labels[i], eff_weights, rho))
+        got = np.asarray(got)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.array(expect))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_nodes=st.integers(2, 12), m=st.integers(1, 20), n=st.integers(1, 6),
+           observed_only=st.booleans(), graph_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_finite_space(self, n_nodes, m, n, observed_only, graph_seed, data):
+        rng = np.random.default_rng(graph_seed)
+        chords = [tuple(rng.choice(n_nodes, size=2, replace=False)) for _ in range(int(rng.integers(0, n_nodes)))]
+        space = graph_hop_metric([(v, v + 1) for v in range(n_nodes - 1)] + chords, n_nodes)
+        labels = rng.integers(0, n_nodes, size=(n, m))
+        weights = np.array(data.draw(st.lists(weight_values, min_size=m, max_size=m)))
+        assume((weights > 0).any())
+        got = inf.aggregate_dataset(LabelingMatrix(FINITE_METRIC, labels, space), weights=weights,
+                                    candidate_policy="observed_only" if observed_only else "auto")
+        clamped = np.where(weights < 0, 0.0, weights)
+        expect = [reference_aggregate_finite(labels[i], clamped, space.dist, observed_only) for i in range(n)]
+        got = np.asarray(got)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.array(expect))
+
+
+class TestAggregationInvariants:
+    @settings(max_examples=40, deadline=None)
+    @given(rho=st.integers(2, 10), m=st.integers(1, 8), n=st.integers(1, 4), exponent=st.integers(-6, 6),
+           label_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_weight_rescaling_invariance(self, rho, m, n, exponent, label_seed, data):
+        # a power-of-two scale keeps every sum exact, so even tie-breaks agree;
+        # small integer weights keep objective gaps far from the 1e-12 tolerances
+        rng = np.random.default_rng(label_seed)
+        weights = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)), dtype=float)
+        assume((weights > 0).any())
+        rankings = LabelingMatrix(RANKING, np.array([[rng.permutation(rho) for _ in range(m)] for _ in range(n)]))
+        space = graph_hop_metric([(v, v + 1) for v in range(rho - 1)] + [(0, rho - 1)], rho)
+        nodes = LabelingMatrix(FINITE_METRIC, rng.integers(0, rho, size=(n, m)), space)
+        for data_ in (rankings, nodes):
+            for policy in ("auto", "local_search", "observed_only"):
+                base = inf.aggregate_dataset(data_, weights=weights, candidate_policy=policy, seed=3)
+                scaled = inf.aggregate_dataset(data_, weights=weights * 2.0**exponent, candidate_policy=policy,
+                                               seed=3)
+                assert np.array_equal(np.asarray(base), np.asarray(scaled))
+
+    @settings(max_examples=30, deadline=None)
+    @given(rho=st.integers(2, 6), m=st.integers(1, 6), scale=st.floats(1e-3, 1e3),
+           label_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_any_positive_scale_keeps_the_exact_optimum(self, rho, m, scale, label_seed, data):
+        rng = np.random.default_rng(label_seed)
+        labels = np.array([rng.permutation(rho) for _ in range(m)])
+        weights = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)), dtype=float)
+        assume((weights > 0).any())
+        _, best = brute_force_weighted_kemeny(labels, weights, rho)
+        got = inf.kemeny_exact(labels, scale * weights, rho)
+        assert sum(w * naive_kendall(lab, got) for w, lab in zip(weights, labels)) == best
+
+    @settings(max_examples=30, deadline=None)
+    @given(rho=st.integers(2, 6), m=st.integers(1, 7), label_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_item_relabelling_equivariance(self, rho, m, label_seed, data):
+        rng = np.random.default_rng(label_seed)
+        labels = np.array([rng.permutation(rho) for _ in range(m)])
+        weights = np.array(data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)), dtype=float)
+        assume((weights > 0).any())
+        # the lexicographic tie-break is not equivariant: only a unique optimum must follow the relabelling
+        costs = sorted(sum(w * naive_kendall(lab, z) for w, lab in zip(weights, labels))
+                       for z in iter_permutations(range(rho)))
+        assume(costs[0] < costs[1])
+        sigma = rng.permutation(rho)
+        got = inf.kemeny_exact(sigma[labels], weights, rho)
+        assert np.array_equal(got, sigma[inf.kemeny_exact(labels, weights, rho)])

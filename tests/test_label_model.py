@@ -312,6 +312,20 @@ class TestLearnConfiguration:
     def test_rejects_self_loop(self):
         with pytest.raises(InvalidArgumentError):
             lm.CorrelationSet.from_pairs([(1, 1)])
+        with pytest.raises(InvalidArgumentError):
+            lm.CorrelationSet(frozenset({(2, 2)}))
+
+    def test_direct_construction_normalizes_pair_order(self):
+        corr = lm.CorrelationSet(frozenset({(1, 0), (np.int64(3), np.int64(2))}))
+        assert corr.edges == frozenset({(0, 1), (2, 3)})
+        assert corr.correlated(0, 1) and corr.correlated(1, 0) and corr.correlated(2, 3)
+        assert corr == lm.CorrelationSet.from_pairs([[0, 1], [2, 3]])
+        _, data = make_ranking_data((1.5, 1.2, 1.0, 0.8, 0.6), rho=4, n=2_000, seed=6)
+        direct = lm.learn_label_model(data, corr=lm.CorrelationSet(frozenset({(1, 0)})))
+        sorted_pairs = lm.learn_label_model(data, corr=lm.CorrelationSet.from_pairs([(0, 1)]))
+        np.testing.assert_array_equal(direct.thetas, sorted_pairs.thetas)
+        independent = lm.learn_label_model(data)
+        assert not np.array_equal(direct.thetas, independent.thetas)
 
     def test_bad_path_for_space(self):
         _, data = make_ranking_data((1.5, 1.2, 1.0), rho=4, n=100, seed=5)
