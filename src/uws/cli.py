@@ -7,7 +7,6 @@ Every command is deterministic given its seed; outputs carry a manifest
 """
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -61,11 +60,24 @@ def _require(payload, key, where):
     return payload[key]
 
 
-def _load_json(path):
+def _integer(value, key, where):
+    """``value`` as an int; a fractional number or a non-numeric value raises."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(f"{path}: malformed JSON ({exc})") from exc
+        if isinstance(value, str) or int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidArgumentError(f"{where}: field {key!r} must be an integer, got {value!r}")
+
+
+def _integers(values, key, where):
+    if not isinstance(values, list):
+        raise InvalidArgumentError(f"{where}: field {key!r} must be a list of integers, got {values!r}")
+    return [_integer(v, key, where) for v in values]
+
+
+def _field(payload, key, where):
+    return _integer(_require(payload, key, where), key, where)
 
 
 def _resolve_thetas(payload, seed, where):
@@ -77,67 +89,72 @@ def _resolve_thetas(payload, seed, where):
             seed, n_low=payload.get("n_low", 10), n_high=payload.get("n_high", 8)
         )
     if preset == "movies_style":
-        return synthetic.movies_style_thetas(_require(payload, "m", where), seed)
+        return synthetic.movies_style_thetas(_field(payload, "m", where), seed)
     raise InvalidArgumentError(f"{where}: missing field 'thetas' (or a known 'preset')")
 
 
-def _load_scenario(path, seed_override=None):
-    payload = _load_json(path)
-    kind = _require(payload, "kind", path)
-    seed = seed_override if seed_override is not None else _require(payload, "seed", path)
-    seed = int(seed)
-    if kind == "ranking":
-        scenario = synthetic.RankingScenario(
-            n=int(_require(payload, "n", path)),
-            rho=int(_require(payload, "rho", path)),
-            thetas=_resolve_thetas(payload, seed, path),
-            seed=seed,
-        )
-    elif kind == "regression":
-        acc = np.asarray(_require(payload, "accuracies", path), dtype=float)
-        if "lf_cov" in payload:
-            cov = np.asarray(payload["lf_cov"], dtype=float)
-        elif "lf_noise" in payload:
-            prior_var = float(_require(payload, "prior_var", path))
-            cov = np.outer(acc, acc) / prior_var + np.diag(np.asarray(payload["lf_noise"], float))
-        else:
-            raise InvalidArgumentError(f"{path}: missing field 'lf_cov' (or 'lf_noise')")
-        scenario = synthetic.RegressionScenario(
-            n=int(_require(payload, "n", path)),
-            accuracies=tuple(acc.tolist()),
-            lf_cov=tuple(map(tuple, cov.tolist())),
-            prior_var=float(_require(payload, "prior_var", path)),
-            seed=seed,
-        )
-    elif kind == "graph":
-        scenario = synthetic.GraphScenario(
-            n_nodes=int(_require(payload, "n_nodes", path)),
-            n_edges=int(_require(payload, "n_edges", path)),
-            n=int(_require(payload, "n", path)),
-            thetas=_resolve_thetas(payload, seed, path),
-            seed=seed,
-        )
-    else:
-        raise InvalidArgumentError(f"{path}: unknown scenario kind {kind!r}")
-    return kind, payload, scenario
+def _scenario(payload, seed, where):
+    """The synthetic scenario a ``generate`` file (or one ``sweep`` point) describes."""
+    kind = _require(payload, "kind", where)
+    seed = _integer(seed, "seed", where)
+    try:
+        if kind == "ranking":
+            return synthetic.RankingScenario(
+                n=_field(payload, "n", where),
+                rho=_field(payload, "rho", where),
+                thetas=_resolve_thetas(payload, seed, where),
+                seed=seed,
+            )
+        if kind == "regression":
+            acc = np.asarray(_require(payload, "accuracies", where), dtype=float)
+            prior_var = float(_require(payload, "prior_var", where))
+            if "lf_cov" in payload:
+                cov = payload["lf_cov"]
+            elif "lf_noise" in payload:
+                cov = np.outer(acc, acc) / prior_var + np.diag(np.asarray(payload["lf_noise"], float))
+            else:
+                raise InvalidArgumentError(f"{where}: missing field 'lf_cov' (or 'lf_noise')")
+            return synthetic.RegressionScenario(
+                n=_field(payload, "n", where), accuracies=acc, lf_cov=cov, prior_var=prior_var, seed=seed
+            )
+        if kind == "graph":
+            return synthetic.GraphScenario(
+                n_nodes=_field(payload, "n_nodes", where),
+                n_edges=_field(payload, "n_edges", where),
+                n=_field(payload, "n", where),
+                thetas=_resolve_thetas(payload, seed, where),
+                seed=seed,
+            )
+    except UwsError:
+        raise
+    except (TypeError, ValueError) as exc:  # a list or number field of the wrong form
+        raise InvalidArgumentError(f"{where}: {exc}") from exc
+    raise InvalidArgumentError(f"{where}: unknown scenario kind {kind!r}")
+
+
+def _generate(scenario):
+    """(space or None, truth, data) drawn from a scenario of any kind."""
+    if isinstance(scenario, synthetic.GraphScenario):
+        return synthetic.gen_graph_tasks(scenario)
+    if isinstance(scenario, synthetic.RankingScenario):
+        return (None, *synthetic.gen_ranking_tasks(scenario))
+    return (None, *synthetic.gen_regression_tasks(scenario))
 
 
 def cmd_generate(args):
-    kind, payload, scenario = _load_scenario(args.scenario, args.seed)
+    payload = io.read_json(args.scenario)
+    seed = args.seed if args.seed is not None else _require(payload, "seed", args.scenario)
+    scenario = _scenario(payload, seed, args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if kind == "ranking":
-        truth, data = synthetic.gen_ranking_tasks(scenario)
-    elif kind == "regression":
-        truth, data = synthetic.gen_regression_tasks(scenario)
-    else:
-        space, truth, data = synthetic.gen_graph_tasks(scenario)
+    space, truth, data = _generate(scenario)
+    if space is not None:
         io.write_distance_matrix(out / "space.csv", space)
     io.write_dataset(out / "dataset.csv", data)
     io.write_truth(out / "truth.csv", truth, data.space_kind)
     config = {"scenario": payload, "resolved": _scenario_config(scenario)}
     io.write_manifest(out / "manifest.json", config, seed=scenario.seed,
-                      extra={"kind": kind, "n": data.n_tasks, "m": data.n_lfs})
+                      extra={"kind": payload["kind"], "n": data.n_tasks, "m": data.n_lfs})
     return 0
 
 
@@ -145,19 +162,12 @@ def _scenario_config(scenario):
     return {k: getattr(scenario, k) for k in scenario.__dataclass_fields__}
 
 
-def _locate_dataset(path):
-    path = Path(path)
-    if path.is_dir():
-        return path / "dataset.csv", path
-    return path, path.parent
-
-
 def _read_dataset_with_space(path):
-    csv_path, base = _locate_dataset(path)
-    space = None
+    """A dataset (a directory's dataset.csv, or the CSV itself), with the space.csv beside it if any."""
+    path = Path(path)
+    csv_path, base = (path / "dataset.csv", path) if path.is_dir() else (path, path.parent)
     space_path = base / "space.csv"
-    if space_path.exists():
-        space = io.read_distance_matrix(space_path)
+    space = io.read_distance_matrix(space_path) if space_path.exists() else None
     return io.read_dataset(csv_path, space=space)
 
 
@@ -219,7 +229,6 @@ def _metrics(space_kind, labels, truth, space):
 def cmd_infer(args):
     data = _read_dataset_with_space(args.dataset)
     model = None
-    weights = None
     if args.rule == "weighted":
         if args.model is None:
             raise InvalidArgumentError("--rule weighted requires --model")
@@ -231,16 +240,14 @@ def cmd_infer(args):
             )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    labels = inference.aggregate_dataset(
-        data, weights=weights, rule=args.rule, seed=args.seed, model=model,
-    )
+    labels = inference.aggregate_dataset(data, rule=args.rule, seed=args.seed, model=model)
     io.write_pseudolabels(out / "pseudolabels.csv", labels, data.space_kind)
     extra = {"rule": args.rule}
     if args.truth:
         truth_kind, truth = io.read_truth(args.truth)
         if truth_kind != data.space_kind or len(truth) != data.n_tasks:
             raise InvalidArgumentError(
-                f"truth file is {truth_kind}/{len(truth)} rows, dataset is "
+                f"{args.truth}: truth file is {truth_kind}/{len(truth)} rows, dataset is "
                 f"{data.space_kind}/{data.n_tasks} tasks"
             )
         metrics = _metrics(data.space_kind, labels, truth, data.space)
@@ -255,74 +262,74 @@ def _derived_seed(*path):
     return int(np.random.SeedSequence(entropy=path).generate_state(1)[0])
 
 
-def _sweep_point(kind, base, n, m, rep, seed, path, triplets, rules):
-    point_seed = _derived_seed(seed, n, m, rep)
-    rows = []
-    if kind == "ranking":
-        thetas = tuple(base["thetas"][:m])
-        scenario = synthetic.RankingScenario(n=n, rho=int(base["rho"]), thetas=thetas, seed=point_seed)
-        truth, data = synthetic.gen_ranking_tasks(scenario)
-        model = learn_label_model(data, path=path, triplet_policy=triplets)
-        rel = np.abs(model.thetas - np.asarray(thetas)) / np.asarray(thetas)
-        rows.append(("theta_rel_err", float(rel.mean())))
-        for rule in rules:
-            labels = inference.aggregate_dataset(data, rule=rule, model=model, seed=point_seed)
-            mean_d = float(kendall_tau_many(np.asarray(labels), truth).mean())
-            rows.append((f"mean_kendall_{rule}", mean_d))
-    elif kind == "regression":
-        acc = np.asarray(base["accuracies"][:m], dtype=float)
-        noise = np.asarray(base["lf_noise"][:m], dtype=float)
-        prior_var = float(base.get("prior_var", 1.0))
-        cov = np.outer(acc, acc) / prior_var + np.diag(noise)
-        scenario = synthetic.RegressionScenario(
-            n=n, accuracies=tuple(acc), lf_cov=tuple(map(tuple, cov)),
-            prior_var=prior_var, seed=point_seed,
-        )
-        truth, data = synthetic.gen_regression_tasks(scenario)
-        model = learn_label_model(data, prior=SecondMomentPrior(prior_var), path=path)
-        rows.append(("acc_abs_err", float(np.abs(model.accuracies - acc).mean())))
-        for rule in rules:
-            labels = inference.aggregate_dataset(data, rule=rule, model=model, seed=point_seed)
-            rows.append((f"mse_{rule}", float(np.mean((np.asarray(labels) - truth) ** 2))))
-    elif kind == "graph":
-        thetas = tuple(base["thetas"][:m])
-        scenario = synthetic.GraphScenario(
-            n_nodes=int(base["n_nodes"]), n_edges=int(base["n_edges"]),
-            n=n, thetas=thetas, seed=point_seed,
-        )
-        space, truth, data = synthetic.gen_graph_tasks(scenario)
-        model = learn_label_model(data, path=path, triplet_policy=triplets)
-        for rule in rules:
-            labels = inference.aggregate_dataset(data, rule=rule, model=model, seed=point_seed)
-            rows.append((f"accuracy_{rule}", float(np.mean(np.asarray(labels) == truth))))
-    else:
-        raise InvalidArgumentError(f"unknown sweep kind {kind!r}")
-    return [(n, m, rep, metric, value) for metric, value in rows]
+# sweep row prefix of each per-rule label metric, by its key in ``_metrics``
+_SWEEP_NAMES = {"mean_kendall_distance": "mean_kendall", "mse": "mse", "accuracy": "accuracy"}
+
+
+def _estimation_rows(scenario, model):
+    """The sweep's learn-side metric rows: learned against planted parameters, where known."""
+    if isinstance(scenario, synthetic.RankingScenario):
+        thetas = np.asarray(scenario.thetas)
+        return [("theta_rel_err", float((np.abs(model.thetas - thetas) / thetas).mean()))]
+    if isinstance(scenario, synthetic.RegressionScenario):
+        return [("acc_abs_err", float(np.abs(model.accuracies - np.asarray(scenario.accuracies)).mean()))]
+    return []
+
+
+def _sweep_point(scenario, path, triplets, rules):
+    space, truth, data = _generate(scenario)
+    regression = isinstance(scenario, synthetic.RegressionScenario)
+    prior = SecondMomentPrior(scenario.prior_var) if regression else None
+    model = learn_label_model(data, prior=prior, path=path, triplet_policy=triplets)
+    rows = _estimation_rows(scenario, model)
+    for rule in rules:
+        labels = inference.aggregate_dataset(data, rule=rule, model=model, seed=scenario.seed)
+        metrics = _metrics(data.space_kind, labels, truth, space)
+        rows += [(f"{_SWEEP_NAMES[key]}_{rule}", metrics[key]) for key in _SWEEP_NAMES if key in metrics]
+    return rows
+
+
+_PER_LABELER = ("thetas", "accuracies", "lf_noise")
+
+
+def _point_payload(kind, base, n, m):
+    """One sweep point's scenario payload: the base with its per-labeler lists cut to m."""
+    cut = {k: v[:m] for k, v in base.items() if k in _PER_LABELER and isinstance(v, list)}
+    return {**base, "kind": kind, "n": n, "prior_var": base.get("prior_var", 1.0), **cut}
 
 
 def cmd_sweep(args):
-    payload = _load_json(args.scenario)
-    kind = _require(payload, "kind", args.scenario)
-    base = _require(payload, "base", args.scenario)
-    seed = int(args.seed if args.seed is not None else _require(payload, "seed", args.scenario))
-    replicates = int(payload.get("replicates", 1))
-    grid = payload.get("grid", {})
-    if not grid:
-        raise InvalidArgumentError(f"{args.scenario}: missing field 'grid'")
-    base_m = len(base.get("thetas", base.get("accuracies", [])))
-    ns = [int(v) for v in grid.get("n", [base.get("n", 1000)])]
-    ms = [int(v) for v in grid.get("m", [base_m])]
-    if not ns or not ms or replicates < 1:
-        raise InvalidArgumentError(f"{args.scenario}: grids and replicates must be nonempty")
+    where = args.scenario
+    payload = io.read_json(where)
+    kind = _require(payload, "kind", where)
+    base = _require(payload, "base", where)
+    seed = _integer(args.seed if args.seed is not None else _require(payload, "seed", where), "seed", where)
+    replicates = _integer(payload.get("replicates", 1), "replicates", where)
+    grid = payload.get("grid")
+    labelers = base.get("thetas", base.get("accuracies")) if isinstance(base, dict) else None
+    if not grid or not isinstance(grid, dict) or not isinstance(labelers, list):
+        raise InvalidArgumentError(
+            f"{where}: need a 'grid' object and a 'base' object listing 'thetas' or 'accuracies'"
+        )
+    base_m = len(labelers)
+    ns = _integers(grid.get("n", [base.get("n", 1000)]), "n", where)
+    ms = _integers(grid.get("m", [base_m]), "m", where)
+    if not ns or not ms or replicates < 1 or not all(1 <= m <= base_m for m in ms):
+        raise InvalidArgumentError(
+            f"{where}: grids and replicates must be nonempty, and each m in 1..{base_m} (the base labelers)"
+        )
     path = payload.get("path")
     triplets = payload.get("triplets", "first")
     rules = payload.get("rules", ["mv", "weighted"])
 
-    jobs = [(n, m, rep) for n in ns for m in ms for rep in range(replicates)]
+    jobs = [
+        (n, m, rep, _scenario(_point_payload(kind, base, n, m), _derived_seed(seed, n, m, rep), where))
+        for n in ns for m in ms for rep in range(replicates)
+    ]
 
     def run(job):
-        n, m, rep = job
-        return _sweep_point(kind, base, n, m, rep, seed, path, triplets, rules)
+        n, m, rep, scenario = job
+        return [(n, m, rep, metric, value) for metric, value in _sweep_point(scenario, path, triplets, rules)]
 
     if args.threads > 1:
         from concurrent.futures import ThreadPoolExecutor

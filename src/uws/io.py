@@ -5,18 +5,31 @@ serialize via repr (shortest round-trip form), and no output embeds
 timestamps or filesystem ordering. Rankings serialize as comma-separated
 0-based indices ("2,0,1"); dataset CSVs are long format
 (task_id, lf_id, label-column) with a parallel truth file.
+
+One codec table, ``_CODECS``, maps each space kind to its label column
+(perm, value, node), the text form of one label, its parser and its array
+dtype; every label file is written and read through it, so no function
+branches on the space kind. Label files are read by one validating
+reader: every row must have the header's width, every cell must parse
+(to finite numbers), and the ids must be exactly 0..n-1 (x 0..m-1 for
+datasets), each once, in any row order. Any fault raises
+InvalidArgumentError naming the file (and ``file:line`` for a row of the
+wrong width).
 """
 
 import csv
 import hashlib
 import io as _io
+import itertools
 import json
+import math
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, InvalidMetricError
 from .label_model import (
     FINITE_METRIC,
     RANKING,
@@ -38,6 +51,7 @@ __all__ = [
     "read_truth",
     "write_model",
     "read_model",
+    "read_json",
     "model_to_dict",
     "model_from_dict",
     "write_pseudolabels",
@@ -50,9 +64,25 @@ __all__ = [
 
 
 def _fmt(x):
-    if isinstance(x, (np.floating, float)):
+    """Shortest round-trip text of a number (or of a real label, a one-element list)."""
+    if isinstance(x, (float, np.floating)):
         return repr(float(x))
+    if isinstance(x, list):
+        if len(x) != 1:
+            raise InvalidArgumentError(f"only scalar real labels serialize to CSV, got {len(x)} coordinates")
+        return _fmt(x[0])
     return str(int(x))
+
+
+# how each space kind's labels appear in a file: the label column, the text
+# of one label, and its parser and array dtype
+_Codec = namedtuple("_Codec", "column format parse dtype")
+_CODECS = {
+    RANKING: _Codec("perm", perm_to_str, perm_from_str, np.int64),
+    REAL_VECTOR: _Codec("value", _fmt, float, np.float64),
+    FINITE_METRIC: _Codec("node", _fmt, int, np.int64),
+}
+_KINDS = {codec.column: kind for kind, codec in _CODECS.items()}
 
 
 def _jsonable(obj):
@@ -87,38 +117,79 @@ def write_manifest(path, config, seed=None, extra=None):
 
 
 def write_csv(path, header, rows):
+    """Write ``rows`` as CSV text, after a ``header`` row unless it is None."""
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    if header is not None:
+        writer.writerow(header)
     writer.writerows(rows)
     Path(path).write_text(buf.getvalue())
 
 
+def _write_labels(path, header, space_kind, labels):
+    """One row per index of the leading ``len(header) - 1`` axes: the ids, then the label text."""
+    fmt = _CODECS[space_kind].format
+    labels = np.asarray(labels)
+    id_shape = labels.shape[: len(header) - 1]
+    ids = itertools.product(*map(range, id_shape))
+    cells = labels.reshape(-1, *labels.shape[len(id_shape):]).tolist()
+    write_csv(path, header, [i + (fmt(cell),) for i, cell in zip(ids, cells)])
+
+
+def _rows(path, numbered_rows, width=None):
+    """The rows of a table, each as wide as ``width`` (by default the first row)."""
+    rows = []
+    for ln, row in numbered_rows:
+        width = len(row) if width is None else width
+        if len(row) != width:
+            raise InvalidArgumentError(f"{path}:{ln}: expected {width} fields, got {len(row)}")
+        rows.append(row)
+    if not rows:
+        raise InvalidArgumentError(f"{path}: no rows")
+    return rows
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return _rows(path, enumerate(csv.reader(fh), 1))
+
+
+def _parse(path, cells, dtype, parse=None):
+    """An array of ``cells`` (each through ``parse``, if given); a cell that does not parse names the file."""
+    try:
+        return np.array(cells if parse is None else [parse(c) for c in cells], dtype=dtype)
+    except (ValueError, OverflowError) as exc:  # InvalidArgumentError is a ValueError
+        raise InvalidArgumentError(f"{path}: {exc}") from exc
+
+
+def _read_labels(path, id_columns):
+    """(space kind, labels indexed by the id columns) of a long-format label CSV."""
+    header, *body = _read_csv(path)
+    kind = _KINDS.get(header[-1])
+    if header[:-1] != id_columns or kind is None or not body:
+        raise InvalidArgumentError(
+            f"{path}: expected header {','.join(id_columns)},<perm|value|node> and data rows"
+        )
+    *id_cells, label_cells = zip(*body)
+    index = tuple(_parse(path, id_cells, np.int64))
+    shape = tuple(int(ids.max()) + 1 for ids in index)
+    if (min(ids.min() for ids in index) < 0 or math.prod(shape) != len(body)
+            or not (np.bincount(np.ravel_multi_index(index, shape)) == 1).all()):
+        raise InvalidArgumentError(
+            f"{path}: ids must be 0..n-1 for each of {', '.join(id_columns)}, every combination once"
+        )
+    values = _parse(path, label_cells, _CODECS[kind].dtype, _CODECS[kind].parse)
+    if not np.isfinite(values).all():
+        raise InvalidArgumentError(f"{path}: labels must be finite")
+    labels = np.empty(shape + values.shape[1:], dtype=values.dtype)
+    labels[index] = values
+    return kind, labels
+
+
 def write_dataset(path, data):
     """Long-format dataset CSV: one row per (task, labeler)."""
-    if data.space_kind == RANKING:
-        rows = [
-            (i, a, perm_to_str(data.labels[i, a]))
-            for i in range(data.n_tasks)
-            for a in range(data.n_lfs)
-        ]
-        write_csv(path, ["task_id", "lf_id", "perm"], rows)
-    elif data.space_kind == REAL_VECTOR:
-        if data.dim != 1:
-            raise InvalidArgumentError("only scalar real labels serialize to CSV")
-        rows = [
-            (i, a, _fmt(data.labels[i, a, 0]))
-            for i in range(data.n_tasks)
-            for a in range(data.n_lfs)
-        ]
-        write_csv(path, ["task_id", "lf_id", "value"], rows)
-    else:
-        rows = [
-            (i, a, int(data.labels[i, a]))
-            for i in range(data.n_tasks)
-            for a in range(data.n_lfs)
-        ]
-        write_csv(path, ["task_id", "lf_id", "node"], rows)
+    header = ["task_id", "lf_id", _CODECS[data.space_kind].column]
+    _write_labels(path, header, data.space_kind, data.labels)
 
 
 def read_dataset(path, space=None):
@@ -127,69 +198,20 @@ def read_dataset(path, space=None):
     The label column name declares the space kind (perm, value, node);
     node datasets need the ``space`` argument.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if header[:2] != ["task_id", "lf_id"] or len(header) != 3 or not rows:
-        raise InvalidArgumentError(f"{path}: expected header task_id,lf_id,<label> and data rows")
-    kind_col = header[2]
-    cells = {}
-    for task, lf, raw in rows:
-        cells[(int(task), int(lf))] = raw
-    n = max(t for t, _ in cells) + 1
-    m = max(a for _, a in cells) + 1
-    if len(cells) != n * m:
-        raise InvalidArgumentError(f"{path}: missing (task, labeler) rows")
-    if kind_col == "perm":
-        first = perm_from_str(cells[(0, 0)])
-        labels = np.empty((n, m, first.size), dtype=np.int64)
-        for (t, a), raw in cells.items():
-            labels[t, a] = perm_from_str(raw)
-        return LabelingMatrix(RANKING, labels)
-    if kind_col == "value":
-        labels = np.empty((n, m))
-        for (t, a), raw in cells.items():
-            labels[t, a] = float(raw)
-        return LabelingMatrix(REAL_VECTOR, labels)
-    if kind_col == "node":
-        if space is None:
-            raise InvalidArgumentError(f"{path}: node dataset needs a distance matrix (space)")
-        labels = np.empty((n, m), dtype=np.int64)
-        for (t, a), raw in cells.items():
-            labels[t, a] = int(raw)
-        return LabelingMatrix(FINITE_METRIC, labels, space=space)
-    raise InvalidArgumentError(f"{path}: unknown label column {kind_col!r}")
+    kind, labels = _read_labels(path, ["task_id", "lf_id"])
+    try:
+        return LabelingMatrix(kind, labels, space=space)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc
 
 
 def write_truth(path, truth, space_kind):
-    if space_kind == RANKING:
-        rows = [(i, perm_to_str(t)) for i, t in enumerate(truth)]
-        write_csv(path, ["task_id", "perm"], rows)
-    elif space_kind == REAL_VECTOR:
-        rows = [(i, _fmt(v)) for i, v in enumerate(truth)]
-        write_csv(path, ["task_id", "value"], rows)
-    else:
-        rows = [(i, int(v)) for i, v in enumerate(truth)]
-        write_csv(path, ["task_id", "node"], rows)
+    _write_labels(path, ["task_id", _CODECS[space_kind].column], space_kind, truth)
 
 
 def read_truth(path):
     """Read a truth CSV; returns (space_kind, array)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = sorted(list(reader), key=lambda r: int(r[0]))
-    if len(header) != 2 or header[0] != "task_id" or not rows:
-        raise InvalidArgumentError(f"{path}: expected header task_id,<label> and data rows")
-    col = header[1]
-    if col == "perm":
-        return RANKING, np.array([perm_from_str(r[1]) for r in rows])
-    if col == "value":
-        return REAL_VECTOR, np.array([float(r[1]) for r in rows])
-    if col == "node":
-        return FINITE_METRIC, np.array([int(r[1]) for r in rows], dtype=np.int64)
-    raise InvalidArgumentError(f"{path}: unknown label column {col!r}")
+    return _read_labels(path, ["task_id"])
 
 
 def model_to_dict(model):
@@ -207,28 +229,28 @@ def model_to_dict(model):
     }
 
 
-def model_from_dict(payload):
+def model_from_dict(payload, where="model document"):
     def arr(key, none_ok=False):
         val = payload.get(key)
         if val is None:
             if none_ok:
                 return None
-            raise InvalidArgumentError(f"model document missing field {key!r}")
-        out = np.asarray(val, dtype=np.float64)
-        return np.where(np.isnan(out), np.nan, out)
+            raise InvalidArgumentError(f"{where}: missing field {key!r}")
+        try:
+            return np.asarray(val, dtype=np.float64)  # JSON null entries read as NaN
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"{where}: field {key!r} is not numeric ({exc})") from exc
 
-    for key in ("space_kind", "path", "dims", "thetas", "expected_distances", "version"):
+    for key in ("space_kind", "path", "dims", "version"):
         if key not in payload:
-            raise InvalidArgumentError(f"model document missing field {key!r}")
-    acc = payload.get("accuracies")
-    acc = np.array([np.nan if v is None else float(v) for v in acc]) if acc is not None else None
+            raise InvalidArgumentError(f"{where}: missing field {key!r}")
     return LabelModel(
         space_kind=payload["space_kind"],
         path=payload["path"],
         dims=payload["dims"],
         thetas=arr("thetas"),
         expected_distances=arr("expected_distances"),
-        accuracies=acc,
+        accuracies=arr("accuracies"),
         pairwise_moments=arr("pairwise_moments"),
         embedding=payload.get("embedding", {}),
         version=payload["version"],
@@ -247,22 +269,23 @@ def write_model(path, model, extra_manifest=None):
     Path(path).write_text(canonical_json(payload))
 
 
-def read_model(path):
+def read_json(path):
+    """A JSON object from ``path``; malformed JSON or another top-level value names the file."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"{path}: malformed JSON ({exc})") from exc
-    return model_from_dict(payload)
+    if not isinstance(payload, dict):
+        raise InvalidArgumentError(f"{path}: expected a JSON object")
+    return payload
+
+
+def read_model(path):
+    return model_from_dict(read_json(path), where=path)
 
 
 def write_pseudolabels(path, labels, space_kind):
-    if space_kind == RANKING:
-        rows = [(i, perm_to_str(z)) for i, z in enumerate(labels)]
-        write_csv(path, ["task_id", "label"], rows)
-    elif space_kind == REAL_VECTOR:
-        write_csv(path, ["task_id", "label"], [(i, _fmt(v)) for i, v in enumerate(labels)])
-    else:
-        write_csv(path, ["task_id", "label"], [(i, int(v)) for i, v in enumerate(labels)])
+    _write_labels(path, ["task_id", "label"], space_kind, labels)
 
 
 def write_edge_list(path, edges):
@@ -270,40 +293,30 @@ def write_edge_list(path, edges):
 
 
 def read_edge_list(path):
-    edges = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise InvalidArgumentError(f"{path}:{ln}: expected 'u v', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return edges
+    """``u v`` pairs, one a line; blank lines and ``#`` comments are skipped."""
+    lines = enumerate(Path(path).read_text().splitlines(), 1)
+    rows = _rows(path, ((ln, line.split()) for ln, line in lines
+                        if line.strip() and not line.strip().startswith("#")), width=2)
+    return [tuple(e) for e in _parse(path, rows, np.int64).tolist()]
 
 
 def write_distance_matrix(path, space):
-    rows = [[_fmt(v) for v in row] for row in space.dist]
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    Path(path).write_text(buf.getvalue())
+    write_csv(path, None, [[_fmt(v) for v in row] for row in space.dist.tolist()])
 
 
 def read_distance_matrix(path):
-    with open(path, newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-    return FiniteMetricSpace(np.array(rows))
+    dist = _parse(path, _read_csv(path), np.float64)
+    try:
+        return FiniteMetricSpace(dist)
+    except InvalidMetricError as exc:
+        raise InvalidMetricError(f"{path}: {exc}") from exc
 
 
 def write_embedding(prefix, report):
     """Coordinates CSV plus a JSON descriptor (dim, epsilon, scale, exponent)."""
     prefix = Path(prefix)
-    rows = [[_fmt(v) for v in row] for row in report.coords]
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    prefix.with_suffix(".coords.csv").write_text(buf.getvalue())
+    coords = [[_fmt(v) for v in row] for row in report.coords.tolist()]
+    write_csv(prefix.with_suffix(".coords.csv"), None, coords)
     descriptor = {
         "dim": report.target_dim,
         "epsilon": report.epsilon,

@@ -67,31 +67,6 @@ def pair_indices(rho):
     return np.triu_indices(rho, k=1)
 
 
-def _merge_count(seq):
-    # merge-sort inversion counting, O(rho log rho)
-    n = len(seq)
-    if n <= 1:
-        return seq, 0
-    mid = n // 2
-    left, a = _merge_count(seq[:mid])
-    right, b = _merge_count(seq[mid:])
-    merged = []
-    count = a + b
-    i = j = 0
-    nl = len(left)
-    while i < nl and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            count += nl - i
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged, count
-
-
 def kendall_tau(a, b):
     """Kendall tau distance: number of item pairs ordered differently by a and b.
 
@@ -109,26 +84,25 @@ def kendall_tau(a, b):
     b = check_permutation(b)
     if a.size != b.size:
         raise InvalidArgumentError(f"length mismatch: {a.size} vs {b.size}")
-    # positions in b of the items in a's order; its inversions are the discordant pairs
-    relabeled = invert(b)[a]
-    _, count = _merge_count(relabeled.tolist())
-    return count
+    return int(kendall_tau_many(a, b))
 
 
 def kendall_tau_many(A, B):
-    """Row-wise Kendall tau distances between two (n, rho) permutation arrays.
+    """Row-wise Kendall tau distances between two (..., rho) permutation arrays.
 
-    Uses the pair-sign identity ``sum_i g(a)_i g(b)_i = C(rho,2) - 2 d_tau``,
-    which vectorizes across rows.
+    Compares every ordered item pair's "i before j" in the two rows; each
+    discordant pair shows up as (i, j) and (j, i), hence the halving. rho = 1
+    gives 0.
     """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     if A.shape != B.shape:
         raise InvalidArgumentError(f"shape mismatch: {A.shape} vs {B.shape}")
-    ga = pair_sign_embed_many(A)
-    gb = pair_sign_embed_many(B)
-    c2 = num_pairs(A.shape[-1])
-    return (c2 - (ga * gb).sum(axis=-1)) // 2
+    pos_a = np.argsort(A, axis=-1)
+    pos_b = np.argsort(B, axis=-1)
+    before_a = pos_a[..., :, None] < pos_a[..., None, :]
+    before_b = pos_b[..., :, None] < pos_b[..., None, :]
+    return (before_a != before_b).sum(axis=(-2, -1)) // 2
 
 
 def pair_sign_embed(p):

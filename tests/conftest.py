@@ -5,9 +5,14 @@ pair by pair and optima found by exhaustive enumeration, so they can vouch
 for the optimized implementations.
 """
 
+import csv
 from itertools import permutations as iter_permutations
 
 import numpy as np
+
+from uws.errors import InvalidArgumentError
+from uws.label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
+from uws.permutations import perm_from_str
 
 
 def naive_kendall(a, b):
@@ -134,3 +139,60 @@ def reference_aggregate_finite(labels, weights, dist, observed_only=False):
     cands = np.unique(labels) if observed_only else np.arange(len(dist))
     costs = (weights[None, :] * dist[np.ix_(cands, labels)]).sum(axis=1)
     return int(cands[int(np.argmin(costs))])
+
+
+# Reference readers: the dataset and truth readers as they were before the
+# codec table and the validating reader. On valid files, in any row order,
+# the current readers must return equal arrays of equal dtype.
+
+def reference_read_dataset(path, space=None):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    if header[:2] != ["task_id", "lf_id"] or len(header) != 3 or not rows:
+        raise InvalidArgumentError(f"{path}: expected header task_id,lf_id,<label> and data rows")
+    kind_col = header[2]
+    cells = {}
+    for task, lf, raw in rows:
+        cells[(int(task), int(lf))] = raw
+    n = max(t for t, _ in cells) + 1
+    m = max(a for _, a in cells) + 1
+    if len(cells) != n * m:
+        raise InvalidArgumentError(f"{path}: missing (task, labeler) rows")
+    if kind_col == "perm":
+        first = perm_from_str(cells[(0, 0)])
+        labels = np.empty((n, m, first.size), dtype=np.int64)
+        for (t, a), raw in cells.items():
+            labels[t, a] = perm_from_str(raw)
+        return LabelingMatrix(RANKING, labels)
+    if kind_col == "value":
+        labels = np.empty((n, m))
+        for (t, a), raw in cells.items():
+            labels[t, a] = float(raw)
+        return LabelingMatrix(REAL_VECTOR, labels)
+    if kind_col == "node":
+        if space is None:
+            raise InvalidArgumentError(f"{path}: node dataset needs a distance matrix (space)")
+        labels = np.empty((n, m), dtype=np.int64)
+        for (t, a), raw in cells.items():
+            labels[t, a] = int(raw)
+        return LabelingMatrix(FINITE_METRIC, labels, space=space)
+    raise InvalidArgumentError(f"{path}: unknown label column {kind_col!r}")
+
+
+def reference_read_truth(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = sorted(list(reader), key=lambda r: int(r[0]))
+    if len(header) != 2 or header[0] != "task_id" or not rows:
+        raise InvalidArgumentError(f"{path}: expected header task_id,<label> and data rows")
+    col = header[1]
+    if col == "perm":
+        return RANKING, np.array([perm_from_str(r[1]) for r in rows])
+    if col == "value":
+        return REAL_VECTOR, np.array([float(r[1]) for r in rows])
+    if col == "node":
+        return FINITE_METRIC, np.array([int(r[1]) for r in rows], dtype=np.int64)
+    raise InvalidArgumentError(f"{path}: unknown label column {col!r}")

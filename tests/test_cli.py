@@ -312,3 +312,107 @@ class TestWeakSupervisionContract:
     def test_learn_exposes_no_truth_parameter(self):
         code = main(["learn", "--dataset", "x", "--model", "y", "--truth", "t.csv"])
         assert code == 1  # usage error: learning cannot be pointed at the truth
+
+
+def _write_lines(path, lines):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return path
+
+
+VALUE_ROWS = [f"{t},{a},{0.5 * t - a}" for t in range(4) for a in range(3)]
+PERM_ROWS = [f'{t},{a},"{(t + a) % 3},{(t + a + 1) % 3},{(t + a + 2) % 3}"'
+             for t in range(4) for a in range(3)]
+NODE_ROWS = [f"{t},{a},{(t + a) % 3}" for t in range(4) for a in range(3)]
+SPACE = ["0.0,1.0,1.0", "1.0,0.0,1.0", "1.0,1.0,0.0"]
+
+
+def _learn_on(tmp_path, rows, column="value"):
+    dataset = _write_lines(tmp_path / "d" / "dataset.csv", [f"task_id,lf_id,{column}", *rows])
+    return ["learn", "--dataset", str(dataset.parent), "--model", str(tmp_path / "m.json")], dataset
+
+
+def _case_empty_dataset(tmp_path):
+    dataset = _write_lines(tmp_path / "d" / "dataset.csv", [])
+    return ["learn", "--dataset", str(dataset.parent), "--model", str(tmp_path / "m.json")], dataset
+
+
+def _case_truth(tmp_path, lines):
+    _, dataset = _learn_on(tmp_path, VALUE_ROWS[:9])  # three tasks
+    truth = _write_lines(tmp_path / "truth.csv", lines)
+    return ["infer", "--dataset", str(dataset.parent), "--out", str(tmp_path / "o"), "--rule", "mv",
+            "--truth", str(truth)], truth
+
+
+def _case_space_cell(tmp_path):
+    argv, dataset = _learn_on(tmp_path, NODE_ROWS, column="node")
+    space = _write_lines(dataset.parent / "space.csv", [SPACE[0], "1.0,x,1.0", SPACE[2]])
+    return argv, space
+
+
+def _case_edge_list(tmp_path):
+    edges = _write_lines(tmp_path / "edges.txt", ["0 1", "1 x"])
+    return ["graph-metric", "--edges", str(edges), "--out", str(tmp_path / "dist.csv")], edges
+
+
+def _case_model_without_accuracies(tmp_path):
+    _, dataset = _learn_on(tmp_path, VALUE_ROWS)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "space_kind": "real_vector", "path": "continuous", "dims": {"d": 1}, "thetas": [1.0, 1.0, 1.0],
+        "expected_distances": [0.5, 0.5, 0.5], "pairwise_moments": np.eye(3).tolist(), "theta_matrix": None,
+        "embedding": {"kind": "identity", "dim": 1}, "version": "0.1.0",
+    }))
+    return ["infer", "--dataset", str(dataset.parent), "--model", str(model), "--out", str(tmp_path / "o"),
+            "--rule", "weighted"], model
+
+
+def _sweep_case(payload):
+    def case(tmp_path):
+        scenario = write_json(tmp_path / "sweep.json", {"seed": 1, "replicates": 1, **payload})
+        return ["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "o")], scenario
+    return case
+
+
+def _case_generate_fractional_n(tmp_path):
+    scenario = write_json(tmp_path / "s.json", {"kind": "ranking", "n": 2.5, "rho": 4,
+                                                "thetas": [1.0, 1.0, 1.0], "seed": 1})
+    return ["generate", "--scenario", str(scenario), "--out", str(tmp_path / "o")], scenario
+
+
+MALFORMED = {
+    "non_numeric_value": lambda p: _learn_on(p, [*VALUE_ROWS[:5], "1,2,abc", *VALUE_ROWS[6:]]),
+    "short_row": lambda p: _learn_on(p, [*VALUE_ROWS[:5], "1,2", *VALUE_ROWS[6:]]),
+    "blank_line": lambda p: _learn_on(p, [*VALUE_ROWS[:5], "", *VALUE_ROWS[5:]]),
+    "empty_dataset": _case_empty_dataset,
+    "ragged_perm": lambda p: _learn_on(p, [*PERM_ROWS[:5], '1,2,"0,1"', *PERM_ROWS[6:]], column="perm"),
+    # task -1 in place of task 0: row 0 would be left unset
+    "negative_id": lambda p: _learn_on(p, [f"-1,{r[2:]}" if r.startswith("0,") else r for r in VALUE_ROWS]),
+    # (1, 0) twice with different labels, every other cell once
+    "duplicate_id": lambda p: _learn_on(p, [*VALUE_ROWS, "1,0,9.0"]),
+    # (0, 0) missing, its row count made up by (-1, 0)
+    "missing_id": lambda p: _learn_on(p, ['-1,0,"0,1,2"', *PERM_ROWS[1:]], column="perm"),
+    "truth_id_gap": lambda p: _case_truth(p, ["task_id,value", "0,0.5", "2,1.5", "3,2.5"]),
+    "space_non_numeric": _case_space_cell,
+    "edge_list_non_numeric": _case_edge_list,
+    "model_without_accuracies": _case_model_without_accuracies,
+    "sweep_base_without_rho": _sweep_case({"kind": "ranking", "base": {"thetas": [1.0, 1.0, 1.0]},
+                                           "grid": {"n": [20]}}),
+    "sweep_base_without_lf_noise": _sweep_case({"kind": "regression", "base": {"accuracies": [0.8, 0.6, 0.4]},
+                                                "grid": {"n": [20]}}),
+    "generate_fractional_n": _case_generate_fractional_n,
+    "sweep_fractional_n": _sweep_case({"kind": "ranking", "base": {"rho": 3, "thetas": [1.0, 1.0, 1.0]},
+                                       "grid": {"n": [20.5]}}),
+    "sweep_grid_not_a_list": _sweep_case({"kind": "ranking", "base": {"rho": 3, "thetas": [1.0, 1.0, 1.0]},
+                                          "grid": {"n": 20}}),
+    "truth_nan": lambda p: _case_truth(p, ["task_id,value", "0,0.5", "1,nan", "2,2.5"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_validation_naming_file(tmp_path, capsys, case):
+    argv, offending = MALFORMED[case](tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(offending) in err
+    assert "Traceback" not in err

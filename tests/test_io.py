@@ -1,7 +1,14 @@
 """File-format round trips and byte determinism."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import reference_read_dataset, reference_read_truth
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uws import io as uio
 from uws import label_model as lm
@@ -152,3 +159,120 @@ def test_embedding_writer(tmp_path):
     text = json_path.read_text()
     for key in ("dim", "epsilon", "scale", "exponent"):
         assert f'"{key}"' in text
+
+
+RING = graph_hop_metric([(k, (k + 1) % 7) for k in range(7)], 7)
+
+
+def _random_labels(kind, shape, rho, rng, floats):
+    if kind == lm.RANKING:
+        return np.argsort(rng.random((*shape, rho)), axis=-1)
+    if kind == lm.REAL_VECTOR:
+        return floats[: int(np.prod(shape))].reshape(shape)
+    return rng.integers(0, RING.size, size=shape)
+
+
+def _shuffle_rows(path, rng):
+    header, *body = Path(path).read_text().splitlines()
+    Path(path).write_text("\n".join([header, *rng.permutation(body)]) + "\n")
+
+
+class TestReadersMatchReference:
+    """The validating readers against the per-cell readers they replaced, on shuffled valid files."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from([lm.RANKING, lm.REAL_VECTOR, lm.FINITE_METRIC]),
+           n=st.integers(1, 8), m=st.integers(1, 6), rho=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           floats=hnp.arrays(np.float64, 56, elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_dataset_and_truth(self, kind, n, m, rho, seed, floats):
+        rng = np.random.default_rng(seed)
+        data = lm.LabelingMatrix(kind, _random_labels(kind, (n, m), rho, rng, floats), space=RING)
+        truth = _random_labels(kind, (n,), rho, rng, floats[::-1])
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset, truth_path = Path(tmp) / "dataset.csv", Path(tmp) / "truth.csv"
+            uio.write_dataset(dataset, data)
+            uio.write_truth(truth_path, truth, kind)
+            _shuffle_rows(dataset, rng)
+            _shuffle_rows(truth_path, rng)
+            got, want = uio.read_dataset(dataset, space=RING), reference_read_dataset(dataset, space=RING)
+            assert got.space_kind == want.space_kind == kind
+            assert got.labels.dtype == want.labels.dtype
+            assert np.array_equal(got.labels, want.labels)
+            got_kind, got_truth = uio.read_truth(truth_path)
+            want_kind, want_truth = reference_read_truth(truth_path)
+            assert got_kind == want_kind == kind
+            assert got_truth.dtype == want_truth.dtype
+            assert np.array_equal(got_truth, want_truth) and np.array_equal(got_truth, truth)
+
+
+class TestReaderRejects:
+    def _dataset(self, tmp_path, rows, column="node"):
+        path = tmp_path / "dataset.csv"
+        path.write_text("\n".join([f"task_id,lf_id,{column}", *rows]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("rows", [
+        ["0,0,1", "0,0,1", "1,0,2"],                   # duplicate (0, 0), (1, 0) present, n*m = 2 rows short
+        ["0,0,1", "0,1,2", "1,0,3", "1,0,4"],          # duplicate (1, 0) in place of (1, 1)
+        ["0,0,1", "1,1,2"],                            # missing (0, 1) and (1, 0)
+        ["-1,0,1", "1,0,2"],                           # negative task id
+        ["0,-1,1", "0,1,2"],                           # negative labeler id
+    ])
+    def test_bad_ids(self, tmp_path, rows):
+        with pytest.raises(InvalidArgumentError, match="each"):
+            uio.read_dataset(self._dataset(tmp_path, rows), space=RING)
+
+    def test_short_row_names_line(self, tmp_path):
+        with pytest.raises(InvalidArgumentError, match="dataset.csv:3: expected 3 fields"):
+            uio.read_dataset(self._dataset(tmp_path, ["0,0,1", "0,1"]), space=RING)
+
+    def test_truth_ids_with_gap(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("task_id,node\n0,1\n2,3\n3,4\n")
+        with pytest.raises(InvalidArgumentError, match="truth.csv"):
+            uio.read_truth(path)
+
+    def test_vector_real_labels_do_not_serialize(self, tmp_path):
+        data = lm.LabelingMatrix(lm.REAL_VECTOR, np.zeros((2, 3, 2)))
+        with pytest.raises(InvalidArgumentError, match="scalar"):
+            uio.write_dataset(tmp_path / "dataset.csv", data)
+
+
+def _nan_arrays(shape):
+    return hnp.arrays(np.float64, shape, elements=st.floats(allow_infinity=False, width=64))
+
+
+@st.composite
+def _models(draw):
+    m = draw(st.integers(1, 6))
+    fields = {key: draw(_nan_arrays(shape)) for key, shape in (
+        ("thetas", m), ("expected_distances", m), ("accuracies", m), ("pairwise_moments", (m, m)))}
+    for key, arr in fields.items():  # at least one NaN in every array field
+        arr.flat[draw(st.integers(0, arr.size - 1))] = np.nan
+    return lm.LabelModel(space_kind=lm.REAL_VECTOR, path="isotropic", dims={"d": 1},
+                         embedding={"kind": "identity"}, version="test", theta_matrix=None, **fields)
+
+
+class TestModelNanRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(model=_models())
+    def test_nan_fields_and_missing_theta_matrix(self, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            uio.write_model(path, model)
+            back = uio.read_model(path)
+        for key in ("thetas", "expected_distances", "accuracies", "pairwise_moments"):
+            got, want = getattr(back, key), getattr(model, key)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+        assert back.theta_matrix is None
+        assert (back.space_kind, back.path, back.dims, back.embedding) == (
+            model.space_kind, model.path, model.dims, model.embedding)
+
+    def test_accuracies_required_and_named(self, tmp_path):
+        path = tmp_path / "model.json"
+        payload = {"space_kind": "real_vector", "path": "continuous", "dims": {"d": 1}, "thetas": [1.0],
+                   "expected_distances": [0.5], "pairwise_moments": [[1.0]], "version": "x"}
+        path.write_text(uio.canonical_json(payload))
+        with pytest.raises(InvalidArgumentError, match=r"model\.json: missing field 'accuracies'"):
+            uio.read_model(path)

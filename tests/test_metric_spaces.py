@@ -1,12 +1,22 @@
 """Finite metric spaces, MDS, and distortion."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from uws import io as uio
+from uws import label_model as lm
 from uws import metric_spaces as ms
 from uws import permutations as perm
+from uws.cli import main
 from uws.errors import (
     DisconnectedGraphError,
     DomainError,
@@ -47,6 +57,45 @@ class TestFiniteMetricSpace:
     def test_accepts_valid_metric(self):
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         assert ms.FiniteMetricSpace(d).size == 3
+
+
+def _perturbed(dist, how, i, j, k, delta):
+    """A copy of a metric broken one way; every break exceeds the 1e-9 tolerance."""
+    d = dist.copy()
+    if how == "asymmetric":
+        d[i, j] += delta
+    elif how == "diagonal":
+        d[i, i] = delta
+    elif how == "negative":
+        d[i, j] = d[j, i] = -delta
+    else:  # the direct i-j distance exceeds the path through k by delta
+        d[i, j] = d[j, i] = d[i, k] + d[k, j] + delta
+    return d
+
+
+class TestRejectsNonMetrics:
+    @settings(max_examples=60, deadline=None)
+    @given(how=st.sampled_from(["asymmetric", "diagonal", "negative", "triangle"]),
+           n_nodes=st.integers(3, 9), extra=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+           delta=st.floats(1e-8, 50.0))
+    def test_perturbed_hop_metric(self, how, n_nodes, extra, seed, delta):
+        rng = np.random.default_rng(seed)
+        extra = min(extra, (n_nodes - 1) * (n_nodes - 2) // 2)  # a complete graph has no room for more
+        space = ms.graph_hop_metric(random_connected_graph(n_nodes, extra, rng), n_nodes)
+        i, j, k = rng.choice(n_nodes, size=3, replace=False)
+        bad = _perturbed(space.dist, how, i, j, k, delta)
+        with pytest.raises(InvalidMetricError):
+            ms.FiniteMetricSpace(bad)
+        # the same matrix as a dataset's space.csv: infer exits with a validation error
+        data = lm.LabelingMatrix(lm.FINITE_METRIC, rng.integers(0, n_nodes, size=(4, 3)), space=space)
+        with tempfile.TemporaryDirectory() as tmp:
+            uio.write_dataset(Path(tmp) / "dataset.csv", data)
+            uio.write_csv(Path(tmp) / "space.csv", None, [[repr(float(v)) for v in row] for row in bad])
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["infer", "--dataset", tmp, "--out", str(Path(tmp) / "out"), "--rule", "mv"])
+        assert code == 2
+        assert "space.csv" in err.getvalue()
 
 
 class TestGraphHopMetric:

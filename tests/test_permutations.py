@@ -84,6 +84,19 @@ class TestKendallTau:
         for k in range(40):
             assert batch[k] == perm.kendall_tau(A[k], B[k])
 
+    def test_batch_matches_oracle_over_leading_axes(self):
+        rng = np.random.default_rng(8)
+        A = np.array([rng.permutation(7) for _ in range(60)]).reshape(3, 20, 7)
+        B = np.array([rng.permutation(7) for _ in range(60)]).reshape(3, 20, 7)
+        batch = perm.kendall_tau_many(A, B)
+        assert batch.shape == (3, 20)
+        for idx in np.ndindex(3, 20):
+            assert batch[idx] == naive_kendall(A[idx], B[idx])
+
+    def test_single_item(self):
+        assert perm.kendall_tau_many([[0], [0]], [[0], [0]]).tolist() == [0, 0]
+        assert perm.kendall_tau([0], [0]) == 0
+
 
 class TestPairSignEmbed:
     def test_identity_has_no_inversions(self):
