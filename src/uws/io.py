@@ -7,9 +7,10 @@ timestamps or filesystem ordering. Rankings serialize as comma-separated
 (task_id, lf_id, label-column) with a parallel truth file.
 
 One codec table, ``_CODECS``, maps each space kind to its label column
-(perm, value, node), the text form of one label, its parser and its array
-dtype; every label file is written and read through it, so no function
-branches on the space kind. Label files are read by one validating
+(perm, value, node), the cells of a label array (the text of each
+ranking, numbers as they are), the parser of one cell and its array dtype;
+every label file is written and read through it, so no function branches
+on the space kind. Label files are read by one validating
 reader: every row must have the header's width, every cell must parse
 (to finite numbers), and the ids must be exactly 0..n-1 (x 0..m-1 for
 datasets), each once, in any row order. Any fault raises
@@ -20,7 +21,6 @@ wrong width).
 import csv
 import hashlib
 import io as _io
-import itertools
 import json
 import math
 from collections import namedtuple
@@ -63,24 +63,27 @@ __all__ = [
 ]
 
 
-def _fmt(x):
-    """Shortest round-trip text of a number (or of a real label, a one-element list)."""
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, list):
-        if len(x) != 1:
-            raise InvalidArgumentError(f"only scalar real labels serialize to CSV, got {len(x)} coordinates")
-        return _fmt(x[0])
-    return str(int(x))
+def _perm_cells(labels):
+    """The text of each ranking in a (k, rho) array."""
+    return [perm_to_str(p) for p in labels.tolist()]
 
 
-# how each space kind's labels appear in a file: the label column, the text
-# of one label, and its parser and array dtype
-_Codec = namedtuple("_Codec", "column format parse dtype")
+def _number_cells(labels):
+    """Each scalar label of a (k, ...) array as a Python number, which csv writes
+    in its shortest round-trip form (``str`` of a float is its ``repr``)."""
+    width = math.prod(labels.shape[1:])
+    if width != 1:
+        raise InvalidArgumentError(f"only scalar real labels serialize to CSV, got {width} coordinates")
+    return labels.reshape(-1).tolist()
+
+
+# how each space kind's labels appear in a file: the label column, the cells
+# of a (k, ...) label array, and the parser and array dtype of one cell
+_Codec = namedtuple("_Codec", "column cells parse dtype")
 _CODECS = {
-    RANKING: _Codec("perm", perm_to_str, perm_from_str, np.int64),
-    REAL_VECTOR: _Codec("value", _fmt, float, np.float64),
-    FINITE_METRIC: _Codec("node", _fmt, int, np.int64),
+    RANKING: _Codec("perm", _perm_cells, perm_from_str, np.int64),
+    REAL_VECTOR: _Codec("value", _number_cells, float, np.float64),
+    FINITE_METRIC: _Codec("node", _number_cells, int, np.int64),
 }
 _KINDS = {codec.column: kind for kind, codec in _CODECS.items()}
 
@@ -127,13 +130,12 @@ def write_csv(path, header, rows):
 
 
 def _write_labels(path, header, space_kind, labels):
-    """One row per index of the leading ``len(header) - 1`` axes: the ids, then the label text."""
-    fmt = _CODECS[space_kind].format
+    """One row per index of the leading ``len(header) - 1`` axes: the ids, then the label."""
     labels = np.asarray(labels)
     id_shape = labels.shape[: len(header) - 1]
-    ids = itertools.product(*map(range, id_shape))
-    cells = labels.reshape(-1, *labels.shape[len(id_shape):]).tolist()
-    write_csv(path, header, [i + (fmt(cell),) for i, cell in zip(ids, cells)])
+    ids = np.indices(id_shape).reshape(len(id_shape), -1).tolist()
+    cells = _CODECS[space_kind].cells(labels.reshape(-1, *labels.shape[len(id_shape):]))
+    write_csv(path, header, zip(*ids, cells))
 
 
 def _rows(path, numbered_rows, width=None):
@@ -301,7 +303,7 @@ def read_edge_list(path):
 
 
 def write_distance_matrix(path, space):
-    write_csv(path, None, [[_fmt(v) for v in row] for row in space.dist.tolist()])
+    write_csv(path, None, space.dist.tolist())
 
 
 def read_distance_matrix(path):
@@ -315,8 +317,7 @@ def read_distance_matrix(path):
 def write_embedding(prefix, report):
     """Coordinates CSV plus a JSON descriptor (dim, epsilon, scale, exponent)."""
     prefix = Path(prefix)
-    coords = [[_fmt(v) for v in row] for row in report.coords.tolist()]
-    write_csv(prefix.with_suffix(".coords.csv"), None, coords)
+    write_csv(prefix.with_suffix(".coords.csv"), None, report.coords.tolist())
     descriptor = {
         "dim": report.target_dim,
         "epsilon": report.epsilon,

@@ -6,7 +6,6 @@ ratio), then epsilon is one minus the worst remaining contraction ratio, so
 ``1 - epsilon <= d_emb / d_orig <= 1`` holds over all distinct pairs.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,25 +99,37 @@ def graph_hop_metric(edges, n_nodes):
     """
     if n_nodes < 1:
         raise InvalidArgumentError(f"need n_nodes >= 1, got {n_nodes}")
-    adj = [[] for _ in range(n_nodes)]
+    pairs = []
     for u, v in edges:
         u, v = int(u), int(v)
         if not (0 <= u < n_nodes and 0 <= v < n_nodes):
             raise InvalidArgumentError(f"edge ({u}, {v}) outside 0..{n_nodes - 1}")
-        if u == v:
-            continue
-        adj[u].append(v)
-        adj[v].append(u)
+        if u != v:
+            pairs.append((u, v))
+    # padded neighbour lists: row u holds u's neighbours, then n_nodes, a
+    # column of the frontier that is never set
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    src, dst = np.concatenate([ends, ends[:, ::-1]]).T
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    degree = np.bincount(src, minlength=n_nodes)
+    nbr = np.full((n_nodes, degree.max(initial=0)), n_nodes, dtype=np.int64)
+    nbr[src, np.arange(src.size) - (np.cumsum(degree) - degree)[src]] = dst
+    # breadth-first from many sources at once: a node joins the next frontier
+    # when one of its neighbours is in this one and it has no distance yet
     dist = np.full((n_nodes, n_nodes), -1, dtype=np.int64)
-    for src in range(n_nodes):
-        dist[src, src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[src, v] < 0:
-                    dist[src, v] = dist[src, u] + 1
-                    queue.append(v)
+    np.fill_diagonal(dist, 0)
+    chunk = max(1, 2**20 // max(1, n_nodes * nbr.shape[1]))
+    for lo in range(0, n_nodes, chunk):
+        block = dist[lo : lo + chunk]  # a view: writes land in dist
+        frontier = np.zeros((len(block), n_nodes + 1), dtype=bool)
+        frontier[:, :n_nodes] = block == 0
+        hops = 0
+        while frontier.any():
+            hops += 1
+            reached = frontier[:, nbr].any(axis=2) & (block < 0)
+            block[reached] = hops
+            frontier[:, :n_nodes] = reached
     if (dist < 0).any():
         raise DisconnectedGraphError("graph is disconnected: some hop distances are infinite")
     return FiniteMetricSpace(dist.astype(np.float64))

@@ -12,6 +12,14 @@ path encodes what the stream is for:
 
 Per-task, per-labeler substreams make the output independent of any parallel
 generation schedule and bitwise reproducible from the seed alone.
+
+The per-task and per-labeler streams are not built one by one: ``_streams``
+derives the Philox keys of every path of a kind in one array pass over the
+SeedSequence hash, computes uniform draws for all of them at once with the
+Philox4x64-10 counter function, and re-keys one generator per path for the
+other draws. The draws are bit-identical to ``substream(seed, *path)``'s,
+so the path scheme above is unchanged; ``substream`` itself serves the
+one-off streams (graph attempts, presets).
 """
 
 from dataclasses import dataclass
@@ -19,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mallows
+from ._streams import generators, uniforms
 from .errors import DisconnectedGraphError, GenerationError, InvalidArgumentError
 from .label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
 from .metric_spaces import FiniteMetricSpace, graph_hop_metric
@@ -155,12 +164,9 @@ def gen_ranking_tasks(scenario):
     """
     n, rho = scenario.n, scenario.rho
     m = len(scenario.thetas)
-    truth = np.empty((n, rho), dtype=np.int64)
-    u = np.empty((n, m, rho - 1))
-    for i in range(n):
-        truth[i] = substream(scenario.seed, 1, i).permutation(rho)
-        for a in range(m):
-            u[i, a] = substream(scenario.seed, 2, i, a).random(rho - 1)
+    truth = np.array([rng.permutation(rho) for rng in generators(scenario.seed, _task_paths(1, n))],
+                     dtype=np.int64)
+    u = uniforms(scenario.seed, _labeler_paths(n, m), rho - 1).reshape(n, m, rho - 1)
     labels = np.empty((n, m, rho), dtype=np.int64)
     for a, theta in enumerate(scenario.thetas):
         # a draw centered at the truth is the truth relabelled by a draw centered at the identity
@@ -181,15 +187,24 @@ def gen_regression_tasks(scenario):
     cond_mean_coef = acc / scenario.prior_var
     cond_cov = cov - np.outer(acc, acc) / scenario.prior_var
     chol = np.linalg.cholesky(cond_cov)
-    truth = np.empty(scenario.n)
-    labels = np.empty((scenario.n, m))
     sd = np.sqrt(scenario.prior_var)
-    for i in range(scenario.n):
-        y = sd * substream(scenario.seed, 1, i).standard_normal()
-        truth[i] = y
-        z = substream(scenario.seed, 2, i).standard_normal(m)
-        labels[i] = cond_mean_coef * y + chol @ z
+    truth = sd * np.array([rng.standard_normal() for rng in generators(scenario.seed, _task_paths(1, scenario.n))])
+    labels = np.empty((scenario.n, m))
+    # one product per row: a batched product sums in another order
+    for i, rng in enumerate(generators(scenario.seed, _task_paths(2, scenario.n))):
+        labels[i] = cond_mean_coef * truth[i] + chol @ rng.standard_normal(m)
     return truth, LabelingMatrix(REAL_VECTOR, labels)
+
+
+def _task_paths(kind, n):
+    """The ``(kind, task)`` substream paths of n tasks."""
+    return np.stack([np.full(n, kind), np.arange(n)], axis=1)
+
+
+def _labeler_paths(n, m):
+    """The ``(2, task, a)`` substream paths, task-major."""
+    tasks, lfs = np.divmod(np.arange(n * m), m)
+    return np.stack([np.full(n * m, 2), tasks, lfs], axis=1)
 
 
 def _sample_graph(scenario):
@@ -223,14 +238,18 @@ def gen_graph_tasks(scenario):
         w = np.exp(-theta * space.dist)
         probs = w / w.sum(axis=0, keepdims=True)
         cdfs[a] = np.cumsum(probs, axis=0).T  # row y: cdf over nodes given center y
-    truth = np.empty(scenario.n, dtype=np.int64)
-    labels = np.empty((scenario.n, m), dtype=np.int64)
-    for i in range(scenario.n):
-        y = int(substream(scenario.seed, 1, i).integers(n_nodes))
-        truth[i] = y
-        for a in range(m):
-            u = substream(scenario.seed, 2, i, a).random()
-            labels[i, a] = int(np.searchsorted(cdfs[a, y], u))
+    n = scenario.n
+    truth = np.array([rng.integers(n_nodes) for rng in generators(scenario.seed, _task_paths(1, n))],
+                     dtype=np.int64)
+    u = uniforms(scenario.seed, _labeler_paths(n, m), 1).reshape(n, m)
+    # each label is searchsorted(cdfs[a, truth], u): the count of CDF entries below u,
+    # over chunks of tasks of about 1 MiB of gathered CDFs
+    labels = np.empty((n, m), dtype=np.int64)
+    chunk = max(1, 2**20 // (8 * m * n_nodes))
+    for lo in range(0, n, chunk):
+        part = slice(lo, lo + chunk)
+        below = cdfs[:, truth[part]] < u[part].T[:, :, None]
+        labels[part] = below.sum(axis=2).T
     return space, truth, LabelingMatrix(FINITE_METRIC, labels, space=space)
 
 

@@ -6,13 +6,17 @@ for the optimized implementations.
 """
 
 import csv
+from collections import deque
 from itertools import permutations as iter_permutations
 
 import numpy as np
 
-from uws.errors import InvalidArgumentError
+from uws import mallows
+from uws.errors import DisconnectedGraphError, GenerationError, InvalidArgumentError
 from uws.label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
+from uws.metric_spaces import FiniteMetricSpace
 from uws.permutations import perm_from_str
+from uws.synthetic import substream
 
 
 def naive_kendall(a, b):
@@ -196,3 +200,111 @@ def reference_read_truth(path):
     if col == "node":
         return FINITE_METRIC, np.array([int(r[1]) for r in rows], dtype=np.int64)
     raise InvalidArgumentError(f"{path}: unknown label column {col!r}")
+
+
+def reference_fmt(x):
+    """A number's cell text as the label, matrix and embedding writers produced it
+    before handing Python numbers to csv directly."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    if isinstance(x, list):
+        if len(x) != 1:
+            raise InvalidArgumentError(f"only scalar real labels serialize to CSV, got {len(x)} coordinates")
+        return reference_fmt(x[0])
+    return str(int(x))
+
+
+# Reference generators: the scenario generators and the hop metric as they
+# were before the batched substreams and the frontier BFS, one substream per
+# task and per (task, labeler), one breadth-first search per source. The
+# current ones must return equal arrays of equal dtype.
+
+def reference_graph_hop_metric(edges, n_nodes):
+    if n_nodes < 1:
+        raise InvalidArgumentError(f"need n_nodes >= 1, got {n_nodes}")
+    adj = [[] for _ in range(n_nodes)]
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
+            raise InvalidArgumentError(f"edge ({u}, {v}) outside 0..{n_nodes - 1}")
+        if u == v:
+            continue
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = np.full((n_nodes, n_nodes), -1, dtype=np.int64)
+    for src in range(n_nodes):
+        dist[src, src] = 0
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if dist[src, v] < 0:
+                    dist[src, v] = dist[src, u] + 1
+                    queue.append(v)
+    if (dist < 0).any():
+        raise DisconnectedGraphError("graph is disconnected: some hop distances are infinite")
+    return FiniteMetricSpace(dist.astype(np.float64))
+
+
+def reference_gen_ranking_tasks(scenario):
+    n, rho = scenario.n, scenario.rho
+    m = len(scenario.thetas)
+    truth = np.empty((n, rho), dtype=np.int64)
+    u = np.empty((n, m, rho - 1))
+    for i in range(n):
+        truth[i] = substream(scenario.seed, 1, i).permutation(rho)
+        for a in range(m):
+            u[i, a] = substream(scenario.seed, 2, i, a).random(rho - 1)
+    labels = np.empty((n, m, rho), dtype=np.int64)
+    for a, theta in enumerate(scenario.thetas):
+        labels[:, a] = np.take_along_axis(truth, mallows._repeated_insertion(theta, u[:, a]), axis=1)
+    return truth, LabelingMatrix(RANKING, labels)
+
+
+def reference_gen_regression_tasks(scenario):
+    acc = np.asarray(scenario.accuracies)
+    cov = np.asarray(scenario.lf_cov)
+    m = acc.size
+    cond_mean_coef = acc / scenario.prior_var
+    cond_cov = cov - np.outer(acc, acc) / scenario.prior_var
+    chol = np.linalg.cholesky(cond_cov)
+    truth = np.empty(scenario.n)
+    labels = np.empty((scenario.n, m))
+    sd = np.sqrt(scenario.prior_var)
+    for i in range(scenario.n):
+        y = sd * substream(scenario.seed, 1, i).standard_normal()
+        truth[i] = y
+        z = substream(scenario.seed, 2, i).standard_normal(m)
+        labels[i] = cond_mean_coef * y + chol @ z
+    return truth, LabelingMatrix(REAL_VECTOR, labels)
+
+
+def reference_gen_graph_tasks(scenario):
+    n_nodes, n_edges = scenario.n_nodes, scenario.n_edges
+    all_pairs = [(u, v) for u in range(n_nodes) for v in range(u + 1, n_nodes)]
+    for attempt in range(scenario.max_retries):
+        rng = substream(scenario.seed, 0, attempt)
+        chosen = rng.choice(len(all_pairs), size=n_edges, replace=False)
+        edges = [all_pairs[k] for k in sorted(chosen.tolist())]
+        try:
+            space = reference_graph_hop_metric(edges, n_nodes)
+            break
+        except DisconnectedGraphError:
+            continue
+    else:
+        raise GenerationError(f"no connected graph after {scenario.max_retries} attempts")
+    m = len(scenario.thetas)
+    cdfs = np.empty((m, n_nodes, n_nodes))
+    for a, theta in enumerate(scenario.thetas):
+        w = np.exp(-theta * space.dist)
+        probs = w / w.sum(axis=0, keepdims=True)
+        cdfs[a] = np.cumsum(probs, axis=0).T
+    truth = np.empty(scenario.n, dtype=np.int64)
+    labels = np.empty((scenario.n, m), dtype=np.int64)
+    for i in range(scenario.n):
+        y = int(substream(scenario.seed, 1, i).integers(n_nodes))
+        truth[i] = y
+        for a in range(m):
+            u = substream(scenario.seed, 2, i, a).random()
+            labels[i, a] = int(np.searchsorted(cdfs[a, y], u))
+    return space, truth, LabelingMatrix(FINITE_METRIC, labels, space=space)

@@ -1,11 +1,12 @@
 """File-format round trips and byte determinism."""
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_read_dataset, reference_read_truth
+from conftest import reference_fmt, reference_read_dataset, reference_read_truth
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -14,7 +15,7 @@ from uws import io as uio
 from uws import label_model as lm
 from uws import synthetic as syn
 from uws.errors import InvalidArgumentError
-from uws.metric_spaces import classical_mds, graph_hop_metric
+from uws.metric_spaces import FiniteMetricSpace, classical_mds, graph_hop_metric
 
 
 def test_canonical_json_deterministic_and_nan_free():
@@ -236,6 +237,40 @@ class TestReaderRejects:
         data = lm.LabelingMatrix(lm.REAL_VECTOR, np.zeros((2, 3, 2)))
         with pytest.raises(InvalidArgumentError, match="scalar"):
             uio.write_dataset(tmp_path / "dataset.csv", data)
+
+
+class TestNumberCellsMatchPerCellText:
+    """Numbers handed to csv as they are give the bytes of the per-cell formatter."""
+
+    FLOATS = st.floats(width=64) | st.sampled_from([-0.0, 5e-324, 1e300, 0.1, 1 / 3, 2.0**53 + 2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=hnp.arrays(np.float64, st.tuples(st.integers(1, 6)) | st.tuples(st.integers(1, 6), st.just(1)),
+                             elements=FLOATS),
+           nodes=hnp.arrays(np.int64, st.integers(1, 6), elements=st.integers(0, 2**62)))
+    def test_truth_and_embedding(self, values, nodes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "truth.csv"
+            uio.write_truth(path, values, lm.REAL_VECTOR)
+            rows = [f"{i},{reference_fmt(v)}" for i, v in enumerate(values.tolist())]
+            assert path.read_text() == "\n".join(["task_id,value", *rows]) + "\n"
+            uio.write_pseudolabels(path, nodes, lm.FINITE_METRIC)
+            rows = [f"{i},{reference_fmt(v)}" for i, v in enumerate(nodes.tolist())]
+            assert path.read_text() == "\n".join(["task_id,label", *rows]) + "\n"
+            coords = np.stack([values.ravel(), values.ravel()[::-1]], axis=1)
+            coords_path, _ = uio.write_embedding(Path(tmp) / "emb", replace(classical_mds(RING, 1), coords=coords))
+            assert coords_path.read_text() == "".join(f"{reference_fmt(a)},{reference_fmt(b)}\n"
+                                                      for a, b in coords.tolist())
+
+    @settings(max_examples=30, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 6), elements=st.floats(-1e6, 1e6)))
+    def test_distance_matrix(self, points):
+        space = FiniteMetricSpace(np.abs(points[:, None] - points[None, :]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "space.csv"
+            uio.write_distance_matrix(path, space)
+            assert path.read_text() == "".join(",".join(map(reference_fmt, row)) + "\n"
+                                               for row in space.dist.tolist())
 
 
 def _nan_arrays(shape):

@@ -581,3 +581,50 @@ class TestMaskedCores:
                 continue
             assert ok[k]
             assert values[k] == expect
+
+
+def triplets(m):
+    """Every (a, b, c) with b < c, all three distinct."""
+    return [(a, b, c) for a in range(m) for b, c in combinations([x for x in range(m) if x != a], 2)]
+
+
+# away from 1/2 by at least 0.05: a class-conditional of exactly 1/2 makes the
+# outer pair factorize and leaves the pivot underdetermined
+INFORMATIVE = st.floats(0.55, 0.98)
+SIGNED_RATE = st.one_of(INFORMATIVE, st.floats(0.02, 0.45))
+
+
+class TestTripletExactness:
+    """Each triplet route recovers the accuracies from population moments, for
+    every triplet of randomly drawn labelers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 6).flatmap(lambda m: hnp.arrays(
+        np.float64, (m, 3), elements=st.floats(0.05, 2.0) | st.floats(-2.0, -0.05))),
+        hnp.arrays(np.float64, 3, elements=st.floats(0.2, 3.0)))
+    def test_continuous(self, acc, second_moment):
+        # conditional independence: e_ab = a_a a_b / E[Y^2], per coordinate
+        e = acc[:, None, :] * acc[None, :, :] / second_moment
+        for a, b, c in triplets(len(acc)):
+            mags = lm.continuous_triplets(e[a, b], e[a, c], e[b, c], second_moment)
+            np.testing.assert_allclose(mags, np.abs(acc[[a, b, c]]), rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 6).flatmap(lambda m: st.lists(SIGNED_RATE, min_size=m, max_size=m)),
+           INFORMATIVE, st.floats(0.15, 0.85))
+    def test_quadratic(self, outer, pivot, p):
+        # the pivot is better than random, so the root above its marginal is the truth
+        cond = np.array([pivot, *outer])
+        o, l = syn.two_point_population_moments(cond, p)
+        for a, c in combinations(range(1, len(cond)), 2):
+            got = lm.quadratic_triplets(o[a, 0], o[a, c], o[0, c], l[a], l[0], l[c], p)
+            np.testing.assert_allclose(got, cond[[a, 0, c]], rtol=0, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 6).flatmap(lambda m: hnp.arrays(np.float64, m, elements=st.floats(0.0, 5.0))))
+    def test_half_sum(self, expected_distance):
+        # additive over the truth: E[d(a, b)] = E[d(a, y)] + E[d(b, y)]
+        d = expected_distance[:, None] + expected_distance[None, :]
+        np.fill_diagonal(d, 0.0)
+        for a, b, c in triplets(len(d)):
+            assert lm.isotropic_accuracies(d, (a, b, c)) == pytest.approx(expected_distance[a], rel=1e-12, abs=1e-12)

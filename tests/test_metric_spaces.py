@@ -2,11 +2,13 @@
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import reference_graph_hop_metric
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
@@ -132,6 +134,37 @@ class TestGraphHopMetric:
         assert (d[:, :, None] + d[None, :, :].transpose(1, 0, 2) >= 0).all()  # sanity on shapes
         for k in range(20):
             assert (d <= d[:, k, None] + d[None, k, :]).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda nodes: st.tuples(
+        st.just(nodes),
+        # duplicates, self-loops and isolated nodes arise at random
+        st.lists(st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1)), max_size=3 * nodes),
+        # now and then one endpoint outside 0..n_nodes-1
+        st.none() | st.tuples(st.integers(0, 3 * nodes), st.sampled_from([-1, nodes]), st.integers(0, nodes - 1)),
+    )))
+    def test_matches_per_source_reference(self, graph):
+        n_nodes, edges, bad = graph
+        if bad is not None:
+            edges.insert(bad[0], bad[1:])
+        try:
+            want = reference_graph_hop_metric(edges, n_nodes)
+        except (InvalidArgumentError, DisconnectedGraphError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                ms.graph_hop_metric(edges, n_nodes)
+            return
+        got = ms.graph_hop_metric(edges, n_nodes)
+        assert got.dist.dtype == want.dist.dtype
+        np.testing.assert_array_equal(got.dist, want.dist)
+
+    def test_single_node_and_chunked_sources(self):
+        np.testing.assert_array_equal(ms.graph_hop_metric([], 1).dist, [[0.0]])
+        np.testing.assert_array_equal(ms.graph_hop_metric([(0, 0), (0, 0)], 1).dist, [[0.0]])
+        # a hub of degree 150 and a path of 50 hops: sources split over
+        # several chunks, and many levels
+        edges = [(0, k) for k in range(1, 151)] + [(k, k + 1) for k in range(150, 199)]
+        np.testing.assert_array_equal(ms.graph_hop_metric(edges, 200).dist,
+                                      reference_graph_hop_metric(edges, 200).dist)
 
 
 class TestClassicalMds:

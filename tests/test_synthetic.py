@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from conftest import reference_gen_graph_tasks, reference_gen_ranking_tasks, reference_gen_regression_tasks
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from uws import mallows
@@ -184,3 +187,55 @@ class TestTwoPointModel:
     def test_truth_frequency(self):
         truth, _ = syn.gen_two_point_tasks([0.8, 0.7, 0.6], 0.25, 100_000, 1, seed=9)
         assert (truth > 0).mean() == pytest.approx(0.25, abs=0.01)
+
+
+def assert_same(got, want):
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+SEEDS = st.one_of(st.integers(0, 2**32), st.sampled_from([2**64 - 1, 2**130 + 3]))
+THETAS = st.lists(st.sampled_from([0.0, 0.001, 0.15, 0.7, 2.0, 50.0]) | st.floats(0.0, 5.0), min_size=3, max_size=6)
+
+
+class TestAgainstReference:
+    """The batched generators reproduce the one-substream-per-draw references exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(2, 8), THETAS, SEEDS)
+    def test_ranking(self, n, rho, thetas, seed):
+        s = syn.RankingScenario(n=n, rho=rho, thetas=thetas, seed=seed)
+        (truth, data), (ref_truth, ref_data) = syn.gen_ranking_tasks(s), reference_gen_ranking_tasks(s)
+        assert_same(truth, ref_truth)
+        assert_same(data.labels, ref_data.labels)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
+           st.floats(0.05, 2.0), st.floats(0.5, 3.0), SEEDS)
+    def test_regression(self, n, acc, noise, prior_var, seed):
+        acc = np.array(acc)
+        cov = np.outer(acc, acc) / prior_var + noise * np.eye(acc.size)
+        s = syn.RegressionScenario(n=n, accuracies=tuple(acc), lf_cov=tuple(map(tuple, cov)),
+                                   prior_var=prior_var, seed=seed)
+        (truth, data), (ref_truth, ref_data) = syn.gen_regression_tasks(s), reference_gen_regression_tasks(s)
+        assert_same(truth, ref_truth)
+        assert_same(data.labels, ref_data.labels)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda nodes: st.tuples(
+        st.just(nodes), st.integers(nodes - 1, nodes * (nodes - 1) // 2))),
+        st.integers(1, 12), THETAS, SEEDS, st.integers(1, 4))
+    def test_graph(self, shape, n, thetas, seed, retries):
+        # few edges and few retries: some draws are disconnected, some scenarios give up
+        n_nodes, n_edges = shape
+        s = syn.GraphScenario(n_nodes=n_nodes, n_edges=n_edges, n=n, thetas=thetas, seed=seed, max_retries=retries)
+        try:
+            want = reference_gen_graph_tasks(s)
+        except GenerationError:
+            with pytest.raises(GenerationError):
+                syn.gen_graph_tasks(s)
+            return
+        got = syn.gen_graph_tasks(s)
+        assert_same(got[0].dist, want[0].dist)
+        assert_same(got[1], want[1])
+        assert_same(got[2].labels, want[2].labels)
