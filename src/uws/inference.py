@@ -7,8 +7,11 @@ learned accuracies it is the weighted maximum-likelihood rule.
 
 One batched engine solves every task of a dataset at once; the single-task
 functions run the same kernels on a batch of one. On rankings it builds one
-``(n, rho, rho)`` preference tensor. Exact Kemeny scores the shared table of
-all rho! permutations against chunks of tasks. Local search runs the
+``(n, rho, rho)`` preference tensor. Exact Kemeny is a dynamic program over
+the 2^rho subsets of items, run on chunks of tasks as array operations; it
+costs O(2^rho * rho) per task and refuses rho > 16. ``auto`` uses it up to
+rho = ``EXACT_MAX_RHO`` and local search above, where filling the subset
+table takes longer than eight restarts of local search. Local search runs the
 best-improvement insertion descent on an ``(n * restarts, rho)`` array of
 orders; rows drop out as they reach a local optimum. Finite spaces gather the
 distance columns of every task's labels and take the argmin over the points.
@@ -18,8 +21,9 @@ Ties everywhere break toward the numerically smallest canonical form of the
 label (elementwise order for permutation sequences, index order for points of
 a finite space), so every aggregation is deterministic. Local search keeps,
 over its restarts in order, a result whose objective is lower by more than
-1e-12, or within 1e-12 and lexicographically smaller. Its random restarts for
-task ``i`` of a dataset come from ``default_rng((seed, i))``.
+1e-12 times the weight total, or within that and lexicographically smaller,
+so rescaling the weights by a power of two leaves it unchanged. Its random
+restarts for task ``i`` of a dataset come from ``default_rng((seed, i))``.
 """
 
 import dataclasses
@@ -35,7 +39,6 @@ from .errors import (
     UseHeuristicError,
 )
 from .metric_spaces import FiniteMetricSpace
-from .permutations import all_permutations
 
 __all__ = [
     "RankingSpace",
@@ -49,7 +52,8 @@ __all__ = [
     "aggregate_dataset",
 ]
 
-EXHAUSTIVE_THRESHOLD = 8
+EXACT_MAX_RHO = 10
+_DP_MAX_RHO = 16  # 2^16 subsets x 17 float64 columns: 8.9 MB per task
 _TIE_TOL = 1e-12
 _CHUNK_BYTES = 1 << 20
 
@@ -59,7 +63,6 @@ class RankingSpace:
     """Permutations of rho items under the Kendall tau distance."""
 
     rho: int
-    exhaustive_threshold: int = EXHAUSTIVE_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,7 @@ def _aggregate(labels, weights, space, candidate_policy, negative_weights, resta
         if candidate_policy == "local_search":
             out = kemeny_local_search(labels[0] if single else labels, weights, space.rho, restarts, seed)
             return out.reshape(-1, space.rho)
-        return kemeny_exact(labels, weights, space.rho, exhaustive_threshold=space.exhaustive_threshold)
+        return kemeny_exact(labels, weights, space.rho)
     if isinstance(space, RealSpace):
         return _aggregate_reals(labels, weights, candidate_policy)
     if isinstance(space, FiniteMetricSpace):
@@ -244,20 +247,6 @@ def _candidate_costs(pref, cands):
     return costs
 
 
-def _table_costs(pref, first):
-    """Kemeny objectives (t, R) of R candidates shared by all tasks, from their (R, P) pair flags.
-
-    The pair terms accumulate one pair at a time in triu order: a
-    term-by-term sum, whose rounding decides float ties, and no (t, R, P)
-    array is built.
-    """
-    iu, ju = np.triu_indices(pref.shape[-1], k=1)
-    costs = np.zeros((len(pref), len(first)))
-    for p, (i, j) in enumerate(zip(iu, ju)):
-        costs += np.where(first[:, p], pref[:, j, i, None], pref[:, i, j, None])
-    return costs
-
-
 def _select(cands, costs, tol):
     """Each task's pick among its (n, c, rho) candidate orders with (n, c) costs.
 
@@ -290,33 +279,78 @@ def _as_batch(labels):
     return np.atleast_2d(labels)[None], True
 
 
-def kemeny_exact(labels, weights, rho, exhaustive_threshold=EXHAUSTIVE_THRESHOLD):
-    """Exact weighted Kemeny aggregate by full enumeration of S_rho.
+def kemeny_exact(labels, weights, rho):
+    """Exact weighted Kemeny aggregate by dynamic programming over subsets of items.
 
     ``labels`` is one task's (m, rho) array, or (n, m, rho) for n tasks
-    sharing the (m,) weights (the result is then (n, rho)). Ties break to
-    the lexicographically smallest permutation sequence.
+    sharing the (m,) weights (the result is then (n, rho)). With
+    ``pref[i, j]`` the weight of labelers placing item i before item j, an
+    order of an item set S that puts j first pays ``c[S, j]``, the sum of
+    ``pref[i, j]`` over i in S, so the optimum of S is
+    ``g[S] = min over j in S of c[S, j] + g[S - j]``. Filling ``g`` costs
+    O(2^rho * rho) time and ``8 (rho + 1) 2^rho`` bytes per task. The order is
+    rebuilt from the full set, taking at each position the smallest item
+    whose ``c[S, j] + g[S - j]`` equals ``g[S]``: ties break to the
+    lexicographically smallest optimal sequence, as the program's float sums
+    round.
 
     Raises
     ------
     UseHeuristicError
-        If rho exceeds ``exhaustive_threshold`` (rho! candidates): use
-        :func:`kemeny_local_search`.
+        If rho exceeds 16, where the subset table would need over 8.9 MB
+        per task: use :func:`kemeny_local_search`.
     """
     labels, single = _as_batch(labels)
-    if rho > exhaustive_threshold:
-        raise UseHeuristicError(
-            f"rho={rho} above the exhaustive threshold {exhaustive_threshold}"
-        )
+    if rho > _DP_MAX_RHO:
+        raise UseHeuristicError(f"rho={rho} above {_DP_MAX_RHO}, the largest the exact solver's "
+                                f"2^rho subset table is built for")
     if labels.shape[2] != rho:
         raise InvalidArgumentError(f"labels have length {labels.shape[2]}, expected {rho}")
     pref = _preference_tensor(labels, np.asarray(weights, dtype=np.float64))
-    cands = all_permutations(rho)  # lexicographic: argmin's first occurrence breaks ties
-    first = _first_flags(cands)
+    layers = _subset_layers(rho)
     out = np.empty((len(pref), rho), dtype=np.int64)
-    for s in _chunks(len(pref), 16 * len(cands)):
-        out[s] = cands[_table_costs(pref[s], first).argmin(axis=1)]
+    for s in _chunks(len(pref), 8 * (rho + 1) << rho):
+        out[s] = _subset_dp(pref[s], layers)
     return out[0] if single else out
+
+
+def _subset_layers(rho):
+    """For each subset size k = 1..rho: the (L,) subsets S of that size, as bit
+    masks, and for the (L, k) members j of each, the flat index ``S * rho + j``
+    of ``c[S, j]`` and the mask of ``S - j``."""
+    masks = np.arange(1 << rho)
+    member = ((masks[:, None] >> np.arange(rho)) & 1).astype(bool)
+    size = member.sum(axis=1)
+    layers = []
+    for k in range(1, rho + 1):
+        sets = masks[size == k]
+        j = np.nonzero(member[sets])[1].reshape(len(sets), k)
+        layers.append((sets, sets[:, None] * rho + j, sets[:, None] ^ (1 << j)))
+    return layers
+
+
+def _subset_dp(pref, layers):
+    """Each task's lexicographically smallest Kemeny optimum from its (t, rho, rho) pref."""
+    t, rho, _ = pref.shape
+    # tasks on the last axis: every gather below moves rows of t contiguous floats
+    c = np.zeros((1 << rho, rho, t))
+    for b, row in enumerate(pref.transpose(1, 2, 0)):
+        c[1 << b : 2 << b] = c[: 1 << b] + row
+    flat = c.reshape(-1, t)
+    g = np.zeros((1 << rho, t))
+    for sets, cj, rest in layers:
+        g[sets] = (flat[cj] + g[rest]).min(axis=1)
+    bits = 1 << np.arange(rho)
+    tasks = np.arange(t)
+    out = np.empty((t, rho), dtype=np.int64)
+    sets = np.full(t, (1 << rho) - 1)
+    for p in range(rho):
+        # the very sums the minimum was taken over, so float == finds the optima
+        cost = c[sets, :, tasks] + g[sets[:, None] ^ bits, tasks[:, None]]
+        hit = ((sets[:, None] & bits) != 0) & (cost == g[sets, tasks][:, None])
+        out[:, p] = hit.argmax(axis=1)
+        sets = sets ^ bits[out[:, p]]
+    return out
 
 
 def kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
@@ -353,12 +387,13 @@ def _local_search(labels, weights, restarts, seeds):
         starts.append(np.array([[rng.permutation(rho) for _ in range(restarts - 2)] for rng in rngs]))
     starts = np.concatenate(starts, axis=1)
     n_starts = starts.shape[1]
+    tol = _TIE_TOL * np.abs(weights).sum()
     outs = _insertion_descent(starts.reshape(n * n_starts, rho), pref,
-                              np.repeat(rows, n_starts)).reshape(n, n_starts, rho)
-    return _select(outs, _candidate_costs(pref, outs), _TIE_TOL)
+                              np.repeat(rows, n_starts), tol).reshape(n, n_starts, rho)
+    return _select(outs, _candidate_costs(pref, outs), tol)
 
 
-def _insertion_descent(orders, pref, task):
+def _insertion_descent(orders, pref, task, tol):
     """Best-improvement single-item insertion moves on each row until it is locally optimal.
 
     Row r of ``orders`` is scored with ``pref[task[r]]``. In one step,
@@ -367,8 +402,8 @@ def _insertion_descent(orders, pref, task):
     the item at k rather than after) from a = k-1 down to l, or minus that
     from a = k+1 up to l. Each run is summed in that order behind zeros,
     so it rounds exactly as a cumulative sum over the run alone would. The
-    step takes the most negative delta below -1e-12; ties go to the first k,
-    then to the first l.
+    step takes the most negative delta below ``-tol``; ties go to the first
+    k, then to the first l.
     """
     orders = orders.copy()
     rho = orders.shape[1]
@@ -386,7 +421,7 @@ def _insertion_descent(orders, pref, task):
             delta = np.where(before, up, down)
             to = delta.argmin(axis=1)  # best target l of every position k
             best = delta.min(axis=1)
-            move = best.min(axis=1) < -_TIE_TOL
+            move = best.min(axis=1) < -tol
             active, o = active[move], o[move]
             rows = np.arange(len(o))[:, None]
             k = best[move].argmin(axis=1)[:, None]
@@ -425,9 +460,11 @@ def aggregate_dataset(data, weights=None, rule="weighted", candidate_policy="aut
     Gaussian conditional mean from its accuracies and pairwise moments, or,
     when the accuracies are unknown (NaN), the precision-weighted mean
     ``lambda . Theta 1 / 1' Theta 1`` from its theta matrix).
-    candidate_policy "auto" resolves to exact enumeration when feasible and
-    the insertion heuristic on long rankings, whose random restarts for task
-    i come from ``default_rng((seed, i))``. Real labels must be scalar (d=1).
+    candidate_policy "auto" resolves to the exact solver (the subset dynamic
+    program of :func:`kemeny_exact` on rankings up to rho = ``EXACT_MAX_RHO``,
+    every point of a finite space) and to the insertion heuristic on longer
+    rankings, whose random restarts for task i come from
+    ``default_rng((seed, i))``. Real labels must be scalar (d=1).
 
     Returns a list of labels (permutation arrays, floats, or node ids).
     """
@@ -468,7 +505,7 @@ def aggregate_dataset(data, weights=None, rule="weighted", candidate_policy="aut
     weights = np.asarray(weights, dtype=np.float64)
 
     if candidate_policy == "auto":
-        if data.space_kind == RANKING and data.rho > EXHAUSTIVE_THRESHOLD:
+        if data.space_kind == RANKING and data.rho > EXACT_MAX_RHO:
             candidate_policy = "local_search"
         else:
             candidate_policy = "enumerate_all"

@@ -57,6 +57,14 @@ class FiniteMetricSpace:
                 raise InvalidMetricError(f"triangle inequality violated through point {k}")
         object.__setattr__(self, "dist", d)
 
+    @classmethod
+    def _derived(cls, dist):
+        """A space over a float64 matrix the library computed as a metric, e.g.
+        hop distances, built without the O(N^3) validation."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "dist", dist)
+        return space
+
     @property
     def size(self):
         return int(self.dist.shape[0])
@@ -132,7 +140,8 @@ def graph_hop_metric(edges, n_nodes):
             frontier[:, :n_nodes] = reached
     if (dist < 0).any():
         raise DisconnectedGraphError("graph is disconnected: some hop distances are infinite")
-    return FiniteMetricSpace(dist.astype(np.float64))
+    # shortest-path lengths satisfy the triangle inequality by construction
+    return FiniteMetricSpace._derived(dist.astype(np.float64))
 
 
 def _contraction_stats(orig, coords, exponent):

@@ -1,12 +1,15 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own fast paths: distances are counted
-pair by pair and optima found by exhaustive enumeration, so they can vouch
-for the optimized implementations.
+pair by pair and optima found by exhaustive enumeration or by a subset
+recursion in exact rational arithmetic, so they can vouch for the optimized
+implementations.
 """
 
 import csv
 from collections import deque
+from fractions import Fraction
+from functools import cache
 from itertools import permutations as iter_permutations
 
 import numpy as np
@@ -47,6 +50,45 @@ def brute_force_weighted_kemeny(labels, weights, rho):
     return np.array(best), best_cost
 
 
+def fraction_kemeny_cost(labels, weights, z):
+    """Exact weighted Kendall sum of the labels to the order z, as a Fraction."""
+    return sum((Fraction(float(w)) * naive_kendall(lab, z) for w, lab in zip(weights, labels)), Fraction(0))
+
+
+def reference_kemeny_fraction(labels, weights, rho):
+    """Exact weighted Kemeny optimum in rational arithmetic: (order, cost as a Fraction).
+
+    Each float weight is the Fraction it equals. ``g(S)``, the least cost of
+    ordering the item set S (a bit mask), is the minimum over the item j put
+    first of the weight placing another item of S before j plus ``g(S - j)``,
+    by memoised recursion. The order is rebuilt from the full set, taking at
+    each position the smallest item that attains the optimum: the
+    lexicographically smallest optimum, with ties decided exactly.
+    """
+    pref = [[Fraction(0)] * rho for _ in range(rho)]  # pref[i][j]: weight placing i before j
+    for lab, w in zip(np.asarray(labels).tolist(), weights):
+        for s, i in enumerate(lab):
+            for j in lab[s + 1 :]:
+                pref[i][j] += Fraction(float(w))
+
+    def first_cost(items, j):
+        return sum((pref[i][j] for i in range(rho) if items >> i & 1), Fraction(0))
+
+    @cache
+    def g(items):
+        if not items:
+            return Fraction(0)
+        return min(first_cost(items, j) + g(items & ~(1 << j)) for j in range(rho) if items >> j & 1)
+
+    items, order = (1 << rho) - 1, []
+    while items:
+        j = next(j for j in range(rho) if items >> j & 1
+                 and first_cost(items, j) + g(items & ~(1 << j)) == g(items))
+        order.append(j)
+        items &= ~(1 << j)
+    return np.array(order, dtype=np.int64), g((1 << rho) - 1)
+
+
 # Per-task reference aggregation: the solver as it was before the batched
 # engine, one task and one start at a time. The batched engine must agree
 # with it exactly (same outputs, same tie-breaks, same restart streams).
@@ -77,11 +119,11 @@ def reference_kemeny_exact(labels, weights, rho):
     return cands[int(np.argmin(costs))].copy()
 
 
-def _reference_insertion_descent(order, pref):
+def _reference_insertion_descent(order, pref, tol):
     order = order.copy()
     rho = len(order)
     while True:
-        best_delta = -1e-12
+        best_delta = -tol
         best_move = None
         for k in range(rho):
             x = order[k]
@@ -104,7 +146,10 @@ def _reference_insertion_descent(order, pref):
 
 
 def reference_kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
-    """Insertion local search from the best input, the Borda order and random starts."""
+    """Insertion local search from the best input, the Borda order and random starts.
+
+    Moves and restart ties use the tolerance 1e-12 times the weight total.
+    """
     labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
     if rho < 2:
         return labels[0].copy()
@@ -116,13 +161,14 @@ def reference_kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
     rng = np.random.default_rng(seed)
     for _ in range(max(restarts - len(starts), 0)):
         starts.append(rng.permutation(rho))
+    tol = 1e-12 * np.abs(weights).sum()
     best = None
     best_cost = np.inf
     for start in starts[: max(restarts, 1)]:
-        out = _reference_insertion_descent(np.asarray(start, dtype=np.int64), pref)
+        out = _reference_insertion_descent(np.asarray(start, dtype=np.int64), pref, tol)
         cost = reference_kemeny_cost(pref, out)
-        if cost < best_cost - 1e-12 or (
-            abs(cost - best_cost) <= 1e-12 and best is not None and tuple(out) < tuple(best)
+        if cost < best_cost - tol or (
+            abs(cost - best_cost) <= tol and best is not None and tuple(out) < tuple(best)
         ):
             best, best_cost = out, cost
     return best

@@ -184,7 +184,7 @@ def _ranking_pipeline(thetas, rho, n, seed):
     for rule, model_arg in (("weighted", model), ("mv", None)):
         labels = inference.aggregate_dataset(
             data, rule=rule, model=model_arg, seed=seed,
-            candidate_policy="local_search" if rho > inference.EXHAUSTIVE_THRESHOLD else "auto",
+            candidate_policy="local_search" if rho > inference.EXACT_MAX_RHO else "auto",
         )
         out[rule] = float(perm.kendall_tau_many(np.asarray(labels), truth).mean())
     return out

@@ -409,6 +409,15 @@ MALFORMED = {
 }
 
 
+def test_space_file_breaking_the_triangle_inequality_exits_validation(tmp_path, capsys):
+    argv, dataset = _learn_on(tmp_path, NODE_ROWS, column="node")
+    space = _write_lines(dataset.parent / "space.csv", ["0.0,1.0,3.0", "1.0,0.0,1.0", "3.0,1.0,0.0"])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{space}: triangle inequality violated through point 1" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_validation_naming_file(tmp_path, capsys, case):
     argv, offending = MALFORMED[case](tmp_path)

@@ -1,14 +1,17 @@
 """Aggregation rules: majority vote, weighted rules, Kemeny solvers, Gaussian inference."""
 
+from fractions import Fraction
 from itertools import permutations as iter_permutations
 
 import numpy as np
 import pytest
 from conftest import (
     brute_force_weighted_kemeny,
+    fraction_kemeny_cost,
     naive_kendall,
     reference_aggregate_finite,
     reference_kemeny_exact,
+    reference_kemeny_fraction,
     reference_kemeny_local_search,
     reference_kemeny_observed,
 )
@@ -176,10 +179,56 @@ class TestKemenyExact:
             oracle, oracle_cost = brute_force_weighted_kemeny(labels, w, 5)
             assert got.tolist() == oracle.tolist()
 
-    def test_refuses_large_rho(self):
-        labels = [np.arange(9)]
+    def test_refuses_rho_above_the_table_cap(self):
+        # 16 items still fit the subset table; 17 would need 18.9 MB per task
+        assert inf.kemeny_exact([np.arange(16)[::-1]], [1.0], 16).tolist() == list(range(15, -1, -1))
         with pytest.raises(UseHeuristicError):
-            inf.kemeny_exact(labels, [1.0], 9)
+            inf.kemeny_exact([np.arange(17)], [1.0], 17)
+        data = LabelingMatrix(RANKING, np.tile(np.arange(17), (2, 3, 1)))
+        with pytest.raises(UseHeuristicError):
+            inf.aggregate_dataset(data, rule="mv", candidate_policy="enumerate_all")
+
+    def test_integer_weights_match_the_permutation_table(self):
+        # integer sums are exact, so the subset program returns the table's
+        # first minimum in lexicographic order on every task
+        rng = np.random.default_rng(41)
+        for rho in range(1, 8):
+            labels = np.array([[rng.permutation(rho) for _ in range(6)] for _ in range(30)])
+            weights = rng.integers(0, 3, size=6).astype(float)
+            weights[0] = 1.0
+            got = inf.kemeny_exact(labels, weights, rho)
+            expect = [reference_kemeny_exact(task, weights, rho) for task in labels]
+            assert np.array_equal(got, np.array(expect))
+
+    @pytest.mark.parametrize("rho", [9, 10, 11, 12])
+    def test_long_rankings_reach_the_exact_optimum(self, rho):
+        # weights in quarters sum exactly, so orders and objectives must equal the oracle's
+        rng = np.random.default_rng(100 + rho)
+        labels = np.array([[rng.permutation(rho) for _ in range(7)] for _ in range(2)])
+        weights = rng.integers(1, 9, size=7) / 4
+        got = inf.kemeny_exact(labels, weights, rho)
+        local = inf.kemeny_local_search(labels, weights, rho, restarts=4, seed=2)
+        for task, z, z_local in zip(labels, got, local):
+            order, best = reference_kemeny_fraction(task, weights, rho)
+            cost = fraction_kemeny_cost(task, weights, z)
+            assert cost == best and np.array_equal(z, order)
+            assert cost <= fraction_kemeny_cost(task, weights, z_local)
+            assert cost <= min(fraction_kemeny_cost(task, weights, lab) for lab in task)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rho=st.integers(1, 6), m=st.integers(1, 6), label_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_fraction_oracle_matches_brute_force(self, rho, m, label_seed, data):
+        rng = np.random.default_rng(label_seed)
+        labels = np.array([rng.permutation(rho) for _ in range(m)])
+        weights = np.array(data.draw(st.lists(st.sampled_from(TIED_WEIGHTS[:3]) | st.floats(0.0, 3.0),
+                                              min_size=m, max_size=m)))
+        order, cost = reference_kemeny_fraction(labels, weights, rho)
+        expect, expect_cost = brute_force_weighted_kemeny(labels, weights, rho)
+        assert float(cost) == pytest.approx(expect_cost, rel=1e-12, abs=1e-12)
+        if not np.array_equal(order, expect):
+            # the float scan counts objectives within 1e-12 as ties (tiny weights make them common)
+            assert tuple(expect) < tuple(order)
+            assert fraction_kemeny_cost(labels, weights, expect) - cost <= Fraction(1e-12)
 
 
 class TestKemenyLocalSearch:
@@ -335,8 +384,26 @@ def effective(labels, weights, negative_weights):
     return labels, np.abs(weights)
 
 
+def exact_or_near_tie(got, labels, weights, rho, dyadic):
+    """The oracle's exact optimum when ``got`` is it, else ``got`` if its rounding excuses it.
+
+    Dyadic weights sum exactly in floats, so the orders must agree. Otherwise
+    ``got`` may be another order whose exact cost is within
+    P * 2**-52 * sum(w) of the optimum, P = rho (rho - 1) / 2 pairs: a tie
+    that the solver's float sums cannot see.
+    """
+    order, best = reference_kemeny_fraction(labels, weights, rho)
+    if np.array_equal(got, order):
+        return order
+    assert not dyadic, f"{got.tolist()} is not the exact optimum {order.tolist()}"
+    slack = Fraction(rho * (rho - 1) // 2, 2**52) * sum(Fraction(float(w)) for w in weights)
+    assert fraction_kemeny_cost(labels, weights, got) <= best + slack
+    return got
+
+
 class TestBatchedEngineMatchesReference:
-    """aggregate_dataset against the per-task reference solvers of conftest, bit for bit."""
+    """aggregate_dataset against the per-task reference solvers of conftest: local search and the
+    observed-label argmin bit for bit, the exact solver against the rational-arithmetic oracle."""
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(rho=st.integers(2, 11), m=st.integers(1, 20), n=st.integers(1, 6), restarts=st.integers(1, 8),
@@ -355,11 +422,12 @@ class TestBatchedEngineMatchesReference:
         for i in range(n):
             if policy == "observed_only":
                 expect.append(reference_kemeny_observed(eff_labels[i], eff_weights, rho))
-            elif policy == "local_search" or rho > inf.EXHAUSTIVE_THRESHOLD:
+            elif policy == "local_search" or rho > inf.EXACT_MAX_RHO:
                 expect.append(reference_kemeny_local_search(eff_labels[i], eff_weights, rho, restarts=restarts,
                                                             seed=(seed, i)))
             else:
-                expect.append(reference_kemeny_exact(eff_labels[i], eff_weights, rho))
+                expect.append(exact_or_near_tie(np.asarray(got[i]), eff_labels[i], eff_weights, rho,
+                                                dyadic=set(weights) <= set(TIED_WEIGHTS)))
         got = np.asarray(got)
         assert got.dtype == np.int64
         assert np.array_equal(got, np.array(expect))
@@ -388,8 +456,7 @@ class TestAggregationInvariants:
     @given(rho=st.integers(2, 10), m=st.integers(1, 8), n=st.integers(1, 4), exponent=st.integers(-6, 6),
            label_seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_weight_rescaling_invariance(self, rho, m, n, exponent, label_seed, data):
-        # a power-of-two scale keeps every sum exact, so even tie-breaks agree;
-        # small integer weights keep objective gaps far from the 1e-12 tolerances
+        # a power-of-two scale keeps every sum exact, so even tie-breaks agree
         rng = np.random.default_rng(label_seed)
         weights = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)), dtype=float)
         assume((weights > 0).any())
@@ -401,6 +468,23 @@ class TestAggregationInvariants:
                 base = inf.aggregate_dataset(data_, weights=weights, candidate_policy=policy, seed=3)
                 scaled = inf.aggregate_dataset(data_, weights=weights * 2.0**exponent, candidate_policy=policy,
                                                seed=3)
+                assert np.array_equal(np.asarray(base), np.asarray(scaled))
+
+    @settings(max_examples=20, deadline=None)
+    @given(rho=st.integers(11, 12), m=st.integers(1, 8), n=st.integers(1, 3), exponent=st.integers(-46, 46),
+           label_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_local_search_ignores_the_weight_scale(self, rho, m, n, exponent, label_seed, data):
+        # the move and restart tolerances scale with the weight total, so even
+        # weights near 1e-14 or 1e14 take the same descent; no weight is so
+        # small that its scaled value loses bits
+        rng = np.random.default_rng(label_seed)
+        weights = np.array(data.draw(st.lists(st.just(0.0) | st.floats(2.0**-20, 3.0), min_size=m, max_size=m)))
+        assume((weights > 0).any())
+        rankings = LabelingMatrix(RANKING, np.array([[rng.permutation(rho) for _ in range(m)] for _ in range(n)]))
+        for policy in ("auto", "local_search"):
+            base = inf.aggregate_dataset(rankings, weights=weights, candidate_policy=policy, seed=5)
+            for k in (-46, exponent, 46):
+                scaled = inf.aggregate_dataset(rankings, weights=weights * 2.0**k, candidate_policy=policy, seed=5)
                 assert np.array_equal(np.asarray(base), np.asarray(scaled))
 
     @settings(max_examples=30, deadline=None)

@@ -157,6 +157,15 @@ class TestGraphHopMetric:
         assert got.dist.dtype == want.dist.dtype
         np.testing.assert_array_equal(got.dist, want.dist)
 
+    def test_revalidates_through_the_public_constructor(self):
+        # graph_hop_metric skips the triangle check: its distances must pass it
+        rng = np.random.default_rng(59)
+        for n_nodes, extra in ((1, 0), (2, 0), (30, 10), (150, 300)):
+            space = ms.graph_hop_metric(random_connected_graph(n_nodes, extra, rng), n_nodes)
+            again = ms.FiniteMetricSpace(space.dist)
+            assert again.dist.dtype == space.dist.dtype == np.float64
+            np.testing.assert_array_equal(again.dist, space.dist)
+
     def test_single_node_and_chunked_sources(self):
         np.testing.assert_array_equal(ms.graph_hop_metric([], 1).dist, [[0.0]])
         np.testing.assert_array_equal(ms.graph_hop_metric([(0, 0), (0, 0)], 1).dist, [[0.0]])
