@@ -17,13 +17,16 @@ orders; rows drop out as they reach a local optimum. Finite spaces gather the
 distance columns of every task's labels and take the argmin over the points.
 Chunks of tasks bound the working arrays to about 1 MiB (``_CHUNK_BYTES``).
 
-Ties everywhere break toward the numerically smallest canonical form of the
-label (elementwise order for permutation sequences, index order for points of
-a finite space), so every aggregation is deterministic. Local search keeps,
-over its restarts in order, a result whose objective is lower by more than
-1e-12 times the weight total, or within that and lexicographically smaller,
-so rescaling the weights by a power of two leaves it unchanged. Its random
-restarts for task ``i`` of a dataset come from ``default_rng((seed, i))``.
+Ties break lexicographically as the program's float sums compare them: among
+labels whose objectives are equal as summed in float64, the smallest canonical
+form wins (elementwise order for permutation sequences, index order for points
+of a finite space), so every aggregation is deterministic. Objectives that tie
+in exact arithmetic but whose float sums differ in the last bit are no tie:
+the smaller float sum wins. Local search keeps, over its restarts in order, a
+result whose objective is lower by more than 1e-12 times the weight total, or
+within that and lexicographically smaller, so rescaling the weights by a power
+of two leaves it unchanged. Its random restarts for task ``i`` of a dataset
+come from ``default_rng((seed, i))``.
 """
 
 import dataclasses

@@ -8,21 +8,24 @@ independent labelers. Three routes are provided:
 - continuous: closed-form square-root solution on real-valued (or +-1)
   coordinates, needs the truth's per-coordinate second moment;
 - hypercube (quadratic): per-coordinate conditional probabilities under a
-  two-point prior, solved by the quadratic formula;
+  two-point prior, solved by the quadratic formula from pair tables: every
+  factor that involves one labeler or one labeler pair is computed once per
+  truth value, and each triplet only combines three labelers' entries;
 - isotropic: half-sum of pairwise expected distances, needing only the native
   metric.
 
 :func:`learn_label_model` is one pipeline for rankings, real vectors, and
 finite metric spaces: embed the outputs, take every pair moment in one batched
 product, solve each labeler's admissible triplets on the route as one array
-call, and map mean parameters to canonical accuracies (numerical inversion of
-the Mallows expected distance for rankings, inverse covariance for the
-Gaussian-style spaces). A triplet whose moments the route cannot solve (a
-pairwise moment at the floor, a negative discriminant) is skipped: the
-"first" policy falls back to the next admissible triplet and "median" takes
-the median over the solvable ones, so learning fails only for a labeler none
-of whose triplets is solvable, and the error names it. The public scalar
-solvers (:func:`continuous_triplets`, :func:`quadratic_triplets`,
+call ("first" stops at the first block of them holding a solvable one), and
+map mean parameters to canonical accuracies (numerical inversion of the
+Mallows expected distance for rankings, inverse covariance for the
+Gaussian-style spaces). A triplet whose moments the route cannot solve (a pairwise
+moment at the floor, a negative discriminant) is skipped: the "first" policy
+falls back to the next admissible triplet and "median" takes the median over
+the solvable ones, so learning fails only for a labeler none of whose triplets
+is solvable, and the error names it. The public scalar solvers
+(:func:`continuous_triplets`, :func:`quadratic_triplets`,
 :func:`isotropic_accuracies`) wrap the same elementwise cores and raise where
 the learner skips.
 """
@@ -42,7 +45,7 @@ from .errors import (
     SignAmbiguousError,
 )
 from .metric_spaces import FiniteMetricSpace, classical_mds
-from .permutations import pair_sign_embed_many
+from .permutations import pair_indices
 
 __all__ = [
     "EPS_FLOOR",
@@ -63,6 +66,9 @@ __all__ = [
 
 # below this, a pairwise moment is treated as indistinguishable from zero
 EPS_FLOOR = 1e-6
+
+# partner pairs per array call under the "first" policy
+_FIRST_BLOCK = 64
 
 RANKING = "ranking"
 REAL_VECTOR = "real_vector"
@@ -256,6 +262,21 @@ def empirical_pair_moments(values):
     return np.ascontiguousarray((sums / values.shape[1]).transpose(1, 2, 0))
 
 
+def _pair_signs(rankings):
+    """Labeler-major (m, n, P) int8 view of the +-1 pair-sign coordinates of (n, m, rho) rankings.
+
+    Entries equal :func:`~uws.permutations.pair_sign_embed_many`; the storage
+    is coordinate-major (P, m, n), the layout :func:`empirical_pair_moments`
+    multiplies in, so its float64 product operand is one contiguous cast.
+    """
+    rho = rankings.shape[2]
+    # (rho, m, n) item positions, in the smallest integer type that holds them
+    pos = np.argsort(rankings, axis=-1).astype(np.min_scalar_type(rho))
+    pos = np.ascontiguousarray(pos.transpose(2, 1, 0))
+    iu, ju = pair_indices(rho)
+    return np.where(pos[iu] < pos[ju], np.int8(1), np.int8(-1)).transpose(1, 2, 0)
+
+
 def _continuous_core(e_ab, e_ac, e_bc, second_moment, eps_floor):
     """Elementwise ``|a_a|`` of :func:`continuous_triplets`, and where it is defined.
 
@@ -294,55 +315,89 @@ def continuous_triplets(e_ab, e_ac, e_bc, second_moment, eps_floor=EPS_FLOOR):
     return mag_a, mag_b, mag_c
 
 
-def _quadratic_core(o_ab, o_ac, o_bc, l_a, l_b, l_c, p):
-    """Elementwise (alpha, beta, gamma) of :func:`quadratic_triplets`, and where it is defined.
+@dataclass(frozen=True)
+class _QuadraticTables:
+    """Every factor of the hypercube quadratic that involves at most two labelers.
 
-    Takes float arrays already checked to be probabilities. ``ok`` is False
-    wherever the discriminant shows that no real solution exists; the roots
-    there come from the discriminant clamped to 0.
+    Built once per truth value by :func:`_quadratic_tables`; labeler tables
+    are (m, ...) and pair tables (m, m, ...). Each is a left prefix of a
+    product or sum in the quadratic as :func:`_quadratic_pivot` evaluates it,
+    so a triplet gathered from the tables rounds exactly as one computed
+    from its six moments.
+    """
+
+    r: float
+    t: float
+    r2: float
+    l: np.ndarray  # marginals P(g = 1)
+    q: np.ndarray  # l / (1 - p)
+    q2: np.ndarray  # q**2
+    lin: np.ndarray  # -2 q r / t, the linear coefficient per unit lead
+    op: np.ndarray  # o / (1 - p)
+    qq: np.ndarray  # q_x q_y
+    k: np.ndarray  # op - qq
+    tk: np.ndarray  # t k
+    qqr2: np.ndarray  # qq r**2
+    lead: np.ndarray  # t (qq r - op t), the quadratic coefficient
+    lead4: np.ndarray  # 4 lead
+    degenerate: np.ndarray  # lead vanishes against its scale: the outer pair factorizes
+    width: np.ndarray  # 2 |lead|, 1 where degenerate
+
+
+def _quadratic_tables(o, l, p):
+    """Labeler and pair tables of the quadratic route for one truth value.
+
+    ``o`` is the (m, m, ...) table of joint +1 frequencies (its diagonal is
+    never read) and ``l`` the (m, ...) marginals, already checked to be
+    probabilities, and ``p`` the prior weight of the truth value coded +1.
     """
     r = p / (1.0 - p)
     t = p / (1.0 - p) ** 2
-    q_a, q_b, q_c = l_a / (1.0 - p), l_b / (1.0 - p), l_c / (1.0 - p)
-    op_ab, op_ac, op_bc = o_ab / (1.0 - p), o_ac / (1.0 - p), o_bc / (1.0 - p)
-    k_ab = op_ab - q_a * q_b
-    k_bc = op_bc - q_b * q_c
+    r2 = r**2
+    q = l / (1.0 - p)
+    op = o / (1.0 - p)
+    qq = q[:, None] * q[None, :]
+    k = op - qq
+    lead = t * (qq * r - op * t)
+    degenerate = np.abs(lead) <= 1e-12 * (t**2 * (qq + op) + 1e-30)
+    return _QuadraticTables(
+        r=r, t=t, r2=r2, l=l, q=q, q2=q**2, lin=-2.0 * q * r / t, op=op, qq=qq, k=k, tk=t * k,
+        qqr2=qq * r2, lead=lead, lead4=4.0 * lead, degenerate=degenerate,
+        width=2.0 * np.abs(np.where(degenerate, 1.0, lead)),
+    )
+
+
+def _quadratic_pivot(tab, x, b, z):
+    """Pivot root ``beta`` of :func:`quadratic_triplets`, and where it is defined.
+
+    Labeler b is the pivot between the outer labelers x and z; any of the
+    three may be an index array, gathered from the tables ``tab``. ``ok`` is
+    False wherever the discriminant shows that no real solution exists; the
+    root there comes from the discriminant clamped to 0.
+    """
+    k_xb, k_bz, q2_b = tab.k[x, b], tab.k[b, z], tab.q2[b]
     # quadratic A beta^2 + B beta + C = 0 in the pivot; B = -(2 q_b r / t) A holds
     # identically, so the roots are l_b +- sqrt(disc) / (2|A|)
-    lead = t * (q_a * q_c * r - op_ac * t)
     const = (
-        t * k_ab * k_bc
-        + q_a * q_c * q_b**2 * r**2
-        + q_a * q_b * r**2 * k_bc
-        + q_b * q_c * r**2 * k_ab
-        - op_ac * q_b**2 * r**2
+        tab.tk[x, b] * k_bz
+        + tab.qq[x, z] * q2_b * tab.r2
+        + tab.qqr2[x, b] * k_bz
+        + tab.qqr2[b, z] * k_xb
+        - tab.op[x, z] * q2_b * tab.r2
     )
-    lin = -2.0 * q_b * r / t * lead
-    disc = lin**2 - 4.0 * lead * const
+    lin2 = (tab.lin[b] * tab.lead[x, z]) ** 2
+    lead_const = tab.lead4[x, z] * const
+    disc = lin2 - lead_const
     # near the double root a sampled discriminant is legitimately negative at
     # the scale of its own components; only a violation of at least half the
     # total component magnitude is evidence of jointly impossible moments
-    tol = 0.5 * (lin**2 + np.abs(4.0 * lead * const)) + 1e-9
-    ok = ~(disc < -tol)
-    disc = np.clip(disc, 0.0, None)
-
-    lead_scale = t**2 * (q_a * q_c + op_ac) + 1e-30
-    degenerate_lead = np.abs(lead) <= 1e-12 * lead_scale
-    safe_lead = np.where(degenerate_lead, 1.0, lead)
+    ok = ~(disc < -(0.5 * (lin2 + np.abs(lead_const)) + 1e-9))
     # a vanishing lead means the outer pair's joint factorizes: the linear
     # coefficient vanishes with it (lin = -2 l_b lead identically), the pivot
     # is underdetermined, and its marginal is the only neutral answer
-    beta = np.where(degenerate_lead, l_b, l_b + np.sqrt(disc) / (2.0 * np.abs(safe_lead)))
-
-    denom = t * beta - q_b * r
-    safe_denom = np.where(np.abs(denom) <= 1e-30, 1.0, denom)
-    alpha = np.where(
-        np.abs(denom) <= 1e-30, l_a, (op_ab + q_a * r * beta - q_a * q_b) / safe_denom
-    )
-    gamma = np.where(
-        np.abs(denom) <= 1e-30, l_c, (op_bc + q_c * r * beta - q_b * q_c) / safe_denom
-    )
-    return (alpha, beta, gamma), ok
+    l_b = tab.l[b]
+    beta = np.where(tab.degenerate[x, z], l_b, l_b + np.sqrt(np.clip(disc, 0.0, None)) / tab.width[x, z])
+    return beta, ok
 
 
 def quadratic_triplets(o_ab, o_ac, o_bc, l_a, l_b, l_c, p):
@@ -373,11 +428,23 @@ def quadratic_triplets(o_ab, o_ac, o_bc, l_a, l_b, l_c, p):
     for x in arrays:
         if ((x < -1e-12) | (x > 1 + 1e-12)).any():
             raise InvalidArgumentError("probabilities must lie in [0, 1]")
-    (alpha, beta, gamma), ok = _quadratic_core(*arrays, p)
+    shape = np.broadcast_shapes(*(x.shape for x in arrays))
+    # scalars take the array path too: numpy squares a float64 scalar through
+    # pow, which can round differently from an array's product
+    o_ab, o_ac, o_bc, l_a, l_b, l_c = np.broadcast_arrays(*(np.atleast_1d(x) for x in arrays))
+    tab = _quadratic_tables(np.array([[l_a, o_ab, o_ac], [o_ab, l_b, o_bc], [o_ac, o_bc, l_c]]),
+                            np.array([l_a, l_b, l_c]), p)
+    beta, ok = _quadratic_pivot(tab, 0, 1, 2)
     if not ok.all():
         raise InconsistentMomentsError("moments admit no real solution (negative discriminant)")
-    if alpha.ndim == 0:
-        return float(alpha), float(beta), float(gamma)
+    # a and c follow linearly from the pivot
+    denom = tab.t * beta - tab.q[1] * tab.r
+    flat = np.abs(denom) <= 1e-30
+    safe_denom = np.where(flat, 1.0, denom)
+    alpha = np.where(flat, l_a, (tab.op[0, 1] + tab.q[0] * tab.r * beta - tab.qq[0, 1]) / safe_denom)
+    gamma = np.where(flat, l_c, (tab.op[1, 2] + tab.q[2] * tab.r * beta - tab.qq[1, 2]) / safe_denom)
+    if not shape:
+        return float(alpha[0]), float(beta[0]), float(gamma[0])
     return alpha, beta, gamma
 
 
@@ -489,18 +556,24 @@ def _triplet_partners(m, corr):
 
 
 def _triplet_estimates(partners, policy, solve, exc_type, reason):
-    """One estimate per labeler, from all of its triplets in one array call.
+    """One estimate per labeler, from its triplets in as few array calls as the policy allows.
 
-    ``solve(a, b, c)`` evaluates labeler a against every partner pair
+    ``solve(a, b, c)`` evaluates labeler a against partner pairs
     ``(b[k], c[k])`` and returns ``(rows, ok)``; row k is usable when all of
-    ``ok[k]`` holds. Policy "first" takes the first usable row, "median" the
-    median of the usable rows. A labeler with no usable row raises
-    ``exc_type`` naming the labeler and the ``reason``.
+    ``ok[k]`` holds. Policy "first" takes the first usable row, evaluating
+    the pairs in lexicographic blocks of ``_FIRST_BLOCK`` and stopping at the
+    first block that holds one; "median" takes the median of all usable rows
+    from one call. A labeler with no usable row raises ``exc_type`` naming
+    the labeler and the ``reason``.
     """
     out = []
     for a, (b, c) in enumerate(partners):
-        rows, ok = solve(a, b, c)
-        rows = rows[ok.reshape(len(ok), -1).all(axis=1)]
+        step = _FIRST_BLOCK if policy == "first" else len(b)
+        for lo in range(0, len(b), step):
+            rows, ok = solve(a, b[lo:lo + step], c[lo:lo + step])
+            rows = rows[ok.reshape(len(ok), -1).all(axis=1)]
+            if len(rows):
+                break
         if not len(rows):
             raise exc_type(f"labeler {a}: {reason}")
         out.append(rows[0] if policy == "first" or len(rows) == 1 else np.median(rows, axis=0))
@@ -529,7 +602,9 @@ def _agreement_probabilities(values, e, partners, p, policy):
     joint (+1, +1) frequencies with weight p, the -1-coded run the (-1, -1)
     frequencies with weight 1-p. Both follow from the exact integer sums
     ``S_a = sum_t g_a`` and ``S_ab = sum_t g_a g_b`` of the +-1 coordinates:
-    the counts are ``(n +- S_a)/2`` and ``(n +- (S_a + S_b) + S_ab)/4``.
+    the counts are ``(n +- S_a)/2`` and ``(n +- (S_a + S_b) + S_ab)/4``. Each
+    run builds the quadratic's labeler and pair tables once, and every
+    labeler's triplets gather from them.
     """
     n = values.shape[1]
     s_a = values.sum(axis=1, dtype=np.int64)  # (m, d)
@@ -538,16 +613,17 @@ def _agreement_probabilities(values, e, partners, p, policy):
     for sign, weight in ((1.0, p), (-1.0, 1.0 - p)):
         l = (n + sign * s_a) / 2.0 / n
         o = (n + sign * (s_a[:, None] + s_a[None, :]) + s_ab) / 4.0 / n
-
-        def pivot(a, b, c):
-            # pivot the quadratic on the target labeler a
-            (_, beta, _), ok = _quadratic_core(o[b, a], o[b, c], o[a, c], l[b], l[a], l[c], weight)
-            return beta, ok
-
-        cond = _triplet_estimates(partners, policy, pivot, InconsistentMomentsError,
+        cond = _triplet_estimates(partners, policy, _pivot_solver(o, l, weight), InconsistentMomentsError,
                                   "no triplet's moments admit a real solution")
         agreements += weight * cond
     return agreements
+
+
+def _pivot_solver(o, l, p):
+    """The hypercube route's ``solve(a, b, c)``: labeler a as the pivot between each
+    partner pair (b[k], c[k]), gathered from the tables of one truth value."""
+    tab = _quadratic_tables(o, l, p)
+    return lambda a, b, c: _quadratic_pivot(tab, b, a, c)
 
 
 def _ranking_theta(mean_distance, rho):
@@ -611,18 +687,19 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
         raise ConfigurationError(f"unknown triplet policy {triplet_policy!r}")
     m = data.n_lfs
 
-    # embed: labeler-major (m, n, d) coordinates; finite isotropic stays native
+    # embed: labeler-major (m, n, d) views of coordinate-major storage, the
+    # layout of the pair-moment product; finite isotropic stays native
     values = None
     second_moments = prior.second_moments if isinstance(prior, SecondMomentPrior) else None
     if kind == RANKING:
-        values = np.ascontiguousarray(pair_sign_embed_many(data.labels).transpose(1, 0, 2)).astype(np.int8)
+        values = _pair_signs(data.labels)
         dims = {"rho": data.rho}
         embedding = {"kind": "pair_sign", "dim": values.shape[2], "pair_order": "lexicographic"}
         if path == "isotropic":
             embedding = {"kind": "native_kendall", "rho": data.rho}
         second_moments = np.ones(values.shape[2])
     elif kind == REAL_VECTOR:
-        values = np.ascontiguousarray(data.labels.transpose(1, 0, 2))
+        values = np.ascontiguousarray(data.labels.transpose(2, 1, 0)).transpose(1, 2, 0)
         dims = {"d": values.shape[2]}
         embedding = {"kind": "identity", "dim": values.shape[2]}
     else:
@@ -632,7 +709,7 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
         if path == "continuous":
             dim = mds_dim or min(space.size - 1, 8)
             report = classical_mds(space, dim=dim)
-            values = np.ascontiguousarray(report.coords[data.labels].transpose(1, 0, 2))
+            values = np.ascontiguousarray(report.coords[data.labels].transpose(2, 1, 0)).transpose(1, 2, 0)
             if second_moments is None:
                 # uniform prior over points fixes the truth's per-coordinate second moments
                 second_moments = (report.coords**2).mean(axis=0)

@@ -354,3 +354,39 @@ def reference_gen_graph_tasks(scenario):
             u = substream(scenario.seed, 2, i, a).random()
             labels[i, a] = int(np.searchsorted(cdfs[a, y], u))
     return space, truth, LabelingMatrix(FINITE_METRIC, labels, space=space)
+
+
+def reference_quadratic_triplets(o_ab, o_ac, o_bc, l_a, l_b, l_c, p):
+    """The hypercube triplet system solved straight through, one expression per term.
+
+    Same-shape float arrays in; ``((alpha, beta, gamma), ok)`` out, with ``ok``
+    False where the discriminant is below the relative tolerance. Every
+    product and sum is written in the order the library's pair tables
+    preserve, so the library's pivot must equal this ``beta`` bit for bit.
+    """
+    r = p / (1.0 - p)
+    t = p / (1.0 - p) ** 2
+    q_a, q_b, q_c = l_a / (1.0 - p), l_b / (1.0 - p), l_c / (1.0 - p)
+    op_ab, op_ac, op_bc = o_ab / (1.0 - p), o_ac / (1.0 - p), o_bc / (1.0 - p)
+    k_ab = op_ab - q_a * q_b
+    k_bc = op_bc - q_b * q_c
+    lead = t * (q_a * q_c * r - op_ac * t)
+    const = (
+        t * k_ab * k_bc
+        + q_a * q_c * q_b**2 * r**2
+        + q_a * q_b * r**2 * k_bc
+        + q_b * q_c * r**2 * k_ab
+        - op_ac * q_b**2 * r**2
+    )
+    lin = -2.0 * q_b * r / t * lead
+    disc = lin**2 - 4.0 * lead * const
+    ok = ~(disc < -(0.5 * (lin**2 + np.abs(4.0 * lead * const)) + 1e-9))
+    disc = np.clip(disc, 0.0, None)
+    degenerate = np.abs(lead) <= 1e-12 * (t**2 * (q_a * q_c + op_ac) + 1e-30)
+    beta = np.where(degenerate, l_b, l_b + np.sqrt(disc) / (2.0 * np.abs(np.where(degenerate, 1.0, lead))))
+    denom = t * beta - q_b * r
+    flat = np.abs(denom) <= 1e-30
+    safe = np.where(flat, 1.0, denom)
+    alpha = np.where(flat, l_a, (op_ab + q_a * r * beta - q_a * q_b) / safe)
+    gamma = np.where(flat, l_c, (op_bc + q_c * r * beta - q_b * q_c) / safe)
+    return (alpha, beta, gamma), ok

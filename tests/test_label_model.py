@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import reference_quadratic_triplets
 from uws import label_model as lm
 from uws import mallows
 from uws import permutations as perm
@@ -445,7 +446,8 @@ def per_triplet_reference(data, path, corr, prior=None):
             md, acc = ((1.0 - s) / 2.0).sum(axis=1), s.mean(axis=1)
         elif path == "hypercube":
             agree = np.zeros((m, d))
-            for coded, w in (((g > 0).astype(float), 0.5), ((g < 0).astype(float), 0.5)):
+            p = prior.p if isinstance(prior, lm.TwoPointPrior) else 0.5
+            for coded, w in (((g > 0).astype(float), p), ((g < 0).astype(float), 1.0 - p)):
                 l = coded.mean(axis=1)
                 o = np.array([[(coded[a] * coded[b]).mean(axis=0) for b in range(m)] for a in range(m)])
                 agree += w * median(
@@ -513,14 +515,57 @@ class TestTripletEngineEquivalence:
         (lm.FINITE_METRIC, "isotropic"), (lm.FINITE_METRIC, "continuous"),
     ])
     def test_matches_per_triplet_reference(self, kind, path, corr):
-        data = six_labeler_data(kind)
         prior = lm.SecondMomentPrior(1.0) if kind == lm.REAL_VECTOR else None
+        self.check(six_labeler_data(kind), path, corr, prior)
+
+    @pytest.mark.parametrize("corr", [lm.CorrelationSet(), lm.CorrelationSet.from_pairs([(0, 1), (2, 4)])],
+                             ids=["independent", "correlated"])
+    def test_hypercube_two_point_prior(self, corr):
+        # the two truth-value runs weighted (p, 1 - p) rather than halves
+        self.check(six_labeler_data(lm.RANKING), "hypercube", corr, lm.TwoPointPrior(0.3))
+
+    @staticmethod
+    def check(data, path, corr, prior):
         model = lm.learn_label_model(data, corr=corr, prior=prior, path=path, triplet_policy="median")
         md, acc, thetas, pairwise = per_triplet_reference(data, path, corr, prior)
         np.testing.assert_array_equal(model.expected_distances, md)
         np.testing.assert_array_equal(model.accuracies, acc)
         np.testing.assert_array_equal(model.thetas, thetas)
         np.testing.assert_array_equal(model.pairwise_moments, pairwise)
+
+
+class TestFirstPolicyBlocks:
+    """"first" evaluates partner pairs in lexicographic blocks and stops at the
+    first block holding a solvable triplet; the row it keeps is the first
+    usable row of a full evaluation, on every route."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        # near-random movies-style labelers: many leading triplets are degenerate
+        return make_ranking_data(syn.movies_style_thetas(12, 5), rho=4, n=200, seed=5)[1]
+
+    @pytest.mark.parametrize("path", ["continuous", "hypercube", "isotropic"])
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_matches_full_evaluation(self, data, path, block, monkeypatch):
+        monkeypatch.setattr(lm, "_FIRST_BLOCK", 10**9)
+        full = lm.learn_label_model(data, path=path)
+        monkeypatch.setattr(lm, "_FIRST_BLOCK", block)
+        got = lm.learn_label_model(data, path=path)
+        for field in ("thetas", "expected_distances", "accuracies"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(full, field))
+        if full.estimates.per_coordinate is not None:
+            np.testing.assert_array_equal(got.estimates.per_coordinate, full.estimates.per_coordinate)
+
+    @pytest.mark.parametrize("path, core, runs", [("continuous", "_continuous_core", 1),
+                                                  ("hypercube", "_quadratic_pivot", 2)])
+    def test_leading_triplets_fall_back(self, data, path, core, runs, monkeypatch):
+        # one pair per block: every call past the first of a labeler is a fallback
+        calls = []
+        inner = getattr(lm, core)
+        monkeypatch.setattr(lm, core, lambda *args: calls.append(1) or inner(*args))
+        monkeypatch.setattr(lm, "_FIRST_BLOCK", 1)
+        lm.learn_label_model(data, path=path)
+        assert len(calls) > runs * data.n_lfs
 
 
 ROWS = st.integers(1, 6).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, 3)))
@@ -554,7 +599,11 @@ class TestMaskedCores:
     @given(triplet_rows(st.floats(0.0, 1.0), count=6), st.sampled_from([0.3, 0.5, 0.8]))
     def test_quadratic(self, rows, p):
         o_ab, o_ac, o_bc, l_a, l_b, l_c = rows
-        (alpha, beta, gamma), ok = lm._quadratic_core(o_ab, o_ac, o_bc, l_a, l_b, l_c, p)
+        o = np.array([[l_a, o_ab, o_ac], [o_ab, l_b, o_bc], [o_ac, o_bc, l_c]])
+        beta, ok = lm._quadratic_pivot(lm._quadratic_tables(o, np.array([l_a, l_b, l_c]), p), 0, 1, 2)
+        reference, ref_ok = reference_quadratic_triplets(o_ab, o_ac, o_bc, l_a, l_b, l_c, p)
+        np.testing.assert_array_equal(ok, ref_ok)
+        np.testing.assert_array_equal(beta, reference[1])
         for r in range(len(o_ab)):
             try:
                 expect = lm.quadratic_triplets(o_ab[r], o_ac[r], o_bc[r], l_a[r], l_b[r], l_c[r], p)
@@ -562,8 +611,9 @@ class TestMaskedCores:
                 assert not ok[r].all()
                 continue
             assert ok[r].all()
-            for got, want in zip((alpha, beta, gamma), expect):
-                np.testing.assert_array_equal(got[r], want)
+            np.testing.assert_array_equal(beta[r], expect[1])
+            for got, want in zip(expect, reference):
+                np.testing.assert_array_equal(got, want[r])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(4, 7).flatmap(
@@ -581,6 +631,49 @@ class TestMaskedCores:
                 continue
             assert ok[k]
             assert values[k] == expect
+
+
+class TestHoistedPivot:
+    """The learner's pivot, gathering every partner pair of a labeler from the
+    pair tables in one call, agrees bit for bit with the straight-line
+    reference and with the public solver called once per triplet and
+    coordinate, rejected coordinates included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 7).flatmap(lambda m: st.tuples(
+        hnp.arrays(np.float64, (m, m, 3), elements=st.floats(0.0, 1.0)),
+        hnp.arrays(np.float64, (m, 3), elements=st.floats(0.0, 1.0)))),
+        st.sampled_from([0.3, 0.5, 0.8]))
+    def test_matches_public_solver_per_triplet(self, tables, p):
+        o, l = tables[0], tables[1].copy()
+        m = len(l)
+        o = np.where(np.triu(np.ones((m, m), dtype=bool))[:, :, None], o, o.transpose(1, 0, 2))
+        # coordinate 0: the outer pair (0, 2) factorizes, so pivot 1 has a degenerate lead
+        o[0, 2, 0] = o[2, 0, 0] = l[0, 0] * l[2, 0]
+        # coordinate 1: pivot 1 between 0 and 2 has no real solution
+        l[:3, 1] = 0.2
+        o[0, 1, 1] = o[1, 0, 1] = o[1, 2, 1] = o[2, 1, 1] = 0.2
+        o[0, 2, 1] = o[2, 0, 1] = 0.0
+        solve = lm._pivot_solver(o, l, p)
+        for a, (b, c) in enumerate(lm._triplet_partners(m, lm.CorrelationSet())):
+            beta, ok = solve(a, b, c)
+            (_, ref_beta, _), ref_ok = reference_quadratic_triplets(o[b, a], o[b, c], o[a, c], l[b], l[a], l[c], p)
+            np.testing.assert_array_equal(ok, ref_ok)
+            np.testing.assert_array_equal(beta, ref_beta)
+            for k in range(len(b)):
+                x, z = int(b[k]), int(c[k])
+                for i in range(l.shape[1]):
+                    try:
+                        _, expect, _ = lm.quadratic_triplets(o[x, a, i], o[x, z, i], o[a, z, i],
+                                                             l[x, i], l[a, i], l[z, i], p)
+                    except InconsistentMomentsError:
+                        assert not ok[k, i]
+                        continue
+                    assert ok[k, i]
+                    assert beta[k, i] == expect
+        tab = lm._quadratic_tables(o, l, p)
+        assert tab.degenerate[0, 2, 0]
+        assert not lm._quadratic_pivot(tab, 0, 1, 2)[1][1]
 
 
 def triplets(m):
