@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # The whole pipeline through the command line: generate -> learn -> infer -> sweep,
-# plus the graph-metric and MDS utilities. Everything lands in a scratch directory.
+# plus the graph-metric and MDS utilities. Everything lands in a scratch directory,
+# removed on exit.
 set -euo pipefail
 
 work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
 echo "working in $work"
 
 cat > "$work/scenario.json" <<'JSON'
@@ -40,4 +42,4 @@ uws graph-metric --edges "$work/edges.txt" --out "$work/dist.csv"
 uws mds --dist "$work/dist.csv" --dim 2 --out "$work/embedding"
 cat "$work/embedding.json"
 
-echo "done; artifacts in $work"
+echo "done"

@@ -8,15 +8,10 @@ into pseudolabels with accuracy-weighted maximum-likelihood rules.
 __version__ = "0.1.0"
 
 from .inference import (
-    AggregationProblem,
-    RankingSpace,
-    RealSpace,
     aggregate_dataset,
     gaussian_conditional_mean,
     kemeny_exact,
     kemeny_local_search,
-    majority_vote,
-    weighted_aggregate,
 )
 from .label_model import (
     CorrelationSet,
@@ -31,15 +26,10 @@ from .metric_spaces import FiniteMetricSpace, classical_mds, distortion, graph_h
 
 __all__ = [
     "__version__",
-    "AggregationProblem",
-    "RankingSpace",
-    "RealSpace",
     "aggregate_dataset",
     "gaussian_conditional_mean",
     "kemeny_exact",
     "kemeny_local_search",
-    "majority_vote",
-    "weighted_aggregate",
     "CorrelationSet",
     "LabelingMatrix",
     "LabelModel",

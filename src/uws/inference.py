@@ -5,17 +5,18 @@ space; with uniform weights this is the generalized majority vote (the Kemeny
 rule on rankings, the mean on the real line under squared distance), and with
 learned accuracies it is the weighted maximum-likelihood rule.
 
-One batched engine solves every task of a dataset at once; the single-task
-functions run the same kernels on a batch of one. On rankings it builds one
-``(n, rho, rho)`` preference tensor. Exact Kemeny is a dynamic program over
-the 2^rho subsets of items, run on chunks of tasks as array operations; it
-costs O(2^rho * rho) per task and refuses rho > 16. ``auto`` uses it up to
-rho = ``EXACT_MAX_RHO`` and local search above, where filling the subset
-table takes longer than eight restarts of local search. Local search runs the
-best-improvement insertion descent on an ``(n * restarts, rho)`` array of
-orders; rows drop out as they reach a local optimum. Finite spaces gather the
-distance columns of every task's labels and take the argmin over the points.
-Chunks of tasks bound the working arrays to about 1 MiB (``_CHUNK_BYTES``).
+:func:`aggregate_dataset` is the one entry point: one batched engine solves
+every task of a dataset at once, dispatching on the dataset's space kind. On
+rankings it builds one ``(n, rho, rho)`` preference tensor. Exact Kemeny is a
+dynamic program over the 2^rho subsets of items, run on chunks of tasks as
+array operations; it costs O(2^rho * rho) per task and refuses rho > 16.
+``auto`` uses it up to rho = ``EXACT_MAX_RHO`` and local search above, where
+filling the subset table takes longer than eight restarts of local search.
+Local search runs the best-improvement insertion descent on an
+``(n * restarts, rho)`` array of orders; rows drop out as they reach a local
+optimum. Finite spaces gather the distance columns of every task's labels and
+take the argmin over the points. Chunks of tasks bound the working arrays to
+about 1 MiB (``_CHUNK_BYTES``).
 
 Ties break lexicographically as the program's float sums compare them: among
 labels whose objectives are equal as summed in float64, the smallest canonical
@@ -29,9 +30,6 @@ of two leaves it unchanged. Its random restarts for task ``i`` of a dataset
 come from ``default_rng((seed, i))``.
 """
 
-import dataclasses
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._covariance import repair_covariance
@@ -41,14 +39,9 @@ from .errors import (
     InvalidArgumentError,
     UseHeuristicError,
 )
-from .metric_spaces import FiniteMetricSpace
+from .label_model import FINITE_METRIC, RANKING, REAL_VECTOR
 
 __all__ = [
-    "RankingSpace",
-    "RealSpace",
-    "AggregationProblem",
-    "majority_vote",
-    "weighted_aggregate",
     "kemeny_exact",
     "kemeny_local_search",
     "gaussian_conditional_mean",
@@ -61,98 +54,16 @@ _TIE_TOL = 1e-12
 _CHUNK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class RankingSpace:
-    """Permutations of rho items under the Kendall tau distance."""
-
-    rho: int
-
-
-@dataclass(frozen=True)
-class RealSpace:
-    """The real line under squared Euclidean distance (aggregate: weighted mean)."""
+def _finite_weights(weights):
+    """The weights as a float64 array; a NaN or infinite weight has no argmin to give."""
+    weights = np.asarray(weights, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(weights))
+    if bad.size:
+        raise InvalidArgumentError(f"aggregation weights must be finite; weight {bad[0]} is {weights[bad[0]]}")
+    return weights
 
 
-@dataclass(frozen=True)
-class AggregationProblem:
-    """One task's labels, weights, and the space to aggregate over.
-
-    candidate_policy: "enumerate_all" searches the full space (exact Kemeny on
-    rankings, every point of a finite space; the closed-form optimum on the
-    real line), "local_search" uses the insertion heuristic on rankings, and
-    "observed_only" restricts candidates to the observed labels.
-    negative_weights: "clamp" zeroes worse-than-random weights; "flip" negates
-    the label instead (reversal on rankings, sign flip on reals) and uses the
-    weight's magnitude.
-    """
-
-    labels: np.ndarray
-    weights: np.ndarray
-    space: object
-    candidate_policy: str = "enumerate_all"
-    negative_weights: str = "clamp"
-    seed: int = 0
-    restarts: int = 8
-
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        _check_options(weights, len(self.labels), self.candidate_policy, self.negative_weights)
-        object.__setattr__(self, "weights", weights)
-
-
-def _check_options(weights, n_labels, candidate_policy, negative_weights):
-    if len(weights) != n_labels:
-        raise InvalidArgumentError(f"{len(weights)} weights for {n_labels} labels")
-    if n_labels == 0:
-        raise InvalidArgumentError("no labels to aggregate")
-    if candidate_policy not in ("enumerate_all", "local_search", "observed_only"):
-        raise ConfigurationError(f"unknown candidate policy {candidate_policy!r}")
-    if negative_weights not in ("clamp", "flip"):
-        raise ConfigurationError(f"unknown negative-weight policy {negative_weights!r}")
-
-
-def majority_vote(problem):
-    """Generalized majority vote: unweighted distance argmin over the space."""
-    return weighted_aggregate(dataclasses.replace(problem, weights=np.ones(len(problem.labels))))
-
-
-def weighted_aggregate(problem):
-    """Accuracy-weighted maximum-likelihood label: argmin of the weighted distance sum.
-
-    Uniform weights reduce to :func:`majority_vote`; rescaling all weights by
-    a positive constant leaves the result unchanged.
-    """
-    out = _aggregate(np.asarray(problem.labels)[None], problem.weights, problem.space,
-                     problem.candidate_policy, problem.negative_weights, problem.restarts,
-                     problem.seed, single=True)
-    return out[0] if isinstance(problem.space, RankingSpace) else out[0].item()
-
-
-def _aggregate(labels, weights, space, candidate_policy, negative_weights, restarts, seed, single):
-    """Aggregates of n tasks sharing (m,) weights: labels (n, m, ...) -> (n, ...) array.
-
-    ``single`` marks the batch of one of a lone task, whose local-search
-    restarts come from ``default_rng(seed)`` rather than ``(seed, 0)``.
-    """
-    labels, weights = _apply_negative_policy(labels, weights, space, negative_weights)
-    if not (weights > 0).any():
-        raise DegenerateWeightsError("all aggregation weights are zero")
-    if isinstance(space, RankingSpace):
-        labels = labels.astype(np.int64, copy=False)
-        if candidate_policy == "observed_only":
-            return _kemeny_observed(labels, weights)
-        if candidate_policy == "local_search":
-            out = kemeny_local_search(labels[0] if single else labels, weights, space.rho, restarts, seed)
-            return out.reshape(-1, space.rho)
-        return kemeny_exact(labels, weights, space.rho)
-    if isinstance(space, RealSpace):
-        return _aggregate_reals(labels, weights, candidate_policy)
-    if isinstance(space, FiniteMetricSpace):
-        return _aggregate_finite(labels.astype(np.int64, copy=False), weights, space, candidate_policy)
-    raise ConfigurationError(f"unknown label space {type(space).__name__}")
-
-
-def _apply_negative_policy(labels, weights, space, policy):
+def _apply_negative_policy(labels, weights, space_kind, policy):
     """Labels (n, m, ...) and weights with the negative weights clamped or flipped."""
     neg = weights < 0
     if not neg.any():
@@ -160,9 +71,9 @@ def _apply_negative_policy(labels, weights, space, policy):
     if policy == "clamp":
         return labels, np.where(neg, 0.0, weights)
     labels = np.array(labels)
-    if isinstance(space, RankingSpace):
+    if space_kind == RANKING:
         labels[:, neg] = labels[:, neg, ::-1]
-    elif isinstance(space, RealSpace):
+    elif space_kind == REAL_VECTOR:
         labels[:, neg] = -labels[:, neg]
     else:
         raise ConfigurationError("sign-flip mode undefined for finite metric labels")
@@ -186,12 +97,7 @@ def _chunks(n, bytes_per_task):
 
 
 def _aggregate_reals(labels, weights, candidate_policy):
-    # one value per labeler: (n, m) or the (n, m, 1) rows of a real LabelingMatrix
-    values = np.asarray(labels, dtype=np.float64)
-    if values.ndim == 3:
-        if values.shape[2] != 1:
-            raise ConfigurationError(f"real labels have d={values.shape[2]} coordinates; aggregation needs d=1")
-        values = values[:, :, 0]
+    values = labels[:, :, 0]  # one value per labeler: the (n, m, 1) rows of a d=1 LabelingMatrix
     if candidate_policy == "observed_only":
         return _best_observed(values, weights, lambda z, v: (v - z) ** 2)
     # the squared-distance objective has the weighted mean as its exact argmin
@@ -302,6 +208,8 @@ def kemeny_exact(labels, weights, rho):
     UseHeuristicError
         If rho exceeds 16, where the subset table would need over 8.9 MB
         per task: use :func:`kemeny_local_search`.
+    InvalidArgumentError
+        If a weight is NaN or infinite.
     """
     labels, single = _as_batch(labels)
     if rho > _DP_MAX_RHO:
@@ -309,7 +217,7 @@ def kemeny_exact(labels, weights, rho):
                                 f"2^rho subset table is built for")
     if labels.shape[2] != rho:
         raise InvalidArgumentError(f"labels have length {labels.shape[2]}, expected {rho}")
-    pref = _preference_tensor(labels, np.asarray(weights, dtype=np.float64))
+    pref = _preference_tensor(labels, _finite_weights(weights))
     layers = _subset_layers(rho)
     out = np.empty((len(pref), rho), dtype=np.int64)
     for s in _chunks(len(pref), 8 * (rho + 1) << rho):
@@ -364,13 +272,13 @@ def kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
     a local optimum whose objective never exceeds any input label's.
     ``labels`` is one task's (m, rho) array, whose restarts come from
     ``default_rng(seed)``, or (n, m, rho) for n tasks sharing the (m,)
-    weights, task i's from ``default_rng((seed, i))``.
+    weights, task i's from ``default_rng((seed, i))``. Weights must be finite.
     """
     labels, single = _as_batch(labels)
     if labels.shape[2] != rho:
         raise InvalidArgumentError(f"labels have length {labels.shape[2]}, expected {rho}")
     seeds = [seed] if single else [(seed, i) for i in range(len(labels))]
-    out = _local_search(labels, np.asarray(weights, dtype=np.float64), restarts, seeds)
+    out = _local_search(labels, _finite_weights(weights), restarts, seeds)
     return out[0] if single else out
 
 
@@ -462,29 +370,33 @@ def aggregate_dataset(data, weights=None, rule="weighted", candidate_policy="aut
     ``model`` (rankings and finite spaces use its thetas; real labels use the
     Gaussian conditional mean from its accuracies and pairwise moments, or,
     when the accuracies are unknown (NaN), the precision-weighted mean
-    ``lambda . Theta 1 / 1' Theta 1`` from its theta matrix).
-    candidate_policy "auto" resolves to the exact solver (the subset dynamic
-    program of :func:`kemeny_exact` on rankings up to rho = ``EXACT_MAX_RHO``,
-    every point of a finite space) and to the insertion heuristic on longer
-    rankings, whose random restarts for task i come from
-    ``default_rng((seed, i))``. Real labels must be scalar (d=1).
+    ``lambda . Theta 1 / 1' Theta 1`` from its theta matrix). Weights must be
+    finite; rescaling them by a positive constant leaves the result unchanged.
+
+    candidate_policy "enumerate_all" searches the whole space (the subset
+    dynamic program of :func:`kemeny_exact` on rankings, every point of a
+    finite space, the closed-form weighted mean on the real line),
+    "local_search" runs the insertion heuristic on rankings, whose random
+    restarts for task i come from ``default_rng((seed, i))``, and
+    "observed_only" takes each task's best observed label. "auto" is the
+    exact search, except local search on rankings above rho = ``EXACT_MAX_RHO``.
+    negative_weights "clamp" zeroes worse-than-random weights; "flip"
+    reverses a ranking or negates a real value instead and uses the weight's
+    magnitude. Real labels must be scalar (d=1).
 
     Returns a list of labels (permutation arrays, floats, or node ids).
     """
-    from .label_model import RANKING, REAL_VECTOR
-
     if rule not in ("mv", "weighted"):
         raise ConfigurationError(f"unknown rule {rule!r}")
-    if data.space_kind == RANKING:
-        space = RankingSpace(data.rho)
-    elif data.space_kind == REAL_VECTOR:
-        if data.dim != 1:
-            raise ConfigurationError(f"real labels have d={data.dim} coordinates; pseudolabels need d=1")
-        space = RealSpace()
-    else:
-        space = data.space
+    if candidate_policy not in ("auto", "enumerate_all", "local_search", "observed_only"):
+        raise ConfigurationError(f"unknown candidate policy {candidate_policy!r}")
+    if negative_weights not in ("clamp", "flip"):
+        raise ConfigurationError(f"unknown negative-weight policy {negative_weights!r}")
+    kind = data.space_kind
+    if kind == REAL_VECTOR and data.dim != 1:
+        raise ConfigurationError(f"real labels have d={data.dim} coordinates; pseudolabels need d=1")
 
-    if rule == "weighted" and data.space_kind == REAL_VECTOR and weights is None:
+    if rule == "weighted" and kind == REAL_VECTOR and weights is None:
         if model is None:
             raise ConfigurationError("weighted rule needs weights or a learned model")
         values = data.labels[:, :, 0]
@@ -505,14 +417,21 @@ def aggregate_dataset(data, weights=None, rule="weighted", candidate_policy="aut
         if model is None:
             raise ConfigurationError("weighted rule needs weights or a learned model")
         weights = model.thetas
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = _finite_weights(weights)
+    if len(weights) != data.n_lfs:
+        raise InvalidArgumentError(f"{len(weights)} weights for {data.n_lfs} labels")
+    labels, weights = _apply_negative_policy(data.labels, weights, kind, negative_weights)
+    if not (weights > 0).any():
+        raise DegenerateWeightsError("all aggregation weights are zero")
 
-    if candidate_policy == "auto":
-        if data.space_kind == RANKING and data.rho > EXACT_MAX_RHO:
-            candidate_policy = "local_search"
-        else:
-            candidate_policy = "enumerate_all"
-    _check_options(weights, data.n_lfs, candidate_policy, negative_weights)
-    out = _aggregate(data.labels, weights, space, candidate_policy, negative_weights, restarts,
-                     seed, single=False)
-    return list(out) if data.space_kind == RANKING else out.tolist()
+    if kind == REAL_VECTOR:
+        return _aggregate_reals(labels, weights, candidate_policy).tolist()
+    if kind == FINITE_METRIC:
+        return _aggregate_finite(labels, weights, data.space, candidate_policy).tolist()
+    if candidate_policy == "observed_only":
+        out = _kemeny_observed(labels, weights)
+    elif candidate_policy == "local_search" or (candidate_policy == "auto" and data.rho > EXACT_MAX_RHO):
+        out = kemeny_local_search(labels, weights, data.rho, restarts, seed)
+    else:
+        out = kemeny_exact(labels, weights, data.rho)
+    return list(out)

@@ -541,9 +541,10 @@ def _triplet_partners(m, corr):
     if m < 3:
         raise ConfigurationError(f"triplet unavailable: need at least 3 labelers, got {m}")
     free = ~np.eye(m, dtype=bool)
-    for a, b in corr.edges:
-        if 0 <= a < b < m:
-            free[a, b] = free[b, a] = False
+    for a, b in sorted(corr.edges):
+        if a < 0 or b >= m:
+            raise InvalidArgumentError(f"correlation edge ({a}, {b}) names a labeler outside 0..{m - 1}")
+        free[a, b] = free[b, a] = False
     b, c = np.triu_indices(m, k=1)
     pair_free = free[b, c]
     partners = []

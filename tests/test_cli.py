@@ -187,6 +187,25 @@ class TestInfer:
                   "--out", str(out), "--rule", "weighted", "--seed", "9"])
         assert tree_bytes(a) == tree_bytes(b)
 
+    @pytest.mark.parametrize("scenario", [
+        {"kind": "ranking", "n": 300, "rho": 5, "thetas": [1.5, 1.0, 0.7], "seed": 11},
+        {"kind": "graph", "n_nodes": 30, "n_edges": 60, "n": 50, "thetas": [2.0, 1.5, 1.0, 0.8, 0.5], "seed": 3},
+    ], ids=["ranking", "graph"])
+    def test_null_theta_exit_validation(self, tmp_path, capsys, scenario):
+        # a JSON null theta reads as NaN, which no aggregate can use
+        data_dir, model = tmp_path / "data", tmp_path / "model.json"
+        main(["generate", "--scenario", str(write_json(tmp_path / "s.json", scenario)), "--out", str(data_dir)])
+        assert main(["learn", "--dataset", str(data_dir), "--model", str(model)]) == 0
+        payload = json.loads(model.read_text())
+        payload["thetas"][0] = None
+        write_json(model, payload)
+        code = main(["infer", "--dataset", str(data_dir), "--model", str(model), "--out", str(tmp_path / "pred"),
+                     "--rule", "weighted", "--truth", str(data_dir / "truth.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+        assert not (tmp_path / "pred" / "pseudolabels.csv").exists()
+
 
 class TestSweep:
     @pytest.fixture

@@ -1,4 +1,4 @@
-"""Aggregation rules: majority vote, weighted rules, Kemeny solvers, Gaussian inference."""
+"""Aggregation rules through aggregate_dataset, the Kemeny solvers, Gaussian inference."""
 
 from fractions import Fraction
 from itertools import permutations as iter_permutations
@@ -24,6 +24,7 @@ from uws import permutations as perm
 from uws.errors import (
     ConfigurationError,
     DegenerateWeightsError,
+    InvalidArgumentError,
     SingularCovarianceError,
     UseHeuristicError,
 )
@@ -32,41 +33,52 @@ from uws.metric_spaces import graph_hop_metric
 
 
 def ranking_problem(labels, weights=None, **kw):
-    labels = np.asarray(labels)
-    if weights is None:
-        weights = np.ones(len(labels))
-    return inf.AggregationProblem(labels, weights, inf.RankingSpace(labels.shape[1]), **kw)
+    """One ranking task as a one-task LabelingMatrix, with its weights and aggregation options."""
+    return LabelingMatrix(RANKING, np.asarray(labels)[None]), weights, kw
 
 
 def real_problem(values, weights=None, **kw):
-    values = np.asarray(values, dtype=float)
-    if weights is None:
-        weights = np.ones(len(values))
-    return inf.AggregationProblem(values, weights, inf.RealSpace(), **kw)
+    return LabelingMatrix(REAL_VECTOR, np.asarray(values, dtype=float)[None]), weights, kw
+
+
+def finite_problem(labels, space, weights=None, **kw):
+    return LabelingMatrix(FINITE_METRIC, np.asarray(labels)[None], space), weights, kw
+
+
+def weighted_aggregate(problem):
+    """The lone task's weighted aggregate, uniform weights when none are given."""
+    data, weights, kw = problem
+    weights = np.ones(data.n_lfs) if weights is None else weights
+    return inf.aggregate_dataset(data, weights=weights, **kw)[0]
+
+
+def majority_vote(problem):
+    data, weights, kw = problem
+    return inf.aggregate_dataset(data, weights=weights, rule="mv", **kw)[0]
 
 
 class TestMajorityVote:
     def test_unanimous_permutations(self):
         p = [2, 0, 3, 1]
-        got = inf.majority_vote(ranking_problem([p, p, p]))
+        got = majority_vote(ranking_problem([p, p, p]))
         assert got.tolist() == p
 
     def test_real_values_arithmetic_mean(self):
-        assert inf.majority_vote(real_problem([1.0, 2.0, 6.0])) == pytest.approx(3.0)
+        assert majority_vote(real_problem([1.0, 2.0, 6.0])) == pytest.approx(3.0)
 
     def test_matches_exhaustive_argmin(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             labels = np.array([rng.permutation(4) for _ in range(5)])
-            got = inf.majority_vote(ranking_problem(labels))
+            got = majority_vote(ranking_problem(labels))
             oracle, _ = brute_force_weighted_kemeny(labels, np.ones(5), 4)
             assert got.tolist() == oracle.tolist()
 
     def test_ignores_problem_weights(self):
         rng = np.random.default_rng(4)
         labels = np.array([rng.permutation(5) for _ in range(4)])
-        skewed = inf.majority_vote(ranking_problem(labels, weights=[9.0, 0.1, 0.1, 0.1]))
-        uniform = inf.majority_vote(ranking_problem(labels))
+        skewed = majority_vote(ranking_problem(labels, weights=[9.0, 0.1, 0.1, 0.1]))
+        uniform = majority_vote(ranking_problem(labels))
         assert skewed.tolist() == uniform.tolist()
 
 
@@ -75,19 +87,19 @@ class TestWeightedAggregate:
         rng = np.random.default_rng(5)
         for _ in range(5):
             labels = np.array([rng.permutation(5) for _ in range(3)])
-            got = inf.weighted_aggregate(ranking_problem(labels, weights=[10.0, 0.0, 0.0]))
+            got = weighted_aggregate(ranking_problem(labels, weights=[10.0, 0.0, 0.0]))
             assert got.tolist() == labels[0].tolist()
 
     def test_weighted_mean_on_reals(self):
-        got = inf.weighted_aggregate(real_problem([0.0, 4.0], weights=[3.0, 1.0]))
+        got = weighted_aggregate(real_problem([0.0, 4.0], weights=[3.0, 1.0]))
         assert got == pytest.approx(1.0)
 
     def test_uniform_weights_equal_majority_vote(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             labels = np.array([rng.permutation(5) for _ in range(4)])
-            a = inf.weighted_aggregate(ranking_problem(labels, weights=[2.5] * 4))
-            b = inf.majority_vote(ranking_problem(labels))
+            a = weighted_aggregate(ranking_problem(labels, weights=[2.5] * 4))
+            b = majority_vote(ranking_problem(labels))
             assert a.tolist() == b.tolist()
 
     def test_positive_rescaling_invariance(self):
@@ -95,28 +107,36 @@ class TestWeightedAggregate:
         for _ in range(10):
             labels = np.array([rng.permutation(5) for _ in range(4)])
             w = rng.uniform(0.1, 3.0, size=4)
-            a = inf.weighted_aggregate(ranking_problem(labels, weights=w))
-            b = inf.weighted_aggregate(ranking_problem(labels, weights=17.0 * w))
+            a = weighted_aggregate(ranking_problem(labels, weights=w))
+            b = weighted_aggregate(ranking_problem(labels, weights=17.0 * w))
             assert a.tolist() == b.tolist()
 
     def test_all_zero_weights(self):
         with pytest.raises(DegenerateWeightsError):
-            inf.weighted_aggregate(ranking_problem([[0, 1, 2]], weights=[0.0]))
+            weighted_aggregate(ranking_problem([[0, 1, 2]], weights=[0.0]))
 
     def test_negative_weight_clamped(self):
         labels = np.array([[0, 1, 2], [2, 1, 0], [0, 2, 1]])
-        got = inf.weighted_aggregate(ranking_problem(labels, weights=[1.0, -5.0, 0.0]))
+        got = weighted_aggregate(ranking_problem(labels, weights=[1.0, -5.0, 0.0]))
         assert got.tolist() == [0, 1, 2]
 
     def test_negative_weight_flip_mode(self):
         # weight -w on a ranking equals weight w on its reversal
         labels = np.array([[0, 1, 2, 3], [3, 1, 0, 2], [2, 0, 3, 1]])
-        flipped = inf.weighted_aggregate(
+        flipped = weighted_aggregate(
             ranking_problem(labels, weights=[1.0, 1.0, -2.0], negative_weights="flip")
         )
         explicit = np.array([labels[0], labels[1], labels[2][::-1]])
-        direct = inf.weighted_aggregate(ranking_problem(explicit, weights=[1.0, 1.0, 2.0]))
+        direct = weighted_aggregate(ranking_problem(explicit, weights=[1.0, 1.0, 2.0]))
         assert flipped.tolist() == direct.tolist()
+
+    def test_negative_weight_flip_on_reals_and_nodes(self):
+        # weight -w on a real value equals weight w on its negation; nodes have no flip
+        got = weighted_aggregate(real_problem([1.0, 3.0], weights=[1.0, -1.0], negative_weights="flip"))
+        assert got == pytest.approx(-1.0)
+        space = graph_hop_metric([(0, 1), (1, 2), (2, 3)], 4)
+        with pytest.raises(ConfigurationError, match="sign-flip"):
+            weighted_aggregate(finite_problem([0, 2], space, weights=[1.0, -1.0], negative_weights="flip"))
 
     def test_weighted_beats_majority_vote_on_heterogeneous_rankings(self):
         # one sharp labeler among noisy ones: weighting must help
@@ -129,29 +149,24 @@ class TestWeightedAggregate:
             labels = np.array([
                 mallows.sample(mallows.MallowsModel(truth, t), rng) for t in thetas
             ])
-            w = inf.weighted_aggregate(ranking_problem(labels, weights=thetas))
-            m = inf.majority_vote(ranking_problem(labels))
+            w = weighted_aggregate(ranking_problem(labels, weights=thetas))
+            m = majority_vote(ranking_problem(labels))
             dist_w += perm.kendall_tau(w, truth)
             dist_mv += perm.kendall_tau(m, truth)
         assert dist_w < dist_mv
 
     def test_finite_space_enumerates_nodes(self):
         space = graph_hop_metric([(0, 1), (1, 2), (2, 3)], 4)
-        problem = inf.AggregationProblem([0, 2, 2], np.array([1.0, 1.0, 1.0]), space)
-        assert inf.weighted_aggregate(problem) == 2
+        assert weighted_aggregate(finite_problem([0, 2, 2], space)) == 2
 
     def test_finite_space_tie_breaks_low(self):
         # path 0-1-2-3 with labels {0, 2}: nodes 0, 1, 2 all cost 2
         space = graph_hop_metric([(0, 1), (1, 2), (2, 3)], 4)
-        problem = inf.AggregationProblem([0, 2], np.array([1.0, 1.0]), space)
-        assert inf.weighted_aggregate(problem) == 0
+        assert weighted_aggregate(finite_problem([0, 2], space)) == 0
 
     def test_finite_space_observed_only(self):
         space = graph_hop_metric([(0, 1), (1, 2), (2, 3)], 4)
-        problem = inf.AggregationProblem(
-            [0, 2, 2], np.array([1.0, 1.0, 1.0]), space, candidate_policy="observed_only"
-        )
-        assert inf.weighted_aggregate(problem) == 2
+        assert weighted_aggregate(finite_problem([0, 2, 2], space, candidate_policy="observed_only")) == 2
 
 
 class TestKemenyExact:
@@ -352,6 +367,32 @@ class TestAggregateDataset:
         np.testing.assert_allclose(got, lam @ theta.sum(axis=0) / theta.sum(), rtol=1e-9, atol=1e-12)
         assert np.mean((got - truth) ** 2) < np.mean((lam.mean(axis=1) - truth) ** 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_are_refused(self, bad):
+        # a NaN or infinite weight leaves no argmin: refused, never a non-permutation or node 0
+        rng = np.random.default_rng(59)
+        labels = np.array([[rng.permutation(5) for _ in range(4)] for _ in range(3)])
+        space = graph_hop_metric([(v, v + 1) for v in range(5)], 6)
+        weights = np.array([bad, 1.0, 0.5, 2.0])
+        for data in (LabelingMatrix(RANKING, labels), LabelingMatrix(FINITE_METRIC, labels[:, :, 0], space),
+                     LabelingMatrix(REAL_VECTOR, labels[:, :, 0].astype(float))):
+            for policy in ("auto", "local_search", "observed_only"):
+                with pytest.raises(InvalidArgumentError, match="finite"):
+                    inf.aggregate_dataset(data, weights=weights, candidate_policy=policy)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            inf.kemeny_exact(labels[0], weights, 5)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            inf.kemeny_local_search(labels, weights, 5)
+
+    def test_unknown_options(self):
+        data = LabelingMatrix(REAL_VECTOR, np.ones((2, 3)))
+        with pytest.raises(ConfigurationError, match="candidate policy"):
+            inf.aggregate_dataset(data, rule="mv", candidate_policy="exhaustive")
+        with pytest.raises(ConfigurationError, match="negative-weight"):
+            inf.aggregate_dataset(data, rule="mv", negative_weights="drop")
+        with pytest.raises(InvalidArgumentError, match="2 weights for 3 labels"):
+            inf.aggregate_dataset(data, weights=[1.0, 1.0])
+
     def test_unknown_rule(self):
         data = LabelingMatrix(RANKING, np.tile(np.arange(3), (4, 3, 1)))
         with pytest.raises(ConfigurationError):
@@ -366,7 +407,7 @@ class TestAggregateDataset:
             with pytest.raises(ConfigurationError, match="d=2"):
                 inf.aggregate_dataset(data, **kwargs)
         with pytest.raises(ConfigurationError, match="d=2"):
-            inf.weighted_aggregate(real_problem(data.labels[0]))
+            weighted_aggregate(real_problem(data.labels[0]))
 
 
 # weights drawn from a small pool make zeros, ties and negatives common

@@ -316,6 +316,14 @@ class TestLearnConfiguration:
         with pytest.raises(InvalidArgumentError):
             lm.CorrelationSet(frozenset({(2, 2)}))
 
+    @pytest.mark.parametrize("pair", [(3, 4), (0, 9), (0, -1)])
+    def test_rejects_edge_outside_the_labelers(self, pair):
+        # a 1-based slip such as (3, 4) for m=4 must not learn as if no pair were correlated
+        _, data = make_ranking_data((1.0, 1.0, 1.0, 1.0), rho=4, n=300, seed=1)
+        edge = tuple(sorted(pair))
+        with pytest.raises(InvalidArgumentError, match=rf"\({edge[0]}, {edge[1]}\).*0\.\.3"):
+            lm.learn_label_model(data, corr=lm.CorrelationSet.from_pairs([pair]))
+
     def test_direct_construction_normalizes_pair_order(self):
         corr = lm.CorrelationSet(frozenset({(1, 0), (np.int64(3), np.int64(2))}))
         assert corr.edges == frozenset({(0, 1), (2, 3)})
