@@ -238,11 +238,6 @@ def cmd_infer(args):
                 f"space mismatch: model is {model.space_kind}/{model.dims}, dataset is "
                 f"{data.space_kind}"
             )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    labels = inference.aggregate_dataset(data, rule=args.rule, seed=args.seed, model=model)
-    io.write_pseudolabels(out / "pseudolabels.csv", labels, data.space_kind)
-    extra = {"rule": args.rule}
     if args.truth:
         truth_kind, truth = io.read_truth(args.truth)
         if truth_kind != data.space_kind or len(truth) != data.n_tasks:
@@ -250,6 +245,13 @@ def cmd_infer(args):
                 f"{args.truth}: truth file is {truth_kind}/{len(truth)} rows, dataset is "
                 f"{data.space_kind}/{data.n_tasks} tasks"
             )
+    labels = inference.aggregate_dataset(data, rule=args.rule, seed=args.seed, model=model)
+    # the output directory appears only once every input has been read and aggregated
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    io.write_pseudolabels(out / "pseudolabels.csv", labels, data.space_kind)
+    extra = {"rule": args.rule}
+    if args.truth:
         metrics = _metrics(data.space_kind, labels, truth, data.space)
         (out / "metrics.json").write_text(io.canonical_json(metrics))
         extra["metrics"] = metrics

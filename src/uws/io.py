@@ -8,14 +8,20 @@ timestamps or filesystem ordering. Rankings serialize as comma-separated
 
 One codec table, ``_CODECS``, maps each space kind to its label column
 (perm, value, node), the cells of a label array (the text of each
-ranking, numbers as they are), the parser of one cell and its array dtype;
-every label file is written and read through it, so no function branches
-on the space kind. Label files are read by one validating
-reader: every row must have the header's width, every cell must parse
-(to finite numbers), and the ids must be exactly 0..n-1 (x 0..m-1 for
-datasets), each once, in any row order. Any fault raises
-InvalidArgumentError naming the file (and ``file:line`` for a row of the
-wrong width).
+ranking, numbers as they are), the array dtype of one item, whether a cell
+is a quoted list of items, and which labels are valid (permutations,
+finite numbers); every label file is written and read through it, so no
+function branches on the space kind.
+
+Label files and distance matrices are read by one array reader: the bytes
+are scanned once for line ends, quotes and commas, which checks that quotes
+enclose whole cells and that every line has the first line's width (a
+blank line has none), and then every cell is parsed in one ``np.loadtxt``
+call (a ranking's quoted cell as ``rho`` integer columns). Label files must
+further hold integer ids exactly 0..n-1 (x 0..m-1 for datasets), each
+once, in any row order, and valid labels. Any fault raises
+InvalidArgumentError naming the file, with ``file:line`` for a row of the
+wrong width, a misplaced quote or an invalid label.
 """
 
 import csv
@@ -23,6 +29,7 @@ import hashlib
 import io as _io
 import json
 import math
+import warnings
 from collections import namedtuple
 from pathlib import Path
 
@@ -38,7 +45,7 @@ from .label_model import (
     LabelModel,
 )
 from .metric_spaces import FiniteMetricSpace
-from .permutations import perm_from_str, perm_to_str
+from .permutations import perm_to_str
 
 __all__ = [
     "canonical_json",
@@ -77,13 +84,20 @@ def _number_cells(labels):
     return labels.reshape(-1).tolist()
 
 
+def _is_permutation(perms):
+    """Which rows of a (k, rho) array are permutations of 0..rho-1."""
+    return (np.sort(perms, axis=1) == np.arange(perms.shape[1])).all(axis=1)
+
+
 # how each space kind's labels appear in a file: the label column, the cells
-# of a (k, ...) label array, and the parser and array dtype of one cell
-_Codec = namedtuple("_Codec", "column cells parse dtype")
+# of a (k, ...) label array, the array dtype of one item, whether a cell is a
+# quoted list of items, and which labels read back are valid (and what a
+# valid one is)
+_Codec = namedtuple("_Codec", "column cells dtype listed valid what")
 _CODECS = {
-    RANKING: _Codec("perm", _perm_cells, perm_from_str, np.int64),
-    REAL_VECTOR: _Codec("value", _number_cells, float, np.float64),
-    FINITE_METRIC: _Codec("node", _number_cells, int, np.int64),
+    RANKING: _Codec("perm", _perm_cells, np.int64, True, _is_permutation, "a permutation"),
+    REAL_VECTOR: _Codec("value", _number_cells, np.float64, False, np.isfinite, "finite"),
+    FINITE_METRIC: _Codec("node", _number_cells, np.int64, False, np.isfinite, "finite"),
 }
 _KINDS = {codec.column: kind for kind, codec in _CODECS.items()}
 
@@ -138,51 +152,98 @@ def _write_labels(path, header, space_kind, labels):
     write_csv(path, header, zip(*ids, cells))
 
 
-def _rows(path, numbered_rows, width=None):
-    """The rows of a table, each as wide as ``width`` (by default the first row)."""
-    rows = []
-    for ln, row in numbered_rows:
-        width = len(row) if width is None else width
-        if len(row) != width:
-            raise InvalidArgumentError(f"{path}:{ln}: expected {width} fields, got {len(row)}")
-        rows.append(row)
-    if not rows:
+def _read_table(path):
+    """The text of a CSV file, every line as wide as the first, and the commas
+    on each line, those inside quoted cells included.
+
+    One pass over the bytes: a line ends at ``\\n``, ``\\r\\n`` or ``\\r`` (as for
+    csv), quotes enclose whole cells (so every line holds an even number of
+    them and a comma after an odd number is inside a quoted cell), and a line
+    holds one field more than its other commas (a blank line none).
+    """
+    raw = Path(path).read_bytes()
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends, quotes, commas = (np.flatnonzero(buf == ord(c)) for c in "\n\",")
+
+    def per_line(at):
+        return np.diff(np.searchsorted(at, ends), prepend=0)
+
+    odd = np.flatnonzero(per_line(quotes) % 2)
+    if odd.size:
+        raise InvalidArgumentError(f"{path}:{odd[0] + 1}: unbalanced quotes")
+    # as csv reads it, a quote opens a cell after a separator and closes it before one
+    side = np.resize([-1, 1], quotes.size)
+    stray = quotes[~np.isin(buf[quotes + side], (ord(","), ord("\n")))]
+    if stray.size:
+        raise InvalidArgumentError(f"{path}:{np.searchsorted(ends, stray[0]) + 1}: a quote inside a cell")
+    fields = per_line(commas[np.searchsorted(quotes, commas) % 2 == 0]) + 1
+    fields[np.diff(ends, prepend=-1) == 1] = 0
+    if not fields.any():
         raise InvalidArgumentError(f"{path}: no rows")
-    return rows
-
-
-def _read_csv(path):
-    with open(path, newline="") as fh:
-        return _rows(path, enumerate(csv.reader(fh), 1))
-
-
-def _parse(path, cells, dtype, parse=None):
-    """An array of ``cells`` (each through ``parse``, if given); a cell that does not parse names the file."""
+    ragged = np.flatnonzero(fields != fields[0])
+    if ragged.size:
+        ln = ragged[0]
+        raise InvalidArgumentError(f"{path}:{ln + 1}: expected {fields[0]} fields, got {fields[ln]}")
     try:
-        return np.array(cells if parse is None else [parse(c) for c in cells], dtype=dtype)
-    except (ValueError, OverflowError) as exc:  # InvalidArgumentError is a ValueError
+        return raw.decode(), per_line(commas)
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc
+
+
+def _loadtxt(path, text, dtype, ndmin):
+    """The comma-separated cells of ``text`` (a quoted cell unquoted) as an
+    array of ``dtype``, parsed in one call; a cell that does not parse names the file."""
+    try:
+        with warnings.catch_warnings():
+            # numpy from 1.23 on reads "3.0" into an integer column with this warning until the
+            # deprecation expires; int() refuses it
+            warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float", DeprecationWarning)
+            return np.loadtxt(_io.StringIO(text), dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                              ndmin=ndmin)
+    except (ValueError, OverflowError, DeprecationWarning) as exc:
         raise InvalidArgumentError(f"{path}: {exc}") from exc
 
 
 def _read_labels(path, id_columns):
     """(space kind, labels indexed by the id columns) of a long-format label CSV."""
-    header, *body = _read_csv(path)
-    kind = _KINDS.get(header[-1])
-    if header[:-1] != id_columns or kind is None or not body:
+    text, commas = _read_table(path)
+    head, _, body = text.partition("\n")
+    *header, label_column = head.replace('"', "").split(",")
+    kind = _KINDS.get(label_column)
+    if header != id_columns or kind is None or len(commas) < 2:
         raise InvalidArgumentError(
             f"{path}: expected header {','.join(id_columns)},<perm|value|node> and data rows"
         )
-    *id_cells, label_cells = zip(*body)
-    index = tuple(_parse(path, id_cells, np.int64))
+    codec = _CODECS[kind]
+    label_shape = ()
+    if codec.listed:  # the items of the quoted label cell become columns of their own
+        items = commas - len(id_columns) + 1
+        ragged = np.flatnonzero(items[1:] != items[1]) + 1
+        if ragged.size:
+            ln = ragged[0]
+            raise InvalidArgumentError(f"{path}:{ln + 1}: expected {items[1]} items in the {codec.column} "
+                                       f"cell, got {items[ln]}")
+        label_shape = (int(items[1]),)
+        body = body.replace('"', "")
+    table = _loadtxt(path, body, [("ids", np.int64, len(id_columns)), ("label", codec.dtype, label_shape)],
+                     ndmin=1)
+    index = tuple(table["ids"].T)
     shape = tuple(int(ids.max()) + 1 for ids in index)
-    if (min(ids.min() for ids in index) < 0 or math.prod(shape) != len(body)
+    if (min(ids.min() for ids in index) < 0 or math.prod(shape) != len(table)
             or not (np.bincount(np.ravel_multi_index(index, shape)) == 1).all()):
         raise InvalidArgumentError(
             f"{path}: ids must be 0..n-1 for each of {', '.join(id_columns)}, every combination once"
         )
-    values = _parse(path, label_cells, _CODECS[kind].dtype, _CODECS[kind].parse)
-    if not np.isfinite(values).all():
-        raise InvalidArgumentError(f"{path}: labels must be finite")
+    values = table["label"]
+    bad = np.flatnonzero(~codec.valid(values))
+    if bad.size:
+        raise InvalidArgumentError(
+            f"{path}:{bad[0] + 2}: {codec.column} {values[bad[0]].tolist()} is not {codec.what}"
+        )
     labels = np.empty(shape + values.shape[1:], dtype=values.dtype)
     labels[index] = values
     return kind, labels
@@ -246,11 +307,15 @@ def model_from_dict(payload, where="model document"):
     for key in ("space_kind", "path", "dims", "version"):
         if key not in payload:
             raise InvalidArgumentError(f"{where}: missing field {key!r}")
+    thetas = arr("thetas")
+    bad = np.flatnonzero(~np.isfinite(thetas))
+    if bad.size:  # a learned theta is always finite; only accuracies have a NaN (null) meaning
+        raise InvalidArgumentError(f"{where}: thetas must be finite; entry {bad[0]} is null or non-finite")
     return LabelModel(
         space_kind=payload["space_kind"],
         path=payload["path"],
         dims=payload["dims"],
-        thetas=arr("thetas"),
+        thetas=thetas,
         expected_distances=arr("expected_distances"),
         accuracies=arr("accuracies"),
         pairwise_moments=arr("pairwise_moments"),
@@ -296,10 +361,19 @@ def write_edge_list(path, edges):
 
 def read_edge_list(path):
     """``u v`` pairs, one a line; blank lines and ``#`` comments are skipped."""
-    lines = enumerate(Path(path).read_text().splitlines(), 1)
-    rows = _rows(path, ((ln, line.split()) for ln, line in lines
-                        if line.strip() and not line.strip().startswith("#")), width=2)
-    return [tuple(e) for e in _parse(path, rows, np.int64).tolist()]
+    rows = []
+    for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
+        cells = line.split()
+        if cells and not cells[0].startswith("#"):
+            if len(cells) != 2:
+                raise InvalidArgumentError(f"{path}:{ln}: expected 2 fields, got {len(cells)}")
+            rows.append(cells)
+    if not rows:
+        raise InvalidArgumentError(f"{path}: no rows")
+    try:
+        return [tuple(e) for e in np.array(rows, dtype=np.int64).tolist()]
+    except (ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc
 
 
 def write_distance_matrix(path, space):
@@ -307,7 +381,7 @@ def write_distance_matrix(path, space):
 
 
 def read_distance_matrix(path):
-    dist = _parse(path, _read_csv(path), np.float64)
+    dist = _loadtxt(path, _read_table(path)[0], np.float64, ndmin=2)
     try:
         return FiniteMetricSpace(dist)
     except InvalidMetricError as exc:

@@ -29,6 +29,21 @@ __all__ = [
 _METRIC_TOL = 1e-9
 
 
+def _small_ints(d):
+    """``d`` (nonnegative float64) in the smallest unsigned type that holds
+    twice its largest entry, or None unless every entry is an integer and that
+    sum is at most 2**53 (so float64 holds every sum of two entries exactly).
+
+    On such integers the float64 check ``a > b + c + 1e-9`` is ``a > b + c``:
+    a difference of integers is 0 or at least 1.
+    """
+    top = d.max()
+    if not top <= 2.0**52:  # also NaN
+        return None
+    ints = d.astype(np.min_scalar_type(int(2 * top)))
+    return ints if (ints == d).all() else None
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """N points with an explicit N x N distance matrix.
@@ -51,9 +66,16 @@ class FiniteMetricSpace:
             raise InvalidMetricError("diagonal must be zero")
         if np.abs(d - d.T).max(initial=0.0) > _METRIC_TOL:
             raise InvalidMetricError("distance matrix must be symmetric")
-        # chunked over the midpoint so large spaces stay within memory
-        for k in range(d.shape[0]):
-            if (d > d[:, k, None] + d[None, k, :] + _METRIC_TOL).any():
+        # chunked over the midpoint so large spaces stay within memory; on
+        # integers the check runs exactly, without the tolerance, in the
+        # smallest type that holds a sum of two entries
+        ints = _small_ints(d)
+        dist = d if ints is None else ints
+        for k in range(dist.shape[0]):
+            through = dist[:, k, None] + dist[None, k, :]
+            if ints is None:
+                through += _METRIC_TOL
+            if (dist > through).any():
                 raise InvalidMetricError(f"triangle inequality violated through point {k}")
         object.__setattr__(self, "dist", d)
 

@@ -15,7 +15,7 @@ from itertools import permutations as iter_permutations
 import numpy as np
 
 from uws import mallows
-from uws.errors import DisconnectedGraphError, GenerationError, InvalidArgumentError
+from uws.errors import DisconnectedGraphError, GenerationError, InvalidArgumentError, InvalidMetricError
 from uws.label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
 from uws.metric_spaces import FiniteMetricSpace
 from uws.permutations import perm_from_str
@@ -246,6 +246,81 @@ def reference_read_truth(path):
     if col == "node":
         return FINITE_METRIC, np.array([int(r[1]) for r in rows], dtype=np.int64)
     raise InvalidArgumentError(f"{path}: unknown label column {col!r}")
+
+
+# Reference file checks: the label-file and distance-matrix readers as they
+# were before the one array reader (a csv row loop, then a parser per cell)
+# and the float64 triangle check. The current ones must return equal arrays
+# of equal dtype on valid input, and refuse what these refuse with the same
+# exception type.
+
+_REFERENCE_CELLS = {  # label column: (space kind, parser of one cell, array dtype)
+    "perm": (RANKING, perm_from_str, np.int64),
+    "value": (REAL_VECTOR, float, np.float64),
+    "node": (FINITE_METRIC, int, np.int64),
+}
+
+
+def _reference_rows(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for ln, row in enumerate(rows, 1):
+        if len(row) != len(rows[0]):
+            raise InvalidArgumentError(f"{path}:{ln}: expected {len(rows[0])} fields, got {len(row)}")
+    if not rows:
+        raise InvalidArgumentError(f"{path}: no rows")
+    return rows
+
+
+def _reference_parse(path, cells, dtype, parse=None):
+    try:
+        return np.array(cells if parse is None else [parse(c) for c in cells], dtype=dtype)
+    except (ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc
+
+
+def reference_read_labels(path, id_columns):
+    header, *body = _reference_rows(path)
+    if header[:-1] != id_columns or header[-1] not in _REFERENCE_CELLS or not body:
+        raise InvalidArgumentError(f"{path}: expected header {','.join(id_columns)},<perm|value|node> and data rows")
+    kind, parse, dtype = _REFERENCE_CELLS[header[-1]]
+    *id_cells, label_cells = zip(*body)
+    index = tuple(_reference_parse(path, id_cells, np.int64))
+    shape = tuple(int(ids.max()) + 1 for ids in index)
+    if (min(ids.min() for ids in index) < 0 or np.prod(shape) != len(body)
+            or not (np.bincount(np.ravel_multi_index(index, shape)) == 1).all()):
+        raise InvalidArgumentError(f"{path}: ids must be 0..n-1 for each of {', '.join(id_columns)}, every combination once")
+    values = _reference_parse(path, label_cells, dtype, parse)
+    if not np.isfinite(values).all():
+        raise InvalidArgumentError(f"{path}: labels must be finite")
+    labels = np.empty(shape + values.shape[1:], dtype=values.dtype)
+    labels[index] = values
+    return kind, labels
+
+
+def reference_check_metric(d):
+    """``d`` as float64 if it is a metric to tolerance 1e-9, else InvalidMetricError."""
+    d = np.asarray(d, dtype=np.float64)
+    if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 1:
+        raise InvalidMetricError(f"distance matrix must be square, got shape {d.shape}")
+    if (d < 0).any():
+        raise InvalidMetricError("negative distances")
+    if np.abs(np.diag(d)).max(initial=0.0) > 1e-9:
+        raise InvalidMetricError("diagonal must be zero")
+    if np.abs(d - d.T).max(initial=0.0) > 1e-9:
+        raise InvalidMetricError("distance matrix must be symmetric")
+    for k in range(d.shape[0]):
+        if (d > d[:, k, None] + d[None, k, :] + 1e-9).any():
+            raise InvalidMetricError(f"triangle inequality violated through point {k}")
+    return d
+
+
+def reference_read_distance_matrix(path):
+    dist = _reference_parse(path, _reference_rows(path), np.float64)
+    try:
+        return reference_check_metric(dist)
+    except InvalidMetricError as exc:
+        raise InvalidMetricError(f"{path}: {exc}") from exc
 
 
 def reference_fmt(x):

@@ -192,7 +192,7 @@ class TestInfer:
         {"kind": "graph", "n_nodes": 30, "n_edges": 60, "n": 50, "thetas": [2.0, 1.5, 1.0, 0.8, 0.5], "seed": 3},
     ], ids=["ranking", "graph"])
     def test_null_theta_exit_validation(self, tmp_path, capsys, scenario):
-        # a JSON null theta reads as NaN, which no aggregate can use
+        # a JSON null theta reads as NaN, which no aggregate can use: the model file is refused
         data_dir, model = tmp_path / "data", tmp_path / "model.json"
         main(["generate", "--scenario", str(write_json(tmp_path / "s.json", scenario)), "--out", str(data_dir)])
         assert main(["learn", "--dataset", str(data_dir), "--model", str(model)]) == 0
@@ -203,8 +203,25 @@ class TestInfer:
                      "--rule", "weighted", "--truth", str(data_dir / "truth.csv")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "finite" in err and "Traceback" not in err
-        assert not (tmp_path / "pred" / "pseudolabels.csv").exists()
+        assert "finite" in err and str(model) in err and "Traceback" not in err
+        assert not (tmp_path / "pred").exists()
+
+    @pytest.mark.parametrize("fault", ["aggregation", "truth"])
+    def test_failed_infer_creates_no_output(self, tmp_path, capsys, fault):
+        # the model reads (accuracies may be null) but gives real labels no weights; or the truth has a gap
+        dataset = _write_lines(tmp_path / "data" / "dataset.csv", ["task_id,lf_id,value", *VALUE_ROWS])
+        model = write_json(tmp_path / "model.json", {
+            "space_kind": "real_vector", "path": "continuous", "dims": {"d": 1}, "thetas": [1.0, 1.0, 1.0],
+            "expected_distances": [0.5, 0.5, 0.5], "accuracies": [None] * 3, "pairwise_moments": np.eye(3).tolist(),
+            "theta_matrix": None, "embedding": {"kind": "identity", "dim": 1}, "version": "0.1.0",
+        })
+        tasks = (0, 1, 2, 3) if fault == "aggregation" else (0, 1, 2, 4)
+        truth = _write_lines(tmp_path / "truth.csv", ["task_id,value", *(f"{t},0.5" for t in tasks)])
+        argv = ["infer", "--dataset", str(dataset.parent), "--out", str(tmp_path / "pred"), "--truth", str(truth)]
+        argv += ["--rule", "weighted", "--model", str(model)] if fault == "aggregation" else ["--rule", "mv"]
+        assert main(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "pred").exists()
 
 
 class TestSweep:

@@ -1,12 +1,21 @@
 """File-format round trips and byte determinism."""
 
+import json
+import re
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_fmt, reference_read_dataset, reference_read_truth
+from conftest import (
+    reference_fmt,
+    reference_read_dataset,
+    reference_read_distance_matrix,
+    reference_read_labels,
+    reference_read_truth,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -14,7 +23,7 @@ from hypothesis.extra import numpy as hnp
 from uws import io as uio
 from uws import label_model as lm
 from uws import synthetic as syn
-from uws.errors import InvalidArgumentError
+from uws.errors import InvalidArgumentError, InvalidMetricError
 from uws.metric_spaces import FiniteMetricSpace, classical_mds, graph_hop_metric
 
 
@@ -178,13 +187,40 @@ def _shuffle_rows(path, rng):
     Path(path).write_text("\n".join([header, *rng.permutation(body)]) + "\n")
 
 
+EDGE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300])
+
+
+def _read_both(path, id_columns):
+    """(result, exception) of the array reader and of the reference reader on ``path``;
+    ``id_columns`` None reads a distance matrix."""
+    readers = ((lambda p: uio.read_distance_matrix(p).dist, reference_read_distance_matrix) if id_columns is None
+               else (lambda p: uio._read_labels(p, id_columns), lambda p: reference_read_labels(p, id_columns)))
+    outcomes = []
+    for read in readers:
+        try:
+            outcomes.append((read(path), None))
+        except Exception as exc:  # the exception type is compared
+            outcomes.append((None, exc))
+    return outcomes
+
+
+def _same_arrays(got, want):
+    if isinstance(want, tuple):  # (space kind, labels)
+        assert got[0] == want[0]
+        got, want = got[1], want[1]
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # bit for bit: -0.0, subnormals and NaN included
+
+
 class TestReadersMatchReference:
-    """The validating readers against the per-cell readers they replaced, on shuffled valid files."""
+    """The array reader against the readers it replaced, on shuffled valid files: the per-cell
+    readers before the codec table, and the csv row loop with per-cell parsers before the array reader."""
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from([lm.RANKING, lm.REAL_VECTOR, lm.FINITE_METRIC]),
            n=st.integers(1, 8), m=st.integers(1, 6), rho=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
-           floats=hnp.arrays(np.float64, 56, elements=st.floats(allow_nan=False, allow_infinity=False)))
+           floats=hnp.arrays(np.float64, 56, elements=EDGE_FLOATS))
     def test_dataset_and_truth(self, kind, n, m, rho, seed, floats):
         rng = np.random.default_rng(seed)
         data = lm.LabelingMatrix(kind, _random_labels(kind, (n, m), rho, rng, floats), space=RING)
@@ -204,6 +240,26 @@ class TestReadersMatchReference:
             assert got_kind == want_kind == kind
             assert got_truth.dtype == want_truth.dtype
             assert np.array_equal(got_truth, want_truth) and np.array_equal(got_truth, truth)
+            for path, id_columns in ((dataset, ["task_id", "lf_id"]), (truth_path, ["task_id"])):
+                (got, got_exc), (want, want_exc) = _read_both(path, id_columns)
+                assert got_exc is None and want_exc is None
+                _same_arrays(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=hnp.arrays(np.float64, st.integers(1, 7), elements=EDGE_FLOATS.filter(lambda x: abs(x) < 1e150)),
+           integral=st.booleans())
+    def test_distance_matrices(self, points, integral):
+        if integral:
+            points = np.floor(np.clip(points, -1e6, 1e6))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "space.csv"
+            uio.write_csv(path, None, np.abs(points[:, None] - points[None, :]).tolist())
+            (got, got_exc), (want, want_exc) = _read_both(path, None)
+        assert type(got_exc) is type(want_exc)
+        if want_exc is None:
+            _same_arrays(got, want)
+        else:
+            assert str(got_exc) == str(want_exc)
 
 
 class TestReaderRejects:
@@ -227,6 +283,12 @@ class TestReaderRejects:
         with pytest.raises(InvalidArgumentError, match="dataset.csv:3: expected 3 fields"):
             uio.read_dataset(self._dataset(tmp_path, ["0,0,1", "0,1"]), space=RING)
 
+    def test_ragged_perm_names_line(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text('task_id,perm\n0,0\n1,"1,0"\n2,0\n')
+        with pytest.raises(InvalidArgumentError, match="truth.csv:3: expected 1 items in the perm cell, got 2"):
+            uio.read_truth(path)
+
     def test_truth_ids_with_gap(self, tmp_path):
         path = tmp_path / "truth.csv"
         path.write_text("task_id,node\n0,1\n2,3\n3,4\n")
@@ -237,6 +299,136 @@ class TestReaderRejects:
         data = lm.LabelingMatrix(lm.REAL_VECTOR, np.zeros((2, 3, 2)))
         with pytest.raises(InvalidArgumentError, match="scalar"):
             uio.write_dataset(tmp_path / "dataset.csv", data)
+
+
+PERMS = ["1,0,2", "2,1,0", "0,1,2"]
+BASES = {  # small valid files, as rows of cells
+    "dataset_perm": [["task_id", "lf_id", "perm"],
+                     *([str(t), str(a), f'"{PERMS[(t + a) % 3]}"'] for t in range(3) for a in range(2))],
+    "dataset_value": [["task_id", "lf_id", "value"],
+                      *([str(t), str(a), repr(0.5 * t - a)] for t in range(3) for a in range(2))],
+    "dataset_node": [["task_id", "lf_id", "node"], *([str(t), str(a), str((t + a) % 3)] for t in range(3) for a in range(2))],
+    "truth_perm": [["task_id", "perm"], *([str(t), f'"{PERMS[t]}"'] for t in range(3))],
+    "truth_value": [["task_id", "value"], *([str(t), repr(t / 3)] for t in range(3))],
+    "truth_node": [["task_id", "node"], *([str(t), str(t)] for t in range(3))],
+    "space": [["0.0", "1.0", "2.0"], ["1.0", "0.0", "1.0"], ["2.0", "1.0", "0.0"]],
+}
+
+
+def _cell(text):
+    """A corruption that sets one cell of the third row to ``text`` (a function of the old cell)."""
+    def corrupt(rows, col):
+        rows = [list(row) for row in rows]
+        rows[2][col] = text(rows[2][col]) if callable(text) else text
+        return rows
+    return corrupt
+
+
+CORRUPTIONS = {  # (rows, column of the cell to change) -> rows, or None for an empty file
+    "blank_line": lambda rows, col: [*rows[:2], [], *rows[2:]],
+    "trailing_blank_line": lambda rows, col: [*rows, []],
+    "short_row": lambda rows, col: [*rows[:2], rows[2][:-1], *rows[3:]],
+    "long_row": lambda rows, col: [*rows[:2], [*rows[2], "0"], *rows[3:]],
+    "header_only": lambda rows, col: rows[:1],
+    "empty_file": lambda rows, col: None,
+    "ragged_perm": _cell('"0,1"'),
+    "long_perm": _cell('"0,1,2,3"'),
+    "repeated_item": _cell('"0,0,1"'),
+    "unquoted_perm": _cell(lambda cell: cell.strip('"')),
+    "non_numeric": _cell("abc"),
+    "empty_cell": _cell(""),
+    "nan": _cell("nan"),
+    "inf": _cell("inf"),
+    "minus_inf": _cell("-inf"),
+    "huge": _cell("1e400"),
+    "fractional": _cell("1.0"),
+    "exponent": _cell("1e0"),
+    "negative": _cell("-1"),
+    "overflow": _cell("99999999999999999999"),
+    "padded": _cell(lambda cell: f" {cell} "),
+    "hash": _cell(lambda cell: f"{cell}#0"),
+    "quoted_number": _cell(lambda cell: cell if cell.startswith('"') else f'"{cell}"'),
+    "crlf": lambda rows, col: rows,
+}
+
+
+class TestArrayReaderRefusesAsReference:
+    """On broken (or oddly written) files the array reader accepts or refuses as the reference
+    does, with the same exception type and the path in the message; a row of the wrong width
+    is reported with the same line and counts."""
+
+    @pytest.mark.parametrize("col", [0, -1], ids=["first_cell", "label_cell"])
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("base", sorted(BASES))
+    def test_corruption(self, tmp_path, base, corruption, col):
+        rows = CORRUPTIONS[corruption](BASES[base], col)
+        newline = "\r\n" if corruption == "crlf" else "\n"
+        path = tmp_path / f"{base}.csv"
+        path.write_text("" if rows is None else "".join(",".join(row) + newline for row in rows), newline="")
+        (got, got_exc), (want, want_exc) = _read_both(path, None if base == "space" else BASES[base][0][:-1])
+        assert type(got_exc) is type(want_exc), (got_exc, want_exc)
+        if want_exc is None:
+            _same_arrays(got, want)
+            return
+        assert isinstance(want_exc, (InvalidArgumentError, InvalidMetricError))
+        assert str(path) in str(got_exc)
+        width_error = re.match(rf"({re.escape(str(path))}:\d+:) expected \d+ fields", str(want_exc))
+        if width_error:  # the same line, though a quote out of place may give another reason
+            assert str(got_exc).startswith(width_error[1])
+
+
+class TestArrayReaderDecisions:
+    """Where the array reader deliberately refuses what the reference accepted."""
+
+    @pytest.mark.parametrize("base,col,text", [
+        ("dataset_node", -1, "1_0"), ("dataset_value", 0, "0_0"), ("dataset_value", -1, "1_000.5"),
+        ("truth_perm", -1, '"0,1_0,2"'), ("space", 1, "1_0"),
+    ])
+    def test_underscored_digits(self, tmp_path, base, col, text):
+        # int() and float() read "1_0" as 10; numpy's parser, like C's strtod, does not
+        path = tmp_path / "file.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in _cell(text)(BASES[base], col)))
+        with pytest.raises(InvalidArgumentError, match=re.escape(str(path))):
+            if base == "space":
+                uio.read_distance_matrix(path)
+            else:
+                uio._read_labels(path, BASES[base][0][:-1])
+
+    def test_unclosed_quote(self, tmp_path):
+        # csv reads an unclosed quoted cell to the end of the file
+        path = tmp_path / "truth.csv"
+        path.write_text('task_id,value\n0,0.5\n1,"1.5\n')
+        assert reference_read_labels(path, ["task_id"])[1].tolist() == [0.5, 1.5]
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}:3: unbalanced quotes")):
+            uio.read_truth(path)
+
+    def test_only_blank_lines(self, tmp_path):
+        path = tmp_path / "space.csv"
+        path.write_text("\n\n")
+        with pytest.raises(InvalidMetricError):
+            reference_read_distance_matrix(path)
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: no rows")):
+            uio.read_distance_matrix(path)
+
+    def test_integer_read_via_a_float_refused(self, tmp_path, monkeypatch):
+        # numpy from 1.23 on reads "3.0" into an integer column with this warning until the deprecation expires
+        loadtxt = np.loadtxt
+
+        def warning_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning, stacklevel=2)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        path = tmp_path / "truth.csv"
+        path.write_text("task_id,node\n0,1\n1,3\n")
+        with pytest.raises(InvalidArgumentError, match=re.escape(str(path))):
+            uio.read_truth(path)
+
+    def test_permutation_error_names_line(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text('task_id,perm\n0,"0,1,2"\n1,"2,2,0"\n')
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}:3: perm [2, 2, 0] is not a permutation")):
+            uio.read_truth(path)
 
 
 class TestNumberCellsMatchPerCellText:
@@ -281,11 +473,13 @@ def _nan_arrays(shape):
 def _models(draw):
     m = draw(st.integers(1, 6))
     fields = {key: draw(_nan_arrays(shape)) for key, shape in (
-        ("thetas", m), ("expected_distances", m), ("accuracies", m), ("pairwise_moments", (m, m)))}
-    for key, arr in fields.items():  # at least one NaN in every array field
+        ("expected_distances", m), ("accuracies", m), ("pairwise_moments", (m, m)))}
+    for key, arr in fields.items():  # at least one NaN in every array field but the thetas
         arr.flat[draw(st.integers(0, arr.size - 1))] = np.nan
+    thetas = draw(hnp.arrays(np.float64, m, elements=st.floats(allow_nan=False, allow_infinity=False)))
     return lm.LabelModel(space_kind=lm.REAL_VECTOR, path="isotropic", dims={"d": 1},
-                         embedding={"kind": "identity"}, version="test", theta_matrix=None, **fields)
+                         embedding={"kind": "identity"}, version="test", theta_matrix=None, thetas=thetas,
+                         **fields)
 
 
 class TestModelNanRoundTrip:
@@ -303,6 +497,16 @@ class TestModelNanRoundTrip:
         assert back.theta_matrix is None
         assert (back.space_kind, back.path, back.dims, back.embedding) == (
             model.space_kind, model.path, model.dims, model.embedding)
+
+    @pytest.mark.parametrize("theta", [None, np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_refused_and_named(self, tmp_path, theta):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "space_kind": "real_vector", "path": "continuous", "dims": {"d": 1}, "thetas": [1.0, theta],
+            "expected_distances": [0.5, 0.5], "accuracies": [None, 0.5], "pairwise_moments": np.eye(2).tolist(),
+            "version": "x"}))
+        with pytest.raises(InvalidArgumentError, match=r"model\.json: thetas must be finite; entry 1"):
+            uio.read_model(path)
 
     def test_accuracies_required_and_named(self, tmp_path):
         path = tmp_path / "model.json"

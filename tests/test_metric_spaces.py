@@ -8,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_graph_hop_metric
+from conftest import reference_check_metric, reference_graph_hop_metric
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
@@ -98,6 +99,74 @@ class TestRejectsNonMetrics:
                 code = main(["infer", "--dataset", tmp, "--out", str(Path(tmp) / "out"), "--rule", "mv"])
         assert code == 2
         assert "space.csv" in err.getvalue()
+
+
+def _refusal(check, d):
+    """The InvalidMetricError message ``check(d)`` raises, or None if it accepts ``d``."""
+    try:
+        check(d)
+    except InvalidMetricError as exc:
+        return str(exc)
+    return None
+
+
+EDGES = [1, 63, 64, 127, 128, 255, 256, 16383, 16384, 32767, 32768, 2**31, 2**52]
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Symmetric integer matrices with a zero diagonal and entries up to a dtype edge:
+    metrics (a shortest-path closure) or not, then one pair maybe set to the edge."""
+    n, top = draw(st.integers(1, 8)), draw(st.sampled_from(EDGES))
+    w = draw(hnp.arrays(np.int64, (n, n), elements=st.integers(1, top))).astype(np.float64)
+    d = np.minimum(w, w.T)
+    np.fill_diagonal(d, 0.0)
+    if draw(st.booleans()):
+        for k in range(n):
+            d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if i != j and draw(st.booleans()):
+        d[i, j] = d[j, i] = top
+    return d
+
+
+class TestExactIntegerTriangleCheck:
+    """On integer matrices the triangle check runs in the smallest unsigned type without the
+    tolerance; it must accept, refuse and name the first midpoint k as the float64 check does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=_integer_matrices())
+    def test_integer_matrices(self, d):
+        ints = ms._small_ints(d)
+        assert ints is not None and ints.dtype == np.min_scalar_type(int(2 * d.max()))
+        assert _refusal(ms.FiniteMetricSpace, d) == _refusal(reference_check_metric, d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=hnp.arrays(np.float64, st.integers(3, 7), elements=st.floats(-100, 100)),
+           integral=st.booleans(), delta=st.floats(-3e-9, 3e-9), pick=st.permutations(range(3)),
+           infinite=st.booleans())
+    def test_near_tolerance_and_infinite(self, points, integral, delta, pick, infinite):
+        # a violation of about the 1e-9 tolerance, on real or integer points, or an infinite pair
+        points = np.floor(points) if integral else points
+        d = np.abs(points[:, None] - points[None, :])
+        i, j, k = pick
+        d[i, j] = d[j, i] = np.inf if infinite else d[i, k] + d[k, j] + delta
+        assert _refusal(ms.FiniteMetricSpace, d) == _refusal(reference_check_metric, d)
+
+    @pytest.mark.parametrize("top,dtype", [
+        (0, np.uint8), (63, np.uint8), (64, np.uint8), (127, np.uint8), (128, np.uint16), (16383, np.uint16),
+        (16384, np.uint16), (32767, np.uint16), (32768, np.uint32), (2**52, np.uint64),
+    ])
+    def test_smallest_type_holding_a_sum(self, top, dtype):
+        assert ms._small_ints(np.array([[0.0, top], [top, 0.0]])).dtype == dtype
+
+    @pytest.mark.parametrize("entry", [0.5, 1 + 2**-40, np.inf, np.nan, 2.0**52 + 2])
+    def test_other_matrices_check_in_float64(self, entry):
+        assert ms._small_ints(np.array([[0.0, entry], [entry, 0.0]])) is None
+
+    def test_hop_metric_checks_in_bytes(self):
+        space = ms.graph_hop_metric([(k, (k + 1) % 9) for k in range(9)], 9)
+        assert ms._small_ints(space.dist).dtype == np.uint8
 
 
 class TestGraphHopMetric:
