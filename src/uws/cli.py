@@ -7,7 +7,6 @@ Every command is deterministic given its seed; outputs carry a manifest
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -329,18 +328,11 @@ def cmd_sweep(args):
         for n in ns for m in ms for rep in range(replicates)
     ]
 
-    def run(job):
-        n, m, rep, scenario = job
-        return [(n, m, rep, metric, value) for metric, value in _sweep_point(scenario, path, triplets, rules)]
-
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            chunks = list(pool.map(run, jobs))
-    else:
-        chunks = [run(job) for job in jobs]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [
+        (n, m, rep, metric, value)
+        for n, m, rep, scenario in jobs
+        for metric, value in _sweep_point(scenario, path, triplets, rules)
+    ]
 
     # log-log slope of estimation error against n, per m, averaged over replicates
     slope_metric = {"ranking": "theta_rel_err", "regression": "acc_abs_err"}.get(kind)
@@ -385,13 +377,6 @@ def cmd_mds(args):
     return 0
 
 
-def _default_threads():
-    try:
-        return max(1, int(os.environ.get("UWS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser():
     parser = _Parser(prog="uws", description=__doc__)
     parser.add_argument("--version", action="version", version=f"uws {__version__}")
@@ -425,7 +410,6 @@ def build_parser():
     sweep.add_argument("--scenario", required=True)
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--threads", type=int, default=_default_threads())
     sweep.set_defaults(func=cmd_sweep)
 
     gm = sub.add_parser("graph-metric", help="all-pairs hop distances of an edge-list graph")

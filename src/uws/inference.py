@@ -97,7 +97,7 @@ def _chunks(n, bytes_per_task):
 
 
 def _aggregate_reals(labels, weights, candidate_policy):
-    values = labels[:, :, 0]  # one value per labeler: the (n, m, 1) rows of a d=1 LabelingMatrix
+    values = labels[:, :, 0]  # one value per labeler: the (n, m, 1) rows of a real LabelingMatrix
     if candidate_policy == "observed_only":
         return _best_observed(values, weights, lambda z, v: (v - z) ** 2)
     # the squared-distance objective has the weighted mean as its exact argmin
@@ -382,7 +382,7 @@ def aggregate_dataset(data, weights=None, rule="weighted", candidate_policy="aut
     exact search, except local search on rankings above rho = ``EXACT_MAX_RHO``.
     negative_weights "clamp" zeroes worse-than-random weights; "flip"
     reverses a ranking or negates a real value instead and uses the weight's
-    magnitude. Real labels must be scalar (d=1).
+    magnitude.
 
     Returns a list of labels (permutation arrays, floats, or node ids).
     """
@@ -393,8 +393,6 @@ def aggregate_dataset(data, weights=None, rule="weighted", candidate_policy="aut
     if negative_weights not in ("clamp", "flip"):
         raise ConfigurationError(f"unknown negative-weight policy {negative_weights!r}")
     kind = data.space_kind
-    if kind == REAL_VECTOR and data.dim != 1:
-        raise ConfigurationError(f"real labels have d={data.dim} coordinates; pseudolabels need d=1")
 
     if rule == "weighted" and kind == REAL_VECTOR and weights is None:
         if model is None:

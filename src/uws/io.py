@@ -29,6 +29,7 @@ import hashlib
 import io as _io
 import json
 import math
+import re
 import warnings
 from collections import namedtuple
 from pathlib import Path
@@ -194,9 +195,10 @@ def _read_table(path):
         raise InvalidArgumentError(f"{path}: {exc}") from exc
 
 
-def _loadtxt(path, text, dtype, ndmin):
+def _loadtxt(path, text, dtype, ndmin, first_line):
     """The comma-separated cells of ``text`` (a quoted cell unquoted) as an
-    array of ``dtype``, parsed in one call; a cell that does not parse names the file."""
+    array of ``dtype``, parsed in one call; a cell that does not parse names the
+    file and its line, ``text`` starting at line ``first_line`` of the file."""
     try:
         with warnings.catch_warnings():
             # numpy from 1.23 on reads "3.0" into an integer column with this warning until the
@@ -205,7 +207,12 @@ def _loadtxt(path, text, dtype, ndmin):
             return np.loadtxt(_io.StringIO(text), dtype=dtype, delimiter=",", comments=None, quotechar='"',
                               ndmin=ndmin)
     except (ValueError, OverflowError, DeprecationWarning) as exc:
-        raise InvalidArgumentError(f"{path}: {exc}") from exc
+        # numpy counts the rows of ``text`` from 0 (every line is a row: blank lines are refused
+        # before this), and its columns after a quoted list is split, so only the row is kept
+        at = re.search(r" at row (\d+), column \d+", str(exc))
+        if at is None:
+            raise InvalidArgumentError(f"{path}: {exc}") from exc
+        raise InvalidArgumentError(f"{path}:{first_line + int(at[1])}: {str(exc).replace(at[0], '')}") from exc
 
 
 def _read_labels(path, id_columns):
@@ -230,7 +237,7 @@ def _read_labels(path, id_columns):
         label_shape = (int(items[1]),)
         body = body.replace('"', "")
     table = _loadtxt(path, body, [("ids", np.int64, len(id_columns)), ("label", codec.dtype, label_shape)],
-                     ndmin=1)
+                     ndmin=1, first_line=2)
     index = tuple(table["ids"].T)
     shape = tuple(int(ids.max()) + 1 for ids in index)
     if (min(ids.min() for ids in index) < 0 or math.prod(shape) != len(table)
@@ -381,7 +388,7 @@ def write_distance_matrix(path, space):
 
 
 def read_distance_matrix(path):
-    dist = _loadtxt(path, _read_table(path)[0], np.float64, ndmin=2)
+    dist = _loadtxt(path, _read_table(path)[0], np.float64, ndmin=2, first_line=1)
     try:
         return FiniteMetricSpace(dist)
     except InvalidMetricError as exc:

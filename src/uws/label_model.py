@@ -14,7 +14,7 @@ independent labelers. Three routes are provided:
 - isotropic: half-sum of pairwise expected distances, needing only the native
   metric.
 
-:func:`learn_label_model` is one pipeline for rankings, real vectors, and
+:func:`learn_label_model` is one pipeline for rankings, real scalars, and
 finite metric spaces: embed the outputs, take every pair moment in one batched
 product, solve each labeler's admissible triplets on the route as one array
 call ("first" stops at the first block of them holding a solvable one), and
@@ -88,7 +88,7 @@ class LabelingMatrix:
 
     labels layout by space kind:
       ranking       (n, m, rho) int permutations
-      real_vector   (n, m, d) floats
+      real_vector   (n, m, 1) floats: one scalar per labeler, also given as (n, m)
       finite_metric (n, m) int point indices, with ``space`` attached
     """
 
@@ -111,8 +111,8 @@ class LabelingMatrix:
             labels = labels.astype(np.float64)
             if labels.ndim == 2:
                 labels = labels[:, :, None]
-            if labels.ndim != 3:
-                raise InvalidArgumentError(f"real labels must be (n, m) or (n, m, d), got {labels.shape}")
+            if labels.ndim != 3 or labels.shape[2] != 1:
+                raise InvalidArgumentError(f"real labels must be (n, m) or (n, m, 1), got {labels.shape}")
             if not np.isfinite(labels).all():
                 raise InvalidArgumentError("real labels must be finite")
         else:
@@ -139,12 +139,6 @@ class LabelingMatrix:
     def rho(self):
         if self.space_kind != RANKING:
             raise InvalidArgumentError("rho only defined for ranking matrices")
-        return int(self.labels.shape[2])
-
-    @property
-    def dim(self):
-        if self.space_kind != REAL_VECTOR:
-            raise InvalidArgumentError("dim only defined for real_vector matrices")
         return int(self.labels.shape[2])
 
 
@@ -581,7 +575,7 @@ def _triplet_estimates(partners, policy, solve, exc_type, reason):
     return np.array(out)
 
 
-def _signed_accuracies(e, partners, second_moments, policy, anchor):
+def _signed_accuracies(e, partners, second_moments, policy):
     """Continuous route: per-coordinate signed accuracies, one row per labeler."""
     mags = _triplet_estimates(
         partners,
@@ -592,7 +586,7 @@ def _signed_accuracies(e, partners, second_moments, policy, anchor):
     )
     signed = np.empty_like(mags)
     for i in range(mags.shape[1]):
-        signed[:, i] = resolve_signs(mags[:, i], e[:, :, i], anchor=anchor)
+        signed[:, i] = resolve_signs(mags[:, i], e[:, :, i])
     return signed
 
 
@@ -641,8 +635,7 @@ def _ranking_theta(mean_distance, rho):
     return mallows.backward_map(mean_distance, rho)
 
 
-def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="first", anchor=None,
-                      mds_dim=None):
+def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="first"):
     """Learn per-labeler canonical accuracies from outputs alone.
 
     One pipeline for every space: embed the outputs, take pairwise moments,
@@ -657,9 +650,9 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
     prior : TwoPointPrior or SecondMomentPrior, optional
         Rankings default to the uniform-truth values (second moments 1 on the
         continuous route, p = 1/2 on the hypercube route). The continuous
-        route on real vectors requires a SecondMomentPrior.
+        route on real labels requires a SecondMomentPrior.
     path : {"continuous", "hypercube", "isotropic"}, optional
-        Defaults per space: continuous for rankings and real vectors,
+        Defaults per space: continuous for rankings and real labels,
         isotropic for finite metric spaces.
     triplet_policy : {"first", "median"}
         "first" uses the lexicographically smallest admissible (b, c) per
@@ -667,11 +660,6 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
         degenerate ones; "median" takes the median estimate over all
         solvable admissible pairs. Either raises, naming the labeler, only
         when none of its triplets is solvable.
-    anchor : int, optional
-        Labeler index known to be better than random, used to root sign
-        propagation.
-    mds_dim : int, optional
-        Embedding dimension for the continuous route on finite metric spaces.
 
     Returns
     -------
@@ -708,7 +696,7 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
         dims = {"n_points": space.size}
         embedding = {"kind": "native_distance", "n_points": space.size}
         if path == "continuous":
-            dim = mds_dim or min(space.size - 1, 8)
+            dim = min(space.size - 1, 8)
             report = classical_mds(space, dim=dim)
             values = np.ascontiguousarray(report.coords[data.labels].transpose(2, 1, 0)).transpose(1, 2, 0)
             if second_moments is None:
@@ -761,7 +749,7 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
     else:
         if second_moments is None:
             raise ConfigurationError("continuous path on real labels needs a SecondMomentPrior")
-        per_coord = _signed_accuracies(e, partners, second_moments, triplet_policy, anchor)
+        per_coord = _signed_accuracies(e, partners, second_moments, triplet_policy)
         if kind == RANKING:
             mean_dist = ((1.0 - per_coord) / 2.0).sum(axis=1)
             accuracies = per_coord.mean(axis=1)

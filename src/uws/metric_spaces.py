@@ -6,7 +6,7 @@ ratio), then epsilon is one minus the worst remaining contraction ratio, so
 ``1 - epsilon <= d_emb / d_orig <= 1`` holds over all distinct pairs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +48,10 @@ def _small_ints(d):
 class FiniteMetricSpace:
     """N points with an explicit N x N distance matrix.
 
-    Construction validates symmetry, a zero diagonal, and the triangle
-    inequality to tolerance 1e-9. Zero distances between distinct points are
-    allowed here (pseudometrics arise from embeddings) but rejected by
-    :func:`distortion`.
+    Construction refuses NaN and validates symmetry, a zero diagonal, and
+    the triangle inequality to tolerance 1e-9. Zero distances between
+    distinct points are allowed here (pseudometrics arise from embeddings)
+    but rejected by :func:`distortion`.
     """
 
     dist: np.ndarray
@@ -60,11 +60,15 @@ class FiniteMetricSpace:
         d = np.asarray(self.dist, dtype=np.float64)
         if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 1:
             raise InvalidMetricError(f"distance matrix must be square, got shape {d.shape}")
+        if np.isnan(d).any():  # every comparison below is false on NaN
+            raise InvalidMetricError("distance matrix holds NaN")
         if (d < 0).any():
             raise InvalidMetricError("negative distances")
         if np.abs(np.diag(d)).max(initial=0.0) > _METRIC_TOL:
             raise InvalidMetricError("diagonal must be zero")
-        if np.abs(d - d.T).max(initial=0.0) > _METRIC_TOL:
+        # only unequal pairs are subtracted, so an infinite pair equal to its mirror passes without inf - inf
+        unequal = d != d.T
+        if (np.abs(d[unequal] - d.T[unequal]) > _METRIC_TOL).any():
             raise InvalidMetricError("distance matrix must be symmetric")
         # chunked over the midpoint so large spaces stay within memory; on
         # integers the check runs exactly, without the tolerance, in the
@@ -105,7 +109,6 @@ class EmbeddingReport:
     epsilon: float
     scale: float
     exponent: float = 1.0
-    eigenvalues: np.ndarray = field(default=None, repr=False)
 
 
 def graph_hop_metric(edges, n_nodes):
@@ -249,5 +252,4 @@ def classical_mds(space, dim, metric_exponent=1.0):
         epsilon=epsilon,
         scale=scale,
         exponent=metric_exponent,
-        eigenvalues=evals,
     )

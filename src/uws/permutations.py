@@ -25,10 +25,6 @@ __all__ = [
     "pair_sign_embed",
     "pair_sign_embed_many",
     "pair_indices",
-    "inversion_vector",
-    "l1_inversion_distance",
-    "invert",
-    "compose",
     "all_permutations",
     "perm_to_str",
     "perm_from_str",
@@ -126,48 +122,6 @@ def pair_sign_embed_many(P):
     pos = np.argsort(P, axis=-1)
     iu, ju = pair_indices(rho)
     return np.where(pos[..., iu] < pos[..., ju], 1, -1).astype(np.int64)
-
-
-def inversion_vector(p):
-    """Inversion table of ``p``: entry b-1 counts items a < b placed after b.
-
-    The entries x(b) for b = 1..rho-1 satisfy 0 <= x(b) <= b, and their sum
-    equals the Kendall tau distance from the identity (the embedding is
-    weight preserving for the l1 norm).
-    """
-    p = check_permutation(p)
-    pos = invert(p)
-    rho = p.size
-    x = np.empty(max(rho - 1, 0), dtype=np.int64)
-    for b in range(1, rho):
-        x[b - 1] = int(np.count_nonzero(pos[:b] > pos[b]))
-    return x
-
-
-def l1_inversion_distance(a, b):
-    """l1 distance between two inversion vectors of equal length."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if a.shape != b.shape:
-        raise InvalidArgumentError(f"length mismatch: {a.shape} vs {b.shape}")
-    return int(np.abs(a - b).sum())
-
-
-def invert(p):
-    """Group inverse: position of each item, so that ``compose(p, invert(p))`` is the identity."""
-    p = check_permutation(p)
-    inv = np.empty_like(p)
-    inv[p] = np.arange(p.size, dtype=np.int64)
-    return inv
-
-
-def compose(a, b):
-    """Composition ``(a o b)[k] = a[b[k]]``."""
-    a = check_permutation(a)
-    b = check_permutation(b)
-    if a.size != b.size:
-        raise InvalidArgumentError(f"length mismatch: {a.size} vs {b.size}")
-    return a[b]
 
 
 def all_permutations(rho):

@@ -28,7 +28,7 @@ from uws.errors import (
     SingularCovarianceError,
     UseHeuristicError,
 )
-from uws.label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix, SecondMomentPrior, learn_label_model
+from uws.label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
 from uws.metric_spaces import graph_hop_metric
 
 
@@ -399,15 +399,12 @@ class TestAggregateDataset:
             inf.aggregate_dataset(data, rule="plurality")
 
     def test_real_labels_with_several_coordinates_are_refused(self):
-        rng = np.random.default_rng(53)
-        data = LabelingMatrix(REAL_VECTOR, rng.normal(size=(6, 1, 2)) + 0.3 * rng.normal(size=(6, 3, 2)))
-        model = learn_label_model(data, path="continuous", prior=SecondMomentPrior(np.ones(2)))
-        for kwargs in ({"rule": "mv"}, {"weights": np.array([1.0, 2.0, 0.5])}, {"model": model},
-                       {"rule": "mv", "candidate_policy": "observed_only"}):
-            with pytest.raises(ConfigurationError, match="d=2"):
-                inf.aggregate_dataset(data, **kwargs)
-        with pytest.raises(ConfigurationError, match="d=2"):
-            weighted_aggregate(real_problem(data.labels[0]))
+        # real labels are scalar: a matrix of vectors is refused before any learner or aggregator sees it
+        for shape in ((6, 3, 2), (6, 3, 1, 1), (6,)):
+            with pytest.raises(InvalidArgumentError, match=r"\(n, m\) or \(n, m, 1\)"):
+                LabelingMatrix(REAL_VECTOR, np.zeros(shape))
+        assert LabelingMatrix(REAL_VECTOR, np.zeros((6, 3))).labels.shape == (6, 3, 1)
+        assert LabelingMatrix(REAL_VECTOR, np.zeros((6, 3, 1))).labels.shape == (6, 3, 1)
 
 
 # weights drawn from a small pool make zeros, ties and negatives common

@@ -296,9 +296,11 @@ class TestReaderRejects:
             uio.read_truth(path)
 
     def test_vector_real_labels_do_not_serialize(self, tmp_path):
-        data = lm.LabelingMatrix(lm.REAL_VECTOR, np.zeros((2, 3, 2)))
+        # a LabelingMatrix refuses them, so only a truth or pseudolabel array can hold them
         with pytest.raises(InvalidArgumentError, match="scalar"):
-            uio.write_dataset(tmp_path / "dataset.csv", data)
+            uio.write_truth(tmp_path / "truth.csv", np.zeros((2, 2)), lm.REAL_VECTOR)
+        with pytest.raises(InvalidArgumentError, match="scalar"):
+            uio.write_pseudolabels(tmp_path / "pseudolabels.csv", np.zeros((2, 2)), lm.REAL_VECTOR)
 
 
 PERMS = ["1,0,2", "2,1,0", "0,1,2"]
@@ -358,8 +360,11 @@ class TestArrayReaderRefusesAsReference:
     is reported with the same line and counts."""
 
     @pytest.mark.parametrize("col", [0, -1], ids=["first_cell", "label_cell"])
-    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
-    @pytest.mark.parametrize("base", sorted(BASES))
+    @pytest.mark.parametrize("base,corruption", [
+        pytest.param(base, corruption, id=f"{base}-{corruption}")
+        for base in sorted(BASES) for corruption in sorted(CORRUPTIONS)
+        if (base, corruption) != ("space", "nan")  # refused on purpose: TestArrayReaderDecisions
+    ])
     def test_corruption(self, tmp_path, base, corruption, col):
         rows = CORRUPTIONS[corruption](BASES[base], col)
         newline = "\r\n" if corruption == "crlf" else "\n"
@@ -372,6 +377,8 @@ class TestArrayReaderRefusesAsReference:
             return
         assert isinstance(want_exc, (InvalidArgumentError, InvalidMetricError))
         assert str(path) in str(got_exc)
+        if corruption == "non_numeric":  # the corrupted cell is on the third line of every file
+            assert str(got_exc).startswith(f"{path}:3: "), got_exc
         width_error = re.match(rf"({re.escape(str(path))}:\d+:) expected \d+ fields", str(want_exc))
         if width_error:  # the same line, though a quote out of place may give another reason
             assert str(got_exc).startswith(width_error[1])
@@ -393,6 +400,15 @@ class TestArrayReaderDecisions:
                 uio.read_distance_matrix(path)
             else:
                 uio._read_labels(path, BASES[base][0][:-1])
+
+    @pytest.mark.parametrize("col", [0, 1, 2])
+    def test_nan_distance(self, tmp_path, col):
+        # every comparison with NaN is false, so the reference's checks all passed it
+        path = tmp_path / "space.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in _cell("nan")(BASES["space"], col)))
+        assert np.isnan(reference_read_distance_matrix(path)[2, col])
+        with pytest.raises(InvalidMetricError, match=re.escape(f"{path}: distance matrix holds NaN")):
+            uio.read_distance_matrix(path)
 
     def test_unclosed_quote(self, tmp_path):
         # csv reads an unclosed quoted cell to the end of the file

@@ -1,4 +1,4 @@
-"""Mallows model: partition function, moments, backward map, sampler."""
+"""Mallows model: expected distance, backward map, sampler."""
 
 import math
 from collections import Counter
@@ -19,26 +19,20 @@ def brute_force_distances(rho):
     return perms, np.array([perm.kendall_tau(p, e) for p in perms])
 
 
-class TestLogPartitionFunction:
-    def test_single_permutation(self):
-        assert mallows.log_partition_function(2.0, 1) == pytest.approx(0.0, abs=1e-15)
+def unguarded_expected_distance(theta, rho):
+    """The closed form summed over every term, which raises OverflowError once theta * j passes
+    about 709.78: the expected distance as it was before overflowing terms were dropped."""
+    out = rho / math.expm1(theta)
+    for j in range(1, rho + 1):
+        out -= j / math.expm1(theta * j)
+    return out
 
-    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0, 5.0])
-    @pytest.mark.parametrize("rho", [2, 3, 4, 5])
-    def test_matches_brute_force_sum(self, theta, rho):
-        _, dists = brute_force_distances(rho)
-        log_z = math.log(np.exp(-theta * dists).sum())
-        assert mallows.log_partition_function(theta, rho) == pytest.approx(log_z, rel=1e-12)
 
-    def test_degenerate_limit(self):
-        # only the center survives as theta grows
-        assert mallows.log_partition_function(60.0, 6) == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_nonpositive_theta(self):
-        with pytest.raises(DomainError):
-            mallows.log_partition_function(0.0, 4)
-        with pytest.raises(DomainError):
-            mallows.log_partition_function(-1.0, 4)
+def _overflow_free(f):
+    try:
+        return f()
+    except OverflowError:
+        return None
 
 
 class TestExpectedDistance:
@@ -60,38 +54,38 @@ class TestExpectedDistance:
         assert mallows.expected_distance(1e-9, 4) == pytest.approx(3.0, rel=1e-6)
         assert mallows.uniform_mean_distance(4) == 3.0
 
+    def test_rejects_nonpositive_theta(self):
+        with pytest.raises(DomainError):
+            mallows.expected_distance(0.0, 4)
+        with pytest.raises(DomainError):
+            mallows.expected_distance(-1.0, 4)
+
+    def test_bit_identical_where_no_term_overflows(self):
+        compared = 0
+        for rho in range(1, 29):
+            edge = 709.78 / rho  # just below the first overflowing theta * rho
+            for theta in [*np.geomspace(1e-8, 60.0, 40), edge, 1.001 * edge]:
+                want = _overflow_free(lambda: unguarded_expected_distance(theta, rho))
+                if want is not None:
+                    assert mallows.expected_distance(theta, rho).hex() == want.hex(), (theta, rho)
+                    compared += 1
+        assert compared > 28 * 30
+
+    @pytest.mark.parametrize("rho", [29, 40, 60])
+    def test_overflowing_terms_dropped(self, rho):
+        thetas = np.geomspace(1.0, 800.0, 50)
+        vals = [mallows.expected_distance(t, rho) for t in thetas]
+        assert all(0.0 <= b <= a for a, b in zip(vals, vals[1:]))
+        assert vals[-1] == 0.0  # e^theta itself is beyond the float range
+        # the dropped terms are below 1e-300 j; the kept ones carry the value
+        theta = 30.0
+        assert mallows.expected_distance(theta, rho) == pytest.approx((rho - 1) * math.exp(-theta), rel=1e-9)
+
     @pytest.mark.parametrize("rho", range(3, 13))
     def test_strictly_decreasing_in_theta(self, rho):
         grid = np.linspace(0.01, 20.0, 120)
         vals = [mallows.expected_distance(t, rho) for t in grid]
         assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-class TestDerivative:
-    def test_matches_central_finite_differences(self):
-        for rho in (5, 8):
-            for theta in (0.5, 1.0, 5.0):
-                h = 1e-6 * max(theta, 1.0)
-                fd = (
-                    mallows.expected_distance(theta + h, rho)
-                    - mallows.expected_distance(theta - h, rho)
-                ) / (2 * h)
-                g = mallows.expected_distance_derivative(theta, rho)
-                assert g < 0
-                assert abs(g - fd) < 1e-6 * abs(g)
-
-    def test_nonpositive_beyond_lemma_threshold(self):
-        # threshold 4*ln(2) from the monotonicity region of the derivative
-        thr = 4 * math.log(2)
-        for rho in (3, 6, 10):
-            for theta in np.linspace(thr + 1e-9, 12.0, 40):
-                assert mallows.expected_distance_derivative(theta, rho) <= 0
-
-    def test_decreasing_in_rho_at_fixed_theta(self):
-        thr = 4 * math.log(2)
-        for theta in (thr + 0.05, 3.5, 6.0):
-            vals = [mallows.expected_distance_derivative(theta, rho) for rho in range(2, 12)]
-            assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 class TestBackwardMap:
@@ -118,6 +112,27 @@ class TestBackwardMap:
             mallows.backward_map(0.0, 5)
         with pytest.raises(InfeasibleMeanError):
             mallows.backward_map(-0.3, 5)
+
+    def test_bit_identical_where_no_term_overflows(self, monkeypatch):
+        means = {rho: mallows.uniform_mean_distance(rho) * np.geomspace(1e-12, 1 - 1e-9, 25)
+                 for rho in (2, 3, 5, 8, 13, 20, 28)}
+        guarded = {rho: [mallows.backward_map(mu, rho) for mu in mus] for rho, mus in means.items()}
+        monkeypatch.setattr(mallows, "expected_distance", unguarded_expected_distance)
+        compared = 0
+        for rho, mus in means.items():
+            for mu, got in zip(mus, guarded[rho]):
+                want = _overflow_free(lambda: mallows.backward_map(mu, rho))
+                if want is not None:
+                    assert got.hex() == want.hex(), (mu, rho)
+                    compared += 1
+        assert compared > 100
+
+    @pytest.mark.parametrize("rho", [29, 30, 40, 60])
+    @pytest.mark.parametrize("theta", [0.01, 0.3, 1.0, 5.0, 25.0, 40.0])
+    def test_roundtrip_above_rho_28(self, theta, rho):
+        # every bisection here visits a theta whose e^{theta rho} overflows a float
+        mean = mallows.expected_distance(theta, rho)
+        assert mallows.backward_map(mean, rho) == pytest.approx(theta, abs=1e-8)
 
     def test_residual_tolerance(self):
         theta_hat = mallows.backward_map(2.0, 7)

@@ -61,6 +61,16 @@ class TestFiniteMetricSpace:
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         assert ms.FiniteMetricSpace(d).size == 3
 
+    @pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (2, 1)])
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_rejects_nan(self, i, j, mirrored):
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        d[i, j] = np.nan
+        if mirrored:
+            d[j, i] = np.nan
+        with pytest.raises(InvalidMetricError, match="NaN"):
+            ms.FiniteMetricSpace(d)
+
 
 def _perturbed(dist, how, i, j, k, delta):
     """A copy of a metric broken one way; every break exceeds the 1e-9 tolerance."""
