@@ -7,11 +7,16 @@ learned accuracies it is the weighted maximum-likelihood rule.
 
 :func:`aggregate_dataset` is the one entry point: one batched engine solves
 every task of a dataset at once, dispatching on the dataset's space kind. On
-rankings it builds one ``(n, rho, rho)`` preference tensor. Exact Kemeny is a
-dynamic program over the 2^rho subsets of items, run on chunks of tasks as
-array operations; it costs O(2^rho * rho) per task and refuses rho > 16.
-``auto`` uses it up to rho = ``EXACT_MAX_RHO`` and local search above, where
-filling the subset table takes longer than eight restarts of local search.
+rankings it builds one ``(n, rho, rho)`` preference tensor. Exact Kemeny first
+splits each task's items into the strongly connected components of its weak
+majority graph (an edge i -> j when no more weight puts j before i than i
+before j), with array operations over all tasks: a sort by out-degree and a
+2-D prefix sum of strict wins, O(rho^2) per task. Every optimum keeps the
+components in order, so it then runs a dynamic program over the 2^k subsets
+of each component of k >= 2 items, all components of one size at once in
+chunks, at O(2^k * k) per component. It refuses rho > 16. ``auto`` uses it up
+to rho = ``EXACT_MAX_RHO`` and local search above, where a task that is one
+component fills the subset table slower than eight restarts of local search.
 Local search runs the best-improvement insertion descent on an
 ``(n * restarts, rho)`` array of orders; rows drop out as they reach a local
 optimum. Finite spaces gather the distance columns of every task's labels and
@@ -23,12 +28,17 @@ labels whose objectives are equal as summed in float64, the smallest canonical
 form wins (elementwise order for permutation sequences, index order for points
 of a finite space), so every aggregation is deterministic. Objectives that tie
 in exact arithmetic but whose float sums differ in the last bit are no tie:
-the smaller float sum wins. Local search keeps, over its restarts in order, a
-result whose objective is lower by more than 1e-12 times the weight total, or
-within that and lexicographically smaller, so rescaling the weights by a power
-of two leaves it unchanged. Its random restarts for task ``i`` of a dataset
+the smaller float sum wins. The exact solver compares the preference tensor's
+entries to split a task into components and sums each component's objective
+on its own, so its ties are decided by each component's float sums. Local
+search keeps, over its restarts in order, a result whose objective is lower
+by more than 1e-12 times the weight total, or within that and
+lexicographically smaller, so rescaling the weights by a power of two leaves
+it unchanged. Its random restarts for task ``i`` of a dataset
 come from ``default_rng((seed, i))``.
 """
+
+from functools import cache
 
 import numpy as np
 
@@ -193,21 +203,32 @@ def kemeny_exact(labels, weights, rho):
 
     ``labels`` is one task's (m, rho) array, or (n, m, rho) for n tasks
     sharing the (m,) weights (the result is then (n, rho)). With
-    ``pref[i, j]`` the weight of labelers placing item i before item j, an
-    order of an item set S that puts j first pays ``c[S, j]``, the sum of
+    ``pref[i, j]`` the weight of labelers placing item i before item j, each
+    task's items are first split into the strongly connected components of
+    its weak majority graph (an edge i -> j when ``pref[i, j] >= pref[j, i]``):
+    between two components the preference is strict, so every optimum keeps
+    the components in the graph's order (the extended Condorcet criterion)
+    and only the order inside each component is left to find. Items sorted by
+    out-degree, descending and ties to the lower index, list the components in
+    that order, and a prefix of p sorted items is a union of whole components
+    exactly when every item in it strictly beats every item after it.
+
+    On a component of k >= 2 items, taken in ascending item order, an order
+    of an item set S that puts j first pays ``c[S, j]``, the sum of
     ``pref[i, j]`` over i in S, so the optimum of S is
-    ``g[S] = min over j in S of c[S, j] + g[S - j]``. Filling ``g`` costs
-    O(2^rho * rho) time and ``8 (rho + 1) 2^rho`` bytes per task. The order is
-    rebuilt from the full set, taking at each position the smallest item
-    whose ``c[S, j] + g[S - j]`` equals ``g[S]``: ties break to the
-    lexicographically smallest optimal sequence, as the program's float sums
-    round.
+    ``g[S] = min over j in S of c[S, j] + g[S - j]``. The order is rebuilt
+    from the full set, taking at each position the smallest item whose
+    ``c[S, j] + g[S - j]`` equals ``g[S]``: ties break to the
+    lexicographically smallest optimal sequence of each component, as its
+    float sums round, and so to the smallest optimum of the task. The cost is
+    O(rho^2) per task for the partition plus O(2^k * k) time and
+    ``8 (k + 1) 2^k`` bytes per component of k items.
 
     Raises
     ------
     UseHeuristicError
-        If rho exceeds 16, where the subset table would need over 8.9 MB
-        per task: use :func:`kemeny_local_search`.
+        If rho exceeds 16, where one component could need a subset table of
+        over 8.9 MB per task: use :func:`kemeny_local_search`.
     InvalidArgumentError
         If a weight is NaN or infinite.
     """
@@ -218,17 +239,50 @@ def kemeny_exact(labels, weights, rho):
     if labels.shape[2] != rho:
         raise InvalidArgumentError(f"labels have length {labels.shape[2]}, expected {rho}")
     pref = _preference_tensor(labels, _finite_weights(weights))
-    layers = _subset_layers(rho)
-    out = np.empty((len(pref), rho), dtype=np.int64)
-    for s in _chunks(len(pref), 8 * (rho + 1) << rho):
-        out[s] = _subset_dp(pref[s], layers)
+    order, ends = _majority_components(pref)
+    out = order.copy()  # a component of one item stays where the sort put it
+    starts = np.ones_like(ends)
+    starts[:, 1:] = ends[:, :-1]
+    task, start = np.nonzero(starts)
+    size = np.nonzero(ends)[1] - start + 1
+    for k in np.unique(size[size > 1]).tolist():
+        t, pos = task[size == k, None], start[size == k, None] + np.arange(k)
+        items = np.sort(order[t, pos], axis=1)  # ascending ids carry the lexicographic tie-break
+        sub = pref[t[:, :, None], items[:, :, None], items[:, None, :]]
+        layers = _subset_layers(k)
+        local = np.empty((len(sub), k), dtype=np.int64)
+        for s in _chunks(len(sub), 8 * (k + 1) << k):
+            local[s] = _subset_dp(sub[s], layers)
+        out[t, pos] = np.take_along_axis(items, local, axis=1)
     return out[0] if single else out
 
 
+def _majority_components(pref):
+    """Each task's items in component order, and where its components end.
+
+    Returns ``order`` (n, rho), the items sorted by weak out-degree, descending
+    and stable, and ``ends`` (n, rho), true at position p when the first p + 1
+    sorted items strictly beat every later one, i.e. at the last item of each
+    strongly connected component of the weak majority graph.
+    """
+    n, rho, _ = pref.shape
+    wins = pref > pref.transpose(0, 2, 1)
+    # fewest strict losses first: the weak out-degree is rho - 1 minus them
+    order = np.argsort(wins.transpose(0, 2, 1).sum(axis=2), axis=1, kind="stable")
+    rows = np.arange(n)[:, None, None]
+    sorted_wins = wins[rows, order[:, :, None], order[:, None, :]]
+    # cum[t, p, q]: strict wins of the first p sorted items over the first q
+    cum = np.zeros((n, rho + 1, rho + 1), dtype=np.int64)
+    cum[:, 1:, 1:] = sorted_wins.cumsum(axis=1).cumsum(axis=2)
+    p = np.arange(1, rho + 1)
+    return order, cum[:, p, rho] - cum[:, p, p] == p * (rho - p)
+
+
+@cache
 def _subset_layers(rho):
     """For each subset size k = 1..rho: the (L,) subsets S of that size, as bit
     masks, and for the (L, k) members j of each, the flat index ``S * rho + j``
-    of ``c[S, j]`` and the mask of ``S - j``."""
+    of ``c[S, j]`` and the mask of ``S - j``. Built once per rho per process."""
     masks = np.arange(1 << rho)
     member = ((masks[:, None] >> np.arange(rho)) & 1).astype(bool)
     size = member.sum(axis=1)

@@ -711,6 +711,11 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
         e = empirical_pair_moments(values)
         pairwise = e.mean(axis=2) if kind == RANKING else e.sum(axis=2)
         if second_moments is not None:
+            if second_moments.shape not in ((1,), values.shape[2:]):
+                raise InvalidArgumentError(
+                    f"SecondMomentPrior has {second_moments.size} second moments for {values.shape[2]} "
+                    f"embedded coordinates; give one, or one per coordinate"
+                )
             second_moments = np.broadcast_to(second_moments, values.shape[2:]).astype(np.float64)
 
     # route: triplet solves give each labeler's mean parameter

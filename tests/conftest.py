@@ -89,6 +89,42 @@ def reference_kemeny_fraction(labels, weights, rho):
     return np.array(order, dtype=np.int64), g((1 << rho) - 1)
 
 
+def reference_subset_dp(labels, weights, rho):
+    """(n, rho) exact Kemeny orders by one subset program over all rho items of each task.
+
+    The exact solver as it was before the majority-graph decomposition: the
+    full 2^rho table on every task, with no partition, from the library's
+    own preference tensor so that only the solver differs. Ties break to the
+    lexicographically smallest optimal sequence as its float sums round.
+    """
+    from uws.inference import _preference_tensor
+
+    pref = _preference_tensor(np.asarray(labels, dtype=np.int64), np.asarray(weights, dtype=np.float64))
+    t = len(pref)
+    masks = np.arange(1 << rho)
+    member = ((masks[:, None] >> np.arange(rho)) & 1).astype(bool)
+    size = member.sum(axis=1)
+    c = np.zeros((1 << rho, rho, t))
+    for b, row in enumerate(pref.transpose(1, 2, 0)):
+        c[1 << b : 2 << b] = c[: 1 << b] + row
+    flat = c.reshape(-1, t)
+    g = np.zeros((1 << rho, t))
+    for k in range(1, rho + 1):
+        sets = masks[size == k]
+        j = np.nonzero(member[sets])[1].reshape(len(sets), k)
+        g[sets] = (flat[sets[:, None] * rho + j] + g[sets[:, None] ^ (1 << j)]).min(axis=1)
+    bits = 1 << np.arange(rho)
+    tasks = np.arange(t)
+    out = np.empty((t, rho), dtype=np.int64)
+    sets = np.full(t, (1 << rho) - 1)
+    for p in range(rho):
+        cost = c[sets, :, tasks] + g[sets[:, None] ^ bits, tasks[:, None]]
+        hit = ((sets[:, None] & bits) != 0) & (cost == g[sets, tasks][:, None])
+        out[:, p] = hit.argmax(axis=1)
+        sets = sets ^ bits[out[:, p]]
+    return out
+
+
 # Per-task reference aggregation: the solver as it was before the batched
 # engine, one task and one start at a time. The batched engine must agree
 # with it exactly (same outputs, same tie-breaks, same restart streams).

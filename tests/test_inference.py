@@ -14,9 +14,12 @@ from conftest import (
     reference_kemeny_fraction,
     reference_kemeny_local_search,
     reference_kemeny_observed,
+    reference_subset_dp,
 )
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from uws import inference as inf
 from uws import mallows
@@ -244,6 +247,104 @@ class TestKemenyExact:
             # the float scan counts objectives within 1e-12 as ties (tiny weights make them common)
             assert tuple(expect) < tuple(order)
             assert fraction_kemeny_cost(labels, weights, expect) - cost <= Fraction(1e-12)
+
+
+def planted_blocks(rng, rho, m, n, n_blocks, n_noise):
+    """(n, m, rho) labels with planted Condorcet structure: per task, one random split of the
+    shuffled items into ``n_blocks`` blocks; each of the first m - n_noise labelers ranks the
+    blocks in order, each block shuffled, and the rest rank the items at random."""
+    labels = np.empty((n, m, rho), dtype=np.int64)
+    for t in range(n):
+        items = rng.permutation(rho)
+        cuts = np.sort(rng.choice(np.arange(1, rho), size=min(n_blocks, rho) - 1, replace=False))
+        blocks = np.split(items, cuts)
+        for a in range(m):
+            labels[t, a] = (rng.permutation(rho) if a >= m - n_noise
+                            else np.concatenate([rng.permutation(b) for b in blocks]))
+    return labels
+
+
+def components(pref):
+    """Each task's components of the weak majority graph, as (n,) lists of item lists in order."""
+    order, ends = inf._majority_components(pref)
+    out = []
+    for o, e in zip(order, ends):
+        cuts = np.flatnonzero(e)[:-1] + 1
+        out.append([sorted(c.tolist()) for c in np.split(o, cuts)])
+    return out
+
+
+class TestMajorityDecomposition:
+    """kemeny_exact runs the subset program on each strongly connected component of a task's weak
+    majority graph; it must return what the whole-set program returns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rho=st.integers(1, 10), m=st.integers(1, 8), n=st.integers(1, 5), n_blocks=st.integers(1, 10),
+           n_noise=st.integers(0, 3), quarters=st.booleans(), label_seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_matches_the_whole_set_program(self, rho, m, n, n_blocks, n_noise, quarters, label_seed, data):
+        # integer and quarter weights sum exactly, so the orders must agree bit for bit;
+        # equal weights on opposed labelers make exact pair ties, which join two items' components
+        labels = planted_blocks(np.random.default_rng(label_seed), rho, m, n, n_blocks, min(n_noise, m))
+        weights = np.array(data.draw(st.lists(st.integers(-4, 12), min_size=m, max_size=m)), dtype=float)
+        if quarters:
+            weights /= 4
+        got = inf.kemeny_exact(labels, weights, rho)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_subset_dp(labels, weights, rho))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rho=st.integers(1, 12), m=st.integers(1, 8), n=st.integers(1, 5), n_blocks=st.integers(1, 12),
+           n_noise=st.integers(0, 3), label_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_partition_is_the_strong_components(self, rho, m, n, n_blocks, n_noise, label_seed, data):
+        labels = planted_blocks(np.random.default_rng(label_seed), rho, m, n, n_blocks, min(n_noise, m))
+        weights = np.array(data.draw(st.lists(weight_values, min_size=m, max_size=m)))
+        pref = inf._preference_tensor(labels, weights)
+        for p, comps in zip(pref, components(pref)):
+            weak = (p >= p.T) & ~np.eye(rho, dtype=bool)
+            k, label = connected_components(csr_matrix(weak), directed=True, connection="strong")
+            assert sorted(comps) == sorted(sorted(np.flatnonzero(label == c).tolist()) for c in range(k))
+            # in the graph's order: every item of a component strictly beats every later item
+            for a, comp in enumerate(comps):
+                later = [j for c in comps[a + 1:] for j in c]
+                assert (p[np.ix_(comp, later)] > p[np.ix_(later, comp)].T).all()
+
+    @pytest.mark.parametrize("rho", [9, 10, 11, 12])
+    def test_planted_components_reach_the_exact_optimum(self, rho):
+        # weights in quarters sum exactly, so orders and objectives must equal the oracle's
+        rng = np.random.default_rng(200 + rho)
+        labels = planted_blocks(rng, rho, 7, 2, 3, 2)
+        weights = rng.integers(1, 9, size=7) / 4
+        assert all(len(comps) > 1 for comps in components(inf._preference_tensor(labels, weights)))
+        for task, z in zip(labels, inf.kemeny_exact(labels, weights, rho)):
+            order, best = reference_kemeny_fraction(task, weights, rho)
+            assert np.array_equal(z, order) and fraction_kemeny_cost(task, weights, z) == best
+
+    def test_sixteen_items_in_one_component_fill_the_whole_table(self):
+        # 16 cyclic shifts of one order: item i beats the next 7 after it around the cycle and ties
+        # the one opposite, so all 16 items form one component and the program needs all 2^16 subsets
+        sigma = np.random.default_rng(16).permutation(16)
+        shifts = sigma[(np.arange(16)[:, None] + np.arange(16)) % 16]
+        assert components(inf._preference_tensor(shifts[None], np.ones(16))) == [[sorted(sigma.tolist())]]
+        got = inf.kemeny_exact(shifts, np.ones(16), 16)
+        assert np.array_equal(got, reference_subset_dp(shifts[None], np.ones(16), 16)[0])
+
+    def test_sixteen_items_in_one_component_with_a_planted_optimum(self):
+        # identity (weight 3) and the identity with item 0 moved last or item 15 moved first (weight 2
+        # each): item 15 beats item 0 by 1, every other pair i < j goes to i, adjacent pairs by 3. The
+        # cycle 0 -> 1 -> ... -> 15 -> 0 makes one component; the identity breaks only its 15 -> 0 arc
+        # (excess 1), and any other order breaks an arc i -> i + 1 (excess 3): the identity is the
+        # unique optimum, relabelled here by sigma
+        sigma = np.random.default_rng(61).permutation(16)
+        ident = np.arange(16)
+        labels = sigma[np.array([ident, np.r_[1:16, 0], np.r_[15, 0:15]])]
+        weights = np.array([3.0, 2.0, 2.0])
+        assert components(inf._preference_tensor(labels[None], weights)) == [[sorted(sigma.tolist())]]
+        got = inf.kemeny_exact(labels, weights, 16)
+        assert got.tolist() == sigma.tolist()
+        lower = sum(min(3 + 2 * (i > 0) + 2 * (j < 15), 2 * (i == 0) + 2 * (j == 15))
+                    for i in range(16) for j in range(i + 1, 16))
+        assert fraction_kemeny_cost(labels, weights, got) == lower + 1
 
 
 class TestKemenyLocalSearch:

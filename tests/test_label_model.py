@@ -347,6 +347,17 @@ class TestLearnConfiguration:
         with pytest.raises(ConfigurationError):
             lm.learn_label_model(real, path="continuous")
 
+    @pytest.mark.parametrize("kind, path, given, coords", [
+        (lm.REAL_VECTOR, "continuous", 2, 1), (lm.REAL_VECTOR, "isotropic", 3, 1),
+        (lm.FINITE_METRIC, "continuous", 3, 8), (lm.FINITE_METRIC, "continuous", 9, 8),
+    ])
+    def test_prior_of_the_wrong_length_is_refused(self, kind, path, given, coords):
+        # one second moment per embedded coordinate (real labels: 1; a 30-node MDS embedding: 8)
+        data = six_labeler_data(kind)
+        with pytest.raises(InvalidArgumentError, match=f"{given} second moments for {coords} embedded coordinates"):
+            lm.learn_label_model(data, path=path, prior=lm.SecondMomentPrior(np.ones(given)))
+        lm.learn_label_model(data, path=path, prior=lm.SecondMomentPrior(np.ones(coords)))
+
 
 class TestLearnRegression:
     @staticmethod
