@@ -36,9 +36,7 @@ print(np.round(closed_form, 1))
 
 print("\n== aggregate ==")
 for rule, model_arg in (("mv", None), ("weighted", model)):
-    labels = aggregate_dataset(
-        data, rule=rule, model=model_arg, seed=SEED, candidate_policy="local_search"
-    )
+    labels = aggregate_dataset(data, rule=rule, model=model_arg, seed=SEED)
     mean_d = perm.kendall_tau_many(np.asarray(labels), truth).mean()
     print(f"{rule:>8}: mean Kendall distance to truth = {mean_d:.3f}")
 print("\nweighting by learned accuracies filters the noisy majority out.")

@@ -171,9 +171,9 @@ def _read_dataset_with_space(path):
 
 
 def _build_prior(args):
-    if getattr(args, "prior_p", None) is not None:
+    if args.prior_p is not None:
         return TwoPointPrior(args.prior_p)
-    if getattr(args, "prior_second_moment", None) is not None:
+    if args.prior_second_moment is not None:
         return SecondMomentPrior(args.prior_second_moment)
     return None
 
@@ -190,8 +190,8 @@ def cmd_learn(args):
         "dataset": str(args.dataset),
         "path": model.path,
         "triplets": args.triplets,
-        "prior_p": getattr(args, "prior_p", None),
-        "prior_second_moment": getattr(args, "prior_second_moment", None),
+        "prior_p": args.prior_p,
+        "prior_second_moment": args.prior_second_moment,
     }
     io.write_model(args.model, model, extra_manifest={"config_hash_learn": io.config_hash(config)})
     return 0
@@ -393,8 +393,9 @@ def build_parser():
     learn.add_argument("--model", required=True, help="output model JSON path")
     learn.add_argument("--path", choices=["hypercube", "continuous", "isotropic"], default=None)
     learn.add_argument("--triplets", choices=["first", "median"], default="first")
-    learn.add_argument("--prior-p", type=float, default=None, dest="prior_p")
-    learn.add_argument("--prior-second-moment", type=float, default=None, dest="prior_second_moment")
+    prior = learn.add_mutually_exclusive_group()
+    prior.add_argument("--prior-p", type=float, default=None, dest="prior_p")
+    prior.add_argument("--prior-second-moment", type=float, default=None, dest="prior_second_moment")
     learn.set_defaults(func=cmd_learn)
 
     infer = sub.add_parser("infer", help="aggregate a dataset into pseudolabels")

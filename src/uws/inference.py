@@ -5,23 +5,25 @@ space; with uniform weights this is the generalized majority vote (the Kemeny
 rule on rankings, the mean on the real line under squared distance), and with
 learned accuracies it is the weighted maximum-likelihood rule.
 
-:func:`aggregate_dataset` is the one entry point: one batched engine solves
-every task of a dataset at once, dispatching on the dataset's space kind. On
-rankings it builds one ``(n, rho, rho)`` preference tensor. Exact Kemeny first
-splits each task's items into the strongly connected components of its weak
-majority graph (an edge i -> j when no more weight puts j before i than i
-before j), with array operations over all tasks: a sort by out-degree and a
-2-D prefix sum of strict wins, O(rho^2) per task. Every optimum keeps the
-components in order, so it then runs a dynamic program over the 2^k subsets
-of each component of k >= 2 items, all components of one size at once in
-chunks, at O(2^k * k) per component. It refuses rho > 16. ``auto`` uses it up
-to rho = ``EXACT_MAX_RHO`` and local search above, where a task that is one
+:func:`aggregate_dataset` is the one entry point, with one path per space
+kind: one batched engine solves every task of a dataset at once. A negative
+(worse than random) weight counts as 0. Reals take the weighted mean, the
+exact argmin of the squared distance. Finite spaces gather the distance
+columns of every task's labels and take the argmin over all points. Rankings
+build one ``(n, rho, rho)`` preference tensor. Exact Kemeny first splits each
+task's items into the strongly connected components of its weak majority
+graph (an edge i -> j when no more weight puts j before i than i before j),
+with array operations over all tasks: a sort by out-degree and a 2-D prefix
+sum of strict wins, O(rho^2) per task. Every optimum keeps the components in
+order, so it then runs a dynamic program over the 2^k subsets of each
+component of k >= 2 items, all components of one size at once in chunks, at
+O(2^k * k) per component. It refuses rho > 16. Rankings use it up to
+rho = ``EXACT_MAX_RHO`` and local search above, where a task that is one
 component fills the subset table slower than eight restarts of local search.
 Local search runs the best-improvement insertion descent on an
 ``(n * restarts, rho)`` array of orders; rows drop out as they reach a local
-optimum. Finite spaces gather the distance columns of every task's labels and
-take the argmin over the points. Chunks of tasks bound the working arrays to
-about 1 MiB (``_CHUNK_BYTES``).
+optimum. Chunks of tasks bound the working arrays to about 1 MiB
+(``_CHUNK_BYTES``).
 
 Ties break lexicographically as the program's float sums compare them: among
 labels whose objectives are equal as summed in float64, the smallest canonical
@@ -64,30 +66,15 @@ _TIE_TOL = 1e-12
 _CHUNK_BYTES = 1 << 20
 
 
-def _finite_weights(weights):
-    """The weights as a float64 array; a NaN or infinite weight has no argmin to give."""
+def _finite_weights(weights, m):
+    """The (m,) weights as a float64 array; a NaN or infinite weight has no argmin to give."""
     weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (m,):
+        raise InvalidArgumentError(f"{weights.size} weights for {m} labels")
     bad = np.flatnonzero(~np.isfinite(weights))
     if bad.size:
         raise InvalidArgumentError(f"aggregation weights must be finite; weight {bad[0]} is {weights[bad[0]]}")
     return weights
-
-
-def _apply_negative_policy(labels, weights, space_kind, policy):
-    """Labels (n, m, ...) and weights with the negative weights clamped or flipped."""
-    neg = weights < 0
-    if not neg.any():
-        return labels, weights
-    if policy == "clamp":
-        return labels, np.where(neg, 0.0, weights)
-    labels = np.array(labels)
-    if space_kind == RANKING:
-        labels[:, neg] = labels[:, neg, ::-1]
-    elif space_kind == REAL_VECTOR:
-        labels[:, neg] = -labels[:, neg]
-    else:
-        raise ConfigurationError("sign-flip mode undefined for finite metric labels")
-    return labels, np.abs(weights)
 
 
 def _row_sums(terms):
@@ -106,36 +93,12 @@ def _chunks(n, bytes_per_task):
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _aggregate_reals(labels, weights, candidate_policy):
-    values = labels[:, :, 0]  # one value per labeler: the (n, m, 1) rows of a real LabelingMatrix
-    if candidate_policy == "observed_only":
-        return _best_observed(values, weights, lambda z, v: (v - z) ** 2)
-    # the squared-distance objective has the weighted mean as its exact argmin
-    return _row_sums(weights * values) / weights.sum()
-
-
-def _aggregate_finite(labels, weights, space, candidate_policy):
-    if candidate_policy == "observed_only":
-        return _best_observed(labels, weights, lambda z, v: space.dist[z, v])
+def _aggregate_finite(labels, weights, space):
     n, m = labels.shape
     out = np.empty(n, dtype=np.int64)
     for s in _chunks(n, 16 * m * space.size):
         # costs[t, c] = sum_a w_a dist[c, label_ta], every point c a candidate
         out[s] = _row_sums((weights * space.dist[:, labels[s]]).transpose(1, 0, 2)).argmin(axis=1)
-    return out
-
-
-def _best_observed(labels, weights, distance):
-    """Each task's observed label of least weighted distance sum, the smallest on ties.
-
-    ``distance(z, v)`` broadcasts candidate labels z against labeler outputs v.
-    """
-    n, m = labels.shape
-    cands = np.sort(labels, axis=1)
-    out = np.empty(n, dtype=cands.dtype)
-    for s in _chunks(n, 8 * m * m):
-        costs = _row_sums(weights * distance(cands[s, :, None], labels[s, None, :]))
-        out[s] = cands[s][np.arange(len(costs)), costs.argmin(axis=1)]
     return out
 
 
@@ -185,11 +148,6 @@ def _select(cands, costs, tol):
     return best
 
 
-def _kemeny_observed(labels, weights):
-    """Each task's best observed label, ties to the lexicographically smallest."""
-    return _select(labels, _candidate_costs(_preference_tensor(labels, weights), labels), 0.0)
-
-
 def _as_batch(labels):
     """(n, m, rho) int64 labels and whether they came as one task's (m, rho) or (rho,)."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -230,7 +188,7 @@ def kemeny_exact(labels, weights, rho):
         If rho exceeds 16, where one component could need a subset table of
         over 8.9 MB per task: use :func:`kemeny_local_search`.
     InvalidArgumentError
-        If a weight is NaN or infinite.
+        If the weights are not one finite value per labeler.
     """
     labels, single = _as_batch(labels)
     if rho > _DP_MAX_RHO:
@@ -238,7 +196,7 @@ def kemeny_exact(labels, weights, rho):
                                 f"2^rho subset table is built for")
     if labels.shape[2] != rho:
         raise InvalidArgumentError(f"labels have length {labels.shape[2]}, expected {rho}")
-    pref = _preference_tensor(labels, _finite_weights(weights))
+    pref = _preference_tensor(labels, _finite_weights(weights, labels.shape[1]))
     order, ends = _majority_components(pref)
     out = order.copy()  # a component of one item stays where the sort put it
     starts = np.ones_like(ends)
@@ -326,13 +284,14 @@ def kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
     a local optimum whose objective never exceeds any input label's.
     ``labels`` is one task's (m, rho) array, whose restarts come from
     ``default_rng(seed)``, or (n, m, rho) for n tasks sharing the (m,)
-    weights, task i's from ``default_rng((seed, i))``. Weights must be finite.
+    weights, task i's from ``default_rng((seed, i))``. Weights must be finite,
+    one per labeler.
     """
     labels, single = _as_batch(labels)
     if labels.shape[2] != rho:
         raise InvalidArgumentError(f"labels have length {labels.shape[2]}, expected {rho}")
     seeds = [seed] if single else [(seed, i) for i in range(len(labels))]
-    out = _local_search(labels, _finite_weights(weights), restarts, seeds)
+    out = _local_search(labels, _finite_weights(weights, labels.shape[1]), restarts, seeds)
     return out[0] if single else out
 
 
@@ -416,8 +375,7 @@ def gaussian_conditional_mean(lf_values, acc_vector, cov_matrix):
     return values @ coeffs
 
 
-def aggregate_dataset(data, weights=None, rule="weighted", candidate_policy="auto",
-                      negative_weights="clamp", seed=0, restarts=8, model=None):
+def aggregate_dataset(data, weights=None, rule="weighted", seed=0, model=None):
     """Aggregate every task of a LabelingMatrix into one pseudolabel.
 
     rule "mv" ignores weights; "weighted" requires either ``weights`` or a
@@ -425,27 +383,20 @@ def aggregate_dataset(data, weights=None, rule="weighted", candidate_policy="aut
     Gaussian conditional mean from its accuracies and pairwise moments, or,
     when the accuracies are unknown (NaN), the precision-weighted mean
     ``lambda . Theta 1 / 1' Theta 1`` from its theta matrix). Weights must be
-    finite; rescaling them by a positive constant leaves the result unchanged.
+    finite, one per labeler; a negative one counts as 0, and rescaling them by
+    a positive constant leaves the result unchanged.
 
-    candidate_policy "enumerate_all" searches the whole space (the subset
-    dynamic program of :func:`kemeny_exact` on rankings, every point of a
-    finite space, the closed-form weighted mean on the real line),
-    "local_search" runs the insertion heuristic on rankings, whose random
-    restarts for task i come from ``default_rng((seed, i))``, and
-    "observed_only" takes each task's best observed label. "auto" is the
-    exact search, except local search on rankings above rho = ``EXACT_MAX_RHO``.
-    negative_weights "clamp" zeroes worse-than-random weights; "flip"
-    reverses a ranking or negates a real value instead and uses the weight's
-    magnitude.
+    Each task's label is the weighted argmin over the whole space: the
+    weighted mean on the real line, the best point of a finite space, and on
+    rankings the exact Kemeny order of :func:`kemeny_exact` up to
+    rho = ``EXACT_MAX_RHO``, above it :func:`kemeny_local_search` with its
+    default eight restarts, task i's random ones from
+    ``default_rng((seed, i))``.
 
     Returns a list of labels (permutation arrays, floats, or node ids).
     """
     if rule not in ("mv", "weighted"):
         raise ConfigurationError(f"unknown rule {rule!r}")
-    if candidate_policy not in ("auto", "enumerate_all", "local_search", "observed_only"):
-        raise ConfigurationError(f"unknown candidate policy {candidate_policy!r}")
-    if negative_weights not in ("clamp", "flip"):
-        raise ConfigurationError(f"unknown negative-weight policy {negative_weights!r}")
     kind = data.space_kind
 
     if rule == "weighted" and kind == REAL_VECTOR and weights is None:
@@ -469,21 +420,16 @@ def aggregate_dataset(data, weights=None, rule="weighted", candidate_policy="aut
         if model is None:
             raise ConfigurationError("weighted rule needs weights or a learned model")
         weights = model.thetas
-    weights = _finite_weights(weights)
-    if len(weights) != data.n_lfs:
-        raise InvalidArgumentError(f"{len(weights)} weights for {data.n_lfs} labels")
-    labels, weights = _apply_negative_policy(data.labels, weights, kind, negative_weights)
+    weights = _finite_weights(weights, data.n_lfs)
+    weights = np.where(weights < 0, 0.0, weights)
     if not (weights > 0).any():
         raise DegenerateWeightsError("all aggregation weights are zero")
 
     if kind == REAL_VECTOR:
-        return _aggregate_reals(labels, weights, candidate_policy).tolist()
+        # the squared-distance objective has the weighted mean as its exact argmin
+        return (_row_sums(weights * data.labels[:, :, 0]) / weights.sum()).tolist()
     if kind == FINITE_METRIC:
-        return _aggregate_finite(labels, weights, data.space, candidate_policy).tolist()
-    if candidate_policy == "observed_only":
-        out = _kemeny_observed(labels, weights)
-    elif candidate_policy == "local_search" or (candidate_policy == "auto" and data.rho > EXACT_MAX_RHO):
-        out = kemeny_local_search(labels, weights, data.rho, restarts, seed)
-    else:
-        out = kemeny_exact(labels, weights, data.rho)
-    return list(out)
+        return _aggregate_finite(data.labels, weights, data.space).tolist()
+    if data.rho > EXACT_MAX_RHO:
+        return list(kemeny_local_search(data.labels, weights, data.rho, seed=seed))
+    return list(kemeny_exact(data.labels, weights, data.rho))

@@ -271,20 +271,20 @@ def _pair_signs(rankings):
     return np.where(pos[iu] < pos[ju], np.int8(1), np.int8(-1)).transpose(1, 2, 0)
 
 
-def _continuous_core(e_ab, e_ac, e_bc, second_moment, eps_floor):
+def _continuous_core(e_ab, e_ac, e_bc, second_moment):
     """Elementwise ``|a_a|`` of :func:`continuous_triplets`, and where it is defined.
 
     ``ok`` is False wherever one of the three ``|e|`` is at or below
-    ``eps_floor``; the magnitude there is meaningless. Swapping the arguments
+    ``EPS_FLOOR``; the magnitude there is meaningless. Swapping the arguments
     gives the other two labelers' magnitudes.
     """
     e_ab, e_ac, e_bc = (np.abs(np.asarray(x, dtype=np.float64)) for x in (e_ab, e_ac, e_bc))
-    ok = ~((e_ab <= eps_floor) | (e_ac <= eps_floor) | (e_bc <= eps_floor))
+    ok = ~((e_ab <= EPS_FLOOR) | (e_ac <= EPS_FLOOR) | (e_bc <= EPS_FLOOR))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.sqrt(e_ab * e_ac * second_moment / e_bc), ok
 
 
-def continuous_triplets(e_ab, e_ac, e_bc, second_moment, eps_floor=EPS_FLOOR):
+def continuous_triplets(e_ab, e_ac, e_bc, second_moment):
     """Accuracy magnitudes of three mutually conditionally independent labelers.
 
     Under conditional independence the cross moments factor as
@@ -295,17 +295,17 @@ def continuous_triplets(e_ab, e_ac, e_bc, second_moment, eps_floor=EPS_FLOOR):
     Raises
     ------
     DegenerateMomentError
-        If any ``|e|`` is at or below ``eps_floor``: that labeler pair is
+        If any ``|e|`` is at or below ``EPS_FLOOR``: that labeler pair is
         indistinguishable from independence at this sample size.
     """
     sm = np.asarray(second_moment, dtype=np.float64)
     if (sm <= 0).any():
         raise DomainError("second moment must be positive")
-    mag_a, ok = _continuous_core(e_ab, e_ac, e_bc, sm, eps_floor)
+    mag_a, ok = _continuous_core(e_ab, e_ac, e_bc, sm)
     if not ok.all():
-        raise DegenerateMomentError(f"pairwise moment at or below the floor {eps_floor}")
-    mag_b, _ = _continuous_core(e_ab, e_bc, e_ac, sm, eps_floor)
-    mag_c, _ = _continuous_core(e_ac, e_bc, e_ab, sm, eps_floor)
+        raise DegenerateMomentError(f"pairwise moment at or below the floor {EPS_FLOOR}")
+    mag_b, _ = _continuous_core(e_ab, e_bc, e_ac, sm)
+    mag_c, _ = _continuous_core(e_ac, e_bc, e_ab, sm)
     return mag_a, mag_b, mag_c
 
 
@@ -469,14 +469,14 @@ def isotropic_accuracies(pair_distances, triplet):
     return value
 
 
-def resolve_signs(magnitudes, pair_moments, anchor=None, eps_floor=EPS_FLOOR):
+def resolve_signs(magnitudes, pair_moments):
     """Assign signs to accuracy magnitudes from pairwise moment signs.
 
-    Signs propagate along pairs whose moment magnitude exceeds ``eps_floor``:
+    Signs propagate along pairs whose moment magnitude exceeds ``EPS_FLOOR``:
     ``sign(a_b) = sign(e_{parent,b}) * sign(a_parent)``, starting from
-    ``anchor`` (known positive) or labeler 0. Without an anchor the global
-    orientation is fixed by the better-than-random-on-average convention,
-    flipping everything if the signed sum comes out negative.
+    labeler 0. The global orientation is fixed by the
+    better-than-random-on-average convention, flipping everything if the
+    signed sum comes out negative.
 
     Raises
     ------
@@ -486,15 +486,12 @@ def resolve_signs(magnitudes, pair_moments, anchor=None, eps_floor=EPS_FLOOR):
     mags = np.asarray(magnitudes, dtype=np.float64)
     e = np.asarray(pair_moments, dtype=np.float64)
     m = mags.shape[0]
-    if e.shape != (m, m):
-        raise InvalidArgumentError(f"pair moments must be ({m}, {m}), got {e.shape}")
+    if not m or e.shape != (m, m):
+        raise InvalidArgumentError(f"pair moments must be ({m}, {m}) for m >= 1 labelers, got {e.shape}")
     signs = np.zeros(m)
-    root = 0 if anchor is None else int(anchor)
-    if not 0 <= root < m:
-        raise InvalidArgumentError(f"anchor {root} outside 0..{m - 1}")
-    signs[root] = 1.0
-    usable = np.abs(e) > eps_floor
-    frontier = np.array([root])
+    signs[0] = 1.0
+    usable = np.abs(e) > EPS_FLOOR
+    frontier = np.array([0])
     while frontier.size:
         # breadth-first: an unreached labeler takes its sign from the first
         # frontier labeler linked to it, and joins the next frontier in
@@ -508,9 +505,9 @@ def resolve_signs(magnitudes, pair_moments, anchor=None, eps_floor=EPS_FLOOR):
     if (signs == 0.0).any():
         missing = np.flatnonzero(signs == 0.0).tolist()
         raise SignAmbiguousError(
-            f"cannot reach labelers {missing}: all their pair moments are below {eps_floor}"
+            f"cannot reach labelers {missing}: all their pair moments are below {EPS_FLOOR}"
         )
-    if anchor is None and float(signs @ mags) < 0.0:
+    if float(signs @ mags) < 0.0:
         signs = -signs
     return signs * mags
 
@@ -580,7 +577,7 @@ def _signed_accuracies(e, partners, second_moments, policy):
     mags = _triplet_estimates(
         partners,
         policy,
-        lambda a, b, c: _continuous_core(e[a, b], e[a, c], e[b, c], second_moments, EPS_FLOOR),
+        lambda a, b, c: _continuous_core(e[a, b], e[a, c], e[b, c], second_moments),
         DegenerateMomentError,
         f"every triplet has a pairwise moment at or below the floor {EPS_FLOOR}",
     )
@@ -648,9 +645,11 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
     corr : CorrelationSet, optional
         Labeler pairs that may not appear together in a triplet.
     prior : TwoPointPrior or SecondMomentPrior, optional
-        Rankings default to the uniform-truth values (second moments 1 on the
-        continuous route, p = 1/2 on the hypercube route). The continuous
-        route on real labels requires a SecondMomentPrior.
+        Only the hypercube route reads a TwoPointPrior, and rankings read no
+        SecondMomentPrior: their +-1 coordinates have second moment 1 by
+        construction. A prior the route does not read is refused. The
+        hypercube route defaults to p = 1/2, and the continuous route on
+        real labels requires a SecondMomentPrior.
     path : {"continuous", "hypercube", "isotropic"}, optional
         Defaults per space: continuous for rankings and real labels,
         isotropic for finite metric spaces.
@@ -674,6 +673,9 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
         raise ConfigurationError(f"path {path!r} not available for {kind!r} labels")
     if triplet_policy not in ("first", "median"):
         raise ConfigurationError(f"unknown triplet policy {triplet_policy!r}")
+    if (isinstance(prior, SecondMomentPrior) and kind == RANKING
+            or isinstance(prior, TwoPointPrior) and path != "hypercube"):
+        raise ConfigurationError(f"{type(prior).__name__} is not read on the {path} route for {kind} labels")
     m = data.n_lfs
 
     # embed: labeler-major (m, n, d) views of coordinate-major storage, the

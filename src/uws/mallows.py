@@ -26,6 +26,8 @@ __all__ = [
 
 # bisection bracket for the backward map; results clamp at the endpoints
 BACKWARD_BRACKET = (1e-8, 50.0)
+# the backward map bisects until the bracket is this narrow: 46 halvings of the one above
+_BACKWARD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,11 @@ def uniform_mean_distance(rho):
     return rho * (rho - 1) / 4.0
 
 
-def backward_map(mean_distance, rho, tol=1e-12, max_iter=200):
+def backward_map(mean_distance, rho):
     """Invert the expected distance: the theta whose Mallows mean distance is ``mean_distance``.
 
     Bracketed bisection on the strictly monotone map, bracket
-    ``BACKWARD_BRACKET``, resolved to ``tol`` on theta. Means outside the open
+    ``BACKWARD_BRACKET``, resolved to 1e-12 on theta. Means outside the open
     interval (0, rho(rho-1)/4) raise InfeasibleMeanError: the uniform limit is
     unreachable at finite theta, and the caller owns any clamping policy.
     Means steeper than the bracket supports clamp to the bracket endpoint.
@@ -98,9 +100,7 @@ def backward_map(mean_distance, rho, tol=1e-12, max_iter=200):
             f"mean distance {mean_distance} outside feasible range (0, {hi_mean}) for rho={rho}"
         )
     lo, hi = BACKWARD_BRACKET
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
+    while hi - lo > _BACKWARD_TOL:
         mid = 0.5 * (lo + hi)
         if expected_distance(mid, rho) > mean_distance:
             lo = mid

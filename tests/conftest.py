@@ -210,21 +210,10 @@ def reference_kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
     return best
 
 
-def reference_kemeny_observed(labels, weights, rho):
-    """Best observed label, lexicographically smallest among equal objectives."""
-    labels = np.asarray(labels, dtype=np.int64)
-    pref = reference_preference_matrix(labels, weights, rho)
-    cands = labels[np.lexsort(labels.T[::-1])]
-    costs = [reference_kemeny_cost(pref, z) for z in cands]
-    return cands[int(np.argmin(costs))].copy()
-
-
-def reference_aggregate_finite(labels, weights, dist, observed_only=False):
-    """Weighted distance argmin over every point (or the observed ones), lowest index on ties."""
-    labels = np.asarray(labels)
-    cands = np.unique(labels) if observed_only else np.arange(len(dist))
-    costs = (weights[None, :] * dist[np.ix_(cands, labels)]).sum(axis=1)
-    return int(cands[int(np.argmin(costs))])
+def reference_aggregate_finite(labels, weights, dist):
+    """Weighted distance argmin over every point, lowest index on ties."""
+    costs = (weights[None, :] * dist[:, np.asarray(labels)]).sum(axis=1)
+    return int(np.argmin(costs))
 
 
 # Reference readers: the dataset and truth readers as they were before the

@@ -182,10 +182,7 @@ def _ranking_pipeline(thetas, rho, n, seed):
     model = lm.learn_label_model(data, triplet_policy="median")
     out = {}
     for rule, model_arg in (("weighted", model), ("mv", None)):
-        labels = inference.aggregate_dataset(
-            data, rule=rule, model=model_arg, seed=seed,
-            candidate_policy="local_search" if rho > inference.EXACT_MAX_RHO else "auto",
-        )
+        labels = inference.aggregate_dataset(data, rule=rule, model=model_arg, seed=seed)
         out[rule] = float(perm.kendall_tau_many(np.asarray(labels), truth).mean())
     return out
 

@@ -135,6 +135,24 @@ class TestLearn:
         code = main(["learn", "--dataset", str(tmp_path / "nope"), "--model", str(tmp_path / "m.json")])
         assert code == 2
 
+    def test_prior_the_route_does_not_read_exits_validation(self, tmp_path, capsys, ranking_scenario):
+        # rankings' +-1 coordinates have second moment 1 by construction
+        out, model_path = tmp_path / "out", tmp_path / "model.json"
+        main(["generate", "--scenario", str(ranking_scenario), "--out", str(out)])
+        code = main(["learn", "--dataset", str(out), "--model", str(model_path), "--prior-second-moment", "2"])
+        assert code == 2
+        assert "SecondMomentPrior is not read" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_both_priors_are_a_usage_error(self, tmp_path, capsys, ranking_scenario):
+        out, model_path = tmp_path / "out", tmp_path / "model.json"
+        main(["generate", "--scenario", str(ranking_scenario), "--out", str(out)])
+        code = main(["learn", "--dataset", str(out), "--model", str(model_path), "--path", "hypercube",
+                     "--prior-p", "0.5", "--prior-second-moment", "2"])
+        assert code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not model_path.exists()
+
 
 class TestInfer:
     @pytest.fixture

@@ -13,7 +13,6 @@ from conftest import (
     reference_kemeny_exact,
     reference_kemeny_fraction,
     reference_kemeny_local_search,
-    reference_kemeny_observed,
     reference_subset_dp,
 )
 from hypothesis import HealthCheck, assume, given, settings
@@ -123,24 +122,6 @@ class TestWeightedAggregate:
         got = weighted_aggregate(ranking_problem(labels, weights=[1.0, -5.0, 0.0]))
         assert got.tolist() == [0, 1, 2]
 
-    def test_negative_weight_flip_mode(self):
-        # weight -w on a ranking equals weight w on its reversal
-        labels = np.array([[0, 1, 2, 3], [3, 1, 0, 2], [2, 0, 3, 1]])
-        flipped = weighted_aggregate(
-            ranking_problem(labels, weights=[1.0, 1.0, -2.0], negative_weights="flip")
-        )
-        explicit = np.array([labels[0], labels[1], labels[2][::-1]])
-        direct = weighted_aggregate(ranking_problem(explicit, weights=[1.0, 1.0, 2.0]))
-        assert flipped.tolist() == direct.tolist()
-
-    def test_negative_weight_flip_on_reals_and_nodes(self):
-        # weight -w on a real value equals weight w on its negation; nodes have no flip
-        got = weighted_aggregate(real_problem([1.0, 3.0], weights=[1.0, -1.0], negative_weights="flip"))
-        assert got == pytest.approx(-1.0)
-        space = graph_hop_metric([(0, 1), (1, 2), (2, 3)], 4)
-        with pytest.raises(ConfigurationError, match="sign-flip"):
-            weighted_aggregate(finite_problem([0, 2], space, weights=[1.0, -1.0], negative_weights="flip"))
-
     def test_weighted_beats_majority_vote_on_heterogeneous_rankings(self):
         # one sharp labeler among noisy ones: weighting must help
         rng = np.random.default_rng(11)
@@ -166,10 +147,6 @@ class TestWeightedAggregate:
         # path 0-1-2-3 with labels {0, 2}: nodes 0, 1, 2 all cost 2
         space = graph_hop_metric([(0, 1), (1, 2), (2, 3)], 4)
         assert weighted_aggregate(finite_problem([0, 2], space)) == 0
-
-    def test_finite_space_observed_only(self):
-        space = graph_hop_metric([(0, 1), (1, 2), (2, 3)], 4)
-        assert weighted_aggregate(finite_problem([0, 2, 2], space, candidate_policy="observed_only")) == 2
 
 
 class TestKemenyExact:
@@ -202,9 +179,6 @@ class TestKemenyExact:
         assert inf.kemeny_exact([np.arange(16)[::-1]], [1.0], 16).tolist() == list(range(15, -1, -1))
         with pytest.raises(UseHeuristicError):
             inf.kemeny_exact([np.arange(17)], [1.0], 17)
-        data = LabelingMatrix(RANKING, np.tile(np.arange(17), (2, 3, 1)))
-        with pytest.raises(UseHeuristicError):
-            inf.aggregate_dataset(data, rule="mv", candidate_policy="enumerate_all")
 
     def test_integer_weights_match_the_permutation_table(self):
         # integer sums are exact, so the subset program returns the table's
@@ -437,10 +411,6 @@ class TestAggregateDataset:
         labels = np.random.default_rng(43).normal(size=(30, 5))
         data = LabelingMatrix(REAL_VECTOR, labels)
         np.testing.assert_allclose(inf.aggregate_dataset(data, rule="mv"), labels.mean(axis=1), rtol=1e-12)
-        # among observed labels, the one nearest the mean minimizes the squared-distance sum
-        nearest = np.abs(labels - labels.mean(axis=1, keepdims=True)).argmin(axis=1)
-        got = inf.aggregate_dataset(data, rule="mv", candidate_policy="observed_only")
-        np.testing.assert_array_equal(got, labels[np.arange(30), nearest])
 
     def test_weighted_reals_without_accuracies_use_precision_weights(self):
         from uws import synthetic as syn
@@ -477,9 +447,8 @@ class TestAggregateDataset:
         weights = np.array([bad, 1.0, 0.5, 2.0])
         for data in (LabelingMatrix(RANKING, labels), LabelingMatrix(FINITE_METRIC, labels[:, :, 0], space),
                      LabelingMatrix(REAL_VECTOR, labels[:, :, 0].astype(float))):
-            for policy in ("auto", "local_search", "observed_only"):
-                with pytest.raises(InvalidArgumentError, match="finite"):
-                    inf.aggregate_dataset(data, weights=weights, candidate_policy=policy)
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                inf.aggregate_dataset(data, weights=weights)
         with pytest.raises(InvalidArgumentError, match="finite"):
             inf.kemeny_exact(labels[0], weights, 5)
         with pytest.raises(InvalidArgumentError, match="finite"):
@@ -487,12 +456,19 @@ class TestAggregateDataset:
 
     def test_unknown_options(self):
         data = LabelingMatrix(REAL_VECTOR, np.ones((2, 3)))
-        with pytest.raises(ConfigurationError, match="candidate policy"):
-            inf.aggregate_dataset(data, rule="mv", candidate_policy="exhaustive")
-        with pytest.raises(ConfigurationError, match="negative-weight"):
-            inf.aggregate_dataset(data, rule="mv", negative_weights="drop")
         with pytest.raises(InvalidArgumentError, match="2 weights for 3 labels"):
             inf.aggregate_dataset(data, weights=[1.0, 1.0])
+
+    @pytest.mark.parametrize("solver", [inf.kemeny_exact, inf.kemeny_local_search])
+    def test_solvers_refuse_weights_of_the_wrong_length(self, solver):
+        # one task's (rho,) or (m, rho) labels, or (n, m, rho) for n tasks: one weight per labeler
+        rng = np.random.default_rng(67)
+        labels = np.array([[rng.permutation(5) for _ in range(3)] for _ in range(2)])
+        for task, m, shape in ((labels[0, 0], 1, (5,)), (labels[0], 3, (5,)), (labels, 3, (2, 5))):
+            for k in (m - 1, m + 1):
+                with pytest.raises(InvalidArgumentError, match=f"{k} weights for {m} labels"):
+                    solver(task, np.ones(k), 5)
+            assert solver(task, np.ones(m), 5).shape == shape
 
     def test_unknown_rule(self):
         data = LabelingMatrix(RANKING, np.tile(np.arange(3), (4, 3, 1)))
@@ -513,16 +489,6 @@ TIED_WEIGHTS = [0.0, 1.0, 2.5, -1.0, -0.25, 0.5]
 weight_values = st.one_of(st.sampled_from(TIED_WEIGHTS), st.floats(-3.0, 3.0))
 
 
-def effective(labels, weights, negative_weights):
-    """Labels (n, m, rho) and weights after the clamp or flip policy."""
-    neg = weights < 0
-    if negative_weights == "clamp":
-        return labels, np.where(neg, 0.0, weights)
-    labels = labels.copy()
-    labels[:, neg] = labels[:, neg, ::-1]
-    return labels, np.abs(weights)
-
-
 def exact_or_near_tie(got, labels, weights, rho, dyadic):
     """The oracle's exact optimum when ``got`` is it, else ``got`` if its rounding excuses it.
 
@@ -541,50 +507,48 @@ def exact_or_near_tie(got, labels, weights, rho, dyadic):
 
 
 class TestBatchedEngineMatchesReference:
-    """aggregate_dataset against the per-task reference solvers of conftest: local search and the
-    observed-label argmin bit for bit, the exact solver against the rational-arithmetic oracle."""
+    """The batched engine against the per-task reference solvers of conftest: local search and the
+    finite-space argmin bit for bit, the exact solver against the rational-arithmetic oracle."""
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(rho=st.integers(2, 11), m=st.integers(1, 20), n=st.integers(1, 6), restarts=st.integers(1, 8),
-           policy=st.sampled_from(["auto", "local_search", "observed_only"]),
-           negative_weights=st.sampled_from(["clamp", "flip"]),
-           seed=st.integers(0, 2**32 - 1), label_seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_rankings(self, rho, m, n, restarts, policy, negative_weights, seed, label_seed, data):
+           local=st.booleans(), seed=st.integers(0, 2**32 - 1), label_seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_rankings(self, rho, m, n, restarts, local, seed, label_seed, data):
         rng = np.random.default_rng(label_seed)
         labels = np.array([[rng.permutation(rho) for _ in range(m)] for _ in range(n)])
         weights = np.array(data.draw(st.lists(weight_values, min_size=m, max_size=m)))
-        eff_labels, eff_weights = effective(labels, weights, negative_weights)
-        assume((eff_weights > 0).any())
-        got = inf.aggregate_dataset(LabelingMatrix(RANKING, labels), weights=weights, candidate_policy=policy,
-                                    negative_weights=negative_weights, seed=seed, restarts=restarts)
+        clamped = np.where(weights < 0, 0.0, weights)
+        assume((clamped > 0).any())
+        if local:
+            got = inf.kemeny_local_search(labels, clamped, rho, restarts=restarts, seed=seed)
+        else:
+            got = np.asarray(inf.aggregate_dataset(LabelingMatrix(RANKING, labels), weights=weights, seed=seed))
         expect = []
         for i in range(n):
-            if policy == "observed_only":
-                expect.append(reference_kemeny_observed(eff_labels[i], eff_weights, rho))
-            elif policy == "local_search" or rho > inf.EXACT_MAX_RHO:
-                expect.append(reference_kemeny_local_search(eff_labels[i], eff_weights, rho, restarts=restarts,
-                                                            seed=(seed, i)))
+            if local or rho > inf.EXACT_MAX_RHO:
+                # aggregate_dataset runs local search above EXACT_MAX_RHO with its default eight restarts
+                expect.append(reference_kemeny_local_search(labels[i], clamped, rho,
+                                                            restarts=restarts if local else 8, seed=(seed, i)))
             else:
-                expect.append(exact_or_near_tie(np.asarray(got[i]), eff_labels[i], eff_weights, rho,
+                expect.append(exact_or_near_tie(got[i], labels[i], clamped, rho,
                                                 dyadic=set(weights) <= set(TIED_WEIGHTS)))
-        got = np.asarray(got)
         assert got.dtype == np.int64
         assert np.array_equal(got, np.array(expect))
 
     @settings(max_examples=100, deadline=None)
     @given(n_nodes=st.integers(2, 12), m=st.integers(1, 20), n=st.integers(1, 6),
-           observed_only=st.booleans(), graph_seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_finite_space(self, n_nodes, m, n, observed_only, graph_seed, data):
+           graph_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_finite_space(self, n_nodes, m, n, graph_seed, data):
         rng = np.random.default_rng(graph_seed)
         chords = [tuple(rng.choice(n_nodes, size=2, replace=False)) for _ in range(int(rng.integers(0, n_nodes)))]
         space = graph_hop_metric([(v, v + 1) for v in range(n_nodes - 1)] + chords, n_nodes)
         labels = rng.integers(0, n_nodes, size=(n, m))
         weights = np.array(data.draw(st.lists(weight_values, min_size=m, max_size=m)))
         assume((weights > 0).any())
-        got = inf.aggregate_dataset(LabelingMatrix(FINITE_METRIC, labels, space), weights=weights,
-                                    candidate_policy="observed_only" if observed_only else "auto")
+        got = inf.aggregate_dataset(LabelingMatrix(FINITE_METRIC, labels, space), weights=weights)
         clamped = np.where(weights < 0, 0.0, weights)
-        expect = [reference_aggregate_finite(labels[i], clamped, space.dist, observed_only) for i in range(n)]
+        expect = [reference_aggregate_finite(labels[i], clamped, space.dist) for i in range(n)]
         got = np.asarray(got)
         assert got.dtype == np.int64
         assert np.array_equal(got, np.array(expect))
@@ -593,38 +557,37 @@ class TestBatchedEngineMatchesReference:
 class TestAggregationInvariants:
     @settings(max_examples=40, deadline=None)
     @given(rho=st.integers(2, 10), m=st.integers(1, 8), n=st.integers(1, 4), exponent=st.integers(-6, 6),
-           label_seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_weight_rescaling_invariance(self, rho, m, n, exponent, label_seed, data):
+           restarts=st.integers(1, 8), label_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_weight_rescaling_invariance(self, rho, m, n, exponent, restarts, label_seed, data):
         # a power-of-two scale keeps every sum exact, so even tie-breaks agree
         rng = np.random.default_rng(label_seed)
         weights = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)), dtype=float)
         assume((weights > 0).any())
-        rankings = LabelingMatrix(RANKING, np.array([[rng.permutation(rho) for _ in range(m)] for _ in range(n)]))
+        labels = np.array([[rng.permutation(rho) for _ in range(m)] for _ in range(n)])
         space = graph_hop_metric([(v, v + 1) for v in range(rho - 1)] + [(0, rho - 1)], rho)
         nodes = LabelingMatrix(FINITE_METRIC, rng.integers(0, rho, size=(n, m)), space)
-        for data_ in (rankings, nodes):
-            for policy in ("auto", "local_search", "observed_only"):
-                base = inf.aggregate_dataset(data_, weights=weights, candidate_policy=policy, seed=3)
-                scaled = inf.aggregate_dataset(data_, weights=weights * 2.0**exponent, candidate_policy=policy,
-                                               seed=3)
-                assert np.array_equal(np.asarray(base), np.asarray(scaled))
+        for solve in (lambda w: inf.aggregate_dataset(LabelingMatrix(RANKING, labels), weights=w),
+                      lambda w: inf.aggregate_dataset(nodes, weights=w),
+                      lambda w: inf.kemeny_local_search(labels, w, rho, restarts=restarts, seed=3)):
+            assert np.array_equal(np.asarray(solve(weights)), np.asarray(solve(weights * 2.0**exponent)))
 
     @settings(max_examples=20, deadline=None)
     @given(rho=st.integers(11, 12), m=st.integers(1, 8), n=st.integers(1, 3), exponent=st.integers(-46, 46),
-           label_seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_local_search_ignores_the_weight_scale(self, rho, m, n, exponent, label_seed, data):
+           restarts=st.integers(1, 8), label_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_local_search_ignores_the_weight_scale(self, rho, m, n, exponent, restarts, label_seed, data):
         # the move and restart tolerances scale with the weight total, so even
         # weights near 1e-14 or 1e14 take the same descent; no weight is so
         # small that its scaled value loses bits
         rng = np.random.default_rng(label_seed)
         weights = np.array(data.draw(st.lists(st.just(0.0) | st.floats(2.0**-20, 3.0), min_size=m, max_size=m)))
         assume((weights > 0).any())
-        rankings = LabelingMatrix(RANKING, np.array([[rng.permutation(rho) for _ in range(m)] for _ in range(n)]))
-        for policy in ("auto", "local_search"):
-            base = inf.aggregate_dataset(rankings, weights=weights, candidate_policy=policy, seed=5)
+        labels = np.array([[rng.permutation(rho) for _ in range(m)] for _ in range(n)])
+        # above EXACT_MAX_RHO, aggregate_dataset runs local search with its default restarts
+        for solve in (lambda w: inf.aggregate_dataset(LabelingMatrix(RANKING, labels), weights=w, seed=5),
+                      lambda w: inf.kemeny_local_search(labels, w, rho, restarts=restarts, seed=5)):
+            base = np.asarray(solve(weights))
             for k in (-46, exponent, 46):
-                scaled = inf.aggregate_dataset(rankings, weights=weights * 2.0**k, candidate_policy=policy, seed=5)
-                assert np.array_equal(np.asarray(base), np.asarray(scaled))
+                assert np.array_equal(base, np.asarray(solve(weights * 2.0**k)))
 
     @settings(max_examples=30, deadline=None)
     @given(rho=st.integers(2, 6), m=st.integers(1, 6), scale=st.floats(1e-3, 1e3),

@@ -184,7 +184,7 @@ class TestIsotropicAccuracies:
 class TestResolveSigns:
     def test_anchor_propagation(self):
         e = np.array([[1.0, -0.5], [-0.5, 1.0]])
-        signed = lm.resolve_signs([0.8, 0.6], e, anchor=0)
+        signed = lm.resolve_signs([0.8, 0.6], e)
         np.testing.assert_allclose(signed, [0.8, -0.6])
 
     def test_majority_convention_all_positive(self):
@@ -196,7 +196,7 @@ class TestResolveSigns:
     def test_adversarial_negated_labeler(self):
         a = np.array([0.7, 0.6, 0.5, -0.7])  # last one is a negated copy of the first
         e = np.outer(a, a)
-        signed = lm.resolve_signs(np.abs(a), e, anchor=0)
+        signed = lm.resolve_signs(np.abs(a), e)
         np.testing.assert_allclose(signed, a)
 
     def test_global_flip_when_majority_negative(self):
@@ -211,6 +211,10 @@ class TestResolveSigns:
         e = np.full((3, 3), 1e-9)
         with pytest.raises(SignAmbiguousError):
             lm.resolve_signs([0.5, 0.5, 0.5], e)
+
+    def test_no_labelers_refused(self):
+        with pytest.raises(InvalidArgumentError, match="m >= 1"):
+            lm.resolve_signs([], np.zeros((0, 0)))
 
 
 class TestGaussianBackwardMap:
@@ -346,6 +350,24 @@ class TestLearnConfiguration:
         real = lm.LabelingMatrix(lm.REAL_VECTOR, np.random.default_rng(0).normal(size=(50, 3)))
         with pytest.raises(ConfigurationError):
             lm.learn_label_model(real, path="continuous")
+
+    @pytest.mark.parametrize("kind, path, prior", [
+        (lm.RANKING, "continuous", lm.SecondMomentPrior([2.0] * 6)),
+        (lm.RANKING, "continuous", lm.SecondMomentPrior([2.0] * 7)),
+        (lm.RANKING, "hypercube", lm.SecondMomentPrior(2.0)),
+        (lm.RANKING, "isotropic", lm.SecondMomentPrior(1.0)),
+        (lm.RANKING, "continuous", lm.TwoPointPrior(0.3)),
+        (lm.RANKING, "isotropic", lm.TwoPointPrior(0.3)),
+        (lm.REAL_VECTOR, "continuous", lm.TwoPointPrior(0.3)),
+        (lm.FINITE_METRIC, "isotropic", lm.TwoPointPrior(0.3)),
+    ], ids=["rank-cont-sm", "rank-cont-sm-wrong-length", "rank-hyper-sm", "rank-iso-sm", "rank-cont-2pt",
+            "rank-iso-2pt", "real-cont-2pt", "finite-iso-2pt"])
+    def test_prior_the_route_does_not_read_is_refused(self, kind, path, prior):
+        # a ranking's +-1 coordinates have second moment 1 by construction; only the hypercube route reads p
+        data = six_labeler_data(kind)
+        name = type(prior).__name__
+        with pytest.raises(ConfigurationError, match=f"{name} is not read on the {path} route for {kind} labels"):
+            lm.learn_label_model(data, path=path, prior=prior)
 
     @pytest.mark.parametrize("kind, path, given, coords", [
         (lm.REAL_VECTOR, "continuous", 2, 1), (lm.REAL_VECTOR, "isotropic", 3, 1),
@@ -604,7 +626,7 @@ class TestMaskedCores:
     def test_continuous(self, rows):
         e_ab, e_ac, e_bc = rows
         sm = np.linspace(0.5, 2.0, e_ab.shape[1])
-        mags, ok = lm._continuous_core(e_ab, e_ac, e_bc, sm, lm.EPS_FLOOR)
+        mags, ok = lm._continuous_core(e_ab, e_ac, e_bc, sm)
         for k in range(len(e_ab)):
             try:
                 expect, _, _ = lm.continuous_triplets(e_ab[k], e_ac[k], e_bc[k], sm)
