@@ -645,11 +645,14 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
     corr : CorrelationSet, optional
         Labeler pairs that may not appear together in a triplet.
     prior : TwoPointPrior or SecondMomentPrior, optional
-        Only the hypercube route reads a TwoPointPrior, and rankings read no
+        Only the hypercube route reads a TwoPointPrior. Rankings read no
         SecondMomentPrior: their +-1 coordinates have second moment 1 by
-        construction. A prior the route does not read is refused. The
-        hypercube route defaults to p = 1/2, and the continuous route on
-        real labels requires a SecondMomentPrior.
+        construction. Nor does the isotropic route on finite metric spaces:
+        it works on native distances, where the polarization identity that
+        turns second moments into accuracies does not hold. A prior the
+        route does not read is refused. The hypercube route defaults to
+        p = 1/2, and the continuous route on real labels requires a
+        SecondMomentPrior.
     path : {"continuous", "hypercube", "isotropic"}, optional
         Defaults per space: continuous for rankings and real labels,
         isotropic for finite metric spaces.
@@ -673,7 +676,7 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
         raise ConfigurationError(f"path {path!r} not available for {kind!r} labels")
     if triplet_policy not in ("first", "median"):
         raise ConfigurationError(f"unknown triplet policy {triplet_policy!r}")
-    if (isinstance(prior, SecondMomentPrior) and kind == RANKING
+    if (isinstance(prior, SecondMomentPrior) and (kind == RANKING or kind == FINITE_METRIC and path == "isotropic")
             or isinstance(prior, TwoPointPrior) and path != "hypercube"):
         raise ConfigurationError(f"{type(prior).__name__} is not read on the {path} route for {kind} labels")
     m = data.n_lfs
@@ -746,7 +749,7 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
         if kind == RANKING:
             accuracies = 1.0 - 2.0 * mean_dist / values.shape[2]
         elif second_moments is not None:
-            # polarization against the prior second moment recovers E[<lambda_a, y>]
+            # real labels: polarization against the prior second moment recovers E[<lambda_a, y>]
             accuracies = 0.5 * (np.diag(pairwise) + second_moments.sum() - mean_dist)
     elif path == "hypercube":
         p = prior.p if isinstance(prior, TwoPointPrior) else 0.5

@@ -3,7 +3,12 @@
 The law is ``P(pi) = exp(-theta * d_tau(pi, center)) / Z(theta)`` with the
 Kendall tau distance. This module provides the closed-form expected distance,
 its numerical inversion (the mean-to-canonical backward map), and exact
-sampling by repeated insertion.
+sampling by repeated insertion (Doignon, Pekec and Regenwetter, Psychometrika
+2004). One insertion kernel draws every permutation: every task and labeler
+of a synthetic ranking scenario in one pass, and the draws of
+:func:`sample_many` as one labeler. Each displacement inverts an insertion
+CDF at a uniform, and a uniform above a last CDF entry that rounds below 1
+takes the last bucket, so every draw is a permutation.
 """
 
 import math
@@ -109,24 +114,36 @@ def backward_map(mean_distance, rho):
     return 0.5 * (lo + hi)
 
 
-def _repeated_insertion(theta, u):
-    """Permutations of 0..rho-1 by repeated insertion, one per row of the (size, rho-1) uniforms ``u``.
+def _repeated_insertion(thetas, u, centers):
+    """Mallows draws by repeated insertion, all labelers in one pass: an (n, m, rho) array.
 
-    Item j is inserted at displacement x in {0..j} (x new inversions) with
-    probability proportional to exp(-theta x), chosen by inverting the CDF at
-    ``u[:, j-1]``.
+    Row ``[i, a]`` is a draw centered at ``centers[i]`` (an (n, rho) array)
+    with concentration ``thetas[a]``, from the uniforms ``u[i, a]`` of the
+    (n, m, rho-1) array ``u``. Item j = 1..rho-1 is inserted at displacement
+    x in {0..j} (x new inversions) with probability proportional to
+    exp(-theta x). One (m, j+1) table holds every labeler's insertion CDF,
+    and x counts how many of a row's first j CDF entries lie below
+    ``u[i, a, j-1]``: ``searchsorted(side="left")`` on a sorted CDF, except
+    that a uniform past a last entry that rounds below 1 falls in the last
+    bucket rather than past it. Inserting item j at position p = j - x moves
+    every earlier item at position >= p one place right, so the kernel keeps
+    every item's final position in one (n, m, rho) array and relabels
+    through the centers with one scatter.
     """
-    size, rho = u.shape[0], u.shape[1] + 1
-    cur = np.zeros((size, 1), dtype=np.int64)
+    n, m, rho = u.shape[0], u.shape[1], u.shape[2] + 1
+    neg_thetas = -np.asarray(thetas, dtype=np.float64)[:, None]
+    pos = np.zeros((n, m, rho), dtype=np.int64)
     for j in range(1, rho):
-        w = np.exp(-theta * np.arange(j + 1, dtype=np.float64))
-        x = np.searchsorted(np.cumsum(w) / w.sum(), u[:, j - 1])
-        pos = (j - x)[:, None]
-        cols = np.arange(j + 1)[None, :]
-        keep = np.pad(cur, ((0, 0), (0, 1)))
-        shifted = np.pad(cur, ((0, 0), (1, 0)))[:, : j + 1]
-        cur = np.where(cols < pos, keep, np.where(cols == pos, j, shifted))
-    return cur
+        w = np.exp(neg_thetas * np.arange(j + 1, dtype=np.float64))
+        cdf = np.cumsum(w, axis=1) / w.sum(axis=1, keepdims=True)
+        p = j - (cdf[:, :j] < u[..., j - 1, None]).sum(axis=-1)
+        head = pos[..., :j]
+        head += head >= p[..., None]
+        pos[..., j] = p
+    # left-invariance: the center relabelled by a draw at the identity is a draw at the center
+    out = np.empty((n, m, rho), dtype=centers.dtype)
+    np.put_along_axis(out, pos, centers[:, None, :], axis=2)
+    return out
 
 
 def sample(model, rng):
@@ -140,11 +157,14 @@ def sample(model, rng):
 
 
 def sample_many(model, rng, size):
-    """Vectorized :func:`sample`: a (size, rho) array of independent draws."""
+    """Vectorized :func:`sample`: a (size, rho) array of independent draws.
+
+    The draws come from the same insertion kernel as the synthetic ranking
+    labels, run with one labeler and the model's center.
+    """
     rho = model.rho
     if size < 1:
         raise InvalidArgumentError(f"need size >= 1, got {size}")
     # row j-1 of the draw holds item j's uniforms: the stream order of one rng.random(size) per item
-    cur = _repeated_insertion(model.theta, rng.random((rho - 1, size)).T)
-    # relabel through the center: left-invariance gives d(center o sigma, center) = d(sigma, id)
-    return model.center[cur]
+    u = rng.random((rho - 1, size)).T
+    return _repeated_insertion([model.theta], u[:, None], model.center[None])[:, 0]

@@ -167,10 +167,7 @@ def gen_ranking_tasks(scenario):
     truth = np.array([rng.permutation(rho) for rng in generators(scenario.seed, _task_paths(1, n))],
                      dtype=np.int64)
     u = uniforms(scenario.seed, _labeler_paths(n, m), rho - 1).reshape(n, m, rho - 1)
-    labels = np.empty((n, m, rho), dtype=np.int64)
-    for a, theta in enumerate(scenario.thetas):
-        # a draw centered at the truth is the truth relabelled by a draw centered at the identity
-        labels[:, a] = np.take_along_axis(truth, mallows._repeated_insertion(theta, u[:, a]), axis=1)
+    labels = mallows._repeated_insertion(scenario.thetas, u, truth)
     return truth, LabelingMatrix(RANKING, labels)
 
 
@@ -232,12 +229,13 @@ def gen_graph_tasks(scenario):
     _, space = _sample_graph(scenario)
     m = len(scenario.thetas)
     n_nodes = scenario.n_nodes
-    # per-labeler, per-center categorical CDFs over nodes
-    cdfs = np.empty((m, n_nodes, n_nodes))
+    # per-labeler, per-center categorical CDFs over nodes, without the last entry: a uniform
+    # above every kept entry takes the last node, also where the full CDF ends below 1
+    cdfs = np.empty((m, n_nodes, n_nodes - 1))
     for a, theta in enumerate(scenario.thetas):
         w = np.exp(-theta * space.dist)
         probs = w / w.sum(axis=0, keepdims=True)
-        cdfs[a] = np.cumsum(probs, axis=0).T  # row y: cdf over nodes given center y
+        cdfs[a] = np.cumsum(probs, axis=0).T[:, :-1]  # row y: cdf over nodes given center y
     n = scenario.n
     truth = np.array([rng.integers(n_nodes) for rng in generators(scenario.seed, _task_paths(1, n))],
                      dtype=np.int64)

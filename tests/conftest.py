@@ -14,7 +14,6 @@ from itertools import permutations as iter_permutations
 
 import numpy as np
 
-from uws import mallows
 from uws.errors import DisconnectedGraphError, GenerationError, InvalidArgumentError, InvalidMetricError
 from uws.label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
 from uws.metric_spaces import FiniteMetricSpace
@@ -392,18 +391,31 @@ def reference_graph_hop_metric(edges, n_nodes):
     return FiniteMetricSpace(dist.astype(np.float64))
 
 
+def reference_mallows_draw(theta, u, center):
+    """One Mallows draw at ``center`` by repeated insertion, one ``list.insert`` per item.
+
+    Item j's displacement is the ``searchsorted`` of ``u[j-1]`` in the first j
+    entries of its own 1-D insertion CDF, so a uniform past a last entry that
+    rounds below 1 takes the last bucket.
+    """
+    order = [0]
+    for j in range(1, len(center)):
+        w = np.exp(-theta * np.arange(j + 1, dtype=np.float64))
+        cdf = np.cumsum(w) / w.sum()
+        order.insert(j - int(np.searchsorted(cdf[:j], u[j - 1])), j)
+    return center[order]
+
+
 def reference_gen_ranking_tasks(scenario):
     n, rho = scenario.n, scenario.rho
     m = len(scenario.thetas)
     truth = np.empty((n, rho), dtype=np.int64)
-    u = np.empty((n, m, rho - 1))
+    labels = np.empty((n, m, rho), dtype=np.int64)
     for i in range(n):
         truth[i] = substream(scenario.seed, 1, i).permutation(rho)
-        for a in range(m):
-            u[i, a] = substream(scenario.seed, 2, i, a).random(rho - 1)
-    labels = np.empty((n, m, rho), dtype=np.int64)
-    for a, theta in enumerate(scenario.thetas):
-        labels[:, a] = np.take_along_axis(truth, mallows._repeated_insertion(theta, u[:, a]), axis=1)
+        for a, theta in enumerate(scenario.thetas):
+            u = substream(scenario.seed, 2, i, a).random(rho - 1)
+            labels[i, a] = reference_mallows_draw(theta, u, truth[i])
     return truth, LabelingMatrix(RANKING, labels)
 
 
@@ -452,7 +464,7 @@ def reference_gen_graph_tasks(scenario):
         truth[i] = y
         for a in range(m):
             u = substream(scenario.seed, 2, i, a).random()
-            labels[i, a] = int(np.searchsorted(cdfs[a, y], u))
+            labels[i, a] = int(np.searchsorted(cdfs[a, y, :-1], u))  # the last node takes the rest
     return space, truth, LabelingMatrix(FINITE_METRIC, labels, space=space)
 
 

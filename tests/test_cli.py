@@ -144,6 +144,17 @@ class TestLearn:
         assert "SecondMomentPrior is not read" in capsys.readouterr().err
         assert not model_path.exists()
 
+    def test_second_moment_prior_on_a_graph_exits_validation(self, tmp_path, capsys):
+        # the default isotropic route on a graph works on hop distances, not inner products
+        scenario = write_json(tmp_path / "g.json", {"kind": "graph", "n_nodes": 30, "n_edges": 60, "n": 50,
+                                                    "thetas": [2.0, 1.5, 1.0, 0.8, 0.5], "seed": 3})
+        out, model_path = tmp_path / "out", tmp_path / "model.json"
+        assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        code = main(["learn", "--dataset", str(out), "--model", str(model_path), "--prior-second-moment", "2"])
+        assert code == 2
+        assert "SecondMomentPrior is not read" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_both_priors_are_a_usage_error(self, tmp_path, capsys, ranking_scenario):
         out, model_path = tmp_path / "out", tmp_path / "model.json"
         main(["generate", "--scenario", str(ranking_scenario), "--out", str(out)])

@@ -360,10 +360,12 @@ class TestLearnConfiguration:
         (lm.RANKING, "isotropic", lm.TwoPointPrior(0.3)),
         (lm.REAL_VECTOR, "continuous", lm.TwoPointPrior(0.3)),
         (lm.FINITE_METRIC, "isotropic", lm.TwoPointPrior(0.3)),
+        (lm.FINITE_METRIC, "isotropic", lm.SecondMomentPrior([5.0] * 3)),
     ], ids=["rank-cont-sm", "rank-cont-sm-wrong-length", "rank-hyper-sm", "rank-iso-sm", "rank-cont-2pt",
-            "rank-iso-2pt", "real-cont-2pt", "finite-iso-2pt"])
+            "rank-iso-2pt", "real-cont-2pt", "finite-iso-2pt", "finite-iso-sm"])
     def test_prior_the_route_does_not_read_is_refused(self, kind, path, prior):
-        # a ranking's +-1 coordinates have second moment 1 by construction; only the hypercube route reads p
+        # a ranking's +-1 coordinates have second moment 1 by construction; only the hypercube route reads p;
+        # hop distances are not inner products, so the finite isotropic route has no polarization to feed
         data = six_labeler_data(kind)
         name = type(prior).__name__
         with pytest.raises(ConfigurationError, match=f"{name} is not read on the {path} route for {kind} labels"):

@@ -204,3 +204,13 @@ class TestSampler:
     def test_rejects_negative_theta(self):
         with pytest.raises(DomainError):
             mallows.MallowsModel(perm.identity(4), -0.1)
+
+    def test_uniform_past_a_cdf_that_ends_below_one_takes_the_last_bucket(self):
+        # at this theta the 8-term insertion CDF of item 7 ends 2^-52 below 1, under the largest uniform
+        theta, top = 3.647482804919992, np.nextafter(1.0, 0.0)
+        w = np.exp(-theta * np.arange(8.0))
+        assert (np.cumsum(w) / w.sum())[-1] < top
+        u = np.full((1, 1, 7), 0.5)
+        u[0, 0, 6] = top
+        draw = mallows._repeated_insertion([theta], u, np.arange(8)[None])
+        np.testing.assert_array_equal(draw[0, 0], [7, 0, 1, 2, 3, 4, 5, 6])
