@@ -1,33 +1,19 @@
 """Learning labeler accuracies without ground truth.
 
-Given only the m labelers' outputs over n tasks, the estimators here recover
-each labeler's mean parameter (its expected agreement with the latent truth)
-from observable pairwise statistics, using triples of mutually conditionally
-independent labelers. Three routes are provided:
-
-- continuous: closed-form square-root solution on real-valued (or +-1)
-  coordinates, needs the truth's per-coordinate second moment;
-- hypercube (quadratic): per-coordinate conditional probabilities under a
-  two-point prior, solved by the quadratic formula from pair tables: every
-  factor that involves one labeler or one labeler pair is computed once per
-  truth value, and each triplet only combines three labelers' entries;
-- isotropic: half-sum of pairwise expected distances, needing only the native
-  metric.
-
-:func:`learn_label_model` is one pipeline for rankings, real scalars, and
-finite metric spaces: embed the outputs, take every pair moment in one batched
-product, solve each labeler's admissible triplets on the route as one array
-call ("first" stops at the first block of them holding a solvable one), and
-map mean parameters to canonical accuracies (numerical inversion of the
-Mallows expected distance for rankings, inverse covariance for the
-Gaussian-style spaces). A triplet whose moments the route cannot solve (a pairwise
-moment at the floor, a negative discriminant) is skipped: the "first" policy
-falls back to the next admissible triplet and "median" takes the median over
-the solvable ones, so learning fails only for a labeler none of whose triplets
-is solvable, and the error names it. The public scalar solvers
-(:func:`continuous_triplets`, :func:`quadratic_triplets`,
-:func:`isotropic_accuracies`) wrap the same elementwise cores and raise where
-the learner skips.
+From the labelers' outputs alone, each labeler's mean parameter (its
+expected agreement with the latent truth) is recovered from the pair moments
+of triples of conditionally independent labelers, on one of three routes:
+continuous (a closed-form square root, given the truth's second moments),
+hypercube (the quadratic formula under a two-point prior, on labeler and
+pair tables built once per truth value) or isotropic (half-sums of native
+pair distances). :func:`learn_label_model` embeds the outputs, takes every
+pair moment in one product, solves each labeler's admissible triplets as one
+array call in contiguous passes (row takes from the tables, one sort per
+median, one breadth-first search for every coordinate's signs) and maps
+mean parameters to canonical accuracies. A triplet the route cannot solve
+(a moment at the floor, a negative discriminant) is skipped, so learning
+fails only for a labeler with no solvable triplet, and the error names it;
+the public scalar solvers wrap the same cores and raise instead.
 """
 
 from dataclasses import dataclass, field
@@ -187,8 +173,8 @@ class SecondMomentPrior:
 
     def __post_init__(self):
         sm = np.atleast_1d(np.asarray(self.second_moments, dtype=np.float64))
-        if (sm <= 0).any():
-            raise InvalidArgumentError("second moments must be positive")
+        if not (np.isfinite(sm) & (sm > 0)).all():
+            raise InvalidArgumentError("second moments must be positive and finite")
         object.__setattr__(self, "second_moments", sm)
 
 
@@ -268,7 +254,10 @@ def _pair_signs(rankings):
     pos = np.argsort(rankings, axis=-1).astype(np.min_scalar_type(rho))
     pos = np.ascontiguousarray(pos.transpose(2, 1, 0))
     iu, ju = pair_indices(rho)
-    return np.where(pos[iu] < pos[ju], np.int8(1), np.int8(-1)).transpose(1, 2, 0)
+    s = (pos[iu] < pos[ju]).view(np.int8)  # 2 b - 1 on the comparison's bytes
+    s = s + s
+    s -= 1
+    return s.transpose(1, 2, 0)
 
 
 def _continuous_core(e_ab, e_ac, e_bc, second_moment):
@@ -361,36 +350,64 @@ def _quadratic_tables(o, l, p):
     )
 
 
+def _take(rows, index, *factors):
+    """``rows.take(index, axis=0)`` multiplied by each factor in turn, in place on the fresh gather."""
+    out = rows.take(index, axis=0)
+    for factor in factors:
+        out *= factor
+    return out
+
+
+def _pairs(table):
+    """An (m, m, ...) table as (m * m, ...) rows: row ``i * m + j`` holds entry (i, j)."""
+    return table.reshape(-1, *table.shape[2:])
+
+
+def _triplet_gather(table, a, b, c):
+    """``table[a, b], table[a, c], table[b, c]`` of an (m, m, ...) table for index arrays b, c."""
+    return _take(table[a], b), _take(table[a], c), _take(_pairs(table), b * len(table) + c)
+
+
 def _quadratic_pivot(tab, x, b, z):
     """Pivot root ``beta`` of :func:`quadratic_triplets`, and where it is defined.
 
-    Labeler b is the pivot between the outer labelers x and z; any of the
-    three may be an index array, gathered from the tables ``tab``. ``ok`` is
-    False wherever the discriminant shows that no real solution exists; the
-    root there comes from the discriminant clamped to 0.
+    Labeler b is the pivot between the outer labelers x and z, which may be
+    index arrays. The pair tables are symmetric (exact integer +-1 sums), so
+    each gather is one row take: from b's rows, or the outer pair's flat
+    row. ``ok`` is False wherever the discriminant shows that no real
+    solution exists; the root there comes from the discriminant clamped to 0.
     """
-    k_xb, k_bz, q2_b = tab.k[x, b], tab.k[b, z], tab.q2[b]
+    xz = x * len(tab.l) + z
+    k_xb, k_bz, q2_b = _take(tab.k[b], x), _take(tab.k[b], z), tab.q2[b]
     # quadratic A beta^2 + B beta + C = 0 in the pivot; B = -(2 q_b r / t) A holds
-    # identically, so the roots are l_b +- sqrt(disc) / (2|A|)
-    const = (
-        tab.tk[x, b] * k_bz
-        + tab.qq[x, z] * q2_b * tab.r2
-        + tab.qqr2[x, b] * k_bz
-        + tab.qqr2[b, z] * k_xb
-        - tab.op[x, z] * q2_b * tab.r2
-    )
-    lin2 = (tab.lin[b] * tab.lead[x, z]) ** 2
-    lead_const = tab.lead4[x, z] * const
+    # identically, so the roots are l_b +- sqrt(disc) / (2|A|); terms form in
+    # place, in the scalar solver's order
+    const = _take(tab.tk[b], x, k_bz)
+    const += _take(_pairs(tab.qq), xz, q2_b, tab.r2)
+    const += _take(tab.qqr2[b], x, k_bz)
+    const += _take(tab.qqr2[b], z, k_xb)
+    const -= _take(_pairs(tab.op), xz, q2_b, tab.r2)
+    lin2 = _take(_pairs(tab.lead), xz, tab.lin[b])
+    lin2 *= lin2
+    lead_const = _take(_pairs(tab.lead4), xz, const)
     disc = lin2 - lead_const
     # near the double root a sampled discriminant is legitimately negative at
     # the scale of its own components; only a violation of at least half the
-    # total component magnitude is evidence of jointly impossible moments
-    ok = ~(disc < -(0.5 * (lin2 + np.abs(lead_const)) + 1e-9))
+    # total component magnitude, -(0.5 (lin2 + |lead_const|) + 1e-9), is
+    # evidence of jointly impossible moments
+    slack = np.abs(lead_const, out=lead_const)
+    slack += lin2
+    slack *= -0.5
+    slack -= 1e-9
+    ok = ~(disc < slack)
     # a vanishing lead means the outer pair's joint factorizes: the linear
     # coefficient vanishes with it (lin = -2 l_b lead identically), the pivot
     # is underdetermined, and its marginal is the only neutral answer
     l_b = tab.l[b]
-    beta = np.where(tab.degenerate[x, z], l_b, l_b + np.sqrt(np.clip(disc, 0.0, None)) / tab.width[x, z])
+    beta = np.sqrt(np.clip(disc, 0.0, None, out=disc), out=disc)
+    beta /= _take(_pairs(tab.width), xz)
+    beta += l_b
+    np.copyto(beta, l_b, where=_take(_pairs(tab.degenerate), xz))
     return beta, ok
 
 
@@ -472,44 +489,51 @@ def isotropic_accuracies(pair_distances, triplet):
 def resolve_signs(magnitudes, pair_moments):
     """Assign signs to accuracy magnitudes from pairwise moment signs.
 
-    Signs propagate along pairs whose moment magnitude exceeds ``EPS_FLOOR``:
-    ``sign(a_b) = sign(e_{parent,b}) * sign(a_parent)``, starting from
-    labeler 0. The global orientation is fixed by the
-    better-than-random-on-average convention, flipping everything if the
-    signed sum comes out negative.
+    Takes (m,) magnitudes with (m, m) moments, or an (m, d) block with
+    (m, m, d) moments, all coordinates in one breadth-first search from
+    labeler 0 along pairs whose moment magnitude exceeds ``EPS_FLOOR``:
+    ``sign(a_b) = sign(e_{parent,b}) * sign(a_parent)``, the parent being the
+    linked frontier labeler of least rank; a frontier ranks by (parent's
+    rank, own index). A coordinate whose signed sum comes out negative is
+    flipped (better than random on average).
 
     Raises
     ------
     SignAmbiguousError
-        If some labeler cannot be reached through usable pair moments.
+        Naming the first coordinate in which some labeler cannot be reached.
     """
     mags = np.asarray(magnitudes, dtype=np.float64)
     e = np.asarray(pair_moments, dtype=np.float64)
     m = mags.shape[0]
-    if not m or e.shape != (m, m):
-        raise InvalidArgumentError(f"pair moments must be ({m}, {m}) for m >= 1 labelers, got {e.shape}")
-    signs = np.zeros(m)
-    signs[0] = 1.0
+    if not m or mags.ndim > 2 or e.shape != (m, m, *mags.shape[1:]):
+        raise InvalidArgumentError(f"pair moments must be {(m, m, *mags.shape[1:])} for m >= 1 labelers, got {e.shape}")
+    block = mags.reshape(m, -1)
+    e = e.reshape(m, m, -1)
     usable = np.abs(e) > EPS_FLOOR
-    frontier = np.array([0])
-    while frontier.size:
-        # breadth-first: an unreached labeler takes its sign from the first
-        # frontier labeler linked to it, and joins the next frontier in
-        # (that labeler's position, own index) order
-        links = usable[frontier] & (signs == 0.0)
-        reached = np.flatnonzero(links.any(axis=0))
-        first = links[:, reached].argmax(axis=0)
-        via = frontier[first]
-        signs[reached] = signs[via] * np.sign(e[via, reached])
-        frontier = reached[np.lexsort((reached, first))]
-    if (signs == 0.0).any():
-        missing = np.flatnonzero(signs == 0.0).tolist()
-        raise SignAmbiguousError(
-            f"cannot reach labelers {missing}: all their pair moments are below {EPS_FLOOR}"
-        )
-    if float(signs @ mags) < 0.0:
-        signs = -signs
-    return signs * mags
+    signs = np.zeros(block.shape)
+    signs[0] = 1.0
+    rank = np.full(block.shape, m)  # frontier position per coordinate, m off the frontier
+    rank[0] = 0
+    j, c = np.arange(m)[:, None], np.arange(block.shape[1])
+    while True:
+        linked = np.where(usable, rank[:, None], m)  # (i, j, c): i's rank where i links to j
+        via, best = linked.argmin(axis=0), linked.min(axis=0)
+        reached = (best < m) & (signs == 0.0)
+        if not reached.any():
+            break
+        signs[reached] = (np.take_along_axis(signs, via, axis=0) * np.sign(e[via, j, c]))[reached]
+        order = np.where(reached, best * m + j, m * m).argsort(axis=0).argsort(axis=0)
+        rank = np.where(reached, order, m)
+    unreached = signs == 0.0
+    if unreached.any():
+        i = unreached.any(axis=0).argmax()
+        raise SignAmbiguousError(f"coordinate {i}: cannot reach labelers {np.flatnonzero(unreached[:, i]).tolist()}: "
+                                 f"all their pair moments are below {EPS_FLOOR}")
+    rows = np.ascontiguousarray(signs.T)
+    for i in c:  # one dot product per coordinate: its rounding decides the flip
+        if float(rows[i] @ block[:, i]) < 0.0:
+            signs[:, i] = -signs[:, i]
+    return (signs * block).reshape(mags.shape)
 
 
 def gaussian_backward_map(error_cov):
@@ -568,8 +592,21 @@ def _triplet_estimates(partners, policy, solve, exc_type, reason):
                 break
         if not len(rows):
             raise exc_type(f"labeler {a}: {reason}")
-        out.append(rows[0] if policy == "first" or len(rows) == 1 else np.median(rows, axis=0))
+        out.append(rows[0] if policy == "first" or len(rows) == 1 else _median_rows(rows))
     return np.array(out)
+
+
+def _median_rows(rows):
+    """``np.median(rows, axis=0)`` bit for bit, from one sort of the contiguous transpose.
+
+    The middle ranks hold the values np.median's partition puts there, and
+    their mean is its mean, a sum from +0.0, so a tie of 0.0 and -0.0 in
+    the middle cannot show. NaN sorts last and gives NaN, as in np.median.
+    """
+    k, h = len(rows), len(rows) // 2
+    part = np.sort(np.ascontiguousarray(rows.reshape(k, -1).T), axis=1)
+    last = part[:, -1]
+    return np.where(np.isnan(last), last, part[:, h - 1 + k % 2:h + 1].mean(axis=1)).reshape(rows.shape[1:])
 
 
 def _signed_accuracies(e, partners, second_moments, policy):
@@ -577,14 +614,11 @@ def _signed_accuracies(e, partners, second_moments, policy):
     mags = _triplet_estimates(
         partners,
         policy,
-        lambda a, b, c: _continuous_core(e[a, b], e[a, c], e[b, c], second_moments),
+        lambda a, b, c: _continuous_core(*_triplet_gather(e, a, b, c), second_moments),
         DegenerateMomentError,
         f"every triplet has a pairwise moment at or below the floor {EPS_FLOOR}",
     )
-    signed = np.empty_like(mags)
-    for i in range(mags.shape[1]):
-        signed[:, i] = resolve_signs(mags[:, i], e[:, :, i])
-    return signed
+    return resolve_signs(mags, e)
 
 
 def _agreement_probabilities(values, e, partners, p, policy):
@@ -594,9 +628,7 @@ def _agreement_probabilities(values, e, partners, p, policy):
     joint (+1, +1) frequencies with weight p, the -1-coded run the (-1, -1)
     frequencies with weight 1-p. Both follow from the exact integer sums
     ``S_a = sum_t g_a`` and ``S_ab = sum_t g_a g_b`` of the +-1 coordinates:
-    the counts are ``(n +- S_a)/2`` and ``(n +- (S_a + S_b) + S_ab)/4``. Each
-    run builds the quadratic's labeler and pair tables once, and every
-    labeler's triplets gather from them.
+    the counts are ``(n +- S_a)/2`` and ``(n +- (S_a + S_b) + S_ab)/4``.
     """
     n = values.shape[1]
     s_a = values.sum(axis=1, dtype=np.int64)  # (m, d)
@@ -605,17 +637,12 @@ def _agreement_probabilities(values, e, partners, p, policy):
     for sign, weight in ((1.0, p), (-1.0, 1.0 - p)):
         l = (n + sign * s_a) / 2.0 / n
         o = (n + sign * (s_a[:, None] + s_a[None, :]) + s_ab) / 4.0 / n
-        cond = _triplet_estimates(partners, policy, _pivot_solver(o, l, weight), InconsistentMomentsError,
-                                  "no triplet's moments admit a real solution")
+        tab = _quadratic_tables(o, l, weight)
+        # labeler a is the pivot between each partner pair (b[k], c[k])
+        cond = _triplet_estimates(partners, policy, lambda a, b, c: _quadratic_pivot(tab, b, a, c),
+                                  InconsistentMomentsError, "no triplet's moments admit a real solution")
         agreements += weight * cond
     return agreements
-
-
-def _pivot_solver(o, l, p):
-    """The hypercube route's ``solve(a, b, c)``: labeler a as the pivot between each
-    partner pair (b[k], c[k]), gathered from the tables of one truth value."""
-    tab = _quadratic_tables(o, l, p)
-    return lambda a, b, c: _quadratic_pivot(tab, b, a, c)
 
 
 def _ranking_theta(mean_distance, rho):
@@ -633,11 +660,7 @@ def _ranking_theta(mean_distance, rho):
 
 
 def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="first"):
-    """Learn per-labeler canonical accuracies from outputs alone.
-
-    One pipeline for every space: embed the outputs, take pairwise moments,
-    solve each labeler's triplets on the chosen route, then apply the
-    space's backward map.
+    """Learn per-labeler canonical accuracies from outputs alone, on any space and route.
 
     Parameters
     ----------
@@ -742,7 +765,7 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
         mean_dist = _triplet_estimates(
             partners,
             triplet_policy,
-            lambda a, b, c: _half_sum_core(pair_dist[a, b], pair_dist[a, c], pair_dist[b, c]),
+            lambda a, b, c: _half_sum_core(*_triplet_gather(pair_dist, a, b, c)),
             InvalidArgumentError,
             "every triplet misses a pairwise distance",
         )

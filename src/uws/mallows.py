@@ -122,10 +122,10 @@ def _repeated_insertion(thetas, u, centers):
     (n, m, rho-1) array ``u``. Item j = 1..rho-1 is inserted at displacement
     x in {0..j} (x new inversions) with probability proportional to
     exp(-theta x). One (m, j+1) table holds every labeler's insertion CDF,
-    and x counts how many of a row's first j CDF entries lie below
-    ``u[i, a, j-1]``: ``searchsorted(side="left")`` on a sorted CDF, except
-    that a uniform past a last entry that rounds below 1 falls in the last
-    bucket rather than past it. Inserting item j at position p = j - x moves
+    and x counts, in one pass per entry, how many of a row's first j CDF
+    entries lie below ``u[i, a, j-1]``: ``searchsorted(side="left")`` on a
+    sorted CDF, except that a uniform past a last entry that rounds below 1
+    falls in the last bucket rather than past it. Inserting item j at position p = j - x moves
     every earlier item at position >= p one place right, so the kernel keeps
     every item's final position in one (n, m, rho) array and relabels
     through the centers with one scatter.
@@ -136,7 +136,11 @@ def _repeated_insertion(thetas, u, centers):
     for j in range(1, rho):
         w = np.exp(neg_thetas * np.arange(j + 1, dtype=np.float64))
         cdf = np.cumsum(w, axis=1) / w.sum(axis=1, keepdims=True)
-        p = j - (cdf[:, :j] < u[..., j - 1, None]).sum(axis=-1)
+        # one elementwise pass per CDF entry: a reduction over a last axis of j is slower
+        uj = u[..., j - 1]
+        p = np.full(uj.shape, j)
+        for k in range(j):
+            p -= cdf[:, k] < uj
         head = pos[..., :j]
         head += head >= p[..., None]
         pos[..., j] = p

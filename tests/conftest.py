@@ -502,3 +502,92 @@ def reference_quadratic_triplets(o_ab, o_ac, o_bc, l_a, l_b, l_c, p):
     alpha = np.where(flat, l_a, (op_ab + q_a * r * beta - q_a * q_b) / safe)
     gamma = np.where(flat, l_c, (op_bc + q_c * r * beta - q_b * q_c) / safe)
     return (alpha, beta, gamma), ok
+
+
+# Reference learner pieces: the label model's hot path as it was before its
+# contiguous passes (2-D fancy-index gathers, np.median over a strided axis,
+# one sign search per coordinate, signs through np.where). Patched into
+# ``uws.label_model``, they must leave every learned output byte-identical.
+
+def reference_pair_signs(rankings):
+    from uws.permutations import pair_indices
+
+    rho = rankings.shape[2]
+    pos = np.argsort(rankings, axis=-1).astype(np.min_scalar_type(rho))
+    pos = np.ascontiguousarray(pos.transpose(2, 1, 0))
+    iu, ju = pair_indices(rho)
+    return np.where(pos[iu] < pos[ju], np.int8(1), np.int8(-1)).transpose(1, 2, 0)
+
+
+def reference_quadratic_pivot(tab, x, b, z):
+    k_xb, k_bz, q2_b = tab.k[x, b], tab.k[b, z], tab.q2[b]
+    const = (
+        tab.tk[x, b] * k_bz
+        + tab.qq[x, z] * q2_b * tab.r2
+        + tab.qqr2[x, b] * k_bz
+        + tab.qqr2[b, z] * k_xb
+        - tab.op[x, z] * q2_b * tab.r2
+    )
+    lin2 = (tab.lin[b] * tab.lead[x, z]) ** 2
+    lead_const = tab.lead4[x, z] * const
+    disc = lin2 - lead_const
+    ok = ~(disc < -(0.5 * (lin2 + np.abs(lead_const)) + 1e-9))
+    l_b = tab.l[b]
+    beta = np.where(tab.degenerate[x, z], l_b, l_b + np.sqrt(np.clip(disc, 0.0, None)) / tab.width[x, z])
+    return beta, ok
+
+
+def reference_triplet_estimates(partners, policy, solve, exc_type, reason):
+    from uws import label_model as lm
+
+    out = []
+    for a, (b, c) in enumerate(partners):
+        step = lm._FIRST_BLOCK if policy == "first" else len(b)
+        for lo in range(0, len(b), step):
+            rows, ok = solve(a, b[lo:lo + step], c[lo:lo + step])
+            rows = rows[ok.reshape(len(ok), -1).all(axis=1)]
+            if len(rows):
+                break
+        if not len(rows):
+            raise exc_type(f"labeler {a}: {reason}")
+        out.append(rows[0] if policy == "first" or len(rows) == 1 else np.median(rows, axis=0))
+    return np.array(out)
+
+
+def reference_resolve_signs(magnitudes, pair_moments):
+    """One coordinate: (m,) magnitudes, (m, m) moments."""
+    from uws.errors import SignAmbiguousError
+    from uws.label_model import EPS_FLOOR
+
+    mags = np.asarray(magnitudes, dtype=np.float64)
+    e = np.asarray(pair_moments, dtype=np.float64)
+    m = mags.shape[0]
+    signs = np.zeros(m)
+    signs[0] = 1.0
+    usable = np.abs(e) > EPS_FLOOR
+    frontier = np.array([0])
+    while frontier.size:
+        links = usable[frontier] & (signs == 0.0)
+        reached = np.flatnonzero(links.any(axis=0))
+        first = links[:, reached].argmax(axis=0)
+        via = frontier[first]
+        signs[reached] = signs[via] * np.sign(e[via, reached])
+        frontier = reached[np.lexsort((reached, first))]
+    if (signs == 0.0).any():
+        raise SignAmbiguousError(f"cannot reach labelers {np.flatnonzero(signs == 0.0).tolist()}")
+    if float(signs @ mags) < 0.0:
+        signs = -signs
+    return signs * mags
+
+
+def reference_signed_accuracies(e, partners, second_moments, policy):
+    from uws import label_model as lm
+
+    mags = lm._triplet_estimates(
+        partners, policy, lambda a, b, c: lm._continuous_core(e[a, b], e[a, c], e[b, c], second_moments),
+        lm.DegenerateMomentError, f"every triplet has a pairwise moment at or below the floor {lm.EPS_FLOOR}",
+    )
+    signed = np.empty_like(mags)
+    for i in range(mags.shape[1]):
+        signed[:, i] = reference_resolve_signs(mags[:, i], e[:, :, i])
+    return signed

@@ -155,6 +155,17 @@ class TestLearn:
         assert "SecondMomentPrior is not read" in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_second_moment_exits_validation(self, tmp_path, capsys, value):
+        scenario = write_json(tmp_path / "r.json", {"kind": "regression", "n": 200, "accuracies": [0.8, 0.6, 0.4],
+                                                    "lf_noise": [0.4, 0.6, 0.8], "prior_var": 1.0, "seed": 5})
+        out, model_path = tmp_path / "out", tmp_path / "model.json"
+        assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        code = main(["learn", "--dataset", str(out), "--model", str(model_path), f"--prior-second-moment={value}"])
+        assert code == 2
+        assert "second moments must be positive and finite" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_both_priors_are_a_usage_error(self, tmp_path, capsys, ranking_scenario):
         out, model_path = tmp_path / "out", tmp_path / "model.json"
         main(["generate", "--scenario", str(ranking_scenario), "--out", str(out)])

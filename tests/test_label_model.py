@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import reference_quadratic_triplets
+from conftest import (
+    reference_pair_signs,
+    reference_quadratic_pivot,
+    reference_quadratic_triplets,
+    reference_resolve_signs,
+    reference_signed_accuracies,
+    reference_triplet_estimates,
+)
 from uws import label_model as lm
 from uws import mallows
 from uws import permutations as perm
@@ -216,6 +223,29 @@ class TestResolveSigns:
         with pytest.raises(InvalidArgumentError, match="m >= 1"):
             lm.resolve_signs([], np.zeros((0, 0)))
 
+    def test_block_shape_mismatch_refused(self):
+        with pytest.raises(InvalidArgumentError, match=r"\(3, 3, 2\)"):
+            lm.resolve_signs(np.ones((3, 2)), np.ones((3, 3)))
+
+    def test_error_names_the_first_unresolvable_coordinate(self):
+        # coordinate 0 is a chain 0-1-2-3 (depth 3); coordinates 1 and 2 cannot reach labeler 3
+        e = np.zeros((4, 4, 3))
+        for a, b in ((0, 1), (1, 2), (2, 3)):
+            e[a, b] = e[b, a] = -0.5
+        e[2, 3, 1:] = e[3, 2, 1:] = 0.0
+        with pytest.raises(SignAmbiguousError, match=r"coordinate 1: cannot reach labelers \[3\]"):
+            lm.resolve_signs(np.full((4, 3), 0.5), e)
+        signed = lm.resolve_signs(np.full((4, 1), 0.5), e[:, :, :1])
+        np.testing.assert_array_equal(signed[:, 0], [0.5, -0.5, 0.5, -0.5])
+
+    def test_frontier_ranks_by_parent_then_index(self):
+        # level 2 is ranked (4, 3): 4's parent 1 outranks 3's parent 2, so labeler 5,
+        # linked to both through moments of opposite sign, takes its sign from 4
+        e = np.zeros((6, 6))
+        for a, b, v in ((0, 1, 0.5), (0, 2, 0.5), (1, 4, 0.5), (2, 3, 0.5), (3, 5, 0.5), (4, 5, -0.5)):
+            e[a, b] = e[b, a] = v
+        np.testing.assert_array_equal(lm.resolve_signs(np.full(6, 0.5), e), [0.5] * 5 + [-0.5])
+
 
 class TestGaussianBackwardMap:
     def test_population_covariance_inverts_exactly(self):
@@ -370,6 +400,11 @@ class TestLearnConfiguration:
         name = type(prior).__name__
         with pytest.raises(ConfigurationError, match=f"{name} is not read on the {path} route for {kind} labels"):
             lm.learn_label_model(data, path=path, prior=prior)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, [1.0, np.nan], 0.0, -1.0])
+    def test_second_moments_must_be_positive_and_finite(self, value):
+        with pytest.raises(InvalidArgumentError, match="positive and finite"):
+            lm.SecondMomentPrior(value)
 
     @pytest.mark.parametrize("kind, path, given, coords", [
         (lm.REAL_VECTOR, "continuous", 2, 1), (lm.REAL_VECTOR, "isotropic", 3, 1),
@@ -697,9 +732,9 @@ class TestHoistedPivot:
         l[:3, 1] = 0.2
         o[0, 1, 1] = o[1, 0, 1] = o[1, 2, 1] = o[2, 1, 1] = 0.2
         o[0, 2, 1] = o[2, 0, 1] = 0.0
-        solve = lm._pivot_solver(o, l, p)
+        tab = lm._quadratic_tables(o, l, p)
         for a, (b, c) in enumerate(lm._triplet_partners(m, lm.CorrelationSet())):
-            beta, ok = solve(a, b, c)
+            beta, ok = lm._quadratic_pivot(tab, b, a, c)
             (_, ref_beta, _), ref_ok = reference_quadratic_triplets(o[b, a], o[b, c], o[a, c], l[b], l[a], l[c], p)
             np.testing.assert_array_equal(ok, ref_ok)
             np.testing.assert_array_equal(beta, ref_beta)
@@ -714,7 +749,6 @@ class TestHoistedPivot:
                         continue
                     assert ok[k, i]
                     assert beta[k, i] == expect
-        tab = lm._quadratic_tables(o, l, p)
         assert tab.degenerate[0, 2, 0]
         assert not lm._quadratic_pivot(tab, 0, 1, 2)[1][1]
 
@@ -764,3 +798,178 @@ class TestTripletExactness:
         np.fill_diagonal(d, 0.0)
         for a, b, c in triplets(len(d)):
             assert lm.isotropic_accuracies(d, (a, b, c)) == pytest.approx(expected_distance[a], rel=1e-12, abs=1e-12)
+
+
+class TestContiguousPasses:
+    """Each piece of the learner's hot path agrees bit for bit with its
+    reference in ``conftest``: pair signs from the comparison's bytes, row-take
+    gathers, medians from one partition, and every coordinate's signs from one
+    breadth-first search."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 12), st.integers(0, 2**32 - 1)))
+    def test_pair_signs(self, case):
+        n, m, rho, seed = case
+        rankings = np.argsort(np.random.default_rng(seed).random((n, m, rho)), axis=-1)
+        got, want = lm._pair_signs(rankings), reference_pair_signs(rankings)
+        assert got.dtype == want.dtype == np.int8
+        np.testing.assert_array_equal(got, want)
+        # labeler-major view of coordinate-major storage
+        assert got.transpose(2, 0, 1).flags.c_contiguous
+
+    def test_pair_signs_past_the_uint8_positions(self):
+        rankings = np.argsort(np.random.default_rng(3).random((2, 2, 300)), axis=-1)
+        np.testing.assert_array_equal(lm._pair_signs(rankings), reference_pair_signs(rankings))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 7).flatmap(lambda m: st.tuples(
+        hnp.arrays(np.float64, (m, m, 3), elements=st.floats(0.0, 1.0)),
+        hnp.arrays(np.float64, (m, 3), elements=st.floats(0.0, 1.0)))),
+        st.sampled_from([0.3, 0.5, 0.8]))
+    def test_pivot(self, tables, p):
+        o, l = tables
+        m = len(l)
+        o = np.where(np.triu(np.ones((m, m), dtype=bool))[:, :, None], o, o.transpose(1, 0, 2))
+        o[0, 2, 0] = o[2, 0, 0] = l[0, 0] * l[2, 0]  # a degenerate lead
+        tab = lm._quadratic_tables(o, l, p)
+        for a, (b, c) in enumerate(lm._triplet_partners(m, lm.CorrelationSet())):
+            beta, ok = lm._quadratic_pivot(tab, b, a, c)
+            ref_beta, ref_ok = reference_quadratic_pivot(tab, b, a, c)
+            assert beta.tobytes() == ref_beta.tobytes()
+            np.testing.assert_array_equal(ok, ref_ok)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 6).flatmap(
+        lambda m: hnp.arrays(np.float64, (m, m, 2), elements=st.floats(-2.0, 2.0) | st.just(np.nan))))
+    def test_triplet_gather(self, table):
+        # no symmetry needed: (a, b), (a, c) are a's row and (b, c) a flat pair row
+        for a, (b, c) in enumerate(lm._triplet_partners(len(table), lm.CorrelationSet())):
+            for got, want in zip(lm._triplet_gather(table, a, b, c), (table[a, b], table[a, c], table[b, c])):
+                assert got.tobytes() == want.tobytes()
+            for got, want in zip(lm._triplet_gather(table[:, :, 0], a, b, c),
+                                 (table[a, b, 0], table[a, c, 0], table[b, c, 0])):
+                assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda k: hnp.arrays(
+        np.float64, st.sampled_from([(k,), (k, 1), (k, 3)]),
+        elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]) | st.floats(-10.0, 10.0))))
+    def test_median(self, rows):
+        # odd and even row counts, one row, 1-D (isotropic) rows, signed zeros, NaN
+        got, want = np.asarray(lm._median_rows(rows)), np.asarray(np.median(rows, axis=0))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(st.integers(1, 9), st.integers(1, 4)).flatmap(lambda md: st.tuples(
+        hnp.arrays(np.float64, md, elements=st.floats(0.0, 1.0)),
+        hnp.arrays(bool, (md[0], *md)),
+        hnp.arrays(np.float64, (md[0], *md), elements=st.sampled_from([1e-9, -1e-9, 0.3, -0.3, 0.8, -0.6, np.nan])))))
+    def test_signs(self, case):
+        # sparse, asymmetric links: deep searches and unreachable labelers
+        mags, links, values = case
+        e = np.where(links, values, 0.0)
+        self.check_signs(mags, e)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_signs_deep_chains(self, seed):
+        # each coordinate links its labelers in one random chain (depth m - 1); some lose a link
+        rng = np.random.default_rng(seed)
+        m, d = 8, 5
+        e = np.zeros((m, m, d))
+        for i in range(d):
+            order = rng.permutation(m)
+            for a, b in zip(order[:-1], order[1:]):
+                e[a, b, i] = e[b, a, i] = rng.choice([-0.4, 0.4])
+            if rng.random() < 0.4:
+                a, b = order[3], order[4]
+                e[a, b, i] = e[b, a, i] = 0.0
+        self.check_signs(rng.random((m, d)), e)
+
+    @staticmethod
+    def check_signs(mags, e):
+        d = mags.shape[1]
+        want, failing = [], []
+        for i in range(d):
+            try:
+                want.append(reference_resolve_signs(mags[:, i], e[:, :, i]))
+            except SignAmbiguousError:
+                failing.append(i)
+        if failing:
+            with pytest.raises(SignAmbiguousError, match=f"coordinate {failing[0]}: cannot reach"):
+                lm.resolve_signs(mags, e)
+            return
+        got = lm.resolve_signs(mags, e)
+        assert got.tobytes() == np.stack(want, axis=1).tobytes()
+        for i in range(d):
+            assert lm.resolve_signs(mags[:, i], e[:, :, i]).tobytes() == want[i].tobytes()
+
+    def test_learner_pair_tables_are_symmetric(self, monkeypatch):
+        # the pivot reads (x, b) entries from b's rows: exact because the +-1 sums are integers
+        inner, built = lm._quadratic_tables, []
+
+        def checked(o, l, p):
+            tab = inner(o, l, p)
+            for name in ("op", "qq", "k", "tk", "qqr2", "lead", "lead4", "degenerate", "width"):
+                table = getattr(tab, name)
+                assert table.tobytes() == np.ascontiguousarray(table.swapaxes(0, 1)).tobytes(), name
+            built.append(p)
+            return tab
+
+        monkeypatch.setattr(lm, "_quadratic_tables", checked)
+        for data in (six_labeler_data(lm.RANKING), near_random_data()):
+            lm.learn_label_model(data, path="hypercube", prior=lm.TwoPointPrior(0.3), triplet_policy="median")
+        assert built == [0.3, 0.7] * 2
+
+
+def near_random_data():
+    # movies-style: 4 good labelers, 8 near-random ones with many degenerate triplets
+    return make_ranking_data(syn.movies_style_thetas(12, 5), rho=4, n=200, seed=5)[1]
+
+
+REFERENCE_PIECES = {
+    "_pair_signs": reference_pair_signs,
+    "_quadratic_pivot": reference_quadratic_pivot,
+    "_triplet_estimates": reference_triplet_estimates,
+    "_signed_accuracies": reference_signed_accuracies,
+    "resolve_signs": reference_resolve_signs,
+}
+
+
+class TestReferencePieces:
+    """The learner with every reference piece patched in learns the same bytes,
+    on every route and policy, with and without a correlation set."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        return {"ranking": six_labeler_data(lm.RANKING), "near_random": near_random_data(),
+                "real": six_labeler_data(lm.REAL_VECTOR), "finite": six_labeler_data(lm.FINITE_METRIC)}
+
+    @pytest.mark.parametrize("corr", [lm.CorrelationSet(), lm.CorrelationSet.from_pairs([(0, 1), (2, 4)])],
+                             ids=["independent", "correlated"])
+    @pytest.mark.parametrize("policy", ["first", "median"])
+    @pytest.mark.parametrize("name, path, prior", [
+        ("ranking", "continuous", None), ("ranking", "hypercube", None), ("ranking", "isotropic", None),
+        ("ranking", "hypercube", lm.TwoPointPrior(0.3)),
+        ("near_random", "continuous", None), ("near_random", "hypercube", None), ("near_random", "isotropic", None),
+        ("real", "continuous", lm.SecondMomentPrior(1.0)), ("real", "isotropic", lm.SecondMomentPrior(1.0)),
+        ("finite", "isotropic", None), ("finite", "continuous", None),
+    ], ids=["rank-cont", "rank-hyper", "rank-iso", "rank-hyper-2pt", "near-random-cont", "near-random-hyper",
+            "near-random-iso", "real-cont", "real-iso", "finite-iso", "finite-cont"])
+    def test_learned_bytes_equal(self, datasets, name, path, prior, policy, corr, monkeypatch):
+        data = datasets[name]
+        got = self.learn(data, corr, prior, path, policy)
+        for attr, reference in REFERENCE_PIECES.items():
+            monkeypatch.setattr(lm, attr, reference)
+        want = self.learn(data, corr, prior, path, policy)
+        assert got == want
+
+    @staticmethod
+    def learn(data, corr, prior, path, policy):
+        try:
+            model = lm.learn_label_model(data, corr=corr, prior=prior, path=path, triplet_policy=policy)
+        except DegenerateMomentError as exc:
+            return type(exc), str(exc)
+        fields = (model.thetas, model.expected_distances, model.accuracies, model.pairwise_moments,
+                  model.theta_matrix, model.estimates.per_coordinate)
+        return [None if f is None else (f.dtype, f.shape, f.tobytes()) for f in fields]
