@@ -10,34 +10,37 @@ kind: one batched engine solves every task of a dataset at once. A negative
 (worse than random) weight counts as 0. Reals take the weighted mean, the
 exact argmin of the squared distance. Finite spaces gather the distance
 columns of every task's labels and take the argmin over all points. Rankings
-build one ``(n, rho, rho)`` preference tensor. Exact Kemeny first splits each
-task's items into the strongly connected components of its weak majority
-graph (an edge i -> j when no more weight puts j before i than i before j),
-with array operations over all tasks: a sort by out-degree and a 2-D prefix
-sum of strict wins, O(rho^2) per task. Every optimum keeps the components in
-order, so it then runs a dynamic program over the 2^k subsets of each
-component of k >= 2 items, all components of one size at once in chunks, at
-O(2^k * k) per component. It refuses rho > 16. Rankings use it up to
-rho = ``EXACT_MAX_RHO`` and local search above, where a task that is one
-component fills the subset table slower than eight restarts of local search.
-Local search runs the best-improvement insertion descent on an
-``(n * restarts, rho)`` array of orders; rows drop out as they reach a local
-optimum. Chunks of tasks bound the working arrays to about 1 MiB
-(``_CHUNK_BYTES``).
+build one ``(n, rho, rho)`` preference tensor and split each task's items
+into the strongly connected components of its weak majority graph (an edge
+i -> j when no more weight puts j before i than i before j), with array
+operations over all tasks: a sort by out-degree and a 2-D prefix sum of
+strict wins, O(rho^2) per task. Every optimum keeps the components in order,
+so only the order inside each component is left to find, all components of
+one size at once. One rule, the same at every rho, picks the solver per
+component (the partition rule of Betzler, Bredereck and Niedermeier, JAAMAS
+2014): a component of k <= ``EXACT_MAX_RHO`` items gets its exact optimum
+from a dynamic program over its 2^k item subsets, at O(2^k * k), and a
+larger one, where the subset table costs more than eight restarts of local
+search, gets local search over its own items. :func:`kemeny_exact` runs the
+same loop with the dynamic program on components of up to 16 items and
+refuses a larger one. Local search runs the best-improvement insertion
+descent on an ``(n * restarts, k)`` array of orders; rows drop out as they
+reach a local optimum. Chunks of tasks bound the working arrays to about
+1 MiB (``_CHUNK_BYTES``).
 
 Ties break lexicographically as the program's float sums compare them: among
 labels whose objectives are equal as summed in float64, the smallest canonical
 form wins (elementwise order for permutation sequences, index order for points
 of a finite space), so every aggregation is deterministic. Objectives that tie
 in exact arithmetic but whose float sums differ in the last bit are no tie:
-the smaller float sum wins. The exact solver compares the preference tensor's
-entries to split a task into components and sums each component's objective
-on its own, so its ties are decided by each component's float sums. Local
-search keeps, over its restarts in order, a result whose objective is lower
-by more than 1e-12 times the weight total, or within that and
-lexicographically smaller, so rescaling the weights by a power of two leaves
-it unchanged. Its random restarts for task ``i`` of a dataset
-come from ``default_rng((seed, i))``.
+the smaller float sum wins. A task is split into components by comparing its
+preference tensor's entries and each component's objective is summed on its
+own, so its ties are decided by each component's float sums. Local search
+keeps, over its restarts in order, a result whose objective is lower by more
+than 1e-12 times the weight total, or within that and lexicographically
+smaller, so rescaling the weights by a power of two leaves it unchanged. Its
+random restarts for task ``i`` of a dataset come from
+``default_rng((seed, i))``, afresh for each component that runs it.
 """
 
 from functools import cache
@@ -60,8 +63,8 @@ __all__ = [
     "aggregate_dataset",
 ]
 
-EXACT_MAX_RHO = 10
-_DP_MAX_RHO = 16  # 2^16 subsets x 17 float64 columns: 8.9 MB per task
+EXACT_MAX_RHO = 10  # the largest component aggregate_dataset orders by the subset program
+_DP_MAX_K = 16  # 2^16 subsets x 17 float64 columns: 8.9 MB per component
 _TIE_TOL = 1e-12
 _CHUNK_BYTES = 1 << 20
 
@@ -180,39 +183,59 @@ def kemeny_exact(labels, weights, rho):
     lexicographically smallest optimal sequence of each component, as its
     float sums round, and so to the smallest optimum of the task. The cost is
     O(rho^2) per task for the partition plus O(2^k * k) time and
-    ``8 (k + 1) 2^k`` bytes per component of k items.
+    ``8 (k + 1) 2^k`` bytes per component of k items, so any rho is solved
+    exactly whose components have at most 16 items.
 
     Raises
     ------
     UseHeuristicError
-        If rho exceeds 16, where one component could need a subset table of
-        over 8.9 MB per task: use :func:`kemeny_local_search`.
+        If a component has more than 16 items, where its subset table would
+        take over 8.9 MB: use :func:`kemeny_local_search`.
     InvalidArgumentError
         If the weights are not one finite value per labeler.
     """
     labels, single = _as_batch(labels)
-    if rho > _DP_MAX_RHO:
-        raise UseHeuristicError(f"rho={rho} above {_DP_MAX_RHO}, the largest the exact solver's "
-                                f"2^rho subset table is built for")
     if labels.shape[2] != rho:
         raise InvalidArgumentError(f"labels have length {labels.shape[2]}, expected {rho}")
-    pref = _preference_tensor(labels, _finite_weights(weights, labels.shape[1]))
+    out = _kemeny(labels, _finite_weights(weights, labels.shape[1]), _DP_MAX_K, None)
+    return out[0] if single else out
+
+
+def _kemeny(labels, weights, dp_max, seed):
+    """(n, rho) Kemeny orders of (n, m, rho) labels, one majority-graph component at a time.
+
+    A component of k items goes to the subset program when k <= ``dp_max``;
+    a larger one to eight-restart local search over its own items, task i's
+    restarts from ``default_rng((seed, i))``, or, when ``seed`` is None, to
+    a UseHeuristicError naming the task and k.
+    """
+    pref = _preference_tensor(labels, weights)
     order, ends = _majority_components(pref)
     out = order.copy()  # a component of one item stays where the sort put it
     starts = np.ones_like(ends)
     starts[:, 1:] = ends[:, :-1]
     task, start = np.nonzero(starts)
     size = np.nonzero(ends)[1] - start + 1
+    if seed is None and (size > dp_max).any():
+        at = (size > dp_max).argmax()
+        raise UseHeuristicError(f"task {task[at]}: a majority-graph component of {size[at]} items, above "
+                                f"the {dp_max} the exact solver's subset table is built for")
     for k in np.unique(size[size > 1]).tolist():
         t, pos = task[size == k, None], start[size == k, None] + np.arange(k)
         items = np.sort(order[t, pos], axis=1)  # ascending ids carry the lexicographic tie-break
         sub = pref[t[:, :, None], items[:, :, None], items[:, None, :]]
-        layers = _subset_layers(k)
-        local = np.empty((len(sub), k), dtype=np.int64)
-        for s in _chunks(len(sub), 8 * (k + 1) << k):
-            local[s] = _subset_dp(sub[s], layers)
+        if k <= dp_max:
+            layers = _subset_layers(k)
+            local = np.empty((len(sub), k), dtype=np.int64)
+            for s in _chunks(len(sub), 8 * (k + 1) << k):
+                local[s] = _subset_dp(sub[s], layers)
+        else:
+            # each labeler's order of the component's items, as indices into items
+            item_pos = np.take_along_axis(np.argsort(labels[t[:, 0]], axis=-1), items[:, None, :], axis=2)
+            local = _local_search(np.argsort(item_pos, axis=-1), sub, weights, 8,
+                                  [(seed, i) for i in t[:, 0].tolist()])
         out[t, pos] = np.take_along_axis(items, local, axis=1)
-    return out[0] if single else out
+    return out
 
 
 def _majority_components(pref):
@@ -291,15 +314,16 @@ def kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
     if labels.shape[2] != rho:
         raise InvalidArgumentError(f"labels have length {labels.shape[2]}, expected {rho}")
     seeds = [seed] if single else [(seed, i) for i in range(len(labels))]
-    out = _local_search(labels, _finite_weights(weights, labels.shape[1]), restarts, seeds)
+    weights = _finite_weights(weights, labels.shape[1])
+    out = _local_search(labels, _preference_tensor(labels, weights), weights, restarts, seeds)
     return out[0] if single else out
 
 
-def _local_search(labels, weights, restarts, seeds):
+def _local_search(labels, pref, weights, restarts, seeds):
+    """Each task's pick among its restarts' local optima, from its (n, m, rho) labels and their pref."""
     n, _, rho = labels.shape
     if rho < 2:
         return labels[:, 0].copy()
-    pref = _preference_tensor(labels, weights)
     rows = np.arange(n)
     # starts in order: the best input label, the weighted mean-position order, random orders
     starts = [labels[rows, _candidate_costs(pref, labels).argmin(axis=1)][:, None]]
@@ -388,8 +412,10 @@ def aggregate_dataset(data, weights=None, rule="weighted", seed=0, model=None):
 
     Each task's label is the weighted argmin over the whole space: the
     weighted mean on the real line, the best point of a finite space, and on
-    rankings the exact Kemeny order of :func:`kemeny_exact` up to
-    rho = ``EXACT_MAX_RHO``, above it :func:`kemeny_local_search` with its
+    rankings, at any rho, each majority-graph component's order as
+    :func:`kemeny_exact` finds it: exact on a component of at most
+    ``EXACT_MAX_RHO`` items, and on a larger one the local search of
+    :func:`kemeny_local_search` over that component's items, with its
     default eight restarts, task i's random ones from
     ``default_rng((seed, i))``.
 
@@ -430,6 +456,4 @@ def aggregate_dataset(data, weights=None, rule="weighted", seed=0, model=None):
         return (_row_sums(weights * data.labels[:, :, 0]) / weights.sum()).tolist()
     if kind == FINITE_METRIC:
         return _aggregate_finite(data.labels, weights, data.space).tolist()
-    if data.rho > EXACT_MAX_RHO:
-        return list(kemeny_local_search(data.labels, weights, data.rho, seed=seed))
-    return list(kemeny_exact(data.labels, weights, data.rho))
+    return list(_kemeny(data.labels, weights, EXACT_MAX_RHO, seed))

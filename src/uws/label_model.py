@@ -736,7 +736,10 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
     # pair moments; the model keeps their mean over +-1 pair coordinates and
     # their total over real ones
     if values is not None:
-        e = empirical_pair_moments(values)
+        with np.errstate(over="ignore"):  # refused just below, naming the cause
+            e = empirical_pair_moments(values)
+        if not np.isfinite(e).all():
+            raise InvalidArgumentError("pair moments are not finite: the label products overflow float64")
         pairwise = e.mean(axis=2) if kind == RANKING else e.sum(axis=2)
         if second_moments is not None:
             if second_moments.shape not in ((1,), values.shape[2:]):

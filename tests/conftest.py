@@ -7,6 +7,7 @@ implementations.
 """
 
 import csv
+import math
 from collections import deque
 from fractions import Fraction
 from functools import cache
@@ -57,26 +58,30 @@ def fraction_kemeny_cost(labels, weights, z):
 def reference_kemeny_fraction(labels, weights, rho):
     """Exact weighted Kemeny optimum in rational arithmetic: (order, cost as a Fraction).
 
-    Each float weight is the Fraction it equals. ``g(S)``, the least cost of
+    Each float weight is the Fraction it equals; every float is a dyadic
+    rational, so all of them are integers in units of one common denominator,
+    and the recursion runs in those exact integers. ``g(S)``, the least cost of
     ordering the item set S (a bit mask), is the minimum over the item j put
     first of the weight placing another item of S before j plus ``g(S - j)``,
     by memoised recursion. The order is rebuilt from the full set, taking at
     each position the smallest item that attains the optimum: the
     lexicographically smallest optimum, with ties decided exactly.
     """
-    pref = [[Fraction(0)] * rho for _ in range(rho)]  # pref[i][j]: weight placing i before j
+    weights = [Fraction(float(w)) for w in weights]
+    unit = math.lcm(1, *(w.denominator for w in weights))
+    pref = [[0] * rho for _ in range(rho)]  # pref[i][j]: weight placing i before j, times unit
     for lab, w in zip(np.asarray(labels).tolist(), weights):
         for s, i in enumerate(lab):
             for j in lab[s + 1 :]:
-                pref[i][j] += Fraction(float(w))
+                pref[i][j] += int(w * unit)
 
     def first_cost(items, j):
-        return sum((pref[i][j] for i in range(rho) if items >> i & 1), Fraction(0))
+        return sum(pref[i][j] for i in range(rho) if items >> i & 1)
 
     @cache
     def g(items):
         if not items:
-            return Fraction(0)
+            return 0
         return min(first_cost(items, j) + g(items & ~(1 << j)) for j in range(rho) if items >> j & 1)
 
     items, order = (1 << rho) - 1, []
@@ -85,7 +90,7 @@ def reference_kemeny_fraction(labels, weights, rho):
                  and first_cost(items, j) + g(items & ~(1 << j)) == g(items))
         order.append(j)
         items &= ~(1 << j)
-    return np.array(order, dtype=np.int64), g((1 << rho) - 1)
+    return np.array(order, dtype=np.int64), Fraction(g((1 << rho) - 1), unit)
 
 
 def reference_subset_dp(labels, weights, rho):

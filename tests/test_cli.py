@@ -237,6 +237,18 @@ class TestInfer:
                   "--out", str(out), "--rule", "weighted", "--seed", "9"])
         assert tree_bytes(a) == tree_bytes(b)
 
+    def test_long_rankings_deterministic(self, tmp_path):
+        # at rho = 20 the movies-style labelers leave tasks with majority-graph components on both
+        # sides of EXACT_MAX_RHO: the subset program orders the small ones, local search the rest
+        scenario = write_json(tmp_path / "s.json",
+                              {"kind": "ranking", "n": 200, "rho": 20, "preset": "movies_style", "m": 30, "seed": 7})
+        data_dir, a, b = tmp_path / "data", tmp_path / "a", tmp_path / "b"
+        assert main(["generate", "--scenario", str(scenario), "--out", str(data_dir)]) == 0
+        for out in (a, b):
+            assert main(["infer", "--dataset", str(data_dir), "--out", str(out), "--rule", "mv"]) == 0
+        assert sorted(tree_bytes(a)) == ["manifest.json", "pseudolabels.csv"]
+        assert tree_bytes(a) == tree_bytes(b)
+
     @pytest.mark.parametrize("scenario", [
         {"kind": "ranking", "n": 300, "rho": 5, "thetas": [1.5, 1.0, 0.7], "seed": 11},
         {"kind": "graph", "n_nodes": 30, "n_edges": 60, "n": 50, "thetas": [2.0, 1.5, 1.0, 0.8, 0.5], "seed": 3},

@@ -174,11 +174,36 @@ class TestKemenyExact:
             oracle, oracle_cost = brute_force_weighted_kemeny(labels, w, 5)
             assert got.tolist() == oracle.tolist()
 
-    def test_refuses_rho_above_the_table_cap(self):
-        # 16 items still fit the subset table; 17 would need 18.9 MB per task
+    def test_refuses_a_component_above_the_table_cap(self):
+        # 16 items still fit the subset table; a component of 17 would need 18.9 MB
         assert inf.kemeny_exact([np.arange(16)[::-1]], [1.0], 16).tolist() == list(range(15, -1, -1))
-        with pytest.raises(UseHeuristicError):
-            inf.kemeny_exact([np.arange(17)], [1.0], 17)
+        # 17 cyclic shifts of one order: item i beats the next 8 after it around the cycle, one component
+        sigma = np.random.default_rng(17).permutation(17)
+        shifts = sigma[(np.arange(17)[:, None] + np.arange(17)) % 17]
+        assert components(inf._preference_tensor(shifts[None], np.ones(17))) == [[sorted(sigma.tolist())]]
+        with pytest.raises(UseHeuristicError, match="task 1: a majority-graph component of 17 items"):
+            inf.kemeny_exact(np.stack([np.tile(sigma, (17, 1)), shifts]), np.ones(17), 17)
+
+    @pytest.mark.parametrize("rho", [17, 20])
+    def test_long_rankings_with_small_components_are_exact(self, rho):
+        # every labeler ranks the same blocks in the same order, each block shuffled, so no
+        # component outgrows its block and an optimum keeps the blocks in order: the oracle
+        # orders each block on its own. Weights in quarters sum exactly, so the orders must agree
+        rng = np.random.default_rng(300 + rho)
+        labels = planted_blocks(rng, rho, 7, 3, 5, 0)
+        weights = rng.integers(1, 9, size=7) / 4
+        got = inf.kemeny_exact(labels, weights, rho)
+        for task, z in zip(labels, got):
+            cuts = [p for p in range(rho + 1) if len({frozenset(lab[:p]) for lab in task.tolist()}) == 1]
+            assert max(np.diff(cuts)) <= 16
+            expect = []
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                items = np.sort(task[0, lo:hi])
+                block = np.searchsorted(items, task[:, lo:hi])  # each labeler's order, as indices into items
+                expect.extend(items[reference_kemeny_fraction(block, weights, hi - lo)[0]].tolist())
+            assert z.tolist() == expect
+        # unanimous labels: every item is its own component
+        assert inf.kemeny_exact(np.tile(labels[0, :1], (5, 1)), np.ones(5), rho).tolist() == labels[0, 0].tolist()
 
     def test_integer_weights_match_the_permutation_table(self):
         # integer sums are exact, so the subset program returns the table's
@@ -524,10 +549,12 @@ class TestBatchedEngineMatchesReference:
             got = inf.kemeny_local_search(labels, clamped, rho, restarts=restarts, seed=seed)
         else:
             got = np.asarray(inf.aggregate_dataset(LabelingMatrix(RANKING, labels), weights=weights, seed=seed))
+        # the largest majority-graph component of each task; up to rho = 11 a component above
+        # EXACT_MAX_RHO is the whole task, which aggregate_dataset hands to eight-restart local search
+        largest = [max(map(len, comps)) for comps in components(inf._preference_tensor(labels, clamped))]
         expect = []
         for i in range(n):
-            if local or rho > inf.EXACT_MAX_RHO:
-                # aggregate_dataset runs local search above EXACT_MAX_RHO with its default eight restarts
+            if local or largest[i] > inf.EXACT_MAX_RHO:
                 expect.append(reference_kemeny_local_search(labels[i], clamped, rho,
                                                             restarts=restarts if local else 8, seed=(seed, i)))
             else:
@@ -577,17 +604,39 @@ class TestAggregationInvariants:
     def test_local_search_ignores_the_weight_scale(self, rho, m, n, exponent, restarts, label_seed, data):
         # the move and restart tolerances scale with the weight total, so even
         # weights near 1e-14 or 1e14 take the same descent; no weight is so
-        # small that its scaled value loses bits
+        # small that its scaled value loses bits. aggregate_dataset splits each
+        # task into majority-graph components, and a power-of-two scale keeps
+        # every preference entry and float sum exact, so the split, the subset
+        # program and local search on a component above EXACT_MAX_RHO all agree
         rng = np.random.default_rng(label_seed)
         weights = np.array(data.draw(st.lists(st.just(0.0) | st.floats(2.0**-20, 3.0), min_size=m, max_size=m)))
         assume((weights > 0).any())
         labels = np.array([[rng.permutation(rho) for _ in range(m)] for _ in range(n)])
-        # above EXACT_MAX_RHO, aggregate_dataset runs local search with its default restarts
         for solve in (lambda w: inf.aggregate_dataset(LabelingMatrix(RANKING, labels), weights=w, seed=5),
                       lambda w: inf.kemeny_local_search(labels, w, rho, restarts=restarts, seed=5)):
             base = np.asarray(solve(weights))
             for k in (-46, exponent, 46):
                 assert np.array_equal(base, np.asarray(solve(weights * 2.0**k)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(rho=st.integers(11, 13), m=st.integers(1, 12), n=st.integers(1, 4), n_blocks=st.integers(1, 4),
+           n_noise=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), label_seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_long_rankings_never_lose_to_an_input_label(self, rho, m, n, n_blocks, n_noise, seed,
+                                                        label_seed, data):
+        # planted blocks mix components the subset program orders with components above
+        # EXACT_MAX_RHO that local search orders; either way no input label has a lower
+        # objective, up to the float rounding of the sums over pairs and the restart tolerance
+        labels = planted_blocks(np.random.default_rng(label_seed), rho, m, n, n_blocks, min(n_noise, m))
+        weights = np.array(data.draw(st.lists(weight_values, min_size=m, max_size=m)))
+        clamped = np.where(weights < 0, 0.0, weights)
+        assume((clamped > 0).any())
+        got = np.asarray(inf.aggregate_dataset(LabelingMatrix(RANKING, labels), weights=weights, seed=seed))
+        assert got.dtype == np.int64 and np.array_equal(np.sort(got, axis=1), np.tile(np.arange(rho), (n, 1)))
+        slack = (Fraction(1e-12) + Fraction(rho * (rho - 1), 2**52)) * sum(Fraction(float(w)) for w in clamped)
+        for task, z in zip(labels, got):
+            best = min(fraction_kemeny_cost(task, clamped, lab) for lab in task)
+            assert fraction_kemeny_cost(task, clamped, z) <= best + slack
 
     @settings(max_examples=30, deadline=None)
     @given(rho=st.integers(2, 6), m=st.integers(1, 6), scale=st.floats(1e-3, 1e3),

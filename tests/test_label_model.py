@@ -450,6 +450,14 @@ class TestLearnRegression:
         np.testing.assert_allclose(model.expected_distances, noise, rtol=0.08)
         np.testing.assert_allclose(model.thetas, 1.0 / noise, rtol=0.12)
 
+    @pytest.mark.parametrize("path", ["continuous", "isotropic"])
+    def test_overflowing_label_products_are_refused(self, path):
+        # finite labels near 1e160 have products near 1e320, past float64: the pair moments are inf
+        values = np.random.default_rng(37).normal(size=(200, 5)) * 1e160
+        data = lm.LabelingMatrix(lm.REAL_VECTOR, values)
+        with pytest.raises(InvalidArgumentError, match="label products overflow float64"):
+            lm.learn_label_model(data, path=path, prior=lm.SecondMomentPrior(1e300))
+
     def test_zero_signal_labelers(self):
         cov = np.eye(3)
         s = syn.RegressionScenario(n=30_000, accuracies=(0.0, 0.0, 0.0),
