@@ -7,6 +7,10 @@ paths, as uint32 array arithmetic, giving each row's Philox key. Philox is
 counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 3", SC'11): block j of a stream is Philox4x64-10 of counter j under the
 stream's key, so :func:`uniforms` computes every row's doubles as arrays.
+A block's four state words start as its counter and three zero words, so
+the first two of the ten rounds need less than full arrays: round 0
+multiplies the counter (one value per block) and a zero word, and round 1's
+first product is of the key alone (one value per row).
 Draws whose algorithm is not reimplemented here (permutations, bounded
 integers, normals) come from :func:`generators`, one Philox re-keyed per
 row. Every draw is bit-identical to the same draw from ``substream``.
@@ -68,31 +72,83 @@ def _keys(seed, paths):
     return np.stack([state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)], axis=1)
 
 
-def _mulhilo(a, b):
-    """(high, low) 64-bit words of the 128-bit products ``a * b``, from 32-bit halves."""
-    lo32 = np.uint64(_M32)
-    a_lo, a_hi, b_lo, b_hi = a & lo32, a >> np.uint64(32), b & lo32, b >> np.uint64(32)
-    mid = a_hi * b_lo + (a_lo * b_lo >> np.uint64(32))
-    carry = (mid & lo32) + a_lo * b_hi
-    return a_hi * b_hi + (mid >> np.uint64(32)) + (carry >> np.uint64(32)), a * b
+def _mulhi(mult, b, out, t1, t2, t3):
+    """Write into ``out`` the high 64-bit words of the 128-bit products ``mult * b``.
+
+    ``mult`` is a uint64 constant; the products are formed from 32-bit
+    halves, through the scratch buffers ``t1``-``t3`` of ``b``'s shape.
+    """
+    lo32, s32 = np.uint64(_M32), np.uint64(32)
+    m_lo, m_hi = mult & lo32, mult >> s32
+    np.bitwise_and(b, lo32, out=t1)
+    np.right_shift(b, s32, out=t2)
+    np.multiply(t1, m_lo, out=t3)
+    t3 >>= s32
+    t1 *= m_hi
+    t1 += t3  # mid
+    np.bitwise_and(t1, lo32, out=t3)
+    np.multiply(t2, m_lo, out=out)
+    out += t3  # carry
+    out >>= s32
+    t1 >>= s32
+    out += t1
+    t2 *= m_hi
+    out += t2
+
+
+def _mulhilo(mult, b):
+    """(high, low) 64-bit words of the 128-bit products ``mult * b``, as new arrays."""
+    hi, t1, t2, t3 = (np.empty(b.shape, np.uint64) for _ in range(4))
+    _mulhi(mult, b, hi, t1, t2, t3)
+    return hi, mult * b
 
 
 def uniforms(seed, paths, count):
-    """``(k, count)`` doubles; row r equals ``substream(seed, *paths[r]).random(count)``."""
+    """``(k, count)`` doubles; row r equals ``substream(seed, *paths[r]).random(count)``.
+
+    The array is the transpose of a C-contiguous ``(count, k)`` buffer: draw
+    c of every row is one contiguous run, so an item-major reader such as
+    the Mallows insertion kernel gets it without a copy. The state words
+    are ``(blocks, k)`` arrays. Philox's first two rounds run on less: in
+    round 0 one product is of the block counter, one value per block, and
+    the other of a zero word; in round 1 the first product is of the row's
+    key, one value per row. These are ``(blocks, 1)`` and ``(1, k)`` arrays
+    that broadcast into the full ones; rounds 2-9 run in place over a fixed
+    set of ``(blocks, k)`` buffers.
+    """
     key = _keys(seed, paths)
-    k0, k1 = key[:, :1], key[:, 1:]
-    zero = np.zeros((len(key), 1), np.uint64)
+    k0, k1 = key[:, 0], key[:, 1]
     # a fresh Philox bumps its counter before the first block: blocks 1..ceil(count/4)
     blocks = -(-count // 4)
-    x = [np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(key), blocks)), zero, zero, zero]
-    for r in range(10):
-        if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x[0])
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x[2])
-        x = [hi1 ^ x[1] ^ k0, lo1, hi0 ^ x[3] ^ k1, lo0]
-    words = np.stack(x, axis=2).reshape(len(key), -1)[:, :count]
-    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    ctr = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
+    # round 0 on the counter alone: the product of the zero word x2 is 0
+    hi0, x3 = _mulhilo(_PHILOX_M[0], ctr)
+    x0, x2 = k0[None], hi0 ^ k1
+    # round 1: x0 is the key alone, and x1 is still 0
+    k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+    hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+    hi1, x1 = _mulhilo(_PHILOX_M[1], x2)
+    x0, x2, x3 = hi1 ^ k0, hi0 ^ x3 ^ k1, np.broadcast_to(lo0, x2.shape).copy()
+    # rounds 2-9 in place: the new x0 and x2 fill two spare buffers, whose places the old ones take
+    hi0, hi1, t1, t2, t3 = (np.empty_like(x2) for _ in range(5))
+    for _ in range(2, 10):
+        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        _mulhi(_PHILOX_M[0], x0, hi0, t1, t2, t3)
+        _mulhi(_PHILOX_M[1], x2, hi1, t1, t2, t3)
+        hi1 ^= x1
+        hi1 ^= k0
+        hi0 ^= x3
+        hi0 ^= k1
+        np.multiply(x2, _PHILOX_M[1], out=x1)
+        np.multiply(x0, _PHILOX_M[0], out=x3)
+        x0, hi1 = hi1, x0
+        x2, hi0 = hi0, x2
+    out = np.empty((count, len(key)))
+    for i, x in enumerate((x0, x1, x2, x3)):
+        rows = out[i::4]  # word i of every block: draws i, i + 4, ...
+        x >>= np.uint64(11)
+        np.multiply(x[:len(rows)], 1.0 / 9007199254740992.0, out=rows)
+    return out.T
 
 
 def generators(seed, paths):

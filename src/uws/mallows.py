@@ -125,28 +125,35 @@ def _repeated_insertion(thetas, u, centers):
     and x counts, in one pass per entry, how many of a row's first j CDF
     entries lie below ``u[i, a, j-1]``: ``searchsorted(side="left")`` on a
     sorted CDF, except that a uniform past a last entry that rounds below 1
-    falls in the last bucket rather than past it. Inserting item j at position p = j - x moves
-    every earlier item at position >= p one place right, so the kernel keeps
-    every item's final position in one (n, m, rho) array and relabels
-    through the centers with one scatter.
+    falls in the last bucket rather than past it. Inserting item j at
+    position p = j - x moves every earlier item at position >= p one place
+    right.
+
+    The kernel is item-major. It reads item j's uniforms as the (n, m) slab
+    ``u[..., j-1]``, which is contiguous when ``u`` is the (n, m, rho-1)
+    view of an item-major buffer (as :func:`~uws._streams.uniforms` and
+    :func:`sample_many` give it). Every item's final position lives in one
+    (rho, n, m) array of the smallest integer type that holds rho, so each
+    step shifts the j earlier items as whole (n, m) slabs. One scatter
+    relabels the positions through the centers at the end.
     """
     n, m, rho = u.shape[0], u.shape[1], u.shape[2] + 1
     neg_thetas = -np.asarray(thetas, dtype=np.float64)[:, None]
-    pos = np.zeros((n, m, rho), dtype=np.int64)
+    pos = np.zeros((rho, n, m), dtype=np.min_scalar_type(rho))
     for j in range(1, rho):
         w = np.exp(neg_thetas * np.arange(j + 1, dtype=np.float64))
         cdf = np.cumsum(w, axis=1) / w.sum(axis=1, keepdims=True)
         # one elementwise pass per CDF entry: a reduction over a last axis of j is slower
         uj = u[..., j - 1]
-        p = np.full(uj.shape, j)
+        p = pos[j]
+        p.fill(j)
         for k in range(j):
             p -= cdf[:, k] < uj
-        head = pos[..., :j]
-        head += head >= p[..., None]
-        pos[..., j] = p
+        head = pos[:j]
+        head += head >= p
     # left-invariance: the center relabelled by a draw at the identity is a draw at the center
     out = np.empty((n, m, rho), dtype=centers.dtype)
-    np.put_along_axis(out, pos, centers[:, None, :], axis=2)
+    np.put_along_axis(out, pos.transpose(1, 2, 0), centers[:, None, :], axis=2)
     return out
 
 
@@ -169,6 +176,6 @@ def sample_many(model, rng, size):
     rho = model.rho
     if size < 1:
         raise InvalidArgumentError(f"need size >= 1, got {size}")
-    # row j-1 of the draw holds item j's uniforms: the stream order of one rng.random(size) per item
+    # item-major, as the kernel reads them: row j-1 holds item j's uniforms, one rng.random(size) per item
     u = rng.random((rho - 1, size)).T
     return _repeated_insertion([model.theta], u[:, None], model.center[None])[:, 0]

@@ -186,10 +186,12 @@ def gen_regression_tasks(scenario):
     chol = np.linalg.cholesky(cond_cov)
     sd = np.sqrt(scenario.prior_var)
     truth = sd * np.array([rng.standard_normal() for rng in generators(scenario.seed, _task_paths(1, scenario.n))])
-    labels = np.empty((scenario.n, m))
-    # one product per row: a batched product sums in another order
-    for i, rng in enumerate(generators(scenario.seed, _task_paths(2, scenario.n))):
-        labels[i] = cond_mean_coef * truth[i] + chol @ rng.standard_normal(m)
+    z = np.empty((scenario.n, m))
+    for row, rng in zip(z, generators(scenario.seed, _task_paths(2, scenario.n))):
+        rng.standard_normal(out=row)
+    # a stack of (m, m) @ (m, 1) products is each row's own matrix-vector product; z @ chol.T,
+    # one matrix-matrix product, sums in another order
+    labels = cond_mean_coef * truth[:, None] + np.matmul(chol, z[:, :, None])[:, :, 0]
     return truth, LabelingMatrix(REAL_VECTOR, labels)
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import reference_mallows_draw
 from scipy import stats
 
 from uws import mallows
@@ -214,3 +215,33 @@ class TestSampler:
         u[0, 0, 6] = top
         draw = mallows._repeated_insertion([theta], u, np.arange(8)[None])
         np.testing.assert_array_equal(draw[0, 0], [7, 0, 1, 2, 3, 4, 5, 6])
+
+
+# edges of the position type: the kernel keeps positions in the smallest integer type that holds rho
+POSITION_TYPE_EDGES = [2, 127, 128, 255, 256, 257]
+
+
+class TestPositionTypeEdges:
+    @pytest.mark.parametrize("rho", POSITION_TYPE_EDGES)
+    def test_kernel_matches_reference(self, rho):
+        thetas = [0.0, 0.01, 0.5]
+        n = 2
+        rng = np.random.default_rng(rho)
+        centers = np.stack([rng.permutation(rho) for _ in range(n)])
+        # item-major uniforms, as the generators lay them out, and the same values row-major
+        item_major = rng.random((rho - 1, n, len(thetas))).transpose(1, 2, 0)
+        want = np.array([[reference_mallows_draw(theta, item_major[i, a], centers[i])
+                          for a, theta in enumerate(thetas)] for i in range(n)])
+        for u in (item_major, np.ascontiguousarray(item_major)):
+            got = mallows._repeated_insertion(thetas, u, centers)
+            assert got.dtype == centers.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("rho", POSITION_TYPE_EDGES)
+    @pytest.mark.parametrize("theta", [0.0, 0.05, 2.0])
+    def test_sample_many_matches_reference(self, rho, theta):
+        center = np.random.default_rng(rho).permutation(rho)
+        draws = mallows.sample_many(mallows.MallowsModel(center, theta), np.random.default_rng(11), 3)
+        u = np.random.default_rng(11).random((rho - 1, 3))
+        want = np.array([reference_mallows_draw(theta, u[:, r], center) for r in range(3)])
+        np.testing.assert_array_equal(draws, want)

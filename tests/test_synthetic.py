@@ -224,6 +224,18 @@ class TestAgainstReference:
         assert_same(truth, ref_truth)
         assert_same(data.labels, ref_data.labels)
 
+    @pytest.mark.parametrize("rho, thetas", [
+        (10, syn.heterogeneous_thetas(5)),
+        (7, syn.movies_style_thetas(30, 5)),
+    ], ids=["heterogeneous_m18_rho10", "movies_m30_rho7"])
+    @pytest.mark.parametrize("seed", [0, 403])
+    def test_ranking_at_benchmark_shapes(self, rho, thetas, seed):
+        # the benchmark's labeler counts and rho, past the sizes the property test draws
+        s = syn.RankingScenario(n=40, rho=rho, thetas=thetas, seed=seed)
+        (truth, data), (ref_truth, ref_data) = syn.gen_ranking_tasks(s), reference_gen_ranking_tasks(s)
+        assert_same(truth, ref_truth)
+        assert_same(data.labels, ref_data.labels)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 12), st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
            st.floats(0.05, 2.0), st.floats(0.5, 3.0), SEEDS)
