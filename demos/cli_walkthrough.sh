@@ -16,7 +16,7 @@ JSON
 uws generate --scenario "$work/scenario.json" --out "$work/data"
 head -4 "$work/data/dataset.csv"
 
-uws learn --dataset "$work/data" --model "$work/model.json" --triplets median
+uws learn --dataset "$work/data" --model "$work/model.json"
 python3 - "$work/model.json" <<'PY'
 import json, sys
 model = json.load(open(sys.argv[1]))

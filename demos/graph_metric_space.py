@@ -20,7 +20,7 @@ for name, thetas in (("heterogeneous", (3.0, 2.0, 1.0, 0.3, 0.1)),
                      ("homogeneous", (1.0, 1.0, 1.0, 1.0, 1.0))):
     scenario = syn.GraphScenario(n_nodes=30, n_edges=60, n=400, thetas=thetas, seed=SEED)
     space, truth, data = syn.gen_graph_tasks(scenario)
-    model = learn_label_model(data, triplet_policy="median")
+    model = learn_label_model(data)
     print(f"== {name} labelers ==")
     print("true concentrations   :", thetas)
     print("learned mean hop error:", np.round(model.expected_distances, 2))

@@ -26,7 +26,7 @@ print(f"{data.n_lfs} labelers x {data.n_tasks} tasks, rankings of {RHO} items")
 print("true concentrations:", np.round(thetas, 2))
 
 print("\n== learn accuracies without the truth ==")
-model = learn_label_model(data, triplet_policy="median")
+model = learn_label_model(data)
 print("learned concentrations:", np.round(model.thetas, 2))
 print("learned mean Kendall distance to the (unseen) truth per labeler:")
 print(np.round(model.expected_distances, 1))

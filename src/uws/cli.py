@@ -183,13 +183,10 @@ def cmd_learn(args):
     prior = _build_prior(args)
     if prior is None and data.space_kind == REAL_VECTOR and (args.path or "continuous") == "continuous":
         prior = SecondMomentPrior(1.0)
-    model = learn_label_model(
-        data, prior=prior, path=args.path, triplet_policy=args.triplets
-    )
+    model = learn_label_model(data, prior=prior, path=args.path)
     config = {
         "dataset": str(args.dataset),
         "path": model.path,
-        "triplets": args.triplets,
         "prior_p": args.prior_p,
         "prior_second_moment": args.prior_second_moment,
     }
@@ -277,11 +274,11 @@ def _estimation_rows(scenario, model):
     return []
 
 
-def _sweep_point(scenario, path, triplets, rules):
+def _sweep_point(scenario, path, rules):
     space, truth, data = _generate(scenario)
     regression = isinstance(scenario, synthetic.RegressionScenario)
     prior = SecondMomentPrior(scenario.prior_var) if regression else None
-    model = learn_label_model(data, prior=prior, path=path, triplet_policy=triplets)
+    model = learn_label_model(data, prior=prior, path=path)
     rows = _estimation_rows(scenario, model)
     for rule in rules:
         labels = inference.aggregate_dataset(data, rule=rule, model=model, seed=scenario.seed)
@@ -320,7 +317,6 @@ def cmd_sweep(args):
             f"{where}: grids and replicates must be nonempty, and each m in 1..{base_m} (the base labelers)"
         )
     path = payload.get("path")
-    triplets = payload.get("triplets", "first")
     rules = payload.get("rules", ["mv", "weighted"])
 
     jobs = [
@@ -331,7 +327,7 @@ def cmd_sweep(args):
     rows = [
         (n, m, rep, metric, value)
         for n, m, rep, scenario in jobs
-        for metric, value in _sweep_point(scenario, path, triplets, rules)
+        for metric, value in _sweep_point(scenario, path, rules)
     ]
 
     # log-log slope of estimation error against n, per m, averaged over replicates
@@ -392,7 +388,6 @@ def build_parser():
     learn.add_argument("--dataset", required=True)
     learn.add_argument("--model", required=True, help="output model JSON path")
     learn.add_argument("--path", choices=["hypercube", "continuous", "isotropic"], default=None)
-    learn.add_argument("--triplets", choices=["first", "median"], default="first")
     prior = learn.add_mutually_exclusive_group()
     prior.add_argument("--prior-p", type=float, default=None, dest="prior_p")
     prior.add_argument("--prior-second-moment", type=float, default=None, dest="prior_second_moment")

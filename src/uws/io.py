@@ -46,7 +46,7 @@ from .label_model import (
     LabelModel,
 )
 from .metric_spaces import FiniteMetricSpace
-from .permutations import perm_to_str
+from .permutations import are_permutations, perm_to_str
 
 __all__ = [
     "canonical_json",
@@ -85,18 +85,13 @@ def _number_cells(labels):
     return labels.reshape(-1).tolist()
 
 
-def _is_permutation(perms):
-    """Which rows of a (k, rho) array are permutations of 0..rho-1."""
-    return (np.sort(perms, axis=1) == np.arange(perms.shape[1])).all(axis=1)
-
-
 # how each space kind's labels appear in a file: the label column, the cells
 # of a (k, ...) label array, the array dtype of one item, whether a cell is a
 # quoted list of items, and which labels read back are valid (and what a
 # valid one is)
 _Codec = namedtuple("_Codec", "column cells dtype listed valid what")
 _CODECS = {
-    RANKING: _Codec("perm", _perm_cells, np.int64, True, _is_permutation, "a permutation"),
+    RANKING: _Codec("perm", _perm_cells, np.int64, True, are_permutations, "a permutation"),
     REAL_VECTOR: _Codec("value", _number_cells, np.float64, False, np.isfinite, "finite"),
     FINITE_METRIC: _Codec("node", _number_cells, np.int64, False, np.isfinite, "finite"),
 }
@@ -329,7 +324,6 @@ def model_from_dict(payload, where="model document"):
         embedding=payload.get("embedding", {}),
         version=payload["version"],
         theta_matrix=arr("theta_matrix", none_ok=True),
-        estimates=None,
     )
 
 

@@ -7,15 +7,14 @@ continuous (a closed-form square root, given the truth's second moments),
 hypercube (the quadratic formula under a two-point prior, on labeler and
 pair tables built once per truth value) or isotropic (half-sums of native
 pair distances). :func:`learn_label_model` embeds the outputs, takes every
-pair moment in one product, solves each labeler's admissible triplets as one
-array call in contiguous passes (row takes from the tables, one sort per
-median, one breadth-first search for every coordinate's signs) and maps
-mean parameters to canonical accuracies. A triplet the route cannot solve
-(a moment at the floor, a negative discriminant) is skipped, so learning
-fails only for a labeler with no solvable triplet, and the error names it;
-the public scalar solvers wrap the same cores and raise instead.
+pair moment in one product, and estimates each labeler and coordinate as the
+median over the triplets that pair up its K = 4 strongest admissible
+partners and solve there, every labeler's pairs in one array call. A
+labeler and coordinate with no solvable triplet raise the route's error,
+naming both; the public scalar solvers wrap the same cores and raise instead.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
     SignAmbiguousError,
 )
 from .metric_spaces import FiniteMetricSpace, classical_mds
-from .permutations import pair_indices
+from .permutations import are_permutations, pair_indices
 
 __all__ = [
     "EPS_FLOOR",
@@ -39,7 +38,6 @@ __all__ = [
     "CorrelationSet",
     "TwoPointPrior",
     "SecondMomentPrior",
-    "AccuracyEstimates",
     "LabelModel",
     "empirical_pair_moments",
     "continuous_triplets",
@@ -53,8 +51,8 @@ __all__ = [
 # below this, a pairwise moment is treated as indistinguishable from zero
 EPS_FLOOR = 1e-6
 
-# partner pairs per array call under the "first" policy
-_FIRST_BLOCK = 64
+# each labeler's triplets pair up its K strongest admissible partners
+_PARTNERS = 4
 
 RANKING = "ranking"
 REAL_VECTOR = "real_vector"
@@ -87,11 +85,10 @@ class LabelingMatrix:
             raise InvalidArgumentError(f"unknown space kind {self.space_kind!r}")
         labels = np.asarray(self.labels)
         if self.space_kind == RANKING:
-            labels = labels.astype(np.int64)
+            labels = np.asarray(labels, dtype=np.int64)
             if labels.ndim != 3:
                 raise InvalidArgumentError(f"ranking labels must be (n, m, rho), got {labels.shape}")
-            rho = labels.shape[2]
-            if not (np.sort(labels, axis=2) == np.arange(rho)).all():
+            if not are_permutations(labels).all():
                 raise InvalidArgumentError("every ranking entry must be a permutation of 0..rho-1")
         elif self.space_kind == REAL_VECTOR:
             labels = labels.astype(np.float64)
@@ -179,26 +176,14 @@ class SecondMomentPrior:
 
 
 @dataclass(frozen=True)
-class AccuracyEstimates:
-    """Raw per-coordinate accuracy estimates, before any inference-time clamping.
-
-    kind is "signed_moment" (E[g(lambda)_i g(y)_i], continuous route) or
-    "conditional_probability" (P(g(lambda)_i = 1 | y), hypercube route).
-    """
-
-    kind: str
-    per_coordinate: np.ndarray
-    expected_distance: np.ndarray
-
-
-@dataclass(frozen=True)
 class LabelModel:
     """Learned per-labeler canonical accuracies plus the moments behind them.
 
     ``expected_distances`` holds the raw (unclamped) mean-parameter estimates;
     clamping happens only where a consumer requires it. ``theta_matrix`` is
     the full inverse covariance on the Gaussian-style routes, whose diagonal
-    supplies ``thetas``.
+    supplies ``thetas``. ``per_coordinate`` holds each labeler's raw signed
+    moments (continuous route) or agreement probabilities (hypercube route).
     """
 
     space_kind: str
@@ -211,7 +196,7 @@ class LabelModel:
     embedding: dict
     version: str
     theta_matrix: np.ndarray = None
-    estimates: AccuracyEstimates = field(default=None, repr=False, compare=False)
+    per_coordinate: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def n_lfs(self):
@@ -263,12 +248,12 @@ def _pair_signs(rankings):
 def _continuous_core(e_ab, e_ac, e_bc, second_moment):
     """Elementwise ``|a_a|`` of :func:`continuous_triplets`, and where it is defined.
 
-    ``ok`` is False wherever one of the three ``|e|`` is at or below
-    ``EPS_FLOOR``; the magnitude there is meaningless. Swapping the arguments
-    gives the other two labelers' magnitudes.
+    ``ok`` is False wherever ``|e_bc|`` is at or below ``EPS_FLOOR``; a floored
+    ``|e_ab|`` or ``|e_ac|`` is a near-random labeler a's magnitude near 0.
+    Swapping the arguments gives the other two labelers' magnitudes.
     """
     e_ab, e_ac, e_bc = (np.abs(np.asarray(x, dtype=np.float64)) for x in (e_ab, e_ac, e_bc))
-    ok = ~((e_ab <= EPS_FLOOR) | (e_ac <= EPS_FLOOR) | (e_bc <= EPS_FLOOR))
+    ok = ~(e_bc <= EPS_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.sqrt(e_ab * e_ac * second_moment / e_bc), ok
 
@@ -290,12 +275,11 @@ def continuous_triplets(e_ab, e_ac, e_bc, second_moment):
     sm = np.asarray(second_moment, dtype=np.float64)
     if (sm <= 0).any():
         raise DomainError("second moment must be positive")
-    mag_a, ok = _continuous_core(e_ab, e_ac, e_bc, sm)
-    if not ok.all():
+    mags, ok = zip(*(_continuous_core(*moments, sm) for moments in ((e_ab, e_ac, e_bc), (e_ab, e_bc, e_ac),
+                                                                    (e_ac, e_bc, e_ab))))
+    if not all(x.all() for x in ok):
         raise DegenerateMomentError(f"pairwise moment at or below the floor {EPS_FLOOR}")
-    mag_b, _ = _continuous_core(e_ab, e_bc, e_ac, sm)
-    mag_c, _ = _continuous_core(e_ac, e_bc, e_ab, sm)
-    return mag_a, mag_b, mag_c
+    return mags
 
 
 @dataclass(frozen=True)
@@ -364,28 +348,30 @@ def _pairs(table):
 
 
 def _triplet_gather(table, a, b, c):
-    """``table[a, b], table[a, c], table[b, c]`` of an (m, m, ...) table for index arrays b, c."""
-    return _take(table[a], b), _take(table[a], c), _take(_pairs(table), b * len(table) + c)
+    """``table[a, b], table[a, c], table[b, c]`` of an (m, m, ...) table for index arrays a, b, c."""
+    m, pairs = len(table), _pairs(table)
+    return _take(pairs, a * m + b), _take(pairs, a * m + c), _take(pairs, b * m + c)
 
 
 def _quadratic_pivot(tab, x, b, z):
     """Pivot root ``beta`` of :func:`quadratic_triplets`, and where it is defined.
 
-    Labeler b is the pivot between the outer labelers x and z, which may be
-    index arrays. The pair tables are symmetric (exact integer +-1 sums), so
-    each gather is one row take: from b's rows, or the outer pair's flat
-    row. ``ok`` is False wherever the discriminant shows that no real
-    solution exists; the root there comes from the discriminant clamped to 0.
+    Labeler b is the pivot between the outer labelers x and z; all three
+    may be index arrays. The pair tables are symmetric (exact integer +-1
+    sums), so each gather is one row take from a table's flat pair rows.
+    ``ok`` is False wherever the discriminant shows that no real solution
+    exists; the root there comes from the discriminant clamped to 0.
     """
-    xz = x * len(tab.l) + z
-    k_xb, k_bz, q2_b = _take(tab.k[b], x), _take(tab.k[b], z), tab.q2[b]
+    m = len(tab.l)
+    bx, bz, xz = b * m + x, b * m + z, x * m + z
+    k_xb, k_bz, q2_b = _take(_pairs(tab.k), bx), _take(_pairs(tab.k), bz), tab.q2[b]
     # quadratic A beta^2 + B beta + C = 0 in the pivot; B = -(2 q_b r / t) A holds
     # identically, so the roots are l_b +- sqrt(disc) / (2|A|); terms form in
     # place, in the scalar solver's order
-    const = _take(tab.tk[b], x, k_bz)
+    const = _take(_pairs(tab.tk), bx, k_bz)
     const += _take(_pairs(tab.qq), xz, q2_b, tab.r2)
-    const += _take(tab.qqr2[b], x, k_bz)
-    const += _take(tab.qqr2[b], z, k_xb)
+    const += _take(_pairs(tab.qqr2), bx, k_bz)
+    const += _take(_pairs(tab.qqr2), bz, k_xb)
     const -= _take(_pairs(tab.op), xz, q2_b, tab.r2)
     lin2 = _take(_pairs(tab.lead), xz, tab.lin[b])
     lin2 *= lin2
@@ -547,12 +533,8 @@ def gaussian_backward_map(error_cov):
     return np.linalg.inv(cov)
 
 
-def _triplet_partners(m, corr):
-    """Each labeler's admissible partner pairs as (b, c) index arrays, lexicographic.
-
-    A triplet (a, b, c), b < c, is admissible when its labelers are distinct
-    and no pair among them is declared correlated.
-    """
+def _admissible(m, corr):
+    """(m, m) bool: which labeler pairs may share a triplet, being distinct and not declared correlated."""
     if m < 3:
         raise ConfigurationError(f"triplet unavailable: need at least 3 labelers, got {m}")
     free = ~np.eye(m, dtype=bool)
@@ -560,68 +542,78 @@ def _triplet_partners(m, corr):
         if a < 0 or b >= m:
             raise InvalidArgumentError(f"correlation edge ({a}, {b}) names a labeler outside 0..{m - 1}")
         free[a, b] = free[b, a] = False
-    b, c = np.triu_indices(m, k=1)
-    pair_free = free[b, c]
-    partners = []
-    for a in range(m):
-        keep = pair_free & free[a, b] & free[a, c]
-        if not keep.any():
-            raise ConfigurationError(f"triplet unavailable for labeler {a} under the correlation set")
-        partners.append((b[keep], c[keep]))
-    return partners
+    return free
 
 
-def _triplet_estimates(partners, policy, solve, exc_type, reason):
-    """One estimate per labeler, from its triplets in as few array calls as the policy allows.
+def _partner_pairs(strength, free):
+    """Each labeler's triplets: the admissible pairs of its K strongest admissible partners.
 
-    ``solve(a, b, c)`` evaluates labeler a against partner pairs
-    ``(b[k], c[k])`` and returns ``(rows, ok)``; row k is usable when all of
-    ``ok[k]`` holds. Policy "first" takes the first usable row, evaluating
-    the pairs in lexicographic blocks of ``_FIRST_BLOCK`` and stopping at the
-    first block that holds one; "median" takes the median of all usable rows
-    from one call. A labeler with no usable row raises ``exc_type`` naming
-    the labeler and the ``reason``.
+    Partners rank by ``strength``, highest first, ties to the lower index.
+    Row a of the (m, S) arrays ``b``, ``c`` and ``valid`` holds labeler a's
+    partner pairs, b < c, lexicographic; ``valid`` is False on a correlated
+    pair and on a slot past the partners, whose b and c are a itself.
     """
-    out = []
-    for a, (b, c) in enumerate(partners):
-        step = _FIRST_BLOCK if policy == "first" else len(b)
-        for lo in range(0, len(b), step):
-            rows, ok = solve(a, b[lo:lo + step], c[lo:lo + step])
-            rows = rows[ok.reshape(len(ok), -1).all(axis=1)]
-            if len(rows):
-                break
-        if not len(rows):
-            raise exc_type(f"labeler {a}: {reason}")
-        out.append(rows[0] if policy == "first" or len(rows) == 1 else _median_rows(rows))
-    return np.array(out)
+    m = len(free)
+    order = np.argsort(-strength, kind="stable")
+    ranked = free[:, order]
+    top = ranked & (np.cumsum(ranked, axis=1) <= _PARTNERS)
+    k = min(_PARTNERS, m - 1)
+    partners = np.sort(np.where(top, order, m), axis=1)[:, :k]  # m pads past the partners
+    i, j = np.triu_indices(k, k=1)
+    a, b, c = np.arange(m)[:, None], partners[:, i], partners[:, j]
+    b, c = np.where(c < m, b, a), np.where(c < m, c, a)
+    valid = free[b, c]
+    lonely = ~valid.any(axis=1)
+    if lonely.any():
+        raise ConfigurationError(f"triplet unavailable for labeler {lonely.argmax()} under the correlation set")
+    return b, c, valid
 
 
-def _median_rows(rows):
-    """``np.median(rows, axis=0)`` bit for bit, from one sort of the contiguous transpose.
+def _triplet_estimates(pairs, solve, exc_type, reason):
+    """Per labeler and coordinate, the median of the labeler's triplets that the route solves there.
 
-    The middle ranks hold the values np.median's partition puts there, and
-    their mean is its mean, a sum from +0.0, so a tie of 0.0 and -0.0 in
-    the middle cannot show. NaN sorts last and gives NaN, as in np.median.
+    ``solve(a, b, c)`` evaluates every labeler a against its pairs (b, c) from
+    :func:`_partner_pairs` in one call, returning ``(rows, ok)``, (m, S, ...)
+    each. A labeler and coordinate with no valid ``ok`` row raise ``exc_type``.
     """
-    k, h = len(rows), len(rows) // 2
-    part = np.sort(np.ascontiguousarray(rows.reshape(k, -1).T), axis=1)
-    last = part[:, -1]
-    return np.where(np.isnan(last), last, part[:, h - 1 + k % 2:h + 1].mean(axis=1)).reshape(rows.shape[1:])
+    b, c, valid = pairs
+    rows, ok = solve(np.arange(len(b))[:, None], b, c)
+    estimates, count = _median_rows(rows, ok & valid.reshape(valid.shape + (1,) * (ok.ndim - 2)))
+    if not count.all():
+        a, i = np.argwhere(count.reshape(len(b), -1) == 0)[0]
+        raise exc_type(f"labeler {a}: coordinate {i}: {reason}")
+    return estimates
 
 
-def _signed_accuracies(e, partners, second_moments, policy):
+def _median_rows(rows, ok):
+    """``np.median`` over axis 1 of the rows where ``ok`` holds, bit for bit, and how many hold.
+
+    ``rows`` and ``ok`` are (m, k, ...); left-out rows sort last, as +inf. The
+    mean of the middle ranks is np.median's, a sum from +0.0 (so a middle -0.0
+    shows as 0.0) over their count. A kept NaN gives NaN, as in np.median.
+    """
+    count = ok.sum(axis=1)
+    part = np.sort(np.where(ok, rows, np.inf), axis=1)
+    lo, hi = (np.take_along_axis(part, rank[:, None], axis=1)[:, 0] for rank in ((count - 1) // 2, count // 2))
+    odd = count % 2 == 1
+    with np.errstate(invalid="ignore"):  # -inf + inf is NaN, as in np.median
+        middle = (lo + 0.0) + np.where(odd, 0.0, hi)
+    middle /= np.where(odd, 1.0, 2.0)
+    return np.where(np.isnan(part[:, -1]), np.nan, middle), count  # a kept NaN sorts past the +inf
+
+
+def _signed_accuracies(e, pairs, second_moments):
     """Continuous route: per-coordinate signed accuracies, one row per labeler."""
     mags = _triplet_estimates(
-        partners,
-        policy,
+        pairs,
         lambda a, b, c: _continuous_core(*_triplet_gather(e, a, b, c), second_moments),
         DegenerateMomentError,
-        f"every triplet has a pairwise moment at or below the floor {EPS_FLOOR}",
+        f"every triplet has its partners' pair moment at or below the floor {EPS_FLOOR}",
     )
     return resolve_signs(mags, e)
 
 
-def _agreement_probabilities(values, e, partners, p, policy):
+def _agreement_probabilities(values, e, pairs, p):
     """Hypercube route: per-coordinate probability of agreeing with the latent truth.
 
     Runs the quadratic route once per truth value: the +1-coded run uses the
@@ -638,8 +630,8 @@ def _agreement_probabilities(values, e, partners, p, policy):
         l = (n + sign * s_a) / 2.0 / n
         o = (n + sign * (s_a[:, None] + s_a[None, :]) + s_ab) / 4.0 / n
         tab = _quadratic_tables(o, l, weight)
-        # labeler a is the pivot between each partner pair (b[k], c[k])
-        cond = _triplet_estimates(partners, policy, lambda a, b, c: _quadratic_pivot(tab, b, a, c),
+        # labeler a is the pivot between each partner pair (b, c)
+        cond = _triplet_estimates(pairs, lambda a, b, c: _quadratic_pivot(tab, b, a, c),
                                   InconsistentMomentsError, "no triplet's moments admit a real solution")
         agreements += weight * cond
     return agreements
@@ -659,7 +651,7 @@ def _ranking_theta(mean_distance, rho):
     return mallows.backward_map(mean_distance, rho)
 
 
-def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="first"):
+def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy=None):
     """Learn per-labeler canonical accuracies from outputs alone, on any space and route.
 
     Parameters
@@ -679,12 +671,9 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
     path : {"continuous", "hypercube", "isotropic"}, optional
         Defaults per space: continuous for rankings and real labels,
         isotropic for finite metric spaces.
-    triplet_policy : {"first", "median"}
-        "first" uses the lexicographically smallest admissible (b, c) per
-        labeler whose moments the route can solve, falling back past
-        degenerate ones; "median" takes the median estimate over all
-        solvable admissible pairs. Either raises, naming the labeler, only
-        when none of its triplets is solvable.
+    triplet_policy : optional
+        Deprecated and ignored, with a DeprecationWarning: every route has one
+        triplet estimator (see the module docstring).
 
     Returns
     -------
@@ -692,13 +681,14 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
     """
     from . import __version__
 
-    partners = _triplet_partners(data.n_lfs, corr or CorrelationSet())
+    if triplet_policy is not None:
+        warnings.warn("triplet_policy is deprecated and ignored: every route has one triplet estimator",
+                      DeprecationWarning, stacklevel=2)
+    free = _admissible(data.n_lfs, corr or CorrelationSet())
     kind = data.space_kind
     path = path or _PATHS[kind][0]
     if path not in _PATHS[kind]:
         raise ConfigurationError(f"path {path!r} not available for {kind!r} labels")
-    if triplet_policy not in ("first", "median"):
-        raise ConfigurationError(f"unknown triplet policy {triplet_policy!r}")
     if (isinstance(prior, SecondMomentPrior) and (kind == RANKING or kind == FINITE_METRIC and path == "isotropic")
             or isinstance(prior, TwoPointPrior) and path != "hypercube"):
         raise ConfigurationError(f"{type(prior).__name__} is not read on the {path} route for {kind} labels")
@@ -749,9 +739,6 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
                 )
             second_moments = np.broadcast_to(second_moments, values.shape[2:]).astype(np.float64)
 
-    # route: triplet solves give each labeler's mean parameter
-    per_coord = None
-    accuracies = np.full(m, np.nan)
     if path == "isotropic":
         if kind == RANKING:
             # native Kendall distances through the embedding identity
@@ -765,9 +752,18 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
             pairwise = np.stack([space.dist[labels[:, [a]], labels].mean(axis=0) for a in range(m)])
             pair_dist = pairwise
         np.fill_diagonal(pair_dist, 0.0)
+
+    # a partner's strength: its summed mean |pair moment| with the others, or least summed native distance
+    strength = (-pair_dist.sum(axis=1) if values is None
+                else np.where(np.eye(m, dtype=bool), 0.0, np.abs(e).mean(axis=2)).sum(axis=1))
+    pairs = _partner_pairs(strength, free)
+
+    # route: triplet solves give each labeler's mean parameter
+    per_coord = None
+    accuracies = np.full(m, np.nan)
+    if path == "isotropic":
         mean_dist = _triplet_estimates(
-            partners,
-            triplet_policy,
+            pairs,
             lambda a, b, c: _half_sum_core(*_triplet_gather(pair_dist, a, b, c)),
             InvalidArgumentError,
             "every triplet misses a pairwise distance",
@@ -779,13 +775,13 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
             accuracies = 0.5 * (np.diag(pairwise) + second_moments.sum() - mean_dist)
     elif path == "hypercube":
         p = prior.p if isinstance(prior, TwoPointPrior) else 0.5
-        per_coord = _agreement_probabilities(values, e, partners, p, triplet_policy)
+        per_coord = _agreement_probabilities(values, e, pairs, p)
         mean_dist = (1.0 - per_coord).sum(axis=1)
         accuracies = (2.0 * per_coord - 1.0).mean(axis=1)
     else:
         if second_moments is None:
             raise ConfigurationError("continuous path on real labels needs a SecondMomentPrior")
-        per_coord = _signed_accuracies(e, partners, second_moments, triplet_policy)
+        per_coord = _signed_accuracies(e, pairs, second_moments)
         if kind == RANKING:
             mean_dist = ((1.0 - per_coord) / 2.0).sum(axis=1)
             accuracies = per_coord.mean(axis=1)
@@ -820,7 +816,5 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy="fi
         embedding=embedding,
         version=__version__,
         theta_matrix=theta_matrix,
-        estimates=AccuracyEstimates(
-            "conditional_probability" if path == "hypercube" else "signed_moment", per_coord, mean_dist
-        ),
+        per_coordinate=per_coord,
     )

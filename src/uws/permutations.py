@@ -20,6 +20,7 @@ from .errors import InvalidArgumentError
 __all__ = [
     "identity",
     "check_permutation",
+    "are_permutations",
     "kendall_tau",
     "kendall_tau_many",
     "pair_sign_embed",
@@ -51,6 +52,12 @@ def check_permutation(p):
     if not seen.all():
         raise InvalidArgumentError(f"not a bijection on 0..{p.size - 1}: {p.tolist()}")
     return p
+
+
+def are_permutations(perms):
+    """Which rows, along the last axis of an integer array, are permutations of 0..rho-1."""
+    perms = np.asarray(perms)
+    return (np.sort(perms, axis=-1) == np.arange(perms.shape[-1])).all(axis=-1)
 
 
 def num_pairs(rho):

@@ -11,6 +11,7 @@ import math
 from collections import deque
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from itertools import permutations as iter_permutations
 
 import numpy as np
@@ -39,12 +40,22 @@ def naive_kendall(a, b):
 def brute_force_weighted_kemeny(labels, weights, rho):
     """Exhaustive weighted Kemeny optimum: (best permutation, best objective).
 
-    Scans S_rho in lexicographic order with strict improvement, so ties
-    resolve to the lexicographically smallest optimum.
+    Counts each label's integer Kendall distance to every order of S_rho at
+    once, as the item pairs the two place in opposite orders (the pairs
+    naive_kendall walks), then scans S_rho in lexicographic order with strict
+    improvement, so ties resolve to the lexicographically smallest optimum.
     """
+    cands = np.array(list(iter_permutations(range(rho))), dtype=np.int64).reshape(-1, rho)
+    i, j = np.triu_indices(rho, k=1)
+
+    def before(orders):  # (k, pairs): whether item i of each pair comes before item j
+        pos = np.argsort(orders, axis=1)
+        return pos[:, i] < pos[:, j]
+
+    counts = (before(cands)[:, None, :] != before(np.asarray(labels))[None, :, :]).sum(axis=2)
     best, best_cost = None, np.inf
-    for cand in iter_permutations(range(rho)):
-        cost = sum(w * naive_kendall(lab, cand) for w, lab in zip(weights, labels))
+    for cand, dists in zip(cands, counts.tolist()):
+        cost = sum(w * k for w, k in zip(weights, dists))
         if cost < best_cost - 1e-12:
             best, best_cost = cand, cost
     return np.array(best), best_cost
@@ -542,20 +553,35 @@ def reference_quadratic_pivot(tab, x, b, z):
     return beta, ok
 
 
-def reference_triplet_estimates(partners, policy, solve, exc_type, reason):
+def reference_partner_pairs(strength, free):
+    """Each labeler's partner pairs, a list of (b, c) with b < c: its K strongest admissible
+    partners (ties to the lower index), every uncorrelated pair of them."""
     from uws import label_model as lm
+    from uws.errors import ConfigurationError
 
     out = []
-    for a, (b, c) in enumerate(partners):
-        step = lm._FIRST_BLOCK if policy == "first" else len(b)
-        for lo in range(0, len(b), step):
-            rows, ok = solve(a, b[lo:lo + step], c[lo:lo + step])
-            rows = rows[ok.reshape(len(ok), -1).all(axis=1)]
-            if len(rows):
-                break
-        if not len(rows):
-            raise exc_type(f"labeler {a}: {reason}")
-        out.append(rows[0] if policy == "first" or len(rows) == 1 else np.median(rows, axis=0))
+    for a in range(len(free)):
+        ranked = sorted((b for b in range(len(free)) if free[a, b]), key=lambda b: -strength[b])  # stable
+        pairs = [(b, c) for b, c in combinations(sorted(ranked[:lm._PARTNERS]), 2) if free[b, c]]
+        if not pairs:
+            raise ConfigurationError(f"triplet unavailable for labeler {a} under the correlation set")
+        out.append(pairs)
+    return out
+
+
+def reference_triplet_estimates(pairs, solve, exc_type, reason):
+    """One solve per labeler over its partner pairs, then np.median per coordinate over the solvable rows."""
+    out = []
+    for a, labeler_pairs in enumerate(pairs):
+        b, c = (np.array(x) for x in zip(*labeler_pairs))
+        rows, ok = solve(a, b, c)
+        flat, solvable = rows.reshape(len(b), -1), ok.reshape(len(b), -1)
+        estimate = np.empty(flat.shape[1])
+        for i in range(flat.shape[1]):
+            if not solvable[:, i].any():
+                raise exc_type(f"labeler {a}: coordinate {i}: {reason}")
+            estimate[i] = np.median(flat[solvable[:, i], i])
+        out.append(estimate.reshape(rows.shape[1:]))
     return np.array(out)
 
 
@@ -585,12 +611,12 @@ def reference_resolve_signs(magnitudes, pair_moments):
     return signs * mags
 
 
-def reference_signed_accuracies(e, partners, second_moments, policy):
+def reference_signed_accuracies(e, pairs, second_moments):
     from uws import label_model as lm
 
     mags = lm._triplet_estimates(
-        partners, policy, lambda a, b, c: lm._continuous_core(e[a, b], e[a, c], e[b, c], second_moments),
-        lm.DegenerateMomentError, f"every triplet has a pairwise moment at or below the floor {lm.EPS_FLOOR}",
+        pairs, lambda a, b, c: lm._continuous_core(e[a, b], e[a, c], e[b, c], second_moments),
+        lm.DegenerateMomentError, f"every triplet has its partners' pair moment at or below the floor {lm.EPS_FLOOR}",
     )
     signed = np.empty_like(mags)
     for i in range(mags.shape[1]):

@@ -104,6 +104,23 @@ class TestLearn:
         thetas = np.array(json.loads(model_path.read_text())["thetas"])
         assert len(thetas) == 18 and np.isfinite(thetas).all() and (thetas > 0).all()
 
+    def test_near_uniform_preset_labeler_learns(self, tmp_path):
+        # a near-uniform movies-style labeler once left every triplet of labeler 4 at the moment floor (exit 3)
+        scenario = write_json(tmp_path / "s.json",
+                              {"kind": "ranking", "n": 200, "rho": 4, "preset": "movies_style", "m": 6, "seed": 13})
+        out, model_path = tmp_path / "out", tmp_path / "model.json"
+        assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert main(["learn", "--dataset", str(out), "--model", str(model_path)]) == 0
+        assert np.isfinite(json.loads(model_path.read_text())["thetas"]).all()
+
+    def test_triplets_option_is_gone(self, tmp_path, ranking_scenario, capsys):
+        # one triplet estimator: the option that chose between two is a usage error
+        out = tmp_path / "out"
+        main(["generate", "--scenario", str(ranking_scenario), "--out", str(out)])
+        code = main(["learn", "--dataset", str(out), "--model", str(tmp_path / "m.json"), "--triplets", "median"])
+        assert code == 1
+        assert "--triplets" in capsys.readouterr().err
+
     def test_two_labelers_exit_validation(self, tmp_path, capsys):
         out = tmp_path / "d"
         out.mkdir()

@@ -1,5 +1,7 @@
 """Accuracy estimation without ground truth: triplet systems, signs, end-to-end learning."""
 
+import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import (
     reference_pair_signs,
+    reference_partner_pairs,
     reference_quadratic_pivot,
     reference_quadratic_triplets,
     reference_resolve_signs,
@@ -280,7 +283,7 @@ class TestLearnRanking:
         g = perm.pair_sign_embed_many(data.labels).transpose(1, 0, 2).astype(float)
         e = lm.empirical_pair_moments(g)
         direct = np.sqrt(np.abs(e[0, 1]) * np.abs(e[0, 2]) / np.abs(e[1, 2]))
-        np.testing.assert_allclose(model.estimates.per_coordinate[0], direct, atol=1e-12)
+        np.testing.assert_allclose(model.per_coordinate[0], direct, atol=1e-12)
 
     def test_hypercube_close_to_continuous(self):
         _, data = make_ranking_data((1.5, 1.0, 0.8), rho=4, n=20_000, seed=5)
@@ -306,15 +309,15 @@ class TestLearnRanking:
     def test_equivariance_median_policy(self):
         _, data = make_ranking_data((2.0, 1.5, 1.0, 0.8, 0.5), rho=4, n=3_000, seed=17)
         order = np.array([3, 0, 4, 1, 2])
-        model = lm.learn_label_model(data, triplet_policy="median")
+        model = lm.learn_label_model(data)
         shuffled = lm.LabelingMatrix(lm.RANKING, data.labels[:, order])
-        model_shuffled = lm.learn_label_model(shuffled, triplet_policy="median")
+        model_shuffled = lm.learn_label_model(shuffled)
         np.testing.assert_allclose(model_shuffled.thetas, model.thetas[order], atol=1e-10)
 
     def test_cauchy_schwarz_with_tolerance(self):
         _, data = make_ranking_data((2.0, 1.0, 0.5), rho=5, n=20_000, seed=21)
         model = lm.learn_label_model(data)
-        assert np.abs(model.estimates.per_coordinate).max() <= 1.0 + 0.05
+        assert np.abs(model.per_coordinate).max() <= 1.0 + 0.05
 
     def test_clamps_worse_than_random_to_zero_theta(self):
         _, data = make_ranking_data((2.0, 1.5, 0.001), rho=4, n=300, seed=23)
@@ -470,8 +473,8 @@ class TestLearnRegression:
 
 class TestTripletFallback:
     def test_first_policy_learns_every_walkthrough_seed(self):
-        # the CLI walkthrough's scenario: some labeler's first triplet has a +-1
-        # pair moment of exactly 0 on most seeds; "first" moves on to the next one
+        # the CLI walkthrough's scenario: on most seeds some labeler's first
+        # lexicographic triplet has a +-1 pair moment of exactly 0
         for seed in range(20):
             thetas = syn.heterogeneous_thetas(seed, n_low=4, n_high=3)
             _, data = make_ranking_data(thetas, rho=5, n=500, seed=seed)
@@ -482,42 +485,85 @@ class TestTripletFallback:
         # labelers 0 and 1 agree on one task and disagree on the other: zero moment
         labels = np.array([[[0, 1, 2], [0, 1, 2], [0, 2, 1]], [[0, 1, 2], [2, 1, 0], [0, 2, 1]]])
         data = lm.LabelingMatrix(lm.RANKING, labels)
-        with pytest.raises(DegenerateMomentError, match="labeler 0: .*floor"):
+        with pytest.raises(DegenerateMomentError, match="labeler 0: coordinate 0: .*floor"):
             lm.learn_label_model(data)
+
+    def test_movies_style_continuous_learns(self):
+        # m=30, two thirds near-random: once failed, every pair of a labeler having some
+        # coordinate with a pair moment at the floor
+        _, data = make_ranking_data(syn.movies_style_thetas(30, 1), rho=14, n=2000, seed=1)
+        model = lm.learn_label_model(data)
+        assert np.isfinite(model.thetas).all()
+
+    def test_benchmark_rank_ls_seed_403_learns(self):
+        # the benchmark's rank_ls scenario at --seed 403: once failed on labeler 7
+        seed = 86890009
+        _, data = make_ranking_data(syn.heterogeneous_thetas(seed), rho=10, n=250, seed=seed)
+        model = lm.learn_label_model(data)
+        assert np.isfinite(model.thetas).all()
+
+    def test_deprecated_policy_keyword_changes_no_byte(self):
+        data = near_random_data()
+        for path in ("continuous", "hypercube", "isotropic"):
+            want = model_bytes(lm.learn_label_model(data, path=path))
+            for policy in ("first", "median"):
+                with pytest.warns(DeprecationWarning, match="triplet_policy"):
+                    got = lm.learn_label_model(data, path=path, triplet_policy=policy)
+                assert model_bytes(got) == want
+
+
+def model_bytes(model):
+    """Every array field of a model as (dtype, shape, bytes), None where absent."""
+    fields = (model.thetas, model.expected_distances, model.accuracies, model.pairwise_moments,
+              model.theta_matrix, model.per_coordinate)
+    return [None if f is None else (f.dtype, f.shape, f.tobytes()) for f in fields]
 
 
 def per_triplet_reference(data, path, corr, prior=None):
-    """The learner rebuilt with one public scalar solve per triplet (median policy).
+    """The learner rebuilt with one public scalar solve per triplet and coordinate.
 
-    Pair moments on +-1 coordinates and finite-space pair distances are
-    counted pair by pair; real-valued routes take empirical_pair_moments.
+    Each labeler ranks its admissible partners by strength (summed mean
+    |pair moment| with the others, or least summed pair distance), keeps
+    the K strongest and takes, per coordinate, np.median over the
+    uncorrelated pairs of them that solve there. Pair moments on +-1
+    coordinates and finite-space pair distances are counted pair by pair;
+    real-valued routes take empirical_pair_moments.
     Returns (expected_distances, accuracies, thetas, pairwise_moments).
     """
     m = data.n_lfs
-    admissible = [
-        [(b, c) for b, c in combinations(range(m), 2)
-         if a not in (b, c) and not any(corr.correlated(x, y) for x, y in ((a, b), (a, c), (b, c)))]
-        for a in range(m)
-    ]
 
-    def median(solve):
+    def median(strength, solve):
+        # solve(a, b, c) gives one value per coordinate, None where the triplet does not solve
         out = []
         for a in range(m):
-            cands = []
-            for b, c in admissible[a]:
-                try:
-                    cands.append(solve(a, b, c))
-                except (DegenerateMomentError, InconsistentMomentsError):
-                    continue
-            out.append(cands[0] if len(cands) == 1 else np.median(np.stack(cands), axis=0))
+            admissible = [b for b in range(m) if b != a and not corr.correlated(a, b)]
+            top = sorted(sorted(admissible, key=lambda b: -strength[b])[:lm._PARTNERS])
+            solved = [solve(a, b, c) for b, c in combinations(top, 2) if not corr.correlated(b, c)]
+            out.append([np.median([v[i] for v in solved if v[i] is not None]) for i in range(len(solved[0]))])
         return np.array(out)
 
+    def moment_strength(e):
+        return [sum(np.abs(e[b, c]).mean() for c in range(m) if c != b) for b in range(m)]
+
     def signed(e, sm):
-        mags = median(lambda a, b, c: lm.continuous_triplets(e[a, b], e[a, c], e[b, c], sm)[0])
+        def solve(a, b, c):
+            out = []
+            for i in range(e.shape[2]):
+                if abs(e[b, c, i]) <= lm.EPS_FLOOR:
+                    out.append(None)
+                    continue
+                try:
+                    out.append(lm.continuous_triplets(e[a, b, i], e[a, c, i], e[b, c, i], sm[i])[0])
+                except DegenerateMomentError:
+                    # a floored e_ab or e_ac is labeler a's magnitude near 0, which the public solver refuses
+                    out.append(np.sqrt(abs(e[a, b, i]) * abs(e[a, c, i]) * sm[i] / abs(e[b, c, i])))
+            return out
+
+        mags = median(moment_strength(e), solve)
         return np.stack([lm.resolve_signs(mags[:, i], e[:, :, i]) for i in range(mags.shape[1])], axis=1)
 
-    def half_sums(pair_dist):
-        return median(lambda a, b, c: lm.isotropic_accuracies(pair_dist, (a, b, c)))
+    def half_sums(strength, pair_dist):
+        return median(strength, lambda a, b, c: [lm.isotropic_accuracies(pair_dist, (a, b, c))])[:, 0]
 
     nan = np.full(m, np.nan)
     if data.space_kind == lm.RANKING:
@@ -536,29 +582,39 @@ def per_triplet_reference(data, path, corr, prior=None):
             for coded, w in (((g > 0).astype(float), p), ((g < 0).astype(float), 1.0 - p)):
                 l = coded.mean(axis=1)
                 o = np.array([[(coded[a] * coded[b]).mean(axis=0) for b in range(m)] for a in range(m)])
-                agree += w * median(
-                    lambda a, b, c: lm.quadratic_triplets(o[b, a], o[b, c], o[a, c], l[b], l[a], l[c], w)[1]
-                )
+
+                def pivot(a, b, c):
+                    out = []
+                    for i in range(d):
+                        try:
+                            out.append(lm.quadratic_triplets(o[b, a, i], o[b, c, i], o[a, c, i],
+                                                             l[b, i], l[a, i], l[c, i], w)[1])
+                        except InconsistentMomentsError:
+                            out.append(None)
+                    return out
+
+                agree += w * median(moment_strength(e), pivot)
             md, acc = (1.0 - agree).sum(axis=1), (2.0 * agree - 1.0).mean(axis=1)
         else:
             pair_dist = d * (1.0 - e.mean(axis=2)) / 2.0
             np.fill_diagonal(pair_dist, 0.0)
-            md = half_sums(pair_dist)
+            md = half_sums(moment_strength(e), pair_dist)
             acc = 1.0 - 2.0 * md / d
         return md, acc, np.array([lm._ranking_theta(v, data.rho) for v in md]), e.mean(axis=2)
 
     if data.space_kind == lm.REAL_VECTOR:
         values = data.labels.transpose(1, 0, 2)
-        ete = lm.empirical_pair_moments(values).sum(axis=2)
+        e = lm.empirical_pair_moments(values)
+        ete = e.sum(axis=2)
         sm = prior.second_moments.sum()
         if path == "continuous":
-            acc = signed(lm.empirical_pair_moments(values), prior.second_moments).sum(axis=1)
+            acc = signed(e, prior.second_moments).sum(axis=1)
             err = ete - acc[:, None] - acc[None, :] + sm
             md = np.diag(err).copy()
         else:
             sq = np.diag(ete)
             pair_dist = sq[:, None] + sq[None, :] - 2.0 * ete
-            md = half_sums(pair_dist)
+            md = half_sums(moment_strength(e), pair_dist)
             err = 0.5 * (md[:, None] + md[None, :] - pair_dist)
             np.fill_diagonal(err, md)
             acc = 0.5 * (sq + sm - md)
@@ -568,7 +624,7 @@ def per_triplet_reference(data, path, corr, prior=None):
     if path == "isotropic":
         pair_dist = np.array([[space.dist[labels[:, a], labels[:, b]].mean() for b in range(m)] for a in range(m)])
         np.fill_diagonal(pair_dist, 0.0)
-        md = half_sums(pair_dist)
+        md = half_sums([-sum(pair_dist[b, c] for c in range(m) if c != b) for b in range(m)], pair_dist)
         return md, nan, 1.0 / np.clip(md, 1e-9 * max(1.0, space.dist.mean()), None), pair_dist
     coords = classical_mds(space, dim=min(space.size - 1, 8)).coords
     values = coords[labels].transpose(1, 0, 2)
@@ -612,46 +668,12 @@ class TestTripletEngineEquivalence:
 
     @staticmethod
     def check(data, path, corr, prior):
-        model = lm.learn_label_model(data, corr=corr, prior=prior, path=path, triplet_policy="median")
+        model = lm.learn_label_model(data, corr=corr, prior=prior, path=path)
         md, acc, thetas, pairwise = per_triplet_reference(data, path, corr, prior)
         np.testing.assert_array_equal(model.expected_distances, md)
         np.testing.assert_array_equal(model.accuracies, acc)
         np.testing.assert_array_equal(model.thetas, thetas)
         np.testing.assert_array_equal(model.pairwise_moments, pairwise)
-
-
-class TestFirstPolicyBlocks:
-    """"first" evaluates partner pairs in lexicographic blocks and stops at the
-    first block holding a solvable triplet; the row it keeps is the first
-    usable row of a full evaluation, on every route."""
-
-    @pytest.fixture(scope="class")
-    def data(self):
-        # near-random movies-style labelers: many leading triplets are degenerate
-        return make_ranking_data(syn.movies_style_thetas(12, 5), rho=4, n=200, seed=5)[1]
-
-    @pytest.mark.parametrize("path", ["continuous", "hypercube", "isotropic"])
-    @pytest.mark.parametrize("block", [1, 5, 64])
-    def test_matches_full_evaluation(self, data, path, block, monkeypatch):
-        monkeypatch.setattr(lm, "_FIRST_BLOCK", 10**9)
-        full = lm.learn_label_model(data, path=path)
-        monkeypatch.setattr(lm, "_FIRST_BLOCK", block)
-        got = lm.learn_label_model(data, path=path)
-        for field in ("thetas", "expected_distances", "accuracies"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(full, field))
-        if full.estimates.per_coordinate is not None:
-            np.testing.assert_array_equal(got.estimates.per_coordinate, full.estimates.per_coordinate)
-
-    @pytest.mark.parametrize("path, core, runs", [("continuous", "_continuous_core", 1),
-                                                  ("hypercube", "_quadratic_pivot", 2)])
-    def test_leading_triplets_fall_back(self, data, path, core, runs, monkeypatch):
-        # one pair per block: every call past the first of a labeler is a fallback
-        calls = []
-        inner = getattr(lm, core)
-        monkeypatch.setattr(lm, core, lambda *args: calls.append(1) or inner(*args))
-        monkeypatch.setattr(lm, "_FIRST_BLOCK", 1)
-        lm.learn_label_model(data, path=path)
-        assert len(calls) > runs * data.n_lfs
 
 
 ROWS = st.integers(1, 6).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, 3)))
@@ -669,14 +691,18 @@ class TestMaskedCores:
     @settings(max_examples=60, deadline=None)
     @given(triplet_rows(st.sampled_from([0.0, 1e-7, -1e-6, 0.02, -0.3, 0.55, 1.0])))
     def test_continuous(self, rows):
+        # only the denominator |e_bc| decides: a floored |e_ab| or |e_ac| is labeler a's magnitude near 0
         e_ab, e_ac, e_bc = rows
         sm = np.linspace(0.5, 2.0, e_ab.shape[1])
         mags, ok = lm._continuous_core(e_ab, e_ac, e_bc, sm)
+        np.testing.assert_array_equal(ok, np.abs(e_bc) > lm.EPS_FLOOR)
         for k in range(len(e_ab)):
             try:
                 expect, _, _ = lm.continuous_triplets(e_ab[k], e_ac[k], e_bc[k], sm)
             except DegenerateMomentError:
-                assert not ok[k].all()
+                assert (np.abs(np.stack([e_ab[k], e_ac[k], e_bc[k]])) <= lm.EPS_FLOOR).any()
+                for i in np.flatnonzero(ok[k]):
+                    assert mags[k, i] == np.sqrt(abs(e_ab[k, i]) * abs(e_ac[k, i]) * sm[i] / abs(e_bc[k, i]))
                 continue
             assert ok[k].all()
             np.testing.assert_array_equal(mags[k], expect)
@@ -719,6 +745,13 @@ class TestMaskedCores:
             assert values[k] == expect
 
 
+def every_partner_pair(m):
+    """Each labeler's partner pairs (b, c), b < c, over all other labelers, as index arrays."""
+    for a in range(m):
+        b, c = zip(*combinations([x for x in range(m) if x != a], 2))
+        yield a, np.array(b), np.array(c)
+
+
 class TestHoistedPivot:
     """The learner's pivot, gathering every partner pair of a labeler from the
     pair tables in one call, agrees bit for bit with the straight-line
@@ -741,7 +774,7 @@ class TestHoistedPivot:
         o[0, 1, 1] = o[1, 0, 1] = o[1, 2, 1] = o[2, 1, 1] = 0.2
         o[0, 2, 1] = o[2, 0, 1] = 0.0
         tab = lm._quadratic_tables(o, l, p)
-        for a, (b, c) in enumerate(lm._triplet_partners(m, lm.CorrelationSet())):
+        for a, b, c in every_partner_pair(m):
             beta, ok = lm._quadratic_pivot(tab, b, a, c)
             (_, ref_beta, _), ref_ok = reference_quadratic_triplets(o[b, a], o[b, c], o[a, c], l[b], l[a], l[c], p)
             np.testing.assert_array_equal(ok, ref_ok)
@@ -840,18 +873,24 @@ class TestContiguousPasses:
         o = np.where(np.triu(np.ones((m, m), dtype=bool))[:, :, None], o, o.transpose(1, 0, 2))
         o[0, 2, 0] = o[2, 0, 0] = l[0, 0] * l[2, 0]  # a degenerate lead
         tab = lm._quadratic_tables(o, l, p)
-        for a, (b, c) in enumerate(lm._triplet_partners(m, lm.CorrelationSet())):
+        for a, b, c in every_partner_pair(m):
             beta, ok = lm._quadratic_pivot(tab, b, a, c)
             ref_beta, ref_ok = reference_quadratic_pivot(tab, b, a, c)
             assert beta.tobytes() == ref_beta.tobytes()
             np.testing.assert_array_equal(ok, ref_ok)
+        # every labeler pivots at once, as the learner calls it
+        b, c = (np.stack(x) for x in zip(*((b, c) for _, b, c in every_partner_pair(m))))
+        beta, ok = lm._quadratic_pivot(tab, b, np.arange(m)[:, None], c)
+        ref_beta, ref_ok = reference_quadratic_pivot(tab, b, np.arange(m)[:, None], c)
+        assert beta.tobytes() == ref_beta.tobytes()
+        np.testing.assert_array_equal(ok, ref_ok)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(3, 6).flatmap(
         lambda m: hnp.arrays(np.float64, (m, m, 2), elements=st.floats(-2.0, 2.0) | st.just(np.nan))))
     def test_triplet_gather(self, table):
         # no symmetry needed: (a, b), (a, c) are a's row and (b, c) a flat pair row
-        for a, (b, c) in enumerate(lm._triplet_partners(len(table), lm.CorrelationSet())):
+        for a, b, c in every_partner_pair(len(table)):
             for got, want in zip(lm._triplet_gather(table, a, b, c), (table[a, b], table[a, c], table[b, c])):
                 assert got.tobytes() == want.tobytes()
             for got, want in zip(lm._triplet_gather(table[:, :, 0], a, b, c),
@@ -864,9 +903,25 @@ class TestContiguousPasses:
         elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]) | st.floats(-10.0, 10.0))))
     def test_median(self, rows):
         # odd and even row counts, one row, 1-D (isotropic) rows, signed zeros, NaN
-        got, want = np.asarray(lm._median_rows(rows)), np.asarray(np.median(rows, axis=0))
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        got, count = lm._median_rows(rows[None], np.ones((1, *rows.shape), dtype=bool))
+        want = np.asarray(np.median(rows, axis=0))
+        assert got[0].shape == want.shape
+        assert got[0].tobytes() == want.tobytes()
+        assert (count == len(rows)).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 7), st.integers(1, 3)).flatmap(lambda shape: st.tuples(
+        hnp.arrays(np.float64, shape, elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan])
+                   | st.floats(-10.0, 10.0)),
+        hnp.arrays(bool, shape))))
+    def test_masked_median(self, case):
+        # per labeler and coordinate, np.median of the kept rows only, whatever the left-out rows hold
+        rows, ok = case
+        got, count = lm._median_rows(rows, ok)
+        np.testing.assert_array_equal(count, ok.sum(axis=1))
+        for a, i in zip(*np.nonzero(count)):
+            want = np.median(rows[a, ok[a, :, i], i])
+            assert got[a, i].tobytes() == want.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(st.tuples(st.integers(1, 9), st.integers(1, 4)).flatmap(lambda md: st.tuples(
@@ -926,7 +981,7 @@ class TestContiguousPasses:
 
         monkeypatch.setattr(lm, "_quadratic_tables", checked)
         for data in (six_labeler_data(lm.RANKING), near_random_data()):
-            lm.learn_label_model(data, path="hypercube", prior=lm.TwoPointPrior(0.3), triplet_policy="median")
+            lm.learn_label_model(data, path="hypercube", prior=lm.TwoPointPrior(0.3))
         assert built == [0.3, 0.7] * 2
 
 
@@ -937,6 +992,7 @@ def near_random_data():
 
 REFERENCE_PIECES = {
     "_pair_signs": reference_pair_signs,
+    "_partner_pairs": reference_partner_pairs,
     "_quadratic_pivot": reference_quadratic_pivot,
     "_triplet_estimates": reference_triplet_estimates,
     "_signed_accuracies": reference_signed_accuracies,
@@ -946,7 +1002,9 @@ REFERENCE_PIECES = {
 
 class TestReferencePieces:
     """The learner with every reference piece patched in learns the same bytes,
-    on every route and policy, with and without a correlation set."""
+    on every route, with and without a correlation set. The learner runs with
+    each value the deprecated ``triplet_policy`` keyword once took, the
+    reference without it: the keyword must change no byte."""
 
     @pytest.fixture(scope="class")
     def datasets(self):
@@ -955,7 +1013,7 @@ class TestReferencePieces:
 
     @pytest.mark.parametrize("corr", [lm.CorrelationSet(), lm.CorrelationSet.from_pairs([(0, 1), (2, 4)])],
                              ids=["independent", "correlated"])
-    @pytest.mark.parametrize("policy", ["first", "median"])
+    @pytest.mark.parametrize("policy", ["first", "median"])  # values of the deprecated keyword
     @pytest.mark.parametrize("name, path, prior", [
         ("ranking", "continuous", None), ("ranking", "hypercube", None), ("ranking", "isotropic", None),
         ("ranking", "hypercube", lm.TwoPointPrior(0.3)),
@@ -966,18 +1024,72 @@ class TestReferencePieces:
             "near-random-iso", "real-cont", "real-iso", "finite-iso", "finite-cont"])
     def test_learned_bytes_equal(self, datasets, name, path, prior, policy, corr, monkeypatch):
         data = datasets[name]
-        got = self.learn(data, corr, prior, path, policy)
+        with pytest.warns(DeprecationWarning, match="triplet_policy"):
+            got = self.learn(data, corr=corr, prior=prior, path=path, triplet_policy=policy)
         for attr, reference in REFERENCE_PIECES.items():
             monkeypatch.setattr(lm, attr, reference)
-        want = self.learn(data, corr, prior, path, policy)
+        want = self.learn(data, corr=corr, prior=prior, path=path)
         assert got == want
 
     @staticmethod
-    def learn(data, corr, prior, path, policy):
+    def learn(data, **kwargs):
         try:
-            model = lm.learn_label_model(data, corr=corr, prior=prior, path=path, triplet_policy=policy)
+            return model_bytes(lm.learn_label_model(data, **kwargs))
         except DegenerateMomentError as exc:
             return type(exc), str(exc)
-        fields = (model.thetas, model.expected_distances, model.accuracies, model.pairwise_moments,
-                  model.theta_matrix, model.estimates.per_coordinate)
-        return [None if f is None else (f.dtype, f.shape, f.tobytes()) for f in fields]
+
+
+class TestPartnerRule:
+    """Each labeler's triplets are the uncorrelated pairs of its K strongest
+    admissible partners, ranked by a stable sort (ties to the lower index), and
+    every labeler's pairs are solved in one call per truth value."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 9).flatmap(lambda m: st.tuples(
+        hnp.arrays(np.float64, m, elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])),  # many ties
+        st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda p: p[0] != p[1]),
+                 max_size=2 * m))))
+    def test_matches_plain_loops(self, case):
+        strength, edges = case
+        m = len(strength)
+        free = lm._admissible(m, lm.CorrelationSet.from_pairs(edges))
+        try:
+            want = reference_partner_pairs(strength, free)
+        except ConfigurationError as exc:
+            with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
+                lm._partner_pairs(strength, free)
+            return
+        b, c, valid = lm._partner_pairs(strength, free)
+        assert b.shape == c.shape == valid.shape == (m, math.comb(min(lm._PARTNERS, m - 1), 2))
+        assert [list(zip(b[a, valid[a]].tolist(), c[a, valid[a]].tolist())) for a in range(m)] == want
+        # a slot past the partners names the labeler itself
+        own = np.arange(m)[:, None]
+        np.testing.assert_array_equal(b == own, c == own)
+
+    def test_strongest_partners_are_chosen(self, monkeypatch):
+        # labelers 0-3 near-random, 4-7 good: the good ones are everybody's partners
+        data = make_ranking_data((0.001, 0.002, 0.001, 0.003, 2.0, 1.5, 1.2, 1.0), rho=5, n=2000, seed=3)[1]
+        inner, chosen = lm._partner_pairs, []
+        monkeypatch.setattr(lm, "_partner_pairs", lambda strength, free: chosen.append(inner(strength, free)) or chosen[0])
+        lm.learn_label_model(data)
+        b, c, valid = chosen[0]
+        for a in range(8):
+            partners = set(b[a, valid[a]].tolist()) | set(c[a, valid[a]].tolist())
+            assert len(partners) == 4 and partners >= {4, 5, 6, 7} - {a}
+
+    @pytest.mark.parametrize("path, core, runs", [("continuous", "_continuous_core", 1),
+                                                  ("hypercube", "_quadratic_pivot", 2),
+                                                  ("isotropic", "_half_sum_core", 1)])
+    def test_one_solve_call_per_truth_value(self, path, core, runs, monkeypatch):
+        calls = []
+        inner = getattr(lm, core)
+        monkeypatch.setattr(lm, core, lambda *args: calls.append(1) or inner(*args))
+        lm.learn_label_model(near_random_data(), path=path)
+        assert len(calls) == runs
+
+    def test_correlated_partners_leave_no_triplet(self):
+        # labeler 0's only admissible partners, 1 and 2, are declared correlated with each other
+        _, data = make_ranking_data((1.5, 1.2, 1.0, 0.8), rho=4, n=500, seed=3)
+        corr = lm.CorrelationSet.from_pairs([(0, 3), (1, 2)])
+        with pytest.raises(ConfigurationError, match="triplet unavailable for labeler 0"):
+            lm.learn_label_model(data, corr=corr)
