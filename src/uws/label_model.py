@@ -4,12 +4,14 @@ From the labelers' outputs alone, each labeler's mean parameter (its
 expected agreement with the latent truth) is recovered from the pair moments
 of triples of conditionally independent labelers, on one of three routes:
 continuous (a closed-form square root, given the truth's second moments),
-hypercube (the quadratic formula under a two-point prior, on labeler and
-pair tables built once per truth value) or isotropic (half-sums of native
-pair distances). :func:`learn_label_model` embeds the outputs, takes every
+hypercube (the quadratic formula under a two-point prior, from joint +1
+frequencies, once per truth value) or isotropic (half-sums of native pair
+distances). Each route is one elementwise core on each triplet's gathered
+pair moments. :func:`learn_label_model` embeds the outputs, takes every
 pair moment in one product, and estimates each labeler and coordinate as the
 median over the triplets that pair up its K = 4 strongest admissible
-partners and solve there, every labeler's pairs in one array call. A
+partners (its strongest admissible pairs, where those partners are pairwise
+correlated) and solve there, every labeler's pairs in one array call. A
 labeler and coordinate with no solvable triplet raise the route's error,
 naming both; the public scalar solvers wrap the same cores and raise instead.
 """
@@ -268,10 +270,15 @@ def continuous_triplets(e_ab, e_ac, e_bc, second_moment):
 
     Raises
     ------
+    InvalidArgumentError
+        Naming the first input that is NaN or infinite.
     DegenerateMomentError
         If any ``|e|`` is at or below ``EPS_FLOOR``: that labeler pair is
         indistinguishable from independence at this sample size.
     """
+    for name, x in (("e_ab", e_ab), ("e_ac", e_ac), ("e_bc", e_bc), ("second_moment", second_moment)):
+        if not np.isfinite(np.asarray(x, dtype=np.float64)).all():
+            raise InvalidArgumentError(f"{name} must be finite")
     sm = np.asarray(second_moment, dtype=np.float64)
     if (sm <= 0).any():
         raise DomainError("second moment must be positive")
@@ -282,119 +289,48 @@ def continuous_triplets(e_ab, e_ac, e_bc, second_moment):
     return mags
 
 
-@dataclass(frozen=True)
-class _QuadraticTables:
-    """Every factor of the hypercube quadratic that involves at most two labelers.
+def _triplet_gather(table, a, b, c):
+    """``table[a, b], table[a, c], table[b, c]`` of an (m, m, ...) table for index arrays a, b, c.
 
-    Built once per truth value by :func:`_quadratic_tables`; labeler tables
-    are (m, ...) and pair tables (m, m, ...). Each is a left prefix of a
-    product or sum in the quadratic as :func:`_quadratic_pivot` evaluates it,
-    so a triplet gathered from the tables rounds exactly as one computed
-    from its six moments.
+    Each is one row take from the table's flat pair rows, row ``i * m + j``
+    holding entry (i, j).
     """
-
-    r: float
-    t: float
-    r2: float
-    l: np.ndarray  # marginals P(g = 1)
-    q: np.ndarray  # l / (1 - p)
-    q2: np.ndarray  # q**2
-    lin: np.ndarray  # -2 q r / t, the linear coefficient per unit lead
-    op: np.ndarray  # o / (1 - p)
-    qq: np.ndarray  # q_x q_y
-    k: np.ndarray  # op - qq
-    tk: np.ndarray  # t k
-    qqr2: np.ndarray  # qq r**2
-    lead: np.ndarray  # t (qq r - op t), the quadratic coefficient
-    lead4: np.ndarray  # 4 lead
-    degenerate: np.ndarray  # lead vanishes against its scale: the outer pair factorizes
-    width: np.ndarray  # 2 |lead|, 1 where degenerate
+    m, pairs = len(table), table.reshape(-1, *table.shape[2:])
+    return pairs.take(a * m + b, axis=0), pairs.take(a * m + c, axis=0), pairs.take(b * m + c, axis=0)
 
 
-def _quadratic_tables(o, l, p):
-    """Labeler and pair tables of the quadratic route for one truth value.
+def _quadratic_core(o_xb, o_bz, o_xz, l_x, l_b, l_z, p):
+    """Elementwise pivot root ``beta`` of :func:`quadratic_triplets`, and where it is defined.
 
-    ``o`` is the (m, m, ...) table of joint +1 frequencies (its diagonal is
-    never read) and ``l`` the (m, ...) marginals, already checked to be
-    probabilities, and ``p`` the prior weight of the truth value coded +1.
+    Labeler b is the pivot between the outer labelers x and z. ``ok`` is False
+    wherever the discriminant shows that no real solution exists; the root
+    there comes from the discriminant clamped to 0.
     """
     r = p / (1.0 - p)
     t = p / (1.0 - p) ** 2
     r2 = r**2
-    q = l / (1.0 - p)
-    op = o / (1.0 - p)
-    qq = q[:, None] * q[None, :]
-    k = op - qq
-    lead = t * (qq * r - op * t)
-    degenerate = np.abs(lead) <= 1e-12 * (t**2 * (qq + op) + 1e-30)
-    return _QuadraticTables(
-        r=r, t=t, r2=r2, l=l, q=q, q2=q**2, lin=-2.0 * q * r / t, op=op, qq=qq, k=k, tk=t * k,
-        qqr2=qq * r2, lead=lead, lead4=4.0 * lead, degenerate=degenerate,
-        width=2.0 * np.abs(np.where(degenerate, 1.0, lead)),
-    )
-
-
-def _take(rows, index, *factors):
-    """``rows.take(index, axis=0)`` multiplied by each factor in turn, in place on the fresh gather."""
-    out = rows.take(index, axis=0)
-    for factor in factors:
-        out *= factor
-    return out
-
-
-def _pairs(table):
-    """An (m, m, ...) table as (m * m, ...) rows: row ``i * m + j`` holds entry (i, j)."""
-    return table.reshape(-1, *table.shape[2:])
-
-
-def _triplet_gather(table, a, b, c):
-    """``table[a, b], table[a, c], table[b, c]`` of an (m, m, ...) table for index arrays a, b, c."""
-    m, pairs = len(table), _pairs(table)
-    return _take(pairs, a * m + b), _take(pairs, a * m + c), _take(pairs, b * m + c)
-
-
-def _quadratic_pivot(tab, x, b, z):
-    """Pivot root ``beta`` of :func:`quadratic_triplets`, and where it is defined.
-
-    Labeler b is the pivot between the outer labelers x and z; all three
-    may be index arrays. The pair tables are symmetric (exact integer +-1
-    sums), so each gather is one row take from a table's flat pair rows.
-    ``ok`` is False wherever the discriminant shows that no real solution
-    exists; the root there comes from the discriminant clamped to 0.
-    """
-    m = len(tab.l)
-    bx, bz, xz = b * m + x, b * m + z, x * m + z
-    k_xb, k_bz, q2_b = _take(_pairs(tab.k), bx), _take(_pairs(tab.k), bz), tab.q2[b]
+    q_x, q_b, q_z = l_x / (1.0 - p), l_b / (1.0 - p), l_z / (1.0 - p)
+    qq_xz, q2_b = q_x * q_z, q_b**2
+    op_xz = o_xz / (1.0 - p)
+    k_xb = o_xb / (1.0 - p) - q_x * q_b
+    k_bz = o_bz / (1.0 - p) - q_b * q_z
     # quadratic A beta^2 + B beta + C = 0 in the pivot; B = -(2 q_b r / t) A holds
-    # identically, so the roots are l_b +- sqrt(disc) / (2|A|); terms form in
-    # place, in the scalar solver's order
-    const = _take(_pairs(tab.tk), bx, k_bz)
-    const += _take(_pairs(tab.qq), xz, q2_b, tab.r2)
-    const += _take(_pairs(tab.qqr2), bx, k_bz)
-    const += _take(_pairs(tab.qqr2), bz, k_xb)
-    const -= _take(_pairs(tab.op), xz, q2_b, tab.r2)
-    lin2 = _take(_pairs(tab.lead), xz, tab.lin[b])
-    lin2 *= lin2
-    lead_const = _take(_pairs(tab.lead4), xz, const)
+    # identically, so the roots are l_b +- sqrt(disc) / (2|A|)
+    lead = t * (qq_xz * r - op_xz * t)
+    const = t * k_xb * k_bz + qq_xz * q2_b * r2 + q_x * q_b * r2 * k_bz + q_b * q_z * r2 * k_xb - op_xz * q2_b * r2
+    lin2 = (-2.0 * q_b * r / t * lead) ** 2
+    lead_const = 4.0 * lead * const
     disc = lin2 - lead_const
     # near the double root a sampled discriminant is legitimately negative at
     # the scale of its own components; only a violation of at least half the
-    # total component magnitude, -(0.5 (lin2 + |lead_const|) + 1e-9), is
-    # evidence of jointly impossible moments
-    slack = np.abs(lead_const, out=lead_const)
-    slack += lin2
-    slack *= -0.5
-    slack -= 1e-9
-    ok = ~(disc < slack)
+    # total component magnitude is evidence of jointly impossible moments
+    ok = ~(disc < -(0.5 * (lin2 + np.abs(lead_const)) + 1e-9))
     # a vanishing lead means the outer pair's joint factorizes: the linear
-    # coefficient vanishes with it (lin = -2 l_b lead identically), the pivot
-    # is underdetermined, and its marginal is the only neutral answer
-    l_b = tab.l[b]
-    beta = np.sqrt(np.clip(disc, 0.0, None, out=disc), out=disc)
-    beta /= _take(_pairs(tab.width), xz)
-    beta += l_b
-    np.copyto(beta, l_b, where=_take(_pairs(tab.degenerate), xz))
-    return beta, ok
+    # coefficient vanishes with it, the pivot is underdetermined, and its
+    # marginal is the only neutral answer
+    degenerate = np.abs(lead) <= 1e-12 * (t**2 * (qq_xz + op_xz) + 1e-30)
+    beta = l_b + np.sqrt(np.clip(disc, 0.0, None)) / (2.0 * np.abs(np.where(degenerate, 1.0, lead)))
+    return np.where(degenerate, l_b, beta), ok
 
 
 def quadratic_triplets(o_ab, o_ac, o_bc, l_a, l_b, l_c, p):
@@ -416,30 +352,32 @@ def quadratic_triplets(o_ab, o_ac, o_bc, l_a, l_b, l_c, p):
 
     Raises
     ------
+    InvalidArgumentError
+        Naming the first input that is not a finite probability.
     InconsistentMomentsError
         Discriminant below the relative tolerance: no real solution exists.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"need 0 < p < 1, got {p}")
     arrays = [np.asarray(x, dtype=np.float64) for x in (o_ab, o_ac, o_bc, l_a, l_b, l_c)]
-    for x in arrays:
-        if ((x < -1e-12) | (x > 1 + 1e-12)).any():
-            raise InvalidArgumentError("probabilities must lie in [0, 1]")
+    for name, x in zip(("o_ab", "o_ac", "o_bc", "l_a", "l_b", "l_c"), arrays):
+        if not (np.isfinite(x) & (x >= -1e-12) & (x <= 1 + 1e-12)).all():
+            raise InvalidArgumentError(f"{name}: probabilities must be finite and lie in [0, 1]")
     shape = np.broadcast_shapes(*(x.shape for x in arrays))
     # scalars take the array path too: numpy squares a float64 scalar through
     # pow, which can round differently from an array's product
     o_ab, o_ac, o_bc, l_a, l_b, l_c = np.broadcast_arrays(*(np.atleast_1d(x) for x in arrays))
-    tab = _quadratic_tables(np.array([[l_a, o_ab, o_ac], [o_ab, l_b, o_bc], [o_ac, o_bc, l_c]]),
-                            np.array([l_a, l_b, l_c]), p)
-    beta, ok = _quadratic_pivot(tab, 0, 1, 2)
+    beta, ok = _quadratic_core(o_ab, o_bc, o_ac, l_a, l_b, l_c, p)
     if not ok.all():
         raise InconsistentMomentsError("moments admit no real solution (negative discriminant)")
     # a and c follow linearly from the pivot
-    denom = tab.t * beta - tab.q[1] * tab.r
+    r, t = p / (1.0 - p), p / (1.0 - p) ** 2
+    q_a, q_b, q_c = l_a / (1.0 - p), l_b / (1.0 - p), l_c / (1.0 - p)
+    denom = t * beta - q_b * r
     flat = np.abs(denom) <= 1e-30
     safe_denom = np.where(flat, 1.0, denom)
-    alpha = np.where(flat, l_a, (tab.op[0, 1] + tab.q[0] * tab.r * beta - tab.qq[0, 1]) / safe_denom)
-    gamma = np.where(flat, l_c, (tab.op[1, 2] + tab.q[2] * tab.r * beta - tab.qq[1, 2]) / safe_denom)
+    alpha = np.where(flat, l_a, (o_ab / (1.0 - p) + q_a * r * beta - q_a * q_b) / safe_denom)
+    gamma = np.where(flat, l_c, (o_bc / (1.0 - p) + q_c * r * beta - q_b * q_c) / safe_denom)
     if not shape:
         return float(alpha[0]), float(beta[0]), float(gamma[0])
     return alpha, beta, gamma
@@ -548,10 +486,13 @@ def _admissible(m, corr):
 def _partner_pairs(strength, free):
     """Each labeler's triplets: the admissible pairs of its K strongest admissible partners.
 
-    Partners rank by ``strength``, highest first, ties to the lower index.
-    Row a of the (m, S) arrays ``b``, ``c`` and ``valid`` holds labeler a's
-    partner pairs, b < c, lexicographic; ``valid`` is False on a correlated
-    pair and on a slot past the partners, whose b and c are a itself.
+    Partners rank by ``strength``, highest first, ties to the lower index. A
+    labeler whose K strongest partners are pairwise correlated takes instead
+    its S strongest admissible pairs, ranked by the weaker member's place,
+    then the stronger's (without correlations, exactly the K partners'
+    pairs). Row a of the (m, S) arrays ``b``, ``c`` and ``valid`` holds
+    labeler a's partner pairs, b < c, lexicographic; ``valid`` is False on a
+    correlated pair and on a slot past the pairs, whose b and c are a itself.
     """
     m = len(free)
     order = np.argsort(-strength, kind="stable")
@@ -563,9 +504,15 @@ def _partner_pairs(strength, free):
     a, b, c = np.arange(m)[:, None], partners[:, i], partners[:, j]
     b, c = np.where(c < m, b, a), np.where(c < m, c, a)
     valid = free[b, c]
-    lonely = ~valid.any(axis=1)
-    if lonely.any():
-        raise ConfigurationError(f"triplet unavailable for labeler {lonely.argmax()} under the correlation set")
+    place = np.argsort(order)  # each labeler's rank by strength
+    for x in np.flatnonzero(~valid.any(axis=1)):
+        bx, cx = np.nonzero(np.triu(free & free[x] & free[x, :, None]))  # lexicographic
+        if not len(bx):
+            raise ConfigurationError(f"triplet unavailable for labeler {x} under the correlation set")
+        weaker, stronger = np.maximum(place[bx], place[cx]), np.minimum(place[bx], place[cx])
+        keep = np.sort(np.argsort(weaker * m + stronger)[: b.shape[1]])
+        b[x], c[x], valid[x] = x, x, False
+        b[x, : len(keep)], c[x, : len(keep)], valid[x, : len(keep)] = bx[keep], cx[keep], True
     return b, c, valid
 
 
@@ -629,10 +576,14 @@ def _agreement_probabilities(values, e, pairs, p):
     for sign, weight in ((1.0, p), (-1.0, 1.0 - p)):
         l = (n + sign * s_a) / 2.0 / n
         o = (n + sign * (s_a[:, None] + s_a[None, :]) + s_ab) / 4.0 / n
-        tab = _quadratic_tables(o, l, weight)
-        # labeler a is the pivot between each partner pair (b, c)
-        cond = _triplet_estimates(pairs, lambda a, b, c: _quadratic_pivot(tab, b, a, c),
-                                  InconsistentMomentsError, "no triplet's moments admit a real solution")
+        # labeler a is the pivot between each partner pair (b, c); o is symmetric
+        # (exact integer sums), so its (a, b) entry serves as the pivot's (b, a)
+        cond = _triplet_estimates(
+            pairs,
+            lambda a, b, c: _quadratic_core(*_triplet_gather(o, a, b, c), l[b], l[a], l[c], weight),
+            InconsistentMomentsError,
+            "no triplet's moments admit a real solution",
+        )
         agreements += weight * cond
     return agreements
 

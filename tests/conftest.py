@@ -489,8 +489,8 @@ def reference_quadratic_triplets(o_ab, o_ac, o_bc, l_a, l_b, l_c, p):
 
     Same-shape float arrays in; ``((alpha, beta, gamma), ok)`` out, with ``ok``
     False where the discriminant is below the relative tolerance. Every
-    product and sum is written in the order the library's pair tables
-    preserve, so the library's pivot must equal this ``beta`` bit for bit.
+    product and sum is written in the order the library's core evaluates
+    it, so the library's pivot must equal this ``beta`` bit for bit.
     """
     r = p / (1.0 - p)
     t = p / (1.0 - p) ** 2
@@ -535,27 +535,17 @@ def reference_pair_signs(rankings):
     return np.where(pos[iu] < pos[ju], np.int8(1), np.int8(-1)).transpose(1, 2, 0)
 
 
-def reference_quadratic_pivot(tab, x, b, z):
-    k_xb, k_bz, q2_b = tab.k[x, b], tab.k[b, z], tab.q2[b]
-    const = (
-        tab.tk[x, b] * k_bz
-        + tab.qq[x, z] * q2_b * tab.r2
-        + tab.qqr2[x, b] * k_bz
-        + tab.qqr2[b, z] * k_xb
-        - tab.op[x, z] * q2_b * tab.r2
-    )
-    lin2 = (tab.lin[b] * tab.lead[x, z]) ** 2
-    lead_const = tab.lead4[x, z] * const
-    disc = lin2 - lead_const
-    ok = ~(disc < -(0.5 * (lin2 + np.abs(lead_const)) + 1e-9))
-    l_b = tab.l[b]
-    beta = np.where(tab.degenerate[x, z], l_b, l_b + np.sqrt(np.clip(disc, 0.0, None)) / tab.width[x, z])
+def reference_quadratic_core(o_xb, o_bz, o_xz, l_x, l_b, l_z, p):
+    """Pivot b between outer labelers x and z, through the straight-line triplet system."""
+    (_, beta, _), ok = reference_quadratic_triplets(o_xb, o_xz, o_bz, l_x, l_b, l_z, p)
     return beta, ok
 
 
 def reference_partner_pairs(strength, free):
-    """Each labeler's partner pairs, a list of (b, c) with b < c: its K strongest admissible
-    partners (ties to the lower index), every uncorrelated pair of them."""
+    """Each labeler's partner pairs, a list of (b, c) with b < c: every uncorrelated pair of its
+    K strongest admissible partners (ties to the lower index). Where there is none, its S
+    strongest uncorrelated pairs of admissible partners, ranked by the weaker member's place,
+    then the stronger's, listed in index order."""
     from uws import label_model as lm
     from uws.errors import ConfigurationError
 
@@ -563,6 +553,11 @@ def reference_partner_pairs(strength, free):
     for a in range(len(free)):
         ranked = sorted((b for b in range(len(free)) if free[a, b]), key=lambda b: -strength[b])  # stable
         pairs = [(b, c) for b, c in combinations(sorted(ranked[:lm._PARTNERS]), 2) if free[b, c]]
+        if not pairs:
+            place = {b: i for i, b in enumerate(ranked)}
+            every = [(b, c) for b, c in combinations(sorted(ranked), 2) if free[b, c]]
+            every.sort(key=lambda bc: (max(place[bc[0]], place[bc[1]]), min(place[bc[0]], place[bc[1]])))
+            pairs = sorted(every[:math.comb(min(lm._PARTNERS, len(free) - 1), 2)])
         if not pairs:
             raise ConfigurationError(f"triplet unavailable for labeler {a} under the correlation set")
         out.append(pairs)

@@ -179,7 +179,7 @@ def test_c06_theta_recovery_for_rankings():
 def _ranking_pipeline(thetas, rho, n, seed):
     scenario = syn.RankingScenario(n=n, rho=rho, thetas=thetas, seed=seed)
     truth, data = syn.gen_ranking_tasks(scenario)
-    model = lm.learn_label_model(data, triplet_policy="median")
+    model = lm.learn_label_model(data)
     out = {}
     for rule, model_arg in (("weighted", model), ("mv", None)):
         labels = inference.aggregate_dataset(data, rule=rule, model=model_arg, seed=seed)
@@ -247,7 +247,7 @@ def test_c09_regression_pipeline():
 def _graph_pipeline(thetas, seed, n=400, n_nodes=30, n_edges=60):
     scenario = syn.GraphScenario(n_nodes=n_nodes, n_edges=n_edges, n=n, thetas=thetas, seed=seed)
     space, truth, data = syn.gen_graph_tasks(scenario)
-    model = lm.learn_label_model(data, triplet_policy="median")
+    model = lm.learn_label_model(data)
     out = {}
     for rule, model_arg in (("weighted", model), ("mv", None)):
         labels = np.asarray(inference.aggregate_dataset(data, rule=rule, model=model_arg, seed=seed))

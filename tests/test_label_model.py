@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import (
     reference_pair_signs,
     reference_partner_pairs,
-    reference_quadratic_pivot,
+    reference_quadratic_core,
     reference_quadratic_triplets,
     reference_resolve_signs,
     reference_signed_accuracies,
@@ -522,10 +522,10 @@ def model_bytes(model):
 def per_triplet_reference(data, path, corr, prior=None):
     """The learner rebuilt with one public scalar solve per triplet and coordinate.
 
-    Each labeler ranks its admissible partners by strength (summed mean
-    |pair moment| with the others, or least summed pair distance), keeps
-    the K strongest and takes, per coordinate, np.median over the
-    uncorrelated pairs of them that solve there. Pair moments on +-1
+    Each labeler takes its partner pairs from ``reference_partner_pairs``,
+    partners ranked by strength (summed mean |pair moment| with the others,
+    or least summed pair distance), and, per coordinate, np.median over the
+    pairs that solve there. Pair moments on +-1
     coordinates and finite-space pair distances are counted pair by pair;
     real-valued routes take empirical_pair_moments.
     Returns (expected_distances, accuracies, thetas, pairwise_moments).
@@ -534,11 +534,10 @@ def per_triplet_reference(data, path, corr, prior=None):
 
     def median(strength, solve):
         # solve(a, b, c) gives one value per coordinate, None where the triplet does not solve
+        free = np.array([[a != b and not corr.correlated(a, b) for b in range(m)] for a in range(m)])
         out = []
-        for a in range(m):
-            admissible = [b for b in range(m) if b != a and not corr.correlated(a, b)]
-            top = sorted(sorted(admissible, key=lambda b: -strength[b])[:lm._PARTNERS])
-            solved = [solve(a, b, c) for b, c in combinations(top, 2) if not corr.correlated(b, c)]
+        for a, pairs in enumerate(reference_partner_pairs(strength, free)):
+            solved = [solve(a, b, c) for b, c in pairs]
             out.append([np.median([v[i] for v in solved if v[i] is not None]) for i in range(len(solved[0]))])
         return np.array(out)
 
@@ -648,9 +647,17 @@ def six_labeler_data(kind):
     return syn.gen_graph_tasks(scenario)[2]
 
 
+# the clique leaves labelers whose four strongest partners are pairwise correlated on every dataset
+CORRELATION_SETS = pytest.mark.parametrize(
+    "corr",
+    [lm.CorrelationSet(), lm.CorrelationSet.from_pairs([(0, 1), (2, 4)]),
+     lm.CorrelationSet.from_pairs(combinations(range(4), 2))],
+    ids=["independent", "correlated", "clique"],
+)
+
+
 class TestTripletEngineEquivalence:
-    @pytest.mark.parametrize("corr", [lm.CorrelationSet(), lm.CorrelationSet.from_pairs([(0, 1), (2, 4)])],
-                             ids=["independent", "correlated"])
+    @CORRELATION_SETS
     @pytest.mark.parametrize("kind, path", [
         (lm.RANKING, "continuous"), (lm.RANKING, "hypercube"), (lm.RANKING, "isotropic"),
         (lm.REAL_VECTOR, "continuous"), (lm.REAL_VECTOR, "isotropic"),
@@ -660,8 +667,7 @@ class TestTripletEngineEquivalence:
         prior = lm.SecondMomentPrior(1.0) if kind == lm.REAL_VECTOR else None
         self.check(six_labeler_data(kind), path, corr, prior)
 
-    @pytest.mark.parametrize("corr", [lm.CorrelationSet(), lm.CorrelationSet.from_pairs([(0, 1), (2, 4)])],
-                             ids=["independent", "correlated"])
+    @CORRELATION_SETS
     def test_hypercube_two_point_prior(self, corr):
         # the two truth-value runs weighted (p, 1 - p) rather than halves
         self.check(six_labeler_data(lm.RANKING), "hypercube", corr, lm.TwoPointPrior(0.3))
@@ -684,19 +690,41 @@ def triplet_rows(elements, count=3):
     return ROWS.flatmap(lambda shape: st.tuples(*[hnp.arrays(np.float64, shape, elements=elements)] * count))
 
 
+# at most one NaN or infinite input: (argument index, value); an index past the arguments plants nothing
+POISON = st.none() | st.tuples(st.integers(0, 6), st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+def plant(args, poison):
+    """Copies of ``args`` with the poison in the last coordinate, and the poisoned argument's index or None.
+
+    A (rows, coords) argument takes it in row 0 only; a per-coordinate (coords,) one, in every row.
+    """
+    args = [np.array(x) for x in args]
+    if poison is None or poison[0] >= len(args):
+        return args, None
+    index, value = poison
+    args[index][(0, -1) if args[index].ndim == 2 else -1] = value
+    return args, index
+
+
 class TestMaskedCores:
     """Each masked core, evaluated on many triplet rows at once, agrees row by
-    row with its public scalar function, rejected rows included."""
+    row with its public scalar function, rejected rows included. A row with a
+    NaN or infinite input is refused by the public solver, naming the input."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(triplet_rows(st.sampled_from([0.0, 1e-7, -1e-6, 0.02, -0.3, 0.55, 1.0])))
-    def test_continuous(self, rows):
+    @settings(max_examples=80, deadline=None)
+    @given(triplet_rows(st.sampled_from([0.0, 1e-7, -1e-6, 0.02, -0.3, 0.55, 1.0])), POISON)
+    def test_continuous(self, rows, poison):
         # only the denominator |e_bc| decides: a floored |e_ab| or |e_ac| is labeler a's magnitude near 0
-        e_ab, e_ac, e_bc = rows
-        sm = np.linspace(0.5, 2.0, e_ab.shape[1])
+        (e_ab, e_ac, e_bc, sm), bad = plant([*rows, np.linspace(0.5, 2.0, rows[0].shape[1])], poison)
         mags, ok = lm._continuous_core(e_ab, e_ac, e_bc, sm)
-        np.testing.assert_array_equal(ok, np.abs(e_bc) > lm.EPS_FLOOR)
+        np.testing.assert_array_equal(ok, ~(np.abs(e_bc) <= lm.EPS_FLOOR))  # a NaN passes, as in the median
         for k in range(len(e_ab)):
+            if bad is not None and (k == 0 or bad == 3):
+                name = ("e_ab", "e_ac", "e_bc", "second_moment")[bad]
+                with pytest.raises(InvalidArgumentError, match=f"^{name} must be finite"):
+                    lm.continuous_triplets(e_ab[k], e_ac[k], e_bc[k], sm)
+                continue
             try:
                 expect, _, _ = lm.continuous_triplets(e_ab[k], e_ac[k], e_bc[k], sm)
             except DegenerateMomentError:
@@ -707,16 +735,21 @@ class TestMaskedCores:
             assert ok[k].all()
             np.testing.assert_array_equal(mags[k], expect)
 
-    @settings(max_examples=60, deadline=None)
-    @given(triplet_rows(st.floats(0.0, 1.0), count=6), st.sampled_from([0.3, 0.5, 0.8]))
-    def test_quadratic(self, rows, p):
-        o_ab, o_ac, o_bc, l_a, l_b, l_c = rows
-        o = np.array([[l_a, o_ab, o_ac], [o_ab, l_b, o_bc], [o_ac, o_bc, l_c]])
-        beta, ok = lm._quadratic_pivot(lm._quadratic_tables(o, np.array([l_a, l_b, l_c]), p), 0, 1, 2)
-        reference, ref_ok = reference_quadratic_triplets(o_ab, o_ac, o_bc, l_a, l_b, l_c, p)
+    @settings(max_examples=80, deadline=None)
+    @given(triplet_rows(st.floats(0.0, 1.0), count=6), st.sampled_from([0.3, 0.5, 0.8]), POISON)
+    def test_quadratic(self, rows, p, poison):
+        (o_ab, o_ac, o_bc, l_a, l_b, l_c), bad = plant(rows, poison)
+        with np.errstate(all="ignore"):  # the learner's moments are finite; only these rows are not
+            beta, ok = lm._quadratic_core(o_ab, o_bc, o_ac, l_a, l_b, l_c, p)
+            reference, ref_ok = reference_quadratic_triplets(o_ab, o_ac, o_bc, l_a, l_b, l_c, p)
         np.testing.assert_array_equal(ok, ref_ok)
         np.testing.assert_array_equal(beta, reference[1])
         for r in range(len(o_ab)):
+            if bad is not None and r == 0:
+                name = ("o_ab", "o_ac", "o_bc", "l_a", "l_b", "l_c")[bad]
+                with pytest.raises(InvalidArgumentError, match=f"^{name}: probabilities must be finite"):
+                    lm.quadratic_triplets(o_ab[r], o_ac[r], o_bc[r], l_a[r], l_b[r], l_c[r], p)
+                continue
             try:
                 expect = lm.quadratic_triplets(o_ab[r], o_ac[r], o_bc[r], l_a[r], l_b[r], l_c[r], p)
             except InconsistentMomentsError:
@@ -752,11 +785,11 @@ def every_partner_pair(m):
         yield a, np.array(b), np.array(c)
 
 
-class TestHoistedPivot:
-    """The learner's pivot, gathering every partner pair of a labeler from the
-    pair tables in one call, agrees bit for bit with the straight-line
-    reference and with the public solver called once per triplet and
-    coordinate, rejected coordinates included."""
+class TestGatheredPivot:
+    """The learner's pivot, every partner pair of a labeler gathered from the
+    joint-frequency table in one call, agrees bit for bit with the
+    straight-line reference and with the public solver called once per
+    triplet and coordinate, rejected coordinates included."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 7).flatmap(lambda m: st.tuples(
@@ -773,9 +806,8 @@ class TestHoistedPivot:
         l[:3, 1] = 0.2
         o[0, 1, 1] = o[1, 0, 1] = o[1, 2, 1] = o[2, 1, 1] = 0.2
         o[0, 2, 1] = o[2, 0, 1] = 0.0
-        tab = lm._quadratic_tables(o, l, p)
         for a, b, c in every_partner_pair(m):
-            beta, ok = lm._quadratic_pivot(tab, b, a, c)
+            beta, ok = lm._quadratic_core(*lm._triplet_gather(o, a, b, c), l[b], l[a], l[c], p)
             (_, ref_beta, _), ref_ok = reference_quadratic_triplets(o[b, a], o[b, c], o[a, c], l[b], l[a], l[c], p)
             np.testing.assert_array_equal(ok, ref_ok)
             np.testing.assert_array_equal(beta, ref_beta)
@@ -790,8 +822,9 @@ class TestHoistedPivot:
                         continue
                     assert ok[k, i]
                     assert beta[k, i] == expect
-        assert tab.degenerate[0, 2, 0]
-        assert not lm._quadratic_pivot(tab, 0, 1, 2)[1][1]
+        beta, ok = lm._quadratic_core(o[0, 1], o[1, 2], o[0, 2], l[0], l[1], l[2], p)
+        assert beta[0] == l[1, 0]  # a degenerate lead leaves the pivot at its marginal
+        assert not ok[1]
 
 
 def triplets(m):
@@ -868,20 +901,21 @@ class TestContiguousPasses:
         hnp.arrays(np.float64, (m, 3), elements=st.floats(0.0, 1.0)))),
         st.sampled_from([0.3, 0.5, 0.8]))
     def test_pivot(self, tables, p):
+        # the core reads the pivot's o[b, a] from a's row: its reference takes o[b, a] by fancy index
         o, l = tables
         m = len(l)
         o = np.where(np.triu(np.ones((m, m), dtype=bool))[:, :, None], o, o.transpose(1, 0, 2))
         o[0, 2, 0] = o[2, 0, 0] = l[0, 0] * l[2, 0]  # a degenerate lead
-        tab = lm._quadratic_tables(o, l, p)
         for a, b, c in every_partner_pair(m):
-            beta, ok = lm._quadratic_pivot(tab, b, a, c)
-            ref_beta, ref_ok = reference_quadratic_pivot(tab, b, a, c)
+            beta, ok = lm._quadratic_core(*lm._triplet_gather(o, a, b, c), l[b], l[a], l[c], p)
+            ref_beta, ref_ok = reference_quadratic_core(o[b, a], o[a, c], o[b, c], l[b], l[a], l[c], p)
             assert beta.tobytes() == ref_beta.tobytes()
             np.testing.assert_array_equal(ok, ref_ok)
         # every labeler pivots at once, as the learner calls it
+        a = np.arange(m)[:, None]
         b, c = (np.stack(x) for x in zip(*((b, c) for _, b, c in every_partner_pair(m))))
-        beta, ok = lm._quadratic_pivot(tab, b, np.arange(m)[:, None], c)
-        ref_beta, ref_ok = reference_quadratic_pivot(tab, b, np.arange(m)[:, None], c)
+        beta, ok = lm._quadratic_core(*lm._triplet_gather(o, a, b, c), l[b], l[a], l[c], p)
+        ref_beta, ref_ok = reference_quadratic_core(o[b, a], o[a, c], o[b, c], l[b], l[a], l[c], p)
         assert beta.tobytes() == ref_beta.tobytes()
         np.testing.assert_array_equal(ok, ref_ok)
 
@@ -968,21 +1002,18 @@ class TestContiguousPasses:
             assert lm.resolve_signs(mags[:, i], e[:, :, i]).tobytes() == want[i].tobytes()
 
     def test_learner_pair_tables_are_symmetric(self, monkeypatch):
-        # the pivot reads (x, b) entries from b's rows: exact because the +-1 sums are integers
-        inner, built = lm._quadratic_tables, []
+        # the core reads the pivot's o[b, a] as o[a, b]: exact because the +-1 sums are integers
+        inner, read = lm._triplet_gather, []
 
-        def checked(o, l, p):
-            tab = inner(o, l, p)
-            for name in ("op", "qq", "k", "tk", "qqr2", "lead", "lead4", "degenerate", "width"):
-                table = getattr(tab, name)
-                assert table.tobytes() == np.ascontiguousarray(table.swapaxes(0, 1)).tobytes(), name
-            built.append(p)
-            return tab
+        def checked(table, a, b, c):
+            assert table.tobytes() == np.ascontiguousarray(table.swapaxes(0, 1)).tobytes()
+            read.append(table.shape)
+            return inner(table, a, b, c)
 
-        monkeypatch.setattr(lm, "_quadratic_tables", checked)
+        monkeypatch.setattr(lm, "_triplet_gather", checked)
         for data in (six_labeler_data(lm.RANKING), near_random_data()):
             lm.learn_label_model(data, path="hypercube", prior=lm.TwoPointPrior(0.3))
-        assert built == [0.3, 0.7] * 2
+        assert read == [(6, 6, 6)] * 2 + [(12, 12, 6)] * 2  # one joint-frequency table per truth value
 
 
 def near_random_data():
@@ -993,7 +1024,7 @@ def near_random_data():
 REFERENCE_PIECES = {
     "_pair_signs": reference_pair_signs,
     "_partner_pairs": reference_partner_pairs,
-    "_quadratic_pivot": reference_quadratic_pivot,
+    "_quadratic_core": reference_quadratic_core,
     "_triplet_estimates": reference_triplet_estimates,
     "_signed_accuracies": reference_signed_accuracies,
     "resolve_signs": reference_resolve_signs,
@@ -1011,8 +1042,7 @@ class TestReferencePieces:
         return {"ranking": six_labeler_data(lm.RANKING), "near_random": near_random_data(),
                 "real": six_labeler_data(lm.REAL_VECTOR), "finite": six_labeler_data(lm.FINITE_METRIC)}
 
-    @pytest.mark.parametrize("corr", [lm.CorrelationSet(), lm.CorrelationSet.from_pairs([(0, 1), (2, 4)])],
-                             ids=["independent", "correlated"])
+    @CORRELATION_SETS
     @pytest.mark.parametrize("policy", ["first", "median"])  # values of the deprecated keyword
     @pytest.mark.parametrize("name, path, prior", [
         ("ranking", "continuous", None), ("ranking", "hypercube", None), ("ranking", "isotropic", None),
@@ -1041,8 +1071,9 @@ class TestReferencePieces:
 
 class TestPartnerRule:
     """Each labeler's triplets are the uncorrelated pairs of its K strongest
-    admissible partners, ranked by a stable sort (ties to the lower index), and
-    every labeler's pairs are solved in one call per truth value."""
+    admissible partners, ranked by a stable sort (ties to the lower index), or
+    its strongest uncorrelated pairs where there is none, and every labeler's
+    pairs are solved in one call per truth value."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(3, 9).flatmap(lambda m: st.tuples(
@@ -1078,7 +1109,7 @@ class TestPartnerRule:
             assert len(partners) == 4 and partners >= {4, 5, 6, 7} - {a}
 
     @pytest.mark.parametrize("path, core, runs", [("continuous", "_continuous_core", 1),
-                                                  ("hypercube", "_quadratic_pivot", 2),
+                                                  ("hypercube", "_quadratic_core", 2),
                                                   ("isotropic", "_half_sum_core", 1)])
     def test_one_solve_call_per_truth_value(self, path, core, runs, monkeypatch):
         calls = []
@@ -1086,6 +1117,24 @@ class TestPartnerRule:
         monkeypatch.setattr(lm, core, lambda *args: calls.append(1) or inner(*args))
         lm.learn_label_model(near_random_data(), path=path)
         assert len(calls) == runs
+
+    def test_correlated_strongest_partners_take_the_strongest_pairs(self):
+        # labelers 0-3 pairwise correlated: each of 4, 5 and 6 pairs up one of them with a weaker labeler
+        thetas = (2.0, 1.8, 1.6, 1.4, 0.5, 0.4, 0.3)
+        _, data = make_ranking_data(thetas, rho=5, n=1000, seed=1)
+        corr = lm.CorrelationSet.from_pairs(combinations(range(4), 2))
+        for path in ("continuous", "hypercube", "isotropic"):
+            model = lm.learn_label_model(data, corr=corr, path=path)
+            assert np.isfinite(model.thetas).all()
+        np.testing.assert_allclose(lm.learn_label_model(data, corr=corr).thetas[4:], thetas[4:], atol=0.05)
+
+    def test_clique_pairs_rank_by_the_weaker_member(self):
+        # labeler 4's strongest partners 0-3 are pairwise correlated: it takes the six pairs whose
+        # weaker member ranks highest, ties broken by the stronger member
+        free = lm._admissible(7, lm.CorrelationSet.from_pairs(combinations(range(4), 2)))
+        b, c, valid = lm._partner_pairs(np.arange(7.0)[::-1], free)
+        assert valid[4].all()
+        assert list(zip(b[4].tolist(), c[4].tolist())) == [(0, 5), (0, 6), (1, 5), (1, 6), (2, 5), (3, 5)]
 
     def test_correlated_partners_leave_no_triplet(self):
         # labeler 0's only admissible partners, 1 and 2, are declared correlated with each other
