@@ -46,7 +46,7 @@ from .label_model import (
     LabelModel,
 )
 from .metric_spaces import FiniteMetricSpace
-from .permutations import are_permutations, perm_to_str
+from .permutations import are_permutations
 
 __all__ = [
     "canonical_json",
@@ -72,8 +72,13 @@ __all__ = [
 
 
 def _perm_cells(labels):
-    """The text of each ranking in a (k, rho) array."""
-    return [perm_to_str(p) for p in labels.tolist()]
+    """The text of each ranking in a (k, rho) array, in the :func:`~uws.permutations.perm_to_str` format."""
+    labels = labels.astype(np.int64, copy=False)
+    bad = np.flatnonzero(~are_permutations(labels))
+    if bad.size:
+        raise InvalidArgumentError(f"ranking {bad[0]} is not a permutation of 0..{labels.shape[1] - 1}: "
+                                   f"{labels[bad[0]].tolist()}")
+    return [",".join(map(str, row)) for row in labels.tolist()]
 
 
 def _number_cells(labels):

@@ -589,17 +589,19 @@ def _agreement_probabilities(values, e, pairs, p):
 
 
 def _ranking_theta(mean_distance, rho):
-    """Mallows canonical accuracy with the boundary clamping policy.
+    """Mallows canonical accuracies of an array of mean distances, with the boundary clamping policy.
 
     Raw means at or below 0 clamp to the top of the bisection bracket
     (a labeler indistinguishable from perfect); means at or beyond the
-    uniform value clamp to 0 (no better than random).
+    uniform value clamp to 0 (no better than random). The rest go through
+    one :func:`mallows.backward_map` call.
     """
-    if mean_distance >= mallows.uniform_mean_distance(rho):
-        return 0.0
-    if mean_distance <= 0.0:
-        return mallows.BACKWARD_BRACKET[1]
-    return mallows.backward_map(mean_distance, rho)
+    mean = np.asarray(mean_distance, dtype=np.float64)
+    chance, perfect = mean >= mallows.uniform_mean_distance(rho), mean <= 0.0
+    thetas = np.where(chance, 0.0, mallows.BACKWARD_BRACKET[1])
+    inside = ~(chance | perfect)
+    thetas[inside] = mallows.backward_map(mean[inside], rho)
+    return thetas
 
 
 def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy=None):
@@ -745,7 +747,7 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy=Non
     # backward map: mean parameters to canonical accuracies
     theta_matrix = None
     if kind == RANKING:
-        thetas = np.array([_ranking_theta(v, data.rho) for v in mean_dist])
+        thetas = _ranking_theta(mean_dist, data.rho)
     elif kind == REAL_VECTOR:
         if path == "isotropic":
             err_cov = 0.5 * (mean_dist[:, None] + mean_dist[None, :] - pair_dist)

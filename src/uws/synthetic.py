@@ -52,6 +52,13 @@ def substream(seed, *path):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=path)))
 
 
+def _check_thetas(thetas):
+    """Refuse a negative or NaN concentration, naming its labeler; +inf is allowed."""
+    bad = [a for a, t in enumerate(thetas) if not t >= 0]
+    if bad:
+        raise InvalidArgumentError(f"thetas must be >= 0; labeler {bad[0]} has {thetas[bad[0]]}")
+
+
 @dataclass(frozen=True)
 class RankingScenario:
     """n tasks of uniform-random true rankings with per-labeler Mallows concentrations."""
@@ -67,8 +74,7 @@ class RankingScenario:
             raise InvalidArgumentError(f"need n >= 1 and rho >= 2, got n={self.n}, rho={self.rho}")
         if len(self.thetas) < 3:
             raise InvalidArgumentError(f"need at least 3 labelers, got {len(self.thetas)}")
-        if any(t < 0 for t in self.thetas):
-            raise InvalidArgumentError("thetas must be >= 0")
+        _check_thetas(self.thetas)
 
 
 @dataclass(frozen=True)
@@ -135,8 +141,7 @@ class GraphScenario:
             )
         if self.n < 1 or len(self.thetas) < 3:
             raise InvalidArgumentError("need n >= 1 and at least 3 labelers")
-        if any(t < 0 for t in self.thetas):
-            raise InvalidArgumentError("thetas must be >= 0")
+        _check_thetas(self.thetas)
 
 
 def heterogeneous_thetas(seed, n_low=10, n_high=8):

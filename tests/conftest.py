@@ -407,6 +407,23 @@ def reference_graph_hop_metric(edges, n_nodes):
     return FiniteMetricSpace(dist.astype(np.float64))
 
 
+def reference_backward_map(mean_distance, rho):
+    """The Mallows backward map as it was before its certified bracket: a plain
+    bisection on the bracket (1e-8, 50), one scalar ``expected_distance`` call per
+    halving until the bracket is 1e-12 wide. The library must return the same
+    float for every feasible mean."""
+    from uws.mallows import expected_distance
+
+    lo, hi = 1e-8, 50.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if expected_distance(mid, rho) > mean_distance:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def reference_mallows_draw(theta, u, center):
     """One Mallows draw at ``center`` by repeated insertion, one ``list.insert`` per item.
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from uws import io as uio
-from uws.cli import main
+from uws.cli import VALIDATION_EXIT, main
 
 
 def write_json(path, payload):
@@ -72,6 +72,19 @@ class TestGenerate:
         out = tmp_path / "out"
         assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == 0
         assert (out / "space.csv").exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"kind": "ranking", "n": 20, "rho": 4, "thetas": [1.0, float("nan"), 0.5], "seed": 3},
+        {"kind": "graph", "n_nodes": 8, "n_edges": 12, "n": 15, "thetas": [2.0, float("nan"), 0.5], "seed": 3},
+    ], ids=["ranking", "graph"])
+    def test_nan_theta_refused(self, tmp_path, capsys, payload):
+        # json writes the NaN as the bare token NaN, which json.load reads back as a float NaN
+        scenario = write_json(tmp_path / "s.json", payload)
+        assert "NaN" in scenario.read_text()
+        out = tmp_path / "out"
+        assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == VALIDATION_EXIT
+        assert "labeler 1 has nan" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_preset_scenario(self, tmp_path):
         scenario = write_json(

@@ -22,6 +22,7 @@ from hypothesis.extra import numpy as hnp
 
 from uws import io as uio
 from uws import label_model as lm
+from uws import permutations as perm
 from uws import synthetic as syn
 from uws.errors import InvalidArgumentError, InvalidMetricError
 from uws.metric_spaces import FiniteMetricSpace, classical_mds, graph_hop_metric
@@ -93,6 +94,19 @@ class TestTruthRoundTrip:
         kind, back = uio.read_truth(path)
         assert kind == lm.RANKING
         assert (back == truth).all()
+
+    def test_ranking_cells_match_perm_to_str(self, tmp_path):
+        # the writer checks every ranking at once and joins the items itself
+        truth, data = syn.gen_ranking_tasks(syn.RankingScenario(n=40, rho=12, thetas=(0.0, 0.5, 3.0), seed=8))
+        uio.write_dataset(tmp_path / "dataset.csv", data)
+        rows = [f"{t},{a},\"{perm.perm_to_str(p)}\"" for t, row in enumerate(data.labels) for a, p in enumerate(row)]
+        assert (tmp_path / "dataset.csv").read_text() == "\n".join(["task_id,lf_id,perm", *rows]) + "\n"
+
+    @pytest.mark.parametrize("bad", [[0, 0, 1], [0, 1, 3], [-1, 0, 1]])
+    def test_ranking_writer_refuses_a_non_permutation(self, tmp_path, bad):
+        truth = np.array([[2, 0, 1], bad, [0, 1, 2]])
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"ranking 1 is not a permutation of 0..2: {bad}")):
+            uio.write_truth(tmp_path / "truth.csv", truth, lm.RANKING)
 
     def test_real_truth(self, tmp_path):
         truth = np.array([0.25, -1.5, 3.125e-7])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import (
+    reference_backward_map,
     reference_pair_signs,
     reference_partner_pairs,
     reference_quadratic_core,
@@ -599,7 +600,10 @@ def per_triplet_reference(data, path, corr, prior=None):
             np.fill_diagonal(pair_dist, 0.0)
             md = half_sums(moment_strength(e), pair_dist)
             acc = 1.0 - 2.0 * md / d
-        return md, acc, np.array([lm._ranking_theta(v, data.rho) for v in md]), e.mean(axis=2)
+        # the clamping policy, then the plain bisection for the means inside (0, rho(rho-1)/4)
+        thetas = [0.0 if v >= mallows.uniform_mean_distance(data.rho) else mallows.BACKWARD_BRACKET[1] if v <= 0.0
+                  else reference_backward_map(v, data.rho) for v in md.tolist()]
+        return md, acc, np.array(thetas), e.mean(axis=2)
 
     if data.space_kind == lm.REAL_VECTOR:
         values = data.labels.transpose(1, 0, 2)

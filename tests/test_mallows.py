@@ -2,10 +2,13 @@
 
 import math
 from collections import Counter
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from conftest import reference_mallows_draw
+from conftest import reference_backward_map, reference_mallows_draw
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from uws import mallows
@@ -60,6 +63,8 @@ class TestExpectedDistance:
             mallows.expected_distance(0.0, 4)
         with pytest.raises(DomainError):
             mallows.expected_distance(-1.0, 4)
+        with pytest.raises(DomainError, match="nan"):
+            mallows.expected_distance(math.nan, 4)
 
     def test_bit_identical_where_no_term_overflows(self):
         compared = 0
@@ -140,6 +145,100 @@ class TestBackwardMap:
         assert abs(mallows.expected_distance(theta_hat, 7) - 2.0) <= 1e-10
 
 
+def exact_expected_distance(theta, rho):
+    """The closed form at the float ``theta``, in 50-digit decimal arithmetic, every term kept."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t = Decimal(theta)
+        out = rho / (t.exp() - 1) - sum(j / ((t * j).exp() - 1) for j in range(1, rho + 1))
+        return float(out)
+
+
+def reference_midpoints(mean, rho):
+    """Every midpoint the plain bisection evaluates for ``mean``, in order."""
+    mids, scalar = [], mallows.expected_distance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mallows, "expected_distance", lambda t, r: mids.append(t) or scalar(t, r))
+        reference_backward_map(mean, rho)
+    return mids
+
+
+def assert_same_as_plain_bisection(means, rho):
+    means = np.asarray(means, dtype=np.float64)
+    want = [reference_backward_map(mu, rho) for mu in means.tolist()]
+    got = mallows.backward_map(means, rho)
+    assert got.shape == means.shape
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], rho
+    assert [mallows.backward_map(mu, rho).hex() for mu in means.tolist()] == [x.hex() for x in want], rho
+
+
+class TestCertifiedBackwardMap:
+    """The certified bracket decides comparisons without evaluating; every theta must
+    still be the plain bisection's, bit for bit."""
+
+    @pytest.mark.parametrize("rho", [2, 3, 4, 5, 7, 10, 13, 20, 28, 29, 40])
+    def test_bit_identical_on_a_theta_grid(self, rho):
+        thetas = np.exp(np.random.default_rng(rho).uniform(math.log(1e-8), math.log(50.0), 150))
+        means = [mallows.expected_distance(t, rho) for t in thetas]
+        assert_same_as_plain_bisection([mu for mu in means if 0.0 < mu < mallows.uniform_mean_distance(rho)], rho)
+
+    @pytest.mark.parametrize("rho", [2, 5, 7, 10, 29, 40])
+    @pytest.mark.parametrize("theta", [3e-7, 1e-4, 0.004, 0.15, 0.9, 3.3, 18.0, 45.0])
+    def test_bit_identical_at_the_plain_paths_last_midpoints(self, rho, theta):
+        # a mean equal to f~ at a midpoint the bisection evaluates, or a float next to it,
+        # is where a comparison is closest to going the other way
+        targets = []
+        for mid in reference_midpoints(mallows.expected_distance(theta, rho), rho)[-12:]:
+            mu = mallows.expected_distance(mid, rho)
+            targets += [np.nextafter(mu, 0.0), mu, np.nextafter(mu, np.inf)]
+        assert_same_as_plain_bisection([mu for mu in targets if 0.0 < mu < mallows.uniform_mean_distance(rho)], rho)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rho=st.integers(2, 40), fraction=st.floats(1e-300, 1.0, exclude_max=True))
+    def test_bit_identical_on_drawn_means(self, rho, fraction):
+        assert_same_as_plain_bisection([fraction * mallows.uniform_mean_distance(rho)], rho)
+
+    @pytest.mark.parametrize("rho", [2, 3, 7, 10, 20, 40])
+    def test_error_bound_holds(self, rho):
+        # tiny thetas, where the closed form cancels, and theta * j past 709.78, where terms drop
+        thetas = [*np.geomspace(1e-8, 50.0, 30), 709.78 / rho * 0.999, 709.78 / rho * 1.001, 49.9]
+        for theta in [t for t in thetas if t <= 50.0]:
+            err = abs(mallows.expected_distance(theta, rho) - exact_expected_distance(theta, rho))
+            # the bound is twice its first-order derivation
+            assert err <= 0.5 * mallows._error_bound(theta, rho), (theta, rho, err)
+
+    def test_error_bound_decreases(self):
+        for rho in (2, 10, 40):
+            bounds = [mallows._error_bound(t, rho) for t in np.geomspace(1e-8, 50.0, 200)]
+            assert all(b < a for a, b in zip(bounds, bounds[1:]))
+
+    def test_few_evaluations(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        means = {rho: [mallows.expected_distance(t, rho) for t in np.exp(rng.uniform(math.log(0.01), math.log(10.0), 40))]
+                 for rho in (3, 7, 10, 20)}
+        calls = Counter()
+        scalar = mallows.expected_distance
+        monkeypatch.setattr(mallows, "expected_distance", lambda t, r: calls.update([r]) or scalar(t, r))
+        for rho, mus in means.items():
+            mallows.backward_map(np.array(mus), rho)
+        # the plain bisection makes 46 calls per mean
+        assert all(calls[rho] <= 8 * len(mus) for rho, mus in means.items()), calls
+
+    def test_array_error_names_the_entry(self):
+        with pytest.raises(InfeasibleMeanError, match=r"mean distance 5\.0 at index 2 "):
+            mallows.backward_map(np.array([1.0, 2.0, 5.0, 0.0]), 5)
+        with pytest.raises(InfeasibleMeanError, match=r"mean distance nan at index 1, 0 "):
+            mallows.backward_map(np.array([[1.0, 2.0], [np.nan, 1.0]]), 5)
+
+    def test_shapes(self):
+        assert isinstance(mallows.backward_map(2.0, 7), float)
+        assert isinstance(mallows.backward_map(np.float64(2.0), 7), float)
+        assert mallows.backward_map(np.empty((0, 2)), 7).shape == (0, 2)
+        grid = np.array([[0.5, 1.0], [2.0, 4.0]])
+        assert mallows.backward_map(grid, 7).shape == (2, 2)
+        assert mallows.backward_map(grid, 7)[1, 0] == mallows.backward_map(2.0, 7)
+
+
 class TestSampler:
     def test_near_degenerate_returns_center(self):
         center = np.array([3, 0, 4, 1, 2])
@@ -205,6 +304,8 @@ class TestSampler:
     def test_rejects_negative_theta(self):
         with pytest.raises(DomainError):
             mallows.MallowsModel(perm.identity(4), -0.1)
+        with pytest.raises(DomainError, match="nan"):
+            mallows.MallowsModel(perm.identity(4), math.nan)
 
     def test_uniform_past_a_cdf_that_ends_below_one_takes_the_last_bucket(self):
         # at this theta the 8-term insertion CDF of item 7 ends 2^-52 below 1, under the largest uniform

@@ -19,6 +19,9 @@ class TestRankingScenario:
             syn.RankingScenario(n=10, rho=5, thetas=(1.0, 1.0), seed=0)
         with pytest.raises(InvalidArgumentError):
             syn.RankingScenario(n=10, rho=5, thetas=(1.0, -1.0, 1.0), seed=0)
+        with pytest.raises(InvalidArgumentError, match="labeler 1 has nan"):
+            syn.RankingScenario(n=10, rho=5, thetas=(1.0, float("nan"), 0.5), seed=0)
+        assert syn.RankingScenario(n=10, rho=5, thetas=(1.0, float("inf"), 0.5), seed=0).thetas[1] == float("inf")
 
     def test_near_degenerate_labelers_copy_truth(self):
         s = syn.RankingScenario(n=1000, rho=5, thetas=(50.0, 50.0, 50.0), seed=7)
@@ -112,6 +115,10 @@ class TestGraphScenario:
             syn.GraphScenario(n_nodes=5, n_edges=3, n=10, thetas=(1.0,) * 3, seed=0)
         with pytest.raises(InvalidArgumentError):
             syn.GraphScenario(n_nodes=5, n_edges=30, n=10, thetas=(1.0,) * 3, seed=0)
+        with pytest.raises(InvalidArgumentError, match="labeler 2 has nan"):
+            syn.GraphScenario(n_nodes=5, n_edges=6, n=10, thetas=(1.0, 0.5, float("nan")), seed=0)
+        with pytest.raises(InvalidArgumentError, match="labeler 0 has -0.5"):
+            syn.GraphScenario(n_nodes=5, n_edges=6, n=10, thetas=(-0.5, 1.0, 1.0), seed=0)
 
     def test_generation_error_when_no_retries(self):
         s = syn.GraphScenario(n_nodes=8, n_edges=7, n=5, thetas=(1.0,) * 3, seed=0, max_retries=0)
