@@ -55,6 +55,7 @@ from .errors import (
     UseHeuristicError,
 )
 from .label_model import FINITE_METRIC, RANKING, REAL_VECTOR
+from .permutations import pair_flags, pair_indices
 
 __all__ = [
     "kemeny_exact",
@@ -106,29 +107,34 @@ def _aggregate_finite(labels, weights, space):
 
 
 def _preference_tensor(labels, weights):
-    """pref[t, i, j] = total weight of task t's labelers placing item i before item j."""
+    """pref[t, i, j] = total weight of task t's labelers placing item i before item j.
+
+    Labelers add in order, w to one entry of each pair and w - w = 0 to the
+    other, so each entry rounds as an einsum over its own task does (a batched
+    einsum may sum in partial sums).
+    """
     n, m, rho = labels.shape
-    pref = np.empty((n, rho, rho))
-    for s in _chunks(n, m * rho * rho):
-        pos = np.argsort(labels[s], axis=-1)  # position of each item
-        pref[s] = np.einsum("a,taij->tij", weights, pos[..., :, None] < pos[..., None, :])
+    iu, ju = pair_indices(rho)
+    pref = np.zeros((n, rho, rho))
+    for s in _chunks(n, (m + 16) * len(iu)):
+        f = pair_flags(labels[s]).T  # (P, m, chunk), contiguous
+        first, second = np.zeros((2, len(iu), f.shape[2]))
+        for a, w in enumerate(weights.tolist()):
+            t = w * f[:, a]
+            first += t
+            second += w - t
+        pref[s, iu, ju] = first.T
+        pref[s, ju, iu] = second.T
     return pref
-
-
-def _first_flags(orders):
-    """flags[..., p]: the order puts item iu[p] before item ju[p] (pairs of triu_indices)."""
-    pos = np.argsort(orders, axis=-1)
-    iu, ju = np.triu_indices(orders.shape[-1], k=1)
-    return pos[..., iu] < pos[..., ju]
 
 
 def _candidate_costs(pref, cands):
     """Kemeny objectives (n, c) of each task's own candidate orders (n, c, rho)."""
     n, c, rho = cands.shape
-    iu, ju = np.triu_indices(rho, k=1)
+    iu, ju = pair_indices(rho)
     costs = np.empty((n, c))
     for s in _chunks(n, 9 * c * len(iu)):
-        costs[s] = _row_sums(np.where(_first_flags(cands[s]), pref[s, None, ju, iu], pref[s, None, iu, ju]))
+        costs[s] = _row_sums(np.where(pair_flags(cands[s]), pref[s, None, ju, iu], pref[s, None, iu, ju]))
     return costs
 
 

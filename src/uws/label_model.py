@@ -32,7 +32,7 @@ from .errors import (
     SignAmbiguousError,
 )
 from .metric_spaces import FiniteMetricSpace, classical_mds
-from .permutations import are_permutations, pair_indices
+from .permutations import are_permutations, pair_flags
 
 __all__ = [
     "EPS_FLOOR",
@@ -232,19 +232,14 @@ def empirical_pair_moments(values):
 def _pair_signs(rankings):
     """Labeler-major (m, n, P) int8 view of the +-1 pair-sign coordinates of (n, m, rho) rankings.
 
-    Entries equal :func:`~uws.permutations.pair_sign_embed_many`; the storage
-    is coordinate-major (P, m, n), the layout :func:`empirical_pair_moments`
-    multiplies in, so its float64 product operand is one contiguous cast.
+    Entries equal :func:`~uws.permutations.pair_sign_embed_many`, made in place on the bytes of
+    :func:`~uws.permutations.pair_flags`; the storage is its pair-major (P, m, n), the layout
+    :func:`empirical_pair_moments` multiplies in, so its float64 operand is one contiguous cast.
     """
-    rho = rankings.shape[2]
-    # (rho, m, n) item positions, in the smallest integer type that holds them
-    pos = np.argsort(rankings, axis=-1).astype(np.min_scalar_type(rho))
-    pos = np.ascontiguousarray(pos.transpose(2, 1, 0))
-    iu, ju = pair_indices(rho)
-    s = (pos[iu] < pos[ju]).view(np.int8)  # 2 b - 1 on the comparison's bytes
-    s = s + s
+    s = pair_flags(rankings).view(np.int8)
+    s += s
     s -= 1
-    return s.transpose(1, 2, 0)
+    return s.transpose(1, 0, 2)
 
 
 def _continuous_core(e_ab, e_ac, e_bc, second_moment):
@@ -646,6 +641,8 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy=Non
             or isinstance(prior, TwoPointPrior) and path != "hypercube"):
         raise ConfigurationError(f"{type(prior).__name__} is not read on the {path} route for {kind} labels")
     m = data.n_lfs
+    if kind == RANKING and data.rho < 2:
+        raise InvalidArgumentError(f"a ranking label model needs rho >= 2 items, got rho = {data.rho}")
 
     # embed: labeler-major (m, n, d) views of coordinate-major storage, the
     # layout of the pair-moment product; finite isotropic stays native

@@ -6,9 +6,9 @@ exactly once. All functions accept any integer sequence and return numpy
 arrays.
 
 Pair coordinates are indexed lexicographically over item pairs (i, j) with
-i < j; every module in the package shares this ordering, so coordinate k of
-one labeler's embedding always refers to the same item pair as coordinate k
-of another's.
+i < j, shared by every module. :func:`pair_flags` decides every pair order:
+the pair-sign embedding, the Kendall distance and the Kemeny sums read its
+``(..., P)`` bool flags, a view of pair-major ``(P, ...reversed)`` storage.
 """
 
 from itertools import permutations as _permutations
@@ -26,6 +26,7 @@ __all__ = [
     "pair_sign_embed",
     "pair_sign_embed_many",
     "pair_indices",
+    "pair_flags",
     "all_permutations",
     "perm_to_str",
     "perm_from_str",
@@ -70,6 +71,19 @@ def pair_indices(rho):
     return np.triu_indices(rho, k=1)
 
 
+def pair_flags(orders):
+    """(..., P) bool: whether each of the (..., rho) orders puts item i before item j, (i, j) of :func:`pair_indices`.
+
+    A view whose ``.T`` is C-contiguous pair-major (P, ...reversed) storage: positions in the
+    smallest type that holds them, compared one contiguous row per item.
+    """
+    orders = np.asarray(orders)
+    rho = orders.shape[-1]
+    pos = np.ascontiguousarray(np.argsort(orders, axis=-1).astype(np.min_scalar_type(rho)).T)
+    iu, ju = pair_indices(rho)
+    return (pos[iu] < pos[ju]).T
+
+
 def kendall_tau(a, b):
     """Kendall tau distance: number of item pairs ordered differently by a and b.
 
@@ -83,29 +97,19 @@ def kendall_tau(a, b):
     int
         Count in ``0 .. C(rho, 2)``. Symmetric in its arguments.
     """
-    a = check_permutation(a)
-    b = check_permutation(b)
-    if a.size != b.size:
-        raise InvalidArgumentError(f"length mismatch: {a.size} vs {b.size}")
-    return int(kendall_tau_many(a, b))
+    return int(kendall_tau_many(check_permutation(a), check_permutation(b)))
 
 
 def kendall_tau_many(A, B):
     """Row-wise Kendall tau distances between two (..., rho) permutation arrays.
 
-    Compares every ordered item pair's "i before j" in the two rows; each
-    discordant pair shows up as (i, j) and (j, i), hence the halving. rho = 1
-    gives 0.
+    Counts the item pairs whose :func:`pair_flags` differ in the two rows.
+    rho = 1 has no pairs and gives 0.
     """
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
+    A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
     if A.shape != B.shape:
         raise InvalidArgumentError(f"shape mismatch: {A.shape} vs {B.shape}")
-    pos_a = np.argsort(A, axis=-1)
-    pos_b = np.argsort(B, axis=-1)
-    before_a = pos_a[..., :, None] < pos_a[..., None, :]
-    before_b = pos_b[..., :, None] < pos_b[..., None, :]
-    return (before_a != before_b).sum(axis=(-2, -1)) // 2
+    return (pair_flags(A) != pair_flags(B)).sum(axis=-1)
 
 
 def pair_sign_embed(p):
@@ -114,21 +118,14 @@ def pair_sign_embed(p):
     Entry k, for the k-th lexicographic pair (i, j) with i < j, is +1 when
     i precedes j in ``p`` and -1 otherwise. The map is injective on S_rho.
     """
-    p = check_permutation(p)
-    if p.size < 2:
-        raise InvalidArgumentError("pair-sign embedding needs rho >= 2")
-    return pair_sign_embed_many(p[None, :])[0]
+    return pair_sign_embed_many(check_permutation(p)[None, :])[0]
 
 
 def pair_sign_embed_many(P):
     """Vectorized :func:`pair_sign_embed` over an (..., rho) array of permutations."""
-    P = np.asarray(P, dtype=np.int64)
-    rho = P.shape[-1]
-    if rho < 2:
+    if np.shape(P)[-1] < 2:
         raise InvalidArgumentError("pair-sign embedding needs rho >= 2")
-    pos = np.argsort(P, axis=-1)
-    iu, ju = pair_indices(rho)
-    return np.where(pos[..., iu] < pos[..., ju], 1, -1).astype(np.int64)
+    return np.where(pair_flags(P), 1, -1).astype(np.int64, order="C")
 
 
 def all_permutations(rho):

@@ -226,8 +226,12 @@ def reference_kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
 
 
 def reference_aggregate_finite(labels, weights, dist):
-    """Weighted distance argmin over every point, lowest index on ties."""
-    costs = (weights[None, :] * dist[:, np.asarray(labels)]).sum(axis=1)
+    """Weighted distance argmin over every point, lowest index on ties.
+
+    Each point's cost is summed as one contiguous row, as the library documents: the gather
+    ``dist[:, labels]`` is column-major, and summed in place it rounds term by term instead.
+    """
+    costs = np.ascontiguousarray(weights[None, :] * dist[:, np.asarray(labels)]).sum(axis=1)
     return int(np.argmin(costs))
 
 
@@ -347,7 +351,9 @@ def reference_check_metric(d):
         raise InvalidMetricError("negative distances")
     if np.abs(np.diag(d)).max(initial=0.0) > 1e-9:
         raise InvalidMetricError("diagonal must be zero")
-    if np.abs(d - d.T).max(initial=0.0) > 1e-9:
+    with np.errstate(invalid="ignore"):  # an infinite pair gives inf - inf = NaN, and NaN compares False
+        asymmetry = np.abs(d - d.T).max(initial=0.0)
+    if asymmetry > 1e-9:
         raise InvalidMetricError("distance matrix must be symmetric")
     for k in range(d.shape[0]):
         if (d > d[:, k, None] + d[None, k, :] + 1e-9).any():

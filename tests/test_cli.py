@@ -146,6 +146,16 @@ class TestLearn:
         assert code == 2
         assert "triplet unavailable" in capsys.readouterr().err
 
+    def test_one_item_rankings_exit_validation(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        out.mkdir()
+        rows = ["task_id,lf_id,perm"] + [f'{t},{a},"0"' for t in range(5) for a in range(4)]
+        (out / "dataset.csv").write_text("\n".join(rows) + "\n")
+        code = main(["learn", "--dataset", str(out), "--model", str(tmp_path / "m.json")])
+        assert code == VALIDATION_EXIT
+        assert "rho = 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_degenerate_moments_exit_runtime(self, tmp_path, capsys):
         # two tasks on which labelers 0 and 1 agree then disagree exactly:
         # their pairwise moment is identically zero, the floor policy raises

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations as iter_permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from conftest import (
     reference_aggregate_finite,
     reference_kemeny_exact,
     reference_kemeny_fraction,
+    reference_kemeny_cost,
     reference_kemeny_local_search,
+    reference_preference_matrix,
     reference_subset_dp,
 )
 from hypothesis import HealthCheck, assume, given, settings
@@ -64,6 +67,10 @@ class TestMajorityVote:
         p = [2, 0, 3, 1]
         got = majority_vote(ranking_problem([p, p, p]))
         assert got.tolist() == p
+
+    def test_one_item(self):
+        # a learner refuses rho = 1; the vote has nothing to order
+        assert majority_vote(ranking_problem([[0], [0], [0]])).tolist() == [0]
 
     def test_real_values_arithmetic_mean(self):
         assert majority_vote(real_problem([1.0, 2.0, 6.0])) == pytest.approx(3.0)
@@ -529,6 +536,30 @@ def exact_or_near_tie(got, labels, weights, rho, dyadic):
     slack = Fraction(rho * (rho - 1) // 2, 2**52) * sum(Fraction(float(w)) for w in weights)
     assert fraction_kemeny_cost(labels, weights, got) <= best + slack
     return got
+
+
+class TestPairOrderSums:
+    """The batched preference tensor and candidate costs against conftest's per-task einsum and
+    pair sum, bit for bit, at every chunk size."""
+
+    weights = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.25, -0.25]),
+                        st.floats(1e-8, 1e8), st.floats(-1e8, -1e-8))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rho=st.integers(1, 12), m=st.integers(1, 30), n=st.integers(1, 4),
+           chunk_bytes=st.sampled_from([1, 1 << 20]), label_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_preference_tensor_and_candidate_costs(self, rho, m, n, chunk_bytes, label_seed, data):
+        rng = np.random.default_rng(label_seed)
+        labels = np.argsort(rng.random((n, m, rho)), axis=-1)
+        cands = np.argsort(rng.random((n, 5, rho)), axis=-1)
+        weights = np.array(data.draw(st.lists(self.weights, min_size=m, max_size=m)))
+        with mock.patch.object(inf, "_CHUNK_BYTES", chunk_bytes):
+            pref = inf._preference_tensor(labels, weights)
+            costs = inf._candidate_costs(pref, cands)
+        for t in range(n):
+            assert pref[t].tobytes() == reference_preference_matrix(labels[t], weights, rho).tobytes()
+            for c in range(5):
+                assert costs[t, c].tobytes() == np.float64(reference_kemeny_cost(pref[t], cands[t, c])).tobytes()
 
 
 class TestBatchedEngineMatchesReference:

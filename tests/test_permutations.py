@@ -23,6 +23,27 @@ def naive_kendall(a, b):
     return count
 
 
+def naive_pair_flags(order):
+    """Whether ``order`` puts i before j, for i < j in lexicographic order, by a double loop."""
+    pos = np.argsort(order)
+    return [bool(pos[i] < pos[j]) for i in range(len(order)) for j in range(i + 1, len(order))]
+
+
+class TestPairFlags:
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("rho", [1, 2, 7, 300])
+    def test_matches_naive_double_loop(self, lead, rho):
+        # rho = 1 has an empty pair axis; rho = 300 compares uint16 positions
+        orders = np.argsort(np.random.default_rng(rho).random((*lead, rho)), axis=-1)
+        flags = perm.pair_flags(orders)
+        assert flags.dtype == bool
+        assert flags.shape == (*lead, perm.num_pairs(rho))
+        # a view of pair-major storage
+        assert flags.T.flags.c_contiguous
+        for idx in np.ndindex(lead):
+            assert flags[idx].tolist() == naive_pair_flags(orders[idx])
+
+
 class TestKendallTau:
     def test_identity_case(self):
         e = perm.identity(4)
@@ -38,7 +59,7 @@ class TestKendallTau:
         with pytest.raises(InvalidArgumentError):
             perm.kendall_tau([0, 1], [0, 1, 2])
 
-    @pytest.mark.parametrize("rho", [2, 3, 5, 8, 40])
+    @pytest.mark.parametrize("rho", [1, 2, 3, 5, 8, 40])
     def test_matches_naive_oracle(self, rho):
         rng = np.random.default_rng(11 + rho)
         for _ in range(25):
@@ -120,6 +141,7 @@ class TestPairSignEmbed:
     @pytest.mark.parametrize("rho", [2, 3, 4, 5, 6])
     def test_injective_exhaustive(self, rho):
         g = perm.pair_sign_embed_many(perm.all_permutations(rho))
+        assert g.dtype == np.int64 and g.flags.c_contiguous
         assert len({tuple(row) for row in g.tolist()}) == len(g)
 
 
