@@ -241,6 +241,11 @@ def cmd_infer(args):
                 f"{args.truth}: truth file is {truth_kind}/{len(truth)} rows, dataset is "
                 f"{data.space_kind}/{data.n_tasks} tasks"
             )
+        if truth_kind == FINITE_METRIC:
+            outside = np.flatnonzero((truth < 0) | (truth >= data.space.size))
+            if outside.size:
+                raise InvalidArgumentError(f"{args.truth}: task {outside[0]} has truth node {truth[outside[0]]}, "
+                                           f"outside 0..{data.space.size - 1}")
     labels = inference.aggregate_dataset(data, rule=args.rule, seed=args.seed, model=model)
     # the output directory appears only once every input has been read and aggregated
     out = Path(args.out)

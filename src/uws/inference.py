@@ -429,11 +429,11 @@ def aggregate_dataset(data, weights=None, rule="weighted", seed=0, model=None):
     """
     if rule not in ("mv", "weighted"):
         raise ConfigurationError(f"unknown rule {rule!r}")
+    if rule == "weighted" and weights is None and model is None:
+        raise ConfigurationError("weighted rule needs weights or a learned model")
     kind = data.space_kind
 
     if rule == "weighted" and kind == REAL_VECTOR and weights is None:
-        if model is None:
-            raise ConfigurationError("weighted rule needs weights or a learned model")
         values = data.labels[:, :, 0]
         if not np.isnan(model.accuracies).any():
             # Gaussian conditional mean: exact weighted inference for real labels
@@ -449,8 +449,6 @@ def aggregate_dataset(data, weights=None, rule="weighted", seed=0, model=None):
     if rule == "mv":
         weights = np.ones(data.n_lfs)
     elif weights is None:
-        if model is None:
-            raise ConfigurationError("weighted rule needs weights or a learned model")
         weights = model.thetas
     weights = _finite_weights(weights, data.n_lfs)
     weights = np.where(weights < 0, 0.0, weights)

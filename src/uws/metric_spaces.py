@@ -117,7 +117,8 @@ def graph_hop_metric(edges, n_nodes):
     Parameters
     ----------
     edges : iterable of (u, v)
-        Undirected edges over nodes 0..n_nodes-1. Self-loops are ignored.
+        Undirected edges over nodes 0..n_nodes-1, as a list or generator of
+        pairs, an (E, 2) integer array, or empty. Self-loops are ignored.
     n_nodes : int
 
     Returns
@@ -132,16 +133,14 @@ def graph_hop_metric(edges, n_nodes):
     """
     if n_nodes < 1:
         raise InvalidArgumentError(f"need n_nodes >= 1, got {n_nodes}")
-    pairs = []
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-            raise InvalidArgumentError(f"edge ({u}, {v}) outside 0..{n_nodes - 1}")
-        if u != v:
-            pairs.append((u, v))
+    ends = np.fromiter(edges, dtype=np.dtype((np.int64, 2)))
+    outside = ((ends < 0) | (ends >= n_nodes)).any(axis=1)
+    if outside.any():
+        u, v = ends[outside.argmax()]
+        raise InvalidArgumentError(f"edge ({u}, {v}) outside 0..{n_nodes - 1}")
+    ends = ends[ends[:, 0] != ends[:, 1]]
     # padded neighbour lists: row u holds u's neighbours, then n_nodes, a
     # column of the frontier that is never set
-    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     src, dst = np.concatenate([ends, ends[:, ::-1]]).T
     order = np.argsort(src, kind="stable")
     src, dst = src[order], dst[order]
@@ -150,8 +149,8 @@ def graph_hop_metric(edges, n_nodes):
     nbr[src, np.arange(src.size) - (np.cumsum(degree) - degree)[src]] = dst
     # breadth-first from many sources at once: a node joins the next frontier
     # when one of its neighbours is in this one and it has no distance yet
-    dist = np.full((n_nodes, n_nodes), -1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
+    dist = np.full((n_nodes, n_nodes), -1.0)
+    np.fill_diagonal(dist, 0.0)
     chunk = max(1, 2**20 // max(1, n_nodes * nbr.shape[1]))
     for lo in range(0, n_nodes, chunk):
         block = dist[lo : lo + chunk]  # a view: writes land in dist
@@ -166,7 +165,7 @@ def graph_hop_metric(edges, n_nodes):
     if (dist < 0).any():
         raise DisconnectedGraphError("graph is disconnected: some hop distances are infinite")
     # shortest-path lengths satisfy the triangle inequality by construction
-    return FiniteMetricSpace._derived(dist.astype(np.float64))
+    return FiniteMetricSpace._derived(dist)
 
 
 def _contraction_stats(orig, coords, exponent):

@@ -30,7 +30,7 @@ from . import mallows
 from ._streams import generators, uniforms
 from .errors import DisconnectedGraphError, GenerationError, InvalidArgumentError
 from .label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
-from .metric_spaces import FiniteMetricSpace, graph_hop_metric
+from .metric_spaces import graph_hop_metric
 
 __all__ = [
     "RankingScenario",
@@ -212,14 +212,12 @@ def _labeler_paths(n, m):
 
 
 def _sample_graph(scenario):
-    n_nodes, n_edges = scenario.n_nodes, scenario.n_edges
-    all_pairs = [(u, v) for u in range(n_nodes) for v in range(u + 1, n_nodes)]
+    # node pairs in lexicographic order; an attempt keeps the pairs at its sorted draws
+    pairs = np.stack(np.triu_indices(scenario.n_nodes, k=1), axis=1)
     for attempt in range(scenario.max_retries):
-        rng = substream(scenario.seed, 0, attempt)
-        chosen = rng.choice(len(all_pairs), size=n_edges, replace=False)
-        edges = [all_pairs[k] for k in sorted(chosen.tolist())]
+        chosen = substream(scenario.seed, 0, attempt).choice(len(pairs), size=scenario.n_edges, replace=False)
         try:
-            return edges, graph_hop_metric(edges, n_nodes)
+            return graph_hop_metric(pairs[np.sort(chosen)], scenario.n_nodes)
         except DisconnectedGraphError:
             continue
     raise GenerationError(f"no connected graph after {scenario.max_retries} attempts")
@@ -233,28 +231,24 @@ def gen_graph_tasks(scenario):
     labeler a picks node v with probability proportional to
     exp(-thetas[a] * hops(v, truth)).
     """
-    _, space = _sample_graph(scenario)
+    space = _sample_graph(scenario)
     m = len(scenario.thetas)
-    n_nodes = scenario.n_nodes
-    # per-labeler, per-center categorical CDFs over nodes, without the last entry: a uniform
-    # above every kept entry takes the last node, also where the full CDF ends below 1
-    cdfs = np.empty((m, n_nodes, n_nodes - 1))
-    for a, theta in enumerate(scenario.thetas):
-        w = np.exp(-theta * space.dist)
-        probs = w / w.sum(axis=0, keepdims=True)
-        cdfs[a] = np.cumsum(probs, axis=0).T[:, :-1]  # row y: cdf over nodes given center y
-    n = scenario.n
+    n, n_nodes = scenario.n, scenario.n_nodes
     truth = np.array([rng.integers(n_nodes) for rng in generators(scenario.seed, _task_paths(1, n))],
                      dtype=np.int64)
     u = uniforms(scenario.seed, _labeler_paths(n, m), 1).reshape(n, m)
-    # each label is searchsorted(cdfs[a, truth], u): the count of CDF entries below u,
-    # over chunks of tasks of about 1 MiB of gathered CDFs
     labels = np.empty((n, m), dtype=np.int64)
-    chunk = max(1, 2**20 // (8 * m * n_nodes))
-    for lo in range(0, n, chunk):
-        part = slice(lo, lo + chunk)
-        below = cdfs[:, truth[part]] < u[part].T[:, :, None]
-        labels[part] = below.sum(axis=2).T
+    chunk = max(1, 2**20 // (8 * n_nodes))
+    for a, theta in enumerate(scenario.thetas):
+        # labeler a's categorical CDFs over nodes, row y given center y, in contiguous rows without the last
+        # entry: a uniform above every kept entry takes the last node, also where the full CDF ends below 1
+        w = np.exp(-theta * space.dist)
+        cdf = np.ascontiguousarray(np.cumsum(w / w.sum(axis=0, keepdims=True), axis=0).T[:, :-1])
+        # each label is searchsorted(cdf[truth], u), the count of its row's entries below u, over chunks
+        # of tasks of about 1 MiB of gathered rows
+        for lo in range(0, n, chunk):
+            part = slice(lo, lo + chunk)
+            labels[part, a] = (cdf[truth[part]] < u[part, a, None]).sum(axis=1)
     return space, truth, LabelingMatrix(FINITE_METRIC, labels, space=space)
 
 

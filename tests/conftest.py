@@ -351,9 +351,8 @@ def reference_check_metric(d):
         raise InvalidMetricError("negative distances")
     if np.abs(np.diag(d)).max(initial=0.0) > 1e-9:
         raise InvalidMetricError("diagonal must be zero")
-    with np.errstate(invalid="ignore"):  # an infinite pair gives inf - inf = NaN, and NaN compares False
-        asymmetry = np.abs(d - d.T).max(initial=0.0)
-    if asymmetry > 1e-9:
+    unequal = d != d.T  # an infinite pair equal to its mirror is symmetric; inf - inf would be NaN
+    if (np.abs(d[unequal] - d.T[unequal]) > 1e-9).any():
         raise InvalidMetricError("distance matrix must be symmetric")
     for k in range(d.shape[0]):
         if (d > d[:, k, None] + d[None, k, :] + 1e-9).any():

@@ -326,6 +326,43 @@ class TestInfer:
         assert not (tmp_path / "pred").exists()
 
 
+class TestGraphRoundTrip:
+    SCENARIO = {"kind": "graph", "n_nodes": 40, "n_edges": 120, "n": 60, "thetas": [2.0, 1.5, 1.0, 0.8, 0.5],
+                "seed": 4}
+
+    @pytest.fixture
+    def generated(self, tmp_path):
+        data_dir, model = tmp_path / "data", tmp_path / "model.json"
+        assert main(["generate", "--scenario", str(write_json(tmp_path / "s.json", self.SCENARIO)),
+                     "--out", str(data_dir)]) == 0
+        assert main(["learn", "--dataset", str(data_dir), "--model", str(model)]) == 0
+        return data_dir, model
+
+    @pytest.mark.parametrize("rule", ["mv", "weighted"])
+    def test_infer_with_truth(self, tmp_path, generated, rule):
+        data_dir, model = generated
+        out = tmp_path / "pred"
+        assert main(["infer", "--dataset", str(data_dir), "--model", str(model), "--out", str(out),
+                     "--rule", rule, "--truth", str(data_dir / "truth.csv")]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert sorted(metrics) == ["accuracy", "mean_distance", "n"]
+        assert metrics["n"] == 60 and 0.0 <= metrics["accuracy"] <= 1.0 and metrics["mean_distance"] >= 0.0
+        assert len((out / "pseudolabels.csv").read_text().splitlines()) == 1 + 60
+
+    @pytest.mark.parametrize("node", [40, -1])
+    def test_truth_node_outside_the_space_exits_validation(self, tmp_path, capsys, generated, node):
+        # node 40 would index past the 40-node space, node -1 would wrap to its last node
+        data_dir, model = generated
+        header, first, *rest = (data_dir / "truth.csv").read_text().splitlines()
+        truth = _write_lines(tmp_path / "truth.csv", [header, f"0,{node}", *rest])
+        assert first.startswith("0,")
+        assert main(["infer", "--dataset", str(data_dir), "--model", str(model), "--out", str(tmp_path / "pred"),
+                     "--rule", "weighted", "--truth", str(truth)]) == VALIDATION_EXIT
+        err = capsys.readouterr().err
+        assert f"{truth}: task 0 has truth node {node}, outside 0..39" in err and "Traceback" not in err
+        assert not (tmp_path / "pred").exists()
+
+
 class TestSweep:
     @pytest.fixture
     def sweep_scenario(self, tmp_path):

@@ -390,6 +390,10 @@ class TestKemenyLocalSearch:
                 hits += 1
         assert hits >= 28
 
+    def test_one_item_returns_the_first_label(self):
+        assert inf.kemeny_local_search([[0], [0], [0]], [1.0, 2.0, 0.5], 1).tolist() == [0]
+        assert inf.kemeny_local_search(np.zeros((4, 3, 1), dtype=int), np.ones(3), 1).tolist() == [[0]] * 4
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(29)
         labels = np.array([rng.permutation(11) for _ in range(5)])
@@ -424,6 +428,10 @@ class TestGaussianConditionalMean:
         # unbiasedness: mean residual within 3 standard errors of zero
         resid = yhat - y
         assert abs(resid.mean()) < 3 * resid.std() / np.sqrt(n)
+
+    def test_accuracy_count_must_match_the_labelers(self):
+        with pytest.raises(InvalidArgumentError, match="2 accuracies for 3 labeler values"):
+            inf.gaussian_conditional_mean([1.0, 2.0, 3.0], [0.5, 0.5], np.eye(2))
 
     def test_singular_after_ridge(self):
         with pytest.raises(SingularCovarianceError):
@@ -501,6 +509,22 @@ class TestAggregateDataset:
                 with pytest.raises(InvalidArgumentError, match=f"{k} weights for {m} labels"):
                     solver(task, np.ones(k), 5)
             assert solver(task, np.ones(m), 5).shape == shape
+
+    @pytest.mark.parametrize("solver", [inf.kemeny_exact, inf.kemeny_local_search])
+    def test_solvers_refuse_labels_of_another_length(self, solver):
+        labels = np.array([[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [1, 0, 2, 4, 3]])
+        for rho in (4, 6):
+            with pytest.raises(InvalidArgumentError, match=f"labels have length 5, expected {rho}"):
+                solver(labels, np.ones(3), rho)
+
+    def test_weighted_rule_needs_weights_or_a_model(self):
+        rng = np.random.default_rng(71)
+        labels = np.array([[rng.permutation(4) for _ in range(3)] for _ in range(5)])
+        space = graph_hop_metric([(0, 1), (1, 2), (2, 3)], 4)
+        for data in (LabelingMatrix(RANKING, labels), LabelingMatrix(FINITE_METRIC, labels[:, :, 0], space),
+                     LabelingMatrix(REAL_VECTOR, labels[:, :, 0].astype(float))):
+            with pytest.raises(ConfigurationError, match="weighted rule needs weights or a learned model"):
+                inf.aggregate_dataset(data, rule="weighted")
 
     def test_unknown_rule(self):
         data = LabelingMatrix(RANKING, np.tile(np.arange(3), (4, 3, 1)))

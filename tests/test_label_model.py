@@ -31,7 +31,7 @@ from uws.errors import (
     InvalidArgumentError,
     SignAmbiguousError,
 )
-from uws.metric_spaces import classical_mds
+from uws.metric_spaces import classical_mds, graph_hop_metric
 
 
 class TestEmpiricalPairMoments:
@@ -327,6 +327,33 @@ class TestLearnRanking:
         # stay finite and the raw estimate must be preserved either way
         assert np.isfinite(model.thetas).all()
         assert model.expected_distances.shape == (3,)
+
+
+PATH3 = graph_hop_metric([(0, 1), (1, 2)], 3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: lm.LabelingMatrix("graph", np.zeros((2, 3))), "unknown space kind 'graph'"),
+    (lambda: lm.LabelingMatrix(lm.RANKING, np.zeros((2, 3), dtype=int)), r"must be \(n, m, rho\), got \(2, 3\)"),
+    (lambda: lm.LabelingMatrix(lm.RANKING, np.zeros((2, 3, 4), dtype=int)), "must be a permutation of 0..rho-1"),
+    (lambda: lm.LabelingMatrix(lm.REAL_VECTOR, [[1.0, np.nan, 2.0]]), "real labels must be finite"),
+    (lambda: lm.LabelingMatrix(lm.REAL_VECTOR, [[1.0, np.inf, 2.0]]), "real labels must be finite"),
+    (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, np.zeros((2, 3, 1), dtype=int), PATH3),
+     r"node labels must be \(n, m\), got \(2, 3, 1\)"),
+    (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, [[0, 1, 2]]), "need an attached space"),
+    (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, [[0, 1, 3]], PATH3), "node labels outside the space"),
+    (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, [[0, -1, 2]], PATH3), "node labels outside the space"),
+    (lambda: lm.LabelingMatrix(lm.REAL_VECTOR, np.zeros((0, 3))), r"need n >= 1 and m >= 1, got shape \(0, 3, 1\)"),
+    (lambda: lm.LabelingMatrix(lm.RANKING, np.zeros((2, 0, 4), dtype=int)), r"got shape \(2, 0, 4\)"),
+    (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, np.zeros((0, 3), dtype=int), PATH3), r"got shape \(0, 3\)"),
+    (lambda: lm.LabelingMatrix(lm.REAL_VECTOR, np.zeros((2, 3))).rho, "rho only defined for ranking matrices"),
+    (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, [[0, 1, 2]], PATH3).rho, "rho only defined for ranking"),
+], ids=["unknown_kind", "ranking_2d", "not_permutations", "real_nan", "real_inf", "nodes_3d", "no_space",
+        "node_past_space", "node_negative", "no_tasks", "no_labelers", "no_node_tasks", "rho_of_reals",
+        "rho_of_nodes"])
+def test_labeling_matrix_refusals(build, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        build()
 
 
 class TestLearnConfiguration:

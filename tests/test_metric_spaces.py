@@ -163,6 +163,13 @@ class TestExactIntegerTriangleCheck:
         d[i, j] = d[j, i] = np.inf if infinite else d[i, k] + d[k, j] + delta
         assert _refusal(ms.FiniteMetricSpace, d) == _refusal(reference_check_metric, d)
 
+    def test_asymmetry_next_to_infinite_pairs(self):
+        # d[0, 1] = 1 and d[1, 0] = 2 beside pairs that are infinite both ways
+        d = np.array([[0, 1, np.inf, np.inf], [2, 0, np.inf, np.inf],
+                      [np.inf, np.inf, 0, 1], [np.inf, np.inf, 1, 0]])
+        assert _refusal(ms.FiniteMetricSpace, d) == "distance matrix must be symmetric"
+        assert _refusal(reference_check_metric, d) == "distance matrix must be symmetric"
+
     @pytest.mark.parametrize("top,dtype", [
         (0, np.uint8), (63, np.uint8), (64, np.uint8), (127, np.uint8), (128, np.uint16), (16383, np.uint16),
         (16384, np.uint16), (32767, np.uint16), (32768, np.uint32), (2**52, np.uint64),
@@ -204,6 +211,9 @@ class TestGraphHopMetric:
             adj[u, v] = adj[v, u] = 1
         oracle = shortest_path(csr_matrix(adj), unweighted=True)
         np.testing.assert_array_equal(space.dist, oracle)
+        # the same edges as an (E, 2) integer array or a generator give the same space
+        for form in (np.array(edges), np.array(edges, dtype=np.uint8), (edge for edge in edges)):
+            np.testing.assert_array_equal(ms.graph_hop_metric(form, 50).dist, space.dist)
 
     def test_integer_valued_and_exact_triangle(self):
         rng = np.random.default_rng(7)
@@ -248,6 +258,8 @@ class TestGraphHopMetric:
     def test_single_node_and_chunked_sources(self):
         np.testing.assert_array_equal(ms.graph_hop_metric([], 1).dist, [[0.0]])
         np.testing.assert_array_equal(ms.graph_hop_metric([(0, 0), (0, 0)], 1).dist, [[0.0]])
+        np.testing.assert_array_equal(ms.graph_hop_metric(np.empty((0, 2), dtype=int), 1).dist, [[0.0]])
+        np.testing.assert_array_equal(ms.graph_hop_metric(iter(()), 1).dist, [[0.0]])
         # a hub of degree 150 and a path of 50 hops: sources split over
         # several chunks, and many levels
         edges = [(0, k) for k in range(1, 151)] + [(k, k + 1) for k in range(150, 199)]

@@ -1,5 +1,7 @@
 """Synthetic scenario generators: distributions, determinism, presets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import reference_gen_graph_tasks, reference_gen_ranking_tasks, reference_gen_regression_tasks
@@ -168,6 +170,19 @@ class TestGraphScenario:
         assert (data.labels[ends_below] == 199).all()
         assert ((0 <= data.labels) & (data.labels < 200)).all()
 
+    def test_generation_memory_does_not_grow_with_labelers(self):
+        # each labeler's CDF rows are built and read in its own pass, never held for every labeler at once
+        def peak(m):
+            s = syn.GraphScenario(n_nodes=300, n_edges=1500, n=400, thetas=np.linspace(0.1, 3.0, m), seed=6)
+            tracemalloc.start()
+            try:
+                syn.gen_graph_tasks(s)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(18) <= 1.5 * peak(3)
+
     def test_deterministic(self):
         s = syn.GraphScenario(n_nodes=15, n_edges=25, n=60, thetas=(2.0, 1.0, 0.5), seed=5)
         a = syn.gen_graph_tasks(s)
@@ -270,6 +285,17 @@ class TestAgainstReference:
                 syn.gen_graph_tasks(s)
             return
         got = syn.gen_graph_tasks(s)
+        assert_same(got[0].dist, want[0].dist)
+        assert_same(got[1], want[1])
+        assert_same(got[2].labels, want[2].labels)
+
+    @pytest.mark.parametrize("thetas", [syn.heterogeneous_thetas(2)[::3], (0.0, 0.15, 2.0, 50.0)],
+                             ids=["heterogeneous_m6", "mixed_m4"])
+    def test_graph_past_one_chunk(self, thetas):
+        # past the sizes the property test draws: at N=300 a chunk gathers CDF rows of about 436 tasks,
+        # so n=500 spans two chunks of every labeler
+        s = syn.GraphScenario(n_nodes=300, n_edges=1500, n=500, thetas=thetas, seed=8)
+        got, want = syn.gen_graph_tasks(s), reference_gen_graph_tasks(s)
         assert_same(got[0].dist, want[0].dist)
         assert_same(got[1], want[1])
         assert_same(got[2].labels, want[2].labels)
