@@ -144,9 +144,10 @@ def cmd_generate(args):
     payload = io.read_json(args.scenario)
     seed = args.seed if args.seed is not None else _require(payload, "seed", args.scenario)
     scenario = _scenario(payload, seed, args.scenario)
+    space, truth, data = _generate(scenario)
+    # the output directory appears only once the scenario has been drawn
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    space, truth, data = _generate(scenario)
     if space is not None:
         io.write_distance_matrix(out / "space.csv", space)
     io.write_dataset(out / "dataset.csv", data)
@@ -194,16 +195,6 @@ def cmd_learn(args):
     return 0
 
 
-def _space_matches(model, data):
-    if model.space_kind != data.space_kind:
-        return False
-    if data.space_kind == RANKING:
-        return model.dims.get("rho") == data.rho
-    if data.space_kind == FINITE_METRIC:
-        return model.dims.get("n_points") == data.space.size
-    return True
-
-
 def _metrics(space_kind, labels, truth, space):
     if space_kind == RANKING:
         pred = np.asarray(labels)
@@ -229,11 +220,6 @@ def cmd_infer(args):
         if args.model is None:
             raise InvalidArgumentError("--rule weighted requires --model")
         model = io.read_model(args.model)
-        if not _space_matches(model, data):
-            raise InvalidArgumentError(
-                f"space mismatch: model is {model.space_kind}/{model.dims}, dataset is "
-                f"{data.space_kind}"
-            )
     if args.truth:
         truth_kind, truth = io.read_truth(args.truth)
         if truth_kind != data.space_kind or len(truth) != data.n_tasks:

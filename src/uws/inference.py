@@ -54,7 +54,7 @@ from .errors import (
     InvalidArgumentError,
     UseHeuristicError,
 )
-from .label_model import FINITE_METRIC, RANKING, REAL_VECTOR
+from .label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
 from .permutations import pair_flags, pair_indices
 
 __all__ = [
@@ -158,11 +158,10 @@ def _select(cands, costs, tol):
 
 
 def _as_batch(labels):
-    """(n, m, rho) int64 labels and whether they came as one task's (m, rho) or (rho,)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim == 3:
-        return labels, False
-    return np.atleast_2d(labels)[None], True
+    """(n, m, rho) int64 permutations and whether they came as one task's (m, rho) or (rho,)."""
+    labels = np.asarray(labels)
+    single = labels.ndim < 3
+    return LabelingMatrix(RANKING, np.atleast_2d(labels)[None] if single else labels).labels, single
 
 
 def kemeny_exact(labels, weights, rho):
@@ -198,7 +197,8 @@ def kemeny_exact(labels, weights, rho):
         If a component has more than 16 items, where its subset table would
         take over 8.9 MB: use :func:`kemeny_local_search`.
     InvalidArgumentError
-        If the weights are not one finite value per labeler.
+        If a label is not a permutation of 0..rho-1, or the weights are not
+        one finite value per labeler.
     """
     labels, single = _as_batch(labels)
     if labels.shape[2] != rho:
@@ -313,8 +313,8 @@ def kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
     a local optimum whose objective never exceeds any input label's.
     ``labels`` is one task's (m, rho) array, whose restarts come from
     ``default_rng(seed)``, or (n, m, rho) for n tasks sharing the (m,)
-    weights, task i's from ``default_rng((seed, i))``. Weights must be finite,
-    one per labeler.
+    weights, task i's from ``default_rng((seed, i))``. Labels must be
+    permutations of 0..rho-1, and weights finite, one per labeler.
     """
     labels, single = _as_batch(labels)
     if labels.shape[2] != rho:
@@ -412,9 +412,11 @@ def aggregate_dataset(data, weights=None, rule="weighted", seed=0, model=None):
     ``model`` (rankings and finite spaces use its thetas; real labels use the
     Gaussian conditional mean from its accuracies and pairwise moments, or,
     when the accuracies are unknown (NaN), the precision-weighted mean
-    ``lambda . Theta 1 / 1' Theta 1`` from its theta matrix). Weights must be
-    finite, one per labeler; a negative one counts as 0, and rescaling them by
-    a positive constant leaves the result unchanged.
+    ``lambda . Theta 1 / 1' Theta 1`` from its theta matrix). A model applies
+    only to data of its own space kind, ``dims`` and labeler count; another
+    raises InvalidArgumentError. Weights must be finite, one per labeler; a
+    negative one counts as 0, and rescaling them by a positive constant leaves
+    the result unchanged.
 
     Each task's label is the weighted argmin over the whole space: the
     weighted mean on the real line, the best point of a finite space, and on
@@ -429,9 +431,15 @@ def aggregate_dataset(data, weights=None, rule="weighted", seed=0, model=None):
     """
     if rule not in ("mv", "weighted"):
         raise ConfigurationError(f"unknown rule {rule!r}")
-    if rule == "weighted" and weights is None and model is None:
-        raise ConfigurationError("weighted rule needs weights or a learned model")
     kind = data.space_kind
+    if rule == "weighted" and weights is None:
+        if model is None:
+            raise ConfigurationError("weighted rule needs weights or a learned model")
+        if (model.space_kind, model.dims, model.n_lfs) != (kind, data.dims, data.n_lfs):
+            raise InvalidArgumentError(
+                f"space mismatch: model is {model.space_kind}/{model.dims} with {model.n_lfs} labelers, "
+                f"dataset is {kind}/{data.dims} with {data.n_lfs} labelers"
+            )
 
     if rule == "weighted" and kind == REAL_VECTOR and weights is None:
         values = data.labels[:, :, 0]

@@ -25,6 +25,7 @@ wrong width, a misplaced quote or an invalid label.
 """
 
 import csv
+import dataclasses
 import hashlib
 import io as _io
 import json
@@ -285,18 +286,8 @@ def read_truth(path):
 
 
 def model_to_dict(model):
-    return {
-        "space_kind": model.space_kind,
-        "path": model.path,
-        "dims": model.dims,
-        "thetas": model.thetas,
-        "expected_distances": model.expected_distances,
-        "accuracies": model.accuracies,
-        "pairwise_moments": model.pairwise_moments,
-        "theta_matrix": model.theta_matrix,
-        "embedding": model.embedding,
-        "version": model.version,
-    }
+    """Every field of the LabelModel but the unserialized ``per_coordinate`` (``compare=False``)."""
+    return {f.name: getattr(model, f.name) for f in dataclasses.fields(model) if f.compare}
 
 
 def model_from_dict(payload, where="model document"):
@@ -315,6 +306,8 @@ def model_from_dict(payload, where="model document"):
         if key not in payload:
             raise InvalidArgumentError(f"{where}: missing field {key!r}")
     thetas = arr("thetas")
+    if thetas.ndim != 1:
+        raise InvalidArgumentError(f"{where}: thetas must be a list of numbers, one per labeler")
     bad = np.flatnonzero(~np.isfinite(thetas))
     if bad.size:  # a learned theta is always finite; only accuracies have a NaN (null) meaning
         raise InvalidArgumentError(f"{where}: thetas must be finite; entry {bad[0]} is null or non-finite")

@@ -87,7 +87,7 @@ class LabelingMatrix:
             raise InvalidArgumentError(f"unknown space kind {self.space_kind!r}")
         labels = np.asarray(self.labels)
         if self.space_kind == RANKING:
-            labels = np.asarray(labels, dtype=np.int64)
+            labels = _integers(labels, "ranking")
             if labels.ndim != 3:
                 raise InvalidArgumentError(f"ranking labels must be (n, m, rho), got {labels.shape}")
             if not are_permutations(labels).all():
@@ -101,7 +101,7 @@ class LabelingMatrix:
             if not np.isfinite(labels).all():
                 raise InvalidArgumentError("real labels must be finite")
         else:
-            labels = labels.astype(np.int64)
+            labels = _integers(labels, "node")
             if labels.ndim != 2:
                 raise InvalidArgumentError(f"node labels must be (n, m), got {labels.shape}")
             if self.space is None:
@@ -125,6 +125,25 @@ class LabelingMatrix:
         if self.space_kind != RANKING:
             raise InvalidArgumentError("rho only defined for ranking matrices")
         return int(self.labels.shape[2])
+
+    @property
+    def dims(self):
+        """The label space's size, as a LabelModel records it: ``{"rho": rho}``, ``{"d": 1}`` or ``{"n_points": N}``."""
+        if self.space_kind == RANKING:
+            return {"rho": self.rho}
+        if self.space_kind == REAL_VECTOR:
+            return {"d": self.labels.shape[2]}
+        return {"n_points": self.space.size}
+
+
+def _integers(labels, what):
+    """``labels`` as int64; a fractional, NaN or infinite label is refused, not truncated."""
+    if labels.dtype.kind not in "biu":
+        x = labels.astype(np.float64)
+        bad = np.flatnonzero(~((x == np.trunc(x)) & (np.abs(x) < 2.0**63)))
+        if bad.size:
+            raise InvalidArgumentError(f"{what} labels must be integers, got {x.flat[bad[0]]}")
+    return np.asarray(labels, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -186,6 +205,8 @@ class LabelModel:
     the full inverse covariance on the Gaussian-style routes, whose diagonal
     supplies ``thetas``. ``per_coordinate`` holds each labeler's raw signed
     moments (continuous route) or agreement probabilities (hypercube route).
+    A model applies only to data of its ``space_kind``, ``dims`` (the
+    :attr:`LabelingMatrix.dims` it was learned on) and labeler count.
     """
 
     space_kind: str
@@ -650,18 +671,15 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy=Non
     second_moments = prior.second_moments if isinstance(prior, SecondMomentPrior) else None
     if kind == RANKING:
         values = _pair_signs(data.labels)
-        dims = {"rho": data.rho}
         embedding = {"kind": "pair_sign", "dim": values.shape[2], "pair_order": "lexicographic"}
         if path == "isotropic":
             embedding = {"kind": "native_kendall", "rho": data.rho}
         second_moments = np.ones(values.shape[2])
     elif kind == REAL_VECTOR:
         values = np.ascontiguousarray(data.labels.transpose(2, 1, 0)).transpose(1, 2, 0)
-        dims = {"d": values.shape[2]}
         embedding = {"kind": "identity", "dim": values.shape[2]}
     else:
         space = data.space
-        dims = {"n_points": space.size}
         embedding = {"kind": "native_distance", "n_points": space.size}
         if path == "continuous":
             dim = min(space.size - 1, 8)
@@ -758,7 +776,7 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy=Non
     return LabelModel(
         space_kind=kind,
         path=path,
-        dims=dims,
+        dims=data.dims,
         thetas=thetas,
         expected_distances=mean_dist,
         accuracies=accuracies,

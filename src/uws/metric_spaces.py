@@ -170,6 +170,8 @@ def graph_hop_metric(edges, n_nodes):
 
 def _contraction_stats(orig, coords, exponent):
     """(scale, epsilon) of the no-expansion normalization for given coordinates."""
+    if not 0 < exponent < np.inf:
+        raise InvalidArgumentError(f"metric exponent must be finite and > 0, got {exponent}")
     coords = np.asarray(coords, dtype=np.float64)
     n = orig.shape[0]
     if coords.shape[0] != n:
@@ -193,8 +195,9 @@ def _contraction_stats(orig, coords, exponent):
 def distortion(space, coords, metric_exponent=1.0):
     """Worst contraction of an embedding after the no-expansion normalization.
 
-    The embedded distance is ``||x - y||^metric_exponent``. Returns epsilon in
-    [0, 1]; an isometric embedding (up to a global constant) gives 0.
+    The embedded distance is ``||x - y||^metric_exponent``, with a finite
+    exponent > 0. Returns epsilon in [0, 1]; an isometric embedding (up to a
+    global constant) gives 0.
     """
     _, epsilon = _contraction_stats(space.dist, coords, metric_exponent)
     return epsilon

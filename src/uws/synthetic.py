@@ -100,24 +100,18 @@ class RegressionScenario:
         m = acc.size
         if cov.shape != (m, m):
             raise InvalidArgumentError(f"lf_cov must be ({m}, {m}), got {cov.shape}")
-        if self.prior_var <= 0:
-            raise InvalidArgumentError("prior_var must be > 0")
-        joint = self.joint_covariance(acc, cov, self.prior_var)
+        if not 0 < self.prior_var < np.inf:
+            raise InvalidArgumentError("prior_var must be > 0 and finite")
+        if not (np.isfinite(acc).all() and np.isfinite(cov).all()):
+            raise InvalidArgumentError("accuracies and lf_cov must be finite")
+        # the joint covariance is positive definite exactly when this Schur complement is;
+        # it is the labelers' conditional covariance, the very matrix gen_regression_tasks factors
         try:
-            np.linalg.cholesky(joint)
+            np.linalg.cholesky(cov - np.outer(acc, acc) / self.prior_var)
         except np.linalg.LinAlgError as exc:
             raise InvalidArgumentError("assembled joint covariance is not positive definite") from exc
         object.__setattr__(self, "accuracies", tuple(acc.tolist()))
         object.__setattr__(self, "lf_cov", tuple(map(tuple, cov.tolist())))
-
-    @staticmethod
-    def joint_covariance(acc, cov, prior_var):
-        m = len(acc)
-        joint = np.empty((m + 1, m + 1))
-        joint[:m, :m] = cov
-        joint[:m, m] = joint[m, :m] = acc
-        joint[m, m] = prior_var
-        return joint
 
 
 @dataclass(frozen=True)

@@ -595,3 +595,68 @@ def test_malformed_input_exits_validation_naming_file(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert str(offending) in err
     assert "Traceback" not in err
+
+
+RANKINGS = {"kind": "ranking", "n": 200, "rho": 5, "thetas": [2.0, 1.5, 1.0, 1.0]}
+GRAPH = {"kind": "graph", "n_nodes": 8, "n_edges": 12, "n": 200, "thetas": [2.0, 1.5, 1.0, 1.0]}
+REALS = {"kind": "regression", "n": 300, "accuracies": [0.8, 0.7, 0.6, 0.5, 0.5, 0.4, 0.4, 0.3],
+         "lf_noise": [1.0] * 8, "prior_var": 1.0}
+
+
+def _generated(tmp_path, name, payload):
+    scenario = write_json(tmp_path / f"{name}.json", {"seed": 1, **payload})
+    assert main(["generate", "--scenario", str(scenario), "--out", str(tmp_path / name)]) == 0
+    return tmp_path / name
+
+
+def _weighted_infer(tmp_path, model_payload, data_payload, path="continuous", edit=None):
+    """``infer --rule weighted`` of a dataset of one scenario with a model learned on another."""
+    model = tmp_path / "model.json"
+    assert main(["learn", "--dataset", str(_generated(tmp_path, "a", model_payload)), "--model", str(model),
+                 "--path", path]) == 0
+    if edit:
+        model.write_text(json.dumps({**json.loads(model.read_text()), **edit}))
+    return ["infer", "--dataset", str(_generated(tmp_path, "b", data_payload)), "--model", str(model),
+            "--out", str(tmp_path / "o"), "--rule", "weighted"]
+
+
+def _case_mds_exponent(value):
+    def case(tmp_path):
+        dist = _write_lines(tmp_path / "dist.csv", SPACE)
+        return ["mds", "--dist", str(dist), "--dim", "1", "--out", str(tmp_path / "e"), f"--exponent={value}"]
+    return case
+
+
+def _case_unfactorable_regression(tmp_path):
+    scenario = write_json(tmp_path / "s.json", {"kind": "regression", "n": 5, "accuracies": [0.9, 0.6],
+                                                "lf_cov": [[1.81, 1.54], [1.54, 1.3599999999999999]],
+                                                "prior_var": 1.0, "seed": 1})
+    return ["generate", "--scenario", str(scenario), "--out", str(tmp_path / "o")]
+
+
+MALFORMED_WITHOUT_TRACEBACK = {
+    "model_dims_list": lambda p: _weighted_infer(p, RANKINGS, RANKINGS, edit={"dims": []}),
+    "model_dims_string": lambda p: _weighted_infer(p, RANKINGS, RANKINGS, edit={"dims": "rho"}),
+    "model_dims_number": lambda p: _weighted_infer(p, RANKINGS, RANKINGS, edit={"dims": 5}),
+    "graph_model_dims_list": lambda p: _weighted_infer(p, GRAPH, GRAPH, path="isotropic", edit={"dims": []}),
+    "more_real_labelers": lambda p: _weighted_infer(p, REALS, {**REALS, "accuracies": REALS["accuracies"][:5],
+                                                                "lf_noise": [1.0] * 5}, path="isotropic"),
+    "more_ranking_labelers": lambda p: _weighted_infer(p, RANKINGS, {**RANKINGS, "thetas": [2.0, 1.5, 1.0]}),
+    "other_rho": lambda p: _weighted_infer(p, RANKINGS, {**RANKINGS, "rho": 6}),
+    "other_n_points": lambda p: _weighted_infer(p, GRAPH, {**GRAPH, "n_nodes": 9}, path="isotropic"),
+    "unfactorable_regression": _case_unfactorable_regression,
+    "mds_exponent_0": _case_mds_exponent("0"),
+    "mds_exponent_-1": _case_mds_exponent("-1"),
+    "mds_exponent_nan": _case_mds_exponent("nan"),
+    "mds_exponent_inf": _case_mds_exponent("inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WITHOUT_TRACEBACK))
+def test_malformed_input_exits_validation_without_traceback(tmp_path, capsys, case):
+    argv = MALFORMED_WITHOUT_TRACEBACK[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()  # no output directory for a refused command

@@ -1,5 +1,6 @@
 """Aggregation rules through aggregate_dataset, the Kemeny solvers, Gaussian inference."""
 
+import re
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from unittest import mock
@@ -516,6 +517,54 @@ class TestAggregateDataset:
         for rho in (4, 6):
             with pytest.raises(InvalidArgumentError, match=f"labels have length 5, expected {rho}"):
                 solver(labels, np.ones(3), rho)
+
+    @pytest.mark.parametrize("solver", [inf.kemeny_exact, inf.kemeny_local_search])
+    def test_solvers_refuse_labels_that_are_not_permutations(self, solver):
+        # a repeated item, an item past rho and fractional items: refused, never a non-permutation out
+        for task in ([[0, 0, 1], [1, 2, 0], [2, 2, 2]], [[0, 1, 2], [1, 2, 0], [7, 0, 1]], [[0.9, 1.2, 2.0]] * 3):
+            for labels in (task, [[[0, 1, 2]] * 3, task]):
+                with pytest.raises(InvalidArgumentError, match="permutation of 0..rho-1|must be integers"):
+                    solver(labels, np.ones(3), 3)
+
+    def test_a_model_applies_only_to_its_own_space_dims_and_labelers(self):
+        from uws import synthetic as syn
+        from uws.label_model import learn_label_model
+
+        def rankings(rho, m):
+            return syn.gen_ranking_tasks(syn.RankingScenario(n=300, rho=rho, thetas=(2.0, 1.5) + (1.0,) * (m - 2),
+                                                             seed=3))[1]
+
+        def graph(n_nodes):
+            return syn.gen_graph_tasks(syn.GraphScenario(n_nodes=n_nodes, n_edges=10, n=300,
+                                                         thetas=(2.0, 1.5, 1.0, 1.0), seed=3))[2]
+
+        def reals(m):
+            acc = np.linspace(0.9, 0.3, m)
+            return syn.gen_regression_tasks(syn.RegressionScenario(
+                n=300, accuracies=tuple(acc), lf_cov=tuple(map(tuple, np.outer(acc, acc) + np.eye(m))),
+                prior_var=1.0, seed=3))[1]
+
+        rank7, graph7, reals4 = rankings(7, 4), graph(7), reals(4)
+        ranking_model = learn_label_model(rank7)
+        graph_model = learn_label_model(graph7)
+        real_model = learn_label_model(reals4, path="isotropic")  # accuracies unknown: the theta-matrix mean
+        for model, data, other in [
+            (ranking_model, rankings(10, 4), "ranking/{'rho': 10} with 4"),
+            (ranking_model, rankings(7, 5), "ranking/{'rho': 7} with 5"),
+            (ranking_model, graph7, "finite_metric/{'n_points': 7} with 4"),
+            (ranking_model, reals4, "real_vector/{'d': 1} with 4"),
+            (graph_model, graph(8), "finite_metric/{'n_points': 8} with 4"),
+            (real_model, reals(5), "real_vector/{'d': 1} with 5"),
+            (real_model, rank7, "ranking/{'rho': 7} with 4"),
+        ]:
+            with pytest.raises(InvalidArgumentError,
+                               match=re.escape(f"space mismatch: model is {model.space_kind}/{model.dims} with "
+                                               f"4 labelers, dataset is {other} labelers")):
+                inf.aggregate_dataset(data, model=model)
+            # explicit weights do not read the model
+            assert len(inf.aggregate_dataset(data, weights=np.ones(data.n_lfs), model=model)) == 300
+        for model, data in ((ranking_model, rank7), (graph_model, graph7), (real_model, reals4)):
+            assert len(inf.aggregate_dataset(data, model=model)) == 300
 
     def test_weighted_rule_needs_weights_or_a_model(self):
         rng = np.random.default_rng(71)

@@ -348,12 +348,40 @@ PATH3 = graph_hop_metric([(0, 1), (1, 2)], 3)
     (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, np.zeros((0, 3), dtype=int), PATH3), r"got shape \(0, 3\)"),
     (lambda: lm.LabelingMatrix(lm.REAL_VECTOR, np.zeros((2, 3))).rho, "rho only defined for ranking matrices"),
     (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, [[0, 1, 2]], PATH3).rho, "rho only defined for ranking"),
+    # fractional, NaN and infinite labels are refused, not truncated to [0, 1, 2] or [1, 2, 0]
+    (lambda: lm.LabelingMatrix(lm.RANKING, [[[0.9, 1.2, 2.0]] * 3]), "ranking labels must be integers, got 0.9"),
+    (lambda: lm.LabelingMatrix(lm.RANKING, [[[0.0, 1.0, np.inf]] * 3]), "ranking labels must be integers, got inf"),
+    (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, [[1.5, 2.7, 0.2]], PATH3), "node labels must be integers, got 1.5"),
+    (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, [[1.0, np.nan, 0.0]], PATH3), "node labels must be integers, got nan"),
+    (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, [[1.0, -np.inf, 0.0]], PATH3), "node labels must be integers"),
+    (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, [[1.0, 1e300, 0.0]], PATH3), "node labels must be integers"),
 ], ids=["unknown_kind", "ranking_2d", "not_permutations", "real_nan", "real_inf", "nodes_3d", "no_space",
         "node_past_space", "node_negative", "no_tasks", "no_labelers", "no_node_tasks", "rho_of_reals",
-        "rho_of_nodes"])
+        "rho_of_nodes", "ranking_fractional", "ranking_inf", "node_fractional", "node_nan", "node_minus_inf",
+        "node_past_int64"])
 def test_labeling_matrix_refusals(build, message):
     with pytest.raises(InvalidArgumentError, match=message):
         build()
+
+
+def test_integral_float_labels_are_accepted():
+    ranking = lm.LabelingMatrix(lm.RANKING, [[[2.0, 0.0, 1.0]] * 3])
+    nodes = lm.LabelingMatrix(lm.FINITE_METRIC, np.array([[2.0, 0.0, 1.0]], dtype=np.float32), PATH3)
+    assert ranking.labels.dtype == nodes.labels.dtype == np.int64
+    assert ranking.labels.tolist() == [[[2, 0, 1]] * 3] and nodes.labels.tolist() == [[2, 0, 1]]
+
+
+def test_a_model_records_the_dims_of_its_data():
+    _, rankings = make_ranking_data((2.0, 1.5, 1.0, 1.0), rho=4, n=300, seed=5)
+    acc = np.array([0.9, 0.6, 0.3])
+    reals = syn.gen_regression_tasks(syn.RegressionScenario(
+        n=300, accuracies=tuple(acc), lf_cov=tuple(map(tuple, np.outer(acc, acc) + np.eye(3))), prior_var=1.0,
+        seed=5))[1]
+    nodes = syn.gen_graph_tasks(syn.GraphScenario(n_nodes=6, n_edges=8, n=300, thetas=(2.0, 1.5, 1.0), seed=5))[2]
+    assert (rankings.dims, reals.dims, nodes.dims) == ({"rho": 4}, {"d": 1}, {"n_points": 6})
+    for data in (rankings, reals, nodes):
+        model = lm.learn_label_model(data, prior=lm.SecondMomentPrior(1.0) if data is reals else None)
+        assert model.dims == data.dims
 
 
 class TestLearnConfiguration:

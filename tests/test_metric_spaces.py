@@ -371,6 +371,15 @@ class TestDistortion:
         with pytest.raises(InvalidMetricError):
             ms.distortion(ms.FiniteMetricSpace(d), coords)
 
+    @pytest.mark.parametrize("exponent", [0.0, -1.0, np.nan, np.inf])
+    def test_refuses_an_exponent_not_finite_and_positive(self, exponent):
+        # 0 divided by zero in the normalization; a negative one raised 0 to a negative power
+        space = ms.FiniteMetricSpace(np.abs(np.subtract.outer([0.0, 1.0, 3.0], [0.0, 1.0, 3.0])))
+        for call in (lambda: ms.distortion(space, np.array([[0.0], [1.0], [3.0]]), metric_exponent=exponent),
+                     lambda: ms.classical_mds(space, dim=1, metric_exponent=exponent)):
+            with pytest.raises(InvalidArgumentError, match="metric exponent must be finite and > 0"):
+                call()
+
 
 class TestDistortionBound:
     def test_isometric_case(self):

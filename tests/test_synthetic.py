@@ -68,6 +68,37 @@ class TestRegressionScenario:
                 prior_var=1.0, seed=0,
             )
 
+    def test_accepted_exactly_when_generation_can_factor_it(self):
+        # joint positive definite in float64, its Schur complement (all ones) not: generation cannot factor it
+        with pytest.raises(InvalidArgumentError, match="assembled joint covariance is not positive definite"):
+            syn.RegressionScenario(n=5, accuracies=(0.9, 0.6), lf_cov=((1.81, 1.54), (1.54, 1.3599999999999999)),
+                                   prior_var=1.0, seed=1)
+        # near-singular scenarios (signal plus rank-one noise): every one accepted generates
+        rng = np.random.default_rng(0)
+        accepted = 0
+        for _ in range(200):
+            m = int(rng.integers(2, 5))
+            acc, v = rng.uniform(-1.0, 1.0, (2, m)).round(2)
+            prior_var = float(rng.choice([0.5, 1.0, 2.0]))
+            cov = np.outer(acc, acc) / prior_var + np.outer(v, v)
+            try:
+                s = syn.RegressionScenario(n=1, accuracies=tuple(acc), lf_cov=tuple(map(tuple, cov)),
+                                           prior_var=prior_var, seed=0)
+            except InvalidArgumentError:
+                continue
+            accepted += 1
+            syn.gen_regression_tasks(s)
+        assert accepted >= 20
+
+    @pytest.mark.parametrize("field, value", [
+        ("prior_var", np.nan), ("prior_var", np.inf), ("prior_var", 0.0),
+        ("accuracies", (0.5, np.nan, 0.5)), ("lf_cov", np.diag([1.0, np.inf, 1.0])),
+    ])
+    def test_refuses_non_finite_moments(self, field, value):
+        fields = {"n": 5, "accuracies": (0.5, 0.5, 0.5), "lf_cov": np.eye(3) + 0.25, "prior_var": 1.0, "seed": 1}
+        with pytest.raises(InvalidArgumentError, match="prior_var must be > 0 and finite|must be finite"):
+            syn.RegressionScenario(**{**fields, field: value})
+
     def test_zero_signal(self):
         s = syn.RegressionScenario(n=5000, accuracies=(0.0, 0.0, 0.0),
                                    lf_cov=tuple(map(tuple, np.eye(3))), prior_var=1.0, seed=1)
