@@ -7,11 +7,20 @@ timestamps or filesystem ordering. Rankings serialize as comma-separated
 (task_id, lf_id, label-column) with a parallel truth file.
 
 One codec table, ``_CODECS``, maps each space kind to its label column
-(perm, value, node), the cells of a label array (the text of each
-ranking, numbers as they are), the array dtype of one item, whether a cell
-is a quoted list of items, and which labels are valid (permutations,
+(perm, value, node), the item columns of a label array (a ranking's
+``rho`` items, a number alone), the array dtype of one item, whether a
+cell is a quoted list of items, and which labels are valid (permutations,
 finite numbers); every label file is written and read through it, so no
 function branches on the space kind.
+
+Every CSV is written by one array writer, with the bytes of Python's csv
+module (minimal quoting, ``\\n`` line ends). It makes each column's text in
+one pass: integers, and floats when every one of the array is integral, at
+least 0, below 2**53 and not -0.0 (hop counts such as 3.0), are looked up
+by offset in a table of ``str`` of their range; every other float is its
+``repr``. A ranking's items are integer columns of their own, joined by
+commas inside quotes when there are two or more. The cells and separators
+are interleaved into one list, written with a single join.
 
 Label files and distance matrices are read by one array reader: the bytes
 are scanned once for line ends, quotes and commas, which checks that quotes
@@ -24,10 +33,8 @@ InvalidArgumentError naming the file, with ``file:line`` for a row of the
 wrong width, a misplaced quote or an invalid label.
 """
 
-import csv
 import dataclasses
 import hashlib
-import io as _io
 import json
 import math
 import re
@@ -72,34 +79,33 @@ __all__ = [
 ]
 
 
-def _perm_cells(labels):
-    """The text of each ranking in a (k, rho) array, in the :func:`~uws.permutations.perm_to_str` format."""
+def _perm_items(labels):
+    """The items of each ranking of a (k, rho) array, as integer columns, checked to be permutations."""
     labels = labels.astype(np.int64, copy=False)
     bad = np.flatnonzero(~are_permutations(labels))
     if bad.size:
         raise InvalidArgumentError(f"ranking {bad[0]} is not a permutation of 0..{labels.shape[1] - 1}: "
                                    f"{labels[bad[0]].tolist()}")
-    return [",".join(map(str, row)) for row in labels.tolist()]
+    return labels
 
 
-def _number_cells(labels):
-    """Each scalar label of a (k, ...) array as a Python number, which csv writes
-    in its shortest round-trip form (``str`` of a float is its ``repr``)."""
+def _number_items(labels):
+    """The scalar labels of a (k, ...) array as one column."""
     width = math.prod(labels.shape[1:])
     if width != 1:
         raise InvalidArgumentError(f"only scalar real labels serialize to CSV, got {width} coordinates")
-    return labels.reshape(-1).tolist()
+    return labels.reshape(-1, 1)
 
 
-# how each space kind's labels appear in a file: the label column, the cells
-# of a (k, ...) label array, the array dtype of one item, whether a cell is a
-# quoted list of items, and which labels read back are valid (and what a
-# valid one is)
-_Codec = namedtuple("_Codec", "column cells dtype listed valid what")
+# how each space kind's labels appear in a file: the label column, the (k, w)
+# item columns of a (k, ...) label array (a ranking's items share one quoted
+# cell), the array dtype of one item, whether a cell is a quoted list of
+# items, and which labels read back are valid (and what a valid one is)
+_Codec = namedtuple("_Codec", "column items dtype listed valid what")
 _CODECS = {
-    RANKING: _Codec("perm", _perm_cells, np.int64, True, are_permutations, "a permutation"),
-    REAL_VECTOR: _Codec("value", _number_cells, np.float64, False, np.isfinite, "finite"),
-    FINITE_METRIC: _Codec("node", _number_cells, np.int64, False, np.isfinite, "finite"),
+    RANKING: _Codec("perm", _perm_items, np.int64, True, are_permutations, "a permutation"),
+    REAL_VECTOR: _Codec("value", _number_items, np.float64, False, np.isfinite, "finite"),
+    FINITE_METRIC: _Codec("node", _number_items, np.int64, False, np.isfinite, "finite"),
 }
 _KINDS = {codec.column: kind for kind, codec in _CODECS.items()}
 
@@ -135,23 +141,92 @@ def write_manifest(path, config, seed=None, extra=None):
     Path(path).write_text(canonical_json(payload))
 
 
-def write_csv(path, header, rows):
-    """Write ``rows`` as CSV text, after a ``header`` row unless it is None."""
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _cell(value):
+    """One cell as csv's minimal quoting writes it: None empty, a float its repr,
+    anything else its str, quoted (quotes doubled) if it holds a comma, a quote
+    or a newline."""
+    text = "" if value is None else repr(value) if isinstance(value, float) else str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _int_text(ints, suffix=""):
+    """``str`` of each integer of a 1-D array, plus ``suffix``: taken by offset from a
+    table of the array's range, unless that range is wider than twice the array."""
+    lo, hi = int(ints.min()), int(ints.max())
+    if hi - lo >= 2 * ints.size:
+        return [text + suffix for text in map(str, ints.tolist())]
+    table = np.array([text + suffix for text in map(str, range(lo, hi + 1))], dtype=object)
+    return table[ints - lo].tolist()
+
+
+def _number_text(values):
+    """The text of each number of an array, row-major, as csv writes the Python
+    number: integers, and floats when all are integral, in [0, 2**53) and not
+    -0.0, by table lookup; other floats by ``repr``."""
+    values = np.asarray(values).ravel()
+    if not values.size:
+        return []
+    if values.dtype.kind in "iu":
+        return _int_text(values)
+    if values.dtype.kind != "f":
+        return list(map(_cell, values.tolist()))
+    if (~np.signbit(values) & (values < 2.0**53) & (np.floor(values) == values)).all():
+        return _int_text(values.astype(np.int64), ".0")  # repr of such a float is its integer and ".0"
+    return list(map(repr, values.tolist()))
+
+
+def _write_rows(path, header, k, blocks, seps):
+    """Write CSV text in one join: after the ``header`` row (unless None), ``k``
+    rows whose cells are the ``blocks`` side by side, each a (cells, width) pair
+    of the row-major cells of ``width`` adjacent columns, and each column's cell
+    followed by its separator in ``seps``."""
+    n = len(seps)
+    row = [None] * (2 * n)
+    row[1::2] = seps
+    out = row * k
+    col = 0
+    for cells, width in blocks:
+        if width == n:
+            out[::2] = cells
+        else:
+            for j in range(width):
+                out[2 * (col + j)::2 * n] = cells[j::width]
+        col += width
     if header is not None:
-        writer.writerow(header)
-    writer.writerows(rows)
-    Path(path).write_text(buf.getvalue())
+        # csv quotes a lone empty cell, so that the row is not blank
+        out.insert(0, (",".join(map(_cell, header)) or ('""' if len(header) == 1 else "")) + "\n")
+    Path(path).write_text("".join(out))
+
+
+def write_csv(path, header, rows):
+    """Write ``rows``, a 2-D array or equally wide rows of Python values, as CSV
+    text after a ``header`` row unless it is None."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1]:
+        _write_rows(path, header, len(rows), [(_number_text(rows), rows.shape[1])],
+                    [","] * (rows.shape[1] - 1) + ["\n"])
+        return
+    rows = list(rows)
+    columns = list(zip(*rows))
+    if rows and (not columns or any(len(row) != len(columns) for row in rows)):
+        raise InvalidArgumentError("CSV rows must each hold the same number of cells, at least one")
+    cells = [list(map(_cell, column)) for column in columns]
+    if len(cells) == 1:
+        cells[0] = ['""' if text == "" else text for text in cells[0]]
+    _write_rows(path, header, len(rows), [(text, 1) for text in cells], [","] * (len(cells) - 1) + ["\n"])
 
 
 def _write_labels(path, header, space_kind, labels):
     """One row per index of the leading ``len(header) - 1`` axes: the ids, then the label."""
     labels = np.asarray(labels)
     id_shape = labels.shape[: len(header) - 1]
-    ids = np.indices(id_shape).reshape(len(id_shape), -1).tolist()
-    cells = _CODECS[space_kind].cells(labels.reshape(-1, *labels.shape[len(id_shape):]))
-    write_csv(path, header, zip(*ids, cells))
+    ids = np.indices(id_shape).reshape(len(id_shape), -1).T
+    items = _CODECS[space_kind].items(labels.reshape(-1, *labels.shape[len(id_shape):]))
+    quote = '"' if items.shape[1] > 1 else ""  # csv quotes a cell holding commas
+    seps = [","] * (ids.shape[1] - 1) + ["," + quote] + [","] * (items.shape[1] - 1) + [quote + "\n"]
+    blocks = [(_number_text(ids), ids.shape[1]), (_number_text(items), items.shape[1])]
+    _write_rows(path, header, len(ids), blocks, seps)
 
 
 def _read_table(path):
@@ -205,7 +280,8 @@ def _loadtxt(path, text, dtype, ndmin, first_line):
             # numpy from 1.23 on reads "3.0" into an integer column with this warning until the
             # deprecation expires; int() refuses it
             warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float", DeprecationWarning)
-            return np.loadtxt(_io.StringIO(text), dtype=dtype, delimiter=",", comments=None, quotechar='"',
+            # every line of ``text`` ends in "\n", so the last piece is empty
+            return np.loadtxt(text.split("\n")[:-1], dtype=dtype, delimiter=",", comments=None, quotechar='"',
                               ndmin=ndmin)
     except (ValueError, OverflowError, DeprecationWarning) as exc:
         # numpy counts the rows of ``text`` from 0 (every line is a row: blank lines are refused
@@ -311,17 +387,21 @@ def model_from_dict(payload, where="model document"):
     bad = np.flatnonzero(~np.isfinite(thetas))
     if bad.size:  # a learned theta is always finite; only accuracies have a NaN (null) meaning
         raise InvalidArgumentError(f"{where}: thetas must be finite; entry {bad[0]} is null or non-finite")
+    m = thetas.size
+    shapes = {"expected_distances": (m,), "accuracies": (m,), "pairwise_moments": (m, m), "theta_matrix": (m, m)}
+    shaped = {key: arr(key, none_ok=key == "theta_matrix") for key in shapes}
+    for key, val in shaped.items():
+        if val is not None and val.shape != shapes[key]:
+            raise InvalidArgumentError(f"{where}: field {key!r} must have shape {shapes[key]} for the {m} "
+                                       f"labelers of thetas, got {val.shape}")
     return LabelModel(
         space_kind=payload["space_kind"],
         path=payload["path"],
         dims=payload["dims"],
         thetas=thetas,
-        expected_distances=arr("expected_distances"),
-        accuracies=arr("accuracies"),
-        pairwise_moments=arr("pairwise_moments"),
         embedding=payload.get("embedding", {}),
         version=payload["version"],
-        theta_matrix=arr("theta_matrix", none_ok=True),
+        **shaped,
     )
 
 
@@ -376,7 +456,7 @@ def read_edge_list(path):
 
 
 def write_distance_matrix(path, space):
-    write_csv(path, None, space.dist.tolist())
+    write_csv(path, None, space.dist)
 
 
 def read_distance_matrix(path):
@@ -390,7 +470,7 @@ def read_distance_matrix(path):
 def write_embedding(prefix, report):
     """Coordinates CSV plus a JSON descriptor (dim, epsilon, scale, exponent)."""
     prefix = Path(prefix)
-    write_csv(prefix.with_suffix(".coords.csv"), None, report.coords.tolist())
+    write_csv(prefix.with_suffix(".coords.csv"), None, report.coords)
     descriptor = {
         "dim": report.target_dim,
         "epsilon": report.epsilon,

@@ -82,7 +82,7 @@ class RegressionScenario:
     """Jointly Gaussian truth and labelers, specified by moments.
 
     ``accuracies`` is the truth-labeler covariance vector, ``lf_cov`` the
-    labeler covariance matrix, ``prior_var`` the truth variance; the
+    (symmetric) labeler covariance matrix, ``prior_var`` the truth variance; the
     assembled joint covariance must be positive definite.
     """
 
@@ -104,6 +104,8 @@ class RegressionScenario:
             raise InvalidArgumentError("prior_var must be > 0 and finite")
         if not (np.isfinite(acc).all() and np.isfinite(cov).all()):
             raise InvalidArgumentError("accuracies and lf_cov must be finite")
+        if (cov != cov.T).any():  # a Cholesky factor reads one triangle and would drop the other
+            raise InvalidArgumentError("lf_cov must be symmetric")
         # the joint covariance is positive definite exactly when this Schur complement is;
         # it is the labelers' conditional covariance, the very matrix gen_regression_tasks factors
         try:

@@ -7,12 +7,14 @@ implementations.
 """
 
 import csv
+import io
 import math
 from collections import deque
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from itertools import permutations as iter_permutations
+from pathlib import Path
 
 import numpy as np
 
@@ -378,6 +380,33 @@ def reference_fmt(x):
             raise InvalidArgumentError(f"only scalar real labels serialize to CSV, got {len(x)} coordinates")
         return reference_fmt(x[0])
     return str(int(x))
+
+
+# Reference writers: every CSV writer as it was before the array writer,
+# csv.writer turning one Python value at a time into text. The current
+# writers must produce the same bytes.
+
+def reference_write_csv(path, header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows)
+    Path(path).write_text(buf.getvalue())
+
+
+def reference_write_labels(path, header, space_kind, labels):
+    """One row per index of the leading ``len(header) - 1`` axes: the ids, then the
+    label (a ranking as the text of its items, a number as it is)."""
+    labels = np.asarray(labels)
+    id_shape = labels.shape[: len(header) - 1]
+    ids = np.indices(id_shape).reshape(len(id_shape), -1).tolist()
+    flat = labels.reshape(-1, *labels.shape[len(id_shape):])
+    if space_kind == RANKING:
+        cells = [",".join(map(str, row)) for row in flat.astype(np.int64).tolist()]
+    else:
+        cells = flat.reshape(-1).tolist()
+    reference_write_csv(path, header, zip(*ids, cells))
 
 
 # Reference generators: the scenario generators and the hop metric as they

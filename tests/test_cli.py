@@ -634,6 +634,12 @@ def _case_unfactorable_regression(tmp_path):
     return ["generate", "--scenario", str(scenario), "--out", str(tmp_path / "o")]
 
 
+def _case_asymmetric_regression(tmp_path):
+    scenario = write_json(tmp_path / "s.json", {"kind": "regression", "n": 5, "accuracies": [0.5, 0.5],
+                                                "lf_cov": [[1.0, 0.9], [0.0, 1.0]], "prior_var": 1.0, "seed": 1})
+    return ["generate", "--scenario", str(scenario), "--out", str(tmp_path / "o")]
+
+
 MALFORMED_WITHOUT_TRACEBACK = {
     "model_dims_list": lambda p: _weighted_infer(p, RANKINGS, RANKINGS, edit={"dims": []}),
     "model_dims_string": lambda p: _weighted_infer(p, RANKINGS, RANKINGS, edit={"dims": "rho"}),
@@ -645,11 +651,23 @@ MALFORMED_WITHOUT_TRACEBACK = {
     "other_rho": lambda p: _weighted_infer(p, RANKINGS, {**RANKINGS, "rho": 6}),
     "other_n_points": lambda p: _weighted_infer(p, GRAPH, {**GRAPH, "n_nodes": 9}, path="isotropic"),
     "unfactorable_regression": _case_unfactorable_regression,
+    "asymmetric_regression": _case_asymmetric_regression,
     "mds_exponent_0": _case_mds_exponent("0"),
     "mds_exponent_-1": _case_mds_exponent("-1"),
     "mds_exponent_nan": _case_mds_exponent("nan"),
     "mds_exponent_inf": _case_mds_exponent("inf"),
 }
+
+
+@pytest.mark.parametrize("field, value", [("theta_matrix", [0.5] * 8), ("theta_matrix", np.eye(7).tolist()),
+                                          ("accuracies", [0.5] * 7), ("expected_distances", [0.5] * 9),
+                                          ("pairwise_moments", [[1.0] * 8])])
+def test_model_field_of_the_wrong_shape_exits_validation(tmp_path, capsys, field, value):
+    argv = _weighted_infer(tmp_path, REALS, REALS, path="isotropic", edit={field: value})
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'model.json'}: field {field!r} must have shape" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_WITHOUT_TRACEBACK))

@@ -6,6 +6,7 @@ import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from conftest import (
     reference_read_distance_matrix,
     reference_read_labels,
     reference_read_truth,
+    reference_write_csv,
+    reference_write_labels,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -493,6 +496,98 @@ class TestNumberCellsMatchPerCellText:
             uio.write_distance_matrix(path, space)
             assert path.read_text() == "".join(",".join(map(reference_fmt, row)) + "\n"
                                                for row in space.dist.tolist())
+
+
+# float cells of every kind the writer tells apart: integral floats in [0, 2**53)
+# (table lookups when a whole array is such), then -0.0, 2**53 and beyond, the
+# least subnormal, infinities, NaN and fractions (repr)
+WHOLE_FLOATS = st.integers(0, 40).map(float) | st.integers(0, 2**53 - 1).map(float)
+EDGE_FLOATS = st.sampled_from([-0.0, 2.0**53, 2.0**53 + 2, 1e16, 5e-324, np.inf, -np.inf, np.nan, 0.1, -3.0])
+FLOAT_CELLS = st.sampled_from([WHOLE_FLOATS, EDGE_FLOATS | st.floats(width=64), WHOLE_FLOATS | EDGE_FLOATS])
+INT_CELLS = st.sampled_from([st.integers(0, 5), st.integers(-7, 2**20), st.integers(-2**63, 2**63 - 1)])
+# one row, one column, or a few of each
+SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 4))
+TEXT_CELLS = st.text(st.sampled_from('ab ,"\n\r\t\'#') | st.characters(max_codepoint=0x2030), max_size=6)
+
+
+@st.composite
+def _number_arrays(draw, shape):
+    if draw(st.booleans()):
+        return draw(hnp.arrays(np.float64, shape, elements=draw(FLOAT_CELLS)))
+    return draw(hnp.arrays(np.int64, shape, elements=draw(INT_CELLS)))
+
+
+def _written(write, *args):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        write(path, *args)
+        return path.read_bytes()
+
+
+class TestArrayWriterMatchesCsv:
+    """Every writer gives the bytes csv.writer gave, cell for cell."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), shape=SHAPES)
+    def test_numbers(self, data, shape):
+        values = data.draw(_number_arrays(shape))
+        assert _written(uio.write_csv, None, values) == _written(reference_write_csv, None, values.tolist())
+        with tempfile.TemporaryDirectory() as tmp:
+            coords_path, _ = uio.write_embedding(Path(tmp) / "emb", replace(classical_mds(RING, 1), coords=values))
+            assert coords_path.read_bytes() == _written(reference_write_csv, None, values.tolist())
+        column = values[:, :1]
+        for kind, label in ((lm.REAL_VECTOR, "value"), (lm.FINITE_METRIC, "node")):
+            for name, write in ((label, uio.write_truth), ("label", uio.write_pseudolabels)):
+                assert _written(write, column, kind) == _written(reference_write_labels, ["task_id", name], kind, column)
+        dataset = SimpleNamespace(space_kind=lm.REAL_VECTOR, labels=values)
+        assert _written(uio.write_dataset, dataset) == _written(
+            reference_write_labels, ["task_id", "lf_id", "value"], lm.REAL_VECTOR, values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5), m=st.integers(1, 3), rho=st.sampled_from([1, 2, 3, 12]))
+    def test_rankings(self, data, n, m, rho):
+        perms = np.array(data.draw(st.lists(st.permutations(range(rho)), min_size=n * m, max_size=n * m)))
+        labels = perms.reshape(n, m, rho)
+        assert _written(uio.write_dataset, lm.LabelingMatrix(lm.RANKING, labels)) == _written(
+            reference_write_labels, ["task_id", "lf_id", "perm"], lm.RANKING, labels)
+        assert _written(uio.write_truth, labels[:, 0], lm.RANKING) == _written(
+            reference_write_labels, ["task_id", "perm"], lm.RANKING, labels[:, 0])
+
+    def test_distance_matrix(self):
+        space = graph_hop_metric([(k, k + 1) for k in range(29)] + [(0, 15)], 30)
+        assert _written(uio.write_distance_matrix, space) == _written(reference_write_csv, None, space.dist.tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 5), k=st.integers(0, 5))
+    def test_rows_of_python_values(self, data, width, k):
+        # sweep rows: ints, strings and floats; a column may mix them, and may hold None
+        cells = st.one_of(st.integers(-2**70, 2**70), TEXT_CELLS, st.floats(width=64), st.none(), st.booleans())
+        columns = [data.draw(st.sampled_from([st.integers(0, 9), st.floats(width=64), TEXT_CELLS, cells]))
+                   for _ in range(width)]
+        rows = [tuple(data.draw(column) for column in columns) for _ in range(k)]
+        header = data.draw(st.none() | st.lists(TEXT_CELLS, min_size=width, max_size=width))
+        assert _written(uio.write_csv, header, rows) == _written(reference_write_csv, header, rows)
+
+    @pytest.mark.parametrize("header, rows, text", [
+        (None, np.array([[0.0, 3.0], [3.0, 0.0]]), "0.0,3.0\n3.0,0.0\n"),
+        (None, np.array([[-0.0, 2.0**53, 1e16, 5e-324, np.inf, np.nan, 7.0]]),
+         "-0.0,9007199254740992.0,1e+16,5e-324,inf,nan,7.0\n"),
+        (None, np.array([[-2**63, 2**63 - 1]]), "-9223372036854775808,9223372036854775807\n"),
+        (["n", "metric"], [(1, 'x,"y"'), (20, ""), (3, "a\nb")], 'n,metric\n1,"x,""y"""\n20,\n3,"a\nb"\n'),
+        (["n", "metric"], [], "n,metric\n"),
+        ([""], [("",), (None,), (1.5,)], '""\n""\n""\n1.5\n'),
+    ], ids=["integral", "edge_floats", "int64_ends", "quoted", "header_only", "lone_empty_cell"])
+    def test_literal_cells(self, header, rows, text):
+        assert _written(uio.write_csv, header, rows).decode() == text
+
+    @pytest.mark.parametrize("perm, row", [([0], "0,0\n"), ([1, 0], '0,"1,0"\n'), ([2, 0, 1], '0,"2,0,1"\n')])
+    def test_ranking_cell_quoted_when_it_holds_a_comma(self, perm, row):
+        assert _written(uio.write_truth, np.array([perm]), lm.RANKING).decode() == "task_id,perm\n" + row
+
+    @pytest.mark.parametrize("rows", [[(1, 2), (3,)], [(), ()]])
+    def test_rows_need_one_width(self, tmp_path, rows):
+        with pytest.raises(InvalidArgumentError, match="same number of cells"):
+            uio.write_csv(tmp_path / "out.csv", None, rows)
 
 
 def _nan_arrays(shape):

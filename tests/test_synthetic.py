@@ -90,6 +90,12 @@ class TestRegressionScenario:
             syn.gen_regression_tasks(s)
         assert accepted >= 20
 
+    def test_refuses_asymmetric_lf_cov(self):
+        # generation factors one triangle: the stated 0.9 covariance would come out as about 0
+        with pytest.raises(InvalidArgumentError, match="lf_cov must be symmetric"):
+            syn.RegressionScenario(n=5, accuracies=(0.5, 0.5), lf_cov=((1.0, 0.9), (0.0, 1.0)), prior_var=1.0, seed=1)
+        syn.RegressionScenario(n=5, accuracies=(0.5, 0.5), lf_cov=((1.0, 0.9), (0.9, 1.0)), prior_var=1.0, seed=1)
+
     @pytest.mark.parametrize("field, value", [
         ("prior_var", np.nan), ("prior_var", np.inf), ("prior_var", 0.0),
         ("accuracies", (0.5, np.nan, 0.5)), ("lf_cov", np.diag([1.0, np.inf, 1.0])),
