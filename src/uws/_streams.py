@@ -2,8 +2,9 @@
 
 ``synthetic.substream(seed, *path)`` is ``Generator(Philox(SeedSequence(
 entropy=seed, spawn_key=path)))``. Building one costs ~20 us, most of it in
-the SeedSequence hash. Here the hash runs once over a ``(k, L)`` array of
-paths, as uint32 array arithmetic, giving each row's Philox key. Philox is
+the SeedSequence hash. Here the hash of the seed's words runs once, on
+Python ints, and the hash of a ``(k, L)`` array of paths runs as uint32
+array arithmetic, giving each row's Philox key. Philox is
 counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 3", SC'11): block j of a stream is Philox4x64-10 of counter j under the
 stream's key, so :func:`uniforms` computes every row's doubles as arrays.
@@ -21,7 +22,7 @@ import numpy as np
 # numpy's SeedSequence constants (bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _M32 = 0xFFFFFFFF
 # Philox4x64 multipliers and Weyl key increments (Random123)
@@ -29,47 +30,66 @@ _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 
 
-def _shift16(x):
-    return x ^ (x >> np.uint32(16))
+def _consts(init, mult, count):
+    """The first ``count + 1`` values of a SeedSequence hash constant: ``init * mult**i`` mod 2**32."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _M32)
+    return out
+
+
+def _hashmix(value, const, next_const):
+    """SeedSequence's hashmix of ``value`` under one constant and its successor.
+
+    Python ints, or uint32 arrays with the constants as uint32 arrays that broadcast.
+    """
+    value = (value ^ const) * next_const & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _M32
+    return value ^ value >> 16
 
 
 def _keys(seed, paths):
-    """``SeedSequence(entropy=seed, spawn_key=path).generate_state(2, uint64)`` per row of ``paths``."""
+    """``SeedSequence(entropy=seed, spawn_key=path).generate_state(2, uint64)`` per row of ``paths``.
+
+    The seed words are the same for every row, so their part of the hash runs
+    once on Python ints. Each path column then mixes into all four pool words
+    in one (4, k) pass of uint32 arrays, under its four hash constants.
+    """
     np.random.SeedSequence(seed)  # raises as substream does on a negative or non-integer seed
     seed = int(seed)
-    run = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
     paths = np.asarray(paths, dtype=np.int64)
     if paths.ndim != 2 or ((paths < 0) | (paths > _M32)).any():
         raise ValueError("paths must be a (k, L) array of entries in 0..2**32-1")
-    if paths.shape[1]:
-        run += [0] * (_POOL - len(run))  # numpy pads the run entropy when there is a spawn key
-    entropy = [np.full(1, w, np.uint32) for w in run] + list(paths.T.astype(np.uint32))
-    entropy += [np.zeros(1, np.uint32)] * (_POOL - len(entropy))
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _M32
-        return _shift16(value * np.uint32(const))
-
-    def mix(x, y):
-        return _shift16(_MIX_L * x - _MIX_R * y)
-
-    pool = [hashmix(w) for w in entropy[:_POOL]]
+    # zero words fill the pool: numpy pads the seed's words when there is a spawn key, and
+    # hashes zeros into the rest of the pool when there is none
+    run = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    run += [0] * (_POOL - len(run))
+    # four hashmix calls per seed word (to fill the pool, then to mix it, then to add a fifth
+    # word on), and four per path column, each under one constant and its successor
+    const = _consts(_INIT_A, _MULT_A, _POOL * (len(run) + paths.shape[1]))
+    steps = zip(const, const[1:])
+    pool = [_hashmix(w, *next(steps)) for w in run[:_POOL]]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
+    for word in run[_POOL:]:
         for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    state, const = [], _INIT_B
-    for word in pool:
-        value = word ^ np.uint32(const)
-        const = const * _MULT_B & _M32
-        state.append(np.broadcast_to(_shift16(value * np.uint32(const)), (len(paths),)).astype(np.uint64))
-    return np.stack([state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)], axis=1)
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    rest = np.array(const[_POOL * len(run):], dtype=np.uint32)[:, None]
+    for j, column in enumerate(paths.T.astype(np.uint32)):
+        c = rest[_POOL * j : _POOL * (j + 1) + 1]  # one constant per pool word, and the last one's successor
+        pool = _mix(pool, _hashmix(column, c[:-1], c[1:]))
+    # generate_state: each pool word hashed once more, under the second constant's sequence
+    final = np.array(_consts(_INIT_B, _MULT_B, _POOL), dtype=np.uint32)[:, None]
+    state = _hashmix(pool, final[:-1], final[1:]).astype(np.uint64)
+    key = state[0::2] | state[1::2] << np.uint64(32)
+    return np.ascontiguousarray(np.broadcast_to(key.T, (len(paths), 2)))
 
 
 def _mulhi(mult, b, out, t1, t2, t3):

@@ -55,7 +55,7 @@ from .errors import (
     UseHeuristicError,
 )
 from .label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
-from .permutations import pair_flags, pair_indices
+from .permutations import pair_flags, pair_indices, position_flags
 
 __all__ = [
     "kemeny_exact",
@@ -106,18 +106,19 @@ def _aggregate_finite(labels, weights, space):
     return out
 
 
-def _preference_tensor(labels, weights):
+def _preference_tensor(positions, weights):
     """pref[t, i, j] = total weight of task t's labelers placing item i before item j.
 
-    Labelers add in order, w to one entry of each pair and w - w = 0 to the
-    other, so each entry rounds as an einsum over its own task does (a batched
-    einsum may sum in partial sums).
+    ``positions`` is the (rho, m, n) :attr:`LabelingMatrix.positions` of the
+    rankings. Labelers add in order, w to one entry of each pair and w - w = 0
+    to the other, so each entry rounds as an einsum over its own task does (a
+    batched einsum may sum in partial sums).
     """
-    n, m, rho = labels.shape
+    rho, m, n = positions.shape
     iu, ju = pair_indices(rho)
     pref = np.zeros((n, rho, rho))
     for s in _chunks(n, (m + 16) * len(iu)):
-        f = pair_flags(labels[s]).T  # (P, m, chunk), contiguous
+        f = position_flags(positions[..., s])  # (P, m, chunk), contiguous
         first, second = np.zeros((2, len(iu), f.shape[2]))
         for a, w in enumerate(weights.tolist()):
             t = w * f[:, a]
@@ -157,11 +158,14 @@ def _select(cands, costs, tol):
     return best
 
 
-def _as_batch(labels):
-    """(n, m, rho) int64 permutations and whether they came as one task's (m, rho) or (rho,)."""
+def _as_batch(labels, rho):
+    """A ranking LabelingMatrix of (n, m, rho) labels, and whether they came as one task's (m, rho) or (rho,)."""
     labels = np.asarray(labels)
     single = labels.ndim < 3
-    return LabelingMatrix(RANKING, np.atleast_2d(labels)[None] if single else labels).labels, single
+    data = LabelingMatrix(RANKING, np.atleast_2d(labels)[None] if single else labels)
+    if data.rho != rho:
+        raise InvalidArgumentError(f"labels have length {data.rho}, expected {rho}")
+    return data, single
 
 
 def kemeny_exact(labels, weights, rho):
@@ -200,22 +204,20 @@ def kemeny_exact(labels, weights, rho):
         If a label is not a permutation of 0..rho-1, or the weights are not
         one finite value per labeler.
     """
-    labels, single = _as_batch(labels)
-    if labels.shape[2] != rho:
-        raise InvalidArgumentError(f"labels have length {labels.shape[2]}, expected {rho}")
-    out = _kemeny(labels, _finite_weights(weights, labels.shape[1]), _DP_MAX_K, None)
+    data, single = _as_batch(labels, rho)
+    out = _kemeny(data.positions, _finite_weights(weights, data.n_lfs), _DP_MAX_K, None)
     return out[0] if single else out
 
 
-def _kemeny(labels, weights, dp_max, seed):
-    """(n, rho) Kemeny orders of (n, m, rho) labels, one majority-graph component at a time.
+def _kemeny(positions, weights, dp_max, seed):
+    """(n, rho) Kemeny orders of the rankings with (rho, m, n) item positions, one majority-graph component at a time.
 
     A component of k items goes to the subset program when k <= ``dp_max``;
     a larger one to eight-restart local search over its own items, task i's
     restarts from ``default_rng((seed, i))``, or, when ``seed`` is None, to
     a UseHeuristicError naming the task and k.
     """
-    pref = _preference_tensor(labels, weights)
+    pref = _preference_tensor(positions, weights)
     order, ends = _majority_components(pref)
     out = order.copy()  # a component of one item stays where the sort put it
     starts = np.ones_like(ends)
@@ -237,7 +239,7 @@ def _kemeny(labels, weights, dp_max, seed):
                 local[s] = _subset_dp(sub[s], layers)
         else:
             # each labeler's order of the component's items, as indices into items
-            item_pos = np.take_along_axis(np.argsort(labels[t[:, 0]], axis=-1), items[:, None, :], axis=2)
+            item_pos = np.take_along_axis(positions[:, :, t[:, 0]].T, items[:, None, :], axis=2)
             local = _local_search(np.argsort(item_pos, axis=-1), sub, weights, 8,
                                   [(seed, i) for i in t[:, 0].tolist()])
         out[t, pos] = np.take_along_axis(items, local, axis=1)
@@ -316,12 +318,10 @@ def kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
     weights, task i's from ``default_rng((seed, i))``. Labels must be
     permutations of 0..rho-1, and weights finite, one per labeler.
     """
-    labels, single = _as_batch(labels)
-    if labels.shape[2] != rho:
-        raise InvalidArgumentError(f"labels have length {labels.shape[2]}, expected {rho}")
-    seeds = [seed] if single else [(seed, i) for i in range(len(labels))]
-    weights = _finite_weights(weights, labels.shape[1])
-    out = _local_search(labels, _preference_tensor(labels, weights), weights, restarts, seeds)
+    data, single = _as_batch(labels, rho)
+    seeds = [seed] if single else [(seed, i) for i in range(data.n_tasks)]
+    weights = _finite_weights(weights, data.n_lfs)
+    out = _local_search(data.labels, _preference_tensor(data.positions, weights), weights, restarts, seeds)
     return out[0] if single else out
 
 
@@ -468,4 +468,4 @@ def aggregate_dataset(data, weights=None, rule="weighted", seed=0, model=None):
         return (_row_sums(weights * data.labels[:, :, 0]) / weights.sum()).tolist()
     if kind == FINITE_METRIC:
         return _aggregate_finite(data.labels, weights, data.space).tolist()
-    return list(_kemeny(data.labels, weights, EXACT_MAX_RHO, seed))
+    return list(_kemeny(data.positions, weights, EXACT_MAX_RHO, seed))

@@ -32,7 +32,7 @@ from .errors import (
     SignAmbiguousError,
 )
 from .metric_spaces import FiniteMetricSpace, classical_mds
-from .permutations import are_permutations, pair_flags
+from .permutations import position_flags
 
 __all__ = [
     "EPS_FLOOR",
@@ -76,11 +76,23 @@ class LabelingMatrix:
       ranking       (n, m, rho) int permutations
       real_vector   (n, m, 1) floats: one scalar per labeler, also given as (n, m)
       finite_metric (n, m) int point indices, with ``space`` attached
+
+    A ranking matrix also holds ``positions``, the (rho, m, n) inverse of its
+    labels in the smallest unsigned type that holds rho: ``positions[i, a, t]``
+    is where labeler a puts item i on task t. The permutation check computes
+    them, and the learner and the Kemeny solvers read them instead of sorting
+    the labels again. The ranking ``labels`` and ``positions`` are read-only
+    views; the labels must not be changed after the matrix is built, through
+    the array it was given either: the positions would not follow, and what
+    is learned or aggregated from the matrix is then undefined. Copies and
+    pickles are rebuilt through the constructor, so they are checked and
+    guarded the same way. ``positions`` is None for the other kinds.
     """
 
     space_kind: str
     labels: np.ndarray
     space: FiniteMetricSpace = None
+    positions: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.space_kind not in _PATHS:
@@ -90,8 +102,10 @@ class LabelingMatrix:
             labels = _integers(labels, "ranking")
             if labels.ndim != 3:
                 raise InvalidArgumentError(f"ranking labels must be (n, m, rho), got {labels.shape}")
-            if not are_permutations(labels).all():
-                raise InvalidArgumentError("every ranking entry must be a permutation of 0..rho-1")
+            positions = _item_positions(labels)
+            labels = labels.view()
+            labels.flags.writeable = positions.flags.writeable = False
+            object.__setattr__(self, "positions", positions)
         elif self.space_kind == REAL_VECTOR:
             labels = labels.astype(np.float64)
             if labels.ndim == 2:
@@ -111,6 +125,9 @@ class LabelingMatrix:
         if labels.shape[0] < 1 or labels.shape[1] < 1:
             raise InvalidArgumentError(f"need n >= 1 and m >= 1, got shape {labels.shape}")
         object.__setattr__(self, "labels", labels)
+
+    def __reduce__(self):
+        return LabelingMatrix, (self.space_kind, self.labels, self.space)
 
     @property
     def n_tasks(self):
@@ -134,6 +151,27 @@ class LabelingMatrix:
         if self.space_kind == REAL_VECTOR:
             return {"d": self.labels.shape[2]}
         return {"n_points": self.space.size}
+
+
+def _item_positions(labels):
+    """(rho, m, n) positions of the items of (n, m, rho) rankings; refuses a row that is no permutation.
+
+    Equal to ``np.argsort(labels).T`` in the smallest type that holds rho. One scatter writes every
+    entry's position into its own (t, a) row, which is then transposed. A row is a permutation
+    of 0..rho-1 exactly when each of its rho entries lies in that range and fills one of its
+    rho slots, so none is left at the fill value rho.
+    """
+    n, m, rho = labels.shape
+    dtype = np.min_scalar_type(rho)
+    # viewed unsigned, a negative entry is above every rho
+    if labels.size and labels.view(np.uint64).max() >= rho:
+        raise InvalidArgumentError("every ranking entry must be a permutation of 0..rho-1")
+    inv = np.full(labels.shape, rho, dtype=dtype)
+    slots = labels + np.arange(n * m).reshape(n, m, 1) * rho
+    inv.reshape(-1)[slots.reshape(-1)] = np.tile(np.arange(rho, dtype=dtype), n * m)
+    if (inv == rho).any():
+        raise InvalidArgumentError("every ranking entry must be a permutation of 0..rho-1")
+    return np.ascontiguousarray(inv.T)
 
 
 def _integers(labels, what):
@@ -250,17 +288,19 @@ def empirical_pair_moments(values):
     return np.ascontiguousarray((sums / values.shape[1]).transpose(1, 2, 0))
 
 
-def _pair_signs(rankings):
-    """Labeler-major (m, n, P) int8 view of the +-1 pair-sign coordinates of (n, m, rho) rankings.
+def _pair_signs(positions):
+    """Labeler-major (m, n, P) int8 view of the +-1 pair-sign coordinates of (rho, m, n) item positions.
 
-    Entries equal :func:`~uws.permutations.pair_sign_embed_many`, made in place on the bytes of
-    :func:`~uws.permutations.pair_flags`; the storage is its pair-major (P, m, n), the layout
-    :func:`empirical_pair_moments` multiplies in, so its float64 operand is one contiguous cast.
+    ``positions`` is a ranking :attr:`LabelingMatrix.positions`. Entries equal
+    :func:`~uws.permutations.pair_sign_embed_many` of the rankings, made in place on the bytes
+    of :func:`~uws.permutations.position_flags`; the storage is its pair-major (P, m, n), the
+    layout :func:`empirical_pair_moments` multiplies in, so its float64 operand is one
+    contiguous cast.
     """
-    s = pair_flags(rankings).view(np.int8)
+    s = position_flags(positions).view(np.int8)
     s += s
     s -= 1
-    return s.transpose(1, 0, 2)
+    return s.transpose(1, 2, 0)
 
 
 def _continuous_core(e_ab, e_ac, e_bc, second_moment):
@@ -670,7 +710,7 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy=Non
     values = None
     second_moments = prior.second_moments if isinstance(prior, SecondMomentPrior) else None
     if kind == RANKING:
-        values = _pair_signs(data.labels)
+        values = _pair_signs(data.positions)
         embedding = {"kind": "pair_sign", "dim": values.shape[2], "pair_order": "lexicographic"}
         if path == "isotropic":
             embedding = {"kind": "native_kendall", "rho": data.rho}

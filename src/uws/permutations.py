@@ -9,8 +9,13 @@ Pair coordinates are indexed lexicographically over item pairs (i, j) with
 i < j, shared by every module. :func:`pair_flags` decides every pair order:
 the pair-sign embedding, the Kendall distance and the Kemeny sums read its
 ``(..., P)`` bool flags, a view of pair-major ``(P, ...reversed)`` storage.
+It has two halves: an argsort inverts the orders into ``(rho, ...reversed)``
+item positions, and :func:`position_flags` compares those positions pair by
+pair. A ranking ``LabelingMatrix`` holds its positions already, so the
+learner and the Kemeny solvers call only the second half.
 """
 
+from functools import cache
 from itertools import permutations as _permutations
 
 import numpy as np
@@ -26,6 +31,7 @@ __all__ = [
     "pair_sign_embed",
     "pair_sign_embed_many",
     "pair_indices",
+    "position_flags",
     "pair_flags",
     "all_permutations",
     "perm_to_str",
@@ -66,9 +72,24 @@ def num_pairs(rho):
     return rho * (rho - 1) // 2
 
 
+@cache
 def pair_indices(rho):
-    """Lexicographic (i, j) pair index arrays, i < j, shared by all embeddings."""
-    return np.triu_indices(rho, k=1)
+    """Lexicographic (i, j) pair index arrays, i < j, shared by all embeddings.
+
+    Built once per rho per process and read-only.
+    """
+    iu, ju = np.triu_indices(rho, k=1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+def position_flags(positions):
+    """(P, ...) bool: whether item i sits before item j, (i, j) of :func:`pair_indices`, in (rho, ...) positions.
+
+    The comparison half of :func:`pair_flags`; the flags are C-contiguous.
+    """
+    iu, ju = pair_indices(len(positions))
+    return positions[iu] < positions[ju]
 
 
 def pair_flags(orders):
@@ -80,8 +101,7 @@ def pair_flags(orders):
     orders = np.asarray(orders)
     rho = orders.shape[-1]
     pos = np.ascontiguousarray(np.argsort(orders, axis=-1).astype(np.min_scalar_type(rho)).T)
-    iu, ju = pair_indices(rho)
-    return (pos[iu] < pos[ju]).T
+    return position_flags(pos).T
 
 
 def kendall_tau(a, b):

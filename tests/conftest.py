@@ -106,6 +106,11 @@ def reference_kemeny_fraction(labels, weights, rho):
     return np.array(order, dtype=np.int64), Fraction(g((1 << rho) - 1), unit)
 
 
+def ranking_positions(labels):
+    """The (rho, m, n) item positions of (n, m, rho) rankings, as a ranking LabelingMatrix holds them."""
+    return LabelingMatrix(RANKING, labels).positions
+
+
 def reference_subset_dp(labels, weights, rho):
     """(n, rho) exact Kemeny orders by one subset program over all rho items of each task.
 
@@ -116,7 +121,7 @@ def reference_subset_dp(labels, weights, rho):
     """
     from uws.inference import _preference_tensor
 
-    pref = _preference_tensor(np.asarray(labels, dtype=np.int64), np.asarray(weights, dtype=np.float64))
+    pref = _preference_tensor(ranking_positions(labels), np.asarray(weights, dtype=np.float64))
     t = len(pref)
     masks = np.arange(1 << rho)
     member = ((masks[:, None] >> np.arange(rho)) & 1).astype(bool)
@@ -576,9 +581,10 @@ def reference_quadratic_triplets(o_ab, o_ac, o_bc, l_a, l_b, l_c, p):
 # one sign search per coordinate, signs through np.where). Patched into
 # ``uws.label_model``, they must leave every learned output byte-identical.
 
-def reference_pair_signs(rankings):
+def reference_pair_signs(positions):
     from uws.permutations import pair_indices
 
+    rankings = np.argsort(positions.T, axis=-1)  # the (n, m, rho) rankings of (rho, m, n) positions
     rho = rankings.shape[2]
     pos = np.argsort(rankings, axis=-1).astype(np.min_scalar_type(rho))
     pos = np.ascontiguousarray(pos.transpose(2, 1, 0))

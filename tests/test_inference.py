@@ -11,6 +11,7 @@ from conftest import (
     brute_force_weighted_kemeny,
     fraction_kemeny_cost,
     naive_kendall,
+    ranking_positions,
     reference_aggregate_finite,
     reference_kemeny_exact,
     reference_kemeny_fraction,
@@ -188,7 +189,8 @@ class TestKemenyExact:
         # 17 cyclic shifts of one order: item i beats the next 8 after it around the cycle, one component
         sigma = np.random.default_rng(17).permutation(17)
         shifts = sigma[(np.arange(17)[:, None] + np.arange(17)) % 17]
-        assert components(inf._preference_tensor(shifts[None], np.ones(17))) == [[sorted(sigma.tolist())]]
+        pref = inf._preference_tensor(ranking_positions(shifts[None]), np.ones(17))
+        assert components(pref) == [[sorted(sigma.tolist())]]
         with pytest.raises(UseHeuristicError, match="task 1: a majority-graph component of 17 items"):
             inf.kemeny_exact(np.stack([np.tile(sigma, (17, 1)), shifts]), np.ones(17), 17)
 
@@ -306,7 +308,7 @@ class TestMajorityDecomposition:
     def test_partition_is_the_strong_components(self, rho, m, n, n_blocks, n_noise, label_seed, data):
         labels = planted_blocks(np.random.default_rng(label_seed), rho, m, n, n_blocks, min(n_noise, m))
         weights = np.array(data.draw(st.lists(weight_values, min_size=m, max_size=m)))
-        pref = inf._preference_tensor(labels, weights)
+        pref = inf._preference_tensor(ranking_positions(labels), weights)
         for p, comps in zip(pref, components(pref)):
             weak = (p >= p.T) & ~np.eye(rho, dtype=bool)
             k, label = connected_components(csr_matrix(weak), directed=True, connection="strong")
@@ -322,7 +324,8 @@ class TestMajorityDecomposition:
         rng = np.random.default_rng(200 + rho)
         labels = planted_blocks(rng, rho, 7, 2, 3, 2)
         weights = rng.integers(1, 9, size=7) / 4
-        assert all(len(comps) > 1 for comps in components(inf._preference_tensor(labels, weights)))
+        pref = inf._preference_tensor(ranking_positions(labels), weights)
+        assert all(len(comps) > 1 for comps in components(pref))
         for task, z in zip(labels, inf.kemeny_exact(labels, weights, rho)):
             order, best = reference_kemeny_fraction(task, weights, rho)
             assert np.array_equal(z, order) and fraction_kemeny_cost(task, weights, z) == best
@@ -332,7 +335,8 @@ class TestMajorityDecomposition:
         # the one opposite, so all 16 items form one component and the program needs all 2^16 subsets
         sigma = np.random.default_rng(16).permutation(16)
         shifts = sigma[(np.arange(16)[:, None] + np.arange(16)) % 16]
-        assert components(inf._preference_tensor(shifts[None], np.ones(16))) == [[sorted(sigma.tolist())]]
+        pref = inf._preference_tensor(ranking_positions(shifts[None]), np.ones(16))
+        assert components(pref) == [[sorted(sigma.tolist())]]
         got = inf.kemeny_exact(shifts, np.ones(16), 16)
         assert np.array_equal(got, reference_subset_dp(shifts[None], np.ones(16), 16)[0])
 
@@ -346,7 +350,8 @@ class TestMajorityDecomposition:
         ident = np.arange(16)
         labels = sigma[np.array([ident, np.r_[1:16, 0], np.r_[15, 0:15]])]
         weights = np.array([3.0, 2.0, 2.0])
-        assert components(inf._preference_tensor(labels[None], weights)) == [[sorted(sigma.tolist())]]
+        pref = inf._preference_tensor(ranking_positions(labels[None]), weights)
+        assert components(pref) == [[sorted(sigma.tolist())]]
         got = inf.kemeny_exact(labels, weights, 16)
         assert got.tolist() == sigma.tolist()
         lower = sum(min(3 + 2 * (i > 0) + 2 * (j < 15), 2 * (i == 0) + 2 * (j == 15))
@@ -627,7 +632,7 @@ class TestPairOrderSums:
         cands = np.argsort(rng.random((n, 5, rho)), axis=-1)
         weights = np.array(data.draw(st.lists(self.weights, min_size=m, max_size=m)))
         with mock.patch.object(inf, "_CHUNK_BYTES", chunk_bytes):
-            pref = inf._preference_tensor(labels, weights)
+            pref = inf._preference_tensor(ranking_positions(labels), weights)
             costs = inf._candidate_costs(pref, cands)
         for t in range(n):
             assert pref[t].tobytes() == reference_preference_matrix(labels[t], weights, rho).tobytes()
@@ -655,7 +660,8 @@ class TestBatchedEngineMatchesReference:
             got = np.asarray(inf.aggregate_dataset(LabelingMatrix(RANKING, labels), weights=weights, seed=seed))
         # the largest majority-graph component of each task; up to rho = 11 a component above
         # EXACT_MAX_RHO is the whole task, which aggregate_dataset hands to eight-restart local search
-        largest = [max(map(len, comps)) for comps in components(inf._preference_tensor(labels, clamped))]
+        pref = inf._preference_tensor(ranking_positions(labels), clamped)
+        largest = [max(map(len, comps)) for comps in components(pref)]
         expect = []
         for i in range(n):
             if local or largest[i] > inf.EXACT_MAX_RHO:
@@ -666,6 +672,35 @@ class TestBatchedEngineMatchesReference:
                                                 dyadic=set(weights) <= set(TIED_WEIGHTS)))
         assert got.dtype == np.int64
         assert np.array_equal(got, np.array(expect))
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(rho=st.integers(13, 16), m=st.integers(3, 9), n=st.integers(1, 3), n_noise=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), label_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_large_components_search_their_own_items(self, rho, m, n, n_noise, seed, label_seed, data):
+        # a block of at least 11 items before or after the rest; the noise labelers put other items
+        # between a block's, so a component's item positions are not its items' ranks among themselves
+        rng = np.random.default_rng(label_seed)
+        labels = np.empty((n, m, rho), dtype=np.int64)
+        for t in range(n):
+            items = rng.permutation(rho)
+            blocks = np.split(items, [int(rng.integers(inf.EXACT_MAX_RHO + 1, rho))])[::int(rng.choice([1, -1]))]
+            for a in range(m):
+                labels[t, a] = (rng.permutation(rho) if a < min(n_noise, m - 1)
+                                else np.concatenate([rng.permutation(b) for b in blocks]))
+        weights = np.array(data.draw(st.lists(weight_values, min_size=m, max_size=m)))
+        clamped = np.where(weights < 0, 0.0, weights)
+        assume((clamped > 0).any())
+        got = np.asarray(inf.aggregate_dataset(LabelingMatrix(RANKING, labels), weights=weights, seed=seed))
+        pref = inf._preference_tensor(ranking_positions(labels), clamped)
+        for i, comps in enumerate(components(pref)):
+            start = 0
+            for items in comps:
+                if len(items) > inf.EXACT_MAX_RHO:
+                    # each labeler's order of the component's items, as indices into the sorted items
+                    local = np.argsort(np.argsort(labels[i], axis=1)[:, items], axis=1)
+                    expect = reference_kemeny_local_search(local, clamped, len(items), seed=(seed, i))
+                    assert got[i, start:start + len(items)].tolist() == np.asarray(items)[expect].tolist()
+                start += len(items)
 
     @settings(max_examples=100, deadline=None)
     @given(n_nodes=st.integers(2, 12), m=st.integers(1, 20), n=st.integers(1, 6),

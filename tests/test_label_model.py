@@ -1,6 +1,8 @@
 """Accuracy estimation without ground truth: triplet systems, signs, end-to-end learning."""
 
+import copy
 import math
+import pickle
 import re
 from itertools import combinations
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import (
+    ranking_positions,
     reference_backward_map,
     reference_pair_signs,
     reference_partner_pairs,
@@ -20,6 +23,7 @@ from conftest import (
     reference_signed_accuracies,
     reference_triplet_estimates,
 )
+from uws import inference as inf
 from uws import label_model as lm
 from uws import mallows
 from uws import permutations as perm
@@ -336,6 +340,11 @@ PATH3 = graph_hop_metric([(0, 1), (1, 2)], 3)
     (lambda: lm.LabelingMatrix("graph", np.zeros((2, 3))), "unknown space kind 'graph'"),
     (lambda: lm.LabelingMatrix(lm.RANKING, np.zeros((2, 3), dtype=int)), r"must be \(n, m, rho\), got \(2, 3\)"),
     (lambda: lm.LabelingMatrix(lm.RANKING, np.zeros((2, 3, 4), dtype=int)), "must be a permutation of 0..rho-1"),
+    # a duplicate leaves a slot of its row empty; a negative or huge entry lies outside 0..rho-1
+    (lambda: lm.LabelingMatrix(lm.RANKING, [[[0, 2, 2]]]), "must be a permutation of 0..rho-1"),
+    (lambda: lm.LabelingMatrix(lm.RANKING, [[[0, -1, 2]]]), "must be a permutation of 0..rho-1"),
+    (lambda: lm.LabelingMatrix(lm.RANKING, [[[0, 1, 3]]]), "must be a permutation of 0..rho-1"),
+    (lambda: lm.LabelingMatrix(lm.RANKING, [[[0, 1, 2]], [[2, 1, 2**62]]]), "must be a permutation of 0..rho-1"),
     (lambda: lm.LabelingMatrix(lm.REAL_VECTOR, [[1.0, np.nan, 2.0]]), "real labels must be finite"),
     (lambda: lm.LabelingMatrix(lm.REAL_VECTOR, [[1.0, np.inf, 2.0]]), "real labels must be finite"),
     (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, np.zeros((2, 3, 1), dtype=int), PATH3),
@@ -345,6 +354,7 @@ PATH3 = graph_hop_metric([(0, 1), (1, 2)], 3)
     (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, [[0, -1, 2]], PATH3), "node labels outside the space"),
     (lambda: lm.LabelingMatrix(lm.REAL_VECTOR, np.zeros((0, 3))), r"need n >= 1 and m >= 1, got shape \(0, 3, 1\)"),
     (lambda: lm.LabelingMatrix(lm.RANKING, np.zeros((2, 0, 4), dtype=int)), r"got shape \(2, 0, 4\)"),
+    (lambda: lm.LabelingMatrix(lm.RANKING, np.zeros((0, 3, 4), dtype=int)), r"got shape \(0, 3, 4\)"),
     (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, np.zeros((0, 3), dtype=int), PATH3), r"got shape \(0, 3\)"),
     (lambda: lm.LabelingMatrix(lm.REAL_VECTOR, np.zeros((2, 3))).rho, "rho only defined for ranking matrices"),
     (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, [[0, 1, 2]], PATH3).rho, "rho only defined for ranking"),
@@ -355,8 +365,9 @@ PATH3 = graph_hop_metric([(0, 1), (1, 2)], 3)
     (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, [[1.0, np.nan, 0.0]], PATH3), "node labels must be integers, got nan"),
     (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, [[1.0, -np.inf, 0.0]], PATH3), "node labels must be integers"),
     (lambda: lm.LabelingMatrix(lm.FINITE_METRIC, [[1.0, 1e300, 0.0]], PATH3), "node labels must be integers"),
-], ids=["unknown_kind", "ranking_2d", "not_permutations", "real_nan", "real_inf", "nodes_3d", "no_space",
-        "node_past_space", "node_negative", "no_tasks", "no_labelers", "no_node_tasks", "rho_of_reals",
+], ids=["unknown_kind", "ranking_2d", "not_permutations", "ranking_duplicate", "ranking_negative",
+        "ranking_past_rho", "ranking_huge", "real_nan", "real_inf", "nodes_3d", "no_space", "node_past_space",
+        "node_negative", "no_tasks", "no_labelers", "no_ranking_tasks", "no_node_tasks", "rho_of_reals",
         "rho_of_nodes", "ranking_fractional", "ranking_inf", "node_fractional", "node_nan", "node_minus_inf",
         "node_past_int64"])
 def test_labeling_matrix_refusals(build, message):
@@ -369,6 +380,89 @@ def test_integral_float_labels_are_accepted():
     nodes = lm.LabelingMatrix(lm.FINITE_METRIC, np.array([[2.0, 0.0, 1.0]], dtype=np.float32), PATH3)
     assert ranking.labels.dtype == nodes.labels.dtype == np.int64
     assert ranking.labels.tolist() == [[[2, 0, 1]] * 3] and nodes.labels.tolist() == [[2, 0, 1]]
+
+
+class TestItemPositions:
+    """A ranking LabelingMatrix's positions are the inverse of its labels, made by the permutation
+    check, which refuses exactly the rows that sort to something other than 0..rho-1."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.one_of(st.integers(1, 12), st.just(300)),
+                     st.integers(0, 2**32 - 1)))
+    def test_positions_are_the_argsort_of_the_labels(self, case):
+        # rho = 300 keeps its positions in uint16
+        n, m, rho, seed = case
+        labels = np.argsort(np.random.default_rng(seed).random((n, m, rho)), axis=-1)
+        got = lm.LabelingMatrix(lm.RANKING, labels).positions
+        want = np.argsort(labels, axis=-1).T.astype(np.min_scalar_type(rho))
+        assert got.dtype == want.dtype == np.min_scalar_type(rho)
+        np.testing.assert_array_equal(got, want)
+        assert got.flags.c_contiguous
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from([-2**63, -2, -1, 0, 1, 2, 7, 8, 9, 2**63 - 1])),
+                    max_size=3))
+    def test_refuses_exactly_the_rows_that_are_no_permutation(self, n, m, rho, seed, edits):
+        labels = np.argsort(np.random.default_rng(seed).random((n, m, rho)), axis=-1)
+        for at, value in edits:
+            labels.flat[at % labels.size] = value
+        if (np.sort(labels, axis=-1) == np.arange(rho)).all():
+            np.testing.assert_array_equal(lm.LabelingMatrix(lm.RANKING, labels).labels, labels)
+        else:
+            with pytest.raises(InvalidArgumentError, match="must be a permutation of 0..rho-1"):
+                lm.LabelingMatrix(lm.RANKING, labels)
+
+    def test_one_item(self):
+        data = lm.LabelingMatrix(lm.RANKING, np.zeros((3, 2, 1), dtype=int))
+        assert data.positions.shape == (1, 2, 3) and data.positions.dtype == np.uint8
+        assert not data.positions.any()
+
+    def test_labels_and_positions_are_read_only(self):
+        given_labels = np.array([[[2, 0, 1], [0, 1, 2]]])
+        data = lm.LabelingMatrix(lm.RANKING, given_labels)
+        for array in (data.labels, data.positions):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 1
+        # the caller's own array is left writable
+        assert given_labels.flags.writeable
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_rebuilt_by_the_constructor(self, clone):
+        data = lm.LabelingMatrix(lm.RANKING, np.array([[[2, 0, 1], [0, 1, 2]]]))
+        got = clone(data)
+        assert got.space_kind == data.space_kind and got.labels.tobytes() == data.labels.tobytes()
+        assert got.positions.tobytes() == data.positions.tobytes()
+        for array in (got.labels, got.positions):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 1
+        nodes = lm.LabelingMatrix(lm.FINITE_METRIC, [[0, 1, 2]], PATH3)
+        got = clone(nodes)
+        assert got.labels.tolist() == [[0, 1, 2]] and got.space.size == 3 and got.positions is None
+
+    def test_other_kinds_have_none(self):
+        assert lm.LabelingMatrix(lm.REAL_VECTOR, np.zeros((2, 3))).positions is None
+        assert lm.LabelingMatrix(lm.FINITE_METRIC, [[0, 1, 2]], PATH3).positions is None
+
+    @pytest.mark.parametrize("n, rho, thetas", [
+        (250, 10, syn.heterogeneous_thetas),  # the benchmark's rank_ls scenario
+        (320, 7, lambda seed: syn.movies_style_thetas(30, seed)),  # and its rank_wide
+    ], ids=["rank_ls", "rank_wide"])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_pipeline_bytes_equal_an_argsort_of_the_labels(self, n, rho, thetas, seed, monkeypatch):
+        def outputs():
+            _, data = syn.gen_ranking_tasks(syn.RankingScenario(n=n, rho=rho, thetas=thetas(seed), seed=seed))
+            model = lm.learn_label_model(data)
+            hypercube = lm.learn_label_model(data, path="hypercube")
+            return (data.positions.tobytes(), model_bytes(model), model_bytes(hypercube),
+                    np.array(inf.aggregate_dataset(data, rule="mv", seed=seed)).tobytes(),
+                    np.array(inf.aggregate_dataset(data, model=model, seed=seed)).tobytes())
+
+        got = outputs()
+        monkeypatch.setattr(lm, "_item_positions",
+                            lambda labels: np.argsort(labels, axis=-1).T.astype(np.min_scalar_type(rho)))
+        assert got == outputs()
 
 
 def test_a_model_records_the_dims_of_its_data():
@@ -949,16 +1043,16 @@ class TestContiguousPasses:
     @given(st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 12), st.integers(0, 2**32 - 1)))
     def test_pair_signs(self, case):
         n, m, rho, seed = case
-        rankings = np.argsort(np.random.default_rng(seed).random((n, m, rho)), axis=-1)
-        got, want = lm._pair_signs(rankings), reference_pair_signs(rankings)
+        positions = ranking_positions(np.argsort(np.random.default_rng(seed).random((n, m, rho)), axis=-1))
+        got, want = lm._pair_signs(positions), reference_pair_signs(positions)
         assert got.dtype == want.dtype == np.int8
         np.testing.assert_array_equal(got, want)
         # labeler-major view of coordinate-major storage
         assert got.transpose(2, 0, 1).flags.c_contiguous
 
     def test_pair_signs_past_the_uint8_positions(self):
-        rankings = np.argsort(np.random.default_rng(3).random((2, 2, 300)), axis=-1)
-        np.testing.assert_array_equal(lm._pair_signs(rankings), reference_pair_signs(rankings))
+        positions = ranking_positions(np.argsort(np.random.default_rng(3).random((2, 2, 300)), axis=-1))
+        np.testing.assert_array_equal(lm._pair_signs(positions), reference_pair_signs(positions))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 7).flatmap(lambda m: st.tuples(
