@@ -1,7 +1,7 @@
 """Labels living on a graph: aggregation in an arbitrary finite metric space.
 
-Tasks are hidden nodes of a random connected graph; each labeler reports a
-node near the truth (closer for sharper labelers, in hop distance). The same
+Tasks are hidden nodes of a random connected graph (a uniform spanning tree
+plus uniform extra edges); each labeler reports a node near the truth (closer for sharper labelers, in hop distance). The same
 triplet machinery estimates per-labeler expected hop error from pairwise
 disagreements only, and the weighted node vote beats the unweighted one when
 labeler quality varies.

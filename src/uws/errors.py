@@ -60,7 +60,3 @@ class InvalidMetricError(UwsError, ValueError):
 
 class UseHeuristicError(UwsError, ValueError):
     """Exact solver refused: label space too large, use the local-search solver."""
-
-
-class GenerationError(UwsError, RuntimeError):
-    """Synthetic scenario could not be realized (e.g. connectivity retries exhausted)."""

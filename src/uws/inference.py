@@ -55,7 +55,7 @@ from .errors import (
     UseHeuristicError,
 )
 from .label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
-from .permutations import pair_flags, pair_indices, position_flags
+from .permutations import pair_indices, position_flags
 
 __all__ = [
     "kemeny_exact",
@@ -129,13 +129,14 @@ def _preference_tensor(positions, weights):
     return pref
 
 
-def _candidate_costs(pref, cands):
-    """Kemeny objectives (n, c) of each task's own candidate orders (n, c, rho)."""
-    n, c, rho = cands.shape
+def _candidate_costs(pref, positions):
+    """Kemeny objectives (n, c) of each task's own candidate orders, from their (rho, c, n) item positions."""
+    rho, c, n = positions.shape
     iu, ju = pair_indices(rho)
     costs = np.empty((n, c))
     for s in _chunks(n, 9 * c * len(iu)):
-        costs[s] = _row_sums(np.where(pair_flags(cands[s]), pref[s, None, ju, iu], pref[s, None, iu, ju]))
+        flags = position_flags(np.ascontiguousarray(positions[..., s])).T
+        costs[s] = _row_sums(np.where(flags, pref[s, None, ju, iu], pref[s, None, iu, ju]))
     return costs
 
 
@@ -238,9 +239,10 @@ def _kemeny(positions, weights, dp_max, seed):
             for s in _chunks(len(sub), 8 * (k + 1) << k):
                 local[s] = _subset_dp(sub[s], layers)
         else:
-            # each labeler's order of the component's items, as indices into items
+            # each labeler's order of the component's items, as indices into items, and its inverse
             item_pos = np.take_along_axis(positions[:, :, t[:, 0]].T, items[:, None, :], axis=2)
-            local = _local_search(np.argsort(item_pos, axis=-1), sub, weights, 8,
+            orders = np.argsort(item_pos, axis=-1)
+            local = _local_search(orders, np.argsort(orders, axis=-1).T, sub, weights, 8,
                                   [(seed, i) for i in t[:, 0].tolist()])
         out[t, pos] = np.take_along_axis(items, local, axis=1)
     return out
@@ -321,20 +323,24 @@ def kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
     data, single = _as_batch(labels, rho)
     seeds = [seed] if single else [(seed, i) for i in range(data.n_tasks)]
     weights = _finite_weights(weights, data.n_lfs)
-    out = _local_search(data.labels, _preference_tensor(data.positions, weights), weights, restarts, seeds)
+    pref = _preference_tensor(data.positions, weights)
+    out = _local_search(data.labels, data.positions, pref, weights, restarts, seeds)
     return out[0] if single else out
 
 
-def _local_search(labels, pref, weights, restarts, seeds):
-    """Each task's pick among its restarts' local optima, from its (n, m, rho) labels and their pref."""
+def _local_search(labels, positions, pref, weights, restarts, seeds):
+    """Each task's pick among its restarts' local optima, from its (n, m, rho) labels, their
+    (rho, m, n) item positions and their pref."""
     n, _, rho = labels.shape
     if rho < 2:
         return labels[:, 0].copy()
     rows = np.arange(n)
     # starts in order: the best input label, the weighted mean-position order, random orders
-    starts = [labels[rows, _candidate_costs(pref, labels).argmin(axis=1)][:, None]]
+    starts = [labels[rows, _candidate_costs(pref, positions).argmin(axis=1)][:, None]]
     if restarts >= 2:
-        mean_pos = np.einsum("a,tai->ti", weights, np.argsort(labels, axis=-1)) / max(weights.sum(), 1e-300)
+        # the operand an argsort of the labels gives, contiguous int64 (n, m, rho): einsum sums in its layout's order
+        pos = np.ascontiguousarray(positions.T, dtype=np.int64)
+        mean_pos = np.einsum("a,tai->ti", weights, pos) / max(weights.sum(), 1e-300)
         starts.append(np.argsort(mean_pos, axis=1, kind="stable")[:, None])
     if restarts > 2:
         rngs = map(np.random.default_rng, seeds)
@@ -344,7 +350,7 @@ def _local_search(labels, pref, weights, restarts, seeds):
     tol = _TIE_TOL * np.abs(weights).sum()
     outs = _insertion_descent(starts.reshape(n * n_starts, rho), pref,
                               np.repeat(rows, n_starts), tol).reshape(n, n_starts, rho)
-    return _select(outs, _candidate_costs(pref, outs), tol)
+    return _select(outs, _candidate_costs(pref, np.argsort(outs, axis=-1).T), tol)
 
 
 def _insertion_descent(orders, pref, task, tol):

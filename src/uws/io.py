@@ -72,7 +72,6 @@ __all__ = [
     "model_from_dict",
     "write_pseudolabels",
     "read_edge_list",
-    "write_edge_list",
     "write_distance_matrix",
     "read_distance_matrix",
     "write_embedding",
@@ -432,10 +431,6 @@ def read_model(path):
 
 def write_pseudolabels(path, labels, space_kind):
     _write_labels(path, ["task_id", "label"], space_kind, labels)
-
-
-def write_edge_list(path, edges):
-    Path(path).write_text("".join(f"{int(u)} {int(v)}\n" for u, v in edges))
 
 
 def read_edge_list(path):

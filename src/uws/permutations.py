@@ -34,8 +34,6 @@ __all__ = [
     "position_flags",
     "pair_flags",
     "all_permutations",
-    "perm_to_str",
-    "perm_from_str",
     "num_pairs",
 ]
 
@@ -154,16 +152,3 @@ def all_permutations(rho):
         raise InvalidArgumentError(f"need rho >= 1, got {rho}")
     return np.array(list(_permutations(range(rho))), dtype=np.int64)
 
-
-def perm_to_str(p):
-    """Serialize as comma-separated 0-based indices, e.g. ``"2,0,1"``."""
-    return ",".join(str(int(v)) for v in check_permutation(p))
-
-
-def perm_from_str(s):
-    """Parse the :func:`perm_to_str` format."""
-    try:
-        vals = [int(tok) for tok in s.split(",")]
-    except ValueError as exc:
-        raise InvalidArgumentError(f"bad permutation string {s!r}") from exc
-    return check_permutation(vals)

@@ -5,7 +5,7 @@ random decision draws from a named Philox substream
 ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=path)))`` where the
 path encodes what the stream is for:
 
-    (0, attempt)      graph structure (resampled on connectivity rejection)
+    (0,)              graph structure (a spanning tree, then the extra edges)
     (1, task)         the task's latent truth
     (2, task, a)      labeler a's output on the task
     (3,)              preset parameter draws (labeler quality vectors)
@@ -19,16 +19,17 @@ SeedSequence hash, computes uniform draws for all of them at once with the
 Philox4x64-10 counter function, and re-keys one generator per path for the
 other draws. The draws are bit-identical to ``substream(seed, *path)``'s,
 so the path scheme above is unchanged; ``substream`` itself serves the
-one-off streams (graph attempts, presets).
+one-off streams (graph structure, presets).
 """
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mallows
 from ._streams import generators, uniforms
-from .errors import DisconnectedGraphError, GenerationError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
 from .metric_spaces import graph_hop_metric
 
@@ -118,14 +119,13 @@ class RegressionScenario:
 
 @dataclass(frozen=True)
 class GraphScenario:
-    """Random connected graph with hop metric; labelers pick nodes near the truth."""
+    """Random connected graph (a spanning tree plus extra edges) with hop metric; labelers pick nodes near the truth."""
 
     n_nodes: int
     n_edges: int
     n: int
     thetas: tuple
     seed: int
-    max_retries: int = 100
 
     def __post_init__(self):
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
@@ -208,22 +208,36 @@ def _labeler_paths(n, m):
 
 
 def _sample_graph(scenario):
-    # node pairs in lexicographic order; an attempt keeps the pairs at its sorted draws
-    pairs = np.stack(np.triu_indices(scenario.n_nodes, k=1), axis=1)
-    for attempt in range(scenario.max_retries):
-        chosen = substream(scenario.seed, 0, attempt).choice(len(pairs), size=scenario.n_edges, replace=False)
-        try:
-            return graph_hop_metric(pairs[np.sort(chosen)], scenario.n_nodes)
-        except DisconnectedGraphError:
-            continue
-    raise GenerationError(f"no connected graph after {scenario.max_retries} attempts")
+    """Hop metric of a uniform labeled spanning tree plus uniform extra edges, all from one stream."""
+    n_nodes = scenario.n_nodes
+    rng = substream(scenario.seed, 0)
+    # the tree of a uniform Pruefer code: each code entry in turn is the neighbour of the smallest leaf left
+    code = rng.integers(n_nodes, size=n_nodes - 2)
+    degree = (np.bincount(code, minlength=n_nodes) + 1).tolist()
+    code = code.tolist()
+    leaves = [v for v, d in enumerate(degree) if d == 1]  # ascending, so already a heap
+    ends = []
+    for v in code:
+        ends.append(heapq.heappop(leaves))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    u, v = ends + leaves[:1], code + leaves[1:]  # the last two leaves share the last edge
+    # the free pairs i < j, row-major in an (N, N) mask, are the lexicographic non-tree pairs
+    free = np.triu(np.ones((n_nodes, n_nodes), dtype=bool), k=1)
+    free[u, v] = free[v, u] = False
+    rest = np.flatnonzero(free)
+    free.flat[rest[rng.choice(rest.size, size=scenario.n_edges - n_nodes + 1, replace=False)]] = False
+    return graph_hop_metric(np.argwhere(np.triu(~free, k=1)), n_nodes)
 
 
 def gen_graph_tasks(scenario):
     """Generate (space, truth nodes, labels) for a graph scenario.
 
-    The graph is uniform over simple connected graphs with the requested edge
-    count (edge sets resampled until connected). Truth nodes are uniform;
+    The graph is a uniform labeled spanning tree plus ``n_edges - n_nodes + 1``
+    extra edges drawn uniformly from the other node pairs: a connected graph
+    with that edge count comes with probability proportional to its number
+    of spanning trees, not uniformly. Truth nodes are uniform;
     labeler a picks node v with probability proportional to
     exp(-thetas[a] * hops(v, truth)).
     """

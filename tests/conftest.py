@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from uws.errors import DisconnectedGraphError, GenerationError, InvalidArgumentError, InvalidMetricError
+from uws.errors import DisconnectedGraphError, InvalidArgumentError, InvalidMetricError
 from uws.label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
 from uws.metric_spaces import FiniteMetricSpace
-from uws.permutations import perm_from_str
 from uws.synthetic import substream
 
 
@@ -246,6 +245,17 @@ def reference_aggregate_finite(labels, weights, dist):
 # codec table and the validating reader. On valid files, in any row order,
 # the current readers must return equal arrays of equal dtype.
 
+def reference_perm(cell):
+    """The items of a ranking cell such as ``"2,0,1"``, refused unless they are 0..rho-1 once each."""
+    try:
+        items = [int(tok) for tok in cell.split(",")]
+    except ValueError as exc:
+        raise InvalidArgumentError(f"bad ranking cell {cell!r}") from exc
+    if sorted(items) != list(range(len(items))):
+        raise InvalidArgumentError(f"not a permutation: {cell!r}")
+    return items
+
+
 def reference_read_dataset(path, space=None):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -262,10 +272,9 @@ def reference_read_dataset(path, space=None):
     if len(cells) != n * m:
         raise InvalidArgumentError(f"{path}: missing (task, labeler) rows")
     if kind_col == "perm":
-        first = perm_from_str(cells[(0, 0)])
-        labels = np.empty((n, m, first.size), dtype=np.int64)
+        labels = np.empty((n, m, len(reference_perm(cells[(0, 0)]))), dtype=np.int64)
         for (t, a), raw in cells.items():
-            labels[t, a] = perm_from_str(raw)
+            labels[t, a] = reference_perm(raw)
         return LabelingMatrix(RANKING, labels)
     if kind_col == "value":
         labels = np.empty((n, m))
@@ -291,7 +300,7 @@ def reference_read_truth(path):
         raise InvalidArgumentError(f"{path}: expected header task_id,<label> and data rows")
     col = header[1]
     if col == "perm":
-        return RANKING, np.array([perm_from_str(r[1]) for r in rows])
+        return RANKING, np.array([reference_perm(r[1]) for r in rows])
     if col == "value":
         return REAL_VECTOR, np.array([float(r[1]) for r in rows])
     if col == "node":
@@ -306,7 +315,7 @@ def reference_read_truth(path):
 # exception type.
 
 _REFERENCE_CELLS = {  # label column: (space kind, parser of one cell, array dtype)
-    "perm": (RANKING, perm_from_str, np.int64),
+    "perm": (RANKING, reference_perm, np.int64),
     "value": (REAL_VECTOR, float, np.float64),
     "node": (FINITE_METRIC, int, np.int64),
 }
@@ -416,8 +425,9 @@ def reference_write_labels(path, header, space_kind, labels):
 
 # Reference generators: the scenario generators and the hop metric as they
 # were before the batched substreams and the frontier BFS, one substream per
-# task and per (task, labeler), one breadth-first search per source. The
-# current ones must return equal arrays of equal dtype.
+# task and per (task, labeler), one breadth-first search per source; the graph
+# structure decoded and chosen from Python lists. The current ones must return
+# equal arrays of equal dtype.
 
 def reference_graph_hop_metric(edges, n_nodes):
     if n_nodes < 1:
@@ -510,19 +520,22 @@ def reference_gen_regression_tasks(scenario):
 
 
 def reference_gen_graph_tasks(scenario):
+    # the tree of the Pruefer code, decoded by scanning for the smallest leaf at every step, then
+    # the extra edges chosen from a list of the other pairs, with the library's two calls on one stream
     n_nodes, n_edges = scenario.n_nodes, scenario.n_edges
-    all_pairs = [(u, v) for u in range(n_nodes) for v in range(u + 1, n_nodes)]
-    for attempt in range(scenario.max_retries):
-        rng = substream(scenario.seed, 0, attempt)
-        chosen = rng.choice(len(all_pairs), size=n_edges, replace=False)
-        edges = [all_pairs[k] for k in sorted(chosen.tolist())]
-        try:
-            space = reference_graph_hop_metric(edges, n_nodes)
-            break
-        except DisconnectedGraphError:
-            continue
-    else:
-        raise GenerationError(f"no connected graph after {scenario.max_retries} attempts")
+    rng = substream(scenario.seed, 0)
+    code = rng.integers(n_nodes, size=n_nodes - 2).tolist()
+    degree = [1 + code.count(v) for v in range(n_nodes)]
+    tree = set()
+    for v in code:
+        leaf = min(u for u in range(n_nodes) if degree[u] == 1)
+        tree.add((min(leaf, v), max(leaf, v)))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    tree.add(tuple(u for u in range(n_nodes) if degree[u] == 1))
+    rest = [(u, v) for u in range(n_nodes) for v in range(u + 1, n_nodes) if (u, v) not in tree]
+    chosen = rng.choice(len(rest), size=n_edges - (n_nodes - 1), replace=False)
+    space = reference_graph_hop_metric(sorted(tree | {rest[k] for k in chosen.tolist()}), n_nodes)
     m = len(scenario.thetas)
     cdfs = np.empty((m, n_nodes, n_nodes))
     for a, theta in enumerate(scenario.thetas):

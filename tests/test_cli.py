@@ -73,6 +73,14 @@ class TestGenerate:
         assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == 0
         assert (out / "space.csv").exists()
 
+    def test_tree_graph_scenario_generates(self, tmp_path):
+        # n_edges = n_nodes - 1, the fewest edges a scenario admits: the graph is a spanning tree
+        scenario = write_json(tmp_path / "t.json", {"kind": "graph", "n_nodes": 40, "n_edges": 39, "n": 15,
+                                                    "thetas": [2.0, 1.0, 0.5], "seed": 3})
+        out = tmp_path / "out"
+        assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert (uio.read_distance_matrix(out / "space.csv").dist == 1).sum() == 2 * 39
+
     @pytest.mark.parametrize("payload", [
         {"kind": "ranking", "n": 20, "rho": 4, "thetas": [1.0, float("nan"), 0.5], "seed": 3},
         {"kind": "graph", "n_nodes": 8, "n_edges": 12, "n": 15, "thetas": [2.0, float("nan"), 0.5], "seed": 3},

@@ -633,7 +633,7 @@ class TestPairOrderSums:
         weights = np.array(data.draw(st.lists(self.weights, min_size=m, max_size=m)))
         with mock.patch.object(inf, "_CHUNK_BYTES", chunk_bytes):
             pref = inf._preference_tensor(ranking_positions(labels), weights)
-            costs = inf._candidate_costs(pref, cands)
+            costs = inf._candidate_costs(pref, ranking_positions(cands))
         for t in range(n):
             assert pref[t].tobytes() == reference_preference_matrix(labels[t], weights, rho).tobytes()
             for c in range(5):

@@ -145,19 +145,6 @@ class TestPairSignEmbed:
         assert len({tuple(row) for row in g.tolist()}) == len(g)
 
 
-class TestSerialization:
-    def test_roundtrip(self):
-        p = np.array([2, 0, 1])
-        assert perm.perm_to_str(p) == "2,0,1"
-        assert (perm.perm_from_str("2,0,1") == p).all()
-
-    def test_rejects_garbage(self):
-        with pytest.raises(InvalidArgumentError):
-            perm.perm_from_str("2,x,1")
-        with pytest.raises(InvalidArgumentError):
-            perm.perm_from_str("0,0,1")
-
-
 def test_all_permutations_lexicographic():
     perms = perm.all_permutations(3)
     as_tuples = [tuple(p) for p in perms]

@@ -1,6 +1,9 @@
 """Synthetic scenario generators: distributions, determinism, presets."""
 
+import math
 import tracemalloc
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from scipy import stats
 from uws import mallows
 from uws import permutations as perm
 from uws import synthetic as syn
-from uws.errors import GenerationError, InvalidArgumentError
+from uws.errors import InvalidArgumentError
 
 
 class TestRankingScenario:
@@ -159,11 +162,6 @@ class TestGraphScenario:
         with pytest.raises(InvalidArgumentError, match="labeler 0 has -0.5"):
             syn.GraphScenario(n_nodes=5, n_edges=6, n=10, thetas=(-0.5, 1.0, 1.0), seed=0)
 
-    def test_generation_error_when_no_retries(self):
-        s = syn.GraphScenario(n_nodes=8, n_edges=7, n=5, thetas=(1.0,) * 3, seed=0, max_retries=0)
-        with pytest.raises(GenerationError):
-            syn.gen_graph_tasks(s)
-
     def test_degenerate_labelers_copy_truth(self):
         s = syn.GraphScenario(n_nodes=12, n_edges=20, n=400, thetas=(50.0, 50.0, 50.0), seed=1)
         _, truth, data = syn.gen_graph_tasks(s)
@@ -179,7 +177,7 @@ class TestGraphScenario:
         assert chi2 < stats.chi2.ppf(0.999, 19)
 
     def test_path_graph_categorical_frequencies(self):
-        # fixed path graph: exact conditional law is exp(-theta * hops) / Z;
+        # one random tree (n_edges = n_nodes - 1): the exact conditional law is exp(-theta * hops) / Z;
         # the pooled conditional total variation over >= 1e5 draws stays small
         s = syn.GraphScenario(n_nodes=10, n_edges=9, n=35_000, thetas=(1.0, 1.0, 1.0), seed=3)
         space, truth, data = syn.gen_graph_tasks(s)
@@ -310,18 +308,11 @@ class TestAgainstReference:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 12).flatmap(lambda nodes: st.tuples(
         st.just(nodes), st.integers(nodes - 1, nodes * (nodes - 1) // 2))),
-        st.integers(1, 12), THETAS, SEEDS, st.integers(1, 4))
-    def test_graph(self, shape, n, thetas, seed, retries):
-        # few edges and few retries: some draws are disconnected, some scenarios give up
+        st.integers(1, 12), THETAS, SEEDS)
+    def test_graph(self, shape, n, thetas, seed):
         n_nodes, n_edges = shape
-        s = syn.GraphScenario(n_nodes=n_nodes, n_edges=n_edges, n=n, thetas=thetas, seed=seed, max_retries=retries)
-        try:
-            want = reference_gen_graph_tasks(s)
-        except GenerationError:
-            with pytest.raises(GenerationError):
-                syn.gen_graph_tasks(s)
-            return
-        got = syn.gen_graph_tasks(s)
+        s = syn.GraphScenario(n_nodes=n_nodes, n_edges=n_edges, n=n, thetas=thetas, seed=seed)
+        got, want = syn.gen_graph_tasks(s), reference_gen_graph_tasks(s)
         assert_same(got[0].dist, want[0].dist)
         assert_same(got[1], want[1])
         assert_same(got[2].labels, want[2].labels)
@@ -336,3 +327,61 @@ class TestAgainstReference:
         assert_same(got[0].dist, want[0].dist)
         assert_same(got[1], want[1])
         assert_same(got[2].labels, want[2].labels)
+
+
+def _edges(space):
+    """The edge set of a hop-metric space: its node pairs i < j at distance 1."""
+    return frozenset(zip(*(ends.tolist() for ends in np.nonzero(np.triu(space.dist == 1)))))
+
+
+def _graph_scenario(n_nodes, n_edges, seed):
+    return syn.GraphScenario(n_nodes=n_nodes, n_edges=n_edges, n=1, thetas=(1.0,) * 3, seed=seed)
+
+
+class TestGraphStructure:
+    """The graph is a uniform labeled spanning tree plus uniform extra edges: every scenario that
+    validates generates, and a connected graph with E edges comes with probability proportional to
+    its number of spanning trees."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(SEEDS)
+    def test_every_valid_scenario_generates(self, seed):
+        for n_nodes in range(2, 13):
+            for n_edges in range(n_nodes - 1, n_nodes * (n_nodes - 1) // 2 + 1):
+                space = syn._sample_graph(_graph_scenario(n_nodes, n_edges, seed))
+                assert len(_edges(space)) == n_edges
+                assert 0 < space.dist.max() < n_nodes  # connected: every hop distance finite
+
+    @pytest.mark.parametrize("n_nodes, n_edges", [(40, 39), (40, 45), (500, 800)])
+    def test_sparse_scenarios_generate(self, n_nodes, n_edges):
+        # sparse: a uniform edge set of these counts is almost never connected
+        space, _, _ = syn.gen_graph_tasks(_graph_scenario(n_nodes, n_edges, seed=1))
+        assert len(_edges(space)) == n_edges
+        assert 0 < space.dist.max() < n_nodes
+
+    @pytest.mark.parametrize("n_edges", [3, 4])
+    def test_law_at_four_nodes(self, n_edges):
+        # Cayley's 4^2 = 16 trees, then one of the 3 pairs left: P(G) = tau(G) / 16 at E = 3 (every tree
+        # 1/16) and tau(G) / 48 at E = 4 (a 4-cycle 4/48 = 1/12, a triangle with a pendant edge 3/48 = 1/16),
+        # tau(G) the spanning trees of G by the matrix-tree theorem
+        seeds = 4000
+        counts = Counter(_edges(syn._sample_graph(_graph_scenario(4, n_edges, seed))) for seed in range(seeds))
+        graphs = [frozenset(g) for g in combinations(combinations(range(4), 2), n_edges)]
+        tau = np.array([_spanning_trees(g, 4) for g in graphs])
+        prob = tau / (16 * math.comb(3, n_edges - 3))
+        connected = tau > 0  # at E = 3 the 4 triangles leave a node out
+        assert connected.sum() == (16 if n_edges == 3 else 15) and prob.sum() == pytest.approx(1.0)
+        assert sorted(set(prob[connected].tolist())) == ([1 / 16] if n_edges == 3 else [1 / 16, 1 / 12])
+        assert set(counts) == {g for g, c in zip(graphs, connected) if c}
+        observed = np.array([counts[g] for g, c in zip(graphs, connected) if c])
+        expected = seeds * prob[connected]
+        assert ((observed - expected) ** 2 / expected).sum() < stats.chi2.ppf(0.999, len(observed) - 1)
+
+
+def _spanning_trees(edges, n_nodes):
+    """Kirchhoff's matrix-tree theorem: a cofactor of the graph Laplacian."""
+    laplacian = np.zeros((n_nodes, n_nodes))
+    for i, j in edges:
+        laplacian[[i, j], [i, j]] += 1
+        laplacian[[i, j], [j, i]] -= 1
+    return round(np.linalg.det(laplacian[1:, 1:]))
