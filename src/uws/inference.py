@@ -8,8 +8,9 @@ learned accuracies it is the weighted maximum-likelihood rule.
 :func:`aggregate_dataset` is the one entry point, with one path per space
 kind: one batched engine solves every task of a dataset at once. A negative
 (worse than random) weight counts as 0. Reals take the weighted mean, the
-exact argmin of the squared distance. Finite spaces gather the distance
-columns of every task's labels and take the argmin over all points. Rankings
+exact argmin of the squared distance. Finite spaces sum each labeler's
+weighted distance column over chunks of tasks, labeler by labeler in numpy's
+pairwise order, and take the argmin over all points. Rankings
 build one ``(n, rho, rho)`` preference tensor and split each task's items
 into the strongly connected components of its weak majority graph (an edge
 i -> j when no more weight puts j before i than i before j), with array
@@ -97,12 +98,58 @@ def _chunks(n, bytes_per_task):
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
+def _pairwise_sum(terms, lo, hi):
+    """The sum of the slabs ``terms(a, b)``, a ``(b - a, ...)`` array, over lo..hi-1,
+    added elementwise in the order numpy sums a contiguous run of ``hi - lo`` terms."""
+    n = hi - lo
+    if n < 8:
+        total = 0.0
+        for term in terms(lo, hi):
+            total = total + term
+        return total
+    if n <= 128:
+        stop = hi - n % 8
+        r = terms(lo, lo + 8)
+        for a in range(lo + 8, stop, 8):
+            r += terms(a, a + 8)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for term in terms(stop, hi):
+            total += term
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(terms, lo, lo + half) + _pairwise_sum(terms, lo + half, hi)
+
+
+def _finite_costs(cols, weights, dist_t):
+    """The (k, N) weighted distances ``sum_a w_a dist[c, label_ta]`` of every point c
+    for k tasks, their labels the columns of the (m, k) ``cols``.
+
+    Summed labeler-major: labeler a's terms are one contiguous ``(k, N)`` slab,
+    ``w_a`` times the rows of ``dist_t = dist.T`` at its labels (the column, as
+    a task's row of terms holds it: the matrix may be asymmetric within
+    tolerance). numpy sums a contiguous run of m terms pairwise: below 8 in
+    sequence from 0.0, up to 128 in eight interleaved partial sums combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then the rest in order, and
+    above 128 as the sum of two halves split at ``m // 2`` rounded down to a
+    multiple of 8. :func:`_pairwise_sum` makes the same additions on whole
+    slabs, so every cost has the bits :func:`_row_sums` gives the task's row of
+    m terms, and ties break as they would for a lone task.
+    """
+    def terms(lo, hi):
+        slabs = dist_t[cols[lo:hi]]
+        slabs *= weights[lo:hi, None, None]
+        return slabs
+
+    return _pairwise_sum(terms, 0, len(cols))
+
+
 def _aggregate_finite(labels, weights, space):
-    n, m = labels.shape
+    n = len(labels)
+    dist_t = np.ascontiguousarray(space.dist.T)
     out = np.empty(n, dtype=np.int64)
-    for s in _chunks(n, 16 * m * space.size):
-        # costs[t, c] = sum_a w_a dist[c, label_ta], every point c a candidate
-        out[s] = _row_sums((weights * space.dist[:, labels[s]]).transpose(1, 0, 2)).argmin(axis=1)
+    # live slabs: eight partial sums, a block of eight terms and the sum of a first half
+    for s in _chunks(n, 8 * 17 * space.size):
+        out[s] = _finite_costs(np.ascontiguousarray(labels[s].T), weights, dist_t).argmin(axis=1)
     return out
 
 

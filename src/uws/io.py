@@ -22,11 +22,17 @@ by offset in a table of ``str`` of their range; every other float is its
 commas inside quotes when there are two or more. The cells and separators
 are interleaved into one list, written with a single join.
 
-Label files and distance matrices are read by one array reader: the bytes
-are scanned once for line ends, quotes and commas, which checks that quotes
-enclose whole cells and that every line has the first line's width (a
-blank line has none), and then every cell is parsed in one ``np.loadtxt``
-call (a ranking's quoted cell as ``rho`` integer columns). Label files must
+Label files and distance matrices are read by one array reader. It checks
+that quotes enclose whole cells and that every line has the first line's
+width (a blank line has none), and then parses every cell in one
+``np.loadtxt`` call (a ranking's quoted cell as ``rho`` integer columns).
+The check is a pattern scan: one ``bytes.translate`` keeps a file's commas,
+quotes and line ends in order, and the file passes at once when every line
+after the first repeats the second line's sequence of them, that sequence
+is valid, and the first line, without quotes, is as wide; the quote rule is
+checked at the quote positions alone. Every file the library writes passes
+so. Any other file falls back to the full scan, which locates every line
+end, quote and comma and so finds and names a fault. Label files must
 further hold integer ids exactly 0..n-1 (x 0..m-1 for datasets), each
 once, in any row order, and valid labels. Any fault raises
 InvalidArgumentError naming the file, with ``file:line`` for a row of the
@@ -228,20 +234,81 @@ def _write_labels(path, header, space_kind, labels):
     _write_rows(path, header, len(ids), blocks, seps)
 
 
+# every byte but a line end, a quote and a comma: what ``bytes.translate`` deletes
+# to leave the separators of a file in order
+_CELL_BYTES = bytes(sorted(set(range(256)) - set(b'\n",')))
+
+
 def _read_table(path):
     """The text of a CSV file, every line as wide as the first, and the commas
     on each line, those inside quoted cells included.
 
-    One pass over the bytes: a line ends at ``\\n``, ``\\r\\n`` or ``\\r`` (as for
-    csv), quotes enclose whole cells (so every line holds an even number of
-    them and a comma after an odd number is inside a quoted cell), and a line
-    holds one field more than its other commas (a blank line none).
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` (as for csv), and the last one
+    may lack its end. Files such as the library writes take the pattern scan,
+    :func:`_pattern_commas`; any other file, and so every faulty one, takes
+    the full scan, :func:`_scan_commas`, which finds and names the fault.
     """
     raw = Path(path).read_bytes()
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not raw.endswith(b"\n"):
         raw += b"\n"
+    commas = _pattern_commas(raw)
+    if commas is None:
+        commas = _scan_commas(path, raw)
+    try:
+        return raw.decode(), commas
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc
+
+
+def _pattern_commas(raw):
+    """The commas on each line of ``raw`` (every line ending in ``\\n``) when its
+    separators repeat one valid pattern, else None.
+
+    The pattern is the second line's sequence of commas, quotes and line ends,
+    found by one ``bytes.translate``; every later line must repeat it. It is
+    valid when its quotes pair up, with a comma or a line end just before each
+    opening quote and just after each closing one (checked at the quote
+    positions only), and the first line, free of quotes and not blank, holds as
+    many fields, commas outside quotes plus one. A line without separators
+    must not be blank. The full scan accepts such a file and counts the same
+    commas.
+    """
+    if raw.startswith(b"\n"):
+        return None
+    head, _, body = raw.translate(None, _CELL_BYTES).partition(b"\n")
+    if b'"' in head:
+        return None
+    if not body:
+        return np.full(1, head.count(b","), dtype=np.intp)
+    width = body.index(b"\n") + 1
+    pattern = body[:width]
+    outside = pattern.split(b'"')[::2]
+    if (body != pattern * (len(body) // width) or pattern.count(b'"') % 2
+            or sum(part.count(b",") for part in outside) != head.count(b",")
+            or (width == 1 and b"\n\n" in raw)):
+        return None
+    if b'"' in pattern:
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        quotes = np.flatnonzero(buf == ord('"'))
+        near = np.concatenate([buf[quotes[0::2] - 1], buf[quotes[1::2] + 1]])
+        if not ((near == ord(",")) | (near == ord("\n"))).all():
+            return None
+    commas = np.full(1 + len(body) // width, pattern.count(b","), dtype=np.intp)
+    commas[0] = head.count(b",")
+    return commas
+
+
+def _scan_commas(path, raw):
+    """The commas on each line of ``raw``, the bytes of any file with every line
+    ending in ``\\n``, after checking it as :func:`_read_table` says.
+
+    One pass over the bytes: quotes enclose whole cells (so every line holds an
+    even number of them and a comma after an odd number is inside a quoted
+    cell), and a line holds one field more than its other commas (a blank line
+    none). A fault raises InvalidArgumentError naming the file and its line.
+    """
     buf = np.frombuffer(raw, dtype=np.uint8)
     ends, quotes, commas = (np.flatnonzero(buf == ord(c)) for c in "\n\",")
 
@@ -264,10 +331,7 @@ def _read_table(path):
     if ragged.size:
         ln = ragged[0]
         raise InvalidArgumentError(f"{path}:{ln + 1}: expected {fields[0]} fields, got {fields[ln]}")
-    try:
-        return raw.decode(), per_line(commas)
-    except UnicodeDecodeError as exc:
-        raise InvalidArgumentError(f"{path}: {exc}") from exc
+    return per_line(commas)
 
 
 def _loadtxt(path, text, dtype, ndmin, first_line):

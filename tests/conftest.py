@@ -231,14 +231,15 @@ def reference_kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
     return best
 
 
-def reference_aggregate_finite(labels, weights, dist):
-    """Weighted distance argmin over every point, lowest index on ties.
+def reference_finite_costs(labels, weights, dist):
+    """Every point c's weighted distance ``sum_a w_a dist[c, labels[a]]`` to one task's
+    labels: the terms as a contiguous (N, m) array, a row per point, summed by numpy."""
+    return np.ascontiguousarray(weights[None, :] * dist[:, np.asarray(labels)]).sum(axis=1)
 
-    Each point's cost is summed as one contiguous row, as the library documents: the gather
-    ``dist[:, labels]`` is column-major, and summed in place it rounds term by term instead.
-    """
-    costs = np.ascontiguousarray(weights[None, :] * dist[:, np.asarray(labels)]).sum(axis=1)
-    return int(np.argmin(costs))
+
+def reference_aggregate_finite(labels, weights, dist):
+    """Weighted distance argmin over every point, lowest index on ties."""
+    return int(np.argmin(reference_finite_costs(labels, weights, dist)))
 
 
 # Reference readers: the dataset and truth readers as they were before the

@@ -13,6 +13,7 @@ from conftest import (
     naive_kendall,
     ranking_positions,
     reference_aggregate_finite,
+    reference_finite_costs,
     reference_kemeny_exact,
     reference_kemeny_fraction,
     reference_kemeny_cost,
@@ -36,7 +37,7 @@ from uws.errors import (
     UseHeuristicError,
 )
 from uws.label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
-from uws.metric_spaces import graph_hop_metric
+from uws.metric_spaces import FiniteMetricSpace, graph_hop_metric
 
 
 def ranking_problem(labels, weights=None, **kw):
@@ -718,6 +719,50 @@ class TestBatchedEngineMatchesReference:
         got = np.asarray(got)
         assert got.dtype == np.int64
         assert np.array_equal(got, np.array(expect))
+
+
+def near_symmetric_space(rng, n_points):
+    """Distances between random points on a line, each off-diagonal entry raised by up to
+    3e-10 on its own: a metric within FiniteMetricSpace's tolerance, asymmetric in the last bits."""
+    x = rng.random(n_points) * 4
+    dist = np.abs(x[:, None] - x[None, :]) + rng.random((n_points, n_points)) * 3e-10
+    np.fill_diagonal(dist, 0.0)
+    return FiniteMetricSpace(dist)
+
+
+class TestFiniteCostsMatchContiguousRows:
+    """The labeler-major costs have the bits of each task's contiguous row of terms summed by numpy,
+    past its 128-term block too; the columns of an asymmetric matrix, not its rows, are summed."""
+
+    @staticmethod
+    def check(rng, n_points, m, n):
+        space = near_symmetric_space(rng, n_points)
+        labels = rng.integers(0, n_points, size=(n, m))
+        weights = np.where(rng.random(m) < 0.3, 0.0, rng.random(m) * 3)
+        costs = inf._finite_costs(np.ascontiguousarray(labels.T), weights, np.ascontiguousarray(space.dist.T))
+        expect = np.array([reference_finite_costs(labels[i], weights, space.dist) for i in range(n)])
+        assert costs.shape == (n, n_points)
+        assert costs.tobytes() == expect.tobytes()
+        if (weights > 0).any():
+            got = inf.aggregate_dataset(LabelingMatrix(FINITE_METRIC, labels, space), weights=weights)
+            assert got == [reference_aggregate_finite(labels[i], weights, space.dist) for i in range(n)]
+
+    def test_every_labeler_count_to_300(self):
+        rng = np.random.default_rng(27)
+        for m in range(1, 301):
+            self.check(rng, int(rng.integers(1, 61)), m, int(rng.integers(1, 4)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_points=st.integers(1, 60), m=st.integers(1, 300), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_random(self, n_points, m, n, seed):
+        self.check(np.random.default_rng(seed), n_points, m, n)
+
+    def test_columns_not_rows(self):
+        # dist[0, 1] exceeds dist[1, 0] by 1e-10: summed down the columns point 1 costs less, along the rows point 0
+        space = FiniteMetricSpace(np.array([[0.0, 1.0 + 1e-10], [1.0, 0.0]]))
+        data = LabelingMatrix(FINITE_METRIC, np.array([[0, 1]] * 9), space)
+        assert inf.aggregate_dataset(data, weights=np.ones(2)) == [1] * 9
+        assert reference_aggregate_finite([0, 1], np.ones(2), space.dist) == 1
 
 
 class TestAggregationInvariants:

@@ -7,6 +7,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -462,6 +463,138 @@ class TestArrayReaderDecisions:
         path.write_text('task_id,perm\n0,"0,1,2"\n1,"2,2,0"\n')
         with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}:3: perm [2, 2, 0] is not a permutation")):
             uio.read_truth(path)
+
+
+def _csv_lines(raw):
+    """``raw`` with csv's line ends, ``\\r\\n`` and ``\\r``, as ``\\n``, and a last one added if missing."""
+    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return raw if raw.endswith(b"\n") else raw + b"\n"
+
+
+def _scan_outcome(scan, path):
+    try:
+        return scan(path)
+    except InvalidArgumentError as exc:
+        return str(exc)
+
+
+def _same_scan(path):
+    """Whether ``path`` takes the pattern scan, after checking that the reader returns what
+    the full scan returns on the same bytes, (text, commas) or the message it raises."""
+    raw = _csv_lines(path.read_bytes())
+    got = _scan_outcome(uio._read_table, path)
+    want = _scan_outcome(lambda p: (raw.decode(), uio._scan_commas(p, raw)), path)
+    commas = uio._pattern_commas(raw)
+    if isinstance(want, str):
+        assert got == want and commas is None
+        return False
+    assert got[0] == want[0]
+    for counts in (got[1], commas):
+        assert counts is None or (counts.dtype == want[1].dtype and np.array_equal(counts, want[1]))
+    return commas is not None
+
+
+def _write_library_file(path, kind, role, labels_seed, floats):
+    """A file as the library writes it: a dataset or truth of ``kind`` (rankings of 1 to 5
+    items), or with ``role`` "space" a distance matrix of 1 to 7 points."""
+    rng = np.random.default_rng(labels_seed)
+    if role == "space":
+        points = np.floor(rng.random(int(rng.integers(1, 8))) * 8) / rng.choice([1.0, 3.0])
+        uio.write_distance_matrix(path, FiniteMetricSpace(np.abs(points[:, None] - points[None, :])))
+        return
+    n, m, rho = (int(v) for v in rng.integers(1, 6, size=3))
+    if role == "dataset":
+        uio.write_dataset(path, lm.LabelingMatrix(kind, _random_labels(kind, (n, m), rho, rng, floats), space=RING))
+    else:
+        uio.write_truth(path, _random_labels(kind, (n,), rho, rng, floats), kind)
+
+
+LIBRARY_FILES = dict(kind=st.sampled_from([lm.RANKING, lm.REAL_VECTOR, lm.FINITE_METRIC]),
+                     role=st.sampled_from(["dataset", "truth", "space"]), labels_seed=st.integers(0, 2**32 - 1),
+                     floats=hnp.arrays(np.float64, 25, elements=EDGE_FLOATS))
+
+
+class TestPatternScan:
+    """The pattern scan accepts a file only where the full scan does, with the same result; on
+    any other file the reader gives what the full scan gives, the same text and commas or the
+    same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**LIBRARY_FILES, edits=st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                                                     st.integers(0, 2**16), st.sampled_from(b',"\n\r0123456789')),
+                                           max_size=4))
+    def test_byte_edits(self, kind, role, labels_seed, floats, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{role}.csv"
+            _write_library_file(path, kind, role, labels_seed, floats)
+            raw = bytearray(path.read_bytes())
+            for edit, at, byte in edits:
+                at %= len(raw) + 1
+                if edit == "insert":
+                    raw.insert(at, byte)
+                elif at < len(raw):
+                    if edit == "replace":
+                        raw[at] = byte
+                    else:
+                        del raw[at]
+            path.write_bytes(bytes(raw))
+            _same_scan(path)
+
+    @pytest.mark.parametrize("text,pattern", [
+        ("task_id,node\n0,1\n\n1,2\n", False),            # a blank line in the middle
+        ("0.0\n\n", False),                                # a blank line in a one-column file
+        ("task_id,node\n0,1\n1,2", True),                  # a last line without its line end
+        ("task_id,node\r\n0,1\r\n1,2\r\n", True),
+        ("task_id,node\r0,1\r1,2\r", True),
+        ("0.0\n", True),                                   # space.csv of one point
+        ("0.0", True),
+        ("0.0\n1.0\n", True),
+        ("a,b,c\n1,2,x\"3,4\"\n", False),                   # a quote inside a cell
+        ('a,b,c\n1,2,"3,4"\n', True),
+        ('a,b,c\n1,2,"3,4"x\n', False),
+        ('a,b\n1,"2\n', False),                             # an unclosed quote on the only data line
+        ('a,b,c\n1,2,""\n', True),                         # an empty quoted cell
+        ('a,b,c\n1,2,"3,4"\n5,6,"7",8\n', False),
+        ("a,b\n1,2,3\n4,5,6\n", False),                     # a header narrower than the data lines
+        ("a,b,c,d\n1,2,3\n", False),                        # and wider
+        ('"a",b\n1,2\n', False),                           # a quoted header cell: valid, full scan
+        ('a,b\n"1",2\n3,4\n', False),                      # a cell quoted on one line only: valid, full scan
+        ("\n0,1\n", False),                                 # a blank first line
+        ("", False),
+    ])
+    def test_cases(self, tmp_path, text, pattern):
+        path = tmp_path / "file.csv"
+        path.write_bytes(text.encode())
+        assert _same_scan(path) is pattern
+
+    @settings(max_examples=100, deadline=None)
+    @given(**LIBRARY_FILES)
+    def test_every_library_file_takes_the_pattern_scan(self, kind, role, labels_seed, floats):
+        # the full scan raising here means a writer change moved valid files onto the slow path
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+                uio, "_scan_commas", side_effect=AssertionError("the full scan ran")):
+            path = Path(tmp) / f"{role}.csv"
+            _write_library_file(path, kind, role, labels_seed, floats)
+            if role == "space":
+                uio.read_distance_matrix(path)
+            elif role == "dataset":
+                uio.read_dataset(path, space=RING)
+            else:
+                uio.read_truth(path)
+
+    def test_generated_scenarios_take_the_pattern_scan(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(uio, "_scan_commas", mock.Mock(side_effect=AssertionError("the full scan ran")))
+        ranking = syn.gen_ranking_tasks(syn.RankingScenario(n=30, rho=10, thetas=(1.0,) * 4, seed=0))
+        regression = syn.gen_regression_tasks(syn.RegressionScenario(
+            n=30, accuracies=(0.5, 0.5, 0.5), lf_cov=tuple(map(tuple, np.eye(3) + 0.25)), prior_var=1.0, seed=1))
+        space, *graph = syn.gen_graph_tasks(syn.GraphScenario(n_nodes=9, n_edges=12, n=30, thetas=(1.0,) * 3, seed=2))
+        uio.write_distance_matrix(tmp_path / "space.csv", space)
+        assert np.array_equal(uio.read_distance_matrix(tmp_path / "space.csv").dist, space.dist)
+        for truth, data in (ranking, regression, graph):
+            uio.write_dataset(tmp_path / "dataset.csv", data)
+            uio.write_truth(tmp_path / "truth.csv", truth, data.space_kind)
+            assert np.array_equal(uio.read_dataset(tmp_path / "dataset.csv", space=space).labels, data.labels)
+            assert np.array_equal(uio.read_truth(tmp_path / "truth.csv")[1], truth)
 
 
 class TestNumberCellsMatchPerCellText:
