@@ -19,6 +19,8 @@ row. Every draw is bit-identical to the same draw from ``substream``.
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 # numpy's SeedSequence constants (bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -28,6 +30,12 @@ _M32 = 0xFFFFFFFF
 # Philox4x64 multipliers and Weyl key increments (Random123)
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+
+
+def check_seed(seed):
+    """Refuse a seed that is not a non-negative integer: a SeedSequence takes no other."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _consts(init, mult, count):

@@ -69,6 +69,21 @@ def _integer(value, key, where):
     raise InvalidArgumentError(f"{where}: field {key!r} must be an integer, got {value!r}")
 
 
+def _count(value, key, where):
+    """``value`` as a non-negative int."""
+    value = _integer(value, key, where)
+    if value < 0:
+        raise InvalidArgumentError(f"{where}: field {key!r} must be a non-negative integer, got {value}")
+    return value
+
+
+def _seed_flag(seed):
+    """The ``--seed`` flag's value, or None when it is not given; a negative seed has no random stream."""
+    if seed is not None and seed < 0:
+        raise InvalidArgumentError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _integers(values, key, where):
     if not isinstance(values, list):
         raise InvalidArgumentError(f"{where}: field {key!r} must be a list of integers, got {values!r}")
@@ -85,17 +100,18 @@ def _resolve_thetas(payload, seed, where):
     preset = payload.get("preset")
     if preset == "heterogeneous":
         return synthetic.heterogeneous_thetas(
-            seed, n_low=payload.get("n_low", 10), n_high=payload.get("n_high", 8)
+            seed, n_low=_count(payload.get("n_low", 10), "n_low", where),
+            n_high=_count(payload.get("n_high", 8), "n_high", where),
         )
     if preset == "movies_style":
-        return synthetic.movies_style_thetas(_field(payload, "m", where), seed)
+        return synthetic.movies_style_thetas(_count(_require(payload, "m", where), "m", where), seed)
     raise InvalidArgumentError(f"{where}: missing field 'thetas' (or a known 'preset')")
 
 
 def _scenario(payload, seed, where):
     """The synthetic scenario a ``generate`` file (or one ``sweep`` point) describes."""
     kind = _require(payload, "kind", where)
-    seed = _integer(seed, "seed", where)
+    seed = _count(seed, "seed", where)
     try:
         if kind == "ranking":
             return synthetic.RankingScenario(
@@ -141,8 +157,10 @@ def _generate(scenario):
 
 
 def cmd_generate(args):
+    seed = _seed_flag(args.seed)
     payload = io.read_json(args.scenario)
-    seed = args.seed if args.seed is not None else _require(payload, "seed", args.scenario)
+    if seed is None:
+        seed = _require(payload, "seed", args.scenario)
     scenario = _scenario(payload, seed, args.scenario)
     space, truth, data = _generate(scenario)
     # the output directory appears only once the scenario has been drawn
@@ -214,6 +232,7 @@ def _metrics(space_kind, labels, truth, space):
 
 
 def cmd_infer(args):
+    seed = _seed_flag(args.seed)
     data = _read_dataset_with_space(args.dataset)
     model = None
     if args.rule == "weighted":
@@ -232,7 +251,7 @@ def cmd_infer(args):
             if outside.size:
                 raise InvalidArgumentError(f"{args.truth}: task {outside[0]} has truth node {truth[outside[0]]}, "
                                            f"outside 0..{data.space.size - 1}")
-    labels = inference.aggregate_dataset(data, rule=args.rule, seed=args.seed, model=model)
+    labels = inference.aggregate_dataset(data, rule=args.rule, seed=seed, model=model)
     # the output directory appears only once every input has been read and aggregated
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -289,10 +308,12 @@ def _point_payload(kind, base, n, m):
 
 def cmd_sweep(args):
     where = args.scenario
+    seed = _seed_flag(args.seed)
     payload = io.read_json(where)
     kind = _require(payload, "kind", where)
     base = _require(payload, "base", where)
-    seed = _integer(args.seed if args.seed is not None else _require(payload, "seed", where), "seed", where)
+    if seed is None:
+        seed = _count(_require(payload, "seed", where), "seed", where)
     replicates = _integer(payload.get("replicates", 1), "replicates", where)
     grid = payload.get("grid")
     labelers = base.get("thetas", base.get("accuracies")) if isinstance(base, dict) else None
@@ -303,12 +324,15 @@ def cmd_sweep(args):
     base_m = len(labelers)
     ns = _integers(grid.get("n", [base.get("n", 1000)]), "n", where)
     ms = _integers(grid.get("m", [base_m]), "m", where)
-    if not ns or not ms or replicates < 1 or not all(1 <= m <= base_m for m in ms):
+    if not ns or not ms or replicates < 1 or min(ns) < 1 or not all(1 <= m <= base_m for m in ms):
         raise InvalidArgumentError(
-            f"{where}: grids and replicates must be nonempty, and each m in 1..{base_m} (the base labelers)"
+            f"{where}: grids and replicates must be nonempty, each n at least 1, "
+            f"and each m in 1..{base_m} (the base labelers)"
         )
     path = payload.get("path")
     rules = payload.get("rules", ["mv", "weighted"])
+    if not isinstance(rules, list) or not all(rule in ("mv", "weighted") for rule in rules):
+        raise InvalidArgumentError(f"{where}: field 'rules' must be a list of \"mv\" and \"weighted\", got {rules!r}")
 
     jobs = [
         (n, m, rep, _scenario(_point_payload(kind, base, n, m), _derived_seed(seed, n, m, rep), where))

@@ -14,15 +14,16 @@ pairwise order, and take the argmin over all points. Rankings
 build one ``(n, rho, rho)`` preference tensor and split each task's items
 into the strongly connected components of its weak majority graph (an edge
 i -> j when no more weight puts j before i than i before j), with array
-operations over all tasks: a sort by out-degree and a 2-D prefix sum of
-strict wins, O(rho^2) per task. Every optimum keeps the components in order,
-so only the order inside each component is left to find, all components of
-one size at once. One rule, the same at every rho, picks the solver per
-component (the partition rule of Betzler, Bredereck and Niedermeier, JAAMAS
-2014): a component of k <= ``EXACT_MAX_RHO`` items gets its exact optimum
-from a dynamic program over its 2^k item subsets, at O(2^k * k), and a
-larger one, where the subset table costs more than eight restarts of local
-search, gets local search over its own items. :func:`kemeny_exact` runs the
+operations over all tasks: one O(rho^2) compare for the strict wins, a sort
+by out-degree and an O(rho) prefix sum of each item's wins minus losses.
+Every optimum keeps the components in order, so only the order inside each
+component is left to find, all components of one size at once. One rule,
+the same at every rho, picks the solver per component (the partition rule of
+Betzler, Bredereck and Niedermeier, JAAMAS 2014): a component of
+k <= ``EXACT_MAX_RHO`` items gets its exact optimum from a dynamic program
+over its 2^k item subsets, at O(2^k * k), and a larger one, where the subset
+table costs more than eight restarts of local search, gets local search over
+its own items. :func:`kemeny_exact` runs the
 same loop with the dynamic program on components of up to 16 items and
 refuses a larger one. Local search runs the best-improvement insertion
 descent on an ``(n * restarts, k)`` array of orders; rows drop out as they
@@ -49,6 +50,7 @@ from functools import cache
 import numpy as np
 
 from ._covariance import repair_covariance
+from ._streams import check_seed
 from .errors import (
     ConfigurationError,
     DegenerateWeightsError,
@@ -229,7 +231,8 @@ def kemeny_exact(labels, weights, rho):
     and only the order inside each component is left to find. Items sorted by
     out-degree, descending and ties to the lower index, list the components in
     that order, and a prefix of p sorted items is a union of whole components
-    exactly when every item in it strictly beats every item after it.
+    exactly when every item in it strictly beats every item after it: when
+    the sum of its items' strict wins minus strict losses is p (rho - p).
 
     On a component of k >= 2 items, taken in ascending item order, an order
     of an item set S that puts j first pays ``c[S, j]``, the sum of
@@ -239,9 +242,10 @@ def kemeny_exact(labels, weights, rho):
     ``c[S, j] + g[S - j]`` equals ``g[S]``: ties break to the
     lexicographically smallest optimal sequence of each component, as its
     float sums round, and so to the smallest optimum of the task. The cost is
-    O(rho^2) per task for the partition plus O(2^k * k) time and
-    ``8 (k + 1) 2^k`` bytes per component of k items, so any rho is solved
-    exactly whose components have at most 16 items.
+    O(rho^2) per task for the partition, all of it in the compare of the
+    preference matrix with its transpose (the prefix test is O(rho)), plus
+    O(2^k * k) time and ``8 (k + 1) 2^k`` bytes per component of k items, so
+    any rho is solved exactly whose components have at most 16 items.
 
     Raises
     ------
@@ -302,18 +306,21 @@ def _majority_components(pref):
     and stable, and ``ends`` (n, rho), true at position p when the first p + 1
     sorted items strictly beat every later one, i.e. at the last item of each
     strongly connected component of the weak majority graph.
+
+    With W and L an item's strict wins and losses, the sum of W - L over a
+    prefix of p items is the prefix's strict wins over the rho - p later items
+    minus theirs over it (wins inside the prefix cancel). A pair is won
+    strictly by at most one side, so the sum is at most p (rho - p), and it
+    reaches that exactly when the prefix strictly beats every later item.
     """
-    n, rho, _ = pref.shape
+    rho = pref.shape[1]
     wins = pref > pref.transpose(0, 2, 1)
+    losses = wins.sum(axis=1)
     # fewest strict losses first: the weak out-degree is rho - 1 minus them
-    order = np.argsort(wins.transpose(0, 2, 1).sum(axis=2), axis=1, kind="stable")
-    rows = np.arange(n)[:, None, None]
-    sorted_wins = wins[rows, order[:, :, None], order[:, None, :]]
-    # cum[t, p, q]: strict wins of the first p sorted items over the first q
-    cum = np.zeros((n, rho + 1, rho + 1), dtype=np.int64)
-    cum[:, 1:, 1:] = sorted_wins.cumsum(axis=1).cumsum(axis=2)
+    order = np.argsort(losses, axis=1, kind="stable")
+    margin = np.take_along_axis(wins.sum(axis=2) - losses, order, axis=1).cumsum(axis=1)
     p = np.arange(1, rho + 1)
-    return order, cum[:, p, rho] - cum[:, p, p] == p * (rho - p)
+    return order, margin == p * (rho - p)
 
 
 @cache
@@ -365,8 +372,10 @@ def kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
     ``labels`` is one task's (m, rho) array, whose restarts come from
     ``default_rng(seed)``, or (n, m, rho) for n tasks sharing the (m,)
     weights, task i's from ``default_rng((seed, i))``. Labels must be
-    permutations of 0..rho-1, and weights finite, one per labeler.
+    permutations of 0..rho-1, weights finite, one per labeler, and the seed
+    a non-negative integer.
     """
+    check_seed(seed)
     data, single = _as_batch(labels, rho)
     seeds = [seed] if single else [(seed, i) for i in range(data.n_tasks)]
     weights = _finite_weights(weights, data.n_lfs)
@@ -478,10 +487,12 @@ def aggregate_dataset(data, weights=None, rule="weighted", seed=0, model=None):
     ``EXACT_MAX_RHO`` items, and on a larger one the local search of
     :func:`kemeny_local_search` over that component's items, with its
     default eight restarts, task i's random ones from
-    ``default_rng((seed, i))``.
+    ``default_rng((seed, i))``. The seed must be a non-negative integer, for
+    every rule and space, whether or not local search runs.
 
     Returns a list of labels (permutation arrays, floats, or node ids).
     """
+    check_seed(seed)
     if rule not in ("mv", "weighted"):
         raise ConfigurationError(f"unknown rule {rule!r}")
     kind = data.space_kind

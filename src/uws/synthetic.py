@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mallows
-from ._streams import generators, uniforms
+from ._streams import check_seed, generators, uniforms
 from .errors import InvalidArgumentError
 from .label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
 from .metric_spaces import graph_hop_metric
@@ -76,6 +76,7 @@ class RankingScenario:
         if len(self.thetas) < 3:
             raise InvalidArgumentError(f"need at least 3 labelers, got {len(self.thetas)}")
         _check_thetas(self.thetas)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,7 @@ class RegressionScenario:
         cov = np.asarray(self.lf_cov, dtype=np.float64)
         if self.n < 1:
             raise InvalidArgumentError(f"need n >= 1, got {self.n}")
+        check_seed(self.seed)
         m = acc.size
         if cov.shape != (m, m):
             raise InvalidArgumentError(f"lf_cov must be ({m}, {m}), got {cov.shape}")
@@ -138,6 +140,7 @@ class GraphScenario:
         if self.n < 1 or len(self.thetas) < 3:
             raise InvalidArgumentError("need n >= 1 and at least 3 labelers")
         _check_thetas(self.thetas)
+        check_seed(self.seed)
 
 
 def heterogeneous_thetas(seed, n_low=10, n_high=8):

@@ -146,6 +146,27 @@ def reference_subset_dp(labels, weights, rho):
     return out
 
 
+def reference_majority_components(pref):
+    """``order`` and ``ends`` of each task's weak majority-graph components, from a
+    2-D prefix sum of the strict-win tensor gathered into sorted order.
+
+    The split as it was before the item-score criterion: ``cum[t, p, q]`` counts
+    the strict wins of the first p sorted items over the first q, and a prefix
+    of p items ends a component when it strictly beats all rho - p later items.
+    """
+    n, rho, _ = pref.shape
+    wins = pref > pref.transpose(0, 2, 1)
+    # fewest strict losses first: the weak out-degree is rho - 1 minus them
+    order = np.argsort(wins.transpose(0, 2, 1).sum(axis=2), axis=1, kind="stable")
+    rows = np.arange(n)[:, None, None]
+    sorted_wins = wins[rows, order[:, :, None], order[:, None, :]]
+    # cum[t, p, q]: strict wins of the first p sorted items over the first q
+    cum = np.zeros((n, rho + 1, rho + 1), dtype=np.int64)
+    cum[:, 1:, 1:] = sorted_wins.cumsum(axis=1).cumsum(axis=2)
+    p = np.arange(1, rho + 1)
+    return order, cum[:, p, rho] - cum[:, p, p] == p * (rho - p)
+
+
 # Per-task reference aggregation: the solver as it was before the batched
 # engine, one task and one start at a time. The batched engine must agree
 # with it exactly (same outputs, same tie-breaks, same restart streams).

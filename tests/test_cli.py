@@ -105,6 +105,54 @@ class TestGenerate:
         assert len(lines) == 1 + 10 * 18
 
 
+    @pytest.mark.parametrize("payload", [
+        {"kind": "ranking", "n": 20, "rho": 4, "preset": "heterogeneous", "seed": -1},
+        {"kind": "regression", "n": 20, "accuracies": [0.8, 0.6, 0.4], "lf_noise": [0.4, 0.6, 0.8],
+         "prior_var": 1.0, "seed": -1},
+        {"kind": "graph", "n_nodes": 8, "n_edges": 12, "n": 15, "thetas": [2.0, 1.0, 0.5], "seed": -1},
+    ], ids=["ranking", "regression", "graph"])
+    def test_negative_scenario_seed_exits_validation(self, tmp_path, capsys, payload):
+        scenario = write_json(tmp_path / "s.json", payload)
+        out = tmp_path / "out"
+        assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == VALIDATION_EXIT
+        err = capsys.readouterr().err
+        assert f"{scenario}: field 'seed' must be a non-negative integer, got -1" in err
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_validation(self, tmp_path, capsys, ranking_scenario):
+        out = tmp_path / "out"
+        assert main(["generate", "--scenario", str(ranking_scenario), "--out", str(out),
+                     "--seed", "-5"]) == VALIDATION_EXIT
+        assert "--seed must be a non-negative integer, got -5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_low", "three", "must be an integer, got 'three'"),
+        ("n_low", -1, "must be a non-negative integer, got -1"),
+        ("n_high", 2.5, "must be an integer, got 2.5"),
+        ("m", -2, "must be a non-negative integer, got -2"),
+        ("m", [6], "must be an integer, got [6]"),
+    ])
+    def test_preset_counts_are_checked(self, tmp_path, capsys, field, value, message):
+        preset = "movies_style" if field == "m" else "heterogeneous"
+        scenario = write_json(tmp_path / "p.json", {"kind": "ranking", "n": 10, "rho": 4, "preset": preset,
+                                                    "seed": 5, field: value})
+        out = tmp_path / "out"
+        assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == VALIDATION_EXIT
+        assert f"{scenario}: field {field!r} {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_preset_count_reads_like_every_integer_field(self, tmp_path):
+        # a numeric string reads as its integer, as "n" and "rho" do
+        datasets = []
+        for name, n_low in [("a", 3), ("b", "3")]:
+            scenario = write_json(tmp_path / f"{name}.json", {"kind": "ranking", "n": 10, "rho": 4,
+                                                               "preset": "heterogeneous", "seed": 5, "n_low": n_low})
+            assert main(["generate", "--scenario", str(scenario), "--out", str(tmp_path / name)]) == 0
+            datasets.append((tmp_path / name / "dataset.csv").read_bytes())
+        assert datasets[0] == datasets[1] and len(datasets[0].splitlines()) == 1 + 10 * 11
+
+
 class TestLearn:
     def test_writes_model(self, tmp_path, ranking_scenario):
         out = tmp_path / "out"
@@ -334,6 +382,27 @@ class TestInfer:
         assert not (tmp_path / "pred").exists()
 
 
+    @pytest.mark.parametrize("rule", ["mv", "weighted"])
+    def test_negative_seed_exits_validation(self, tmp_path, capsys, generated, rule):
+        # at rho = 5 no local search runs to use the seed; it is refused all the same
+        data_dir, model = generated
+        out = tmp_path / "pred"
+        assert main(["infer", "--dataset", str(data_dir), "--model", str(model), "--out", str(out),
+                     "--rule", rule, "--seed", "-1"]) == VALIDATION_EXIT
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_validation_where_local_search_runs(self, tmp_path, capsys):
+        scenario = write_json(tmp_path / "s.json",
+                              {"kind": "ranking", "seed": 3, "n": 200, "rho": 14, "preset": "movies_style", "m": 12})
+        data_dir, out = tmp_path / "data", tmp_path / "pred"
+        assert main(["generate", "--scenario", str(scenario), "--out", str(data_dir)]) == 0
+        assert main(["infer", "--dataset", str(data_dir), "--out", str(out), "--rule", "mv",
+                     "--seed", "-1"]) == VALIDATION_EXIT
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestGraphRoundTrip:
     SCENARIO = {"kind": "graph", "n_nodes": 40, "n_edges": 120, "n": 60, "thetas": [2.0, 1.5, 1.0, 0.8, 0.5],
                 "seed": 4}
@@ -405,6 +474,47 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["sweep", "--scenario", str(sweep_scenario), "--out", str(out), "--threads", "2"]) == 1
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["field", "flag"])
+    def test_negative_seed_exits_validation(self, tmp_path, capsys, sweep_scenario, flag):
+        argv = ["sweep", "--scenario", str(sweep_scenario), "--out", str(tmp_path / "out")]
+        if flag:
+            argv += ["--seed", "-3"]
+        else:
+            write_json(sweep_scenario, {**json.loads(sweep_scenario.read_text()), "seed": -3})
+        assert main(argv) == VALIDATION_EXIT
+        err = capsys.readouterr().err
+        if flag:
+            assert "--seed must be a non-negative integer, got -3" in err
+        else:
+            assert f"{sweep_scenario}: field 'seed' must be a non-negative integer, got -3" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rules", ["mv", ["mv", 3], ["weighted", "median"], {"mv": True}, None])
+    def test_rules_are_checked(self, tmp_path, capsys, sweep_scenario, rules):
+        # a string would be read letter by letter, as the rules 'm' and 'v'
+        write_json(sweep_scenario, {**json.loads(sweep_scenario.read_text()), "rules": rules})
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(sweep_scenario), "--out", str(out)]) == VALIDATION_EXIT
+        assert f"{sweep_scenario}: field 'rules' must be a list of" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_grid_n_below_one_exits_validation(self, tmp_path, capsys, sweep_scenario, n):
+        # a negative n used to reach the derived seed's SeedSequence, which raised numpy's own error
+        write_json(sweep_scenario, {**json.loads(sweep_scenario.read_text()), "grid": {"n": [200, n]}})
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(sweep_scenario), "--out", str(out)]) == VALIDATION_EXIT
+        assert f"{sweep_scenario}: grids and replicates must be nonempty, each n at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_rules_leave_the_learn_rows(self, tmp_path, sweep_scenario):
+        write_json(sweep_scenario, {**json.loads(sweep_scenario.read_text()), "rules": []})
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(sweep_scenario), "--out", str(out)]) == 0
+        metrics = {line.split(",")[3] for line in (out / "results.csv").read_text().splitlines()[1:]}
+        assert metrics == {"theta_rel_err", "loglog_slope_theta_rel_err"}
 
 
 class TestGraphMetricAndMds:

@@ -18,6 +18,7 @@ from conftest import (
     reference_kemeny_fraction,
     reference_kemeny_cost,
     reference_kemeny_local_search,
+    reference_majority_components,
     reference_preference_matrix,
     reference_subset_dp,
 )
@@ -319,6 +320,18 @@ class TestMajorityDecomposition:
                 later = [j for c in comps[a + 1:] for j in c]
                 assert (p[np.ix_(comp, later)] > p[np.ix_(later, comp)].T).all()
 
+    @settings(max_examples=150, deadline=None)
+    @given(rho=st.integers(1, 16), n=st.integers(1, 6), top=st.integers(0, 4),
+           entry_seed=st.integers(0, 2**32 - 1))
+    def test_split_matches_the_prefix_table_reference(self, rho, n, top, entry_seed):
+        # small-integer entries, diagonal included, not built from rankings: exact ties are common
+        # and an entry need not pair with its transpose into a constant sum
+        pref = np.random.default_rng(entry_seed).integers(0, top + 1, size=(n, rho, rho)).astype(float)
+        order, ends = inf._majority_components(pref)
+        expect_order, expect_ends = reference_majority_components(pref)
+        assert np.array_equal(order, expect_order) and np.array_equal(ends, expect_ends)
+        assert ends[:, -1].all()
+
     @pytest.mark.parametrize("rho", [9, 10, 11, 12])
     def test_planted_components_reach_the_exact_optimum(self, rho):
         # weights in quarters sum exactly, so orders and objectives must equal the oracle's
@@ -401,6 +414,12 @@ class TestKemenyLocalSearch:
         assert inf.kemeny_local_search([[0], [0], [0]], [1.0, 2.0, 0.5], 1).tolist() == [0]
         assert inf.kemeny_local_search(np.zeros((4, 3, 1), dtype=int), np.ones(3), 1).tolist() == [[0]] * 4
 
+    @pytest.mark.parametrize("labels", [[[0, 1, 2], [2, 1, 0], [1, 0, 2]], np.zeros((2, 3, 1), dtype=int)])
+    def test_refuses_a_negative_seed(self, labels):
+        with mock.patch.object(inf, "_preference_tensor", side_effect=AssertionError("work before the check")):
+            with pytest.raises(InvalidArgumentError, match="seed must be a non-negative integer, got -1"):
+                inf.kemeny_local_search(labels, np.ones(3), np.shape(labels)[-1], seed=-1)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(29)
         labels = np.array([rng.permutation(11) for _ in range(5)])
@@ -446,6 +465,23 @@ class TestGaussianConditionalMean:
 
 
 class TestAggregateDataset:
+    @pytest.mark.parametrize("rule", ["mv", "weighted"])
+    @pytest.mark.parametrize("rho", [3, 12])
+    def test_refuses_a_negative_seed_for_every_rule_and_rho(self, rule, rho):
+        # refused before any work, also where no local search would run to use it
+        rng = np.random.default_rng(rho)
+        data = LabelingMatrix(RANKING, np.array([[rng.permutation(rho) for _ in range(4)] for _ in range(3)]))
+        with mock.patch.object(inf, "_kemeny", side_effect=AssertionError("work before the check")):
+            with pytest.raises(InvalidArgumentError, match="seed must be a non-negative integer, got -2"):
+                inf.aggregate_dataset(data, weights=np.ones(4), rule=rule, seed=-2)
+
+    def test_refuses_a_negative_seed_on_every_space(self):
+        space = FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        for data in (LabelingMatrix(REAL_VECTOR, np.ones((3, 4))),
+                     LabelingMatrix(FINITE_METRIC, np.zeros((3, 4), int), space)):
+            with pytest.raises(InvalidArgumentError, match="seed must be a non-negative integer"):
+                inf.aggregate_dataset(data, rule="mv", seed=-1)
+
     def test_mv_equals_uniform_weighted(self):
         rng = np.random.default_rng(37)
         labels = np.array([[rng.permutation(5) for _ in range(4)] for _ in range(20)])

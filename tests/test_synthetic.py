@@ -226,6 +226,20 @@ class TestGraphScenario:
         assert (a[1] == b[1]).all() and (a[2].labels == b[2].labels).all()
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+@pytest.mark.parametrize("make", [
+    lambda seed: syn.RankingScenario(n=10, rho=5, thetas=(1.0, 1.0, 1.0), seed=seed),
+    lambda seed: syn.RegressionScenario(n=5, accuracies=(0.5, 0.5), lf_cov=((1.0, 0.9), (0.9, 1.0)),
+                                        prior_var=1.0, seed=seed),
+    lambda seed: syn.GraphScenario(n_nodes=5, n_edges=6, n=10, thetas=(1.0,) * 3, seed=seed),
+], ids=["ranking", "regression", "graph"])
+def test_scenario_refuses_a_seed_that_is_not_a_non_negative_integer(make, seed):
+    # a SeedSequence takes no other entropy: generation would fail with numpy's own error
+    with pytest.raises(InvalidArgumentError, match="seed must be a non-negative integer"):
+        make(seed)
+    assert make(np.int64(3)).seed == 3 and make(0).seed == 0
+
+
 class TestPresets:
     def test_heterogeneous_split(self):
         thetas = np.array(syn.heterogeneous_thetas(seed=9))
