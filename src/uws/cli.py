@@ -96,7 +96,10 @@ def _field(payload, key, where):
 
 def _resolve_thetas(payload, seed, where):
     if "thetas" in payload:
-        return tuple(float(t) for t in payload["thetas"])
+        thetas = payload["thetas"]
+        if not isinstance(thetas, list) or any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in thetas):
+            raise InvalidArgumentError(f"{where}: field 'thetas' must be a list of numbers, got {thetas!r}")
+        return tuple(map(float, thetas))
     preset = payload.get("preset")
     if preset == "heterogeneous":
         return synthetic.heterogeneous_thetas(

@@ -58,7 +58,7 @@ from .errors import (
     UseHeuristicError,
 )
 from .label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
-from .permutations import pair_indices, position_flags
+from .permutations import item_positions, pair_indices, position_flags
 
 __all__ = [
     "kemeny_exact",
@@ -293,7 +293,7 @@ def _kemeny(positions, weights, dp_max, seed):
             # each labeler's order of the component's items, as indices into items, and its inverse
             item_pos = np.take_along_axis(positions[:, :, t[:, 0]].T, items[:, None, :], axis=2)
             orders = np.argsort(item_pos, axis=-1)
-            local = _local_search(orders, np.argsort(orders, axis=-1).T, sub, weights, 8,
+            local = _local_search(orders, item_positions(orders)[0], sub, weights, 8,
                                   [(seed, i) for i in t[:, 0].tolist()])
         out[t, pos] = np.take_along_axis(items, local, axis=1)
     return out
@@ -406,7 +406,7 @@ def _local_search(labels, positions, pref, weights, restarts, seeds):
     tol = _TIE_TOL * np.abs(weights).sum()
     outs = _insertion_descent(starts.reshape(n * n_starts, rho), pref,
                               np.repeat(rows, n_starts), tol).reshape(n, n_starts, rho)
-    return _select(outs, _candidate_costs(pref, np.argsort(outs, axis=-1).T), tol)
+    return _select(outs, _candidate_costs(pref, item_positions(outs)[0]), tol)
 
 
 def _insertion_descent(orders, pref, task, tol):

@@ -60,7 +60,7 @@ from .label_model import (
     LabelModel,
 )
 from .metric_spaces import FiniteMetricSpace
-from .permutations import are_permutations
+from .permutations import _integers, item_positions
 
 __all__ = [
     "canonical_json",
@@ -86,8 +86,8 @@ __all__ = [
 
 def _perm_items(labels):
     """The items of each ranking of a (k, rho) array, as integer columns, checked to be permutations."""
-    labels = labels.astype(np.int64, copy=False)
-    bad = np.flatnonzero(~are_permutations(labels))
+    labels = _integers(labels, "ranking")
+    bad = np.flatnonzero(~item_positions(labels)[1])
     if bad.size:
         raise InvalidArgumentError(f"ranking {bad[0]} is not a permutation of 0..{labels.shape[1] - 1}: "
                                    f"{labels[bad[0]].tolist()}")
@@ -105,10 +105,11 @@ def _number_items(labels):
 # how each space kind's labels appear in a file: the label column, the (k, w)
 # item columns of a (k, ...) label array (a ranking's items share one quoted
 # cell), the array dtype of one item, whether a cell is a quoted list of
-# items, and which labels read back are valid (and what a valid one is)
+# items, and which labels read back are valid (and what a valid one is): a
+# ranking's rows by the mask of permutations.item_positions, taken in file order
 _Codec = namedtuple("_Codec", "column items dtype listed valid what")
 _CODECS = {
-    RANKING: _Codec("perm", _perm_items, np.int64, True, are_permutations, "a permutation"),
+    RANKING: _Codec("perm", _perm_items, np.int64, True, lambda v: item_positions(v)[1], "a permutation"),
     REAL_VECTOR: _Codec("value", _number_items, np.float64, False, np.isfinite, "finite"),
     FINITE_METRIC: _Codec("node", _number_items, np.int64, False, np.isfinite, "finite"),
 }

@@ -32,7 +32,7 @@ from .errors import (
     SignAmbiguousError,
 )
 from .metric_spaces import FiniteMetricSpace, classical_mds
-from .permutations import position_flags
+from .permutations import _integers, item_positions, position_flags
 
 __all__ = [
     "EPS_FLOOR",
@@ -79,12 +79,14 @@ class LabelingMatrix:
 
     A ranking matrix also holds ``positions``, the (rho, m, n) inverse of its
     labels in the smallest unsigned type that holds rho: ``positions[i, a, t]``
-    is where labeler a puts item i on task t. The permutation check computes
-    them, and the learner and the Kemeny solvers read them instead of sorting
-    the labels again. The ranking ``labels`` and ``positions`` are read-only
-    views; the labels must not be changed after the matrix is built, through
-    the array it was given either: the positions would not follow, and what
-    is learned or aggregated from the matrix is then undefined. Copies and
+    is where labeler a puts item i on task t.
+    :func:`~uws.permutations.item_positions`, the one permutation check,
+    computes them while it checks the labels, and the learner and the Kemeny
+    solvers read them instead of sorting the labels again. The ranking
+    ``labels`` and ``positions`` are read-only views; the labels must not be
+    changed after the matrix is built, through the array it was given either:
+    the positions would not follow, and what is learned or aggregated from
+    the matrix is then undefined. Copies and
     pickles are rebuilt through the constructor, so they are checked and
     guarded the same way. ``positions`` is None for the other kinds.
     """
@@ -102,7 +104,9 @@ class LabelingMatrix:
             labels = _integers(labels, "ranking")
             if labels.ndim != 3:
                 raise InvalidArgumentError(f"ranking labels must be (n, m, rho), got {labels.shape}")
-            positions = _item_positions(labels)
+            positions, ok = item_positions(labels)
+            if not ok.all():
+                raise InvalidArgumentError("every ranking entry must be a permutation of 0..rho-1")
             labels = labels.view()
             labels.flags.writeable = positions.flags.writeable = False
             object.__setattr__(self, "positions", positions)
@@ -151,37 +155,6 @@ class LabelingMatrix:
         if self.space_kind == REAL_VECTOR:
             return {"d": self.labels.shape[2]}
         return {"n_points": self.space.size}
-
-
-def _item_positions(labels):
-    """(rho, m, n) positions of the items of (n, m, rho) rankings; refuses a row that is no permutation.
-
-    Equal to ``np.argsort(labels).T`` in the smallest type that holds rho. One scatter writes every
-    entry's position into its own (t, a) row, which is then transposed. A row is a permutation
-    of 0..rho-1 exactly when each of its rho entries lies in that range and fills one of its
-    rho slots, so none is left at the fill value rho.
-    """
-    n, m, rho = labels.shape
-    dtype = np.min_scalar_type(rho)
-    # viewed unsigned, a negative entry is above every rho
-    if labels.size and labels.view(np.uint64).max() >= rho:
-        raise InvalidArgumentError("every ranking entry must be a permutation of 0..rho-1")
-    inv = np.full(labels.shape, rho, dtype=dtype)
-    slots = labels + np.arange(n * m).reshape(n, m, 1) * rho
-    inv.reshape(-1)[slots.reshape(-1)] = np.tile(np.arange(rho, dtype=dtype), n * m)
-    if (inv == rho).any():
-        raise InvalidArgumentError("every ranking entry must be a permutation of 0..rho-1")
-    return np.ascontiguousarray(inv.T)
-
-
-def _integers(labels, what):
-    """``labels`` as int64; a fractional, NaN or infinite label is refused, not truncated."""
-    if labels.dtype.kind not in "biu":
-        x = labels.astype(np.float64)
-        bad = np.flatnonzero(~((x == np.trunc(x)) & (np.abs(x) < 2.0**63)))
-        if bad.size:
-            raise InvalidArgumentError(f"{what} labels must be integers, got {x.flat[bad[0]]}")
-    return np.asarray(labels, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,19 @@ Pair coordinates are indexed lexicographically over item pairs (i, j) with
 i < j, shared by every module. :func:`pair_flags` decides every pair order:
 the pair-sign embedding, the Kendall distance and the Kemeny sums read its
 ``(..., P)`` bool flags, a view of pair-major ``(P, ...reversed)`` storage.
-It has two halves: an argsort inverts the orders into ``(rho, ...reversed)``
-item positions, and :func:`position_flags` compares those positions pair by
-pair. A ranking ``LabelingMatrix`` holds its positions already, so the
-learner and the Kemeny solvers call only the second half.
+It has two halves: :func:`item_positions` checks the orders and inverts them
+into ``(rho, ...reversed)`` item positions with one scatter, and
+:func:`position_flags` compares those positions pair by pair. A ranking
+``LabelingMatrix`` holds its positions already, so the learner and the
+Kemeny solvers call only the second half.
+
+:func:`item_positions` is the one permutation check: the matrix, the
+file reader and writers, :func:`check_permutation` and :func:`pair_flags`
+all take theirs from its mask, and where a permutation enters as numbers, a
+fractional, NaN or infinite entry is refused, never truncated.
 """
 
+import math
 from functools import cache
 from itertools import permutations as _permutations
 
@@ -25,7 +32,7 @@ from .errors import InvalidArgumentError
 __all__ = [
     "identity",
     "check_permutation",
-    "are_permutations",
+    "item_positions",
     "kendall_tau",
     "kendall_tau_many",
     "pair_sign_embed",
@@ -47,22 +54,53 @@ def identity(rho):
 
 def check_permutation(p):
     """Validate and return ``p`` as an int64 array in one-line notation."""
-    p = np.asarray(p, dtype=np.int64)
+    p = _integers(np.asarray(p), "ranking")
     if p.ndim != 1 or p.size < 1:
         raise InvalidArgumentError(f"permutation must be a nonempty 1-d sequence, got shape {p.shape}")
-    seen = np.zeros(p.size, dtype=bool)
-    if p.min() < 0 or p.max() >= p.size:
-        raise InvalidArgumentError(f"entries must cover 0..{p.size - 1}: {p.tolist()}")
-    seen[p] = True
-    if not seen.all():
-        raise InvalidArgumentError(f"not a bijection on 0..{p.size - 1}: {p.tolist()}")
+    if not item_positions(p)[1]:
+        raise InvalidArgumentError(f"not a permutation of 0..{p.size - 1}: {p.tolist()}")
     return p
 
 
-def are_permutations(perms):
-    """Which rows, along the last axis of an integer array, are permutations of 0..rho-1."""
-    perms = np.asarray(perms)
-    return (np.sort(perms, axis=-1) == np.arange(perms.shape[-1])).all(axis=-1)
+def _integers(labels, what):
+    """``labels`` as int64; a fractional, NaN or infinite label is refused, not truncated."""
+    if labels.dtype.kind not in "biu":
+        x = labels.astype(np.float64)
+        bad = np.flatnonzero(~((x == np.trunc(x)) & (np.abs(x) < 2.0**63)))
+        if bad.size:
+            raise InvalidArgumentError(f"{what} labels must be integers, got {x.flat[bad[0]]}")
+    return np.asarray(labels, dtype=np.int64)
+
+
+def item_positions(orders):
+    """Where each of the (..., rho) integer ``orders`` puts each item, and which rows are permutations.
+
+    Returns ``positions``, (rho, ...reversed) in the smallest type that holds
+    rho, equal to ``np.argsort(orders, -1).T`` on every row that is a
+    permutation of 0..rho-1 (and meaningless on the others), and ``ok``, the
+    (...) bool mask of those rows. One scatter writes every entry's position
+    into its own row's slot: a row is a permutation exactly when each of its
+    rho entries lies in 0..rho-1 and fills one of its rho slots, so none is
+    left at the fill value rho. Rows are told apart only when some row
+    fails. A fractional, NaN or infinite entry is refused, not truncated.
+    """
+    orders = _integers(np.asarray(orders), "ranking")
+    *lead, rho = orders.shape
+    rows = math.prod(lead)
+    dtype = np.min_scalar_type(rho)
+    flat = orders.reshape(rows, rho)
+    inv = np.full((rows, rho), rho, dtype=dtype)
+    slots = flat + np.arange(rows).reshape(rows, 1) * rho
+    # viewed unsigned, a negative entry is above every rho
+    big = flat.view(np.uint64)
+    if big.max(initial=0) < rho:
+        inv.reshape(-1)[slots.reshape(-1)] = np.tile(np.arange(rho, dtype=dtype), rows)
+    else:  # an out-of-range entry writes nothing, so its row keeps a slot at rho
+        inside = big < rho
+        inv.reshape(-1)[slots[inside]] = np.broadcast_to(np.arange(rho, dtype=dtype), inv.shape)[inside]
+    left = inv == rho
+    ok = ~left.any(axis=1) if left.any() else np.ones(rows, dtype=bool)
+    return np.ascontiguousarray(inv.reshape(*lead, rho).T), ok.reshape(lead)
 
 
 def num_pairs(rho):
@@ -93,13 +131,17 @@ def position_flags(positions):
 def pair_flags(orders):
     """(..., P) bool: whether each of the (..., rho) orders puts item i before item j, (i, j) of :func:`pair_indices`.
 
-    A view whose ``.T`` is C-contiguous pair-major (P, ...reversed) storage: positions in the
-    smallest type that holds them, compared one contiguous row per item.
+    A view whose ``.T`` is C-contiguous pair-major (P, ...reversed) storage: the
+    :func:`item_positions` of the orders, compared one contiguous row per item. A row that is
+    not a permutation of 0..rho-1 is refused.
     """
     orders = np.asarray(orders)
-    rho = orders.shape[-1]
-    pos = np.ascontiguousarray(np.argsort(orders, axis=-1).astype(np.min_scalar_type(rho)).T)
-    return position_flags(pos).T
+    positions, ok = item_positions(orders)
+    if not ok.all():
+        bad = np.argwhere(~ok)[0].tolist()
+        raise InvalidArgumentError(f"order {bad} is not a permutation of 0..{orders.shape[-1] - 1}: "
+                                   f"{orders[tuple(bad)].tolist()}")
+    return position_flags(positions).T
 
 
 def kendall_tau(a, b):
@@ -124,7 +166,7 @@ def kendall_tau_many(A, B):
     Counts the item pairs whose :func:`pair_flags` differ in the two rows.
     rho = 1 has no pairs and gives 0.
     """
-    A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
+    A, B = np.asarray(A), np.asarray(B)
     if A.shape != B.shape:
         raise InvalidArgumentError(f"shape mismatch: {A.shape} vs {B.shape}")
     return (pair_flags(A) != pair_flags(B)).sum(axis=-1)

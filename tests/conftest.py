@@ -105,6 +105,12 @@ def reference_kemeny_fraction(labels, weights, rho):
     return np.array(order, dtype=np.int64), Fraction(g((1 << rho) - 1), unit)
 
 
+def are_permutations(perms):
+    """Which rows, along the last axis of an integer array, are permutations of 0..rho-1."""
+    perms = np.asarray(perms)
+    return (np.sort(perms, axis=-1) == np.arange(perms.shape[-1])).all(axis=-1)
+
+
 def ranking_positions(labels):
     """The (rho, m, n) item positions of (n, m, rho) rankings, as a ranking LabelingMatrix holds them."""
     return LabelingMatrix(RANKING, labels).positions

@@ -94,6 +94,30 @@ class TestGenerate:
         assert "labeler 1 has nan" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("thetas, shown", [
+        ("123", "'123'"),  # a string once counted as the list of thetas 1, 2 and 3
+        (5, "5"),
+        ({"a": 1.0}, "{'a': 1.0}"),
+        ([1.0, "0.5", 2.0], "[1.0, '0.5', 2.0]"),
+        ([1.0, True, 2.0], "[1.0, True, 2.0]"),
+        ([1.0, None, 2.0], "[1.0, None, 2.0]"),
+    ], ids=["string", "number", "object", "string_entry", "bool_entry", "null_entry"])
+    @pytest.mark.parametrize("kind", ["ranking", "graph"])
+    def test_thetas_must_be_a_list_of_numbers(self, tmp_path, capsys, kind, thetas, shown):
+        payload = {"kind": kind, "n": 15, "rho": 4, "n_nodes": 8, "n_edges": 12, "thetas": thetas, "seed": 3}
+        scenario = write_json(tmp_path / "s.json", payload)
+        out = tmp_path / "out"
+        assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == VALIDATION_EXIT
+        assert f"{scenario}: field 'thetas' must be a list of numbers, got {shown}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_thetas_are_numbers(self, tmp_path):
+        scenario = write_json(tmp_path / "s.json", {"kind": "ranking", "n": 15, "rho": 4, "thetas": [2, 1, 1.5],
+                                                    "seed": 3})
+        out = tmp_path / "out"
+        assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["m"] == 3
+
     def test_preset_scenario(self, tmp_path):
         scenario = write_json(
             tmp_path / "p.json",

@@ -112,6 +112,16 @@ class TestTruthRoundTrip:
         with pytest.raises(InvalidArgumentError, match=re.escape(f"ranking 1 is not a permutation of 0..2: {bad}")):
             uio.write_truth(tmp_path / "truth.csv", truth, lm.RANKING)
 
+    @pytest.mark.parametrize("bad, shown", [([0.5, 1.2, 2.9], "0.5"), ([2.0, np.nan, 0.0], "nan"),
+                                            ([0.0, 1.0, -np.inf], "-inf")], ids=["fractional", "nan", "inf"])
+    @pytest.mark.parametrize("write", [uio.write_truth, uio.write_pseudolabels], ids=["truth", "pseudolabels"])
+    def test_ranking_writer_refuses_a_fractional_entry(self, tmp_path, write, bad, shown):
+        # refused, not truncated to a permutation such as 0,1,2
+        labels = np.array([[2.0, 0.0, 1.0], bad])
+        with pytest.raises(InvalidArgumentError, match=f"ranking labels must be integers, got {shown}"):
+            write(tmp_path / "labels.csv", labels, lm.RANKING)
+        assert not (tmp_path / "labels.csv").exists()
+
     def test_real_truth(self, tmp_path):
         truth = np.array([0.25, -1.5, 3.125e-7])
         path = tmp_path / "truth.csv"

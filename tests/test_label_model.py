@@ -460,8 +460,9 @@ class TestItemPositions:
                     np.array(inf.aggregate_dataset(data, model=model, seed=seed)).tobytes())
 
         got = outputs()
-        monkeypatch.setattr(lm, "_item_positions",
-                            lambda labels: np.argsort(labels, axis=-1).T.astype(np.min_scalar_type(rho)))
+        monkeypatch.setattr(lm, "item_positions",
+                            lambda labels: (np.argsort(labels, axis=-1).T.astype(np.min_scalar_type(rho)),
+                                            np.ones(labels.shape[:-1], dtype=bool)))
         assert got == outputs()
 
 

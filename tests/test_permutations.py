@@ -1,9 +1,13 @@
-"""Permutation core: distances and embeddings."""
+"""Permutation core: the permutation check, distances and embeddings."""
 
 
 import numpy as np
 import pytest
+from conftest import are_permutations
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uws import mallows
 from uws import permutations as perm
 from uws.errors import InvalidArgumentError
 
@@ -27,6 +31,51 @@ def naive_pair_flags(order):
     """Whether ``order`` puts i before j, for i < j in lexicographic order, by a double loop."""
     pos = np.argsort(order)
     return [bool(pos[i] < pos[j]) for i in range(len(order)) for j in range(i + 1, len(order))]
+
+
+class TestItemPositions:
+    """The one permutation check: its mask is the sort-based reference's, and on the rows it
+    accepts its positions are the argsort of the orders, pair-major in the smallest type."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=3), st.integers(0, 16), st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.integers(0, 2**16), st.one_of(
+               st.integers(-3, 18), st.sampled_from([-2**63, -2**62, 2**62, 2**63 - 1]))), max_size=4))
+    def test_mask_and_positions_match_the_references(self, lead, rho, seed, edits):
+        orders = np.argsort(np.random.default_rng(seed).random((*lead, rho)), axis=-1)
+        for at, value in edits:
+            if orders.size:
+                orders.flat[at % orders.size] = value
+        positions, ok = perm.item_positions(orders)
+        want = are_permutations(orders)
+        assert ok.dtype == bool and ok.shape == tuple(lead)
+        np.testing.assert_array_equal(ok, want)
+        assert positions.dtype == np.min_scalar_type(rho) and positions.shape == (rho, *lead[::-1])
+        assert positions.flags.c_contiguous
+        np.testing.assert_array_equal(positions.T[want], np.argsort(orders, axis=-1)[want])
+
+
+@pytest.mark.parametrize("bad, shown", [([0.5, 1.2, 2.9], "0.5"), ([2.0, np.nan, 0.0], "nan"),
+                                        ([0.0, 1.0, np.inf], "inf")], ids=["fractional", "nan", "inf"])
+@pytest.mark.parametrize("enter", [
+    lambda p: perm.item_positions(np.array(p)),
+    perm.check_permutation,
+    lambda p: mallows.MallowsModel(center=p, theta=1.0),
+    lambda p: perm.kendall_tau(p, [0, 1, 2]),
+    perm.pair_sign_embed,
+], ids=["item_positions", "check_permutation", "mallows_center", "kendall_tau", "pair_sign_embed"])
+def test_a_permutation_of_numbers_is_refused_not_truncated(enter, bad, shown):
+    with pytest.raises(InvalidArgumentError, match=f"ranking labels must be integers, got {shown}"):
+        enter(bad)
+
+
+@pytest.mark.parametrize("many", [perm.kendall_tau_many, lambda a, b: perm.pair_sign_embed_many(a)],
+                         ids=["kendall_tau_many", "pair_sign_embed_many"])
+@pytest.mark.parametrize("bad", [[0, 0, 1], [0, 1, 3], [-1, 0, 1], [0, 1, 2**62]])
+def test_many_refuses_a_row_that_is_no_permutation(many, bad):
+    rows = np.array([[[2, 0, 1], [0, 1, 2]], [[1, 2, 0], bad]])
+    with pytest.raises(InvalidArgumentError, match=r"order \[1, 1\] is not a permutation of 0..2"):
+        many(rows, np.zeros_like(rows) + [0, 1, 2])
 
 
 class TestPairFlags:
