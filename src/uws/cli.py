@@ -7,6 +7,7 @@ Every command is deterministic given its seed; outputs carry a manifest
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -392,6 +393,7 @@ def cmd_mds(args):
 
 
 def build_parser():
+    """A new parser of the ``uws`` command line; ``main`` runs a parsed ``args.command`` as ``cmd_<command>``."""
     parser = _Parser(prog="uws", description=__doc__)
     parser.add_argument("--version", action="version", version=f"uws {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -400,7 +402,6 @@ def build_parser():
     gen.add_argument("--scenario", required=True)
     gen.add_argument("--out", required=True)
     gen.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    gen.set_defaults(func=cmd_generate)
 
     learn = sub.add_parser("learn", help="learn a label model from a dataset (never reads truth)")
     learn.add_argument("--dataset", required=True)
@@ -409,7 +410,6 @@ def build_parser():
     prior = learn.add_mutually_exclusive_group()
     prior.add_argument("--prior-p", type=float, default=None, dest="prior_p")
     prior.add_argument("--prior-second-moment", type=float, default=None, dest="prior_second_moment")
-    learn.set_defaults(func=cmd_learn)
 
     infer = sub.add_parser("infer", help="aggregate a dataset into pseudolabels")
     infer.add_argument("--dataset", required=True)
@@ -418,38 +418,39 @@ def build_parser():
     infer.add_argument("--rule", choices=["mv", "weighted"], default="weighted")
     infer.add_argument("--truth", default=None, help="optional truth CSV for metrics")
     infer.add_argument("--seed", type=int, default=0)
-    infer.set_defaults(func=cmd_infer)
 
     sweep = sub.add_parser("sweep", help="run a grid of scenarios and emit a long-format CSV")
     sweep.add_argument("--scenario", required=True)
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--seed", type=int, default=None)
-    sweep.set_defaults(func=cmd_sweep)
 
     gm = sub.add_parser("graph-metric", help="all-pairs hop distances of an edge-list graph")
     gm.add_argument("--edges", required=True)
     gm.add_argument("--out", required=True)
     gm.add_argument("--nodes", type=int, default=None)
-    gm.set_defaults(func=cmd_graph_metric)
 
     mds = sub.add_parser("mds", help="classical MDS embedding of a distance matrix CSV")
     mds.add_argument("--dist", required=True)
     mds.add_argument("--dim", type=int, required=True)
     mds.add_argument("--out", required=True, help="output prefix: <out>.coords.csv and <out>.json")
     mds.add_argument("--exponent", type=float, default=1.0)
-    mds.set_defaults(func=cmd_mds)
     return parser
 
 
+# argparse keeps no state between parses, so one parser serves every call of main
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
+    """Run one command line and return its exit code; may be called repeatedly in one process."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     try:
-        return args.func(args)
+        # looked up when called, so a replaced module attribute (a tracing wrapper) is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_EXIT

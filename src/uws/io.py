@@ -122,6 +122,8 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and not np.isnan(obj).any():
+            return obj.tolist()  # Python floats already, none of them NaN
         return _jsonable(obj.tolist())
     if isinstance(obj, (np.integer, int)):
         return int(obj)
@@ -226,9 +228,16 @@ def write_csv(path, header, rows):
 def _write_labels(path, header, space_kind, labels):
     """One row per index of the leading ``len(header) - 1`` axes: the ids, then the label."""
     labels = np.asarray(labels)
-    id_shape = labels.shape[: len(header) - 1]
-    ids = np.indices(id_shape).reshape(len(id_shape), -1).T
-    items = _CODECS[space_kind].items(labels.reshape(-1, *labels.shape[len(id_shape):]))
+    codec = _CODECS[space_kind]
+    n_ids = len(header) - 1
+    # a listed label (a ranking) is one axis of at least one item
+    if labels.ndim < n_ids or (codec.listed and (labels.ndim != n_ids + 1 or not labels.shape[-1])):
+        listed = " and then one of at least one item" if codec.listed else ""
+        raise InvalidArgumentError(f"{space_kind} labels must have one axis per id column ({', '.join(header[:-1])})"
+                                   f"{listed}, got shape {labels.shape}")
+    id_shape = labels.shape[:n_ids]
+    ids = np.indices(id_shape).reshape(n_ids, -1).T
+    items = codec.items(labels.reshape(-1, *labels.shape[n_ids:]))
     quote = '"' if items.shape[1] > 1 else ""  # csv quotes a cell holding commas
     seps = [","] * (ids.shape[1] - 1) + ["," + quote] + [","] * (items.shape[1] - 1) + [quote + "\n"]
     blocks = [(_number_text(ids), ids.shape[1]), (_number_text(items), items.shape[1])]

@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _METRIC_TOL = 1e-9
+# bytes of the sums through one block of midpoints in the triangle check
+_BLOCK_BYTES = 2**19
 
 
 def _small_ints(d):
@@ -70,17 +72,22 @@ class FiniteMetricSpace:
         unequal = d != d.T
         if (np.abs(d[unequal] - d.T[unequal]) > _METRIC_TOL).any():
             raise InvalidMetricError("distance matrix must be symmetric")
-        # chunked over the midpoint so large spaces stay within memory; on
-        # integers the check runs exactly, without the tolerance, in the
-        # smallest type that holds a sum of two entries
+        # in blocks of midpoints k, each within a byte budget, so large spaces
+        # stay within memory; on integers the check runs exactly, without the
+        # tolerance, in the smallest type that holds a sum of two entries
         ints = _small_ints(d)
         dist = d if ints is None else ints
-        for k in range(dist.shape[0]):
-            through = dist[:, k, None] + dist[None, k, :]
+        cols = np.ascontiguousarray(dist.T)
+        n = dist.shape[0]
+        step = max(1, _BLOCK_BYTES // (n * n * dist.itemsize))
+        for lo in range(0, n, step):
+            # through[k - lo, i, j] = dist[i, k] + dist[k, j]
+            through = cols[lo : lo + step, :, None] + dist[lo : lo + step, None, :]
             if ints is None:
                 through += _METRIC_TOL
-            if (dist > through).any():
-                raise InvalidMetricError(f"triangle inequality violated through point {k}")
+            bad = (dist > through).any(axis=(1, 2))
+            if bad.any():
+                raise InvalidMetricError(f"triangle inequality violated through point {lo + bad.argmax()}")
         object.__setattr__(self, "dist", d)
 
     @classmethod

@@ -8,6 +8,7 @@ implementations.
 
 import csv
 import io
+import json
 import math
 from collections import deque
 from fractions import Fraction
@@ -410,6 +411,28 @@ def reference_read_distance_matrix(path):
         return reference_check_metric(dist)
     except InvalidMetricError as exc:
         raise InvalidMetricError(f"{path}: {exc}") from exc
+
+
+def reference_jsonable(obj):
+    """The JSON value of ``obj`` as the model and manifest writers built it
+    before float arrays took one ``tolist``: every element converted on its
+    own, numpy and bool integers to int, NaN to None."""
+    if isinstance(obj, dict):
+        return {k: reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return reference_jsonable(obj.tolist())
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, (np.floating, float)):
+        f = float(obj)
+        return None if np.isnan(f) else f
+    return obj
+
+
+def reference_canonical_json(obj):
+    return json.dumps(reference_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
 def reference_fmt(x):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import uws.cli
 from uws import io as uio
 from uws.cli import VALIDATION_EXIT, main
 
@@ -565,6 +566,40 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["learn"]) == 1  # missing required flags
         assert main(["no-such-command"]) == 1
+
+
+class TestInProcessCalls:
+    """main may be called again and again in one process: each call parses anew and runs
+    the command the module holds under its name when the call is made."""
+
+    def test_replaced_command_runs_after_earlier_calls(self, tmp_path, ranking_scenario, monkeypatch, capsys):
+        data = tmp_path / "data"
+        assert main(["generate", "--scenario", str(ranking_scenario), "--out", str(data)]) == 0
+        assert main(["infer", "--dataset", str(data), "--out", str(tmp_path / "mv"), "--rule", "mv"]) == 0
+        assert main(["infer", "--dataset", str(data)]) == 1  # a usage error: --out is missing
+        assert main(["infer", "--dataset", str(tmp_path / "none"), "--out", str(tmp_path / "o")]) == VALIDATION_EXIT
+        calls = []
+        monkeypatch.setattr(uws.cli, "cmd_infer", lambda args: calls.append(args) or 7)
+        assert main(["infer", "--dataset", str(data), "--out", str(tmp_path / "pred"), "--rule", "mv"]) == 7
+        assert [(args.command, args.dataset, args.rule, args.seed) for args in calls] == [("infer", str(data), "mv", 0)]
+        assert not (tmp_path / "pred").exists()
+
+    def test_pipeline_twice_writes_identical_bytes(self, tmp_path, monkeypatch):
+        graph = {"kind": "graph", "n_nodes": 30, "n_edges": 60, "n": 40, "thetas": [2.0, 1.0, 0.5], "seed": 5}
+        reals = {"kind": "regression", "n": 200, "accuracies": [0.9, 0.6, 0.3], "lf_noise": [0.2, 0.4, 0.8],
+                 "prior_var": 1.0, "seed": 5}
+        trees = []
+        for run in ("first", "second"):  # the same relative paths, so the manifests match too
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            for name, scenario, learn in (("graph", graph, []), ("reals", reals, ["--path", "isotropic"])):
+                write_json(Path(f"{name}.json"), scenario)
+                assert main(["generate", "--scenario", f"{name}.json", "--out", name]) == 0
+                assert main(["learn", "--dataset", name, "--model", f"{name}.model.json", *learn]) == 0
+                assert main(["infer", "--dataset", name, "--model", f"{name}.model.json", "--out", f"{name}.pred",
+                             "--truth", f"{name}/truth.csv"]) == 0
+            trees.append({str(p): p.read_bytes() for p in sorted(Path().rglob("*")) if p.is_file()})
+        assert len(trees[0]) == 17 and trees[0] == trees[1]
 
 
 class TestSweepScience:

@@ -1,5 +1,6 @@
 """File-format round trips and byte determinism."""
 
+import hashlib
 import json
 import re
 import tempfile
@@ -12,6 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (
+    reference_canonical_json,
     reference_fmt,
     reference_read_dataset,
     reference_read_distance_matrix,
@@ -24,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from uws import __version__
 from uws import io as uio
 from uws import label_model as lm
 from uws import synthetic as syn
@@ -42,6 +45,47 @@ def test_canonical_json_deterministic_and_nan_free():
 def test_config_hash_stable():
     assert uio.config_hash({"x": 1}) == uio.config_hash({"x": 1})
     assert uio.config_hash({"x": 1}) != uio.config_hash({"x": 2})
+
+
+def _learned_models():
+    """One model of each JSON shape: rankings (no theta_matrix), a graph (NaN accuracies),
+    reals on the continuous route (a theta_matrix) and on the isotropic one (NaN accuracies)."""
+    _, rankings = syn.gen_ranking_tasks(syn.RankingScenario(n=300, rho=4, thetas=(1.5, 1.0, 0.7), seed=5))
+    _, _, nodes = syn.gen_graph_tasks(syn.GraphScenario(n_nodes=10, n_edges=16, n=300, thetas=(2.0, 1.0, 0.5),
+                                                        seed=6))
+    cov = np.outer([0.9, 0.6, 0.3], [0.9, 0.6, 0.3]) + np.diag([0.2, 0.4, 0.8])
+    _, reals = syn.gen_regression_tasks(syn.RegressionScenario(n=500, accuracies=(0.9, 0.6, 0.3),
+                                                               lf_cov=tuple(map(tuple, cov)), prior_var=1.0, seed=7))
+    return [lm.learn_label_model(rankings), lm.learn_label_model(nodes),
+            lm.learn_label_model(reals, prior=lm.SecondMomentPrior(1.0), path="continuous"),
+            lm.learn_label_model(reals, path="isotropic")]
+
+
+class TestJsonMatchesReference:
+    """The JSON writers give the text of the element-by-element converter in conftest."""
+
+    @pytest.mark.parametrize("index", range(4), ids=["ranking", "graph", "continuous", "isotropic"])
+    def test_write_model(self, tmp_path, index):
+        model = _learned_models()[index]
+        uio.write_model(tmp_path / "model.json", model, extra_manifest={"config_hash_learn": "abc"})
+        payload = uio.model_to_dict(model)
+        payload["manifest"] = {"config_hash": hashlib.sha256(reference_canonical_json(payload).encode()).hexdigest(),
+                               "version": __version__, "config_hash_learn": "abc"}
+        assert (tmp_path / "model.json").read_text() == reference_canonical_json(payload)
+        assert (model.theta_matrix is None) == (index < 2)
+        assert np.isnan(model.accuracies).all() == (index in (1, 3))
+
+    @pytest.mark.parametrize("value", [
+        np.array([0.1, 1 / 3, -2.5e-300, np.inf, -0.0]), np.array([[1.0, np.nan], [np.nan, -np.inf]]),
+        np.array([0.1, 1 / 3, np.nan], dtype=np.float32), np.array([0.1, 1 / 3], dtype=np.float32),
+        np.array([[1, -2], [3, 2**62]]), np.array([True, False]), np.array(2.5), np.array(np.nan), np.array([]),
+        np.zeros((0, 3)), np.array([1, 2], dtype=np.uint8), None, [np.float32(0.1), np.nan, True, np.int8(3)],
+        {"embedding": {"kind": "mds", "dim": np.int64(2), "coords": np.eye(2),
+                       "nested": {"acc": [np.array([np.nan])]}}},
+    ], ids=lambda value: type(value).__name__ + str(getattr(value, "dtype", "")))
+    def test_values(self, value):
+        payload = {"value": value, "theta_matrix": None, "accuracies": np.full(3, np.nan), "dims": {"rho": 4}}
+        assert uio.canonical_json(payload) == reference_canonical_json(payload)
 
 
 class TestDatasetRoundTrip:
@@ -120,6 +164,16 @@ class TestTruthRoundTrip:
         labels = np.array([[2.0, 0.0, 1.0], bad])
         with pytest.raises(InvalidArgumentError, match=f"ranking labels must be integers, got {shown}"):
             write(tmp_path / "labels.csv", labels, lm.RANKING)
+        assert not (tmp_path / "labels.csv").exists()
+
+    @pytest.mark.parametrize("labels, kind", [(np.array([0, 1, 2]), lm.RANKING),
+                                              (np.zeros((2, 0), dtype=np.int64), lm.RANKING),
+                                              (np.array(2.5), lm.REAL_VECTOR)],
+                             ids=["ranking_one_axis", "ranking_no_items", "real_no_axis"])
+    @pytest.mark.parametrize("write", [uio.write_truth, uio.write_pseudolabels], ids=["truth", "pseudolabels"])
+    def test_label_writer_refuses_a_wrong_shape(self, tmp_path, write, labels, kind):
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"got shape {labels.shape}")):
+            write(tmp_path / "labels.csv", labels, kind)
         assert not (tmp_path / "labels.csv").exists()
 
     def test_real_truth(self, tmp_path):

@@ -185,6 +185,45 @@ class TestExactIntegerTriangleCheck:
         space = ms.graph_hop_metric([(k, (k + 1) % 9) for k in range(9)], 9)
         assert ms._small_ints(space.dist).dtype == np.uint8
 
+    @pytest.mark.parametrize("n,dtype", [(200, np.uint8), (150, np.uint16), (120, np.float64)])
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("refused", [True, False])
+    def test_midpoint_blocks(self, n, dtype, block, refused):
+        # points on a line, index order = position order (distances capped at 100 to
+        # fit a byte): d[i, j] grown past the tolerance is violated through the points
+        # between i and j alone, here k and k + 1 in one block some blocks after the first
+        rng = np.random.default_rng(n)
+        if dtype == np.float64:
+            gaps, cap, grown = rng.uniform(0.5, 2, n - 1), np.inf, 2e-9 if refused else 0.5e-9
+        else:
+            gaps, cap, grown = rng.integers(1, 200, n - 1), 100 if dtype == np.uint8 else np.inf, int(refused)
+            gaps = np.ones(n - 1) if dtype == np.uint8 else gaps
+        points = np.concatenate([[0], np.cumsum(gaps)])
+        d = np.minimum(np.abs(points[:, None] - points[None, :]), cap).astype(np.float64)
+        step = ms._BLOCK_BYTES // (n * n * np.dtype(dtype).itemsize)
+        assert 2 <= step and 4 * step < n  # several blocks, of more than one midpoint
+        k = block * step + step // 2 - 1
+        i, j = k - 1, k + 2
+        d[i, j] = d[j, i] = d[i, k] + d[k, k + 1] + d[k + 1, j] + grown
+        ints = ms._small_ints(d)
+        assert ints is None if dtype == np.float64 else ints.dtype == dtype
+        expected = _refusal(reference_check_metric, d)
+        assert expected == (f"triangle inequality violated through point {k}" if refused else None)
+        assert _refusal(ms.FiniteMetricSpace, d) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), integral=st.booleans(), delta=st.floats(-3e-9, 3e-9))
+    def test_midpoint_blocks_on_shuffled_points(self, seed, integral, delta):
+        # a near-tolerance violation among 130 shuffled points, several blocks wide in
+        # float64 and in bytes: the first point named is the reference's
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(0, 100, 130)
+        points = np.floor(points) if integral else points
+        d = np.abs(points[:, None] - points[None, :])
+        i, j = rng.choice(130, 2, replace=False)
+        d[i, j] = d[j, i] = d[i, j] + (round(delta * 1e9) if integral else delta)
+        assert _refusal(ms.FiniteMetricSpace, d) == _refusal(reference_check_metric, d)
+
 
 class TestGraphHopMetric:
     def test_path_graph(self):
