@@ -151,12 +151,20 @@ def write_manifest(path, config, seed=None, extra=None):
 
 def _cell(value):
     """One cell as csv's minimal quoting writes it: None empty, a float its repr,
-    anything else its str, quoted (quotes doubled) if it holds a comma, a quote
-    or a newline."""
+    anything else its str, quoted (quotes doubled) if it holds a comma or a quote."""
     text = "" if value is None else repr(value) if isinstance(value, float) else str(value)
-    if "," in text or '"' in text or "\n" in text:
+    if "," in text or '"' in text:
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _refuse_line_breaks(cells, width, header=False):
+    """Refuse the first of the row-major ``cells``, ``width`` to a row, that holds
+    ``\\n`` or ``\\r``: the reader ends a line there, so the file would not read back."""
+    for k, text in enumerate(cells):
+        if "\n" in text or "\r" in text:
+            at = f"header column {k}" if header else f"row {k // width}, column {k % width}"
+            raise InvalidArgumentError(f"CSV cell at {at} (counted from 0) holds a line break: {text!r}")
 
 
 def _int_text(ints, suffix=""):
@@ -210,16 +218,22 @@ def _write_rows(path, header, k, blocks, seps):
 
 def write_csv(path, header, rows):
     """Write ``rows``, a 2-D array or equally wide rows of Python values, as CSV
-    text after a ``header`` row unless it is None."""
+    text after a ``header`` row unless it is None. A cell whose text holds a
+    line break is refused, with its row and column."""
+    if header is not None:
+        _refuse_line_breaks(list(map(_cell, header)), len(header), header=True)
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1]:
-        _write_rows(path, header, len(rows), [(_number_text(rows), rows.shape[1])],
-                    [","] * (rows.shape[1] - 1) + ["\n"])
+        text = _number_text(rows)
+        if rows.dtype.kind not in "iuf":
+            _refuse_line_breaks(text, rows.shape[1])
+        _write_rows(path, header, len(rows), [(text, rows.shape[1])], [","] * (rows.shape[1] - 1) + ["\n"])
         return
     rows = list(rows)
     columns = list(zip(*rows))
     if rows and (not columns or any(len(row) != len(columns) for row in rows)):
         raise InvalidArgumentError("CSV rows must each hold the same number of cells, at least one")
     cells = [list(map(_cell, column)) for column in columns]
+    _refuse_line_breaks([text for row in zip(*cells) for text in row], len(cells))
     if len(cells) == 1:
         cells[0] = ['""' if text == "" else text for text in cells[0]]
     _write_rows(path, header, len(rows), [(text, 1) for text in cells], [","] * (len(cells) - 1) + ["\n"])

@@ -29,6 +29,8 @@ __all__ = [
 _METRIC_TOL = 1e-9
 # bytes of the sums through one block of midpoints in the triangle check
 _BLOCK_BYTES = 2**19
+# bytes of the neighbours' bitsets gathered at one level of the hop-metric search
+_GATHER_BYTES = 2**22
 
 
 def _small_ints(d):
@@ -46,6 +48,67 @@ def _small_ints(d):
     return ints if (ints == d).all() else None
 
 
+def _hop_levels(src, dst, n):
+    """All-pairs hop distances of the graph with arcs ``src[e] -> dst[e]``, both
+    ways of every edge and ``src`` ascending, as an (n, n) unsigned integer
+    array; None if some pair has no path.
+
+    A multi-source breadth-first search over bitsets (Then et al., "The More
+    the Merrier", VLDB 2014): row v of ``frontier`` holds one bit per source
+    whose search reached v at the current level, 64 sources a word. One level
+    ORs each node's neighbours' rows (a gather and a ``reduceat`` over its run
+    of arcs) and keeps the bits not reached before: those are the pairs at
+    that distance. A level costs O(E n / 64) word operations. Its bits are
+    ORed into the bit planes of its level number, and the distances are
+    unpacked from those planes once, in O(n^2 log(diameter)) byte operations,
+    not once per level. Sources run in blocks of words whose gathered rows
+    stay within a byte budget.
+    """
+    degree = np.bincount(src, minlength=n)
+    if n > 1 and not degree.all():
+        return None  # an isolated node; reduceat would take the next run's first row for its empty run
+    starts = np.cumsum(degree) - degree
+    hops = np.zeros((n, n), dtype=np.min_scalar_type(n - 1))
+    step = 64 * max(1, _GATHER_BYTES // max(1, 8 * dst.size))
+    for lo in range(0, n, step):
+        size = min(n - lo, step)
+        bit = np.arange(size, dtype=np.uint64)
+        frontier = np.zeros((n, -(-size // 64)), dtype="<u8")
+        frontier[lo + np.arange(size), bit // 64] = np.uint64(1) << bit % 64
+        unseen = ~frontier
+        if size % 64:  # the bits past the last source are never reached
+            unseen[:, -1] &= np.uint64(2 ** (size % 64) - 1)
+        planes = []
+        level = 0
+        while dst.size:
+            frontier = np.bitwise_or.reduceat(frontier[dst], starts, axis=0)
+            frontier &= unseen
+            if not frontier.any():
+                break
+            unseen ^= frontier
+            level += 1
+            if level.bit_length() > len(planes):
+                planes.append(np.zeros_like(frontier))
+            for b, plane in enumerate(planes):
+                if level >> b & 1:
+                    plane |= frontier
+        if unseen.any():
+            return None
+        block = hops[:, lo : lo + size]
+        for b, plane in enumerate(planes):
+            bits = np.unpackbits(plane.view(np.uint8), axis=1, count=size, bitorder="little")
+            block |= np.left_shift(bits, hops.dtype.type(b), dtype=hops.dtype)
+    return hops
+
+
+def _is_hop_metric(ints):
+    """Whether a symmetric integer matrix with a zero diagonal is the hop metric
+    of the graph of its unit-distance pairs, and so a metric."""
+    src, dst = np.nonzero(ints == 1)  # row-major: src ascending
+    hops = _hop_levels(src, dst, ints.shape[0])
+    return hops is not None and np.array_equal(hops, ints)
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """N points with an explicit N x N distance matrix.
@@ -54,6 +117,14 @@ class FiniteMetricSpace:
     the triangle inequality to tolerance 1e-9. Zero distances between
     distinct points are allowed here (pseudometrics arise from embeddings)
     but rejected by :func:`distortion`.
+
+    A matrix of integers that equals the hop metric of the graph of its
+    unit-distance pairs (every ``space.csv`` the package writes for a graph)
+    is a metric by construction, and is accepted after one bitset
+    breadth-first search of that graph, in O(E N / 64) word operations per
+    hop level. Any other matrix, every faulty one included, takes the
+    O(N^3) triangle check over blocks of midpoints, which names the first
+    point a violation runs through.
     """
 
     dist: np.ndarray
@@ -72,10 +143,13 @@ class FiniteMetricSpace:
         unequal = d != d.T
         if (np.abs(d[unequal] - d.T[unequal]) > _METRIC_TOL).any():
             raise InvalidMetricError("distance matrix must be symmetric")
+        ints = _small_ints(d)
+        if ints is not None and _is_hop_metric(ints):
+            object.__setattr__(self, "dist", d)
+            return
         # in blocks of midpoints k, each within a byte budget, so large spaces
         # stay within memory; on integers the check runs exactly, without the
         # tolerance, in the smallest type that holds a sum of two entries
-        ints = _small_ints(d)
         dist = d if ints is None else ints
         cols = np.ascontiguousarray(dist.T)
         n = dist.shape[0]
@@ -121,6 +195,13 @@ class EmbeddingReport:
 def graph_hop_metric(edges, n_nodes):
     """Shortest-hop metric of an undirected graph via all-pairs BFS.
 
+    The search runs from all sources at once over bitsets (see
+    :func:`_hop_levels`): each node keeps a ``ceil(n_nodes / 64)``-word bitset
+    of the sources whose search front holds it, and one hop level costs one
+    gather and one OR-reduction of the neighbours' bitsets, O(E n_nodes / 64)
+    word operations; the distances are unpacked once from the bit planes of
+    the level numbers, in O(n_nodes^2 log(diameter)) byte operations.
+
     Parameters
     ----------
     edges : iterable of (u, v)
@@ -146,33 +227,13 @@ def graph_hop_metric(edges, n_nodes):
         u, v = ends[outside.argmax()]
         raise InvalidArgumentError(f"edge ({u}, {v}) outside 0..{n_nodes - 1}")
     ends = ends[ends[:, 0] != ends[:, 1]]
-    # padded neighbour lists: row u holds u's neighbours, then n_nodes, a
-    # column of the frontier that is never set
     src, dst = np.concatenate([ends, ends[:, ::-1]]).T
     order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    degree = np.bincount(src, minlength=n_nodes)
-    nbr = np.full((n_nodes, degree.max(initial=0)), n_nodes, dtype=np.int64)
-    nbr[src, np.arange(src.size) - (np.cumsum(degree) - degree)[src]] = dst
-    # breadth-first from many sources at once: a node joins the next frontier
-    # when one of its neighbours is in this one and it has no distance yet
-    dist = np.full((n_nodes, n_nodes), -1.0)
-    np.fill_diagonal(dist, 0.0)
-    chunk = max(1, 2**20 // max(1, n_nodes * nbr.shape[1]))
-    for lo in range(0, n_nodes, chunk):
-        block = dist[lo : lo + chunk]  # a view: writes land in dist
-        frontier = np.zeros((len(block), n_nodes + 1), dtype=bool)
-        frontier[:, :n_nodes] = block == 0
-        hops = 0
-        while frontier.any():
-            hops += 1
-            reached = frontier[:, nbr].any(axis=2) & (block < 0)
-            block[reached] = hops
-            frontier[:, :n_nodes] = reached
-    if (dist < 0).any():
+    hops = _hop_levels(src[order], dst[order], n_nodes)
+    if hops is None:
         raise DisconnectedGraphError("graph is disconnected: some hop distances are infinite")
     # shortest-path lengths satisfy the triangle inequality by construction
-    return FiniteMetricSpace._derived(dist)
+    return FiniteMetricSpace._derived(hops.astype(np.float64))
 
 
 def _contraction_stats(orig, coords, exponent):

@@ -763,6 +763,11 @@ class TestArrayWriterMatchesCsv:
                    for _ in range(width)]
         rows = [tuple(data.draw(column) for column in columns) for _ in range(k)]
         header = data.draw(st.none() | st.lists(TEXT_CELLS, min_size=width, max_size=width))
+        if any("\n" in cell or "\r" in cell for row in [header or [], *rows] for cell in row if isinstance(cell, str)):
+            # the reader would end a line inside such a cell: refused, not written
+            with tempfile.TemporaryDirectory() as tmp, pytest.raises(InvalidArgumentError, match="line break"):
+                uio.write_csv(Path(tmp) / "out.csv", header, rows)
+            return
         assert _written(uio.write_csv, header, rows) == _written(reference_write_csv, header, rows)
 
     @pytest.mark.parametrize("header, rows, text", [
@@ -770,7 +775,7 @@ class TestArrayWriterMatchesCsv:
         (None, np.array([[-0.0, 2.0**53, 1e16, 5e-324, np.inf, np.nan, 7.0]]),
          "-0.0,9007199254740992.0,1e+16,5e-324,inf,nan,7.0\n"),
         (None, np.array([[-2**63, 2**63 - 1]]), "-9223372036854775808,9223372036854775807\n"),
-        (["n", "metric"], [(1, 'x,"y"'), (20, ""), (3, "a\nb")], 'n,metric\n1,"x,""y"""\n20,\n3,"a\nb"\n'),
+        (["n", "metric"], [(1, 'x,"y"'), (20, ""), (3, "a\tb")], 'n,metric\n1,"x,""y"""\n20,\n3,a\tb\n'),
         (["n", "metric"], [], "n,metric\n"),
         ([""], [("",), (None,), (1.5,)], '""\n""\n""\n1.5\n'),
     ], ids=["integral", "edge_floats", "int64_ends", "quoted", "header_only", "lone_empty_cell"])
@@ -780,6 +785,20 @@ class TestArrayWriterMatchesCsv:
     @pytest.mark.parametrize("perm, row", [([0], "0,0\n"), ([1, 0], '0,"1,0"\n'), ([2, 0, 1], '0,"2,0,1"\n')])
     def test_ranking_cell_quoted_when_it_holds_a_comma(self, perm, row):
         assert _written(uio.write_truth, np.array([perm]), lm.RANKING).decode() == "task_id,perm\n" + row
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_line_breaks_refused(self, tmp_path, brk):
+        # _read_table ends a line at \n and \r alike, so such a cell would not read back
+        path = tmp_path / "out.csv"
+        for header, rows, at in [
+            (["n", "metric"], [(1, "ok"), (2, f"a{brk}b")], "row 1, column 1"),
+            (["n", "metric"], [(brk, "ok")], "row 0, column 0"),
+            (["n", f"met{brk}ric"], [(1, "ok")], "header column 1"),
+            (None, np.array([["a", "b"], ["c", brk]], dtype=object), "row 1, column 1"),
+        ]:
+            with pytest.raises(InvalidArgumentError, match=f"^CSV cell at {at} \\(counted from 0\\) holds a line break"):
+                uio.write_csv(path, header, rows)
+            assert not path.exists()
 
     @pytest.mark.parametrize("rows", [[(1, 2), (3,)], [(), ()]])
     def test_rows_need_one_width(self, tmp_path, rows):

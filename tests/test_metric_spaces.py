@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import reference_check_metric, reference_graph_hop_metric
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.sparse import csr_matrix
@@ -225,6 +225,115 @@ class TestExactIntegerTriangleCheck:
         assert _refusal(ms.FiniteMetricSpace, d) == _refusal(reference_check_metric, d)
 
 
+@st.composite
+def _graphs(draw):
+    """(n_nodes, edges) up to 130 nodes: maybe a random spanning tree, then random
+    pairs, with duplicates, self-loops and isolated nodes arising at random, and
+    now and then one endpoint outside 0..n_nodes-1."""
+    n_nodes = draw(st.integers(1, 130))
+    pair = st.tuples(st.integers(0, n_nodes - 1), st.integers(0, n_nodes - 1))
+    edges = []
+    if n_nodes > 1 and draw(st.booleans()):
+        edges = [(k, draw(st.integers(0, k - 1))) for k in range(1, n_nodes)]
+    edges += draw(st.lists(pair, max_size=min(3 * n_nodes, 60)))
+    if draw(st.booleans()):
+        outside = draw(st.sampled_from([-1, n_nodes]))
+        edges.insert(draw(st.integers(0, len(edges))), (outside, draw(st.integers(0, n_nodes - 1))))
+    return n_nodes, edges
+
+
+def _assert_same_hop_metric(edges, n_nodes):
+    """graph_hop_metric returns the per-source reference's space, or raises its error with its message."""
+    try:
+        want = reference_graph_hop_metric(edges, n_nodes)
+    except (InvalidArgumentError, DisconnectedGraphError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            ms.graph_hop_metric(edges, n_nodes)
+        return
+    got = ms.graph_hop_metric(edges, n_nodes)
+    assert got.dist.dtype == want.dist.dtype
+    np.testing.assert_array_equal(got.dist, want.dist)
+
+
+def _hop_space(n_nodes, extra, seed):
+    rng = np.random.default_rng(seed)
+    extra = min(extra, (n_nodes - 1) * (n_nodes - 2) // 2)
+    return ms.graph_hop_metric(random_connected_graph(n_nodes, extra, rng), n_nodes).dist, rng
+
+
+class TestHopMetricAcceptance:
+    """An integer matrix equal to the hop metric of its unit-distance pairs is accepted
+    after one breadth-first search; every other matrix takes the midpoint check. Either
+    way FiniteMetricSpace accepts and refuses as the reference does, with its message."""
+
+    @staticmethod
+    def _same_as_reference(d, hop=None):
+        # the acceptance path is taken exactly when the per-source reference BFS of the
+        # unit pairs gives d back (and when ``hop`` says so, if given)
+        try:
+            unit_hops = reference_graph_hop_metric(np.argwhere(np.triu(d == 1)), d.shape[0]).dist
+        except DisconnectedGraphError:
+            unit_hops = None
+        expected = unit_hops is not None and np.array_equal(unit_hops, d)
+        assert hop is None or hop == expected
+        ints = ms._small_ints(d)
+        assert ints is not None and ms._is_hop_metric(ints) == expected
+        assert _refusal(ms.FiniteMetricSpace, d) == _refusal(reference_check_metric, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_nodes=st.integers(1, 130), extra=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+    def test_hop_metrics(self, n_nodes, extra, seed):
+        d, _ = _hop_space(n_nodes, extra, seed)
+        self._same_as_reference(d, hop=True)
+        np.testing.assert_array_equal(ms.FiniteMetricSpace(d).dist, d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_nodes=st.integers(3, 130), extra=st.integers(0, 200), seed=st.integers(0, 2**32 - 1),
+           step=st.sampled_from([-1, 1]))
+    def test_one_pair_moved_by_one(self, n_nodes, extra, seed, step):
+        # a triangle violation, or a metric that is no longer a hop metric (a unit pair
+        # grown to 2, a pair at 2 shrunk to a unit pair, ...)
+        d, rng = _hop_space(n_nodes, extra, seed)
+        i, j = rng.choice(n_nodes, size=2, replace=False)
+        d[i, j] = d[j, i] = d[i, j] + (1 if d[i, j] == 1 else step)
+        self._same_as_reference(d)
+
+    @pytest.mark.parametrize("n_nodes", [2, 3, 64, 65, 130])
+    def test_metrics_that_are_not_hop_metrics(self, n_nodes):
+        # twice a hop metric, all 2 off the diagonal, and a hop metric capped at 2:
+        # metrics whose unit pairs are none or whose unit graph's hops differ
+        d, _ = _hop_space(n_nodes, n_nodes, n_nodes)
+        all_two = 2 * (1 - np.eye(n_nodes))
+        capped = np.minimum(d, 2)
+        for metric, hop in ((2 * d, False), (all_two, False), (capped, None)):
+            self._same_as_reference(metric, hop)
+            assert _refusal(ms.FiniteMetricSpace, metric) is None
+
+    @pytest.mark.parametrize("n_nodes", [3, 65])
+    @pytest.mark.parametrize("violated", [False, True])
+    def test_off_diagonal_zeros(self, n_nodes, violated):
+        # a pseudometric: the last point repeats point 0; violated, one of the twins is
+        # moved one hop further from a third point
+        d, _ = _hop_space(n_nodes - 1, n_nodes, n_nodes)
+        d = np.pad(d, ((0, 1), (0, 1)))
+        d[-1, :-1] = d[:-1, -1] = d[0, :-1]
+        if violated:
+            d[-1, 1] = d[1, -1] = d[0, 1] + 1
+        self._same_as_reference(d, hop=False)
+        assert (_refusal(reference_check_metric, d) is None) != violated
+
+    @pytest.mark.parametrize("between", [1, 2, 19, 20, 39])
+    def test_disconnected_unit_graph(self, between):
+        # two paths of 40 and 30 points, unit steps within, and every pair across at
+        # `between`: the unit graph is disconnected unless between is 1; a metric
+        # exactly when between reaches over half of the longer path's 39 hops
+        left, right = ms.graph_hop_metric([(k, k + 1) for k in range(39)], 40).dist, \
+            ms.graph_hop_metric([(k, k + 1) for k in range(29)], 30).dist
+        d = np.block([[left, np.full((40, 30), between)], [np.full((30, 40), between), right]])
+        self._same_as_reference(d, hop=False)
+        assert (_refusal(reference_check_metric, d) is None) == (2 * between >= 39)
+
+
 class TestGraphHopMetric:
     def test_path_graph(self):
         space = ms.graph_hop_metric([(0, 1), (1, 2)], 3)
@@ -264,26 +373,41 @@ class TestGraphHopMetric:
             assert (d <= d[:, k, None] + d[None, k, :]).all()
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 12).flatmap(lambda nodes: st.tuples(
-        st.just(nodes),
-        # duplicates, self-loops and isolated nodes arise at random
-        st.lists(st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1)), max_size=3 * nodes),
-        # now and then one endpoint outside 0..n_nodes-1
-        st.none() | st.tuples(st.integers(0, 3 * nodes), st.sampled_from([-1, nodes]), st.integers(0, nodes - 1)),
-    )))
+    @given(_graphs())
+    @example((1, []))
+    @example((1, [(0, 0), (0, 0)]))
+    @example((5, []))
+    @example((3, [(0, 1), (1, 0), (1, 1)]))
+    @example((65, [(k, k + 1) for k in range(64)] + [(64, 65)]))
     def test_matches_per_source_reference(self, graph):
-        n_nodes, edges, bad = graph
-        if bad is not None:
-            edges.insert(bad[0], bad[1:])
-        try:
-            want = reference_graph_hop_metric(edges, n_nodes)
-        except (InvalidArgumentError, DisconnectedGraphError) as exc:
-            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                ms.graph_hop_metric(edges, n_nodes)
-            return
-        got = ms.graph_hop_metric(edges, n_nodes)
-        assert got.dist.dtype == want.dist.dtype
-        np.testing.assert_array_equal(got.dist, want.dist)
+        # up to 130 nodes, so the source bitsets span up to three 64-bit words
+        n_nodes, edges = graph
+        _assert_same_hop_metric(edges, n_nodes)
+
+    @pytest.mark.parametrize("n_nodes", [63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("shape", ["path", "star", "tree", "dense", "isolated_last", "two_parts"])
+    def test_word_edges(self, n_nodes, shape):
+        # the last source in the last bit of a word, alone in a new word, or one past it
+        rng = np.random.default_rng(n_nodes)
+        edges = {
+            "path": [(k, k + 1) for k in range(n_nodes - 1)],
+            "star": [(n_nodes - 1, k) for k in range(n_nodes - 1)],
+            "tree": [(k, int(rng.integers(0, k))) for k in range(1, n_nodes)],
+            "dense": random_connected_graph(n_nodes, 4 * n_nodes, rng),
+            "isolated_last": [(k, k + 1) for k in range(n_nodes - 2)],
+            "two_parts": [(k, k + 1) for k in range(n_nodes - 1) if k != n_nodes // 2],
+        }[shape]
+        _assert_same_hop_metric(edges, n_nodes)
+
+    def test_deep_paths_and_source_blocks(self, monkeypatch):
+        # a path of 600 nodes has hop distances above 255 (bit planes past the eighth);
+        # a gather budget of one byte splits the sources into blocks of one word each
+        _assert_same_hop_metric([(k, k + 1) for k in range(599)], 600)
+        monkeypatch.setattr(ms, "_GATHER_BYTES", 1)
+        rng = np.random.default_rng(11)
+        _assert_same_hop_metric(random_connected_graph(200, 150, rng), 200)
+        _assert_same_hop_metric([(k, k + 1) for k in range(199)] + [(0, 150)], 200)
+        _assert_same_hop_metric([(k, k + 1) for k in range(198)], 200)
 
     def test_revalidates_through_the_public_constructor(self):
         # graph_hop_metric skips the triangle check: its distances must pass it
@@ -299,8 +423,8 @@ class TestGraphHopMetric:
         np.testing.assert_array_equal(ms.graph_hop_metric([(0, 0), (0, 0)], 1).dist, [[0.0]])
         np.testing.assert_array_equal(ms.graph_hop_metric(np.empty((0, 2), dtype=int), 1).dist, [[0.0]])
         np.testing.assert_array_equal(ms.graph_hop_metric(iter(()), 1).dist, [[0.0]])
-        # a hub of degree 150 and a path of 50 hops: sources split over
-        # several chunks, and many levels
+        # a hub of degree 150 and a path of 50 hops: sources in four bitset
+        # words, and many levels
         edges = [(0, k) for k in range(1, 151)] + [(k, k + 1) for k in range(150, 199)]
         np.testing.assert_array_equal(ms.graph_hop_metric(edges, 200).dist,
                                       reference_graph_hop_metric(edges, 200).dist)
