@@ -1,6 +1,7 @@
 """Accuracy estimation without ground truth: triplet systems, signs, end-to-end learning."""
 
 import copy
+import functools
 import math
 import pickle
 import re
@@ -576,6 +577,123 @@ class TestLearnConfiguration:
         with pytest.raises(InvalidArgumentError, match=f"{given} second moments for {coords} embedded coordinates"):
             lm.learn_label_model(data, path=path, prior=lm.SecondMomentPrior(np.ones(given)))
         lm.learn_label_model(data, path=path, prior=lm.SecondMomentPrior(np.ones(coords)))
+
+
+@functools.lru_cache(maxsize=None)
+def refusal_data(name):
+    """The datasets of the learner's refusal table: six labelers of each kind, two, rho = 1, overflowing reals."""
+    kind = {"rank": lm.RANKING, "real": lm.REAL_VECTOR, "finite": lm.FINITE_METRIC}.get(name.split("-")[0])
+    if name.endswith("-m2"):
+        six = six_labeler_data(kind)
+        return lm.LabelingMatrix(kind, six.labels[:, :2], six.space)
+    if name == "rank-rho1":
+        return lm.LabelingMatrix(lm.RANKING, np.zeros((10, 6, 1), dtype=np.int64))
+    if name == "real-overflow":
+        # finite labels near 1e160 have products near 1e320, past float64
+        return lm.LabelingMatrix(lm.REAL_VECTOR, np.random.default_rng(37).normal(size=(200, 6)) * 1e160)
+    return six_labeler_data(kind)
+
+
+SM1, TWO_POINT = lm.SecondMomentPrior(1.0), lm.TwoPointPrior(0.3)
+# labeler 0 keeps one admissible partner, so no pair to make a triplet with
+LONELY = lm.CorrelationSet.from_pairs([(0, 1), (0, 2), (0, 3), (0, 4)])
+NO_TRIPLET = "triplet unavailable for labeler 0 under the correlation set"
+OVERFLOW = "pair moments are not finite: the label products overflow float64"
+
+
+def not_read(prior, path, kind):
+    return f"{type(prior).__name__} is not read on the {path} route for {kind} labels"
+
+
+def wrong_length(given, coords):
+    return f"SecondMomentPrior has {given} second moments for {coords} embedded coordinates; give one, or one per coordinate"
+
+
+# (id, data, learner keywords, exception type, full message); a case where two checks can fire names the one first
+LEARNER_REFUSALS = [
+    ("m2-rank", "rank-m2", {}, ConfigurationError, "triplet unavailable: need at least 3 labelers, got 2"),
+    ("m2-real", "real-m2", {"prior": SM1}, ConfigurationError, "triplet unavailable: need at least 3 labelers, got 2"),
+    ("m2-finite", "finite-m2", {}, ConfigurationError, "triplet unavailable: need at least 3 labelers, got 2"),
+    ("m2-before-path", "rank-m2", {"path": "bogus"}, ConfigurationError,
+     "triplet unavailable: need at least 3 labelers, got 2"),
+    ("edge-outside", "rank", {"corr": lm.CorrelationSet.from_pairs([(0, 9)])}, InvalidArgumentError,
+     "correlation edge (0, 9) names a labeler outside 0..5"),
+    ("edge-before-path", "real", {"corr": lm.CorrelationSet.from_pairs([(0, 9)]), "path": "hypercube"},
+     InvalidArgumentError, "correlation edge (0, 9) names a labeler outside 0..5"),
+    ("rho1", "rank-rho1", {}, InvalidArgumentError, "a ranking label model needs rho >= 2 items, got rho = 1"),
+    ("rho1-hypercube", "rank-rho1", {"path": "hypercube"}, InvalidArgumentError,
+     "a ranking label model needs rho >= 2 items, got rho = 1"),
+    ("rho1-before-corr", "rank-rho1", {"corr": LONELY, "path": "isotropic"}, InvalidArgumentError,
+     "a ranking label model needs rho >= 2 items, got rho = 1"),
+    ("path-rank", "rank", {"path": "bogus"}, ConfigurationError, "path 'bogus' not available for 'ranking' labels"),
+    ("path-real", "real", {"path": "hypercube"}, ConfigurationError,
+     "path 'hypercube' not available for 'real_vector' labels"),
+    ("path-finite", "finite", {"path": "hypercube", "prior": TWO_POINT}, ConfigurationError,
+     "path 'hypercube' not available for 'finite_metric' labels"),
+    ("path-before-prior", "real", {"path": "hypercube", "prior": lm.SecondMomentPrior([1.0, 1.0])},
+     ConfigurationError, "path 'hypercube' not available for 'real_vector' labels"),
+    ("path-before-rho", "rank-rho1", {"path": "bogus"}, ConfigurationError,
+     "path 'bogus' not available for 'ranking' labels"),
+    ("2pt-rank-cont", "rank", {"prior": TWO_POINT}, ConfigurationError, not_read(TWO_POINT, "continuous", lm.RANKING)),
+    ("2pt-rank-iso", "rank", {"prior": TWO_POINT, "path": "isotropic"}, ConfigurationError,
+     not_read(TWO_POINT, "isotropic", lm.RANKING)),
+    ("2pt-real-cont", "real", {"prior": TWO_POINT}, ConfigurationError,
+     not_read(TWO_POINT, "continuous", lm.REAL_VECTOR)),
+    ("2pt-real-iso", "real", {"prior": TWO_POINT, "path": "isotropic"}, ConfigurationError,
+     not_read(TWO_POINT, "isotropic", lm.REAL_VECTOR)),
+    ("2pt-finite-iso", "finite", {"prior": TWO_POINT}, ConfigurationError,
+     not_read(TWO_POINT, "isotropic", lm.FINITE_METRIC)),
+    ("2pt-finite-cont", "finite", {"prior": TWO_POINT, "path": "continuous"}, ConfigurationError,
+     not_read(TWO_POINT, "continuous", lm.FINITE_METRIC)),
+    ("sm-rank-cont", "rank", {"prior": SM1}, ConfigurationError, not_read(SM1, "continuous", lm.RANKING)),
+    ("sm-rank-hyper", "rank", {"prior": SM1, "path": "hypercube"}, ConfigurationError,
+     not_read(SM1, "hypercube", lm.RANKING)),
+    ("sm-rank-iso", "rank", {"prior": SM1, "path": "isotropic"}, ConfigurationError,
+     not_read(SM1, "isotropic", lm.RANKING)),
+    ("sm-finite-iso", "finite", {"prior": SM1}, ConfigurationError, not_read(SM1, "isotropic", lm.FINITE_METRIC)),
+    ("prior-before-rho", "rank-rho1", {"prior": TWO_POINT}, ConfigurationError,
+     not_read(TWO_POINT, "continuous", lm.RANKING)),
+    ("prior-before-corr", "finite", {"prior": SM1, "corr": LONELY}, ConfigurationError,
+     not_read(SM1, "isotropic", lm.FINITE_METRIC)),
+    ("shape-real-cont", "real", {"prior": lm.SecondMomentPrior([1.0, 1.0])}, InvalidArgumentError,
+     wrong_length(2, 1)),
+    ("shape-real-iso", "real", {"prior": lm.SecondMomentPrior(np.ones(3)), "path": "isotropic"},
+     InvalidArgumentError, wrong_length(3, 1)),
+    ("shape-finite-cont", "finite", {"prior": lm.SecondMomentPrior(np.ones(3)), "path": "continuous"},
+     InvalidArgumentError, wrong_length(3, 8)),
+    ("shape-before-corr", "finite", {"prior": lm.SecondMomentPrior(np.ones(9)), "path": "continuous",
+                                     "corr": LONELY}, InvalidArgumentError, wrong_length(9, 8)),
+    ("overflow-cont", "real-overflow", {"prior": lm.SecondMomentPrior(1e300)}, InvalidArgumentError, OVERFLOW),
+    ("overflow-iso", "real-overflow", {"prior": lm.SecondMomentPrior(1e300), "path": "isotropic"},
+     InvalidArgumentError, OVERFLOW),
+    ("overflow-iso-no-prior", "real-overflow", {"path": "isotropic"}, InvalidArgumentError, OVERFLOW),
+    ("overflow-before-shape", "real-overflow", {"prior": lm.SecondMomentPrior([1.0, 1.0])}, InvalidArgumentError,
+     OVERFLOW),
+    ("overflow-before-no-prior", "real-overflow", {}, InvalidArgumentError, OVERFLOW),
+    ("overflow-before-corr", "real-overflow", {"corr": LONELY, "path": "isotropic"}, InvalidArgumentError, OVERFLOW),
+    ("no-prior-real", "real", {}, ConfigurationError, "continuous path on real labels needs a SecondMomentPrior"),
+    ("no-prior-real-cont", "real", {"path": "continuous"}, ConfigurationError,
+     "continuous path on real labels needs a SecondMomentPrior"),
+    ("corr-rank-cont", "rank", {"corr": LONELY}, ConfigurationError, NO_TRIPLET),
+    ("corr-rank-hyper", "rank", {"corr": LONELY, "path": "hypercube", "prior": TWO_POINT}, ConfigurationError,
+     NO_TRIPLET),
+    ("corr-rank-iso", "rank", {"corr": LONELY, "path": "isotropic"}, ConfigurationError, NO_TRIPLET),
+    ("corr-real-cont", "real", {"corr": LONELY, "prior": SM1}, ConfigurationError, NO_TRIPLET),
+    ("corr-real-iso", "real", {"corr": LONELY, "path": "isotropic"}, ConfigurationError, NO_TRIPLET),
+    ("corr-finite-iso", "finite", {"corr": LONELY}, ConfigurationError, NO_TRIPLET),
+    ("corr-finite-cont", "finite", {"corr": LONELY, "path": "continuous"}, ConfigurationError, NO_TRIPLET),
+    ("corr-before-no-prior", "real", {"corr": LONELY}, ConfigurationError, NO_TRIPLET),
+]
+
+
+@pytest.mark.parametrize("name, kwargs, error, message", [case[1:] for case in LEARNER_REFUSALS],
+                         ids=[case[0] for case in LEARNER_REFUSALS])
+def test_learner_refusals(name, kwargs, error, message):
+    # the type exactly, the message in full; where two checks can fire, the table names the one that fires first
+    with pytest.raises(error) as info:
+        lm.learn_label_model(refusal_data(name), **kwargs)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 class TestLearnRegression:
