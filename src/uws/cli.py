@@ -61,9 +61,9 @@ def _require(payload, key, where):
 
 
 def _integer(value, key, where):
-    """``value`` as an int; a fractional number or a non-numeric value raises."""
+    """``value`` as an int; a fractional number, a bool or a non-numeric value raises."""
     try:
-        if isinstance(value, str) or int(value) == value:
+        if isinstance(value, str) or int(value) == value and not isinstance(value, bool):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -210,8 +210,9 @@ def _write_rows(path, header, k, blocks, seps):
             for j in range(width):
                 out[2 * (col + j)::2 * n] = cells[j::width]
         col += width
+    if n == 1:  # csv quotes a lone empty cell, so that no row is blank
+        out[::2] = ['""' if text == "" else text for text in out[::2]]
     if header is not None:
-        # csv quotes a lone empty cell, so that the row is not blank
         out.insert(0, (",".join(map(_cell, header)) or ('""' if len(header) == 1 else "")) + "\n")
     Path(path).write_text("".join(out))
 
@@ -222,7 +223,9 @@ def write_csv(path, header, rows):
     line break is refused, with its row and column."""
     if header is not None:
         _refuse_line_breaks(list(map(_cell, header)), len(header), header=True)
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1]:
+    if isinstance(rows, np.ndarray) and rows.ndim != 2:
+        raise InvalidArgumentError(f"CSV rows must be a 2-D array or a list of rows, got shape {rows.shape}")
+    if isinstance(rows, np.ndarray) and rows.shape[1]:
         text = _number_text(rows)
         if rows.dtype.kind not in "iuf":
             _refuse_line_breaks(text, rows.shape[1])
@@ -234,8 +237,6 @@ def write_csv(path, header, rows):
         raise InvalidArgumentError("CSV rows must each hold the same number of cells, at least one")
     cells = [list(map(_cell, column)) for column in columns]
     _refuse_line_breaks([text for row in zip(*cells) for text in row], len(cells))
-    if len(cells) == 1:
-        cells[0] = ['""' if text == "" else text for text in cells[0]]
     _write_rows(path, header, len(rows), [(text, 1) for text in cells], [","] * (len(cells) - 1) + ["\n"])
 
 

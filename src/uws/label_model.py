@@ -7,13 +7,17 @@ continuous (a closed-form square root, given the truth's second moments),
 hypercube (the quadratic formula under a two-point prior, from joint +1
 frequencies, once per truth value) or isotropic (half-sums of native pair
 distances). Each route is one elementwise core on each triplet's gathered
-pair moments. :func:`learn_label_model` embeds the outputs, takes every
-pair moment in one product, and estimates each labeler and coordinate as the
-median over the triplets that pair up its K = 4 strongest admissible
-partners (its strongest admissible pairs, where those partners are pairwise
-correlated) and solve there, every labeler's pairs in one array call. A
-labeler and coordinate with no solvable triplet raise the route's error,
-naming both; the public scalar solvers wrap the same cores and raise instead.
+pair moments. :func:`learn_label_model` checks its arguments and hands the
+data to the one learner of its space kind. Each learner embeds the outputs
+(+-1 pair signs, real labels as given, MDS coordinates or native distances),
+takes every pair moment in one product, estimates each labeler and
+coordinate as the median over the triplets that pair up its K = 4 strongest
+admissible partners (its strongest admissible pairs, where those partners
+are pairwise correlated) and solve there, every labeler's pairs in one array
+call, and maps the mean parameters to canonical accuracies (Mallows thetas,
+the inverse error covariance, inverse mean distances). A labeler and
+coordinate with no solvable triplet raise the route's error, naming both;
+the public scalar solvers wrap the same cores and raise instead.
 """
 
 import warnings
@@ -66,6 +70,8 @@ _PATHS = {
     REAL_VECTOR: ("continuous", "isotropic"),
     FINITE_METRIC: ("isotropic", "continuous"),
 }
+# the routes that read a SecondMomentPrior; only the hypercube route reads a TwoPointPrior
+_SECOND_MOMENT_ROUTES = {(REAL_VECTOR, "continuous"), (REAL_VECTOR, "isotropic"), (FINITE_METRIC, "continuous")}
 
 
 @dataclass(frozen=True)
@@ -633,6 +639,121 @@ def _ranking_theta(mean_distance, rho):
     return thetas
 
 
+def _pair_moments(values, prior=None, default=None):
+    """Pair moments of labeler-major (m, n, d) values, refused where they overflow, and the truth's second
+    moments: a SecondMomentPrior's, else ``default``, one or one per coordinate, broadcast to (d,), or None."""
+    with np.errstate(over="ignore"):  # refused just below, naming the cause
+        e = empirical_pair_moments(values)
+    if not np.isfinite(e).all():
+        raise InvalidArgumentError("pair moments are not finite: the label products overflow float64")
+    second_moments = prior.second_moments if isinstance(prior, SecondMomentPrior) else default
+    if second_moments is None:
+        return e, None
+    if second_moments.shape not in ((1,), values.shape[2:]):
+        raise InvalidArgumentError(f"SecondMomentPrior has {second_moments.size} second moments for "
+                                   f"{values.shape[2]} embedded coordinates; give one, or one per coordinate")
+    return e, np.broadcast_to(second_moments, values.shape[2:]).astype(np.float64)
+
+
+def _moment_partners(e, free):
+    """:func:`_partner_pairs` with a partner's strength its summed mean |pair moment| with the others."""
+    return _partner_pairs(np.where(np.eye(len(e), dtype=bool), 0.0, np.abs(e).mean(axis=2)).sum(axis=1), free)
+
+
+def _half_sums(pair_dist, pairs):
+    """Isotropic route: each labeler's mean distance to the truth, from the half-sums of its triplets' distances."""
+    return _triplet_estimates(pairs, lambda a, b, c: _half_sum_core(*_triplet_gather(pair_dist, a, b, c)),
+                              InvalidArgumentError, "every triplet misses a pairwise distance")
+
+
+def _continuous_reals(e, pairwise, pairs, second_moments):
+    """Continuous route on real coordinates: signed accuracies, their sums E[<lambda_a, y>], the error covariance."""
+    per_coord = _signed_accuracies(e, pairs, second_moments)
+    accuracies = per_coord.sum(axis=1)
+    return per_coord, accuracies, pairwise - accuracies[:, None] - accuracies[None, :] + second_moments.sum()
+
+
+def _learn_ranking(data, free, prior, path):
+    """Rankings: +-1 pair-sign coordinates, mean Kendall distances to the truth, Mallows thetas."""
+    if data.rho < 2:
+        raise InvalidArgumentError(f"a ranking label model needs rho >= 2 items, got rho = {data.rho}")
+    values = _pair_signs(data.positions)
+    dim = values.shape[2]
+    e, _ = _pair_moments(values)
+    pairwise = e.mean(axis=2)  # the model keeps the mean over the +-1 pair coordinates
+    pairs = _moment_partners(e, free)
+    pair_sign = {"kind": "pair_sign", "dim": dim, "pair_order": "lexicographic"}
+    if path == "isotropic":
+        # native Kendall distances through the embedding identity
+        mean_dist = _half_sums(dim * (1.0 - pairwise) / 2.0, pairs)
+        out = {"embedding": {"kind": "native_kendall", "rho": data.rho}, "accuracies": 1.0 - 2.0 * mean_dist / dim}
+    elif path == "hypercube":
+        agree = _agreement_probabilities(values, e, pairs, prior.p if isinstance(prior, TwoPointPrior) else 0.5)
+        mean_dist = (1.0 - agree).sum(axis=1)
+        out = {"embedding": pair_sign, "accuracies": (2.0 * agree - 1.0).mean(axis=1), "per_coordinate": agree}
+    else:
+        signed = _signed_accuracies(e, pairs, np.ones(dim))  # +-1 coordinates have second moment 1
+        mean_dist = ((1.0 - signed) / 2.0).sum(axis=1)
+        out = {"embedding": pair_sign, "accuracies": signed.mean(axis=1), "per_coordinate": signed}
+    return dict(out, thetas=_ranking_theta(mean_dist, data.rho), expected_distances=mean_dist,
+                pairwise_moments=pairwise)
+
+
+def _learn_reals(data, free, prior, path):
+    """Real labels: identity coordinates, the error covariance, its inverse as the theta matrix."""
+    values = np.ascontiguousarray(data.labels.transpose(2, 1, 0)).transpose(1, 2, 0)
+    e, second_moments = _pair_moments(values, prior)
+    pairwise = e.sum(axis=2)  # the model keeps the total over the real coordinates
+    pairs = _moment_partners(e, free)
+    out = {"embedding": {"kind": "identity", "dim": values.shape[2]}, "pairwise_moments": pairwise}
+    if path == "isotropic":
+        sq = np.diag(pairwise)
+        pair_dist = sq[:, None] + sq[None, :] - 2.0 * pairwise
+        mean_dist = _half_sums(pair_dist, pairs)
+        err_cov = 0.5 * (mean_dist[:, None] + mean_dist[None, :] - pair_dist)
+        np.fill_diagonal(err_cov, mean_dist)
+        # polarization against the prior second moment recovers E[<lambda_a, y>]
+        out["accuracies"] = (np.full(len(sq), np.nan) if second_moments is None
+                             else 0.5 * (sq + second_moments.sum() - mean_dist))
+    elif second_moments is None:
+        raise ConfigurationError("continuous path on real labels needs a SecondMomentPrior")
+    else:
+        out["per_coordinate"], out["accuracies"], err_cov = _continuous_reals(e, pairwise, pairs, second_moments)
+        mean_dist = np.diag(err_cov).copy()
+    theta_matrix = gaussian_backward_map(err_cov)
+    return dict(out, thetas=np.diag(theta_matrix).copy(), expected_distances=mean_dist, theta_matrix=theta_matrix)
+
+
+def _learn_finite(data, free, prior, path):
+    """Finite metric spaces: native distances or MDS coordinates, thetas the inverse clipped mean distances."""
+    space, labels, m = data.space, data.labels, data.n_lfs
+    if path == "isotropic":
+        # one (n, m) gather per labeler keeps memory at O(n m)
+        pairwise = np.stack([space.dist[labels[:, [a]], labels].mean(axis=0) for a in range(m)])
+        np.fill_diagonal(pairwise, 0.0)
+        # a partner's strength: its least summed distance to the others
+        mean_dist = _half_sums(pairwise, _partner_pairs(-pairwise.sum(axis=1), free))
+        out = {"embedding": {"kind": "native_distance", "n_points": space.size}, "accuracies": np.full(m, np.nan)}
+        scale = space.dist.mean()
+    else:
+        report = classical_mds(space, dim=min(space.size - 1, 8))
+        values = np.ascontiguousarray(report.coords[labels].transpose(2, 1, 0)).transpose(1, 2, 0)
+        # without a prior, the uniform distribution over points fixes the truth's second moments
+        e, second_moments = _pair_moments(values, prior, (report.coords**2).mean(axis=0))
+        pairwise = e.sum(axis=2)
+        out = {"embedding": {"kind": "mds", "dim": values.shape[2], "epsilon": report.epsilon,
+                             "scale": report.scale, "exponent": report.exponent}}
+        out["per_coordinate"], out["accuracies"], err_cov = _continuous_reals(
+            e, pairwise, _moment_partners(e, free), second_moments)
+        mean_dist = np.diag(err_cov).copy()
+        scale = second_moments.sum()
+    thetas = 1.0 / np.clip(mean_dist, 1e-9 * max(1.0, float(scale)), None)
+    return dict(out, thetas=thetas, expected_distances=mean_dist, pairwise_moments=pairwise)
+
+
+_LEARNERS = {RANKING: _learn_ranking, REAL_VECTOR: _learn_reals, FINITE_METRIC: _learn_finite}
+
+
 def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy=None):
     """Learn per-labeler canonical accuracies from outputs alone, on any space and route.
 
@@ -671,131 +792,8 @@ def learn_label_model(data, corr=None, prior=None, path=None, triplet_policy=Non
     path = path or _PATHS[kind][0]
     if path not in _PATHS[kind]:
         raise ConfigurationError(f"path {path!r} not available for {kind!r} labels")
-    if (isinstance(prior, SecondMomentPrior) and (kind == RANKING or kind == FINITE_METRIC and path == "isotropic")
+    if (isinstance(prior, SecondMomentPrior) and (kind, path) not in _SECOND_MOMENT_ROUTES
             or isinstance(prior, TwoPointPrior) and path != "hypercube"):
         raise ConfigurationError(f"{type(prior).__name__} is not read on the {path} route for {kind} labels")
-    m = data.n_lfs
-    if kind == RANKING and data.rho < 2:
-        raise InvalidArgumentError(f"a ranking label model needs rho >= 2 items, got rho = {data.rho}")
-
-    # embed: labeler-major (m, n, d) views of coordinate-major storage, the
-    # layout of the pair-moment product; finite isotropic stays native
-    values = None
-    second_moments = prior.second_moments if isinstance(prior, SecondMomentPrior) else None
-    if kind == RANKING:
-        values = _pair_signs(data.positions)
-        embedding = {"kind": "pair_sign", "dim": values.shape[2], "pair_order": "lexicographic"}
-        if path == "isotropic":
-            embedding = {"kind": "native_kendall", "rho": data.rho}
-        second_moments = np.ones(values.shape[2])
-    elif kind == REAL_VECTOR:
-        values = np.ascontiguousarray(data.labels.transpose(2, 1, 0)).transpose(1, 2, 0)
-        embedding = {"kind": "identity", "dim": values.shape[2]}
-    else:
-        space = data.space
-        embedding = {"kind": "native_distance", "n_points": space.size}
-        if path == "continuous":
-            dim = min(space.size - 1, 8)
-            report = classical_mds(space, dim=dim)
-            values = np.ascontiguousarray(report.coords[data.labels].transpose(2, 1, 0)).transpose(1, 2, 0)
-            if second_moments is None:
-                # uniform prior over points fixes the truth's per-coordinate second moments
-                second_moments = (report.coords**2).mean(axis=0)
-            embedding = {"kind": "mds", "dim": dim, "epsilon": report.epsilon, "scale": report.scale,
-                         "exponent": report.exponent}
-
-    # pair moments; the model keeps their mean over +-1 pair coordinates and
-    # their total over real ones
-    if values is not None:
-        with np.errstate(over="ignore"):  # refused just below, naming the cause
-            e = empirical_pair_moments(values)
-        if not np.isfinite(e).all():
-            raise InvalidArgumentError("pair moments are not finite: the label products overflow float64")
-        pairwise = e.mean(axis=2) if kind == RANKING else e.sum(axis=2)
-        if second_moments is not None:
-            if second_moments.shape not in ((1,), values.shape[2:]):
-                raise InvalidArgumentError(
-                    f"SecondMomentPrior has {second_moments.size} second moments for {values.shape[2]} "
-                    f"embedded coordinates; give one, or one per coordinate"
-                )
-            second_moments = np.broadcast_to(second_moments, values.shape[2:]).astype(np.float64)
-
-    if path == "isotropic":
-        if kind == RANKING:
-            # native Kendall distances through the embedding identity
-            pair_dist = values.shape[2] * (1.0 - pairwise) / 2.0
-        elif kind == REAL_VECTOR:
-            sq = np.diag(pairwise)
-            pair_dist = sq[:, None] + sq[None, :] - 2.0 * pairwise
-        else:
-            # one (n, m) gather per labeler keeps memory at O(n m)
-            labels = data.labels
-            pairwise = np.stack([space.dist[labels[:, [a]], labels].mean(axis=0) for a in range(m)])
-            pair_dist = pairwise
-        np.fill_diagonal(pair_dist, 0.0)
-
-    # a partner's strength: its summed mean |pair moment| with the others, or least summed native distance
-    strength = (-pair_dist.sum(axis=1) if values is None
-                else np.where(np.eye(m, dtype=bool), 0.0, np.abs(e).mean(axis=2)).sum(axis=1))
-    pairs = _partner_pairs(strength, free)
-
-    # route: triplet solves give each labeler's mean parameter
-    per_coord = None
-    accuracies = np.full(m, np.nan)
-    if path == "isotropic":
-        mean_dist = _triplet_estimates(
-            pairs,
-            lambda a, b, c: _half_sum_core(*_triplet_gather(pair_dist, a, b, c)),
-            InvalidArgumentError,
-            "every triplet misses a pairwise distance",
-        )
-        if kind == RANKING:
-            accuracies = 1.0 - 2.0 * mean_dist / values.shape[2]
-        elif second_moments is not None:
-            # real labels: polarization against the prior second moment recovers E[<lambda_a, y>]
-            accuracies = 0.5 * (np.diag(pairwise) + second_moments.sum() - mean_dist)
-    elif path == "hypercube":
-        p = prior.p if isinstance(prior, TwoPointPrior) else 0.5
-        per_coord = _agreement_probabilities(values, e, pairs, p)
-        mean_dist = (1.0 - per_coord).sum(axis=1)
-        accuracies = (2.0 * per_coord - 1.0).mean(axis=1)
-    else:
-        if second_moments is None:
-            raise ConfigurationError("continuous path on real labels needs a SecondMomentPrior")
-        per_coord = _signed_accuracies(e, pairs, second_moments)
-        if kind == RANKING:
-            mean_dist = ((1.0 - per_coord) / 2.0).sum(axis=1)
-            accuracies = per_coord.mean(axis=1)
-        else:
-            accuracies = per_coord.sum(axis=1)  # E[<lambda_a, y>]
-            # error covariance from raw moments and accuracies
-            err_cov = pairwise - accuracies[:, None] - accuracies[None, :] + second_moments.sum()
-            mean_dist = np.diag(err_cov).copy()
-
-    # backward map: mean parameters to canonical accuracies
-    theta_matrix = None
-    if kind == RANKING:
-        thetas = _ranking_theta(mean_dist, data.rho)
-    elif kind == REAL_VECTOR:
-        if path == "isotropic":
-            err_cov = 0.5 * (mean_dist[:, None] + mean_dist[None, :] - pair_dist)
-            np.fill_diagonal(err_cov, mean_dist)
-        theta_matrix = gaussian_backward_map(err_cov)
-        thetas = np.diag(theta_matrix).copy()
-    else:
-        scale = space.dist.mean() if path == "isotropic" else second_moments.sum()
-        thetas = 1.0 / np.clip(mean_dist, 1e-9 * max(1.0, float(scale)), None)
-
-    return LabelModel(
-        space_kind=kind,
-        path=path,
-        dims=data.dims,
-        thetas=thetas,
-        expected_distances=mean_dist,
-        accuracies=accuracies,
-        pairwise_moments=pairwise,
-        embedding=embedding,
-        version=__version__,
-        theta_matrix=theta_matrix,
-        per_coordinate=per_coord,
-    )
+    fields = _LEARNERS[kind](data, free, prior, path)
+    return LabelModel(space_kind=kind, path=path, dims=data.dims, version=__version__, **fields)

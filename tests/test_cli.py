@@ -177,6 +177,23 @@ class TestGenerate:
             datasets.append((tmp_path / name / "dataset.csv").read_bytes())
         assert datasets[0] == datasets[1] and len(datasets[0].splitlines()) == 1 + 10 * 11
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", True), ("rho", True), ("seed", True), ("seed", False), ("n_nodes", True), ("n_edges", True),
+        ("n_low", True), ("n_low", False), ("n_high", True), ("m", True),
+    ])
+    def test_json_booleans_are_not_integers(self, tmp_path, capsys, field, value):
+        # JSON true once read as the integer 1: n=1, seed 1, one low labeler
+        payload = {"kind": "ranking", "n": 10, "rho": 4, "preset": "heterogeneous", "seed": 5}
+        if field in ("n_nodes", "n_edges"):
+            payload = {"kind": "graph", "n_nodes": 8, "n_edges": 12, "n": 15, "thetas": [2.0, 1.0, 0.5], "seed": 3}
+        elif field == "m":
+            payload["preset"] = "movies_style"
+        scenario = write_json(tmp_path / "s.json", {**payload, field: value})
+        out = tmp_path / "out"
+        assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == VALIDATION_EXIT
+        assert f"{scenario}: field {field!r} must be an integer, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLearn:
     def test_writes_model(self, tmp_path, ranking_scenario):
@@ -515,6 +532,18 @@ class TestSweep:
         else:
             assert f"{sweep_scenario}: field 'seed' must be a non-negative integer, got -3" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", True), ("replicates", True), ("grid", {"n": [200, True]}), ("grid", {"m": [True, 3]}),
+        ("base", {"rho": True, "thetas": [1.5, 1.0, 0.7, 0.5]}),
+    ], ids=["seed", "replicates", "grid_n", "grid_m", "base_rho"])
+    def test_json_booleans_are_not_integers(self, tmp_path, capsys, sweep_scenario, field, value):
+        write_json(sweep_scenario, {**json.loads(sweep_scenario.read_text()), field: value})
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(sweep_scenario), "--out", str(out)]) == VALIDATION_EXIT
+        name = field if not isinstance(value, dict) else next(iter(value))
+        assert f"{sweep_scenario}: field {name!r} must be an integer, got True" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("rules", ["mv", ["mv", 3], ["weighted", "median"], {"mv": True}, None])
     def test_rules_are_checked(self, tmp_path, capsys, sweep_scenario, rules):

@@ -763,12 +763,18 @@ class TestArrayWriterMatchesCsv:
                    for _ in range(width)]
         rows = [tuple(data.draw(column) for column in columns) for _ in range(k)]
         header = data.draw(st.none() | st.lists(TEXT_CELLS, min_size=width, max_size=width))
+        # the same rows as an object array take the array path
+        array = np.empty((k, width), dtype=object)
+        for i, row in enumerate(rows):
+            array[i] = row
         if any("\n" in cell or "\r" in cell for row in [header or [], *rows] for cell in row if isinstance(cell, str)):
             # the reader would end a line inside such a cell: refused, not written
-            with tempfile.TemporaryDirectory() as tmp, pytest.raises(InvalidArgumentError, match="line break"):
-                uio.write_csv(Path(tmp) / "out.csv", header, rows)
+            for given in (rows, array):
+                with tempfile.TemporaryDirectory() as tmp, pytest.raises(InvalidArgumentError, match="line break"):
+                    uio.write_csv(Path(tmp) / "out.csv", header, given)
             return
         assert _written(uio.write_csv, header, rows) == _written(reference_write_csv, header, rows)
+        assert _written(uio.write_csv, header, array) == _written(reference_write_csv, header, rows)
 
     @pytest.mark.parametrize("header, rows, text", [
         (None, np.array([[0.0, 3.0], [3.0, 0.0]]), "0.0,3.0\n3.0,0.0\n"),
@@ -778,9 +784,26 @@ class TestArrayWriterMatchesCsv:
         (["n", "metric"], [(1, 'x,"y"'), (20, ""), (3, "a\tb")], 'n,metric\n1,"x,""y"""\n20,\n3,a\tb\n'),
         (["n", "metric"], [], "n,metric\n"),
         ([""], [("",), (None,), (1.5,)], '""\n""\n""\n1.5\n'),
-    ], ids=["integral", "edge_floats", "int64_ends", "quoted", "header_only", "lone_empty_cell"])
-    def test_literal_cells(self, header, rows, text):
+        (None, np.array([[""], ["a"]], dtype=object), '""\na\n'),
+        (["x"], np.array([["a"], [None], [""]], dtype=object), 'x\na\n""\n""\n'),
+        (None, np.array([[""], ["b"]]), '""\nb\n'),
+        # an array of another rank is refused, naming its shape (csv.writer fails on the first two)
+        (None, np.array([1.0, 2.0]), None),
+        (None, np.array(3.0), None),
+        (["x"], np.array([], dtype=object), None),
+        (None, np.zeros((2, 1, 1)), None),
+    ], ids=["integral", "edge_floats", "int64_ends", "quoted", "header_only", "lone_empty_cell", "lone_empty_object",
+            "lone_none_object", "lone_empty_str", "1d", "0d", "empty_1d", "3d"])
+    def test_literal_cells(self, tmp_path, header, rows, text):
+        if text is None:
+            shape = re.escape(f"2-D array or a list of rows, got shape {rows.shape}")
+            with pytest.raises(InvalidArgumentError, match=shape):
+                uio.write_csv(tmp_path / "out.csv", header, rows)
+            assert not (tmp_path / "out.csv").exists()
+            return
         assert _written(uio.write_csv, header, rows).decode() == text
+        assert _written(reference_write_csv, header, rows.tolist() if isinstance(rows, np.ndarray) else rows) == (
+            text.encode())
 
     @pytest.mark.parametrize("perm, row", [([0], "0,0\n"), ([1, 0], '0,"1,0"\n'), ([2, 0, 1], '0,"2,0,1"\n')])
     def test_ranking_cell_quoted_when_it_holds_a_comma(self, perm, row):

@@ -606,7 +606,8 @@ def not_read(prior, path, kind):
 
 
 def wrong_length(given, coords):
-    return f"SecondMomentPrior has {given} second moments for {coords} embedded coordinates; give one, or one per coordinate"
+    return (f"SecondMomentPrior has {given} second moments for {coords} embedded coordinates; "
+            "give one, or one per coordinate")
 
 
 # (id, data, learner keywords, exception type, full message); a case where two checks can fire names the one first
