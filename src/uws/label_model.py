@@ -701,6 +701,7 @@ def _learn_ranking(data, free, prior, path):
 
 def _learn_reals(data, free, prior, path):
     """Real labels: identity coordinates, the error covariance, its inverse as the theta matrix."""
+    # a labeler-major (m, n, d) view of coordinate-major storage, the layout of the pair-moment product
     values = np.ascontiguousarray(data.labels.transpose(2, 1, 0)).transpose(1, 2, 0)
     e, second_moments = _pair_moments(values, prior)
     pairwise = e.sum(axis=2)  # the model keeps the total over the real coordinates
