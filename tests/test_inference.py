@@ -37,7 +37,7 @@ from uws.errors import (
     SingularCovarianceError,
     UseHeuristicError,
 )
-from uws.label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
+from uws.label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix, LabelModel
 from uws.metric_spaces import FiniteMetricSpace, graph_hop_metric
 
 
@@ -629,6 +629,120 @@ class TestAggregateDataset:
                 LabelingMatrix(REAL_VECTOR, np.zeros(shape))
         assert LabelingMatrix(REAL_VECTOR, np.zeros((6, 3))).labels.shape == (6, 3, 1)
         assert LabelingMatrix(REAL_VECTOR, np.zeros((6, 3, 1))).labels.shape == (6, 3, 1)
+
+
+# the datasets of the aggregation refusal table: three tasks of three labelers in each space
+REFUSAL_DATA = {
+    "rank": LabelingMatrix(RANKING, np.array([[[0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 3, 2]]] * 3)),
+    "real": LabelingMatrix(REAL_VECTOR, np.arange(9.0).reshape(3, 3)),
+    "finite": LabelingMatrix(FINITE_METRIC, np.array([[0, 1, 3]] * 3), graph_hop_metric([(0, 1), (1, 2), (2, 3)], 4)),
+}
+REFUSAL_DIMS = {RANKING: {"rho": 4}, REAL_VECTOR: {"d": 1}, FINITE_METRIC: {"n_points": 4}}
+
+
+def refusal_model(kind, thetas=(1.0, 0.5, 0.25), dims=None, accuracies=None, theta_matrix=None):
+    """A label model of ``kind`` as aggregate_dataset reads it: its space, thetas and real-label moments."""
+    m = len(thetas)
+    accuracies = np.full(m, 0.5) if accuracies is None else np.asarray(accuracies, dtype=float)
+    return LabelModel(space_kind=kind, path="isotropic", dims=dims or REFUSAL_DIMS[kind],
+                      thetas=np.asarray(thetas, dtype=float), expected_distances=np.ones(m), accuracies=accuracies,
+                      pairwise_moments=np.eye(m) + 0.25, embedding={}, version="test", theta_matrix=theta_matrix)
+
+
+SEED = "seed must be a non-negative integer, got -1"
+NO_WEIGHTS = "weighted rule needs weights or a learned model"
+NO_THETA_MATRIX = "model has neither accuracies nor a theta matrix for real labels"
+ZERO = "all aggregation weights are zero"
+# a real model of unknown accuracies and no theta matrix
+BLIND = refusal_model(REAL_VECTOR, accuracies=[np.nan] * 3)
+
+
+def mismatch(model, data):
+    return (f"space mismatch: model is {model.space_kind}/{model.dims} with {model.n_lfs} labelers, "
+            f"dataset is {data}")
+
+
+# (id, data, aggregate_dataset keywords, exception type, full message); a case where two checks can fire
+# names the one that fires first
+AGGREGATE_REFUSALS = [
+    ("seed-mv", "rank", {"rule": "mv", "seed": -1}, InvalidArgumentError, SEED),
+    ("seed-fraction", "real", {"weights": np.ones(3), "seed": 1.5}, InvalidArgumentError,
+     "seed must be a non-negative integer, got 1.5"),
+    ("seed-before-rule", "finite", {"rule": "plurality", "seed": -1}, InvalidArgumentError, SEED),
+    ("seed-before-no-weights", "real", {"seed": -1}, InvalidArgumentError, SEED),
+    ("seed-before-weights", "rank", {"weights": [np.nan], "seed": -1}, InvalidArgumentError, SEED),
+    ("rule", "rank", {"rule": "plurality"}, ConfigurationError, "unknown rule 'plurality'"),
+    ("rule-before-mismatch", "real", {"rule": "Weighted", "model": refusal_model(RANKING)}, ConfigurationError,
+     "unknown rule 'Weighted'"),
+    ("rule-before-weights", "finite", {"rule": "median", "weights": np.zeros(3)}, ConfigurationError,
+     "unknown rule 'median'"),
+    ("no-weights-rank", "rank", {}, ConfigurationError, NO_WEIGHTS),
+    ("no-weights-real", "real", {"rule": "weighted"}, ConfigurationError, NO_WEIGHTS),
+    ("no-weights-finite", "finite", {}, ConfigurationError, NO_WEIGHTS),
+    ("mismatch-kind", "rank", {"model": refusal_model(FINITE_METRIC)}, InvalidArgumentError,
+     mismatch(refusal_model(FINITE_METRIC), "ranking/{'rho': 4} with 3 labelers")),
+    ("mismatch-dims-rank", "rank", {"model": refusal_model(RANKING, dims={"rho": 5})}, InvalidArgumentError,
+     mismatch(refusal_model(RANKING, dims={"rho": 5}), "ranking/{'rho': 4} with 3 labelers")),
+    ("mismatch-dims-finite", "finite", {"model": refusal_model(FINITE_METRIC, dims={"n_points": 5})},
+     InvalidArgumentError, mismatch(refusal_model(FINITE_METRIC, dims={"n_points": 5}),
+                                    "finite_metric/{'n_points': 4} with 3 labelers")),
+    ("mismatch-labelers", "real", {"model": refusal_model(REAL_VECTOR, thetas=np.ones(4))}, InvalidArgumentError,
+     mismatch(refusal_model(REAL_VECTOR, thetas=np.ones(4)), "real_vector/{'d': 1} with 3 labelers")),
+    ("mismatch-before-theta-matrix", "real", {"model": refusal_model(REAL_VECTOR, thetas=[1.0, 1.0],
+                                                                     accuracies=[np.nan] * 2)},
+     InvalidArgumentError, mismatch(refusal_model(REAL_VECTOR, thetas=[1.0, 1.0]),
+                                    "real_vector/{'d': 1} with 3 labelers")),
+    ("mismatch-before-weights", "rank", {"model": refusal_model(RANKING, thetas=[0.0, np.nan], dims={"rho": 5})},
+     InvalidArgumentError, mismatch(refusal_model(RANKING, thetas=[0.0, 0.0], dims={"rho": 5}),
+                                    "ranking/{'rho': 4} with 3 labelers")),
+    ("theta-matrix", "real", {"model": BLIND}, ConfigurationError, NO_THETA_MATRIX),
+    ("theta-matrix-one-nan", "real", {"model": refusal_model(REAL_VECTOR, accuracies=[0.5, np.nan, 0.5])},
+     ConfigurationError, NO_THETA_MATRIX),
+    ("theta-matrix-before-weights", "real", {"model": refusal_model(REAL_VECTOR, thetas=[0.0, 0.0, np.nan],
+                                                                    accuracies=[np.nan] * 3)},
+     ConfigurationError, NO_THETA_MATRIX),
+    ("count-rank", "rank", {"weights": [1.0, 1.0]}, InvalidArgumentError, "2 weights for 3 labels"),
+    ("count-real", "real", {"weights": np.ones(4)}, InvalidArgumentError, "4 weights for 3 labels"),
+    ("count-finite", "finite", {"weights": []}, InvalidArgumentError, "0 weights for 3 labels"),
+    ("count-before-finite", "rank", {"weights": [np.nan, 1.0]}, InvalidArgumentError, "2 weights for 3 labels"),
+    # given weights are read, not the model: neither its mismatch nor its missing theta matrix fires
+    ("count-over-model", "rank", {"weights": [1.0], "model": refusal_model(REAL_VECTOR)}, InvalidArgumentError,
+     "1 weights for 3 labels"),
+    ("count-over-theta-matrix", "real", {"weights": [1.0] * 4, "model": BLIND}, InvalidArgumentError,
+     "4 weights for 3 labels"),
+    ("nan-rank", "rank", {"weights": [np.nan, 1.0, 1.0]}, InvalidArgumentError,
+     "aggregation weights must be finite; weight 0 is nan"),
+    ("inf-real", "real", {"weights": [1.0, np.inf, 1.0]}, InvalidArgumentError,
+     "aggregation weights must be finite; weight 1 is inf"),
+    ("minus-inf-finite", "finite", {"weights": [1.0, 2.0, -np.inf]}, InvalidArgumentError,
+     "aggregation weights must be finite; weight 2 is -inf"),
+    ("nan-model-thetas", "finite", {"model": refusal_model(FINITE_METRIC, thetas=[1.0, np.nan, np.inf])},
+     InvalidArgumentError, "aggregation weights must be finite; weight 1 is nan"),
+    ("nan-before-zero", "rank", {"weights": [0.0, -1.0, np.nan]}, InvalidArgumentError,
+     "aggregation weights must be finite; weight 2 is nan"),
+    ("zero-rank", "rank", {"weights": np.zeros(3)}, DegenerateWeightsError, ZERO),
+    ("zero-negative-real", "real", {"weights": [-1.0, -0.5, 0.0]}, DegenerateWeightsError, ZERO),
+    ("zero-negative-finite", "finite", {"weights": [-2.0, -1e-300, -0.0]}, DegenerateWeightsError, ZERO),
+    ("zero-model-thetas", "rank", {"model": refusal_model(RANKING, thetas=[0.0, -1.0, 0.0])},
+     DegenerateWeightsError, ZERO),
+]
+
+
+@pytest.mark.parametrize("name, kwargs, error, message", [case[1:] for case in AGGREGATE_REFUSALS],
+                         ids=[case[0] for case in AGGREGATE_REFUSALS])
+def test_aggregate_refusals(name, kwargs, error, message):
+    # the type exactly, the message in full; where two checks can fire, the table names the one that fires first
+    with pytest.raises(error) as info:
+        inf.aggregate_dataset(REFUSAL_DATA[name], **kwargs)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_aggregate_refusal_table_inputs_are_valid_otherwise():
+    # the table's data and models aggregate once the broken rule is mended
+    for name, data in REFUSAL_DATA.items():
+        assert len(inf.aggregate_dataset(data, rule="mv")) == 3
+        assert len(inf.aggregate_dataset(data, model=refusal_model(data.space_kind))) == 3
 
 
 # weights drawn from a small pool make zeros, ties and negatives common
