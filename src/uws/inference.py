@@ -6,8 +6,8 @@ rule on rankings, the mean on the real line under squared distance), and with
 learned accuracies it is the weighted maximum-likelihood rule.
 
 :func:`aggregate_dataset` is the one entry point, with one path per space
-kind: one batched engine solves every task of a dataset at once. A negative
-(worse than random) weight counts as 0. Reals take the weighted mean, the
+kind in one table: one batched engine solves every task of a dataset at once.
+A negative (worse than random) weight counts as 0. Reals take the weighted mean, the
 exact argmin of the squared distance. Finite spaces sum each labeler's
 weighted distance column over chunks of tasks, labeler by labeler in numpy's
 pairwise order, and take the argmin over all points. Rankings
@@ -22,13 +22,14 @@ the same at every rho, picks the solver per component (the partition rule of
 Betzler, Bredereck and Niedermeier, JAAMAS 2014): a component of
 k <= ``EXACT_MAX_RHO`` items gets its exact optimum from a dynamic program
 over its 2^k item subsets, at O(2^k * k), and a larger one, where the subset
-table costs more than eight restarts of local search, gets local search over
+table costs more than local search's eight starts, gets local search over
 its own items. :func:`kemeny_exact` runs the
 same loop with the dynamic program on components of up to 16 items and
 refuses a larger one. Local search runs the best-improvement insertion
-descent on an ``(n * restarts, k)`` array of orders; rows drop out as they
-reach a local optimum. Chunks of tasks bound the working arrays to about
-1 MiB (``_CHUNK_BYTES``).
+descent from eight starts of each task, always the best input label, the
+weighted mean-position order and six random orders, on an ``(n * 8, k)``
+array; rows drop out as they reach a local optimum. Chunks of tasks bound the
+working arrays to about 1 MiB (``_CHUNK_BYTES``).
 
 Ties break lexicographically as the program's float sums compare them: among
 labels whose objectives are equal as summed in float64, the smallest canonical
@@ -38,10 +39,10 @@ in exact arithmetic but whose float sums differ in the last bit are no tie:
 the smaller float sum wins. A task is split into components by comparing its
 preference tensor's entries and each component's objective is summed on its
 own, so its ties are decided by each component's float sums. Local search
-keeps, over its restarts in order, a result whose objective is lower by more
+keeps, over its starts in order, a result whose objective is lower by more
 than 1e-12 times the weight total, or within that and lexicographically
 smaller, so rescaling the weights by a power of two leaves it unchanged. Its
-random restarts for task ``i`` of a dataset come from
+random starts for task ``i`` of a dataset come from
 ``default_rng((seed, i))``, afresh for each component that runs it.
 """
 
@@ -69,6 +70,7 @@ __all__ = [
 
 EXACT_MAX_RHO = 10  # the largest component aggregate_dataset orders by the subset program
 _DP_MAX_K = 16  # 2^16 subsets x 17 float64 columns: 8.9 MB per component
+_STARTS = 8  # local search's starts: the best input label, the weighted mean-position order, six random orders
 _TIE_TOL = 1e-12
 _CHUNK_BYTES = 1 << 20
 
@@ -145,14 +147,13 @@ def _finite_costs(cols, weights, dist_t):
     return _pairwise_sum(terms, 0, len(cols))
 
 
-def _aggregate_finite(labels, weights, space):
-    n = len(labels)
-    dist_t = np.ascontiguousarray(space.dist.T)
-    out = np.empty(n, dtype=np.int64)
+def _aggregate_finite(data, weights, seed):
+    dist_t = np.ascontiguousarray(data.space.dist.T)
+    out = np.empty(data.n_tasks, dtype=np.int64)
     # live slabs: eight partial sums, a block of eight terms and the sum of a first half
-    for s in _chunks(n, 8 * 17 * space.size):
-        out[s] = _finite_costs(np.ascontiguousarray(labels[s].T), weights, dist_t).argmin(axis=1)
-    return out
+    for s in _chunks(data.n_tasks, 8 * 17 * data.space.size):
+        out[s] = _finite_costs(np.ascontiguousarray(data.labels[s].T), weights, dist_t).argmin(axis=1)
+    return out.tolist()
 
 
 def _preference_tensor(positions, weights):
@@ -208,14 +209,15 @@ def _select(cands, costs, tol):
     return best
 
 
-def _as_batch(labels, rho):
-    """A ranking LabelingMatrix of (n, m, rho) labels, and whether they came as one task's (m, rho) or (rho,)."""
+def _as_batch(labels, weights, rho):
+    """A ranking LabelingMatrix of (n, m, rho) labels, then their finite (m,) weights, and whether the
+    labels came as one task's (m, rho) or (rho,)."""
     labels = np.asarray(labels)
     single = labels.ndim < 3
     data = LabelingMatrix(RANKING, np.atleast_2d(labels)[None] if single else labels)
     if data.rho != rho:
         raise InvalidArgumentError(f"labels have length {data.rho}, expected {rho}")
-    return data, single
+    return data, _finite_weights(weights, data.n_lfs), single
 
 
 def kemeny_exact(labels, weights, rho):
@@ -256,8 +258,8 @@ def kemeny_exact(labels, weights, rho):
         If a label is not a permutation of 0..rho-1, or the weights are not
         one finite value per labeler.
     """
-    data, single = _as_batch(labels, rho)
-    out = _kemeny(data.positions, _finite_weights(weights, data.n_lfs), _DP_MAX_K, None)
+    data, weights, single = _as_batch(labels, weights, rho)
+    out = _kemeny(data.positions, weights, _DP_MAX_K, None)
     return out[0] if single else out
 
 
@@ -265,8 +267,8 @@ def _kemeny(positions, weights, dp_max, seed):
     """(n, rho) Kemeny orders of the rankings with (rho, m, n) item positions, one majority-graph component at a time.
 
     A component of k items goes to the subset program when k <= ``dp_max``;
-    a larger one to eight-restart local search over its own items, task i's
-    restarts from ``default_rng((seed, i))``, or, when ``seed`` is None, to
+    a larger one to local search over its own items, task i's random starts
+    from ``default_rng((seed, i))``, or, when ``seed`` is None, to
     a UseHeuristicError naming the task and k.
     """
     pref = _preference_tensor(positions, weights)
@@ -293,7 +295,7 @@ def _kemeny(positions, weights, dp_max, seed):
             # each labeler's order of the component's items, as indices into items, and its inverse
             item_pos = np.take_along_axis(positions[:, :, t[:, 0]].T, items[:, None, :], axis=2)
             orders = np.argsort(item_pos, axis=-1)
-            local = _local_search(orders, item_positions(orders)[0], sub, weights, 8,
+            local = _local_search(orders, item_positions(orders)[0], sub, weights,
                                   [(seed, i) for i in t[:, 0].tolist()])
         out[t, pos] = np.take_along_axis(items, local, axis=1)
     return out
@@ -363,49 +365,43 @@ def _subset_dp(pref, layers):
     return out
 
 
-def kemeny_local_search(labels, weights, rho, restarts=8, seed=0):
+def kemeny_local_search(labels, weights, rho, seed=0):
     """Weighted Kemeny aggregation by single-item-insertion local search.
 
-    Deterministic given the seed. Starts from the best input label, a
-    weighted mean-position order, and random restarts; the returned order is
+    Deterministic given the seed. Always starts from the best input label, a
+    weighted mean-position order and six random orders; the returned order is
     a local optimum whose objective never exceeds any input label's.
-    ``labels`` is one task's (m, rho) array, whose restarts come from
+    ``labels`` is one task's (m, rho) array, whose random starts come from
     ``default_rng(seed)``, or (n, m, rho) for n tasks sharing the (m,)
     weights, task i's from ``default_rng((seed, i))``. Labels must be
     permutations of 0..rho-1, weights finite, one per labeler, and the seed
     a non-negative integer.
     """
     check_seed(seed)
-    data, single = _as_batch(labels, rho)
+    data, weights, single = _as_batch(labels, weights, rho)
     seeds = [seed] if single else [(seed, i) for i in range(data.n_tasks)]
-    weights = _finite_weights(weights, data.n_lfs)
     pref = _preference_tensor(data.positions, weights)
-    out = _local_search(data.labels, data.positions, pref, weights, restarts, seeds)
+    out = _local_search(data.labels, data.positions, pref, weights, seeds)
     return out[0] if single else out
 
 
-def _local_search(labels, positions, pref, weights, restarts, seeds):
-    """Each task's pick among its restarts' local optima, from its (n, m, rho) labels, their
-    (rho, m, n) item positions and their pref."""
+def _local_search(labels, positions, pref, weights, seeds):
+    """Each task's pick among the local optima of its ``_STARTS`` starts, from its (n, m, rho)
+    labels, their (rho, m, n) item positions and their pref."""
     n, _, rho = labels.shape
     if rho < 2:
         return labels[:, 0].copy()
     rows = np.arange(n)
-    # starts in order: the best input label, the weighted mean-position order, random orders
-    starts = [labels[rows, _candidate_costs(pref, positions).argmin(axis=1)][:, None]]
-    if restarts >= 2:
-        # the operand an argsort of the labels gives, contiguous int64 (n, m, rho): einsum sums in its layout's order
-        pos = np.ascontiguousarray(positions.T, dtype=np.int64)
-        mean_pos = np.einsum("a,tai->ti", weights, pos) / max(weights.sum(), 1e-300)
-        starts.append(np.argsort(mean_pos, axis=1, kind="stable")[:, None])
-    if restarts > 2:
-        rngs = map(np.random.default_rng, seeds)
-        starts.append(np.array([[rng.permutation(rho) for _ in range(restarts - 2)] for rng in rngs]))
-    starts = np.concatenate(starts, axis=1)
-    n_starts = starts.shape[1]
+    best_input = labels[rows, _candidate_costs(pref, positions).argmin(axis=1)]
+    # the operand an argsort of the labels gives, contiguous int64 (n, m, rho): einsum sums in its layout's order
+    pos = np.ascontiguousarray(positions.T, dtype=np.int64)
+    mean_pos = np.einsum("a,tai->ti", weights, pos) / max(weights.sum(), 1e-300)
+    randoms = [[rng.permutation(rho) for _ in range(_STARTS - 2)] for rng in map(np.random.default_rng, seeds)]
+    starts = np.concatenate([best_input[:, None], np.argsort(mean_pos, axis=1, kind="stable")[:, None],
+                             np.array(randoms)], axis=1)
     tol = _TIE_TOL * np.abs(weights).sum()
-    outs = _insertion_descent(starts.reshape(n * n_starts, rho), pref,
-                              np.repeat(rows, n_starts), tol).reshape(n, n_starts, rho)
+    outs = _insertion_descent(starts.reshape(n * _STARTS, rho), pref,
+                              np.repeat(rows, _STARTS), tol).reshape(n, _STARTS, rho)
     return _select(outs, _candidate_costs(pref, item_positions(outs)[0]), tol)
 
 
@@ -467,6 +463,29 @@ def gaussian_conditional_mean(lf_values, acc_vector, cov_matrix):
     return values @ coeffs
 
 
+def _model_mean(values, model):
+    """The model's weighted aggregate of (n, m) real ``values``: the Gaussian conditional mean, or, when the
+    accuracies are unknown (NaN), the precision-weighted mean ``lambda . Theta 1 / 1' Theta 1``."""
+    if not np.isnan(model.accuracies).any():
+        return gaussian_conditional_mean(values, model.accuracies, model.pairwise_moments)
+    if model.theta_matrix is None:
+        raise ConfigurationError("model has neither accuracies nor a theta matrix for real labels")
+    precision = np.asarray(model.theta_matrix, dtype=np.float64).sum(axis=1)
+    return values @ precision / precision.sum()
+
+
+def _aggregate_reals(data, weights, seed):
+    # the squared-distance objective has the weighted mean as its exact argmin
+    return (_row_sums(weights * data.labels[:, :, 0]) / weights.sum()).tolist()
+
+
+def _aggregate_rankings(data, weights, seed):
+    return list(_kemeny(data.positions, weights, EXACT_MAX_RHO, seed))
+
+
+_AGGREGATORS = {RANKING: _aggregate_rankings, REAL_VECTOR: _aggregate_reals, FINITE_METRIC: _aggregate_finite}
+
+
 def aggregate_dataset(data, weights=None, rule="weighted", seed=0, model=None):
     """Aggregate every task of a LabelingMatrix into one pseudolabel.
 
@@ -485,10 +504,10 @@ def aggregate_dataset(data, weights=None, rule="weighted", seed=0, model=None):
     rankings, at any rho, each majority-graph component's order as
     :func:`kemeny_exact` finds it: exact on a component of at most
     ``EXACT_MAX_RHO`` items, and on a larger one the local search of
-    :func:`kemeny_local_search` over that component's items, with its
-    default eight restarts, task i's random ones from
-    ``default_rng((seed, i))``. The seed must be a non-negative integer, for
-    every rule and space, whether or not local search runs.
+    :func:`kemeny_local_search` over that component's items, from its eight
+    starts, task i's random ones from ``default_rng((seed, i))``. The seed
+    must be a non-negative integer, for every rule and space, whether or not
+    local search runs.
 
     Returns a list of labels (permutation arrays, floats, or node ids).
     """
@@ -496,7 +515,9 @@ def aggregate_dataset(data, weights=None, rule="weighted", seed=0, model=None):
     if rule not in ("mv", "weighted"):
         raise ConfigurationError(f"unknown rule {rule!r}")
     kind = data.space_kind
-    if rule == "weighted" and weights is None:
+    if rule == "mv":
+        weights = np.ones(data.n_lfs)
+    elif weights is None:
         if model is None:
             raise ConfigurationError("weighted rule needs weights or a learned model")
         if (model.space_kind, model.dims, model.n_lfs) != (kind, data.dims, data.n_lfs):
@@ -504,32 +525,11 @@ def aggregate_dataset(data, weights=None, rule="weighted", seed=0, model=None):
                 f"space mismatch: model is {model.space_kind}/{model.dims} with {model.n_lfs} labelers, "
                 f"dataset is {kind}/{data.dims} with {data.n_lfs} labelers"
             )
-
-    if rule == "weighted" and kind == REAL_VECTOR and weights is None:
-        values = data.labels[:, :, 0]
-        if not np.isnan(model.accuracies).any():
-            # Gaussian conditional mean: exact weighted inference for real labels
-            return [float(v) for v in gaussian_conditional_mean(
-                values, model.accuracies, model.pairwise_moments
-            )]
-        if model.theta_matrix is None:
-            raise ConfigurationError("model has neither accuracies nor a theta matrix for real labels")
-        # without accuracies, the precision-weighted mean lambda . Theta 1 / 1' Theta 1
-        precision = np.asarray(model.theta_matrix, dtype=np.float64).sum(axis=1)
-        return [float(v) for v in values @ precision / precision.sum()]
-
-    if rule == "mv":
-        weights = np.ones(data.n_lfs)
-    elif weights is None:
+        if kind == REAL_VECTOR:
+            return _model_mean(data.labels[:, :, 0], model).tolist()
         weights = model.thetas
     weights = _finite_weights(weights, data.n_lfs)
     weights = np.where(weights < 0, 0.0, weights)
     if not (weights > 0).any():
         raise DegenerateWeightsError("all aggregation weights are zero")
-
-    if kind == REAL_VECTOR:
-        # the squared-distance objective has the weighted mean as its exact argmin
-        return (_row_sums(weights * data.labels[:, :, 0]) / weights.sum()).tolist()
-    if kind == FINITE_METRIC:
-        return _aggregate_finite(data.labels, weights, data.space).tolist()
-    return list(_kemeny(data.positions, weights, EXACT_MAX_RHO, seed))
+    return _AGGREGATORS[kind](data, weights, seed)

@@ -11,7 +11,9 @@ One codec table, ``_CODECS``, maps each space kind to its label column
 ``rho`` items, a number alone), the array dtype of one item, whether a
 cell is a quoted list of items, and which labels are valid (permutations,
 finite numbers); every label file is written and read through it, so no
-function branches on the space kind.
+function branches on the space kind. A label writer refuses what the reader
+would: an empty label array, a non-permutation, a non-finite real, and a node
+label that is not an integer (an integral float is written as its integer).
 
 Every CSV is written by one array writer, with the bytes of Python's csv
 module (minimal quoting, ``\\n`` line ends). It makes each column's text in
@@ -95,23 +97,34 @@ def _perm_items(labels):
 
 
 def _number_items(labels):
-    """The scalar labels of a (k, ...) array as one column."""
+    """The scalar labels of a (k, ...) array as one column, checked to be finite."""
     width = math.prod(labels.shape[1:])
     if width != 1:
         raise InvalidArgumentError(f"only scalar real labels serialize to CSV, got {width} coordinates")
-    return labels.reshape(-1, 1)
+    column = labels.reshape(-1, 1)
+    bad = np.flatnonzero(~np.isfinite(column))
+    if bad.size:
+        raise InvalidArgumentError(f"real label {bad[0]} is not finite: {column[bad[0], 0]}")
+    return column
+
+
+def _node_items(labels):
+    """The node labels of a (k, ...) array as one column of integers: the reader takes no "1.0"."""
+    return _number_items(_integers(labels, "node"))
 
 
 # how each space kind's labels appear in a file: the label column, the (k, w)
 # item columns of a (k, ...) label array (a ranking's items share one quoted
 # cell), the array dtype of one item, whether a cell is a quoted list of
 # items, and which labels read back are valid (and what a valid one is): a
-# ranking's rows by the mask of permutations.item_positions, taken in file order
+# ranking's rows by the mask of permutations.item_positions, taken in file order.
+# The items function refuses what the reader would: a non-permutation, a
+# non-finite real, a node label that is not an integer
 _Codec = namedtuple("_Codec", "column items dtype listed valid what")
 _CODECS = {
     RANKING: _Codec("perm", _perm_items, np.int64, True, lambda v: item_positions(v)[1], "a permutation"),
     REAL_VECTOR: _Codec("value", _number_items, np.float64, False, np.isfinite, "finite"),
-    FINITE_METRIC: _Codec("node", _number_items, np.int64, False, np.isfinite, "finite"),
+    FINITE_METRIC: _Codec("node", _node_items, np.int64, False, np.isfinite, "finite"),
 }
 _KINDS = {codec.column: kind for kind, codec in _CODECS.items()}
 
@@ -217,15 +230,29 @@ def _write_rows(path, header, k, blocks, seps):
     Path(path).write_text("".join(out))
 
 
+def _refuse_header_width(header, width):
+    """Refuse a ``header`` row (unless None) of no cells, or of another width than
+    the rows' ``width`` (None when there are no rows to tell): the reader needs
+    every line as wide as the first."""
+    if header is None:
+        return
+    if not header:
+        raise InvalidArgumentError("a CSV header row needs at least one cell")
+    if width not in (None, len(header)):
+        raise InvalidArgumentError(f"CSV header width {len(header)} differs from the rows' width {width}")
+
+
 def write_csv(path, header, rows):
     """Write ``rows``, a 2-D array or equally wide rows of Python values, as CSV
-    text after a ``header`` row unless it is None. A cell whose text holds a
-    line break is refused, with its row and column."""
+    text after a ``header`` row unless it is None. A header of another width
+    than the rows, and a cell whose text holds a line break, are refused, the
+    cell with its row and column, before anything is written."""
     if header is not None:
         _refuse_line_breaks(list(map(_cell, header)), len(header), header=True)
     if isinstance(rows, np.ndarray) and rows.ndim != 2:
         raise InvalidArgumentError(f"CSV rows must be a 2-D array or a list of rows, got shape {rows.shape}")
     if isinstance(rows, np.ndarray) and rows.shape[1]:
+        _refuse_header_width(header, rows.shape[1])
         text = _number_text(rows)
         if rows.dtype.kind not in "iuf":
             _refuse_line_breaks(text, rows.shape[1])
@@ -235,13 +262,17 @@ def write_csv(path, header, rows):
     columns = list(zip(*rows))
     if rows and (not columns or any(len(row) != len(columns) for row in rows)):
         raise InvalidArgumentError("CSV rows must each hold the same number of cells, at least one")
+    _refuse_header_width(header, len(columns) if rows else None)
     cells = [list(map(_cell, column)) for column in columns]
     _refuse_line_breaks([text for row in zip(*cells) for text in row], len(cells))
     _write_rows(path, header, len(rows), [(text, 1) for text in cells], [","] * (len(cells) - 1) + ["\n"])
 
 
 def _write_labels(path, header, space_kind, labels):
-    """One row per index of the leading ``len(header) - 1`` axes: the ids, then the label."""
+    """One row per index of the leading ``len(header) - 1`` axes: the ids, then the label.
+
+    What the reader would refuse is refused before anything is written: no
+    label at all, and a label the codec's items function refuses."""
     labels = np.asarray(labels)
     codec = _CODECS[space_kind]
     n_ids = len(header) - 1
@@ -251,6 +282,8 @@ def _write_labels(path, header, space_kind, labels):
         raise InvalidArgumentError(f"{space_kind} labels must have one axis per id column ({', '.join(header[:-1])})"
                                    f"{listed}, got shape {labels.shape}")
     id_shape = labels.shape[:n_ids]
+    if not math.prod(id_shape):
+        raise InvalidArgumentError(f"{space_kind} labels must hold at least one label, got shape {labels.shape}")
     ids = np.indices(id_shape).reshape(n_ids, -1).T
     items = codec.items(labels.reshape(-1, *labels.shape[n_ids:]))
     quote = '"' if items.shape[1] > 1 else ""  # csv quotes a cell holding commas

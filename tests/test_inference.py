@@ -236,7 +236,7 @@ class TestKemenyExact:
         labels = np.array([[rng.permutation(rho) for _ in range(7)] for _ in range(2)])
         weights = rng.integers(1, 9, size=7) / 4
         got = inf.kemeny_exact(labels, weights, rho)
-        local = inf.kemeny_local_search(labels, weights, rho, restarts=4, seed=2)
+        local = inf.kemeny_local_search(labels, weights, rho, seed=2)
         for task, z, z_local in zip(labels, got, local):
             order, best = reference_kemeny_fraction(task, weights, rho)
             cost = fraction_kemeny_cost(task, weights, z)
@@ -376,7 +376,7 @@ class TestMajorityDecomposition:
 class TestKemenyLocalSearch:
     def test_unanimous(self):
         p = [4, 1, 0, 3, 2]
-        got = inf.kemeny_local_search([p, p, p], [1.0, 1.0, 1.0], 5, restarts=2, seed=0)
+        got = inf.kemeny_local_search([p, p, p], [1.0, 1.0, 1.0], 5, seed=0)
         assert got.tolist() == p
 
     def test_never_worse_than_inputs(self):
@@ -384,7 +384,7 @@ class TestKemenyLocalSearch:
         for _ in range(10):
             labels = np.array([rng.permutation(12) for _ in range(5)])
             w = rng.uniform(0.1, 2.0, size=5)
-            got = inf.kemeny_local_search(labels, w, 12, restarts=4, seed=1)
+            got = inf.kemeny_local_search(labels, w, 12, seed=1)
             obj = lambda z: sum(wi * naive_kendall(lab, z) for wi, lab in zip(w, labels))
             assert obj(got) <= min(obj(lab) for lab in labels) + 1e-9
 
@@ -393,8 +393,9 @@ class TestKemenyLocalSearch:
         labels = np.array([rng.permutation(10) for _ in range(6)])
         w = rng.uniform(0.1, 2.0, size=6)
         obj = lambda z: sum(wi * naive_kendall(lab, z) for wi, lab in zip(w, labels))
-        one = obj(inf.kemeny_local_search(labels, w, 10, restarts=1, seed=7))
-        many = obj(inf.kemeny_local_search(labels, w, 10, restarts=16, seed=7))
+        # the eight starts begin with the reference's one
+        one = obj(reference_kemeny_local_search(labels, w, 10, restarts=1, seed=7))
+        many = obj(inf.kemeny_local_search(labels, w, 10, seed=7))
         assert many <= one
 
     def test_close_to_exact(self):
@@ -403,7 +404,7 @@ class TestKemenyLocalSearch:
         for _ in range(30):
             labels = np.array([rng.permutation(6) for _ in range(5)])
             w = rng.uniform(0.1, 2.0, size=5)
-            ls = inf.kemeny_local_search(labels, w, 6, restarts=8, seed=3)
+            ls = inf.kemeny_local_search(labels, w, 6, seed=3)
             _, exact_cost = brute_force_weighted_kemeny(labels, w, 6)
             obj = sum(wi * naive_kendall(lab, ls) for wi, lab in zip(w, labels))
             if obj <= 1.02 * exact_cost + 1e-9:
@@ -420,11 +421,16 @@ class TestKemenyLocalSearch:
             with pytest.raises(InvalidArgumentError, match="seed must be a non-negative integer, got -1"):
                 inf.kemeny_local_search(labels, np.ones(3), np.shape(labels)[-1], seed=-1)
 
+    def test_no_restart_count(self):
+        # eight starts always: the best input label, the mean-position order and six random orders
+        with pytest.raises(TypeError, match="restarts"):
+            inf.kemeny_local_search([[0, 1, 2], [2, 1, 0]], np.ones(2), 3, restarts=8)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(29)
         labels = np.array([rng.permutation(11) for _ in range(5)])
-        a = inf.kemeny_local_search(labels, np.ones(5), 11, restarts=6, seed=5)
-        b = inf.kemeny_local_search(labels, np.ones(5), 11, restarts=6, seed=5)
+        a = inf.kemeny_local_search(labels, np.ones(5), 11, seed=5)
+        b = inf.kemeny_local_search(labels, np.ones(5), 11, seed=5)
         assert a.tolist() == b.tolist()
 
 
@@ -796,28 +802,26 @@ class TestBatchedEngineMatchesReference:
     finite-space argmin bit for bit, the exact solver against the rational-arithmetic oracle."""
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(rho=st.integers(2, 11), m=st.integers(1, 20), n=st.integers(1, 6), restarts=st.integers(1, 8),
-           local=st.booleans(), seed=st.integers(0, 2**32 - 1), label_seed=st.integers(0, 2**32 - 1),
-           data=st.data())
-    def test_rankings(self, rho, m, n, restarts, local, seed, label_seed, data):
+    @given(rho=st.integers(2, 11), m=st.integers(1, 20), n=st.integers(1, 6), local=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), label_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_rankings(self, rho, m, n, local, seed, label_seed, data):
         rng = np.random.default_rng(label_seed)
         labels = np.array([[rng.permutation(rho) for _ in range(m)] for _ in range(n)])
         weights = np.array(data.draw(st.lists(weight_values, min_size=m, max_size=m)))
         clamped = np.where(weights < 0, 0.0, weights)
         assume((clamped > 0).any())
         if local:
-            got = inf.kemeny_local_search(labels, clamped, rho, restarts=restarts, seed=seed)
+            got = inf.kemeny_local_search(labels, clamped, rho, seed=seed)
         else:
             got = np.asarray(inf.aggregate_dataset(LabelingMatrix(RANKING, labels), weights=weights, seed=seed))
         # the largest majority-graph component of each task; up to rho = 11 a component above
-        # EXACT_MAX_RHO is the whole task, which aggregate_dataset hands to eight-restart local search
+        # EXACT_MAX_RHO is the whole task, which aggregate_dataset hands to local search
         pref = inf._preference_tensor(ranking_positions(labels), clamped)
         largest = [max(map(len, comps)) for comps in components(pref)]
         expect = []
         for i in range(n):
             if local or largest[i] > inf.EXACT_MAX_RHO:
-                expect.append(reference_kemeny_local_search(labels[i], clamped, rho,
-                                                            restarts=restarts if local else 8, seed=(seed, i)))
+                expect.append(reference_kemeny_local_search(labels[i], clamped, rho, seed=(seed, i)))
             else:
                 expect.append(exact_or_near_tie(got[i], labels[i], clamped, rho,
                                                 dyadic=set(weights) <= set(TIED_WEIGHTS)))
@@ -918,8 +922,8 @@ class TestFiniteCostsMatchContiguousRows:
 class TestAggregationInvariants:
     @settings(max_examples=40, deadline=None)
     @given(rho=st.integers(2, 10), m=st.integers(1, 8), n=st.integers(1, 4), exponent=st.integers(-6, 6),
-           restarts=st.integers(1, 8), label_seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_weight_rescaling_invariance(self, rho, m, n, exponent, restarts, label_seed, data):
+           label_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_weight_rescaling_invariance(self, rho, m, n, exponent, label_seed, data):
         # a power-of-two scale keeps every sum exact, so even tie-breaks agree
         rng = np.random.default_rng(label_seed)
         weights = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)), dtype=float)
@@ -929,13 +933,13 @@ class TestAggregationInvariants:
         nodes = LabelingMatrix(FINITE_METRIC, rng.integers(0, rho, size=(n, m)), space)
         for solve in (lambda w: inf.aggregate_dataset(LabelingMatrix(RANKING, labels), weights=w),
                       lambda w: inf.aggregate_dataset(nodes, weights=w),
-                      lambda w: inf.kemeny_local_search(labels, w, rho, restarts=restarts, seed=3)):
+                      lambda w: inf.kemeny_local_search(labels, w, rho, seed=3)):
             assert np.array_equal(np.asarray(solve(weights)), np.asarray(solve(weights * 2.0**exponent)))
 
     @settings(max_examples=20, deadline=None)
     @given(rho=st.integers(11, 12), m=st.integers(1, 8), n=st.integers(1, 3), exponent=st.integers(-46, 46),
-           restarts=st.integers(1, 8), label_seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_local_search_ignores_the_weight_scale(self, rho, m, n, exponent, restarts, label_seed, data):
+           label_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_local_search_ignores_the_weight_scale(self, rho, m, n, exponent, label_seed, data):
         # the move and restart tolerances scale with the weight total, so even
         # weights near 1e-14 or 1e14 take the same descent; no weight is so
         # small that its scaled value loses bits. aggregate_dataset splits each
@@ -947,7 +951,7 @@ class TestAggregationInvariants:
         assume((weights > 0).any())
         labels = np.array([[rng.permutation(rho) for _ in range(m)] for _ in range(n)])
         for solve in (lambda w: inf.aggregate_dataset(LabelingMatrix(RANKING, labels), weights=w, seed=5),
-                      lambda w: inf.kemeny_local_search(labels, w, rho, restarts=restarts, seed=5)):
+                      lambda w: inf.kemeny_local_search(labels, w, rho, seed=5)):
             base = np.asarray(solve(weights))
             for k in (-46, exponent, 46):
                 assert np.array_equal(base, np.asarray(solve(weights * 2.0**k)))

@@ -176,6 +176,44 @@ class TestTruthRoundTrip:
             write(tmp_path / "labels.csv", labels, kind)
         assert not (tmp_path / "labels.csv").exists()
 
+    # each such file the reader refuses: "value nan is not finite", a node cell such as "2.5" or
+    # "1.0" in its integer column, and a header without data rows
+    @pytest.mark.parametrize("labels, kind, message", [
+        (np.array([0.5, np.nan]), lm.REAL_VECTOR, "real label 1 is not finite: nan"),
+        (np.array([[-np.inf], [0.5]]), lm.REAL_VECTOR, "real label 0 is not finite: -inf"),
+        (np.array([1.0, 2.5]), lm.FINITE_METRIC, "node labels must be integers, got 2.5"),
+        (np.array([np.inf, 1.0]), lm.FINITE_METRIC, "node labels must be integers, got inf"),
+        (np.empty(0), lm.REAL_VECTOR, "real_vector labels must hold at least one label, got shape (0,)"),
+        (np.empty(0, dtype=np.int64), lm.FINITE_METRIC,
+         "finite_metric labels must hold at least one label, got shape (0,)"),
+        (np.empty((0, 3), dtype=np.int64), lm.RANKING, "ranking labels must hold at least one label, got shape (0, 3)"),
+    ], ids=["real_nan", "real_inf", "node_fractional", "node_inf", "real_empty", "node_empty", "ranking_empty"])
+    @pytest.mark.parametrize("write", [uio.write_truth, uio.write_pseudolabels], ids=["truth", "pseudolabels"])
+    def test_label_writer_refuses_what_the_reader_refuses(self, tmp_path, write, labels, kind, message):
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            write(tmp_path / "labels.csv", labels, kind)
+        assert not (tmp_path / "labels.csv").exists()
+
+    @pytest.mark.parametrize("kind, labels, message", [
+        (lm.REAL_VECTOR, np.array([[1.0, 2.0], [0.5, np.nan]]), "real label 3 is not finite: nan"),
+        (lm.FINITE_METRIC, np.array([[0.0, 1.0], [2.0, 0.5]]), "node labels must be integers, got 0.5"),
+        (lm.REAL_VECTOR, np.zeros((2, 0)), "real_vector labels must hold at least one label, got shape (2, 0)"),
+        (lm.RANKING, np.zeros((0, 2, 3), dtype=np.int64),
+         "ranking labels must hold at least one label, got shape (0, 2, 3)"),
+    ], ids=["real_nan", "node_fractional", "no_labelers", "no_tasks"])
+    def test_dataset_writer_refuses_what_the_reader_refuses(self, tmp_path, kind, labels, message):
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            uio.write_dataset(tmp_path / "dataset.csv", SimpleNamespace(space_kind=kind, labels=labels))
+        assert not (tmp_path / "dataset.csv").exists()
+
+    def test_integral_node_labels_are_written_as_integers(self, tmp_path):
+        # the integer reader refuses a cell such as "1.0", so node labels are written as integers
+        path = tmp_path / "truth.csv"
+        uio.write_truth(path, np.array([1.0, 2.0, 0.0]), lm.FINITE_METRIC)
+        assert path.read_text() == "task_id,node\n0,1\n1,2\n2,0\n"
+        kind, back = uio.read_truth(path)
+        assert kind == lm.FINITE_METRIC and back.dtype == np.int64 and back.tolist() == [1, 2, 0]
+
     def test_real_truth(self, tmp_path):
         truth = np.array([0.25, -1.5, 3.125e-7])
         path = tmp_path / "truth.csv"
@@ -673,9 +711,13 @@ class TestNumberCellsMatchPerCellText:
     def test_truth_and_embedding(self, values, nodes):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "truth.csv"
-            uio.write_truth(path, values, lm.REAL_VECTOR)
-            rows = [f"{i},{reference_fmt(v)}" for i, v in enumerate(values.tolist())]
-            assert path.read_text() == "\n".join(["task_id,value", *rows]) + "\n"
+            if np.isfinite(values).all():
+                uio.write_truth(path, values, lm.REAL_VECTOR)
+                rows = [f"{i},{reference_fmt(v)}" for i, v in enumerate(values.tolist())]
+                assert path.read_text() == "\n".join(["task_id,value", *rows]) + "\n"
+            else:  # the reader refuses a non-finite label, so the writer does
+                with pytest.raises(InvalidArgumentError, match="is not finite"):
+                    uio.write_truth(path, values, lm.REAL_VECTOR)
             uio.write_pseudolabels(path, nodes, lm.FINITE_METRIC)
             rows = [f"{i},{reference_fmt(v)}" for i, v in enumerate(nodes.tolist())]
             assert path.read_text() == "\n".join(["task_id,label", *rows]) + "\n"
@@ -732,13 +774,17 @@ class TestArrayWriterMatchesCsv:
         with tempfile.TemporaryDirectory() as tmp:
             coords_path, _ = uio.write_embedding(Path(tmp) / "emb", replace(classical_mds(RING, 1), coords=values))
             assert coords_path.read_bytes() == _written(reference_write_csv, None, values.tolist())
+        # the label writers take what the reader reads back: finite reals, integer nodes
         column = values[:, :1]
-        for kind, label in ((lm.REAL_VECTOR, "value"), (lm.FINITE_METRIC, "node")):
+        finite = bool(np.isfinite(values).all())
+        kinds = [(lm.REAL_VECTOR, "value")] * finite + [(lm.FINITE_METRIC, "node")] * (values.dtype.kind == "i")
+        for kind, label in kinds:
             for name, write in ((label, uio.write_truth), ("label", uio.write_pseudolabels)):
                 assert _written(write, column, kind) == _written(reference_write_labels, ["task_id", name], kind, column)
-        dataset = SimpleNamespace(space_kind=lm.REAL_VECTOR, labels=values)
-        assert _written(uio.write_dataset, dataset) == _written(
-            reference_write_labels, ["task_id", "lf_id", "value"], lm.REAL_VECTOR, values)
+        if finite:
+            dataset = SimpleNamespace(space_kind=lm.REAL_VECTOR, labels=values)
+            assert _written(uio.write_dataset, dataset) == _written(
+                reference_write_labels, ["task_id", "lf_id", "value"], lm.REAL_VECTOR, values)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 5), m=st.integers(1, 3), rho=st.sampled_from([1, 2, 3, 12]))
@@ -822,6 +868,19 @@ class TestArrayWriterMatchesCsv:
             with pytest.raises(InvalidArgumentError, match=f"^CSV cell at {at} \\(counted from 0\\) holds a line break"):
                 uio.write_csv(path, header, rows)
             assert not path.exists()
+
+    @pytest.mark.parametrize("header, rows, message", [
+        ([], [(1,), (2,)], "a CSV header row needs at least one cell"),
+        (["a", "b"], [(1,), (2,)], "CSV header width 2 differs from the rows' width 1"),
+        (["a"], np.ones((2, 2)), "CSV header width 1 differs from the rows' width 2"),
+        ([], [], "a CSV header row needs at least one cell"),
+        (["a", "b"], np.empty((0, 3)), "CSV header width 2 differs from the rows' width 3"),
+    ], ids=["empty_header", "wider_header", "narrower_header", "empty_header_no_rows", "no_rows_of_an_array"])
+    def test_header_as_wide_as_the_rows(self, tmp_path, header, rows, message):
+        # the reader needs every line as wide as the first, and a first line that is not blank
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            uio.write_csv(tmp_path / "out.csv", header, rows)
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("rows", [[(1, 2), (3,)], [(), ()]])
     def test_rows_need_one_width(self, tmp_path, rows):
