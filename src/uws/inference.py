@@ -78,7 +78,9 @@ _CHUNK_BYTES = 1 << 20
 def _finite_weights(weights, m):
     """The (m,) weights as a float64 array; a NaN or infinite weight has no argmin to give."""
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (m,):
+    if weights.ndim != 1:
+        raise InvalidArgumentError(f"weights have shape {weights.shape}, expected ({m},)")
+    if weights.size != m:
         raise InvalidArgumentError(f"{weights.size} weights for {m} labels")
     bad = np.flatnonzero(~np.isfinite(weights))
     if bad.size:
@@ -476,7 +478,18 @@ def _model_mean(values, model):
 
 def _aggregate_reals(data, weights, seed):
     # the squared-distance objective has the weighted mean as its exact argmin
-    return (_row_sums(weights * data.labels[:, :, 0]) / weights.sum()).tolist()
+    labels = data.labels[:, :, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf: summed again below
+        total = weights.sum()
+        means = _row_sums(weights * labels) / total
+    # a row whose sum leaves float64's range (every row, if the weights' total does) sums again from
+    # weights scaled to sum 1: no partial sum then leaves the labels' range, and every other row keeps
+    # its bits
+    redo = ~(np.isfinite(means) & np.isfinite(total))
+    if redo.any():
+        scaled = weights / weights.max()
+        means[redo] = _row_sums(scaled / scaled.sum() * labels[redo])
+    return means.tolist()
 
 
 def _aggregate_rankings(data, weights, seed):

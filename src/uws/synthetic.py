@@ -17,9 +17,12 @@ The per-task and per-labeler streams are not built one by one: ``_streams``
 derives the Philox keys of every path of a kind in one array pass over the
 SeedSequence hash, computes uniform draws for all of them at once with the
 Philox4x64-10 counter function, and re-keys one generator per path for the
-other draws. The draws are bit-identical to ``substream(seed, *path)``'s,
-so the path scheme above is unchanged; ``substream`` itself serves the
-one-off streams (graph structure, presets).
+other draws, setting only the path's key in a fresh state of plain ints.
+A ranking task's truth is ``permutation(rho)``, which is
+``shuffle(arange(rho))``: each task's generator shuffles its own row of one
+``(n, rho)`` tile of ``arange(rho)`` in place. The draws are bit-identical
+to ``substream(seed, *path)``'s, so the path scheme above is unchanged;
+``substream`` itself serves the one-off streams (graph structure, presets).
 """
 
 import heapq
@@ -168,8 +171,10 @@ def gen_ranking_tasks(scenario):
     """
     n, rho = scenario.n, scenario.rho
     m = len(scenario.thetas)
-    truth = np.array([rng.permutation(rho) for rng in generators(scenario.seed, _task_paths(1, n))],
-                     dtype=np.int64)
+    # permutation(rho) is shuffle(arange(rho)): each task's stream shuffles its own row in place
+    truth = np.tile(np.arange(rho, dtype=np.int64), (n, 1))
+    for row, rng in zip(truth, generators(scenario.seed, _task_paths(1, n))):
+        rng.shuffle(row)
     u = uniforms(scenario.seed, _labeler_paths(n, m), rho - 1).reshape(n, m, rho - 1)
     labels = mallows._repeated_insertion(scenario.thetas, u, truth)
     return truth, LabelingMatrix(RANKING, labels)

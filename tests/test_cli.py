@@ -423,6 +423,19 @@ class TestInfer:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "pred").exists()
 
+    def test_mv_of_labels_near_the_float_limit_writes_finite_pseudolabels(self, tmp_path, capsys):
+        # each task's three labels of 1e308 sum past float64's range, but their mean is 1e308
+        dataset = _write_lines(tmp_path / "data" / "dataset.csv",
+                               ["task_id,lf_id,value", *(f"{t},{a},1e308" for t in range(2) for a in range(3))])
+        out = tmp_path / "pred"
+        assert main(["infer", "--dataset", str(dataset.parent), "--out", str(out), "--rule", "mv"]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "pseudolabels.csv").read_text().splitlines()
+        assert rows[0] == "task_id,label"
+        labels = np.array([float(row.split(",")[1]) for row in rows[1:]])
+        assert labels.shape == (2,) and np.isfinite(labels).all()
+        np.testing.assert_allclose(labels, 1e308, rtol=1e-12)
+
 
     @pytest.mark.parametrize("rule", ["mv", "weighted"])
     def test_negative_seed_exits_validation(self, tmp_path, capsys, generated, rule):

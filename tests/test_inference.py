@@ -1,6 +1,7 @@
 """Aggregation rules through aggregate_dataset, the Kemeny solvers, Gaussian inference."""
 
 import re
+import warnings
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from unittest import mock
@@ -501,6 +502,30 @@ class TestAggregateDataset:
         data = LabelingMatrix(REAL_VECTOR, labels)
         np.testing.assert_allclose(inf.aggregate_dataset(data, rule="mv"), labels.mean(axis=1), rtol=1e-12)
 
+    @pytest.mark.parametrize("kwargs", [{"rule": "mv"}, {"weights": [1.0, 2.0, 3.0]}], ids=["mv", "weights"])
+    def test_reals_near_the_float_limit_aggregate_finite(self, kwargs):
+        # three labels of 1e308 sum past float64's range; their mean is 1e308. The other rows keep the bits
+        # of the plain weighted sum
+        labels = np.array([[1e308] * 3, [0.1, 0.2, 0.7], [-1e308, -1.5e308, -1e308]])
+        weights = np.asarray(kwargs.get("weights", np.ones(3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = inf.aggregate_dataset(LabelingMatrix(REAL_VECTOR, labels), **kwargs)
+        assert np.isfinite(got).all()
+        expected = [np.average(labels[i] / 1e308, weights=weights) * 1e308 for i in (0, 2)]
+        np.testing.assert_allclose([got[0], got[2]], expected, rtol=1e-12)
+        assert got[1] == (weights * labels[1]).sum() / weights.sum()
+
+    def test_weights_whose_total_overflows_give_the_rescaled_means(self):
+        # the weights' total is inf, so every row sums again; rescaling the weights leaves the result as it is
+        labels = np.array([[1.0, 2.0, 6.0], [1e-10, 2e-10, 3e-10], [1e308] * 3])
+        data = LabelingMatrix(REAL_VECTOR, labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = inf.aggregate_dataset(data, weights=[1e308, 1e308, 0.5e308])
+        np.testing.assert_allclose(got, inf.aggregate_dataset(data, weights=[2.0, 2.0, 1.0]), rtol=1e-12)
+        np.testing.assert_allclose(got, [2.4, 1.8e-10, 1e308], rtol=1e-12)
+
     def test_weighted_reals_without_accuracies_use_precision_weights(self):
         from uws import synthetic as syn
         from uws.label_model import learn_label_model
@@ -710,6 +735,9 @@ AGGREGATE_REFUSALS = [
     ("count-rank", "rank", {"weights": [1.0, 1.0]}, InvalidArgumentError, "2 weights for 3 labels"),
     ("count-real", "real", {"weights": np.ones(4)}, InvalidArgumentError, "4 weights for 3 labels"),
     ("count-finite", "finite", {"weights": []}, InvalidArgumentError, "0 weights for 3 labels"),
+    # a weight per label, but in a (3, 1) array: named by its shape, not as 3 weights for 3 labels
+    ("shape-real", "real", {"weights": np.ones((3, 1))}, InvalidArgumentError,
+     "weights have shape (3, 1), expected (3,)"),
     ("count-before-finite", "rank", {"weights": [np.nan, 1.0]}, InvalidArgumentError, "2 weights for 3 labels"),
     # given weights are read, not the model: neither its mismatch nor its missing theta matrix fires
     ("count-over-model", "rank", {"weights": [1.0], "model": refusal_model(REAL_VECTOR)}, InvalidArgumentError,

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from uws import mallows
+from uws import cli, mallows
 from uws import permutations as perm
 from uws import synthetic as syn
 from uws.errors import InvalidArgumentError
@@ -316,6 +316,18 @@ class TestAgainstReference:
         s = syn.RegressionScenario(n=n, accuracies=tuple(acc), lf_cov=tuple(map(tuple, cov)),
                                    prior_var=prior_var, seed=seed)
         (truth, data), (ref_truth, ref_data) = syn.gen_regression_tasks(s), reference_gen_regression_tasks(s)
+        assert_same(truth, ref_truth)
+        assert_same(data.labels, ref_data.labels)
+
+    @pytest.mark.parametrize("seed", [0, 403])
+    def test_regression_at_benchmark_shape(self, seed):
+        # the benchmark's eight labelers, past the five the property test draws, from the scenario
+        # uws generate builds of the same file
+        payload = {"kind": "regression", "n": 40, "accuracies": [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2],
+                   "lf_noise": [0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.2], "prior_var": 1.0}
+        s = cli._scenario(payload, seed, "regression.json")
+        (truth, data), (ref_truth, ref_data) = syn.gen_regression_tasks(s), reference_gen_regression_tasks(s)
+        assert data.n_lfs == 8
         assert_same(truth, ref_truth)
         assert_same(data.labels, ref_data.labels)
 
