@@ -11,15 +11,22 @@ A negative (worse than random) weight counts as 0. Reals take the weighted mean,
 exact argmin of the squared distance. Finite spaces sum each labeler's
 weighted distance column over chunks of tasks, labeler by labeler in numpy's
 pairwise order, and take the argmin over all points. Rankings
-build one ``(n, rho, rho)`` preference tensor and split each task's items
-into the strongly connected components of its weak majority graph (an edge
-i -> j when no more weight puts j before i than i before j), with array
-operations over all tasks: one O(rho^2) compare for the strict wins, a sort
-by out-degree and an O(rho) prefix sum of each item's wins minus losses.
-Every optimum keeps the components in order, so only the order inside each
-component is left to find, all components of one size at once. One rule,
-the same at every rho, picks the solver per component (the partition rule of
-Betzler, Bredereck and Niedermeier, JAAMAS 2014): a component of
+hold each task's preferences as two ``(P, n)`` pair sums, one column per
+task, for the P = C(rho, 2) item pairs (i, j), i < j, of
+:func:`~uws.permutations.pair_indices`: ``first`` is the weight of the
+labelers that put i before j, ``second`` that of the rest. Float weights
+add labeler by labeler; whole-number weights are counted in one integer
+reduction, with the same bits. Each task's items split into the
+strongly connected components of its weak majority graph (an edge i -> j
+when no more weight puts j before i than i before j), with array operations
+over all tasks: one O(rho^2) compare of each pair's two sums for the strict
+wins, a sort by out-degree and an O(rho) prefix sum of each item's wins
+minus losses. Every optimum keeps the components in order, so only the
+order inside each component is left to find, all components of one size at
+once. A component of two items is an exact tie and keeps ascending ids. One
+rule, the same at every rho, picks the solver for a larger component (the
+partition rule of Betzler, Bredereck and Niedermeier, JAAMAS 2014), its
+``(k, k)`` preference block gathered from the pair sums: a component of
 k <= ``EXACT_MAX_RHO`` items gets its exact optimum from a dynamic program
 over its 2^k item subsets, at O(2^k * k), and a larger one, where the subset
 table costs more than local search's eight starts, gets local search over
@@ -37,13 +44,15 @@ form wins (elementwise order for permutation sequences, index order for points
 of a finite space), so every aggregation is deterministic. Objectives that tie
 in exact arithmetic but whose float sums differ in the last bit are no tie:
 the smaller float sum wins. A task is split into components by comparing its
-preference tensor's entries and each component's objective is summed on its
-own, so its ties are decided by each component's float sums. Local search
-keeps, over its starts in order, a result whose objective is lower by more
-than 1e-12 times the weight total, or within that and lexicographically
-smaller, so rescaling the weights by a power of two leaves it unchanged. Its
-random starts for task ``i`` of a dataset come from
-``default_rng((seed, i))``, afresh for each component that runs it.
+pair sums and each component's objective is summed on its own, so its ties
+are decided by each component's float sums. Local search keeps, over its
+starts in order, a result whose objective is lower by more than 1e-12 times
+the weight total, or within that and lexicographically smaller, so rescaling
+the weights by a power of two leaves it unchanged. Its random starts for
+task ``i`` of a dataset come from ``default_rng((seed, i))``, afresh for
+each component that runs it. On rankings and finite spaces, weights whose
+sums could leave float64's range are scaled back by a power of two
+(:func:`_in_range`), so the weights' ratios, not their size, decide.
 """
 
 from functools import cache
@@ -151,6 +160,7 @@ def _finite_costs(cols, weights, dist_t):
 
 def _aggregate_finite(data, weights, seed):
     dist_t = np.ascontiguousarray(data.space.dist.T)
+    weights = _in_range(weights, dist_t.max(initial=0.0))
     out = np.empty(data.n_tasks, dtype=np.int64)
     # live slabs: eight partial sums, a block of eight terms and the sum of a first half
     for s in _chunks(data.n_tasks, 8 * 17 * data.space.size):
@@ -158,26 +168,67 @@ def _aggregate_finite(data, weights, seed):
     return out.tolist()
 
 
-def _preference_tensor(positions, weights):
-    """pref[t, i, j] = total weight of task t's labelers placing item i before item j.
+def _in_range(weights, bound):
+    """The (m,) weights, scaled by a power of two when ``bound * m * max|w|`` could reach 2^1022.
+
+    ``bound`` is how many weight totals the solver's largest sum can hold: a
+    Kemeny objective adds C(rho, 2) pair sums, a finite space's cost is at most
+    the largest distance times the total. Below 2^1022 no sum or partial sum
+    leaves float64's range. A power of two scales every sum exactly, so the
+    result is what the weights' own ratios give, and weights that need no scale
+    keep their bits.
+    """
+    exponents = np.frexp([np.abs(weights).max(initial=0.0), bound, len(weights)])[1]
+    shift = int(exponents.sum()) - 1022
+    return np.ldexp(weights, -shift) if shift > 0 else weights
+
+
+def _pair_sums(positions, weights):
+    """The (m,) weights brought into range, then each task's pair sums ``first`` and ``second``, (P, n).
 
     ``positions`` is the (rho, m, n) :attr:`LabelingMatrix.positions` of the
-    rankings. Labelers add in order, w to one entry of each pair and w - w = 0
-    to the other, so each entry rounds as an einsum over its own task does (a
-    batched einsum may sum in partial sums).
+    rankings. For pair p = (i, j), i < j, of :func:`pair_indices`,
+    ``first[p, t]`` is the weight of task t's labelers placing item i before
+    item j and ``second[p, t]`` that of the rest. Every ranking path sums its
+    pairs here, so this is where its weights get their power-of-two scale
+    (:func:`_in_range`, at C(rho, 2)). Float weights add labeler by labeler,
+    w to one side of each pair and w - w = 0 to the other, so each sum rounds
+    as an einsum over its own task does (a batched einsum may sum in partial
+    sums). Whole-number weights whose absolute total is below 2^53 are counted
+    instead, in one integer reduction over the labelers in the smallest type
+    that holds the total: every partial sum of the loop would be an exact
+    integer too, so the bytes are the same, +0.0 included.
     """
     rho, m, n = positions.shape
-    iu, ju = pair_indices(rho)
-    pref = np.zeros((n, rho, rho))
+    iu, _ = pair_indices(rho)
+    weights = _in_range(weights, len(iu))
+    first, second = np.empty((2, len(iu), n))
+    norm = np.abs(weights).sum()
+    counts = None
+    if norm < 2**53 and (weights == np.round(weights)).all():
+        counts = weights.astype(np.min_scalar_type(-int(norm) - 1))  # signed, and holds -norm..norm
     for s in _chunks(n, (m + 16) * len(iu)):
         f = position_flags(positions[..., s])  # (P, m, chunk), contiguous
-        first, second = np.zeros((2, len(iu), f.shape[2]))
-        for a, w in enumerate(weights.tolist()):
-            t = w * f[:, a]
-            first += t
-            second += w - t
-        pref[s, iu, ju] = first.T
-        pref[s, ju, iu] = second.T
+        if counts is None:
+            lo, hi = np.zeros((2, len(iu), f.shape[2]))
+            for a, w in enumerate(weights.tolist()):
+                t = w * f[:, a]
+                lo += t
+                hi += w - t
+            first[:, s], second[:, s] = lo, hi
+        else:
+            first[:, s] = np.einsum("pat,a->pt", f.view(np.int8), counts)
+            second[:, s] = weights.sum() - first[:, s]
+    return weights, first, second
+
+
+def _preference_tensor(first, second, rho):
+    """pref[t, i, j] = total weight of task t's labelers placing item i before item j: the scatter of
+    the (P, n) pair sums of :func:`_pair_sums`."""
+    iu, ju = pair_indices(rho)
+    pref = np.zeros((first.shape[1], rho, rho))
+    pref[:, iu, ju] = first.T
+    pref[:, ju, iu] = second.T
     return pref
 
 
@@ -245,11 +296,20 @@ def kemeny_exact(labels, weights, rho):
     from the full set, taking at each position the smallest item whose
     ``c[S, j] + g[S - j]`` equals ``g[S]``: ties break to the
     lexicographically smallest optimal sequence of each component, as its
-    float sums round, and so to the smallest optimum of the task. The cost is
-    O(rho^2) per task for the partition, all of it in the compare of the
-    preference matrix with its transpose (the prefix test is O(rho)), plus
-    O(2^k * k) time and ``8 (k + 1) 2^k`` bytes per component of k items, so
-    any rho is solved exactly whose components have at most 16 items.
+    float sums round, and so to the smallest optimum of the task. A
+    component of two items is a tie (neither item strictly beats the other),
+    so it keeps ascending ids without the program.
+
+    The cost is O(m rho^2) per task to sum the preferences into two pair
+    sums, ``first`` and ``second``, one per item pair (i, j), i < j: the
+    weight of the labelers that put i first, and of the rest (whole-number
+    weights are counted in integers, in one reduction over the labelers).
+    The partition is O(rho^2) more, all of it in the compare of each pair's
+    two sums (the prefix test is O(rho)); no task's (rho, rho) matrix is
+    built, as each component's (k, k) block is gathered from the pair sums.
+    Then O(2^k * k) time and ``8 (k + 1) 2^k`` bytes per component of
+    k > 2 items, so any rho is solved exactly whose components have at most
+    16 items.
 
     Raises
     ------
@@ -268,13 +328,16 @@ def kemeny_exact(labels, weights, rho):
 def _kemeny(positions, weights, dp_max, seed):
     """(n, rho) Kemeny orders of the rankings with (rho, m, n) item positions, one majority-graph component at a time.
 
-    A component of k items goes to the subset program when k <= ``dp_max``;
-    a larger one to local search over its own items, task i's random starts
-    from ``default_rng((seed, i))``, or, when ``seed`` is None, to
-    a UseHeuristicError naming the task and k.
+    A component of two items is tied and keeps ascending ids. One of k > 2
+    items goes to the subset program when k <= ``dp_max``; a larger one to
+    local search over its own items, task i's random starts from
+    ``default_rng((seed, i))``, or, when ``seed`` is None, to a
+    UseHeuristicError naming the task and k. Each component's (k, k)
+    preference block is gathered from the pair sums.
     """
-    pref = _preference_tensor(positions, weights)
-    order, ends = _majority_components(pref)
+    rho = len(positions)
+    weights, first, second = _pair_sums(positions, weights)
+    order, ends = _majority_components(first, second, rho)
     out = order.copy()  # a component of one item stays where the sort put it
     starts = np.ones_like(ends)
     starts[:, 1:] = ends[:, :-1]
@@ -284,10 +347,20 @@ def _kemeny(positions, weights, dp_max, seed):
         at = (size > dp_max).argmax()
         raise UseHeuristicError(f"task {task[at]}: a majority-graph component of {size[at]} items, above "
                                 f"the {dp_max} the exact solver's subset table is built for")
+    # pair p = (i, j) of pair_indices, either way round
+    iu, ju = pair_indices(rho)
+    pair = np.zeros((rho, rho), dtype=np.intp)
+    pair[iu, ju] = pair[ju, iu] = np.arange(len(iu))
     for k in np.unique(size[size > 1]).tolist():
         t, pos = task[size == k, None], start[size == k, None] + np.arange(k)
         items = np.sort(order[t, pos], axis=1)  # ascending ids carry the lexicographic tie-break
-        sub = pref[t[:, :, None], items[:, :, None], items[:, None, :]]
+        if k == 2:
+            # neither item strictly beats the other, so both orders cost the same: ascending ids
+            out[t, pos] = items
+            continue
+        row, col = items[:, :, None], items[:, None, :]
+        p, tt = pair[row, col], t[:, :, None]
+        sub = np.where(row < col, first[p, tt], np.where(row > col, second[p, tt], 0.0))
         if k <= dp_max:
             layers = _subset_layers(k)
             local = np.empty((len(sub), k), dtype=np.int64)
@@ -303,8 +376,8 @@ def _kemeny(positions, weights, dp_max, seed):
     return out
 
 
-def _majority_components(pref):
-    """Each task's items in component order, and where its components end.
+def _majority_components(first, second, rho):
+    """Each task's items in component order, and where its components end, from its (P, n) pair sums.
 
     Returns ``order`` (n, rho), the items sorted by weak out-degree, descending
     and stable, and ``ends`` (n, rho), true at position p when the first p + 1
@@ -316,13 +389,17 @@ def _majority_components(pref):
     minus theirs over it (wins inside the prefix cancel). A pair is won
     strictly by at most one side, so the sum is at most p (rho - p), and it
     reaches that exactly when the prefix strictly beats every later item.
+    W and L are the sums of the (rho, rho, n) int8 strict-win array over its
+    two outer axes.
     """
-    rho = pref.shape[1]
-    wins = pref > pref.transpose(0, 2, 1)
-    losses = wins.sum(axis=1)
+    iu, ju = pair_indices(rho)
+    wins = np.zeros((rho, rho, first.shape[1]), dtype=np.int8)
+    wins[iu, ju] = first > second
+    wins[ju, iu] = second > first
+    losses = wins.sum(axis=0).T
     # fewest strict losses first: the weak out-degree is rho - 1 minus them
     order = np.argsort(losses, axis=1, kind="stable")
-    margin = np.take_along_axis(wins.sum(axis=2) - losses, order, axis=1).cumsum(axis=1)
+    margin = np.take_along_axis(wins.sum(axis=1).T - losses, order, axis=1).cumsum(axis=1)
     p = np.arange(1, rho + 1)
     return order, margin == p * (rho - p)
 
@@ -382,8 +459,8 @@ def kemeny_local_search(labels, weights, rho, seed=0):
     check_seed(seed)
     data, weights, single = _as_batch(labels, weights, rho)
     seeds = [seed] if single else [(seed, i) for i in range(data.n_tasks)]
-    pref = _preference_tensor(data.positions, weights)
-    out = _local_search(data.labels, data.positions, pref, weights, seeds)
+    weights, first, second = _pair_sums(data.positions, weights)
+    out = _local_search(data.labels, data.positions, _preference_tensor(first, second, rho), weights, seeds)
     return out[0] if single else out
 
 
@@ -509,8 +586,9 @@ def aggregate_dataset(data, weights=None, rule="weighted", seed=0, model=None):
     ``lambda . Theta 1 / 1' Theta 1`` from its theta matrix). A model applies
     only to data of its own space kind, ``dims`` and labeler count; another
     raises InvalidArgumentError. Weights must be finite, one per labeler; a
-    negative one counts as 0, and rescaling them by a positive constant leaves
-    the result unchanged.
+    negative one counts as 0, and rescaling them by a power of two leaves the
+    result unchanged (another constant can move a float sum's last bit, and
+    with it a tie).
 
     Each task's label is the weighted argmin over the whole space: the
     weighted mean on the real line, the best point of a finite space, and on

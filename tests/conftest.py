@@ -117,6 +117,15 @@ def ranking_positions(labels):
     return LabelingMatrix(RANKING, labels).positions
 
 
+def preference_tensor(labels, weights):
+    """The library's (n, rho, rho) preference tensor of (n, m, rho) labels: the scatter of its pair sums."""
+    from uws.inference import _pair_sums, _preference_tensor
+
+    labels = np.asarray(labels)
+    _, first, second = _pair_sums(ranking_positions(labels), np.asarray(weights, dtype=np.float64))
+    return _preference_tensor(first, second, labels.shape[-1])
+
+
 def reference_subset_dp(labels, weights, rho):
     """(n, rho) exact Kemeny orders by one subset program over all rho items of each task.
 
@@ -125,9 +134,7 @@ def reference_subset_dp(labels, weights, rho):
     own preference tensor so that only the solver differs. Ties break to the
     lexicographically smallest optimal sequence as its float sums round.
     """
-    from uws.inference import _preference_tensor
-
-    pref = _preference_tensor(ranking_positions(labels), np.asarray(weights, dtype=np.float64))
+    pref = preference_tensor(labels, weights)
     t = len(pref)
     masks = np.arange(1 << rho)
     member = ((masks[:, None] >> np.arange(rho)) & 1).astype(bool)

@@ -12,6 +12,7 @@ from conftest import (
     brute_force_weighted_kemeny,
     fraction_kemeny_cost,
     naive_kendall,
+    preference_tensor,
     ranking_positions,
     reference_aggregate_finite,
     reference_finite_costs,
@@ -192,7 +193,7 @@ class TestKemenyExact:
         # 17 cyclic shifts of one order: item i beats the next 8 after it around the cycle, one component
         sigma = np.random.default_rng(17).permutation(17)
         shifts = sigma[(np.arange(17)[:, None] + np.arange(17)) % 17]
-        pref = inf._preference_tensor(ranking_positions(shifts[None]), np.ones(17))
+        pref = preference_tensor(shifts[None], np.ones(17))
         assert components(pref) == [[sorted(sigma.tolist())]]
         with pytest.raises(UseHeuristicError, match="task 1: a majority-graph component of 17 items"):
             inf.kemeny_exact(np.stack([np.tile(sigma, (17, 1)), shifts]), np.ones(17), 17)
@@ -276,9 +277,15 @@ def planted_blocks(rng, rho, m, n, n_blocks, n_noise):
     return labels
 
 
+def pair_sums(pref):
+    """The (P, n) pair sums ``first`` and ``second`` read off an (n, rho, rho) preference tensor."""
+    iu, ju = perm.pair_indices(pref.shape[1])
+    return pref[:, iu, ju].T, pref[:, ju, iu].T
+
+
 def components(pref):
     """Each task's components of the weak majority graph, as (n,) lists of item lists in order."""
-    order, ends = inf._majority_components(pref)
+    order, ends = inf._majority_components(*pair_sums(pref), pref.shape[1])
     out = []
     for o, e in zip(order, ends):
         cuts = np.flatnonzero(e)[:-1] + 1
@@ -311,7 +318,7 @@ class TestMajorityDecomposition:
     def test_partition_is_the_strong_components(self, rho, m, n, n_blocks, n_noise, label_seed, data):
         labels = planted_blocks(np.random.default_rng(label_seed), rho, m, n, n_blocks, min(n_noise, m))
         weights = np.array(data.draw(st.lists(weight_values, min_size=m, max_size=m)))
-        pref = inf._preference_tensor(ranking_positions(labels), weights)
+        pref = preference_tensor(labels, weights)
         for p, comps in zip(pref, components(pref)):
             weak = (p >= p.T) & ~np.eye(rho, dtype=bool)
             k, label = connected_components(csr_matrix(weak), directed=True, connection="strong")
@@ -328,7 +335,7 @@ class TestMajorityDecomposition:
         # small-integer entries, diagonal included, not built from rankings: exact ties are common
         # and an entry need not pair with its transpose into a constant sum
         pref = np.random.default_rng(entry_seed).integers(0, top + 1, size=(n, rho, rho)).astype(float)
-        order, ends = inf._majority_components(pref)
+        order, ends = inf._majority_components(*pair_sums(pref), rho)
         expect_order, expect_ends = reference_majority_components(pref)
         assert np.array_equal(order, expect_order) and np.array_equal(ends, expect_ends)
         assert ends[:, -1].all()
@@ -339,7 +346,7 @@ class TestMajorityDecomposition:
         rng = np.random.default_rng(200 + rho)
         labels = planted_blocks(rng, rho, 7, 2, 3, 2)
         weights = rng.integers(1, 9, size=7) / 4
-        pref = inf._preference_tensor(ranking_positions(labels), weights)
+        pref = preference_tensor(labels, weights)
         assert all(len(comps) > 1 for comps in components(pref))
         for task, z in zip(labels, inf.kemeny_exact(labels, weights, rho)):
             order, best = reference_kemeny_fraction(task, weights, rho)
@@ -350,7 +357,7 @@ class TestMajorityDecomposition:
         # the one opposite, so all 16 items form one component and the program needs all 2^16 subsets
         sigma = np.random.default_rng(16).permutation(16)
         shifts = sigma[(np.arange(16)[:, None] + np.arange(16)) % 16]
-        pref = inf._preference_tensor(ranking_positions(shifts[None]), np.ones(16))
+        pref = preference_tensor(shifts[None], np.ones(16))
         assert components(pref) == [[sorted(sigma.tolist())]]
         got = inf.kemeny_exact(shifts, np.ones(16), 16)
         assert np.array_equal(got, reference_subset_dp(shifts[None], np.ones(16), 16)[0])
@@ -365,13 +372,68 @@ class TestMajorityDecomposition:
         ident = np.arange(16)
         labels = sigma[np.array([ident, np.r_[1:16, 0], np.r_[15, 0:15]])]
         weights = np.array([3.0, 2.0, 2.0])
-        pref = inf._preference_tensor(ranking_positions(labels[None]), weights)
+        pref = preference_tensor(labels[None], weights)
         assert components(pref) == [[sorted(sigma.tolist())]]
         got = inf.kemeny_exact(labels, weights, 16)
         assert got.tolist() == sigma.tolist()
         lower = sum(min(3 + 2 * (i > 0) + 2 * (j < 15), 2 * (i == 0) + 2 * (j == 15))
                     for i in range(16) for j in range(i + 1, 16))
         assert fraction_kemeny_cost(labels, weights, got) == lower + 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(rho=st.integers(2, 10), h=st.integers(1, 5), n=st.integers(1, 6), label_seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_two_item_components_keep_ascending_ids(self, rho, h, n, label_seed, data):
+        # labelers 2a and 2a + 1 share a weight and rank a task's items alike but for some adjacent
+        # pairs that one of them swaps: each swapped pair ties in the same float sum either way round
+        # and is a two-item component, every other pair is unanimous. Both orders of a tied pair cost
+        # the same, so it keeps ascending ids, under mv and weighted, without the subset program
+        rng = np.random.default_rng(label_seed)
+        labels = np.empty((n, 2 * h, rho), dtype=np.int64)
+        expect = np.empty((n, rho), dtype=np.int64)
+        for t in range(n):
+            base = rng.permutation(rho)
+            flipped = base.copy()
+            expect[t] = base
+            for p in range(0, rho - 1, 2):
+                if rng.random() < 0.6:
+                    flipped[p:p + 2] = base[p:p + 2][::-1]
+                    expect[t, p:p + 2] = np.sort(base[p:p + 2])
+            for a in range(h):
+                labels[t, 2 * a: 2 * a + 2] = (base, flipped) if rng.random() < 0.5 else (flipped, base)
+        weights = np.repeat(data.draw(st.lists(st.floats(0.01, 3.0), min_size=h, max_size=h)), 2)
+        matrix = LabelingMatrix(RANKING, labels)
+        with mock.patch.object(inf, "_subset_dp", side_effect=AssertionError("subset program")), \
+                mock.patch.object(inf, "_preference_tensor", side_effect=AssertionError("full tensor")):
+            for rule in ("mv", "weighted"):
+                assert np.array_equal(inf.aggregate_dataset(matrix, weights=weights, rule=rule), expect)
+            assert np.array_equal(inf.kemeny_exact(labels, weights, rho), expect)
+
+    def test_the_subset_program_sees_no_two_item_component(self):
+        # planted blocks with noise labelers: components of every size, and the answer of the whole-set
+        # program, which integer and dyadic weights reach bit for bit
+        labels = planted_blocks(np.random.default_rng(35), 10, 6, 200, 5, 2)
+        data = LabelingMatrix(RANKING, labels)
+        sizes = []
+        subset_dp = inf._subset_dp
+
+        def spy(pref, layers):
+            sizes.append(pref.shape[1])
+            return subset_dp(pref, layers)
+
+        for rule, weights in (("mv", np.ones(6)), ("weighted", np.array([0.5, 1.5, 1.0, 1.0, 0.5, 0.5]))):
+            comps = components(preference_tensor(labels, weights))
+            sizes.clear()
+            with mock.patch.object(inf, "_subset_dp", spy), \
+                    mock.patch.object(inf, "_preference_tensor", side_effect=AssertionError("full tensor")):
+                got = np.asarray(inf.aggregate_dataset(data, weights=weights, rule=rule))
+            assert min(sizes) > 2 and {len(c) for task in comps for c in task} >= {1, 2, 3}
+            assert np.array_equal(got, reference_subset_dp(labels, weights, 10))
+            for z, task in zip(got, comps):
+                at = np.cumsum([0] + [len(c) for c in task])
+                for lo, c in zip(at, task):
+                    if len(c) == 2:
+                        assert z[lo:lo + 2].tolist() == c
 
 
 class TestKemenyLocalSearch:
@@ -418,7 +480,7 @@ class TestKemenyLocalSearch:
 
     @pytest.mark.parametrize("labels", [[[0, 1, 2], [2, 1, 0], [1, 0, 2]], np.zeros((2, 3, 1), dtype=int)])
     def test_refuses_a_negative_seed(self, labels):
-        with mock.patch.object(inf, "_preference_tensor", side_effect=AssertionError("work before the check")):
+        with mock.patch.object(inf, "_pair_sums", side_effect=AssertionError("work before the check")):
             with pytest.raises(InvalidArgumentError, match="seed must be a non-negative integer, got -1"):
                 inf.kemeny_local_search(labels, np.ones(3), np.shape(labels)[-1], seed=-1)
 
@@ -802,27 +864,47 @@ def exact_or_near_tie(got, labels, weights, rho, dyadic):
 
 
 class TestPairOrderSums:
-    """The batched preference tensor and candidate costs against conftest's per-task einsum and
-    pair sum, bit for bit, at every chunk size."""
+    """The batched pair sums, their preference tensor and candidate costs against conftest's per-task
+    einsum and pair sum, bit for bit, at every chunk size; whole-number weights are counted in
+    integers, the rest summed labeler by labeler."""
 
     weights = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.25, -0.25]),
                         st.floats(1e-8, 1e8), st.floats(-1e8, -1e-8))
+    # mv's ones, negative integers and -0.0: the integer count must give the loop's bytes, +0.0 included
+    whole_weights = st.one_of(st.sampled_from([1.0, -0.0, 0.0, -1.0, 3.0]), st.integers(-2**40, 2**40).map(float))
 
     @settings(max_examples=150, deadline=None)
     @given(rho=st.integers(1, 12), m=st.integers(1, 30), n=st.integers(1, 4),
-           chunk_bytes=st.sampled_from([1, 1 << 20]), label_seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_preference_tensor_and_candidate_costs(self, rho, m, n, chunk_bytes, label_seed, data):
+           chunk_bytes=st.sampled_from([1, 1 << 20]), whole=st.booleans(),
+           label_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_preference_tensor_and_candidate_costs(self, rho, m, n, chunk_bytes, whole, label_seed, data):
         rng = np.random.default_rng(label_seed)
         labels = np.argsort(rng.random((n, m, rho)), axis=-1)
         cands = np.argsort(rng.random((n, 5, rho)), axis=-1)
-        weights = np.array(data.draw(st.lists(self.weights, min_size=m, max_size=m)))
+        weights = np.array(data.draw(st.lists(self.whole_weights if whole else self.weights,
+                                              min_size=m, max_size=m)))
         with mock.patch.object(inf, "_CHUNK_BYTES", chunk_bytes):
-            pref = inf._preference_tensor(ranking_positions(labels), weights)
+            pref = preference_tensor(labels, weights)
             costs = inf._candidate_costs(pref, ranking_positions(cands))
         for t in range(n):
             assert pref[t].tobytes() == reference_preference_matrix(labels[t], weights, rho).tobytes()
             for c in range(5):
                 assert costs[t, c].tobytes() == np.float64(reference_kemeny_cost(pref[t], cands[t, c])).tobytes()
+
+    @pytest.mark.parametrize("weights", [[2.0**52, 2.0**52 - 1], [2.0**52, 2.0**52], [2.0**53, 1.0, 1.0],
+                                         [-(2.0**52), 2.0**52 - 1, 0.5], [1.0] * 200, [-0.0] * 3,
+                                         [7.0, -7.0, -0.0]])
+    def test_counts_up_to_two_to_the_53(self, weights):
+        # below 2^53 in total every whole-number partial sum is exact, so the count has the loop's bits;
+        # at 2^53 or with a fraction the loop runs, and it is what the per-task einsum rounds like
+        # (2^53 + 1 + 1 sums to 2^53 there, where an integer count gives 2^53 + 2)
+        rng = np.random.default_rng(len(weights))
+        labels = np.argsort(rng.random((3, len(weights), 6)), axis=-1)
+        pref = preference_tensor(labels, weights)
+        for t in range(3):
+            expect = reference_preference_matrix(labels[t], weights, 6)
+            assert pref[t].tobytes() == expect.tobytes()
+        assert not (np.signbit(pref) & (pref == 0)).any()  # no -0.0
 
 
 class TestBatchedEngineMatchesReference:
@@ -844,7 +926,7 @@ class TestBatchedEngineMatchesReference:
             got = np.asarray(inf.aggregate_dataset(LabelingMatrix(RANKING, labels), weights=weights, seed=seed))
         # the largest majority-graph component of each task; up to rho = 11 a component above
         # EXACT_MAX_RHO is the whole task, which aggregate_dataset hands to local search
-        pref = inf._preference_tensor(ranking_positions(labels), clamped)
+        pref = preference_tensor(labels, clamped)
         largest = [max(map(len, comps)) for comps in components(pref)]
         expect = []
         for i in range(n):
@@ -874,7 +956,7 @@ class TestBatchedEngineMatchesReference:
         clamped = np.where(weights < 0, 0.0, weights)
         assume((clamped > 0).any())
         got = np.asarray(inf.aggregate_dataset(LabelingMatrix(RANKING, labels), weights=weights, seed=seed))
-        pref = inf._preference_tensor(ranking_positions(labels), clamped)
+        pref = preference_tensor(labels, clamped)
         for i, comps in enumerate(components(pref)):
             start = 0
             for items in comps:
@@ -949,10 +1031,12 @@ class TestFiniteCostsMatchContiguousRows:
 
 class TestAggregationInvariants:
     @settings(max_examples=40, deadline=None)
-    @given(rho=st.integers(2, 10), m=st.integers(1, 8), n=st.integers(1, 4), exponent=st.integers(-6, 6),
-           label_seed=st.integers(0, 2**32 - 1), data=st.data())
+    @given(rho=st.integers(2, 10), m=st.integers(1, 8), n=st.integers(1, 4),
+           exponent=st.integers(-6, 6) | st.integers(1000, 1021), label_seed=st.integers(0, 2**32 - 1),
+           data=st.data())
     def test_weight_rescaling_invariance(self, rho, m, n, exponent, label_seed, data):
-        # a power-of-two scale keeps every sum exact, so even tie-breaks agree
+        # a power-of-two scale keeps every sum exact, so even tie-breaks agree; near 2^1021 the sums
+        # would leave float64's range, and the solvers scale the weights back by a power of two
         rng = np.random.default_rng(label_seed)
         weights = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)), dtype=float)
         assume((weights > 0).any())
@@ -963,6 +1047,29 @@ class TestAggregationInvariants:
                       lambda w: inf.aggregate_dataset(nodes, weights=w),
                       lambda w: inf.kemeny_local_search(labels, w, rho, seed=3)):
             assert np.array_equal(np.asarray(solve(weights)), np.asarray(solve(weights * 2.0**exponent)))
+
+    @pytest.mark.parametrize("exponent", [0, 1000, 1019, 1020, 1021, 1022, 1023])
+    def test_weights_whose_sums_overflow(self, exponent):
+        # three labelers put item 1 first, two item 0: every weight 2^exponent must vote as ones do.
+        # At the top, C(rho, 2) * sum |w| (or the largest distance times sum |w|) leaves float64's
+        # range; the weights are scaled back by a power of two, with no overflow on the way (an
+        # overflow warning fails the suite)
+        labels = np.array([[1, 0]] * 3 + [[0, 1]] * 2)
+        weights = np.full(5, 2.0**exponent)
+        data = LabelingMatrix(RANKING, labels[None])
+        assert [z.tolist() for z in inf.aggregate_dataset(data, weights=weights)] == [[1, 0]]
+        assert inf.kemeny_exact(labels, weights, 2).tolist() == [1, 0]
+        assert inf.kemeny_local_search(labels, weights, 2, seed=0).tolist() == [1, 0]
+        # the same votes on a three-node path: node 2 costs 2 * 2 weights, node 0 3 * 2
+        nodes = LabelingMatrix(FINITE_METRIC, np.array([[2, 2, 2, 0, 0]]), graph_hop_metric([(0, 1), (1, 2)], 3))
+        assert inf.aggregate_dataset(nodes, weights=weights) == [2]
+
+    def test_a_rescale_by_another_constant_can_change_the_result(self):
+        # 0.1 + 0.2 rounds above 0.3, while 1 + 2 ties 3 and the tie goes to ascending ids: only a
+        # power of two scales every float sum exactly
+        data = LabelingMatrix(RANKING, np.array([[[1, 0], [1, 0], [0, 1]]]))
+        assert inf.aggregate_dataset(data, weights=[0.1, 0.2, 0.3])[0].tolist() == [1, 0]
+        assert inf.aggregate_dataset(data, weights=[1.0, 2.0, 3.0])[0].tolist() == [0, 1]
 
     @settings(max_examples=20, deadline=None)
     @given(rho=st.integers(11, 12), m=st.integers(1, 8), n=st.integers(1, 3), exponent=st.integers(-46, 46),
