@@ -12,12 +12,6 @@ A block's four state words start as its counter and three zero words, so
 the first two of the ten rounds need less than full arrays: round 0
 multiplies the counter (one value per block) and a zero word, and round 1's
 first product is of the key alone (one value per row).
-Draws whose algorithm is not reimplemented here (permutations, bounded
-integers, normals) come from :func:`generators`, one Philox re-keyed per
-row: each re-key sets only the row's key in one fresh Philox state held
-as plain Python ints, which numpy's state setter reads faster than the
-entries of the arrays ``Philox.state`` returns. Every draw is
-bit-identical to the same draw from ``substream``.
 """
 
 import numpy as np
@@ -180,21 +174,3 @@ def uniforms(seed, paths, count):
         x >>= np.uint64(11)
         np.multiply(x[:len(rows)], 1.0 / 9007199254740992.0, out=rows)
     return out.T
-
-
-def generators(seed, paths):
-    """One Generator per row of ``paths``, each as ``substream(seed, *row)`` starts.
-
-    The same Generator object is re-keyed and yielded for every row: draw
-    from it before advancing the iterator.
-    """
-    bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    # a fresh Philox's state (counter 0, empty buffer) in plain ints, which the setter reads faster
-    # than the numpy arrays of bitgen.state
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for key in _keys(seed, paths):
-        state["state"]["key"] = key
-        bitgen.state = state
-        yield rng

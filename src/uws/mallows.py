@@ -254,9 +254,13 @@ def _repeated_insertion(thetas, u, centers):
     """
     n, m, rho = u.shape[0], u.shape[1], u.shape[2] + 1
     neg_thetas = -np.asarray(thetas, dtype=np.float64)[:, None]
+    # weight[:, x] = exp(-theta x); displacement 0 weighs exactly 1.0, which exp(-0.0) is for every
+    # finite theta, without the NaN of -inf * 0: a theta of +inf then always inserts last, at the center
+    weight = np.ones((m, rho))
+    np.exp(neg_thetas * np.arange(1, rho, dtype=np.float64), out=weight[:, 1:])
     pos = np.zeros((rho, n, m), dtype=np.min_scalar_type(rho))
     for j in range(1, rho):
-        w = np.exp(neg_thetas * np.arange(j + 1, dtype=np.float64))
+        w = weight[:, : j + 1]
         cdf = np.cumsum(w, axis=1) / w.sum(axis=1, keepdims=True)
         # one elementwise pass per CDF entry: a reduction over a last axis of j is slower
         uj = u[..., j - 1]

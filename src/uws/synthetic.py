@@ -6,23 +6,22 @@ random decision draws from a named Philox substream
 path encodes what the stream is for:
 
     (0,)              graph structure (a spanning tree, then the extra edges)
-    (1, task)         the task's latent truth
-    (2, task, a)      labeler a's output on the task
+    (1,)              every task's latent truth, in task order
+    (2,)              every regression task's label noise, in task order
+    (2, task, a)      labeler a's output on a ranking or graph task
     (3,)              preset parameter draws (labeler quality vectors)
 
-Per-task, per-labeler substreams make the output independent of any parallel
-generation schedule and bitwise reproducible from the seed alone.
+Each kind's truths, and the regression noise, are one numpy call on one
+stream, task after task, so the first n' tasks of a scenario are those of
+the same scenario with fewer tasks. Per-(task, labeler) substreams make the
+ranking and graph labels independent of any generation schedule. Everything
+is bitwise reproducible from the seed alone.
 
-The per-task and per-labeler streams are not built one by one: ``_streams``
-derives the Philox keys of every path of a kind in one array pass over the
-SeedSequence hash, computes uniform draws for all of them at once with the
-Philox4x64-10 counter function, and re-keys one generator per path for the
-other draws, setting only the path's key in a fresh state of plain ints.
-A ranking task's truth is ``permutation(rho)``, which is
-``shuffle(arange(rho))``: each task's generator shuffles its own row of one
-``(n, rho)`` tile of ``arange(rho)`` in place. The draws are bit-identical
-to ``substream(seed, *path)``'s, so the path scheme above is unchanged;
-``substream`` itself serves the one-off streams (graph structure, presets).
+The per-(task, labeler) streams are not built one by one: ``_streams``
+derives the Philox keys of every path in one array pass over the
+SeedSequence hash and computes uniform draws for all of them at once with
+the Philox4x64-10 counter function, bit-identical to ``substream(seed,
+*path)``'s; ``substream`` itself serves the one-stream kinds.
 """
 
 import heapq
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mallows
-from ._streams import check_seed, generators, uniforms
+from ._streams import check_seed, uniforms
 from .errors import InvalidArgumentError
 from .label_model import FINITE_METRIC, RANKING, REAL_VECTOR, LabelingMatrix
 from .metric_spaces import graph_hop_metric
@@ -171,10 +170,7 @@ def gen_ranking_tasks(scenario):
     """
     n, rho = scenario.n, scenario.rho
     m = len(scenario.thetas)
-    # permutation(rho) is shuffle(arange(rho)): each task's stream shuffles its own row in place
-    truth = np.tile(np.arange(rho, dtype=np.int64), (n, 1))
-    for row, rng in zip(truth, generators(scenario.seed, _task_paths(1, n))):
-        rng.shuffle(row)
+    truth = substream(scenario.seed, 1).permuted(np.tile(np.arange(rho, dtype=np.int64), (n, 1)), axis=1)
     u = uniforms(scenario.seed, _labeler_paths(n, m), rho - 1).reshape(n, m, rho - 1)
     labels = mallows._repeated_insertion(scenario.thetas, u, truth)
     return truth, LabelingMatrix(RANKING, labels)
@@ -194,19 +190,12 @@ def gen_regression_tasks(scenario):
     cond_cov = cov - np.outer(acc, acc) / scenario.prior_var
     chol = np.linalg.cholesky(cond_cov)
     sd = np.sqrt(scenario.prior_var)
-    truth = sd * np.array([rng.standard_normal() for rng in generators(scenario.seed, _task_paths(1, scenario.n))])
-    z = np.empty((scenario.n, m))
-    for row, rng in zip(z, generators(scenario.seed, _task_paths(2, scenario.n))):
-        rng.standard_normal(out=row)
+    truth = sd * substream(scenario.seed, 1).standard_normal(scenario.n)
+    z = substream(scenario.seed, 2).standard_normal((scenario.n, m))
     # a stack of (m, m) @ (m, 1) products is each row's own matrix-vector product; z @ chol.T,
     # one matrix-matrix product, sums in another order
     labels = cond_mean_coef * truth[:, None] + np.matmul(chol, z[:, :, None])[:, :, 0]
     return truth, LabelingMatrix(REAL_VECTOR, labels)
-
-
-def _task_paths(kind, n):
-    """The ``(kind, task)`` substream paths of n tasks."""
-    return np.stack([np.full(n, kind), np.arange(n)], axis=1)
 
 
 def _labeler_paths(n, m):
@@ -252,15 +241,17 @@ def gen_graph_tasks(scenario):
     space = _sample_graph(scenario)
     m = len(scenario.thetas)
     n, n_nodes = scenario.n, scenario.n_nodes
-    truth = np.array([rng.integers(n_nodes) for rng in generators(scenario.seed, _task_paths(1, n))],
-                     dtype=np.int64)
+    truth = substream(scenario.seed, 1).integers(n_nodes, size=n)
     u = uniforms(scenario.seed, _labeler_paths(n, m), 1).reshape(n, m)
     labels = np.empty((n, m), dtype=np.int64)
     chunk = max(1, 2**20 // (8 * n_nodes))
+    hops = space.dist > 0
     for a, theta in enumerate(scenario.thetas):
         # labeler a's categorical CDFs over nodes, row y given center y, in contiguous rows without the last
-        # entry: a uniform above every kept entry takes the last node, also where the full CDF ends below 1
-        w = np.exp(-theta * space.dist)
+        # entry: a uniform above every kept entry takes the last node, also where the full CDF ends below 1.
+        # The weight of hop distance 0 is exp(0.0) = 1.0, which exp(-theta * 0) is for every finite theta,
+        # without the NaN of -inf * 0: a theta of +inf then puts all its mass on the center
+        w = np.exp(np.multiply(-theta, space.dist, out=np.zeros_like(space.dist), where=hops))
         cdf = np.ascontiguousarray(np.cumsum(w / w.sum(axis=0, keepdims=True), axis=0).T[:, :-1])
         # each label is searchsorted(cdf[truth], u), the count of its row's entries below u, over chunks
         # of tasks of about 1 MiB of gathered rows

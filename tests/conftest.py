@@ -481,11 +481,12 @@ def reference_write_labels(path, header, space_kind, labels):
     reference_write_csv(path, header, zip(*ids, cells))
 
 
-# Reference generators: the scenario generators and the hop metric as they
-# were before the batched substreams and the frontier BFS, one substream per
-# task and per (task, labeler), one breadth-first search per source; the graph
-# structure decoded and chosen from Python lists. The current ones must return
-# equal arrays of equal dtype.
+# Reference generators: the scenario generators and the hop metric written
+# out one draw at a time, one breadth-first search per source. Each kind's
+# truths, and the regression noise, take one draw call per task, in task
+# order, from the kind's single stream; a ranking or graph label takes one
+# substream per (task, labeler); the graph structure is decoded and chosen
+# from Python lists. The library must return equal arrays of equal dtype.
 
 def reference_graph_hop_metric(edges, n_nodes):
     if n_nodes < 1:
@@ -551,8 +552,9 @@ def reference_gen_ranking_tasks(scenario):
     m = len(scenario.thetas)
     truth = np.empty((n, rho), dtype=np.int64)
     labels = np.empty((n, m, rho), dtype=np.int64)
+    truths = substream(scenario.seed, 1)
     for i in range(n):
-        truth[i] = substream(scenario.seed, 1, i).permutation(rho)
+        truth[i] = truths.permutation(rho)
         for a, theta in enumerate(scenario.thetas):
             u = substream(scenario.seed, 2, i, a).random(rho - 1)
             labels[i, a] = reference_mallows_draw(theta, u, truth[i])
@@ -569,10 +571,11 @@ def reference_gen_regression_tasks(scenario):
     truth = np.empty(scenario.n)
     labels = np.empty((scenario.n, m))
     sd = np.sqrt(scenario.prior_var)
+    truths, noise = substream(scenario.seed, 1), substream(scenario.seed, 2)
     for i in range(scenario.n):
-        y = sd * substream(scenario.seed, 1, i).standard_normal()
+        y = sd * truths.standard_normal()
         truth[i] = y
-        z = substream(scenario.seed, 2, i).standard_normal(m)
+        z = noise.standard_normal(m)
         labels[i] = cond_mean_coef * y + chol @ z
     return truth, LabelingMatrix(REAL_VECTOR, labels)
 
@@ -602,8 +605,9 @@ def reference_gen_graph_tasks(scenario):
         cdfs[a] = np.cumsum(probs, axis=0).T
     truth = np.empty(scenario.n, dtype=np.int64)
     labels = np.empty((scenario.n, m), dtype=np.int64)
+    truths = substream(scenario.seed, 1)
     for i in range(scenario.n):
-        y = int(substream(scenario.seed, 1, i).integers(n_nodes))
+        y = int(truths.integers(n_nodes))
         truth[i] = y
         for a in range(m):
             u = substream(scenario.seed, 2, i, a).random()

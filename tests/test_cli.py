@@ -95,6 +95,22 @@ class TestGenerate:
         assert "labeler 1 has nan" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("payload", [
+        {"kind": "ranking", "n": 200, "rho": 6, "thetas": [float("inf"), 1.0, 0.5], "seed": 3},
+        {"kind": "graph", "n_nodes": 30, "n_edges": 60, "n": 200, "thetas": [float("inf"), 1.0, 0.5], "seed": 3},
+    ], ids=["ranking", "graph"])
+    def test_infinite_theta_labeler_writes_the_truth(self, tmp_path, payload):
+        # json writes +inf as the bare token Infinity, which json.load reads back as a float
+        scenario = write_json(tmp_path / "s.json", payload)
+        assert "Infinity" in scenario.read_text()
+        out = tmp_path / "out"
+        assert main(["generate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        space = uio.read_distance_matrix(out / "space.csv") if payload["kind"] == "graph" else None
+        labels = uio.read_dataset(out / "dataset.csv", space=space).labels
+        _, truth = uio.read_truth(out / "truth.csv")
+        assert (labels[:, 0] == truth).all()
+
     @pytest.mark.parametrize("thetas, shown", [
         ("123", "'123'"),  # a string once counted as the list of thetas 1, 2 and 3
         (5, "5"),

@@ -247,6 +247,14 @@ class TestSampler:
         draws = mallows.sample_many(model, rng, 1000)
         assert (draws == center).all()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_theta_is_the_center(self):
+        # +inf is the point mass at the center: exp(-inf * 0) must not enter the insertion CDFs as NaN
+        center = np.array([3, 0, 4, 1, 2, 6, 5])
+        model = mallows.MallowsModel(center, float("inf"))
+        assert (mallows.sample(model, np.random.default_rng(0)) == center).all()
+        assert (mallows.sample_many(model, np.random.default_rng(1), 500) == center).all()
+
     def test_outputs_are_permutations(self):
         model = mallows.MallowsModel(perm.identity(6), 0.7)
         rng = np.random.default_rng(1)

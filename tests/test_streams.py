@@ -31,22 +31,6 @@ def test_uniforms_match_substream(seed, paths, count):
     np.testing.assert_array_equal(got, want)
 
 
-@settings(max_examples=60, deadline=None)
-@given(SEEDS, PATHS, st.integers(1, 12))
-def test_generators_match_substream(seed, paths, size):
-    def draws(rng):
-        # the odd count of small integers leaves half a 64-bit word buffered,
-        # which the next path's generator must not inherit
-        return rng.permutation(size), rng.integers(size + 1, size=3), rng.standard_normal(size), rng.random()
-
-    got = [draws(rng) for rng in _streams.generators(seed, paths)]
-    assert len(got) == len(paths)
-    for path, row in zip(paths, got):
-        for value, want in zip(row, draws(substream(seed, *path))):
-            assert np.asarray(value).dtype == np.asarray(want).dtype
-            np.testing.assert_array_equal(value, want)
-
-
 @pytest.mark.parametrize("seed", [0, 7, 2**70])
 def test_empty_path_is_the_unspawned_stream(seed):
     # no spawn key, so no padding of the seed words to the pool size
@@ -60,8 +44,6 @@ def test_bad_seed_raises_like_substream(seed):
         substream(seed, 1, 0)
     with pytest.raises(want.type):
         _streams.uniforms(seed, [(1, 0)], 2)
-    with pytest.raises(want.type):
-        next(_streams.generators(seed, [(1, 0)]))
 
 
 @pytest.mark.parametrize("paths", [[(2**32,)], [(-1, 0)], [1, 2]])

@@ -34,6 +34,14 @@ class TestRankingScenario:
         agree = (data.labels == truth[:, None, :]).all(axis=2)
         assert agree.mean() >= 0.999
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_theta_labeler_is_the_truth(self):
+        # +inf is the point mass at the center: exp(-inf * 0) must not enter the insertion CDFs as NaN
+        s = syn.RankingScenario(n=500, rho=8, thetas=(float("inf"), 1.0, 0.5), seed=3)
+        truth, data = syn.gen_ranking_tasks(s)
+        assert (data.labels[:, 0] == truth).all()
+        assert not (data.labels[:, 1] == truth).all()
+
     def test_same_seed_bitwise_identical(self):
         s = syn.RankingScenario(n=200, rho=6, thetas=(1.5, 1.0, 0.5), seed=11)
         t1, d1 = syn.gen_ranking_tasks(s)
@@ -167,6 +175,22 @@ class TestGraphScenario:
         _, truth, data = syn.gen_graph_tasks(s)
         assert (data.labels == truth[:, None]).all()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_theta_labeler_is_the_truth(self):
+        # +inf is the point mass at the center; a NaN weight at hop distance 0 once sent every label to node 0
+        s = syn.GraphScenario(n_nodes=30, n_edges=60, n=500, thetas=(float("inf"), 1.0, 0.5), seed=3)
+        _, truth, data = syn.gen_graph_tasks(s)
+        assert (data.labels[:, 0] == truth).all()
+        assert not (data.labels[:, 1] == truth).all()
+
+    def test_truth_uniform_over_nodes(self):
+        s = syn.GraphScenario(n_nodes=20, n_edges=40, n=20_000, thetas=(1.0,) * 3, seed=5)
+        _, truth, _ = syn.gen_graph_tasks(s)
+        counts = np.bincount(truth, minlength=20)
+        assert len(counts) == 20
+        chi2 = (((counts - 1000.0) ** 2) / 1000.0).sum()
+        assert chi2 < stats.chi2.ppf(0.999, 19)
+
     def test_zero_theta_uniform_over_nodes(self):
         s = syn.GraphScenario(n_nodes=20, n_edges=40, n=34_000, thetas=(0.0, 0.0, 0.0), seed=2)
         _, _, data = syn.gen_graph_tasks(s)
@@ -282,6 +306,9 @@ def assert_same(got, want):
 
 SEEDS = st.one_of(st.integers(0, 2**32), st.sampled_from([2**64 - 1, 2**130 + 3]))
 THETAS = st.lists(st.sampled_from([0.0, 0.001, 0.15, 0.7, 2.0, 50.0]) | st.floats(0.0, 5.0), min_size=3, max_size=6)
+# (n_nodes, n_edges) of every graph scenario that validates, up to 12 nodes
+GRAPH_SHAPES = st.integers(2, 12).flatmap(lambda nodes: st.tuples(
+    st.just(nodes), st.integers(nodes - 1, nodes * (nodes - 1) // 2)))
 
 
 class TestAgainstReference:
@@ -332,9 +359,7 @@ class TestAgainstReference:
         assert_same(data.labels, ref_data.labels)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 12).flatmap(lambda nodes: st.tuples(
-        st.just(nodes), st.integers(nodes - 1, nodes * (nodes - 1) // 2))),
-        st.integers(1, 12), THETAS, SEEDS)
+    @given(GRAPH_SHAPES, st.integers(1, 12), THETAS, SEEDS)
     def test_graph(self, shape, n, thetas, seed):
         n_nodes, n_edges = shape
         s = syn.GraphScenario(n_nodes=n_nodes, n_edges=n_edges, n=n, thetas=thetas, seed=seed)
@@ -353,6 +378,42 @@ class TestAgainstReference:
         assert_same(got[0].dist, want[0].dist)
         assert_same(got[1], want[1])
         assert_same(got[2].labels, want[2].labels)
+
+
+# (n', n): a scenario of n' <= n tasks, and one of n
+PREFIX = st.integers(1, 12).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n)))
+
+
+class TestPrefixStability:
+    """With the same seed, a scenario of n' tasks draws the first n' truths and labels of one of n tasks."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(PREFIX, st.integers(2, 9), THETAS, SEEDS)
+    def test_ranking(self, sizes, rho, thetas, seed):
+        short, long = (syn.gen_ranking_tasks(syn.RankingScenario(n=n, rho=rho, thetas=thetas, seed=seed))
+                       for n in sizes)
+        assert_same(short[0], long[0][: sizes[0]])
+        assert_same(short[1].labels, long[1].labels[: sizes[0]])
+
+    @settings(max_examples=25, deadline=None)
+    @given(PREFIX, st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5), SEEDS)
+    def test_regression(self, sizes, acc, seed):
+        acc = np.array(acc)
+        cov = tuple(map(tuple, np.outer(acc, acc) + 0.5 * np.eye(acc.size)))
+        short, long = (syn.gen_regression_tasks(syn.RegressionScenario(
+            n=n, accuracies=tuple(acc), lf_cov=cov, prior_var=1.0, seed=seed)) for n in sizes)
+        assert_same(short[0], long[0][: sizes[0]])
+        assert_same(short[1].labels, long[1].labels[: sizes[0]])
+
+    @settings(max_examples=25, deadline=None)
+    @given(PREFIX, GRAPH_SHAPES, THETAS, SEEDS)
+    def test_graph(self, sizes, shape, thetas, seed):
+        n_nodes, n_edges = shape
+        short, long = (syn.gen_graph_tasks(syn.GraphScenario(n_nodes=n_nodes, n_edges=n_edges, n=n,
+                                                             thetas=thetas, seed=seed)) for n in sizes)
+        assert_same(short[0].dist, long[0].dist)
+        assert_same(short[1], long[1][: sizes[0]])
+        assert_same(short[2].labels, long[2].labels[: sizes[0]])
 
 
 def _edges(space):
