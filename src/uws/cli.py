@@ -39,6 +39,7 @@ _VALIDATION_ERRORS = (
     InvalidArgumentError,
     ConfigurationError,
     InvalidMetricError,
+    FileExistsError,
     FileNotFoundError,
     IsADirectoryError,
     NotADirectoryError,
@@ -281,8 +282,11 @@ _SWEEP_NAMES = {"mean_kendall_distance": "mean_kendall", "mse": "mse", "accuracy
 def _estimation_rows(scenario, model):
     """The sweep's learn-side metric rows: learned against planted parameters, where known."""
     if isinstance(scenario, synthetic.RankingScenario):
+        # over the finite, positive planted thetas: 0 and inf have no relative error
         thetas = np.asarray(scenario.thetas)
-        return [("theta_rel_err", float((np.abs(model.thetas - thetas) / thetas).mean()))]
+        known = np.isfinite(thetas) & (thetas > 0)
+        errors = np.abs(model.thetas[known] - thetas[known]) / thetas[known]
+        return [("theta_rel_err", float(errors.mean()))] if known.any() else []
     if isinstance(scenario, synthetic.RegressionScenario):
         return [("acc_abs_err", float(np.abs(model.accuracies - np.asarray(scenario.accuracies)).mean()))]
     return []
@@ -305,8 +309,10 @@ _PER_LABELER = ("thetas", "accuracies", "lf_noise")
 
 
 def _point_payload(kind, base, n, m):
-    """One sweep point's scenario payload: the base with its per-labeler lists cut to m."""
+    """One sweep point's scenario payload: the base with its per-labeler lists cut to m, lf_cov to m x m."""
     cut = {k: v[:m] for k, v in base.items() if k in _PER_LABELER and isinstance(v, list)}
+    if isinstance(base.get("lf_cov"), list):
+        cut["lf_cov"] = [row[:m] if isinstance(row, list) else row for row in base["lf_cov"][:m]]
     return {**base, "kind": kind, "n": n, "prior_var": base.get("prior_var", 1.0), **cut}
 
 
@@ -349,16 +355,16 @@ def cmd_sweep(args):
         for metric, value in _sweep_point(scenario, path, rules)
     ]
 
-    # log-log slope of estimation error against n, per m, averaged over replicates
+    # log-log slope of estimation error against n, per m, averaged over replicates; none for an m
+    # whose mean error is missing, zero or infinite at some n
     slope_metric = {"ranking": "theta_rel_err", "regression": "acc_abs_err"}.get(kind)
     if slope_metric and len(ns) >= 2:
         for m in ms:
-            means = []
-            for n in ns:
-                vals = [v for (rn, rm, _, met, v) in rows if rn == n and rm == m and met == slope_metric]
-                means.append(np.mean(vals))
-            slope = float(np.polyfit(np.log(ns), np.log(means), 1)[0])
-            rows.append((-1, m, -1, f"loglog_slope_{slope_metric}", slope))
+            vals = [[v for (rn, rm, _, met, v) in rows if rn == n and rm == m and met == slope_metric] for n in ns]
+            means = np.array([np.mean(v) if v else np.nan for v in vals])
+            if (np.isfinite(means) & (means > 0)).all():
+                slope = float(np.polyfit(np.log(ns), np.log(means), 1)[0])
+                rows.append((-1, m, -1, f"loglog_slope_{slope_metric}", slope))
 
     rows.sort(key=lambda r: (r[3], r[0], r[1], r[2]))
     out = Path(args.out)

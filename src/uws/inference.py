@@ -30,9 +30,10 @@ partition rule of Betzler, Bredereck and Niedermeier, JAAMAS 2014), its
 k <= ``EXACT_MAX_RHO`` items gets its exact optimum from a dynamic program
 over its 2^k item subsets, at O(2^k * k), and a larger one, where the subset
 table costs more than local search's eight starts, gets local search over
-its own items. :func:`kemeny_exact` runs the
-same loop with the dynamic program on components of up to 16 items and
-refuses a larger one. Local search runs the best-improvement insertion
+its own items. All three Kemeny entry points run this loop and differ only
+in that bound: :func:`kemeny_exact` has 16 and refuses a larger component,
+:func:`kemeny_local_search` 2, so that every component of three or more
+items gets local search. Local search runs the best-improvement insertion
 descent from eight starts of each task, always the best input label, the
 weighted mean-position order and six random orders, on an ``(n * 8, k)``
 array; rows drop out as they reach a local optimum. Chunks of tasks bound the
@@ -50,9 +51,10 @@ starts in order, a result whose objective is lower by more than 1e-12 times
 the weight total, or within that and lexicographically smaller, so rescaling
 the weights by a power of two leaves it unchanged. Its random starts for
 task ``i`` of a dataset come from ``default_rng((seed, i))``, afresh for
-each component that runs it. On rankings and finite spaces, weights whose
-sums could leave float64's range are scaled back by a power of two
-(:func:`_in_range`), so the weights' ratios, not their size, decide.
+each component that runs it; a single task is task 0. On rankings and
+finite spaces, weights whose sums could leave float64's range are scaled
+back by a power of two (:func:`_in_range`), so the weights' ratios, not
+their size, decide.
 """
 
 from functools import cache
@@ -220,16 +222,6 @@ def _pair_sums(positions, weights):
             first[:, s] = np.einsum("pat,a->pt", f.view(np.int8), counts)
             second[:, s] = weights.sum() - first[:, s]
     return weights, first, second
-
-
-def _preference_tensor(first, second, rho):
-    """pref[t, i, j] = total weight of task t's labelers placing item i before item j: the scatter of
-    the (P, n) pair sums of :func:`_pair_sums`."""
-    iu, ju = pair_indices(rho)
-    pref = np.zeros((first.shape[1], rho, rho))
-    pref[:, iu, ju] = first.T
-    pref[:, ju, iu] = second.T
-    return pref
 
 
 def _candidate_costs(pref, positions):
@@ -447,29 +439,26 @@ def _subset_dp(pref, layers):
 def kemeny_local_search(labels, weights, rho, seed=0):
     """Weighted Kemeny aggregation by single-item-insertion local search.
 
-    Deterministic given the seed. Always starts from the best input label, a
-    weighted mean-position order and six random orders; the returned order is
-    a local optimum whose objective never exceeds any input label's.
-    ``labels`` is one task's (m, rho) array, whose random starts come from
-    ``default_rng(seed)``, or (n, m, rho) for n tasks sharing the (m,)
-    weights, task i's from ``default_rng((seed, i))``. Labels must be
-    permutations of 0..rho-1, weights finite, one per labeler, and the seed
-    a non-negative integer.
+    :func:`kemeny_exact`'s majority-graph component loop with a subset-program
+    bound of 2: a component of two items keeps ascending ids, and each of three
+    or more gets the search over its own items from eight starts, the best input
+    label, the weighted mean-position order and six random orders, task i's
+    from ``default_rng((seed, i))``, a single task being task 0. ``labels`` is
+    one task's (m, rho) array, or (n, m, rho) for n tasks sharing the (m,)
+    weights. The result is a local optimum whose objective never exceeds any
+    input label's. Labels must be permutations of 0..rho-1, weights finite, one
+    per labeler, and the seed a non-negative integer.
     """
     check_seed(seed)
     data, weights, single = _as_batch(labels, weights, rho)
-    seeds = [seed] if single else [(seed, i) for i in range(data.n_tasks)]
-    weights, first, second = _pair_sums(data.positions, weights)
-    out = _local_search(data.labels, data.positions, _preference_tensor(first, second, rho), weights, seeds)
+    out = _kemeny(data.positions, weights, 2, seed)
     return out[0] if single else out
 
 
 def _local_search(labels, positions, pref, weights, seeds):
     """Each task's pick among the local optima of its ``_STARTS`` starts, from its (n, m, rho)
-    labels, their (rho, m, n) item positions and their pref."""
+    labels, their (rho, m, n) item positions and their pref, rho >= 3."""
     n, _, rho = labels.shape
-    if rho < 2:
-        return labels[:, 0].copy()
     rows = np.arange(n)
     best_input = labels[rows, _candidate_costs(pref, positions).argmin(axis=1)]
     # the operand an argsort of the labels gives, contiguous int64 (n, m, rho): einsum sums in its layout's order

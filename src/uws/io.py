@@ -163,9 +163,9 @@ def write_manifest(path, config, seed=None, extra=None):
 
 
 def _cell(value):
-    """One cell as csv's minimal quoting writes it: None empty, a float its repr,
-    anything else its str, quoted (quotes doubled) if it holds a comma or a quote."""
-    text = "" if value is None else repr(value) if isinstance(value, float) else str(value)
+    """One cell as csv's minimal quoting writes it: None empty, a float (numpy's too) the repr of
+    its Python float, anything else its str, quoted (quotes doubled) if it holds a comma or a quote."""
+    text = "" if value is None else repr(float(value)) if isinstance(value, float) else str(value)
     if "," in text or '"' in text:
         return '"' + text.replace('"', '""') + '"'
     return text
@@ -585,14 +585,14 @@ def read_distance_matrix(path):
 
 
 def write_embedding(prefix, report):
-    """Coordinates CSV plus a JSON descriptor (dim, epsilon, scale, exponent)."""
-    prefix = Path(prefix)
-    write_csv(prefix.with_suffix(".coords.csv"), None, report.coords)
+    """``<prefix>.coords.csv``, the coordinates, and ``<prefix>.json``, the dim, epsilon, scale and exponent."""
+    coords_path, json_path = Path(f"{prefix}.coords.csv"), Path(f"{prefix}.json")
+    write_csv(coords_path, None, report.coords)
     descriptor = {
         "dim": report.target_dim,
         "epsilon": report.epsilon,
         "scale": report.scale,
         "exponent": report.exponent,
     }
-    prefix.with_suffix(".json").write_text(canonical_json(descriptor))
-    return prefix.with_suffix(".coords.csv"), prefix.with_suffix(".json")
+    json_path.write_text(canonical_json(descriptor))
+    return coords_path, json_path

@@ -118,12 +118,18 @@ def ranking_positions(labels):
 
 
 def preference_tensor(labels, weights):
-    """The library's (n, rho, rho) preference tensor of (n, m, rho) labels: the scatter of its pair sums."""
-    from uws.inference import _pair_sums, _preference_tensor
+    """The (n, rho, rho) preference tensor of (n, m, rho) labels, ``pref[t, i, j]`` the weight of task
+    t's labelers placing item i before item j: the library's pair sums, scattered here."""
+    from uws.inference import _pair_sums
 
     labels = np.asarray(labels)
+    rho = labels.shape[-1]
     _, first, second = _pair_sums(ranking_positions(labels), np.asarray(weights, dtype=np.float64))
-    return _preference_tensor(first, second, labels.shape[-1])
+    iu, ju = np.triu_indices(rho, k=1)
+    pref = np.zeros((first.shape[1], rho, rho))
+    pref[:, iu, ju] = first.T
+    pref[:, ju, iu] = second.T
+    return pref
 
 
 def reference_subset_dp(labels, weights, rho):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import uws.cli
 from uws import io as uio
 from uws.cli import VALIDATION_EXIT, main
+from uws.label_model import learn_label_model
 
 
 def write_json(path, payload):
@@ -592,6 +594,51 @@ class TestSweep:
         assert f"{sweep_scenario}: grids and replicates must be nonempty, each n at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_lf_cov_base_is_cut_to_each_m(self, tmp_path):
+        # a regression base given by its labeler covariance: a point of m labelers takes its leading m x m block
+        acc = [0.8, 0.6, 0.4, 0.5]
+        cov = (np.outer(acc, acc) + np.diag([0.3, 0.5, 0.7, 0.4])).tolist()
+        rows = {}
+        for name, base, ms in (("four", {"accuracies": acc, "lf_cov": cov}, [3, 4]),
+                               ("three", {"accuracies": acc[:3], "lf_cov": [row[:3] for row in cov[:3]]}, [3])):
+            scenario = write_json(tmp_path / f"{name}.json", {"kind": "regression", "seed": 5, "replicates": 2,
+                                                            "base": base, "grid": {"n": [300], "m": ms}})
+            assert main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / name)]) == 0
+            rows[name] = [line.split(",") for line in (tmp_path / name / "results.csv").read_text().splitlines()[1:]]
+        assert {row[1] for row in rows["four"]} == {"3", "4"}
+        assert [row for row in rows["four"] if row[1] == "3"] == rows["three"]
+
+    def test_theta_rel_err_over_finite_positive_thetas(self, tmp_path):
+        # 0 and Infinity are thetas but no denominators: the error is the mean over the other labelers,
+        # and a point with none of them has no theta_rel_err row, nor its m a slope row
+        base = {"rho": 4, "thetas": [0.0, 1.0, 2.0, 1.5, float("inf")]}
+        scenario = write_json(tmp_path / "sweep.json", {"kind": "ranking", "seed": 3, "replicates": 1, "base": base,
+                                                       "grid": {"n": [200, 400], "m": [4, 5]}, "rules": []})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 0
+        rows = [line.split(",") for line in (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]]
+        errors = {(int(n), int(m)): float(v) for n, m, _, metric, v in rows if metric == "theta_rel_err"}
+        assert sorted(errors) == [(200, 4), (200, 5), (400, 4), (400, 5)]
+        planted = np.array(base["thetas"][1:4])
+        for (n, m), value in errors.items():
+            point = uws.cli._scenario(uws.cli._point_payload("ranking", base, n, m), uws.cli._derived_seed(3, n, m, 0),
+                                      "sweep")
+            learned = learn_label_model(uws.cli._generate(point)[2]).thetas[1:4]
+            assert value == float((np.abs(learned - planted) / planted).mean())
+        slopes = [row for row in rows if row[3] == "loglog_slope_theta_rel_err"]
+        assert [row[1] for row in slopes] == ["4", "5"] and all(np.isfinite(float(row[4])) for row in slopes)
+
+        for thetas in ([float("inf")] * 3, [0.0, 0.0, 0.0, 1.0]):
+            write_json(scenario, {"kind": "ranking", "seed": 3, "replicates": 1, "base": {"rho": 4, "thetas": thetas},
+                                  "grid": {"n": [200, 400], "m": [3]}})
+            out = tmp_path / f"out{len(thetas)}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["sweep", "--scenario", str(scenario), "--out", str(out)]) == 0
+            metrics = {line.split(",")[3] for line in (out / "results.csv").read_text().splitlines()[1:]}
+            assert metrics == {"mean_kendall_mv", "mean_kendall_weighted"}
+
     def test_empty_rules_leave_the_learn_rows(self, tmp_path, sweep_scenario):
         write_json(sweep_scenario, {**json.loads(sweep_scenario.read_text()), "rules": []})
         out = tmp_path / "out"
@@ -612,6 +659,17 @@ class TestGraphMetricAndMds:
         coords = (tmp_path / "emb.coords.csv").read_text().splitlines()
         assert len(coords) == 4
 
+    def test_mds_out_is_a_prefix(self, tmp_path):
+        # a dotted --out keeps its last part in every file name, the manifest's included
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 2\n2 3\n3 0\n")
+        dist = tmp_path / "dist.csv"
+        assert main(["graph-metric", "--edges", str(edges), "--out", str(dist)]) == 0
+        for run in ("emb.run1", "emb.run2"):
+            assert main(["mds", "--dist", str(dist), "--dim", "2", "--out", str(tmp_path / run)]) == 0
+        assert sorted(p.name for p in tmp_path.glob("emb*")) == [
+            f"{run}.{suffix}" for run in ("emb.run1", "emb.run2") for suffix in ("coords.csv", "json", "manifest.json")]
+
     def test_disconnected_graph_exit_runtime(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n2 3\n")
@@ -624,6 +682,25 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["learn"]) == 1  # missing required flags
         assert main(["no-such-command"]) == 1
+
+    @pytest.mark.parametrize("command", ["generate", "infer", "sweep"])
+    def test_out_naming_a_file_exits_validation(self, tmp_path, capsys, ranking_scenario, command):
+        # --out names a directory to make: an existing file there is a bad argument, as a path through one is
+        data = tmp_path / "data"
+        assert main(["generate", "--scenario", str(ranking_scenario), "--out", str(data)]) == 0
+        sweep = write_json(tmp_path / "sweep.json",
+                           {"kind": "ranking", "seed": 1, "base": {"rho": 3, "thetas": [1.0] * 3}, "grid": {"n": [50]}})
+        argv = {"generate": ["generate", "--scenario", str(ranking_scenario)],
+                "infer": ["infer", "--dataset", str(data), "--rule", "mv"],
+                "sweep": ["sweep", "--scenario", str(sweep)]}[command]
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        capsys.readouterr()
+        for out in (taken, taken / "sub"):
+            assert main([*argv, "--out", str(out)]) == VALIDATION_EXIT
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+        assert taken.read_text() == "keep\n"
 
 
 class TestInProcessCalls:

@@ -293,6 +293,20 @@ def components(pref):
     return out
 
 
+def componentwise_local_search(labels, weights, comps, seed, i):
+    """Task i's order from its (m, rho) labels and its components in order, as local search on each gives
+    it: one item where it is, two in ascending ids, and more the reference search over their own items,
+    from ``default_rng((seed, i))``."""
+    out = []
+    for items in comps:
+        if len(items) > 2:
+            # each labeler's order of the component's items, as indices into the sorted items
+            local = np.argsort(np.argsort(labels, axis=1)[:, items], axis=1)
+            items = np.asarray(items)[reference_kemeny_local_search(local, weights, len(items), seed=(seed, i))]
+        out += list(items)
+    return out
+
+
 class TestMajorityDecomposition:
     """kemeny_exact runs the subset program on each strongly connected component of a task's weak
     majority graph; it must return what the whole-set program returns."""
@@ -403,8 +417,7 @@ class TestMajorityDecomposition:
                 labels[t, 2 * a: 2 * a + 2] = (base, flipped) if rng.random() < 0.5 else (flipped, base)
         weights = np.repeat(data.draw(st.lists(st.floats(0.01, 3.0), min_size=h, max_size=h)), 2)
         matrix = LabelingMatrix(RANKING, labels)
-        with mock.patch.object(inf, "_subset_dp", side_effect=AssertionError("subset program")), \
-                mock.patch.object(inf, "_preference_tensor", side_effect=AssertionError("full tensor")):
+        with mock.patch.object(inf, "_subset_dp", side_effect=AssertionError("subset program")):
             for rule in ("mv", "weighted"):
                 assert np.array_equal(inf.aggregate_dataset(matrix, weights=weights, rule=rule), expect)
             assert np.array_equal(inf.kemeny_exact(labels, weights, rho), expect)
@@ -424,8 +437,7 @@ class TestMajorityDecomposition:
         for rule, weights in (("mv", np.ones(6)), ("weighted", np.array([0.5, 1.5, 1.0, 1.0, 0.5, 0.5]))):
             comps = components(preference_tensor(labels, weights))
             sizes.clear()
-            with mock.patch.object(inf, "_subset_dp", spy), \
-                    mock.patch.object(inf, "_preference_tensor", side_effect=AssertionError("full tensor")):
+            with mock.patch.object(inf, "_subset_dp", spy):
                 got = np.asarray(inf.aggregate_dataset(data, weights=weights, rule=rule))
             assert min(sizes) > 2 and {len(c) for task in comps for c in task} >= {1, 2, 3}
             assert np.array_equal(got, reference_subset_dp(labels, weights, 10))
@@ -437,6 +449,32 @@ class TestMajorityDecomposition:
 
 
 class TestKemenyLocalSearch:
+    @pytest.mark.parametrize("weights", [np.ones(6), np.array([0.5, 1.5, 1.0, 1.0, 0.5, 0.5])], ids=["mv", "weighted"])
+    def test_orders_each_majority_graph_component(self, weights):
+        # planted blocks with noise labelers: components of one, two and three or more items. Each
+        # strictly beats every later item and keeps its place, a two-item one keeps ascending ids, the
+        # rest get the search over their own items with task i's starts, no component sees the subset
+        # program, and a single task is task 0 of a batch
+        labels = planted_blocks(np.random.default_rng(37), 12, 6, 80, 6, 2)
+        pref = preference_tensor(labels, weights)
+        with mock.patch.object(inf, "_subset_dp", side_effect=AssertionError("subset program")):
+            got = inf.kemeny_local_search(labels, weights, 12, seed=4)
+            single = inf.kemeny_local_search(labels[0], weights, 12, seed=4)
+        sizes = set()
+        for i, (z, task) in enumerate(zip(got, components(pref))):
+            at = 0
+            for items in task:
+                here, later = z[at:at + len(items)], z[at + len(items):]
+                assert sorted(here.tolist()) == items
+                assert (pref[i][np.ix_(here, later)] > pref[i][np.ix_(later, here)].T).all()
+                if len(items) == 2:
+                    assert here.tolist() == items
+                sizes.add(min(len(items), 3))
+                at += len(items)
+            assert z.tolist() == componentwise_local_search(labels[i], weights, task, 4, i)
+        assert sizes == {1, 2, 3}
+        assert np.array_equal(single, got[0])
+
     def test_unanimous(self):
         p = [4, 1, 0, 3, 2]
         got = inf.kemeny_local_search([p, p, p], [1.0, 1.0, 1.0], 5, seed=0)
@@ -924,14 +962,13 @@ class TestBatchedEngineMatchesReference:
             got = inf.kemeny_local_search(labels, clamped, rho, seed=seed)
         else:
             got = np.asarray(inf.aggregate_dataset(LabelingMatrix(RANKING, labels), weights=weights, seed=seed))
-        # the largest majority-graph component of each task; up to rho = 11 a component above
-        # EXACT_MAX_RHO is the whole task, which aggregate_dataset hands to local search
-        pref = preference_tensor(labels, clamped)
-        largest = [max(map(len, comps)) for comps in components(pref)]
+        # each task's majority-graph components: kemeny_local_search searches each of three or more
+        # items, and aggregate_dataset one above EXACT_MAX_RHO, which up to rho = 11 is the whole task
+        comps = components(preference_tensor(labels, clamped))
         expect = []
         for i in range(n):
-            if local or largest[i] > inf.EXACT_MAX_RHO:
-                expect.append(reference_kemeny_local_search(labels[i], clamped, rho, seed=(seed, i)))
+            if local or max(map(len, comps[i])) > inf.EXACT_MAX_RHO:
+                expect.append(componentwise_local_search(labels[i], clamped, comps[i], seed, i))
             else:
                 expect.append(exact_or_near_tie(got[i], labels[i], clamped, rho,
                                                 dyadic=set(weights) <= set(TIED_WEIGHTS)))

@@ -291,6 +291,16 @@ def test_embedding_writer(tmp_path):
         assert f'"{key}"' in text
 
 
+def test_embedding_names_extend_the_whole_prefix(tmp_path):
+    # a dotted prefix keeps its last part: two runs' files sit side by side
+    report = classical_mds(graph_hop_metric([(0, 1), (1, 2)], 3), dim=1)
+    for run in ("emb.run1", "emb.run2"):
+        paths = uio.write_embedding(tmp_path / run, report)
+        assert paths == (tmp_path / f"{run}.coords.csv", tmp_path / f"{run}.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "emb.run1.coords.csv", "emb.run1.json", "emb.run2.coords.csv", "emb.run2.json"]
+
+
 RING = graph_hop_metric([(k, (k + 1) % 7) for k in range(7)], 7)
 
 
@@ -850,6 +860,15 @@ class TestArrayWriterMatchesCsv:
         assert _written(uio.write_csv, header, rows).decode() == text
         assert _written(reference_write_csv, header, rows.tolist() if isinstance(rows, np.ndarray) else rows) == (
             text.encode())
+
+    def test_numpy_float_cells_read_back(self, tmp_path):
+        # np.float64 is a float whose repr on numpy 2 reads "np.float64(0.5)"; its cell is the Python float's repr
+        rows = [(np.float64(0.0), np.float64(0.5)), (np.float64(0.5), -0.0)]
+        assert _written(uio.write_csv, ["a", "b"], rows).decode() == "a,b\n0.0,0.5\n0.5,-0.0\n"
+        path = tmp_path / "dist.csv"
+        uio.write_csv(path, None, np.array(rows, dtype=object))
+        assert path.read_text() == "0.0,0.5\n0.5,-0.0\n"
+        np.testing.assert_array_equal(uio.read_distance_matrix(path).dist, [[0.0, 0.5], [0.5, 0.0]])
 
     @pytest.mark.parametrize("perm, row", [([0], "0,0\n"), ([1, 0], '0,"1,0"\n'), ([2, 0, 1], '0,"2,0,1"\n')])
     def test_ranking_cell_quoted_when_it_holds_a_comma(self, perm, row):
