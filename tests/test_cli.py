@@ -990,3 +990,253 @@ def test_malformed_input_exits_validation_without_traceback(tmp_path, capsys, ca
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "o").exists()  # no output directory for a refused command
+
+
+# the scenario files of the generate and sweep refusal table: one valid file of each kind and command
+GENERATE_FILES = {
+    "ranking": {"kind": "ranking", "seed": 3, "n": 20, "rho": 4, "thetas": [1.0, 0.5, 0.25]},
+    "regression": {"kind": "regression", "seed": 3, "n": 20, "accuracies": [0.8, 0.6, 0.4],
+                   "lf_noise": [0.5, 0.5, 0.5], "prior_var": 1.0},
+    "graph": {"kind": "graph", "seed": 3, "n_nodes": 8, "n_edges": 12, "n": 20, "thetas": [1.0, 0.5, 0.25]},
+}
+SWEEP_BASES = {
+    "ranking": {"rho": 4, "thetas": [1.5, 1.0, 0.7, 0.5]},
+    "regression": {"accuracies": [0.8, 0.6, 0.4, 0.5], "lf_noise": [0.3, 0.5, 0.7, 0.4]},
+    "graph": {"n_nodes": 8, "n_edges": 12, "thetas": [1.5, 1.0, 0.7, 0.5]},
+}
+SWEEP_FILES = {kind: {"kind": kind, "seed": 3, "replicates": 1, "base": base, "grid": {"n": [200, 300], "m": [3, 4]}}
+               for kind, base in SWEEP_BASES.items()}
+DROP = object()
+
+
+def _edit(payload, **fields):
+    """``payload`` with ``fields`` set, those given as DROP removed."""
+    return {k: v for k, v in {**payload, **fields}.items() if v is not DROP}
+
+
+def _gen(kind, /, **fields):
+    return "generate", _edit(GENERATE_FILES[kind], **fields)
+
+
+def _sweep(kind, /, **fields):
+    return "sweep", _edit(SWEEP_FILES[kind], **fields)
+
+
+def _base(kind, /, **fields):
+    return _edit(SWEEP_BASES[kind], **fields)
+
+
+SEED_FLAG = "--seed must be a non-negative integer, got -1"
+NOT_AN_OBJECT = "{where}: expected a JSON object"
+NO_THETAS = "{where}: missing field 'thetas' (or a known 'preset')"
+NO_LF = "{where}: missing field 'lf_cov' (or 'lf_noise')"
+NOT_PD = "assembled joint covariance is not positive definite"
+GRID_OBJECT = "{where}: need a 'grid' object and a 'base' object listing 'thetas' or 'accuracies'"
+GRID_BOUNDS = ("{where}: grids and replicates must be nonempty, each n at least 1, "
+               "and each m in 1..4 (the base labelers)")
+
+
+def missing(field):
+    return f"{{where}}: missing field {field!r}"
+
+
+def not_integer(field, value):
+    return f"{{where}}: field {field!r} must be an integer, got {value!r}"
+
+
+def negative(field, value):
+    return f"{{where}}: field {field!r} must be a non-negative integer, got {value}"
+
+
+def unknown_kind(kind):
+    return f"{{where}}: unknown scenario kind {kind!r}"
+
+
+def bad_rules(rules):
+    return f"{{where}}: field 'rules' must be a list of \"mv\" and \"weighted\", got {rules!r}"
+
+
+# (id, (command, scenario file), extra flags, full message, {where} standing for the scenario file's path);
+# a case where two checks can fire names the one that fires first
+SCENARIO_REFUSALS = [
+    # generate: the seed, the kind, then each kind's fields in the order they are read
+    ("gen-seed-flag", _gen("ranking"), ["--seed", "-1"], SEED_FLAG),
+    ("gen-seed-flag-before-object", ("generate", ["ranking"]), ["--seed", "-1"], SEED_FLAG),
+    ("gen-seed-flag-before-kind", _gen("ranking", kind="tree"), ["--seed", "-1"], SEED_FLAG),
+    ("gen-not-an-object", ("generate", [GENERATE_FILES["ranking"]]), [], NOT_AN_OBJECT),
+    ("gen-seed-missing", _gen("ranking", seed=DROP), [], missing("seed")),
+    ("gen-seed-missing-before-kind", _gen("ranking", seed=DROP, kind=DROP), [], missing("seed")),
+    ("gen-kind-missing", _gen("graph", kind=DROP), [], missing("kind")),
+    ("gen-kind-missing-before-seed", _gen("ranking", kind=DROP, seed=-1), [], missing("kind")),
+    ("gen-seed-negative", _gen("regression", seed=-1), [], negative("seed", -1)),
+    ("gen-seed-bool", _gen("ranking", seed=True), [], not_integer("seed", True)),
+    ("gen-seed-fraction", _gen("graph", seed=1.5), [], not_integer("seed", 1.5)),
+    ("gen-seed-text", _gen("ranking", seed="three"), [], not_integer("seed", "three")),
+    ("gen-seed-before-kind", _gen("ranking", kind="tree", seed=-1), [], negative("seed", -1)),
+    ("gen-seed-before-fields", _gen("ranking", n=DROP, seed=-2), [], negative("seed", -2)),
+    ("gen-kind-unknown", _gen("ranking", kind="tree"), [], unknown_kind("tree")),
+    ("gen-kind-case", _gen("ranking", kind="Ranking"), [], unknown_kind("Ranking")),
+    ("gen-kind-list", _gen("ranking", kind=["ranking"]), [], unknown_kind(["ranking"])),
+    ("gen-kind-object", _gen("graph", kind={"graph": 1}), [], unknown_kind({"graph": 1})),
+    ("gen-kind-null", _gen("regression", kind=None), [], unknown_kind(None)),
+    ("gen-kind-number", _gen("regression", kind=2), [], unknown_kind(2)),
+    ("gen-kind-after-seed-flag", _gen("ranking", kind="tree", seed=-1), ["--seed", "3"], unknown_kind("tree")),
+    ("gen-kind-before-fields", _gen("ranking", kind="tree", n=DROP, thetas=DROP), [], unknown_kind("tree")),
+    ("rank-n-missing", _gen("ranking", n=DROP), [], missing("n")),
+    ("rank-n-before-rho", _gen("ranking", n=DROP, rho=DROP), [], missing("n")),
+    ("rank-n-fraction", _gen("ranking", n=2.5), [], not_integer("n", 2.5)),
+    ("rank-n-text", _gen("ranking", n="abc"), [], not_integer("n", "abc")),
+    ("rank-rho-missing", _gen("ranking", rho=DROP), [], missing("rho")),
+    ("rank-rho-bool", _gen("ranking", rho=True), [], not_integer("rho", True)),
+    ("rank-rho-before-thetas", _gen("ranking", rho=DROP, thetas=DROP), [], missing("rho")),
+    ("rank-thetas-missing", _gen("ranking", thetas=DROP), [], NO_THETAS),
+    ("rank-preset-unknown", _gen("ranking", thetas=DROP, preset="uniform"), [], NO_THETAS),
+    ("rank-thetas-number", _gen("ranking", thetas=5), [], "{where}: field 'thetas' must be a list of numbers, got 5"),
+    ("rank-thetas-text", _gen("ranking", thetas="123"), [],
+     "{where}: field 'thetas' must be a list of numbers, got '123'"),
+    ("rank-thetas-bool", _gen("ranking", thetas=[1.0, True, 0.5]), [],
+     "{where}: field 'thetas' must be a list of numbers, got [1.0, True, 0.5]"),
+    ("rank-thetas-before-preset", _gen("ranking", thetas="x", preset="heterogeneous"), [],
+     "{where}: field 'thetas' must be a list of numbers, got 'x'"),
+    ("rank-preset-n-low", _gen("ranking", thetas=DROP, preset="heterogeneous", n_low=-1), [], negative("n_low", -1)),
+    ("rank-preset-n-high", _gen("ranking", thetas=DROP, preset="heterogeneous", n_high=2.5), [],
+     not_integer("n_high", 2.5)),
+    ("rank-preset-n-low-before-n-high", _gen("ranking", thetas=DROP, preset="heterogeneous", n_low=True, n_high=-1),
+     [], not_integer("n_low", True)),
+    ("rank-preset-m-missing", _gen("ranking", thetas=DROP, preset="movies_style"), [], missing("m")),
+    ("rank-preset-m-negative", _gen("ranking", thetas=DROP, preset="movies_style", m=-3), [], negative("m", -3)),
+    ("rank-n-zero", _gen("ranking", n=0), [], "need n >= 1 and rho >= 2, got n=0, rho=4"),
+    ("rank-rho-one", _gen("ranking", rho=1), [], "need n >= 1 and rho >= 2, got n=20, rho=1"),
+    ("rank-two-labelers", _gen("ranking", thetas=[1.0, 0.5]), [], "need at least 3 labelers, got 2"),
+    ("rank-preset-two-labelers", _gen("ranking", thetas=DROP, preset="heterogeneous", n_low=1, n_high=1), [],
+     "need at least 3 labelers, got 2"),
+    ("rank-theta-negative", _gen("ranking", thetas=[1.0, -0.5, 0.25]), [], "thetas must be >= 0; labeler 1 has -0.5"),
+    ("reg-accuracies-missing", _gen("regression", accuracies=DROP), [], missing("accuracies")),
+    ("reg-accuracies-before-n", _gen("regression", accuracies=DROP, n=DROP), [], missing("accuracies")),
+    ("reg-accuracies-text", _gen("regression", accuracies=["a", 0.6, 0.4]), [],
+     "{where}: could not convert string to float: 'a'"),
+    ("reg-prior-var-missing", _gen("regression", prior_var=DROP), [], missing("prior_var")),
+    ("reg-prior-var-text", _gen("regression", prior_var="x"), [], "{where}: could not convert string to float: 'x'"),
+    ("reg-prior-var-null", _gen("regression", prior_var=None), [],
+     "{where}: float() argument must be a string or a real number, not 'NoneType'"),
+    ("reg-prior-var-before-lf", _gen("regression", prior_var=DROP, lf_noise=DROP), [], missing("prior_var")),
+    ("reg-lf-missing", _gen("regression", lf_noise=DROP), [], NO_LF),
+    ("reg-lf-before-n", _gen("regression", lf_noise=DROP, n=DROP), [], NO_LF),
+    ("reg-lf-noise-text", _gen("regression", lf_noise=[0.5, "b", 0.5]), [],
+     "{where}: could not convert string to float: 'b'"),
+    ("reg-lf-cov-over-lf-noise", _gen("regression", lf_cov=[[1.0]]), [], "lf_cov must be (3, 3), got (1, 1)"),
+    ("reg-n-missing", _gen("regression", n=DROP), [], missing("n")),
+    ("reg-n-bool", _gen("regression", n=False), [], not_integer("n", False)),
+    ("reg-n-zero", _gen("regression", n=0), [], "need n >= 1, got 0"),
+    ("reg-prior-var-zero", _gen("regression", lf_noise=DROP, lf_cov=np.eye(3).tolist(), prior_var=0), [],
+     "prior_var must be > 0 and finite"),
+    ("reg-lf-cov-asymmetric", _gen("regression", lf_cov=[[1.0, 0.9, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), [],
+     "lf_cov must be symmetric"),
+    ("reg-not-positive-definite", _gen("regression", lf_noise=[0.0, 0.0, 0.0]), [], NOT_PD),
+    ("graph-n-nodes-missing", _gen("graph", n_nodes=DROP), [], missing("n_nodes")),
+    ("graph-n-nodes-before-n-edges", _gen("graph", n_nodes=DROP, n_edges=DROP), [], missing("n_nodes")),
+    ("graph-n-edges-missing", _gen("graph", n_edges=DROP), [], missing("n_edges")),
+    ("graph-n-edges-before-n", _gen("graph", n_edges=1.5, n=DROP), [], not_integer("n_edges", 1.5)),
+    ("graph-n-missing", _gen("graph", n=DROP), [], missing("n")),
+    ("graph-n-before-thetas", _gen("graph", n=DROP, thetas=DROP), [], missing("n")),
+    ("graph-thetas-missing", _gen("graph", thetas=DROP), [], NO_THETAS),
+    ("graph-preset-m-missing", _gen("graph", thetas=DROP, preset="movies_style"), [], missing("m")),
+    ("graph-too-few-edges", _gen("graph", n_edges=3), [],
+     "need n_nodes >= 2 and n_nodes-1 <= n_edges <= 28, got n_nodes=8, n_edges=3"),
+    ("graph-n-zero", _gen("graph", n=0), [], "need n >= 1 and at least 3 labelers"),
+    ("graph-theta-negative", _gen("graph", thetas=[-1.0, 0.5, 0.25]), [], "thetas must be >= 0; labeler 0 has -1.0"),
+    # sweep: the seed flag, the file's kind, base and seed, the replicates, the grid, the rules, then each point
+    ("sweep-seed-flag", _sweep("ranking"), ["--seed", "-1"], SEED_FLAG),
+    ("sweep-seed-flag-before-kind", _sweep("ranking", kind=DROP), ["--seed", "-1"], SEED_FLAG),
+    ("sweep-not-an-object", ("sweep", "ranking"), [], NOT_AN_OBJECT),
+    ("sweep-kind-missing", _sweep("ranking", kind=DROP), [], missing("kind")),
+    ("sweep-kind-before-base", _sweep("ranking", kind=DROP, base=DROP), [], missing("kind")),
+    ("sweep-base-missing", _sweep("graph", base=DROP), [], missing("base")),
+    ("sweep-base-before-seed", _sweep("ranking", base=DROP, seed=-1), [], missing("base")),
+    ("sweep-seed-missing", _sweep("ranking", seed=DROP), [], missing("seed")),
+    ("sweep-seed-negative", _sweep("regression", seed=-1), [], negative("seed", -1)),
+    ("sweep-seed-bool", _sweep("ranking", seed=True), [], not_integer("seed", True)),
+    ("sweep-seed-before-replicates", _sweep("ranking", seed=-1, replicates=1.5), [], negative("seed", -1)),
+    ("sweep-seed-before-kind", _sweep("ranking", seed=-1, kind="tree"), [], negative("seed", -1)),
+    ("sweep-replicates-fraction", _sweep("ranking", replicates=1.5), [], not_integer("replicates", 1.5)),
+    ("sweep-replicates-before-grid", _sweep("ranking", replicates=True, grid=DROP), [],
+     not_integer("replicates", True)),
+    ("sweep-grid-missing", _sweep("ranking", grid=DROP), [], GRID_OBJECT),
+    ("sweep-grid-empty", _sweep("ranking", grid={}), [], GRID_OBJECT),
+    ("sweep-grid-list", _sweep("ranking", grid=[200]), [], GRID_OBJECT),
+    ("sweep-base-list", _sweep("ranking", base=[SWEEP_BASES["ranking"]]), [], GRID_OBJECT),
+    ("sweep-base-without-labelers", _sweep("ranking", base={"rho": 4}), [], GRID_OBJECT),
+    ("sweep-base-thetas-number", _sweep("graph", base=_base("graph", thetas=5)), [], GRID_OBJECT),
+    ("sweep-grid-before-n", _sweep("ranking", grid={"n": [True]}, base={"rho": 4}), [], GRID_OBJECT),
+    ("sweep-n-not-a-list", _sweep("ranking", grid={"n": 200}), [],
+     "{where}: field 'n' must be a list of integers, got 200"),
+    ("sweep-m-not-a-list", _sweep("ranking", grid={"n": [200], "m": "3"}), [],
+     "{where}: field 'm' must be a list of integers, got '3'"),
+    ("sweep-n-before-m", _sweep("ranking", grid={"n": "x", "m": "y"}), [],
+     "{where}: field 'n' must be a list of integers, got 'x'"),
+    ("sweep-n-bool", _sweep("ranking", grid={"n": [200, True]}), [], not_integer("n", True)),
+    ("sweep-m-fraction", _sweep("regression", grid={"n": [200], "m": [3.5]}), [], not_integer("m", 3.5)),
+    ("sweep-base-n-fraction", _sweep("ranking", grid={"m": [3]}, base=_base("ranking", n=2.5)), [],
+     not_integer("n", 2.5)),
+    ("sweep-n-empty", _sweep("ranking", grid={"n": [], "m": [3]}), [], GRID_BOUNDS),
+    ("sweep-m-empty", _sweep("ranking", grid={"n": [200], "m": []}), [], GRID_BOUNDS),
+    ("sweep-replicates-zero", _sweep("ranking", replicates=0), [], GRID_BOUNDS),
+    ("sweep-n-zero", _sweep("graph", grid={"n": [200, 0]}), [], GRID_BOUNDS),
+    ("sweep-m-zero", _sweep("ranking", grid={"n": [200], "m": [0, 3]}), [], GRID_BOUNDS),
+    ("sweep-m-above-base", _sweep("regression", grid={"n": [200], "m": [3, 5]}), [], GRID_BOUNDS),
+    ("sweep-bounds-before-rules", _sweep("ranking", replicates=-1, rules="mv"), [], GRID_BOUNDS),
+    ("sweep-rules-text", _sweep("ranking", rules="mv"), [], bad_rules("mv")),
+    ("sweep-rules-unknown", _sweep("graph", rules=["mv", "median"]), [], bad_rules(["mv", "median"])),
+    ("sweep-rules-null", _sweep("regression", rules=None), [], bad_rules(None)),
+    ("sweep-rules-before-kind", _sweep("ranking", rules=["Weighted"], kind="tree"), [], bad_rules(["Weighted"])),
+    ("sweep-kind-unknown", _sweep("ranking", kind="tree"), [], unknown_kind("tree")),
+    ("sweep-kind-list", _sweep("ranking", kind=["ranking"]), [], unknown_kind(["ranking"])),
+    ("sweep-kind-before-fields", _sweep("ranking", kind="regression_", base=_base("ranking", rho=DROP)), [],
+     unknown_kind("regression_")),
+    ("sweep-rank-rho-missing", _sweep("ranking", base=_base("ranking", rho=DROP)), [], missing("rho")),
+    ("sweep-rank-rho-bool", _sweep("ranking", base=_base("ranking", rho=True)), [], not_integer("rho", True)),
+    ("sweep-rank-accuracies", _sweep("ranking", base=_base("ranking", thetas=DROP, accuracies=[0.5] * 4)), [],
+     NO_THETAS),
+    ("sweep-rank-two-labelers", _sweep("ranking", grid={"n": [200], "m": [2, 3]}), [],
+     "need at least 3 labelers, got 2"),
+    ("sweep-rank-rho-one", _sweep("ranking", base=_base("ranking", rho=1)), [],
+     "need n >= 1 and rho >= 2, got n=200, rho=1"),
+    ("sweep-rank-later-point", _sweep("ranking", base=_base("ranking", thetas=[1.5, 1.0, 0.7, -0.5])), [],
+     "thetas must be >= 0; labeler 3 has -0.5"),
+    ("sweep-reg-thetas", _sweep("regression", base=_base("regression", accuracies=DROP, thetas=[0.5] * 4)), [],
+     missing("accuracies")),
+    ("sweep-reg-lf-missing", _sweep("regression", base=_base("regression", lf_noise=DROP)), [], NO_LF),
+    ("sweep-reg-accuracies-text", _sweep("regression", base=_base("regression", accuracies=[0.8, "a", 0.4, 0.5])), [],
+     "{where}: could not convert string to float: 'a'"),
+    ("sweep-reg-prior-var-text", _sweep("regression", base=_base("regression", prior_var="x")), [],
+     "{where}: could not convert string to float: 'x'"),
+    ("sweep-reg-not-positive-definite", _sweep("regression", base=_base("regression", lf_noise=[0.0] * 4)), [], NOT_PD),
+    ("sweep-graph-n-nodes-missing", _sweep("graph", base=_base("graph", n_nodes=DROP)), [], missing("n_nodes")),
+    ("sweep-graph-n-edges-before-thetas", _sweep("graph", base=_base("graph", n_edges=DROP, thetas=[-1.0] * 4)), [],
+     missing("n_edges")),
+    ("sweep-graph-too-few-edges", _sweep("graph", base=_base("graph", n_edges=3)), [],
+     "need n_nodes >= 2 and n_nodes-1 <= n_edges <= 28, got n_nodes=8, n_edges=3"),
+    ("sweep-graph-theta-negative", _sweep("graph", base=_base("graph", thetas=[1.5, -1.0, 0.7, 0.5])), [],
+     "thetas must be >= 0; labeler 1 has -1.0"),
+]
+
+
+@pytest.mark.parametrize("file, flags, message", [case[1:] for case in SCENARIO_REFUSALS],
+                         ids=[case[0] for case in SCENARIO_REFUSALS])
+def test_scenario_refusals(tmp_path, capsys, file, flags, message):
+    # the exit code, the whole of stderr, and no output directory; where two checks can fire, the table
+    # names the one that fires first
+    command, payload = file
+    scenario = write_json(tmp_path / "scenario.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(scenario), "--out", str(out), *flags]) == VALIDATION_EXIT
+    assert capsys.readouterr().err == f"error: {message.replace('{where}', str(scenario))}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, files", [("generate", GENERATE_FILES), ("sweep", SWEEP_FILES)])
+def test_scenario_refusal_table_files_are_valid(tmp_path, command, files):
+    # each file the table breaks runs as it stands
+    for kind, payload in files.items():
+        scenario = write_json(tmp_path / f"{kind}.json", payload)
+        assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / kind)]) == 0
