@@ -10,6 +10,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -113,52 +114,81 @@ def _resolve_thetas(payload, seed, where):
     raise InvalidArgumentError(f"{where}: missing field 'thetas' (or a known 'preset')")
 
 
-def _scenario(payload, seed, where):
-    """The synthetic scenario a ``generate`` file (or one ``sweep`` point) describes."""
-    kind = _require(payload, "kind", where)
-    seed = _count(seed, "seed", where)
-    try:
-        if kind == "ranking":
-            return synthetic.RankingScenario(
-                n=_field(payload, "n", where),
-                rho=_field(payload, "rho", where),
-                thetas=_resolve_thetas(payload, seed, where),
-                seed=seed,
-            )
-        if kind == "regression":
-            acc = np.asarray(_require(payload, "accuracies", where), dtype=float)
-            prior_var = float(_require(payload, "prior_var", where))
-            if "lf_cov" in payload:
-                cov = payload["lf_cov"]
-            elif "lf_noise" in payload:
-                cov = np.outer(acc, acc) / prior_var + np.diag(np.asarray(payload["lf_noise"], float))
-            else:
-                raise InvalidArgumentError(f"{where}: missing field 'lf_cov' (or 'lf_noise')")
-            return synthetic.RegressionScenario(
-                n=_field(payload, "n", where), accuracies=acc, lf_cov=cov, prior_var=prior_var, seed=seed
-            )
-        if kind == "graph":
-            return synthetic.GraphScenario(
-                n_nodes=_field(payload, "n_nodes", where),
-                n_edges=_field(payload, "n_edges", where),
-                n=_field(payload, "n", where),
-                thetas=_resolve_thetas(payload, seed, where),
-                seed=seed,
-            )
-    except UwsError:
-        raise
-    except (TypeError, ValueError) as exc:  # a list or number field of the wrong form
-        raise InvalidArgumentError(f"{where}: {exc}") from exc
+def _ranking_scenario(payload, seed, where):
+    return synthetic.RankingScenario(n=_field(payload, "n", where), rho=_field(payload, "rho", where),
+                                     thetas=_resolve_thetas(payload, seed, where), seed=seed)
+
+
+def _regression_scenario(payload, seed, where):
+    acc = np.asarray(_require(payload, "accuracies", where), dtype=float)
+    prior_var = float(_require(payload, "prior_var", where))
+    if "lf_cov" in payload:
+        cov = payload["lf_cov"]
+    elif "lf_noise" in payload:
+        cov = np.outer(acc, acc) / prior_var + np.diag(np.asarray(payload["lf_noise"], float))
+    else:
+        raise InvalidArgumentError(f"{where}: missing field 'lf_cov' (or 'lf_noise')")
+    return synthetic.RegressionScenario(n=_field(payload, "n", where), accuracies=acc, lf_cov=cov,
+                                        prior_var=prior_var, seed=seed)
+
+
+def _graph_scenario(payload, seed, where):
+    return synthetic.GraphScenario(n_nodes=_field(payload, "n_nodes", where), n_edges=_field(payload, "n_edges", where),
+                                   n=_field(payload, "n", where), thetas=_resolve_thetas(payload, seed, where),
+                                   seed=seed)
+
+
+def _theta_rel_err(scenario, model):
+    """Mean relative error of the learned thetas over the finite, positive planted ones (0 and inf have
+    none), as a list of one value, or of none when no planted theta has one."""
+    thetas = np.asarray(scenario.thetas)
+    known = np.isfinite(thetas) & (thetas > 0)
+    return [float((np.abs(model.thetas[known] - thetas[known]) / thetas[known]).mean())] if known.any() else []
+
+
+class _Kind(NamedTuple):
+    """One scenario kind: how a payload builds its scenario, how the scenario is drawn, the prior a
+    sweep learns it with, and the sweep's error of learned against planted parameters."""
+
+    build: Callable  # (payload, seed, where) -> scenario
+    draw: Callable  # scenario -> (space or None, truth, data)
+    prior: Callable = lambda scenario: None
+    error_name: str = None
+    error: Callable = lambda scenario, model: []  # -> the error as a list of one value, or none
+
+    def scenario(self, payload, seed, where):
+        """The scenario ``payload`` describes; a field of the wrong form is refused naming ``where``."""
+        try:
+            return self.build(payload, seed, where)
+        except UwsError:
+            raise
+        except (TypeError, ValueError) as exc:  # a list or number field of the wrong form
+            raise InvalidArgumentError(f"{where}: {exc}") from exc
+
+
+# each generator is looked up when drawn, so a replaced module attribute (a tracing wrapper) is the one that runs
+_KINDS = {
+    "ranking": _Kind(_ranking_scenario, lambda s: (None, *synthetic.gen_ranking_tasks(s)),
+                     error_name="theta_rel_err", error=_theta_rel_err),
+    "regression": _Kind(_regression_scenario, lambda s: (None, *synthetic.gen_regression_tasks(s)),
+                        prior=lambda s: SecondMomentPrior(s.prior_var), error_name="acc_abs_err",
+                        error=lambda s, model: [float(np.abs(model.accuracies - np.asarray(s.accuracies)).mean())]),
+    "graph": _Kind(_graph_scenario, lambda s: synthetic.gen_graph_tasks(s)),
+}
+
+
+def _kind(kind, where):
+    """The ``_KINDS`` entry of a scenario file's ``kind`` field."""
+    if isinstance(kind, str) and kind in _KINDS:
+        return _KINDS[kind]
     raise InvalidArgumentError(f"{where}: unknown scenario kind {kind!r}")
 
 
-def _generate(scenario):
-    """(space or None, truth, data) drawn from a scenario of any kind."""
-    if isinstance(scenario, synthetic.GraphScenario):
-        return synthetic.gen_graph_tasks(scenario)
-    if isinstance(scenario, synthetic.RankingScenario):
-        return (None, *synthetic.gen_ranking_tasks(scenario))
-    return (None, *synthetic.gen_regression_tasks(scenario))
+def _scenario(payload, seed, where):
+    """The kind and the synthetic scenario of a ``generate`` file (or one ``sweep`` point)."""
+    name, seed = _require(payload, "kind", where), _count(seed, "seed", where)
+    kind = _kind(name, where)
+    return kind, kind.scenario(payload, seed, where)
 
 
 def cmd_generate(args):
@@ -166,8 +196,8 @@ def cmd_generate(args):
     payload = io.read_json(args.scenario)
     if seed is None:
         seed = _require(payload, "seed", args.scenario)
-    scenario = _scenario(payload, seed, args.scenario)
-    space, truth, data = _generate(scenario)
+    kind, scenario = _scenario(payload, seed, args.scenario)
+    space, truth, data = kind.draw(scenario)
     # the output directory appears only once the scenario has been drawn
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -279,25 +309,10 @@ def _derived_seed(*path):
 _SWEEP_NAMES = {"mean_kendall_distance": "mean_kendall", "mse": "mse", "accuracy": "accuracy"}
 
 
-def _estimation_rows(scenario, model):
-    """The sweep's learn-side metric rows: learned against planted parameters, where known."""
-    if isinstance(scenario, synthetic.RankingScenario):
-        # over the finite, positive planted thetas: 0 and inf have no relative error
-        thetas = np.asarray(scenario.thetas)
-        known = np.isfinite(thetas) & (thetas > 0)
-        errors = np.abs(model.thetas[known] - thetas[known]) / thetas[known]
-        return [("theta_rel_err", float(errors.mean()))] if known.any() else []
-    if isinstance(scenario, synthetic.RegressionScenario):
-        return [("acc_abs_err", float(np.abs(model.accuracies - np.asarray(scenario.accuracies)).mean()))]
-    return []
-
-
-def _sweep_point(scenario, path, rules):
-    space, truth, data = _generate(scenario)
-    regression = isinstance(scenario, synthetic.RegressionScenario)
-    prior = SecondMomentPrior(scenario.prior_var) if regression else None
-    model = learn_label_model(data, prior=prior, path=path)
-    rows = _estimation_rows(scenario, model)
+def _sweep_point(kind, scenario, path, rules):
+    space, truth, data = kind.draw(scenario)
+    model = learn_label_model(data, prior=kind.prior(scenario), path=path)
+    rows = [(kind.error_name, value) for value in kind.error(scenario, model)]
     for rule in rules:
         labels = inference.aggregate_dataset(data, rule=rule, model=model, seed=scenario.seed)
         metrics = _metrics(data.space_kind, labels, truth, space)
@@ -343,28 +358,28 @@ def cmd_sweep(args):
     rules = payload.get("rules", ["mv", "weighted"])
     if not isinstance(rules, list) or not all(rule in ("mv", "weighted") for rule in rules):
         raise InvalidArgumentError(f"{where}: field 'rules' must be a list of \"mv\" and \"weighted\", got {rules!r}")
+    entry = _kind(kind, where)
 
     jobs = [
-        (n, m, rep, _scenario(_point_payload(kind, base, n, m), _derived_seed(seed, n, m, rep), where))
+        (n, m, rep, entry.scenario(_point_payload(kind, base, n, m), _derived_seed(seed, n, m, rep), where))
         for n in ns for m in ms for rep in range(replicates)
     ]
 
     rows = [
         (n, m, rep, metric, value)
         for n, m, rep, scenario in jobs
-        for metric, value in _sweep_point(scenario, path, rules)
+        for metric, value in _sweep_point(entry, scenario, path, rules)
     ]
 
     # log-log slope of estimation error against n, per m, averaged over replicates; none for an m
     # whose mean error is missing, zero or infinite at some n
-    slope_metric = {"ranking": "theta_rel_err", "regression": "acc_abs_err"}.get(kind)
-    if slope_metric and len(ns) >= 2:
+    if entry.error_name and len(ns) >= 2:
         for m in ms:
-            vals = [[v for (rn, rm, _, met, v) in rows if rn == n and rm == m and met == slope_metric] for n in ns]
+            vals = [[v for (rn, rm, _, met, v) in rows if rn == n and rm == m and met == entry.error_name] for n in ns]
             means = np.array([np.mean(v) if v else np.nan for v in vals])
             if (np.isfinite(means) & (means > 0)).all():
                 slope = float(np.polyfit(np.log(ns), np.log(means), 1)[0])
-                rows.append((-1, m, -1, f"loglog_slope_{slope_metric}", slope))
+                rows.append((-1, m, -1, f"loglog_slope_{entry.error_name}", slope))
 
     rows.sort(key=lambda r: (r[3], r[0], r[1], r[2]))
     out = Path(args.out)

@@ -622,9 +622,9 @@ class TestSweep:
         assert sorted(errors) == [(200, 4), (200, 5), (400, 4), (400, 5)]
         planted = np.array(base["thetas"][1:4])
         for (n, m), value in errors.items():
-            point = uws.cli._scenario(uws.cli._point_payload("ranking", base, n, m), uws.cli._derived_seed(3, n, m, 0),
-                                      "sweep")
-            learned = learn_label_model(uws.cli._generate(point)[2]).thetas[1:4]
+            kind, point = uws.cli._scenario(uws.cli._point_payload("ranking", base, n, m),
+                                            uws.cli._derived_seed(3, n, m, 0), "sweep")
+            learned = learn_label_model(kind.draw(point)[2]).thetas[1:4]
             assert value == float((np.abs(learned - planted) / planted).mean())
         slopes = [row for row in rows if row[3] == "loglog_slope_theta_rel_err"]
         assert [row[1] for row in slopes] == ["4", "5"] and all(np.isfinite(float(row[4])) for row in slopes)

@@ -352,7 +352,7 @@ class TestAgainstReference:
         # uws generate builds of the same file
         payload = {"kind": "regression", "n": 40, "accuracies": [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2],
                    "lf_noise": [0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.2], "prior_var": 1.0}
-        s = cli._scenario(payload, seed, "regression.json")
+        _, s = cli._scenario(payload, seed, "regression.json")
         (truth, data), (ref_truth, ref_data) = syn.gen_regression_tasks(s), reference_gen_regression_tasks(s)
         assert data.n_lfs == 8
         assert_same(truth, ref_truth)
