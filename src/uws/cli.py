@@ -281,6 +281,9 @@ def cmd_infer(args):
                 f"{args.truth}: truth file is {truth_kind}/{len(truth)} rows, dataset is "
                 f"{data.space_kind}/{data.n_tasks} tasks"
             )
+        if truth_kind == RANKING and truth.shape[1] != data.rho:
+            raise InvalidArgumentError(f"{args.truth}: truth rankings are of {truth.shape[1]} items, "
+                                       f"the dataset's of {data.rho}")
         if truth_kind == FINITE_METRIC:
             outside = np.flatnonzero((truth < 0) | (truth >= data.space.size))
             if outside.size:
@@ -346,6 +349,9 @@ def cmd_sweep(args):
         raise InvalidArgumentError(
             f"{where}: need a 'grid' object and a 'base' object listing 'thetas' or 'accuracies'"
         )
+    other_axes = [axis for axis in grid if axis not in ("n", "m")]
+    if other_axes:
+        raise InvalidArgumentError(f"{where}: the grid's axes are 'n' and 'm', got {other_axes[0]!r}")
     base_m = len(labelers)
     ns = _integers(grid.get("n", [base.get("n", 1000)]), "n", where)
     ms = _integers(grid.get("m", [base_m]), "m", where)
@@ -354,6 +360,10 @@ def cmd_sweep(args):
             f"{where}: grids and replicates must be nonempty, each n at least 1, "
             f"and each m in 1..{base_m} (the base labelers)"
         )
+    for axis, values in (("n", ns), ("m", ms)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise InvalidArgumentError(f"{where}: grid axis {axis!r} lists {repeated[0]} more than once")
     path = payload.get("path")
     rules = payload.get("rules", ["mv", "weighted"])
     if not isinstance(rules, list) or not all(rule in ("mv", "weighted") for rule in rules):

@@ -441,6 +441,20 @@ class TestInfer:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "pred").exists()
 
+    def test_ranking_truth_of_another_rho_exits_validation(self, tmp_path, capsys, generated):
+        # rankings of 4 items against the dataset's 5: refused before aggregation, so no --out is made
+        data_dir, model = generated
+        other = tmp_path / "rho4"
+        scenario = write_json(tmp_path / "rho4.json",
+                              {"kind": "ranking", "n": 300, "rho": 4, "thetas": [1.5, 1.0, 0.7], "seed": 11})
+        assert main(["generate", "--scenario", str(scenario), "--out", str(other)]) == 0
+        out = tmp_path / "pred"
+        assert main(["infer", "--dataset", str(data_dir), "--model", str(model), "--out", str(out),
+                     "--truth", str(other / "truth.csv")]) == VALIDATION_EXIT
+        assert capsys.readouterr().err == (f"error: {other / 'truth.csv'}: truth rankings are of 4 items, "
+                                           "the dataset's of 5\n")
+        assert not out.exists()
+
     def test_mv_of_labels_near_the_float_limit_writes_finite_pseudolabels(self, tmp_path, capsys):
         # each task's three labels of 1e308 sum past float64's range, but their mean is 1e308
         dataset = _write_lines(tmp_path / "data" / "dataset.csv",
@@ -593,6 +607,42 @@ class TestSweep:
         assert main(["sweep", "--scenario", str(sweep_scenario), "--out", str(out)]) == VALIDATION_EXIT
         assert f"{sweep_scenario}: grids and replicates must be nonempty, each n at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid, shown", [({"n": [200, 400, 200]}, "'n' lists 200"),
+                                             ({"n": [200], "m": [3, 4.0, 4]}, "'m' lists 4")], ids=["n", "m"])
+    def test_repeated_grid_value_exits_validation(self, tmp_path, capsys, sweep_scenario, grid, shown):
+        # a repeat would run its points twice and fit the slope through fewer distinct values than it lists
+        write_json(sweep_scenario, {**json.loads(sweep_scenario.read_text()), "grid": grid})
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(sweep_scenario), "--out", str(out)]) == VALIDATION_EXIT
+        assert capsys.readouterr().err == f"error: {sweep_scenario}: grid axis {shown} more than once\n"
+        assert not out.exists()
+
+    def test_grid_axis_other_than_n_and_m_exits_validation(self, tmp_path, capsys, sweep_scenario):
+        # a rho axis would be ignored, every point run at the base's rho
+        write_json(sweep_scenario, {**json.loads(sweep_scenario.read_text()), "grid": {"n": [200], "rho": [5, 7]}})
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(sweep_scenario), "--out", str(out)]) == VALIDATION_EXIT
+        assert capsys.readouterr().err == f"error: {sweep_scenario}: the grid's axes are 'n' and 'm', got 'rho'\n"
+        assert not out.exists()
+
+    def test_graph_sweep(self, tmp_path):
+        # node accuracy per rule, and no learned-against-planted error, so no slope either
+        scenario = write_json(tmp_path / "graph.json", {
+            "kind": "graph", "seed": 9, "replicates": 2, "grid": {"n": [100, 200], "m": [3, 4]},
+            "base": {"n_nodes": 12, "n_edges": 20, "thetas": [2.0, 1.5, 1.0, 0.8]}})
+        for out in ("a", "b"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / out)]) == 0
+        lines = (tmp_path / "a" / "results.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert lines[0] == "n,m,replicate,metric,value"
+        assert sorted((int(n), int(m), int(rep), metric) for n, m, rep, metric, _ in rows) == sorted(
+            (n, m, rep, metric) for n in (100, 200) for m in (3, 4) for rep in range(2)
+            for metric in ("accuracy_mv", "accuracy_weighted"))
+        assert all(0.0 <= float(row[4]) <= 1.0 for row in rows)
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
     def test_lf_cov_base_is_cut_to_each_m(self, tmp_path):
         # a regression base given by its labeler covariance: a point of m labelers takes its leading m x m block
