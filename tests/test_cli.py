@@ -608,22 +608,19 @@ class TestSweep:
         assert f"{sweep_scenario}: grids and replicates must be nonempty, each n at least 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid, shown", [({"n": [200, 400, 200]}, "'n' lists 200"),
-                                             ({"n": [200], "m": [3, 4.0, 4]}, "'m' lists 4")], ids=["n", "m"])
-    def test_repeated_grid_value_exits_validation(self, tmp_path, capsys, sweep_scenario, grid, shown):
-        # a repeat would run its points twice and fit the slope through fewer distinct values than it lists
+    @pytest.mark.parametrize("grid, message", [
+        ({"n": [200, 400, 200]}, "grid axis 'n' lists 200 more than once"),
+        ({"n": [200], "m": [3, 4.0, 4]}, "grid axis 'm' lists 4 more than once"),
+        ({"n": [200], "rho": [5, 7]}, "the grid's axes are 'n' and 'm', got 'rho'"),
+    ], ids=["repeated-n", "repeated-m", "rho-axis"])
+    def test_repeated_grid_value_or_other_axis_exits_validation(self, tmp_path, capsys, sweep_scenario, grid,
+                                                                message):
+        # a repeat would run its points twice and fit the slope through fewer distinct values than it lists;
+        # a rho axis would be ignored, every point run at the base's rho
         write_json(sweep_scenario, {**json.loads(sweep_scenario.read_text()), "grid": grid})
         out = tmp_path / "out"
         assert main(["sweep", "--scenario", str(sweep_scenario), "--out", str(out)]) == VALIDATION_EXIT
-        assert capsys.readouterr().err == f"error: {sweep_scenario}: grid axis {shown} more than once\n"
-        assert not out.exists()
-
-    def test_grid_axis_other_than_n_and_m_exits_validation(self, tmp_path, capsys, sweep_scenario):
-        # a rho axis would be ignored, every point run at the base's rho
-        write_json(sweep_scenario, {**json.loads(sweep_scenario.read_text()), "grid": {"n": [200], "rho": [5, 7]}})
-        out = tmp_path / "out"
-        assert main(["sweep", "--scenario", str(sweep_scenario), "--out", str(out)]) == VALIDATION_EXIT
-        assert capsys.readouterr().err == f"error: {sweep_scenario}: the grid's axes are 'n' and 'm', got 'rho'\n"
+        assert capsys.readouterr().err == f"error: {sweep_scenario}: {message}\n"
         assert not out.exists()
 
     def test_graph_sweep(self, tmp_path):
